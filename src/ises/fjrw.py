@@ -685,10 +685,16 @@ _THEORIES: dict[int, FjrwTheory] = {}
 
 
 def fjrw_theory(entry: CatalogEntry) -> FjrwTheory:
-    key = id(entry)
-    if key not in _THEORIES:
-        _THEORIES[key] = FjrwTheory(entry)
-    return _THEORIES[key]
+    """The shared theory of ``entry``, cached by object identity.
+
+    Each cached theory keeps its entry; a theory cached under the same id
+    for another entry object is rebuilt, so a recycled id never returns
+    another entry's theory.
+    """
+    theory = _THEORIES.get(id(entry))
+    if theory is None or theory.entry is not entry:
+        theory = _THEORIES[id(entry)] = FjrwTheory(entry)
+    return theory
 
 
 def classify_sectors(entry: CatalogEntry) -> tuple[FjrwSector, ...]:

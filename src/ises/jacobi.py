@@ -56,6 +56,7 @@ from .numcore import (
 __all__ = [
     "Exps",
     "FlatSectionApprox",
+    "FlatSectionPole",
     "IntegralDegree",
     "JacobianAlgebra",
     "SIGMA",
@@ -78,6 +79,10 @@ SIGMA = RatFun.variable()
 class IntegralDegree(DomainError):
     """First-order flat data is undefined at basis monomials of integral
     weighted degree (the unit and the top-degree monomial)."""
+
+
+class FlatSectionPole(DomainError):
+    """A first-order flat-section coefficient has a pole at sigma = 0."""
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +494,13 @@ class JacobianAlgebra:
                 raise DomainError(f"correction {e} breaks the grading of {rvec}")
             if e == rvec:
                 continue  # same-label term only renormalizes at higher order
-            c0 = c.eval(0)
+            try:
+                c0 = c.eval(0)
+            except ZeroDivisionError as exc:
+                raise FlatSectionPole(
+                    f"{self.entry.name}, m={self.marginal.m}: the flat section of "
+                    f"phi_{rvec} has a pole at sigma = 0 in its {e} coefficient"
+                ) from exc
             if c0:
                 corrections.append((e, -c0))
         flat = FlatSectionApprox(r=rvec, corrections=tuple(corrections))

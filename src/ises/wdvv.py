@@ -7,6 +7,14 @@ declared unknowns.  The table is closed-world: a key that was never set
 and never declared unknown reads as zero, so builders must declare every
 key that can be nonzero.
 
+Basis labels may be any hashable objects (FJRW phase vectors, GW leg and
+twist pairs).  A table interns them as the ints ``0..n-1`` of their basis
+position when it is built and keys every value by sorted int tuples, so
+the scans below hash and sort small ints only.  The public API speaks
+labels in both directions: methods take label multisets and return label
+keys, and a label key is the insertion tuple in basis order (paired with
+the degree on graded tables).
+
 :func:`wdvv_residual` evaluates the associativity constraint
 
     sum_k <a, b, e_k> eta^{kl} <e_l, c, d>  -  (b <-> c)
@@ -21,7 +29,10 @@ result is a :class:`LinearForm` in the unknown keys.
 exactly one unknown, solves them, and enforces consistency of the fully
 known instances, raising :class:`InconsistentSystem` on any conflict.
 Solved values are unique when the system is consistent, so the outcome is
-independent of the instance-selection order.
+independent of the instance-selection order.  The ``admissible(pair,
+extra)`` filter of :func:`propagate` and :func:`check_residuals` receives
+labels and must be a pure function of its arguments: each scan calls it
+once per distinct (pairing, extra) and reuses the answer.
 
 The module also ships the small Gromov-Witten seed data for the elliptic
 orbifold projective lines P^1_{a,b,c}: Chen-Ruan pairing, the degree-zero
@@ -35,6 +46,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .numcore import DomainError, NoSolution, Rat, rat, solve_linear
@@ -116,23 +128,17 @@ class LinearForm:
         return " + ".join(parts) if parts else "0"
 
 
-def _multiplicity_product(left: LinearForm, right: LinearForm):
-    """Product of two forms; None when it would be quadratic in unknowns."""
-    if left.terms and right.terms:
-        return None
-    if right.terms:
-        left, right = right, left
-    return left.scaled(right.constant)
-
-
 class CorrelatorTable:
     """Keyed store of genus-zero correlator values with an unknown-set.
 
     Keys are multisets of basis labels (n >= 3 insertions), canonicalized
     by sorting in basis order; graded tables additionally key by an
-    integer degree.  When every label carries a rational grading, setting
-    a nonzero value on a key violating the genus-zero degree budget
-    (sum of degrees = n - 2) is rejected, and such keys read as zero.
+    integer degree.  Internally each label is its basis position, so a key
+    is a sorted int tuple, or ``(int tuple, degree)`` on a graded table;
+    every public method takes labels and returns label keys.  When every
+    label carries a rational grading, setting a nonzero value on a key
+    violating the genus-zero degree budget (sum of degrees = n - 2) is
+    rejected, and such keys read as zero.
     """
 
     def __init__(
@@ -143,13 +149,13 @@ class CorrelatorTable:
         graded: bool = False,
     ):
         self.labels = tuple(labels)
-        if len(set(self.labels)) != len(self.labels):
+        self._index = {label: i for i, label in enumerate(self.labels)}
+        if len(self._index) != len(self.labels):
             raise ValueError("duplicate basis labels")
         self.graded = bool(graded)
-        self._rank = {label: i for i, label in enumerate(self.labels)}
-        self.degrees = None
+        self._degree = None
         if degrees is not None:
-            self.degrees = {label: rat(degrees[label]) for label in self.labels}
+            self._degree = tuple(rat(degrees[label]) for label in self.labels)
         self._pairing = self._symmetrized(pairing)
         self._eta = self._invert_pairing()
         self._values: dict = {}
@@ -161,19 +167,21 @@ class CorrelatorTable:
     def _symmetrized(self, pairing: Mapping) -> dict:
         out = {}
         for (a, b), value in pairing.items():
-            if a not in self._rank or b not in self._rank:
+            if a not in self._index or b not in self._index:
                 raise MissingPairing(f"pairing on unknown label {(a, b)!r}")
+            i, j = self._index[a], self._index[b]
             v = rat(value)
-            for key in ((a, b), (b, a)):
+            for key in ((i, j), (j, i)):
                 if out.setdefault(key, v) != v:
-                    raise MissingPairing(f"pairing not symmetric at {key!r}")
+                    raise MissingPairing(f"pairing not symmetric at {(a, b)!r}")
         return out
 
-    def _invert_pairing(self) -> dict:
+    def _invert_pairing(self) -> tuple:
+        """Rows of the inverse pairing: row k lists (l, eta^{kl}) != 0."""
         n = len(self.labels)
         matrix = [
-            [self._pairing.get((a, b), Fraction(0)) for b in self.labels]
-            for a in self.labels
+            [self._pairing.get((i, j), Fraction(0)) for j in range(n)]
+            for i in range(n)
         ]
         inverse_cols = []
         for j in range(n):
@@ -182,20 +190,16 @@ class CorrelatorTable:
                 inverse_cols.append(solve_linear(matrix, rhs, n))
             except NoSolution as exc:
                 raise MissingPairing("pairing matrix is singular") from exc
-        eta = {}
-        for i, a in enumerate(self.labels):
-            row = []
-            for j, b in enumerate(self.labels):
-                coeff = inverse_cols[j][i]
-                if coeff:
-                    row.append((b, coeff))
-            eta[a] = tuple(row)
-        return eta
+        return tuple(
+            tuple((j, inverse_cols[j][i]) for j in range(n) if inverse_cols[j][i])
+            for i in range(n)
+        )
 
     # -- keys ----------------------------------------------------------
 
-    def key(self, insertions: Iterable, degree: int = 0):
-        ins = tuple(sorted(insertions, key=self._rank.__getitem__))
+    def _key(self, insertions: Iterable, degree: int = 0):
+        """Internal key of a label multiset."""
+        ins = tuple(sorted(self._index[label] for label in insertions))
         if len(ins) < 3:
             raise ValueError("correlator keys need at least 3 insertions")
         if self.graded:
@@ -204,77 +208,95 @@ class CorrelatorTable:
             raise ValueError("degree grading not enabled for this table")
         return ins
 
-    def _insertions(self, key):
+    def _key_of(self, label_key):
+        """Internal key of a label key as returned by :attr:`unknown_keys`."""
+        if self.graded:
+            insertions, degree = label_key
+            return self._key(insertions, degree)
+        return self._key(label_key)
+
+    def _names(self, ins: tuple[int, ...]) -> tuple:
+        """The labels of interned insertions."""
+        return tuple(self.labels[i] for i in ins)
+
+    def _label_key(self, key):
+        """Label key of an internal key."""
+        if self.graded:
+            ins, degree = key
+            return (self._names(ins), degree)
+        return self._names(key)
+
+    def _insertions(self, key) -> tuple[int, ...]:
         return key[0] if self.graded else key
 
     def pairing(self, a, b) -> Rat:
-        return self._pairing.get((a, b), Fraction(0))
-
-    def eta_dual(self, label):
-        """Nonzero entries (m, eta^{label,m}) of the inverse pairing row."""
-        return self._eta[label]
+        return self._pairing.get((self._index[a], self._index[b]), Fraction(0))
 
     def budget_ok(self, insertions) -> bool:
         """Genus-zero degree budget: sum of gradings equals n - 2."""
-        if self.degrees is None:
+        return self._budget_ok(tuple(self._index[label] for label in insertions))
+
+    def _budget_ok(self, ins: tuple[int, ...]) -> bool:
+        if self._degree is None:
             return True
-        total = sum(self.degrees[label] for label in insertions)
-        return total == len(insertions) - 2
+        degree = self._degree
+        return sum(degree[i] for i in ins) == len(ins) - 2
 
     # -- values ----------------------------------------------------------
 
     def set(self, insertions, value, degree: int = 0) -> None:
-        self.set_key(self.key(insertions, degree), value)
+        self._set_key(self._key(insertions, degree), value)
 
-    def set_key(self, key, value) -> None:
+    def _set_key(self, key, value) -> None:
         if self._frozen:
             raise ValueError("table is frozen")
         v = rat(value)
-        if not self.budget_ok(self._insertions(key)):
+        if not self._budget_ok(self._insertions(key)):
             if v:
                 raise DomainError(
-                    f"nonzero value on degree-budget-violating key {key!r}"
+                    "nonzero value on degree-budget-violating key "
+                    f"{self._label_key(key)!r}"
                 )
             return
         old = self._values.get(key)
         if old is not None and old != v:
-            raise InconsistentSystem(f"{key!r}: {old} versus {v}")
+            raise InconsistentSystem(f"{self._label_key(key)!r}: {old} versus {v}")
         self._values[key] = v
         self._unknown.discard(key)
 
     def declare_unknown(self, insertions, degree: int = 0) -> None:
         if self._frozen:
             raise ValueError("table is frozen")
-        key = self.key(insertions, degree)
-        if not self.budget_ok(self._insertions(key)):
+        key = self._key(insertions, degree)
+        if not self._budget_ok(self._insertions(key)):
             return
         if key not in self._values:
             self._unknown.add(key)
 
     def value(self, insertions, degree: int = 0):
         """Known value, or None when the key is a declared unknown."""
-        key = self.key(insertions, degree)
+        key = self._key(insertions, degree)
         if key in self._unknown:
             return None
         return self._values.get(key, Fraction(0))
 
     def lookup(self, insertions, degree: int = 0) -> LinearForm:
-        key = self.key(insertions, degree)
+        key = self._key(insertions, degree)
         if key in self._unknown:
-            return LinearForm(0, {key: 1})
-        return LinearForm(self._values.get(key, Fraction(0)))
-
-    def lookup_key(self, key) -> LinearForm:
-        if key in self._unknown:
-            return LinearForm(0, {key: 1})
+            return LinearForm(0, {self._label_key(key): 1})
         return LinearForm(self._values.get(key, Fraction(0)))
 
     @property
     def unknown_keys(self) -> tuple:
-        return tuple(sorted(self._unknown, key=repr))
+        return tuple(sorted(map(self._label_key, self._unknown), key=repr))
 
     def known_items(self):
-        return tuple(sorted(self._values.items(), key=repr))
+        return tuple(
+            sorted(
+                ((self._label_key(k), v) for k, v in self._values.items()),
+                key=repr,
+            )
+        )
 
     def freeze(self) -> "CorrelatorTable":
         self._frozen = True
@@ -283,9 +305,9 @@ class CorrelatorTable:
     def copy(self) -> "CorrelatorTable":
         dup = CorrelatorTable.__new__(CorrelatorTable)
         dup.labels = self.labels
+        dup._index = self._index
         dup.graded = self.graded
-        dup._rank = self._rank
-        dup.degrees = self.degrees
+        dup._degree = self._degree
         dup._pairing = self._pairing
         dup._eta = self._eta
         dup._values = dict(self._values)
@@ -294,47 +316,76 @@ class CorrelatorTable:
         return dup
 
 
+def _leibniz_splits(extra: tuple[int, ...]):
+    """Every way to send each extra slot to the left or the right factor."""
+    return [
+        (
+            tuple(x for i, x in enumerate(extra) if mask >> i & 1),
+            tuple(x for i, x in enumerate(extra) if not mask >> i & 1),
+        )
+        for mask in range(1 << len(extra))
+    ]
+
+
 def _pair_sum(table: CorrelatorTable, left_pair, right_pair, extra, degree):
     """sum_{k,l} <left, k (+E)> eta^{kl} <l, right (+extra-E)>  as a form.
 
-    Extra insertions are distributed over the two factors by the Leibniz
-    rule (per slot, so repeated labels acquire the right multiplicities).
+    Works on internal keys: the pairs and extras are int tuples.  Extra
+    insertions are distributed over the two factors by the Leibniz rule
+    (per slot, so repeated labels acquire the right multiplicities).
     Degree splits d1 + d2 = degree are summed for graded tables.
     Returns None when some contribution is quadratic in the unknowns.
     """
-    splits = [(None, None)]
-    if table.graded:
-        splits = [(d1, degree - d1) for d1 in range(degree + 1)]
-    total = LinearForm(0)
-    masks = range(1 << len(extra))
-    for k in table.labels:
-        duals = table.eta_dual(k)
+    graded = table.graded
+    values, unknown = table._values, table._unknown
+    splits = [(d1, degree - d1) for d1 in range(degree + 1)] if graded else [(0, 0)]
+    leibniz = _leibniz_splits(extra)
+    constant = Fraction(0)
+    terms: dict = {}
+    for k, duals in enumerate(table._eta):
         if not duals:
             continue
-        for mask in masks:
-            left_extra = tuple(x for i, x in enumerate(extra) if mask >> i & 1)
-            right_extra = tuple(
-                x for i, x in enumerate(extra) if not mask >> i & 1
-            )
+        for left_extra, right_extra in leibniz:
+            left_ins = tuple(sorted(left_pair + (k,) + left_extra))
+            right_tail = right_pair + right_extra
             for d1, d2 in splits:
-                left = table.lookup(
-                    left_pair + (k,) + left_extra, d1 if table.graded else 0
-                )
-                if not left:
+                left_key = (left_ins, d1) if graded else left_ins
+                left_unknown = left_key in unknown
+                left = None if left_unknown else values.get(left_key)
+                if not (left_unknown or left):
                     continue
-                acc = LinearForm(0)
+                acc = Fraction(0)
+                acc_terms: dict = {}
                 for l, eta in duals:
-                    right = table.lookup(
-                        (l,) + right_pair + right_extra, d2 if table.graded else 0
-                    )
-                    if not right:
-                        continue
-                    acc = acc + right.scaled(eta)
-                term = _multiplicity_product(left, acc)
-                if term is None:
-                    return None
-                total = total + term
-    return total
+                    right_ins = tuple(sorted((l,) + right_tail))
+                    right_key = (right_ins, d2) if graded else right_ins
+                    if right_key in unknown:
+                        acc_terms[right_key] = acc_terms.get(right_key, 0) + eta
+                    else:
+                        right = values.get(right_key)
+                        if right:
+                            acc += eta * right
+                acc_terms = {key: c for key, c in acc_terms.items() if c}
+                if left_unknown:
+                    if acc_terms:
+                        return None
+                    if acc:
+                        terms[left_key] = terms.get(left_key, 0) + acc
+                else:
+                    if acc:
+                        constant += left * acc
+                    for key, c in acc_terms.items():
+                        terms[key] = terms.get(key, 0) + left * c
+    return LinearForm(constant, terms)
+
+
+def _residual(table: CorrelatorTable, pair1, pair2, extra, degree):
+    """The residual form of one instance; None when it is quadratic."""
+    first = _pair_sum(table, pair1[0], pair1[1], extra, degree)
+    second = _pair_sum(table, pair2[0], pair2[1], extra, degree)
+    if first is None or second is None:
+        return None
+    return first - second
 
 
 def wdvv_residual(
@@ -345,16 +396,20 @@ def wdvv_residual(
     Computes  sum <a,b,k,(E)> eta^{kl} <l,c,d,(extra-E)>  minus the same
     expression with b and c exchanged.  Zero on every consistent table;
     a nonzero constant flags a contradiction, a nonconstant form is a
-    linear relation among the declared unknowns.
+    linear relation among the declared unknowns, keyed by label keys.
     """
     if table.graded and degree is None:
         raise ValueError("graded tables require a total degree")
     deg = 0 if degree is None else int(degree)
-    first = _pair_sum(table, (a, b), (c, d), tuple(extra), deg)
-    second = _pair_sum(table, (a, c), (b, d), tuple(extra), deg)
-    if first is None or second is None:
+    a, b, c, d = (table._index[x] for x in (a, b, c, d))
+    ext = tuple(table._index[x] for x in extra)
+    form = _residual(table, ((a, b), (c, d)), ((a, c), (b, d)), ext, deg)
+    if form is None:
         raise DomainError("residual is quadratic in the unknowns")
-    return first - second
+    return LinearForm(
+        form.constant,
+        {table._label_key(key): coeff for key, coeff in form.terms.items()},
+    )
 
 
 def _budget_filter(table: CorrelatorTable):
@@ -365,39 +420,73 @@ def _budget_filter(table: CorrelatorTable):
     so both factors satisfy their budgets only when the quad and extras
     sum to (2 + n_extra) + 2 - 4 - chat + n_extra * 0 ... concretely:
     sum(quad) + sum(extra) == 2 + n_extra - chat.  Disabled when gradings
-    are absent or the pairing is not degree-homogeneous.
+    are absent or the pairing is not degree-homogeneous.  Takes int
+    tuples, and compares degrees scaled by their common denominator.
     """
-    if table.degrees is None:
+    degree = table._degree
+    if degree is None:
         return None
-    sums = {
-        table.degrees[a] + table.degrees[b]
-        for (a, b), v in table._pairing.items()
-        if v
-    }
+    sums = {degree[i] + degree[j] for (i, j), v in table._pairing.items() if v}
     if len(sums) != 1:
         return None
     chat = sums.pop()
+    scale = lcm(chat.denominator, *(x.denominator for x in degree))
+    weight = tuple(int(x * scale) for x in degree)
+    offset = int((2 - chat) * scale)
 
     def ok(quad, extra) -> bool:
-        total = sum(table.degrees[x] for x in quad)
-        total += sum(table.degrees[x] for x in extra)
-        return total == 2 + len(extra) - chat
+        total = sum(weight[i] for i in quad) + sum(weight[i] for i in extra)
+        return total == offset + len(extra) * scale
 
     return ok
 
 
-def _instances(table: CorrelatorTable, extra_slots: int, degrees: Sequence[int]):
-    degree_list = list(degrees) if table.graded else [None]
-    admissible = _budget_filter(table)
-    for quad in combinations_with_replacement(table.labels, 4):
+def _instances(table: CorrelatorTable, extra_slots: int, degrees, admissible):
+    """Residual instances (pair1, pair2, extra, degree) over int labels.
+
+    ``admissible(pair, extra)`` is called with labels, once per distinct
+    (pairing, extra) of this scan; instances with an inadmissible pairing
+    are left out.
+    """
+    degree_list = list(degrees) if table.graded else [0]
+    budget = _budget_filter(table)
+    memo: dict = {}
+
+    def allowed(pair, extra) -> bool:
+        if admissible is None:
+            return True
+        ok = memo.get((pair, extra))
+        if ok is None:
+            ok = memo[pair, extra] = bool(
+                admissible(tuple(map(table._names, pair)), table._names(extra))
+            )
+        return ok
+
+    basis = range(len(table.labels))
+    for quad in combinations_with_replacement(basis, 4):
         a, b, c, d = quad
+        pair1 = ((a, b), (c, d))
         for n_extra in range(extra_slots + 1):
-            for extra in combinations_with_replacement(table.labels, n_extra):
-                if admissible is not None and not admissible(quad, extra):
+            for extra in combinations_with_replacement(basis, n_extra):
+                if budget is not None and not budget(quad, extra):
                     continue
+                if not allowed(pair1, extra):
+                    continue
+                others = [
+                    p
+                    for p in (((a, c), (b, d)), ((a, d), (b, c)))
+                    if allowed(p, extra)
+                ]
                 for degree in degree_list:
-                    yield quad, ((a, b), (c, d)), ((a, c), (b, d)), extra, degree
-                    yield quad, ((a, b), (c, d)), ((a, d), (b, c)), extra, degree
+                    for pair2 in others:
+                        yield pair1, pair2, extra, degree
+
+
+def _describe(table: CorrelatorTable, pair1, pair2, extra, degree) -> str:
+    """An instance in labels, for error messages."""
+    first, second = (tuple(map(table._names, pair)) for pair in (pair1, pair2))
+    shown = degree if table.graded else None
+    return f"{first}/{second} extra={table._names(extra)} degree={shown}"
 
 
 def propagate(
@@ -415,47 +504,44 @@ def propagate(
     ``extra_slots`` extra insertions, solves every instance that is linear
     in exactly one unknown, and repeats to a fixed point.  Fully known
     instances must vanish (InconsistentSystem otherwise).  ``targets``,
-    when given, lists keys that must end up resolved; unresolved targets
-    raise NoSolution.  ``shuffle_seed`` randomizes the scan order, which
-    must not change the outcome.
+    when given, lists label keys (as in :attr:`CorrelatorTable.unknown_keys`)
+    that must end up resolved; unresolved targets raise NoSolution.
+    ``shuffle_seed`` randomizes the scan order, which must not change the
+    outcome.
 
     ``admissible(pair, extra)`` filters instances: when the table's labels
     span only part of a larger state space, only pairings whose forced
     intermediate states stay inside the label set yield complete residuals,
-    and the caller must reject the rest.
+    and the caller must reject the rest.  It receives labels and must be a
+    pure function of ``(pair, extra)``, since its answers are reused.
     """
     work = table.copy()
+    instance_list = None
     progress = True
     while progress and work._unknown:
         progress = False
-        instance_list = list(_instances(work, extra_slots, degrees))
-        if shuffle_seed is not None:
-            random.Random(shuffle_seed).shuffle(instance_list)
-        for _, pair1, pair2, extra, degree in instance_list:
-            if admissible is not None and not (
-                admissible(pair1, extra) and admissible(pair2, extra)
-            ):
+        if instance_list is None:
+            instance_list = list(_instances(work, extra_slots, degrees, admissible))
+            if shuffle_seed is not None:
+                random.Random(shuffle_seed).shuffle(instance_list)
+        for pair1, pair2, extra, degree in instance_list:
+            form = _residual(work, pair1, pair2, extra, degree)
+            if form is None:
                 continue
-            deg = 0 if degree is None else degree
-            first = _pair_sum(work, pair1[0], pair1[1], extra, deg)
-            second = _pair_sum(work, pair2[0], pair2[1], extra, deg)
-            if first is None or second is None:
-                continue
-            form = first - second
             if not form.terms:
                 if form.constant:
                     raise InconsistentSystem(
-                        f"known instance {pair1}/{pair2} extra={extra} "
-                        f"degree={degree} has residual {form.constant}"
+                        f"known instance {_describe(work, pair1, pair2, extra, degree)}"
+                        f" has residual {form.constant}"
                     )
                 continue
             if len(form.terms) != 1:
                 continue
             (key, coeff), = form.terms.items()
-            work.set_key(key, -form.constant / coeff)
+            work._set_key(key, -form.constant / coeff)
             progress = True
     if targets is not None:
-        missing = [k for k in targets if k in work._unknown]
+        missing = [k for k in targets if work._key_of(k) in work._unknown]
         if missing:
             raise NoSolution(f"unresolved correlators: {missing!r}")
     return work
@@ -475,22 +561,15 @@ def check_residuals(
     :func:`propagate`.
     """
     checked = 0
-    for _, pair1, pair2, extra, degree in _instances(table, extra_slots, degrees):
-        if admissible is not None and not (
-            admissible(pair1, extra) and admissible(pair2, extra)
-        ):
-            continue
-        deg = 0 if degree is None else degree
-        first = _pair_sum(table, pair1[0], pair1[1], extra, deg)
-        second = _pair_sum(table, pair2[0], pair2[1], extra, deg)
-        if first is None or second is None:
-            continue
-        form = first - second
-        if form.terms:
+    for pair1, pair2, extra, degree in _instances(
+        table, extra_slots, degrees, admissible
+    ):
+        form = _residual(table, pair1, pair2, extra, degree)
+        if form is None or form.terms:
             continue
         if form.constant:
             raise InconsistentSystem(
-                f"instance {pair1}/{pair2} extra={extra} degree={degree} "
+                f"instance {_describe(table, pair1, pair2, extra, degree)} "
                 f"has residual {form.constant}"
             )
         checked += 1

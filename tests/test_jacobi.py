@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ises.isespoly import get_entry, load_catalog
 from ises.jacobi import (
     FlatSectionApprox,
+    FlatSectionPole,
     IntegralDegree,
     JacobianAlgebra,
     groebner,
@@ -332,6 +333,18 @@ def test_integral_degree_labels_are_rejected():
         alg.flat_first_order((0, 0, 0))
     with pytest.raises(IntegralDegree):
         alg.flat_first_order(alg.top_monomial)
+
+
+@pytest.mark.parametrize("r", [(0, 0, 1), (0, 2, 0)])
+def test_flat_section_pole_is_a_typed_domain_error(r):
+    alg = algebra("e7-chain322", (1, 1, 1))
+    with pytest.raises(FlatSectionPole) as info:
+        alg.flat_first_order(r)
+    assert isinstance(info.value, DomainError)
+    message = str(info.value)
+    assert "e7-chain322" in message
+    assert "m=(1, 1, 1)" in message
+    assert f"phi_{r}" in message
 
 
 # ---------------------------------------------------------------------------
