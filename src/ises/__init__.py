@@ -34,10 +34,4 @@ from .pfsolve import (  # noqa: F401
     tabulated_weights,
     weight_report,
 )
-from .jacobi import (  # noqa: F401
-    JacobianAlgebra,
-    flat_first_order,
-    jacobi_decompose,
-    sg_fourpoint_marginal,
-    sg_threepoint,
-)
+from .jacobi import JacobianAlgebra  # noqa: F401

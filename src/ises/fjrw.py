@@ -44,7 +44,7 @@ from itertools import combinations_with_replacement
 from typing import Iterable, Mapping, Sequence
 
 from .isespoly import CatalogEntry
-from .numcore import DomainError, Rat, parse_rat, rat
+from .numcore import DomainError, Rat, nullspace, parse_rat, rat
 from .wdvv import CorrelatorTable, InconsistentSystem, propagate
 
 __all__ = [
@@ -96,26 +96,6 @@ def _frac(x) -> Fraction:
 
 def _frac3(vec) -> tuple[Fraction, ...]:
     return tuple(rat(x) % 1 for x in vec)
-
-
-def _rank(rows) -> int:
-    """Rank of a small matrix with exact field entries."""
-    work = [list(map(Fraction, r)) for r in rows]
-    ncols = len(work[0]) if work else 0
-    rank = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(work)) if work[i][col]), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = 1 / work[rank][col]
-        work[rank] = [v * inv for v in work[rank]]
-        for i, row in enumerate(work):
-            if i != rank and row[col]:
-                factor = row[col]
-                work[i] = [a - factor * b for a, b in zip(row, work[rank])]
-        rank += 1
-    return rank
 
 
 def sector_dimension(mirror_rows, charges, group, theta) -> int:
@@ -181,7 +161,7 @@ def sector_dimension(mirror_rows, charges, group, theta) -> int:
                         shifted[k] += row[jj] - (1 if jj == j else 0)
                     vector[columns[tuple(shifted)]] += row[j]
                 relations.append(vector)
-        dim += len(columns) - _rank(relations)
+        dim += len(nullspace(relations, len(columns)))
     return dim
 
 

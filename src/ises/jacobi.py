@@ -60,14 +60,9 @@ __all__ = [
     "IntegralDegree",
     "JacobianAlgebra",
     "SIGMA",
-    "flat_first_order",
     "groebner",
-    "jacobi_decompose",
     "normal_form",
     "order_key",
-    "sg_fourpoint_marginal",
-    "sg_fourpoint_raw",
-    "sg_threepoint",
 ]
 
 Exps = tuple[int, int, int]
@@ -438,8 +433,15 @@ class JacobianAlgebra:
         return tuple(gs)
 
     def _decomposition_system(self, rvec, rm, layers, bound):
-        """Set up and solve the sparse linear system for one sigma-degree
-        bound; returns (solution, column labels)."""
+        """Set up and solve the sparse linear system A x = b for one
+        sigma-degree bound; returns (solution, column labels).
+
+        One elimination gives both parts of the solution set: the nullspace
+        of [A | -b] has a vector with last coordinate 1 exactly when the
+        system is consistent, and that vector, cut to A's columns, is the
+        particular solution with every free variable 0; the other vectors,
+        cut the same way, are the nullspace of A.
+        """
         deg_r = self._degree(rvec)
         cols: list[tuple[int, Exps, int]] = []
         for i in range(NVARS):
@@ -458,15 +460,17 @@ class JacobianAlgebra:
         rhs_map = {(rm, 0): Fraction(1), (rm, self.marginal.l): Fraction(-self.marginal.C)}
         keys = sorted(set(entries) | set(rhs_map))
         rows = []
-        rhs = []
         for kk in keys:
-            row = [Fraction(0)] * len(cols)
+            row = [Fraction(0)] * (len(cols) + 1)
             for ci, v in entries.get(kk, {}).items():
                 row[ci] = v
+            row[-1] = -rhs_map.get(kk, Fraction(0))
             rows.append(row)
-            rhs.append(rhs_map.get(kk, Fraction(0)))
-        sol = solve_linear(rows, rhs, len(cols))
-        kernel = nullspace(rows, len(cols))
+        kernel = nullspace(rows, len(cols) + 1)
+        if not (kernel and kernel[-1][-1]):
+            raise NoSolution(f"no decomposition of {rvec} with sigma-degree {bound}")
+        sol = kernel.pop()[:-1]
+        kernel = [v[:-1] for v in kernel]
         priority = sorted(
             range(len(cols)),
             key=lambda c: (cols[c][2], cols[c][0], self._key(cols[c][1])),
@@ -578,33 +582,3 @@ def _pin_zeros(sol, kernel, priority):
             for v in kernel
         ]
     return sol
-
-
-# ---------------------------------------------------------------------------
-# Operation-style wrappers
-# ---------------------------------------------------------------------------
-
-
-def jacobi_decompose(algebra: JacobianAlgebra, r: Sequence[int]):
-    """See :meth:`JacobianAlgebra.decompose`."""
-    return algebra.decompose(r)
-
-
-def flat_first_order(algebra: JacobianAlgebra, r: Sequence[int]):
-    """See :meth:`JacobianAlgebra.flat_first_order`."""
-    return algebra.flat_first_order(r)
-
-
-def sg_threepoint(algebra: JacobianAlgebra, xi: MultiPoly) -> RatFun:
-    """See :meth:`JacobianAlgebra.threepoint`."""
-    return algebra.threepoint(xi)
-
-
-def sg_fourpoint_marginal(algebra: JacobianAlgebra, r1, r2, r3) -> Rat:
-    """See :meth:`JacobianAlgebra.fourpoint`."""
-    return algebra.fourpoint(r1, r2, r3)
-
-
-def sg_fourpoint_raw(algebra: JacobianAlgebra, exps: Sequence[int]) -> Rat:
-    """See :meth:`JacobianAlgebra.fourpoint_raw`."""
-    return algebra.fourpoint_raw(exps)

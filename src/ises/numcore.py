@@ -1245,6 +1245,58 @@ class LogSeries:
 # ---------------------------------------------------------------------------
 
 
+def _rref(rows, ncols):
+    """Reduced row echelon form of sparse rows, by Gauss-Jordan elimination.
+
+    ``rows`` are ``{column: value}`` dicts of nonzero cells, which are
+    reduced in place; only columns below ``ncols`` are pivoted on, and each
+    step touches only nonzero cells.  Returns the pivot rows as
+    ``(column, row)`` pairs in column order, each scaled to a leading 1 and
+    clear in every other pivot column, and the leftover rows, which are
+    empty below ``ncols``.  Int pivots are inverted as ``Fraction``s, so
+    int input stays exact.
+    """
+    pending = list(rows)
+    pivots = []
+    for c in range(ncols):
+        hits = [i for i, row in enumerate(pending) if c in row]
+        if not hits:
+            continue
+        prow = pending.pop(min(hits, key=lambda i: len(pending[i])))
+        p = prow[c]
+        if isinstance(p, int):
+            p = Fraction(p)
+        inv = p ** -1 if isinstance(p, AlgebraicNum) else 1 / p
+        for k in prow:
+            prow[k] = prow[k] * inv
+        for row in pending:
+            _eliminate(row, prow, c)
+        for _, row in pivots:
+            _eliminate(row, prow, c)
+        pivots.append((c, prow))
+        if not pending:
+            break
+    return pivots, pending
+
+
+def _eliminate(row, prow, c):
+    """Subtract ``row[c]`` times the unit pivot row ``prow`` from ``row``."""
+    f = row.pop(c, None)
+    if not f:
+        return
+    for k, v in prow.items():
+        if k != c:
+            x = row.get(k, 0) - f * v
+            if x:
+                row[k] = x
+            else:
+                row.pop(k, None)
+
+
+def _sparse(row):
+    return {c: v for c, v in enumerate(row) if v}
+
+
 def solve_linear(rows, rhs, ncols=None):
     """Solve A x = b exactly over a field by Gaussian elimination.
 
@@ -1252,62 +1304,35 @@ def solve_linear(rows, rhs, ncols=None):
     ``rhs`` the right-hand column.  Returns a particular solution with every
     free variable set to 0.  Raises NoSolution when inconsistent.
     """
-    m = len(rows)
-    n = ncols if ncols is not None else (len(rows[0]) if m else 0)
-    a = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
-    piv_cols = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if a[i][c]), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = a[r][c] ** -1 if isinstance(a[r][c], AlgebraicNum) else 1 / a[r][c]
-        a[r] = [v * inv for v in a[r]]
-        for i in range(m):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [vi - f * vr for vi, vr in zip(a[i], a[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if a[i][n]:
-            raise NoSolution("inconsistent linear system")
+    n = ncols if ncols is not None else (len(rows[0]) if rows else 0)
+    aug = []
+    for row, b in zip(rows, rhs):
+        srow = _sparse(row)
+        if b:
+            srow[n] = b
+        aug.append(srow)
+    pivots, rest = _rref(aug, n)
+    if any(rest):
+        raise NoSolution("inconsistent linear system")
     x = [0] * n
-    for i, c in enumerate(piv_cols):
-        x[c] = a[i][n]
+    for c, row in pivots:
+        x[c] = row.get(n, 0)
     return x
 
 
 def nullspace(rows, ncols) -> list:
-    """Basis of the exact nullspace of A (list of coordinate lists)."""
-    m = len(rows)
-    a = [list(r) for r in rows]
-    piv_cols = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, m) if a[i][c]), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = a[r][c] ** -1 if isinstance(a[r][c], AlgebraicNum) else 1 / a[r][c]
-        a[r] = [v * inv for v in a[r]]
-        for i in range(m):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [vi - f * vr for vi, vr in zip(a[i], a[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    free = [c for c in range(ncols) if c not in piv_cols]
+    """Basis of the exact nullspace of A (list of coordinate lists), one
+    vector per free column in column order, that column set to 1."""
+    pivots, _ = _rref([_sparse(row) for row in rows], ncols)
+    pivot_cols = {c for c, _ in pivots}
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivot_cols:
+            continue
         v = [0] * ncols
         v[fc] = 1
-        for i, c in enumerate(piv_cols):
-            v[c] = -a[i][fc]
+        for c, row in pivots:
+            if fc in row:
+                v[c] = -row[fc]
         basis.append(v)
     return basis

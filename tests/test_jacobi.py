@@ -19,6 +19,7 @@ from ises.jacobi import (
 from ises.numcore import (
     DomainError,
     MultiPoly,
+    NoSolution,
     RatFun,
     UniPoly,
     nullspace,
@@ -266,6 +267,33 @@ def test_decompositions_cover_every_nonunit_basis_monomial():
                 continue
             lhs, total = defining_sides(alg, r, alg.decompose(r))
             assert total == lhs
+
+
+def test_inconsistent_first_ansatz_falls_back_to_the_bound_2l(monkeypatch):
+    # No catalog pair needs the fallback: the sigma-degree 2 ansatz always
+    # solves.  A sigma-degree 0 ansatz cannot reach the sigma^l term of the
+    # left-hand side, so shrinking the first attempt to it makes that
+    # augmented system inconsistent.
+    entry = get_entry(CATALOG, "e8-fermat")
+    mar = entry.marginals[0]
+    want = algebra("e8-fermat").decompose((1, 0, 0))
+    real = JacobianAlgebra._decomposition_system
+    attempts = []
+
+    def first_ansatz_too_small(self, rvec, rm, layers, bound):
+        shrunk = 0 if not attempts else bound
+        try:
+            result = real(self, rvec, rm, layers, shrunk)
+        except NoSolution:
+            attempts.append((bound, shrunk, "NoSolution"))
+            raise
+        attempts.append((bound, shrunk, "solved"))
+        return result
+
+    monkeypatch.setattr(JacobianAlgebra, "_decomposition_system", first_ansatz_too_small)
+    got = JacobianAlgebra(entry, mar.m).decompose((1, 0, 0))
+    assert attempts == [(2, 0, "NoSolution"), (2 * mar.l, 2 * mar.l, "solved")]
+    assert got == want
 
 
 def test_decompose_rejects_non_basis_exponents():

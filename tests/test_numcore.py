@@ -1,5 +1,7 @@
 """Tests for the exact arithmetic substrate."""
 
+import copy
+import random
 from fractions import Fraction
 
 import pytest
@@ -321,3 +323,120 @@ def test_solve_linear_property(rows, xvec):
     sol = solve_linear([list(r) for r in rows], rhs)
     for r, b in zip(rows, rhs):
         assert sum(r[j] * sol[j] for j in range(3)) == b
+
+
+def test_int_pivots_give_exact_fractions():
+    sol = solve_linear([[2, 1], [0, 3]], [1, 1])
+    assert sol == [F(1, 3), F(1, 3)]
+    assert all(type(x) is F for x in sol)
+    ns = nullspace([[2, 1]], 2)
+    assert ns == [[F(-1, 2), 1]]
+    assert type(ns[0][0]) is F
+
+
+def test_nullspace_of_no_rows_is_the_unit_basis():
+    assert nullspace([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+def _dense_rref(rows, ncols):
+    """Dense Gauss-Jordan elimination, the reference for the sparse kernel:
+    returns the reduced rows and the pivot columns."""
+    m = len(rows)
+    a = [list(r) for r in rows]
+    piv_cols = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, m) if a[i][c]), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [v * inv for v in a[r]]
+        for i in range(m):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [vi - f * vr for vi, vr in zip(a[i], a[r])]
+        piv_cols.append(c)
+        r += 1
+        if r == m:
+            break
+    return a, piv_cols
+
+
+def _reference_solve(rows, rhs, ncols):
+    """Particular solution with free variables 0, or None if inconsistent."""
+    a, piv_cols = _dense_rref([list(r) + [b] for r, b in zip(rows, rhs)], ncols)
+    if any(row[ncols] for row in a[len(piv_cols):]):
+        return None
+    x = [0] * ncols
+    for i, c in enumerate(piv_cols):
+        x[c] = a[i][ncols]
+    return x
+
+
+def _reference_nullspace(rows, ncols):
+    a, piv_cols = _dense_rref(rows, ncols)
+    basis = []
+    for fc in range(ncols):
+        if fc in piv_cols:
+            continue
+        v = [0] * ncols
+        v[fc] = 1
+        for i, c in enumerate(piv_cols):
+            v[c] = -a[i][fc]
+        basis.append(v)
+    return basis
+
+
+def _sparse_system(seed):
+    """A seeded sparse rational system of up to 12 x 14, some rows copies or
+    combinations of others, with a consistent or an arbitrary right side."""
+    rng = random.Random(seed)
+    m, n = rng.randint(1, 12), rng.randint(1, 14)
+    density = rng.choice((0.1, 0.25, 0.5))
+
+    def cell():
+        if rng.random() >= density:
+            return F(0)
+        return F(rng.randint(-9, 9), rng.randint(1, 6))
+
+    rows = []
+    for _ in range(m):
+        if rows and rng.random() < 0.2:
+            u, w = rng.choice(rows), rng.choice(rows)
+            k = F(rng.randint(-3, 3), rng.randint(1, 3))
+            rows.append([x + k * y for x, y in zip(u, w)])
+        else:
+            rows.append([cell() for _ in range(n)])
+    if rng.random() < 0.5:
+        x = [cell() for _ in range(n)]
+        rhs = [sum((a * b for a, b in zip(row, x)), F(0)) for row in rows]
+    else:
+        rhs = [cell() for _ in range(m)]
+    return rows, rhs, n
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_sparse_kernel_matches_dense_reference(seed):
+    rows, rhs, n = _sparse_system(seed)
+    before = copy.deepcopy((rows, rhs))
+    want = _reference_solve(rows, rhs, n)
+    if want is None:
+        with pytest.raises(NoSolution):
+            solve_linear(rows, rhs, n)
+    else:
+        assert solve_linear(rows, rhs, n) == want
+    kernel = nullspace(rows, n)
+    assert kernel == _reference_nullspace(rows, n)
+    # One elimination of [A | -b] gives both: the solution is the last
+    # kernel vector when its last coordinate is 1, the rest is ker A.
+    augmented = nullspace([row + [-b] for row, b in zip(rows, rhs)], n + 1)
+    if want is None:
+        assert not any(v[n] for v in augmented)
+        assert [v[:n] for v in augmented] == kernel
+    else:
+        assert augmented[-1][n] == 1
+        assert augmented[-1][:n] == want
+        assert [v[:n] for v in augmented[:-1]] == kernel
+    assert (rows, rhs) == before
