@@ -41,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .isespoly import CatalogEntry
@@ -240,7 +241,6 @@ class FjrwTheory:
         self.name = entry.name
         self.charges = entry.polynomial.charges
         self.mirror_charges = entry.polynomial.mirror_charges
-        group = entry.polynomial.transpose().group()
 
         scheme = raw["scheme"]
         offset = _frac3(parse_rat(x) for x in scheme["offset"])
@@ -256,23 +256,7 @@ class FjrwTheory:
             self._chart[index] = theta
             self._chart_index.setdefault(theta, index)
 
-        mirror_rows = entry.polynomial.transpose().exponents
-        self.sectors: dict[tuple[Fraction, ...], FjrwSector] = {}
-        for theta in group:
-            narrow = all(t != 0 for t in theta)
-            degree = None
-            dim = 1
-            if narrow:
-                degree = sum(
-                    t - q for t, q in zip(theta, self.mirror_charges)
-                )
-            else:
-                dim = sector_dimension(
-                    mirror_rows, self.mirror_charges, group, theta
-                )
-            self.sectors[theta] = FjrwSector(
-                theta, narrow, degree, self._chart_index.get(theta), dim
-            )
+        self.sectors = {s.theta: s for s in _sector_list(entry, self._chart_index)}
         for index, theta in self._chart.items():
             if theta not in self.sectors:
                 raise DomainError(
@@ -300,6 +284,11 @@ class FjrwTheory:
         }
         if narrow_count + sum(self.broad_dims.values()) != entry.milnor:
             raise DomainError(f"{entry.name}: state space dimension mismatch")
+        # phases scaled to ints for narrow_nodes; q = J is a sector, so qL too
+        scale = self._scale = lcm(*(t.denominator for th in self.sectors for t in th))
+        self._scaled = {th: tuple(int(t * scale) for t in th) for th in self.sectors}
+        self._scaled_q = self._scaled[self.identity.theta]
+        self._scaled_broad = frozenset(self._scaled[t] for t in self.broad_dims)
 
         fixtures = raw.get("fixtures", {})
         self._fixture3 = {
@@ -433,20 +422,20 @@ class FjrwTheory:
         into a broad sector of positive dimension give residuals with
         contributions the narrow table cannot see, so they must not be
         used as identities on it.  Broad sectors of dimension zero carry
-        no states and are harmless.
+        no states and are harmless.  All of it runs on phases scaled to
+        ints by the lcm L of their denominators: each node is
+        ((|S|+1) qL - sum(left L) - sum(S L)) mod L, looked up among the
+        scaled broad sectors of positive dimension.
         """
-        q = self.mirror_charges
+        scale, q, scaled = self._scale, self._scaled_q, self._scaled
+        shifts = [tuple(qj - xj for qj, xj in zip(q, scaled[x])) for x in extra]
         for half in pair:
-            base = [sum(t[j] for t in half) for j in range(3)]
-            for subset in _subvectors(tuple([1] * len(extra))):
-                picked = [x for x, flag in zip(extra, subset) if flag]
-                node = _frac3(
-                    (len(picked) + 1) * q[j]
-                    - base[j]
-                    - sum(t[j] for t in picked)
-                    for j in range(3)
-                )
-                if not self.sectors[node].narrow and self.broad_dims.get(node):
+            vectors = [scaled[t] for t in half]
+            nodes = [tuple(q[j] - sum(v[j] for v in vectors) for j in range(3))]
+            for shift in shifts:
+                nodes += [tuple(n + s for n, s in zip(node, shift)) for node in nodes]
+            for node in nodes:
+                if tuple(n % scale for n in node) in self._scaled_broad:
                     return False
         return True
 
@@ -683,24 +672,27 @@ def classify_sectors(entry: CatalogEntry) -> tuple[FjrwSector, ...]:
     Works for every entry; chart coordinates are attached when the catalog
     provides a scheme for the state space.
     """
+    try:
+        return tuple(fjrw_theory(entry).sectors.values())
+    except NeedsBroadFixture:
+        return _sector_list(entry, {})
+
+
+def _sector_list(entry: CatalogEntry, chart_index: Mapping) -> tuple[FjrwSector, ...]:
+    """The sectors of every diagonal symmetry of W^T, in group order, with
+    chart coordinates looked up in ``chart_index``."""
     mirror = entry.polynomial.transpose()
     charges = entry.polynomial.mirror_charges
-    chart_index: Mapping = {}
-    try:
-        chart_index = fjrw_theory(entry)._chart_index
-    except NeedsBroadFixture:
-        pass
     group = mirror.group()
     out = []
     for theta in group:
-        narrow = all(t != 0 for t in theta)
-        degree = None
-        dim = 1
-        if narrow:
+        index = chart_index.get(theta)
+        if all(theta):
             degree = sum(t - q for t, q in zip(theta, charges))
+            out.append(FjrwSector(theta, True, degree, index))
         else:
             dim = sector_dimension(mirror.exponents, charges, group, theta)
-        out.append(FjrwSector(theta, narrow, degree, chart_index.get(theta), dim))
+            out.append(FjrwSector(theta, False, None, index, dim))
     return tuple(out)
 
 

@@ -42,6 +42,7 @@ from .numcore import (
     MultiPoly,
     Rat,
     UniPoly,
+    inverse,
     parse_rat,
     rat,
     solve_linear,
@@ -88,11 +89,7 @@ def _solve3(rows: Sequence[Sequence[Rat]], rhs: Sequence[Rat]) -> tuple[Rat, Rat
 
 
 def _inverse3(rows: Sequence[Sequence[Rat]]) -> tuple[tuple[Rat, ...], ...]:
-    cols = []
-    for j in range(NVARS):
-        rhs = [Fraction(1 if i == j else 0) for i in range(NVARS)]
-        cols.append(_solve3(rows, rhs))
-    return tuple(tuple(cols[j][i] for j in range(NVARS)) for i in range(NVARS))
+    return tuple(map(tuple, inverse(rows)))
 
 
 def _mat_vec(rows: Sequence[Sequence[Rat]], v: Sequence[Rat]) -> tuple[Rat, ...]:

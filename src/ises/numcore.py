@@ -1320,6 +1320,16 @@ def solve_linear(rows, rhs, ncols=None):
     return x
 
 
+def inverse(rows) -> list:
+    """Rows of the inverse of a square matrix, from one elimination of
+    ``[A | I]``.  Raises NoSolution when A is singular."""
+    n = len(rows)
+    pivots, _ = _rref([{**_sparse(row), n + i: 1} for i, row in enumerate(rows)], n)
+    if len(pivots) < n:
+        raise NoSolution("singular matrix")
+    return [[row.get(n + j, 0) for j in range(n)] for _, row in pivots]
+
+
 def nullspace(rows, ncols) -> list:
     """Basis of the exact nullspace of A (list of coordinate lists), one
     vector per free column in column order, that column set to 1."""

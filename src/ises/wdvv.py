@@ -27,7 +27,8 @@ result is a :class:`LinearForm` in the unknown keys.
 
 :func:`propagate` repeatedly scans residual instances that are linear in
 exactly one unknown, solves them, and enforces consistency of the fully
-known instances, raising :class:`InconsistentSystem` on any conflict.
+known instances, raising :class:`InconsistentSystem` on any conflict; each
+pass after the first rescans only the instances that are still open.
 Solved values are unique when the system is consistent, so the outcome is
 independent of the instance-selection order.  The ``admissible(pair,
 extra)`` filter of :func:`propagate` and :func:`check_residuals` receives
@@ -49,7 +50,7 @@ from itertools import combinations_with_replacement
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
-from .numcore import DomainError, NoSolution, Rat, rat, solve_linear
+from .numcore import DomainError, NoSolution, Rat, inverse, rat
 
 __all__ = [
     "CorrelatorTable",
@@ -179,21 +180,12 @@ class CorrelatorTable:
     def _invert_pairing(self) -> tuple:
         """Rows of the inverse pairing: row k lists (l, eta^{kl}) != 0."""
         n = len(self.labels)
-        matrix = [
-            [self._pairing.get((i, j), Fraction(0)) for j in range(n)]
-            for i in range(n)
-        ]
-        inverse_cols = []
-        for j in range(n):
-            rhs = [Fraction(int(i == j)) for i in range(n)]
-            try:
-                inverse_cols.append(solve_linear(matrix, rhs, n))
-            except NoSolution as exc:
-                raise MissingPairing("pairing matrix is singular") from exc
-        return tuple(
-            tuple((j, inverse_cols[j][i]) for j in range(n) if inverse_cols[j][i])
-            for i in range(n)
-        )
+        matrix = [[self._pairing.get((i, j), 0) for j in range(n)] for i in range(n)]
+        try:
+            rows = inverse(matrix)
+        except NoSolution as exc:
+            raise MissingPairing("pairing matrix is singular") from exc
+        return tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in rows)
 
     # -- keys ----------------------------------------------------------
 
@@ -502,8 +494,9 @@ def propagate(
 
     Scans all residual instances built from the basis labels with up to
     ``extra_slots`` extra insertions, solves every instance that is linear
-    in exactly one unknown, and repeats to a fixed point.  Fully known
-    instances must vanish (InconsistentSystem otherwise).  ``targets``,
+    in exactly one unknown, and rescans the instances still open (quadratic,
+    or linear in two or more unknowns) until a pass solves nothing.  Fully
+    known instances must vanish (InconsistentSystem otherwise).  ``targets``,
     when given, lists label keys (as in :attr:`CorrelatorTable.unknown_keys`)
     that must end up resolved; unresolved targets raise NoSolution.
     ``shuffle_seed`` randomizes the scan order, which must not change the
@@ -516,30 +509,33 @@ def propagate(
     pure function of ``(pair, extra)``, since its answers are reused.
     """
     work = table.copy()
-    instance_list = None
-    progress = True
-    while progress and work._unknown:
-        progress = False
-        if instance_list is None:
-            instance_list = list(_instances(work, extra_slots, degrees, admissible))
+    pending = None
+    while work._unknown:
+        if pending is None:
+            pending = list(_instances(work, extra_slots, degrees, admissible))
             if shuffle_seed is not None:
-                random.Random(shuffle_seed).shuffle(instance_list)
-        for pair1, pair2, extra, degree in instance_list:
-            form = _residual(work, pair1, pair2, extra, degree)
-            if form is None:
-                continue
-            if not form.terms:
+                random.Random(shuffle_seed).shuffle(pending)
+        # known values never change, so a constant or solved residual stays
+        # settled and only the still-open instances are scanned again
+        still_open = []
+        progress = False
+        for instance in pending:
+            form = _residual(work, *instance)
+            if form is not None and not form.terms:
                 if form.constant:
                     raise InconsistentSystem(
-                        f"known instance {_describe(work, pair1, pair2, extra, degree)}"
+                        f"known instance {_describe(work, *instance)}"
                         f" has residual {form.constant}"
                     )
-                continue
-            if len(form.terms) != 1:
-                continue
-            (key, coeff), = form.terms.items()
-            work._set_key(key, -form.constant / coeff)
-            progress = True
+            elif form is None or len(form.terms) != 1:
+                still_open.append(instance)
+            else:
+                (key, coeff), = form.terms.items()
+                work._set_key(key, -form.constant / coeff)
+                progress = True
+        if not progress:
+            break
+        pending = still_open
     if targets is not None:
         missing = [k for k in targets if work._key_of(k) in work._unknown]
         if missing:

@@ -2,13 +2,14 @@
 
 import gc
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
 import ises.fjrw
 from ises.fjrw import NeedsBroadFixture, fjrw_theory
 from ises.isespoly import get_entry, load_catalog
-from ises.wdvv import check_residuals
+from ises.wdvv import _instances, check_residuals
 
 CATALOG = load_catalog()
 ENTRIES = [e for e in CATALOG if e.fjrw and not e.fjrw.get("excluded")]
@@ -94,3 +95,65 @@ def test_theory_cache_follows_the_entry_object(monkeypatch):
     old, new = ENTRIES[0], ENTRIES[1]
     monkeypatch.setitem(ises.fjrw._THEORIES, id(new), fjrw_theory(old))
     assert fjrw_theory(new).entry is new
+
+
+# ---------------------------------------------------------------------------
+# narrow_nodes on scaled int phases against its Fraction form
+
+
+def fraction_narrow_nodes(th, pair, extra):
+    """The Fraction form of ``FjrwTheory.narrow_nodes``: every node phase
+    (|S|+1) q - sum(half) - sum(S) mod 1, looked up among the sectors."""
+    q = th.mirror_charges
+    for half in pair:
+        base = [sum(t[j] for t in half) for j in range(3)]
+        for subset in product((0, 1), repeat=len(extra)):
+            picked = [x for x, flag in zip(extra, subset) if flag]
+            node = tuple(
+                ((len(picked) + 1) * q[j] - base[j] - sum(t[j] for t in picked)) % 1
+                for j in range(3)
+            )
+            if not th.sectors[node].narrow and th.broad_dims.get(node):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_narrow_nodes_matches_the_fraction_form(name):
+    th = theory(name)
+    offered = set()
+
+    def record(pair, extra):
+        offered.add((pair, extra))
+        return True
+
+    for _ in _instances(th.correlator_table(), 1, (0,), record):
+        pass
+    assert offered
+    verdicts = set()
+    for pair, extra in offered:
+        verdict = th.narrow_nodes(pair, extra)
+        assert verdict == fraction_narrow_nodes(th, pair, extra), (pair, extra)
+        verdicts.add(verdict)
+    if not th.broad_dims:
+        assert verdicts == {True}
+
+
+def test_a_node_in_a_broad_sector_with_states_is_rejected():
+    th = theory("e7-loop33")
+    a = (F(1, 8), F(5, 8), F(1, 2))
+    node = (F(0), F(0), F(1, 2))  # q - 2a mod 1, with q = (1/4, 1/4, 1/2)
+    assert th.sectors[a].narrow and th.broad_dims[node] == 2
+    other = (th.identity.theta, th.top.theta)
+    assert th.narrow_nodes((other, other), ()) is True
+    assert th.narrow_nodes(((a, a), other), ()) is False
+    assert th.narrow_nodes((other, (a, a)), ()) is False
+
+
+def test_a_node_in_a_broad_sector_without_states_is_harmless():
+    th = theory("e6-fermat")
+    a, b = (F(1, 3), F(1, 3), F(2, 3)), (F(2, 3), F(2, 3), F(2, 3))
+    node = (F(1, 3), F(1, 3), F(0))  # q - a - b mod 1, with q = (1/3, 1/3, 1/3)
+    assert th.sectors[a].narrow and th.sectors[b].narrow
+    assert not th.sectors[node].narrow and th.sectors[node].dim == 0
+    assert th.narrow_nodes(((a, b), (a, b)), ()) is True

@@ -19,6 +19,7 @@ from ises.numcore import (
     binomial_series,
     cyclotomic_field,
     fmt_rat,
+    inverse,
     monomials_of_weighted_degree,
     nullspace,
     parse_rat,
@@ -440,3 +441,36 @@ def test_sparse_kernel_matches_dense_reference(seed):
         assert augmented[-1][:n] == want
         assert [v[:n] for v in augmented[:-1]] == kernel
     assert (rows, rhs) == before
+
+
+def test_inverse_of_int_rows_is_exact():
+    inv = inverse([[2, 1], [0, 3]])
+    assert inv == [[F(1, 2), F(-1, 6)], [0, F(1, 3)]]
+    assert type(inv[0][0]) is F
+    with pytest.raises(NoSolution):
+        inverse([[1, 2], [2, 4]])
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_inverse_matches_one_solve_per_column(seed):
+    rows, _, n = _sparse_system(seed)
+    k = min(len(rows), n)
+    square = [row[:k] for row in rows[:k]]
+    # most sparse squares are singular; a shifted diagonal is mostly not
+    shifted = [
+        [x + (seed % 7 + 1) * (i == j) for j, x in enumerate(row)]
+        for i, row in enumerate(square)
+    ]
+    for matrix in (square, shifted):
+        before = copy.deepcopy(matrix)
+        columns = [
+            _reference_solve(matrix, [F(int(i == j)) for i in range(k)], k)
+            for j in range(k)
+        ]
+        if None in columns:
+            with pytest.raises(NoSolution):
+                inverse(matrix)
+        else:
+            assert inverse(matrix) == [[col[i] for col in columns] for i in range(k)]
+        assert matrix == before

@@ -6,12 +6,14 @@ from itertools import combinations_with_replacement
 import pytest
 
 import ises.fjrw
+import ises.wdvv
 from ises.isespoly import get_entry, load_catalog
 from ises.numcore import DomainError, NoSolution
 from ises.wdvv import (
     CorrelatorTable,
     InconsistentSystem,
     LinearForm,
+    MissingPairing,
     apply_divisor_rule,
     check_residuals,
     gw_seed_table,
@@ -83,6 +85,11 @@ def test_gw_labels_round_trip():
     for key, value in table.known_items():
         insertions, degree = key
         assert table.value(insertions, degree=degree) == value
+
+
+def test_singular_pairing_is_rejected():
+    with pytest.raises(MissingPairing, match="singular"):
+        CorrelatorTable((HIGH, LOW), {(HIGH, HIGH): 1})
 
 
 def test_keys_need_three_insertions_and_a_grading_for_degrees():
@@ -227,3 +234,56 @@ def test_propagate_ignores_shuffle_seed(monkeypatch):
         shuffled = propagate(table, admissible=theory.narrow_nodes, shuffle_seed=seed)
         assert shuffled.known_items() == reference.known_items()
         assert shuffled.unknown_keys == reference.unknown_keys
+
+
+def rescanning_propagate(table, degrees):
+    """Reference for :func:`propagate`: every pass evaluates every instance,
+    until a pass solves nothing.  Returns the closed table and the number
+    of passes."""
+    work = table.copy()
+    instances = list(ises.wdvv._instances(work, 1, degrees, None))
+    passes = 0
+    progress = True
+    while progress and work._unknown:
+        progress = False
+        passes += 1
+        for instance in instances:
+            form = ises.wdvv._residual(work, *instance)
+            if form is not None and len(form.terms) == 1:
+                (key, coeff), = form.terms.items()
+                work._set_key(key, -form.constant / coeff)
+                progress = True
+    return work, passes, len(instances)
+
+
+def test_propagate_rescans_only_open_instances(monkeypatch):
+    degrees = range(2)
+    seeded = apply_divisor_rule(gw_unknowns(gw_seed_table((3, 3, 3)), 1))
+    reference, passes, instances = rescanning_propagate(seeded, degrees)
+    assert passes > 1
+    calls = []
+    original = ises.wdvv._residual
+
+    def counted(*args):
+        calls.append(args[1:])
+        return original(*args)
+
+    monkeypatch.setattr(ises.wdvv, "_residual", counted)
+    solved = propagate(seeded, degrees=degrees)
+    assert instances <= len(calls) < passes * instances
+    assert solved.known_items() == reference.known_items()
+    assert solved.unknown_keys == reference.unknown_keys
+    monkeypatch.undo()
+    for seed in (1, 2):
+        shuffled = propagate(seeded, degrees=degrees, shuffle_seed=seed)
+        assert shuffled.known_items() == solved.known_items()
+        assert shuffled.unknown_keys == solved.unknown_keys
+
+
+def test_propagate_skips_the_instances_of_a_closed_table(monkeypatch):
+    def unexpected(*args):
+        raise AssertionError("instances listed for a table without unknowns")
+
+    monkeypatch.setattr(ises.wdvv, "_instances", unexpected)
+    table = gw_seed_table((3, 3, 3))
+    assert propagate(table, degrees=range(2)).known_items() == table.known_items()
