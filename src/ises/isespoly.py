@@ -130,8 +130,11 @@ class InvertiblePolynomial:
             raise DomainError("exponents must be nonnegative")
         if _det3(rows) == 0:
             raise DomainError("exponent matrix must be invertible")
-        self.exponents = rows
+        object.__setattr__(self, "exponents", rows)
         self.atoms()  # validates the Fermat/chain/loop structure
+
+    def __setattr__(self, *a):
+        raise AttributeError("InvertiblePolynomial is immutable")
 
     # -- structure ---------------------------------------------------------
 

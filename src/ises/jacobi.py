@@ -28,6 +28,13 @@ The volume factor that K approximates is constant through first order in
 sigma, so values and first sigma-derivatives at sigma = 0 -- which is all
 the four-point functions consume -- are exact.
 
+Four-point functions are read off residue jets at sigma = 0.  The residue
+is Q(sigma)-linear, and the residue R_e(sigma) of each monomial X^e is
+regular at sigma = 0 because W itself is nondegenerate.  So if the product
+of the three flat sections is sum_e (a_e + b_e*sigma + O(sigma^2)) X^e,
+its four-point value is K * sum_e (a_e * R_e'(0) + b_e * R_e(0)), exactly;
+the pair (R_e(0), R_e'(0)) is computed once per monomial and memoised.
+
 Entries whose catalog record fixes a preferred monomial basis are reported
 in that basis; the change of basis from the staircase is performed over
 Q(sigma).  (The two can differ: a marginal term may promote a mixed
@@ -36,6 +43,7 @@ monomial past a pure power in the reverse-lexicographic order.)
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -85,14 +93,24 @@ class FlatSectionPole(DomainError):
 # ---------------------------------------------------------------------------
 
 
+def _scaled_weights(weights: Sequence[Rat]) -> tuple[int, tuple[int, ...]]:
+    """The lcm L of the weights' denominators and the weights times L, so
+    that L times a weighted degree is an int."""
+    ws = [Fraction(w) for w in weights]
+    scale = math.lcm(*(w.denominator for w in ws))
+    return scale, tuple(int(w * scale) for w in ws)
+
+
 def order_key(weights: Sequence[Rat]) -> Callable[[Exps], tuple]:
     """Sort key realizing graded reverse-lexicographic order, X1 > X2 > X3,
     graded by the weighted degree ``sum weights[i]*e[i]``.
 
     Larger key means larger monomial: first compare weighted degrees, then
     prefer the monomial with fewer powers of the last variable, and so on.
+    The degrees are compared as ints, scaled by the lcm of the weights'
+    denominators, which is the same order.
     """
-    w1, w2, w3 = weights
+    _, (w1, w2, w3) = _scaled_weights(weights)
 
     def key(e: Exps) -> tuple:
         return (w1 * e[0] + w2 * e[1] + w3 * e[2], -e[2], -e[1], -e[0])
@@ -283,13 +301,14 @@ class JacobianAlgebra:
         if entry.top_monomial is not None and entry.top_monomial != tops[0]:
             raise DomainError(f"{entry.name}: top monomial disagrees with catalog")
 
-        k = self.residue(MultiPoly.monomial(mvec, Fraction(1)))
-        self.k_constant: Rat = 1 / k.eval(0)
+        self._jets: dict[Exps, tuple[Rat, Rat]] = {}
+        self.k_constant: Rat = 1 / self._residue_jet(mvec)[0]
         if entry.K is not None and entry.K != self.k_constant:
             raise DomainError(f"{entry.name}: K = {self.k_constant} != {entry.K}")
 
         self._decompositions: dict[Exps, tuple[MultiPoly, ...]] = {}
         self._flats: dict[Exps, FlatSectionApprox] = {}
+        self._triples: tuple[tuple[Exps, Exps, Exps], ...] | None = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -516,21 +535,50 @@ class JacobianAlgebra:
         rational function of sigma (exact at sigma = 0 through first order)."""
         return self.residue(xi) * self.k_constant
 
+    def _residue_jet(self, e: Exps) -> tuple[Rat, Rat]:
+        """(R(0), R'(0)) for R(sigma) = residue(X^e), memoised per monomial."""
+        jet = self._jets.get(e)
+        if jet is None:
+            res = self.residue(MultiPoly.monomial(e, Fraction(1)))
+            n0, n1 = res.num.coeff(0), res.num.coeff(1)
+            d0, d1 = res.den.coeff(0), res.den.coeff(1)
+            if not d0:
+                raise DomainError(
+                    f"{self.entry.name}, m={self.marginal.m}: the residue of "
+                    f"X^{e} has a pole at sigma = 0"
+                )
+            jet = (n0 / d0, (n1 * d0 - n0 * d1) / (d0 * d0))
+            self._jets[e] = jet
+        return jet
+
     def fourpoint(self, r1, r2, r3) -> Rat:
         """Four-point function with three flat insertions and one marginal:
         the sigma-derivative at 0 of the three-point function of the product
-        of the first-order flat representatives."""
-        xi = MultiPoly.const(RatFun.const(1))
-        for r in (r1, r2, r3):
-            flat = r if isinstance(r, FlatSectionApprox) else self.flat_first_order(r)
-            xi = xi * flat.polynomial()
-        return self.threepoint(xi).deriv().eval(0)
+        of the first-order flat representatives.
+
+        With that product written as sum_e (a_e + b_e*sigma + O(sigma^2)) X^e,
+        the value is K * sum_e (a_e * R_e'(0) + b_e * R_e(0)) for
+        R_e = residue(X^e).  This is exact: the residue is Q(sigma)-linear
+        and each R_e is regular at sigma = 0, where W is nondegenerate.  Here
+        a_e is 1 at e = r1 + r2 + r3 and 0 elsewhere.
+        """
+        flats = [
+            r if isinstance(r, FlatSectionApprox) else self.flat_first_order(r)
+            for r in (r1, r2, r3)
+        ]
+        total = tuple(sum(f.r[i] for f in flats) for i in range(NVARS))
+        value = self._residue_jet(total)[1]
+        for f in flats:
+            rest = [t - r for t, r in zip(total, f.r)]
+            for e, c in f.corrections:
+                shifted = (e[0] + rest[0], e[1] + rest[1], e[2] + rest[2])
+                value += c * self._residue_jet(shifted)[0]
+        return self.k_constant * value
 
     def fourpoint_raw(self, exps: Sequence[int]) -> Rat:
         """Four-point function with a single raw monomial insertion (no flat
-        correction) and one marginal."""
-        mono = MultiPoly.monomial(tuple(int(e) for e in exps), Fraction(1))
-        return self.threepoint(mono).deriv().eval(0)
+        correction) and one marginal: K * R'(0) for R = residue(X^exps)."""
+        return self.k_constant * self._residue_jet(tuple(int(e) for e in exps))[1]
 
     def raw_marginal_vector(self) -> tuple[Rat, Rat, Rat]:
         """The raw four-point values at the three monomials of W itself."""
@@ -538,25 +586,21 @@ class JacobianAlgebra:
 
     def weight_one_triples(self) -> tuple[tuple[Exps, Exps, Exps], ...]:
         """All multisets {r1, r2, r3} of basis exponents of non-integral
-        degree whose degrees sum to 1 (the domain of the four-point table)."""
-        frac = [
-            e for e in self.basis if Fraction(self._degree(e)).denominator != 1
-        ]
-        seen = set()
-        out = []
-        for a in frac:
-            for b in frac:
-                if self._key(b) < self._key(a):
-                    continue
-                for c in frac:
-                    if self._key(c) < self._key(b):
-                        continue
-                    if self._degree(a) + self._degree(b) + self._degree(c) == 1:
-                        trip = (a, b, c)
-                        if trip not in seen:
-                            seen.add(trip)
-                            out.append(trip)
-        return tuple(out)
+        degree whose degrees sum to 1 (the domain of the four-point table),
+        each listed once in the order of the monomial order."""
+        if self._triples is None:
+            scale, w = _scaled_weights(self.weights)
+            degrees = {e: w[0] * e[0] + w[1] * e[1] + w[2] * e[2] for e in self.basis}
+            frac = [(self._key(e), d, e) for e, d in degrees.items() if d % scale]
+            self._triples = tuple(
+                (a, b, c)
+                for ka, da, a in frac
+                for kb, db, b in frac
+                if kb >= ka
+                for kc, dc, c in frac
+                if kc >= kb and da + db + dc == scale
+            )
+        return self._triples
 
     def fourpoint_table(self) -> dict[tuple[Exps, Exps, Exps], Rat]:
         """Four-point values with marginal insertion on all weight-one

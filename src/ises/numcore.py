@@ -10,7 +10,7 @@ fields, and a small exact linear solver.
 All values are immutable after construction and all operations are pure.
 Coefficient rings are duck-typed: any type supporting ``+ - *``, division by
 ``int``, ``bool()`` zero-test and equality works (``Fraction``, ``RatFun``,
-``AlgebraicNum``, and mpmath numbers for the approximate mode).
+``AlgebraicNum``).  Every value is exact; there is no approximate mode.
 """
 
 from __future__ import annotations
@@ -60,14 +60,6 @@ def fmt_rat(value) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def pochhammer(a: Fraction, n: int) -> Fraction:
-    """Rising factorial (a)_n = a(a+1)...(a+n-1)."""
-    out = Fraction(1)
-    for k in range(n):
-        out *= a + k
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Univariate polynomials over Q
 # ---------------------------------------------------------------------------
@@ -83,7 +75,7 @@ class UniPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -246,7 +238,15 @@ class UniPoly:
 class RatFun:
     """Quotient of two ``UniPoly`` in canonical form: coprime numerator and
     denominator with monic denominator.  Equality is structural equality of
-    the normal form."""
+    the normal form.
+
+    The canonical form of a rational function is unique, so any route to it
+    gives the same ``num`` and ``den``.  The arithmetic uses that to skip the
+    Euclidean gcd where its answer is known: a constant on either side is
+    coprime to the other, a sum over a shared denominator only has to cancel
+    against that denominator, and a product cancels each numerator against
+    the other factor's denominator (Henrici), which leaves a canonical pair.
+    """
 
     __slots__ = ("num", "den")
 
@@ -254,23 +254,29 @@ class RatFun:
         if isinstance(num, (int, Fraction)):
             num = UniPoly.const(num)
         if den is None:
-            den = UniPoly.const(1)
+            den = _ONE
         elif isinstance(den, (int, Fraction)):
             den = UniPoly.const(den)
         if not den:
             raise ZeroDenominator("rational function with zero denominator")
         if num:
-            g = UniPoly.gcd(num, den)
-            if g.degree > 0:
-                num, den = num // g, den // g
+            num, den = _cancel(num, den)
             lead = den.coeffs[-1]
             if lead != 1:
                 num = num * (1 / lead)
                 den = den.monic()
         else:
-            den = UniPoly.const(1)
+            den = _ONE
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _canonical(cls, num: UniPoly, den: UniPoly) -> "RatFun":
+        """Wrap a pair that is already coprime with monic denominator."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "num", num)
+        object.__setattr__(out, "den", den if num else _ONE)
+        return out
 
     def __setattr__(self, *a):
         raise AttributeError("RatFun is immutable")
@@ -311,12 +317,18 @@ class RatFun:
             other = RatFun.coerce(other)
         if not isinstance(other, RatFun):
             return NotImplemented
+        if not other.num:
+            return self
+        if not self.num:
+            return other
+        if self.den == other.den:
+            return RatFun(self.num + other.num, self.den)
         return RatFun(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFun(-self.num, self.den)
+        return RatFun._canonical(-self.num, self.den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, UniPoly)):
@@ -333,7 +345,9 @@ class RatFun:
             other = RatFun.coerce(other)
         if not isinstance(other, RatFun):
             return NotImplemented
-        return RatFun(self.num * other.num, self.den * other.den)
+        a, d = _cancel(self.num, other.den)
+        c, b = _cancel(other.num, self.den)
+        return RatFun._canonical(a * c, b * d)
 
     __rmul__ = __mul__
 
@@ -344,7 +358,8 @@ class RatFun:
             return NotImplemented
         if not other:
             raise ZeroDivisionError("division by zero rational function")
-        return RatFun(self.num * other.den, self.den * other.num)
+        lead = 1 / other.num.coeffs[-1]
+        return self * RatFun._canonical(other.den * lead, other.num * lead)
 
     def __rtruediv__(self, other):
         return RatFun.coerce(other) / self
@@ -352,7 +367,7 @@ class RatFun:
     def __pow__(self, n: int):
         if n < 0:
             return RatFun.const(1) / self ** (-n)
-        return RatFun(self.num**n, self.den**n)
+        return RatFun._canonical(self.num**n, self.den**n)
 
     @property
     def is_polynomial(self) -> bool:
@@ -375,6 +390,8 @@ class RatFun:
         return self.num.eval(v) / d
 
     def deriv(self) -> "RatFun":
+        if self.den.degree == 0:
+            return RatFun._canonical(self.num.deriv(), _ONE)
         return RatFun(
             self.num.deriv() * self.den - self.num * self.den.deriv(),
             self.den * self.den,
@@ -390,13 +407,17 @@ class RatFun:
         return f"RatFun({self.to_text()})"
 
 
-def ratfun_normalize(f: RatFun) -> RatFun:
-    """Return the canonical (coprime, monic-denominator) form of f.
+_ONE = UniPoly.const(1)
 
-    The constructor already canonicalizes, so this is the identity; it exists
-    so callers can assert canonical form explicitly.
-    """
-    return RatFun(f.num, f.den)
+
+def _cancel(num: UniPoly, den: UniPoly) -> tuple[UniPoly, UniPoly]:
+    """Divide ``num`` and ``den`` by their monic gcd; a constant on either
+    side is coprime to the other, so no Euclid step runs then."""
+    if num.degree > 0 and den.degree > 0:
+        g = UniPoly.gcd(num, den)
+        if g.degree > 0:
+            return num // g, den // g
+    return num, den
 
 
 # ---------------------------------------------------------------------------

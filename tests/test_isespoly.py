@@ -85,6 +85,13 @@ def test_atoms():
     assert full_loop.atoms() == (("loop", (0, 1, 2)),)
 
 
+def test_invertible_polynomial_is_immutable():
+    poly = InvertiblePolynomial([[3, 0, 0], [0, 3, 0], [0, 0, 3]])
+    with pytest.raises(AttributeError):
+        poly.exponents = ((2, 1, 0), (0, 2, 1), (0, 0, 3))
+    assert poly.exponents == ((3, 0, 0), (0, 3, 0), (0, 0, 3))
+
+
 def test_transpose_matches_matrix():
     poly = InvertiblePolynomial([[2, 1, 0], [0, 3, 0], [0, 0, 3]])
     assert transpose(poly).exponents == ((2, 0, 0), (1, 3, 0), (0, 0, 3))

@@ -456,6 +456,104 @@ def test_raw_fourpoint_values_equal_the_coordinate_derivative(name, m):
         assert alg.fourpoint_raw(row) == product.deriv().eval(0)
 
 
+def reference_fourpoint(alg: JacobianAlgebra, flats) -> F:
+    """The four-point value by the full Q(sigma) route: the normal form of
+    the product of the flat sections, differentiated at sigma = 0."""
+    xi = MultiPoly.const(RatFun.const(1))
+    for flat in flats:
+        xi = xi * flat.polynomial()
+    return alg.threepoint(xi).deriv().eval(0)
+
+
+@pytest.mark.parametrize("name,m", ALL_PAIRS)
+def test_jet_fourpoints_equal_the_full_normal_form_route(name, m):
+    alg = algebra(name, m)
+    triples = alg.weight_one_triples()
+    assert triples
+    for trip in triples:
+        try:
+            flats = [alg.flat_first_order(r) for r in trip]
+        except FlatSectionPole:
+            with pytest.raises(FlatSectionPole):
+                alg.fourpoint(*trip)
+            continue
+        expected = reference_fourpoint(alg, flats)
+        assert alg.fourpoint(*trip) == expected
+        assert alg.fourpoint(*flats) == expected
+    rows = get_entry(CATALOG, name).polynomial.exponents
+    assert alg.raw_marginal_vector() == tuple(
+        alg.threepoint(mono(row)).deriv().eval(0) for row in rows
+    )
+
+
+def test_jet_fourpoint_uses_both_jet_terms():
+    # The value term R'(0) and the first-order term R(0) both contribute on
+    # e8-chain32's off-row triple: the raw 8/3 is lowered to 2/3 by the
+    # sigma/3 * X3 correction of delta_200.
+    alg = algebra("e8-chain32")
+    trip = ((2, 0, 0), (2, 0, 0), (2, 0, 0))
+    raw = alg.fourpoint_raw((6, 0, 0))
+    assert raw == F(8, 3)
+    assert alg.fourpoint(*trip) == F(2, 3) != raw
+    bare = FlatSectionApprox(r=(2, 0, 0), corrections=())
+    assert alg.fourpoint(bare, bare, bare) == raw
+
+
+def test_residue_pole_at_sigma_zero_is_a_typed_domain_error(monkeypatch):
+    alg = JacobianAlgebra(get_entry(CATALOG, "e6-fermat"))
+    monkeypatch.setattr(alg, "residue", lambda f: 1 / RatFun.variable())
+    with pytest.raises(DomainError, match="pole at sigma = 0"):
+        alg.fourpoint_raw((3, 0, 0))
+
+
+def fraction_order_key(weights):
+    """The graded reverse-lexicographic key on Fraction weighted degrees."""
+    w1, w2, w3 = weights
+    return lambda e: (w1 * e[0] + w2 * e[1] + w3 * e[2], -e[2], -e[1], -e[0])
+
+
+@pytest.mark.parametrize("name,m", ALL_PAIRS)
+def test_integer_order_key_sorts_like_the_fraction_key(name, m):
+    alg = algebra(name, m)
+    ref = fraction_order_key(alg.weights)
+    assert list(alg.staircase) == sorted(alg.staircase, key=ref)
+    assert list(alg.basis) == sorted(alg.basis, key=ref)
+    box = [(a, b, c) for a in range(7) for b in range(7) for c in range(7)]
+    assert sorted(box, key=order_key(alg.weights)) == sorted(box, key=ref)
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [(F(1, 4), F(1, 6), F(1, 2)), (F(2, 9), F(1, 6), F(5, 8)), (1, 2, 3)],
+)
+def test_integer_order_key_scales_by_the_lcm_of_the_denominators(weights):
+    # In the first two the largest denominator (6, 9) is not the lcm
+    # (12, 72); the last one has int weights.
+    box = [(a, b, c) for a in range(7) for b in range(7) for c in range(7)]
+    ref = fraction_order_key(tuple(F(w) for w in weights))
+    assert sorted(box, key=order_key(weights)) == sorted(box, key=ref)
+
+
+@pytest.mark.parametrize("name,m", ALL_PAIRS)
+def test_weight_one_triples_match_fraction_degrees(name, m):
+    alg = algebra(name, m)
+    key = fraction_order_key(alg.weights)
+
+    def deg(e):
+        return sum(w * k for w, k in zip(alg.weights, e))
+
+    frac = [e for e in alg.basis if deg(e).denominator != 1]
+    expected = tuple(
+        (a, b, c)
+        for a in frac
+        for b in frac
+        for c in frac
+        if key(a) <= key(b) <= key(c) and deg(a) + deg(b) + deg(c) == 1
+    )
+    assert alg.weight_one_triples() == expected
+    assert alg.weight_one_triples() is alg.weight_one_triples()
+
+
 def test_cubic_power_rewrites_into_the_marginal_line():
     alg = algebra("e6-fermat")
     sigma = RatFun.variable()

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from ises.numcore import (
     AlgebraicField,
@@ -23,8 +23,6 @@ from ises.numcore import (
     monomials_of_weighted_degree,
     nullspace,
     parse_rat,
-    pochhammer,
-    ratfun_normalize,
     root_of_unity,
     series_compose,
     series_exp,
@@ -50,7 +48,6 @@ def test_rat_roundtrip():
     assert parse_rat("-3/7") == F(-3, 7)
     assert fmt_rat(F(-3, 7)) == "-3/7"
     assert fmt_rat(F(4, 2)) == "2"
-    assert pochhammer(F(1, 2), 3) == F(1, 2) * F(3, 2) * F(5, 2)
 
 
 # ------------------------------------------------------------------ UniPoly
@@ -102,7 +99,8 @@ def test_ratfun_residue_shape():
     x = RatFun(upoly(0, 0, 0, F(-1, 27)))
     val = 1 / (27 * (1 - x))
     assert val == RatFun(upoly(1), upoly(27, 0, 0, 1))
-    assert ratfun_normalize(val) == val
+    assert val.den.coeffs[-1] == 1
+    assert UniPoly.gcd(val.num, val.den) == 1
 
 
 def test_ratfun_arithmetic_and_eval():
@@ -127,6 +125,96 @@ def test_ratfun_field_axioms(a, b, c, d):
     assert f * g == g * f
     if g:
         assert (f / g) * g == f
+
+
+# Pairwise coprime irreducibles over Q: s, s - 1, s + 2, s^2 + 1, 2s + 3.
+FACTORS = (upoly(0, 1), upoly(-1, 1), upoly(2, 1), upoly(1, 0, 1), upoly(3, 2))
+POWERS = st.lists(
+    st.integers(min_value=0, max_value=2), min_size=len(FACTORS), max_size=len(FACTORS)
+)
+nonzero_rats = small_rats.filter(bool)
+
+
+def factor_product(scale, powers) -> UniPoly:
+    p = UniPoly.const(scale)
+    for f, k in zip(FACTORS, powers):
+        p = p * f**k
+    return p
+
+
+def reference_canonical(num: UniPoly, den: UniPoly) -> tuple:
+    """Canonical (num, den) coefficient tuples by the full route: divide by
+    the monic Euclidean gcd, then make the denominator monic."""
+    g = UniPoly.gcd(num, den)
+    num, den = num // g, den // g
+    lead = den.coeffs[-1]
+    return (num * (1 / lead)).coeffs, den.monic().coeffs
+
+
+def structure(f: RatFun) -> tuple:
+    return f.num.coeffs, f.den.coeffs
+
+
+@st.composite
+def ratfun_operands(draw):
+    """Two rational functions built from FACTORS.  The first one's numerator
+    and denominator may share factors (so the constructor must cancel); the
+    second one shares the first one's canonical denominator half the time,
+    and either numerator may be zero or a constant."""
+    a = RatFun(
+        factor_product(draw(small_rats), draw(POWERS)),
+        factor_product(draw(nonzero_rats), draw(POWERS)),
+    )
+    if draw(st.booleans()):
+        # Same canonical denominator: numerator powers only on factors that
+        # do not divide it, so (num, a.den) is already coprime.
+        free = [bool(a.den % f) for f in FACTORS]
+        powers = [k if ok else 0 for k, ok in zip(draw(POWERS), free)]
+        b = RatFun(factor_product(draw(small_rats), powers), a.den)
+        assert b.den == a.den
+    else:
+        b = RatFun(
+            factor_product(draw(small_rats), draw(POWERS)),
+            factor_product(draw(nonzero_rats), draw(POWERS)),
+        )
+    return a, b
+
+
+_S = RatFun.variable()
+
+
+@example(((1 / ((_S - 1) * (_S + 2))), (_S + 1) / ((_S - 1) * (_S + 2))))
+@example((RatFun.const(F(2, 3)), RatFun.const(0)))
+@example((_S * _S + 1, _S - 4))
+@given(ratfun_operands())
+@seed(6862)
+@settings(max_examples=120, deadline=None)
+def test_ratfun_fast_paths_match_the_full_gcd_route(operands):
+    a, b = operands
+    for f in (a, b):
+        assert structure(f) == reference_canonical(f.num, f.den)
+    an, ad, bn, bd = a.num, a.den, b.num, b.den
+    cases = [
+        (a + b, an * bd + bn * ad, ad * bd),
+        (a - b, an * bd - bn * ad, ad * bd),
+        (a * b, an * bn, ad * bd),
+        (a.deriv(), an.deriv() * ad - an * ad.deriv(), ad * ad),
+        (a**2, an * an, ad * ad),
+    ]
+    if b:
+        cases.append((a / b, an * bd, ad * bn))
+        cases.append((b**-1, bd, bn))
+    for got, num, den in cases:
+        assert structure(got) == reference_canonical(num, den)
+        assert got.den.coeffs[-1] == 1
+        assert UniPoly.gcd(got.num, got.den) == 1
+        assert all(type(c) is F for c in got.num.coeffs + got.den.coeffs)
+
+
+def test_unipoly_keeps_fraction_coefficients():
+    p = UniPoly([1, F(1, 2), 0])
+    assert p.coeffs == (F(1), F(1, 2))
+    assert all(type(c) is F for c in p.coeffs)
 
 
 # ---------------------------------------------------------------- MultiPoly
