@@ -25,6 +25,16 @@ correlators with (n+1)-point ones.  With one extra slot this is the
 standard identity relating four-point and three-point functions; the
 result is a :class:`LinearForm` in the unknown keys.
 
+Each pair sum is routed by the degree budget.  A table with gradings
+scales them once by L, the lcm of their denominators, to int weights, and
+groups the inverse-pairing rows (k, duals) by the weight of k.  The left
+factor <h_1, ..., h_m, k> of a Leibniz split, with head h = left pair +
+left extras, meets the budget only when weight(k) = (m - 1) L - sum
+weight(h), so only the rows of that one group are visited.  This is exact:
+a key off the budget is never set to a nonzero value nor declared unknown,
+so it reads as zero and could not contribute.  A table without gradings
+keeps every row in one group.
+
 :func:`propagate` repeatedly scans residual instances that are linear in
 exactly one unknown, solves them, and enforces consistency of the fully
 known instances, raising :class:`InconsistentSystem` on any conflict; each
@@ -92,27 +102,6 @@ class LinearForm:
     def is_constant(self) -> bool:
         return not self.terms
 
-    def scaled(self, factor) -> "LinearForm":
-        f = rat(factor)
-        if not f:
-            return LinearForm(0)
-        return LinearForm(
-            self.constant * f, {k: c * f for k, c in self.terms.items()}
-        )
-
-    def __add__(self, other: "LinearForm") -> "LinearForm":
-        out = LinearForm(self.constant + other.constant, self.terms)
-        for key, coeff in other.terms.items():
-            c = out.terms.get(key, Fraction(0)) + coeff
-            if c:
-                out.terms[key] = c
-            else:
-                out.terms.pop(key, None)
-        return out
-
-    def __sub__(self, other: "LinearForm") -> "LinearForm":
-        return self + other.scaled(-1)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, LinearForm):
             return self.constant == other.constant and self.terms == other.terms
@@ -154,11 +143,15 @@ class CorrelatorTable:
         if len(self._index) != len(self.labels):
             raise ValueError("duplicate basis labels")
         self.graded = bool(graded)
-        self._degree = None
+        # gradings scaled to int weights by the lcm of their denominators
+        self._weight = None
+        self._scale = 1
         if degrees is not None:
-            self._degree = tuple(rat(degrees[label]) for label in self.labels)
+            degree = [rat(degrees[label]) for label in self.labels]
+            self._scale = lcm(*(x.denominator for x in degree))
+            self._weight = tuple(int(x * self._scale) for x in degree)
         self._pairing = self._symmetrized(pairing)
-        self._eta = self._invert_pairing()
+        self._dual_groups = self._group_duals(self._invert_pairing())
         self._values: dict = {}
         self._unknown: set = set()
         self._frozen = False
@@ -186,6 +179,18 @@ class CorrelatorTable:
         except NoSolution as exc:
             raise MissingPairing("pairing matrix is singular") from exc
         return tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in rows)
+
+    def _group_duals(self, eta: tuple) -> dict:
+        """The nonzero rows (k, duals) of eta grouped by the weight of k.
+
+        A table without gradings has one group, under ``None``.
+        """
+        groups: dict = {}
+        for k, duals in enumerate(eta):
+            if duals:
+                weight = None if self._weight is None else self._weight[k]
+                groups.setdefault(weight, []).append((k, duals))
+        return {weight: tuple(rows) for weight, rows in groups.items()}
 
     # -- keys ----------------------------------------------------------
 
@@ -229,10 +234,10 @@ class CorrelatorTable:
         return self._budget_ok(tuple(self._index[label] for label in insertions))
 
     def _budget_ok(self, ins: tuple[int, ...]) -> bool:
-        if self._degree is None:
+        weight = self._weight
+        if weight is None:
             return True
-        degree = self._degree
-        return sum(degree[i] for i in ins) == len(ins) - 2
+        return sum(weight[i] for i in ins) == (len(ins) - 2) * self._scale
 
     # -- values ----------------------------------------------------------
 
@@ -299,9 +304,10 @@ class CorrelatorTable:
         dup.labels = self.labels
         dup._index = self._index
         dup.graded = self.graded
-        dup._degree = self._degree
+        dup._weight = self._weight
+        dup._scale = self._scale
         dup._pairing = self._pairing
-        dup._eta = self._eta
+        dup._dual_groups = self._dual_groups
         dup._values = dict(self._values)
         dup._unknown = set(self._unknown)
         dup._frozen = False
@@ -319,27 +325,37 @@ def _leibniz_splits(extra: tuple[int, ...]):
     ]
 
 
-def _pair_sum(table: CorrelatorTable, left_pair, right_pair, extra, degree):
-    """sum_{k,l} <left, k (+E)> eta^{kl} <l, right (+extra-E)>  as a form.
+def _pair_sum(
+    table: CorrelatorTable, left_pair, right_pair, leibniz, splits, negate, terms
+):
+    """Add  sum_{k,l} <left, k (+E)> eta^{kl} <l, right (+extra-E)>  to terms.
 
-    Works on internal keys: the pairs and extras are int tuples.  Extra
-    insertions are distributed over the two factors by the Leibniz rule
-    (per slot, so repeated labels acquire the right multiplicities).
-    Degree splits d1 + d2 = degree are summed for graded tables.
-    Returns None when some contribution is quadratic in the unknowns.
+    Works on internal keys: the pairs are int tuples.  ``leibniz`` lists the
+    splits (E, extra - E) that distribute the extra insertions over the two
+    factors (per slot, so repeated labels acquire the right multiplicities),
+    and ``splits`` the degree splits d1 + d2 = degree (one on ungraded
+    tables).  The coefficients of unknown keys are added into ``terms`` and
+    the constant part is returned, both negated when ``negate`` is set; the
+    return is None when some contribution is quadratic in the unknowns.
+
+    For each Leibniz split only the inverse-pairing rows of the k with
+    weight(k) = (m - 1) L - sum weight(head) are visited, where head is the
+    left pair plus E, m labels long.  Any other k puts <head, k> off the
+    degree budget, and such a key is never set to a nonzero value nor
+    declared unknown, so it reads as zero and adds nothing.
     """
     graded = table.graded
     values, unknown = table._values, table._unknown
-    splits = [(d1, degree - d1) for d1 in range(degree + 1)] if graded else [(0, 0)]
-    leibniz = _leibniz_splits(extra)
+    weight, scale, groups = table._weight, table._scale, table._dual_groups
     constant = Fraction(0)
-    terms: dict = {}
-    for k, duals in enumerate(table._eta):
-        if not duals:
-            continue
-        for left_extra, right_extra in leibniz:
-            left_ins = tuple(sorted(left_pair + (k,) + left_extra))
-            right_tail = right_pair + right_extra
+    for left_extra, right_extra in leibniz:
+        head = left_pair + left_extra
+        route = None
+        if weight is not None:
+            route = (len(head) - 1) * scale - sum(weight[i] for i in head)
+        right_tail = right_pair + right_extra
+        for k, duals in groups.get(route, ()):
+            left_ins = tuple(sorted(head + (k,)))
             for d1, d2 in splits:
                 left_key = (left_ins, d1) if graded else left_ins
                 left_unknown = left_key in unknown
@@ -362,22 +378,33 @@ def _pair_sum(table: CorrelatorTable, left_pair, right_pair, extra, degree):
                     if acc_terms:
                         return None
                     if acc:
-                        terms[left_key] = terms.get(left_key, 0) + acc
+                        terms[left_key] = terms.get(left_key, 0) + (-acc if negate else acc)
                 else:
+                    if negate:
+                        left = -left
                     if acc:
                         constant += left * acc
                     for key, c in acc_terms.items():
                         terms[key] = terms.get(key, 0) + left * c
-    return LinearForm(constant, terms)
+    return constant
 
 
 def _residual(table: CorrelatorTable, pair1, pair2, extra, degree):
-    """The residual form of one instance; None when it is quadratic."""
-    first = _pair_sum(table, pair1[0], pair1[1], extra, degree)
-    second = _pair_sum(table, pair2[0], pair2[1], extra, degree)
-    if first is None or second is None:
+    """The residual form of one instance; None when it is quadratic.
+
+    Both pair sums share one Leibniz and one degree split list and add into
+    one term dict, the second negated, so one form is built at the end.
+    """
+    leibniz = _leibniz_splits(extra)
+    splits = [(d1, degree - d1) for d1 in range(degree + 1)] if table.graded else [(0, 0)]
+    terms: dict = {}
+    first = _pair_sum(table, *pair1, leibniz, splits, False, terms)
+    if first is None:
         return None
-    return first - second
+    second = _pair_sum(table, *pair2, leibniz, splits, True, terms)
+    if second is None:
+        return None
+    return LinearForm(first + second, terms)
 
 
 def wdvv_residual(
@@ -407,24 +434,19 @@ def wdvv_residual(
 def _budget_filter(table: CorrelatorTable):
     """Predicate selecting instances whose terms can pass the degree budget.
 
-    In every product <L> eta^{kl} <R> the dual insertions contribute
-    deg k + deg l = chat (the common degree of pairing-dual label pairs),
-    so both factors satisfy their budgets only when the quad and extras
-    sum to (2 + n_extra) + 2 - 4 - chat + n_extra * 0 ... concretely:
-    sum(quad) + sum(extra) == 2 + n_extra - chat.  Disabled when gradings
-    are absent or the pairing is not degree-homogeneous.  Takes int
-    tuples, and compares degrees scaled by their common denominator.
+    Every term <L> eta^{kl} <R> has dual labels k and l whose weights sum to
+    c, the weight sum shared by all pairing-dual label pairs, and its two
+    factors meet their budgets only when the weights of the quad and the
+    extras sum to (2 + n_extra) L - c.  Disabled when gradings are absent
+    or the pairing is not degree-homogeneous.  Takes int tuples.
     """
-    degree = table._degree
-    if degree is None:
+    weight, scale = table._weight, table._scale
+    if weight is None:
         return None
-    sums = {degree[i] + degree[j] for (i, j), v in table._pairing.items() if v}
+    sums = {weight[i] + weight[j] for (i, j), v in table._pairing.items() if v}
     if len(sums) != 1:
         return None
-    chat = sums.pop()
-    scale = lcm(chat.denominator, *(x.denominator for x in degree))
-    weight = tuple(int(x * scale) for x in degree)
-    offset = int((2 - chat) * scale)
+    offset = 2 * scale - sums.pop()
 
     def ok(quad, extra) -> bool:
         total = sum(weight[i] for i in quad) + sum(weight[i] for i in extra)

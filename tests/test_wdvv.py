@@ -7,8 +7,9 @@ import pytest
 
 import ises.fjrw
 import ises.wdvv
+from ises.fjrw import fjrw_theory
 from ises.isespoly import get_entry, load_catalog
-from ises.numcore import DomainError, NoSolution
+from ises.numcore import DomainError, NoSolution, inverse
 from ises.wdvv import (
     CorrelatorTable,
     InconsistentSystem,
@@ -16,12 +17,14 @@ from ises.wdvv import (
     MissingPairing,
     apply_divisor_rule,
     check_residuals,
+    elliptic_orbifold_basis,
     gw_seed_table,
     propagate,
     wdvv_residual,
 )
 
 CATALOG = load_catalog()
+FJRW_NAMES = [e.name for e in CATALOG if e.fjrw and not e.fjrw.get("excluded")]
 
 UNIT, POINT = (0, 1), (0, 2)
 ORBIFOLDS = [(3, 3, 3), (4, 4, 2), (6, 3, 2)]
@@ -133,9 +136,13 @@ def test_frozen_table_rejects_writes():
 
 
 @pytest.fixture(scope="module", params=ORBIFOLDS, ids=str)
-def gw_solved(request):
-    seeded = apply_divisor_rule(gw_unknowns(gw_seed_table(request.param), 1))
-    return seeded, propagate(seeded, degrees=range(2))
+def gw_seeded(request):
+    return apply_divisor_rule(gw_unknowns(gw_seed_table(request.param), 1))
+
+
+@pytest.fixture(scope="module")
+def gw_solved(gw_seeded):
+    return gw_seeded, propagate(gw_seeded, degrees=range(2))
 
 
 def test_wdvv_residual_is_a_label_keyed_form(gw_solved):
@@ -287,3 +294,153 @@ def test_propagate_skips_the_instances_of_a_closed_table(monkeypatch):
     monkeypatch.setattr(ises.wdvv, "_instances", unexpected)
     table = gw_seed_table((3, 3, 3))
     assert propagate(table, degrees=range(2)).known_items() == table.known_items()
+
+
+# ---------------------------------------------------------------------------
+# the routed residual against the full k-loop
+# ---------------------------------------------------------------------------
+
+
+def reference_eta(table):
+    """Rows of the inverse pairing, inverted from the pairing itself."""
+    matrix = [[table.pairing(a, b) for b in table.labels] for a in table.labels]
+    return [tuple((l, v) for l, v in enumerate(row) if v) for row in inverse(matrix)]
+
+
+def reference_pair_sum(table, eta, left_pair, right_pair, extra, degree):
+    """The pair sum over every k of the inverse pairing, with the Leibniz
+    and degree splits computed per call; (constant, terms), or None when
+    quadratic."""
+    graded = table.graded
+    values, unknown = table._values, table._unknown
+    splits = [(d1, degree - d1) for d1 in range(degree + 1)] if graded else [(0, 0)]
+    leibniz = ises.wdvv._leibniz_splits(extra)
+    constant = F(0)
+    terms = {}
+    for k, duals in enumerate(eta):
+        if not duals:
+            continue
+        for left_extra, right_extra in leibniz:
+            left_ins = tuple(sorted(left_pair + (k,) + left_extra))
+            right_tail = right_pair + right_extra
+            for d1, d2 in splits:
+                left_key = (left_ins, d1) if graded else left_ins
+                left_unknown = left_key in unknown
+                left = None if left_unknown else values.get(left_key)
+                if not (left_unknown or left):
+                    continue
+                acc = F(0)
+                acc_terms = {}
+                for l, eta_kl in duals:
+                    right_ins = tuple(sorted((l,) + right_tail))
+                    right_key = (right_ins, d2) if graded else right_ins
+                    if right_key in unknown:
+                        acc_terms[right_key] = acc_terms.get(right_key, 0) + eta_kl
+                    else:
+                        right = values.get(right_key)
+                        if right:
+                            acc += eta_kl * right
+                acc_terms = {key: c for key, c in acc_terms.items() if c}
+                if left_unknown:
+                    if acc_terms:
+                        return None
+                    if acc:
+                        terms[left_key] = terms.get(left_key, 0) + acc
+                else:
+                    if acc:
+                        constant += left * acc
+                    for key, c in acc_terms.items():
+                        terms[key] = terms.get(key, 0) + left * c
+    return constant, terms
+
+
+def reference_residual(table, eta, pair1, pair2, extra, degree):
+    first = reference_pair_sum(table, eta, *pair1, extra, degree)
+    second = reference_pair_sum(table, eta, *pair2, extra, degree)
+    if first is None or second is None:
+        return None
+    terms = dict(first[1])
+    for key, c in second[1].items():
+        terms[key] = terms.get(key, 0) - c
+    return first[0] - second[0], {key: c for key, c in terms.items() if c}
+
+
+def assert_routed_residuals(table, degrees, admissible=None):
+    """The routed residual of every instance equals the reference; returns
+    how many were quadratic, nonzero constants and linear in unknowns."""
+    eta = reference_eta(table)
+    shapes = {"quadratic": 0, "constant": 0, "linear": 0}
+    for instance in ises.wdvv._instances(table, 1, degrees, admissible):
+        form = ises.wdvv._residual(table, *instance)
+        expected = reference_residual(table, eta, *instance)
+        if expected is None:
+            assert form is None, instance
+            shapes["quadratic"] += 1
+            continue
+        assert form is not None, instance
+        assert (form.constant, form.terms) == expected, instance
+        if form.terms:
+            shapes["linear"] += 1
+        elif form.constant:
+            shapes["constant"] += 1
+    return shapes
+
+
+def test_routed_residuals_on_the_seeded_gw_tables(gw_seeded):
+    shapes = assert_routed_residuals(gw_seeded, range(2))
+    assert shapes["quadratic"] and shapes["linear"]
+
+
+def test_routed_residuals_on_the_solved_gw_tables(gw_solved):
+    seeded, solved = gw_solved
+    assert solved._dual_groups is seeded._dual_groups
+    assert assert_routed_residuals(solved, range(2))["linear"]
+
+
+@pytest.mark.parametrize("name", FJRW_NAMES)
+def test_routed_residuals_on_the_fjrw_tables(name):
+    theory = fjrw_theory(get_entry(CATALOG, name))
+    table = theory.correlator_table()
+    shapes = assert_routed_residuals(table, (0,), theory.narrow_nodes)
+    assert shapes["constant"] == 0
+    assert bool(table.unknown_keys) == bool(shapes["linear"])
+
+
+def test_routed_residuals_on_a_table_without_degrees():
+    # e6-chain233's narrow table, which keeps unknowns, with its gradings dropped
+    graded = fjrw_theory(get_entry(CATALOG, "e6-chain233")).correlator_table()
+    labels = graded.labels
+    pairing = {(a, b): graded.pairing(a, b) for a in labels for b in labels}
+    table = CorrelatorTable(labels, pairing)
+    for key, value in graded.known_items():
+        table.set(key, value)
+    for key in graded.unknown_keys:
+        table.declare_unknown(key)
+    assert list(table._dual_groups) == [None]
+    assert table.copy()._dual_groups is table._dual_groups
+    shapes = assert_routed_residuals(table, (0,))
+    assert shapes["quadratic"] and shapes["linear"]
+
+
+def budget_tables():
+    # a largest denominator, 3, that is not the lcm of the denominators, 6
+    degrees = dict(zip("uphHtT", (F(0), F(1), F(1, 2), F(1, 2), F(1, 3), F(2, 3))))
+    pairing = {("u", "p"): 1, ("h", "H"): 1, ("t", "T"): 1}
+    yield CorrelatorTable(tuple(degrees), pairing, degrees=degrees), degrees
+    for orders in ORBIFOLDS:
+        yield gw_seed_table(orders), elliptic_orbifold_basis(orders)[1]
+    for name in FJRW_NAMES:
+        theory = fjrw_theory(get_entry(CATALOG, name))
+        degrees = {s.theta: s.degree for s in theory.narrow_sectors()}
+        yield theory.correlator_table(), degrees
+
+
+def test_int_budget_matches_the_fraction_sum():
+    for table, degrees in budget_tables():
+        hits = 0
+        for n in (3, 4):
+            for insertions in combinations_with_replacement(table.labels, n):
+                expected = sum(degrees[x] for x in insertions) == n - 2
+                assert table.budget_ok(insertions) == expected, insertions
+                hits += expected
+        assert hits
