@@ -31,7 +31,6 @@ from .isespoly import (  # noqa: F401
 )
 from .pfsolve import (  # noqa: F401
     HGWeights,
-    tabulated_weights,
     weight_report,
 )
 from .jacobi import JacobianAlgebra  # noqa: F401

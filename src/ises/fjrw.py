@@ -56,13 +56,8 @@ __all__ = [
     "Infeasible",
     "NeedsBroadFixture",
     "NotConcave",
-    "basic_fourpoint_table",
     "bernoulli_b2",
-    "classify_sectors",
-    "concave_fourpoint",
-    "fjrw_theory",
     "line_bundle_degrees",
-    "sector_table",
     "selection_rule",
 ]
 
@@ -399,9 +394,6 @@ class FjrwTheory:
             parts.append(total / 2)
         return FourPointBreakdown(thetas, main, tuple(channels), tuple(parts))
 
-    def concave_fourpoint(self, sectors: Sequence) -> Fraction:
-        return self.fourpoint_breakdown(sectors).value
-
     def _as_theta(self, s) -> tuple[Fraction, ...]:
         if isinstance(s, FjrwSector):
             return s.theta
@@ -647,37 +639,6 @@ def _subvectors(bound: tuple[int, ...]):
             yield (i,) + rest
 
 
-# ---------------------------------------------------------------------------
-# module-level conveniences
-
-_THEORIES: dict[int, FjrwTheory] = {}
-
-
-def fjrw_theory(entry: CatalogEntry) -> FjrwTheory:
-    """The shared theory of ``entry``, cached by object identity.
-
-    Each cached theory keeps its entry; a theory cached under the same id
-    for another entry object is rebuilt, so a recycled id never returns
-    another entry's theory.
-    """
-    theory = _THEORIES.get(id(entry))
-    if theory is None or theory.entry is not entry:
-        theory = _THEORIES[id(entry)] = FjrwTheory(entry)
-    return theory
-
-
-def classify_sectors(entry: CatalogEntry) -> tuple[FjrwSector, ...]:
-    """Tag every diagonal symmetry of W^T as narrow or broad.
-
-    Works for every entry; chart coordinates are attached when the catalog
-    provides a scheme for the state space.
-    """
-    try:
-        return tuple(fjrw_theory(entry).sectors.values())
-    except NeedsBroadFixture:
-        return _sector_list(entry, {})
-
-
 def _sector_list(entry: CatalogEntry, chart_index: Mapping) -> tuple[FjrwSector, ...]:
     """The sectors of every diagonal symmetry of W^T, in group order, with
     chart coordinates looked up in ``chart_index``."""
@@ -695,15 +656,3 @@ def _sector_list(entry: CatalogEntry, chart_index: Mapping) -> tuple[FjrwSector,
             out.append(FjrwSector(theta, False, None, index, dim))
     return tuple(out)
 
-
-def concave_fourpoint(entry: CatalogEntry, sectors: Sequence) -> Fraction:
-    return fjrw_theory(entry).concave_fourpoint(sectors)
-
-
-def sector_table(entry: CatalogEntry) -> CorrelatorTable:
-    return fjrw_theory(entry).correlator_table()
-
-
-def basic_fourpoint_table(entry: CatalogEntry) -> dict[tuple[int, ...], Fraction | None]:
-    """Four-point values <Xi(rho), rho_top> for all weight-one words Xi."""
-    return fjrw_theory(entry).fourpoint_words()

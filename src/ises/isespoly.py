@@ -576,7 +576,7 @@ def _validate_fjrw_block(name: str, entry: CatalogEntry) -> None:
     if actual != narrow:
         raise _ctx(where, f"narrow sector count is {actual}, not {narrow}")
     broad = block.get("broad", [])
-    total = narrow + sum(int(b["dim"]) for b in broad)
+    total = narrow + sum(int(_need(b, "dim", where)) for b in broad)
     if total != entry.milnor:
         raise _ctx(where, f"state space dimension {total} != Milnor number {entry.milnor}")
 

@@ -392,10 +392,12 @@ class JacobianAlgebra:
             (1 - C*sigma^l) * phi_{r+m} = g_1*d1(W_sigma) + ... + g_3*d3(W_sigma)
 
         for the family constants C, l of the marginal direction.  Each g_i is
-        weighted-homogeneous of degree deg(phi_r) + q_i; among the solutions,
-        a greedy scan zeroes coordinates from the highest sigma-power down,
-        so the support is minimal-ish and the sigma-degree is as small as the
-        system allows.
+        weighted-homogeneous of degree deg(phi_r) + q_i.  Coordinates are
+        ranked by (sigma-degree, partial i, monomial order), and the solution
+        returned is 0 on every coordinate that lower-ranked ones can take
+        over: the one a greedy scan gets by pinning coordinates to 0 from the
+        highest rank down.  So its sigma-degree is as small as the system
+        allows.
         """
         rvec = tuple(int(e) for e in r)
         if rvec not in self._decompositions:
@@ -455,11 +457,15 @@ class JacobianAlgebra:
         """Set up and solve the sparse linear system A x = b for one
         sigma-degree bound; returns (solution, column labels).
 
-        One elimination gives both parts of the solution set: the nullspace
-        of [A | -b] has a vector with last coordinate 1 exactly when the
-        system is consistent, and that vector, cut to A's columns, is the
-        particular solution with every free variable 0; the other vectors,
-        cut the same way, are the nullspace of A.
+        The columns are listed in ascending rank (sigma-degree, partial i,
+        monomial order), so one ``solve_linear`` gives the solution that
+        ``decompose`` promises.  Its RREF pivots on the least independent
+        columns, the least basis of A's column space, and sets every other
+        column to 0.  Those free columns are the complement of that basis,
+        the greatest basis of the dual matroid (the column matroid of the
+        nullspace), which is exactly the set a greedy scan from the highest
+        rank down pins to 0.  The solution that is 0 on them is unique, so
+        both routes agree.
         """
         deg_r = self._degree(rvec)
         cols: list[tuple[int, Exps, int]] = []
@@ -469,6 +475,7 @@ class JacobianAlgebra:
             for e in monomials_of_weighted_degree(self.weights, target, max_exps):
                 for d in range(bound + 1):
                     cols.append((i, e, d))
+        cols.sort(key=lambda c: (c[2], c[0], self._key(c[1])))
         entries: dict[tuple[Exps, int], dict[int, Rat]] = {}
         for ci, (i, e, d) in enumerate(cols):
             for layer_shift, layer in enumerate(layers[i]):
@@ -480,22 +487,18 @@ class JacobianAlgebra:
         keys = sorted(set(entries) | set(rhs_map))
         rows = []
         for kk in keys:
-            row = [Fraction(0)] * (len(cols) + 1)
+            row = [Fraction(0)] * len(cols)
             for ci, v in entries.get(kk, {}).items():
                 row[ci] = v
-            row[-1] = -rhs_map.get(kk, Fraction(0))
             rows.append(row)
-        kernel = nullspace(rows, len(cols) + 1)
-        if not (kernel and kernel[-1][-1]):
-            raise NoSolution(f"no decomposition of {rvec} with sigma-degree {bound}")
-        sol = kernel.pop()[:-1]
-        kernel = [v[:-1] for v in kernel]
-        priority = sorted(
-            range(len(cols)),
-            key=lambda c: (cols[c][2], cols[c][0], self._key(cols[c][1])),
-            reverse=True,
-        )
-        return _pin_zeros(sol, kernel, priority), cols
+        rhs = [rhs_map.get(kk, Fraction(0)) for kk in keys]
+        try:
+            sol = solve_linear(rows, rhs, len(cols))
+        except NoSolution:
+            raise NoSolution(
+                f"no decomposition of {rvec} with sigma-degree {bound}"
+            ) from None
+        return sol, cols
 
     # -- flat sections and correlators ----------------------------------------
 
@@ -606,23 +609,3 @@ class JacobianAlgebra:
         """Four-point values with marginal insertion on all weight-one
         triples of flat basis insertions."""
         return {trip: self.fourpoint(*trip) for trip in self.weight_one_triples()}
-
-
-def _pin_zeros(sol, kernel, priority):
-    """Scan coordinates in ``priority`` order and zero each one when the
-    remaining affine freedom allows, freezing it for later steps."""
-    sol = list(sol)
-    kernel = [list(v) for v in kernel]
-    for c in priority:
-        pivot = next((k for k, v in enumerate(kernel) if v[c]), None)
-        if pivot is None:
-            continue
-        pv = kernel.pop(pivot)
-        if sol[c]:
-            f = sol[c] / pv[c]
-            sol = [s - f * x for s, x in zip(sol, pv)]
-        kernel = [
-            [x - (v[c] / pv[c]) * y for x, y in zip(v, pv)] if v[c] else v
-            for v in kernel
-        ]
-    return sol

@@ -48,7 +48,6 @@ __all__ = [
     "all_reductions",
     "to_hg_weights",
     "annihilation_check",
-    "tabulated_weights",
     "weight_report",
 ]
 
@@ -296,53 +295,19 @@ def annihilation_check(op: DeltaOperator, w: HGWeights, order: int = 30) -> bool
     return True
 
 
-def tabulated_weights(entry: CatalogEntry, m: Sequence[int], r: Sequence[int]) -> HGWeights | None:
-    """Catalogued weight triple for (entry, m, r), if one is frozen.
-
-    Marginal rows (``r = 0``) are tabulated per deformation direction; twisted
-    rows are tabulated only for the family marginal (the first one listed).
-    """
-    r = tuple(int(v) for v in r)
-    if r == (0, 0, 0):
-        row = entry.marginal(m)
-        if row.weights is not None:
-            return HGWeights(*row.weights)
-        return None
-    if tuple(int(v) for v in m) == entry.marginals[0].m:
-        for key, tw in entry.twisted:
-            if key == r:
-                return HGWeights(*tw)
-    return None
-
-
 def weight_report(
-    entry: CatalogEntry,
-    m: Sequence[int],
-    r: Sequence[int] = (0, 0, 0),
-    order: int = 30,
+    entry: CatalogEntry, m: Sequence[int], r: Sequence[int] = (0, 0, 0)
 ) -> tuple[HGWeights, bool]:
-    """Reduce the operator for (entry, m, r) and certify the resulting weights.
+    """Derive the weights of (entry, m, r) and certify them.
 
-    Frozen catalog weights are authoritative whenever present and certified;
-    a greedy reduction that disagrees is discarded in their favour (the
-    reduction order is a heuristic, the annihilation oracle is not).
+    The operator of :func:`build_gkz` is reduced by
+    :func:`reduce_left_divisors` and read off by :func:`to_hg_weights`; the
+    flag is :func:`annihilation_check` of those weights against the
+    unreduced operator.  Where the reduction reaches first order the
+    weights are first order, also where a degenerate 2F1(a, b; b; x) =
+    (1 - x)^{-a} would describe the same function.
     """
     op = build_gkz(entry, m, r)
-    poly = entry.polynomial
-    deg_phi = sum(Fraction(int(v)) * q for v, q in zip(r, poly.charges))
-    tab = tabulated_weights(entry, m, r)
-    reduced = reduce_left_divisors(op)
-    try:
-        greedy: HGWeights | None = to_hg_weights(reduced, deg_phi)
-    except NotSecondOrder:
-        greedy = None
-    chosen = tab if tab is not None else greedy
-    if chosen is None:
-        raise NotSecondOrder(
-            f"no tabulated weights and greedy reduction left order {reduced.order}"
-        )
-    verified = annihilation_check(op, chosen, order)
-    if tab is not None and not verified and greedy is not None:
-        chosen = greedy
-        verified = annihilation_check(op, chosen, order)
-    return chosen, verified
+    deg_phi = sum(Fraction(int(v)) * q for v, q in zip(r, entry.polynomial.charges))
+    weights = to_hg_weights(reduce_left_divisors(op), deg_phi)
+    return weights, annihilation_check(op, weights)

@@ -1,13 +1,12 @@
 """FJRW sectors, the narrow correlator tables and weight-one words."""
 
-import gc
 from fractions import Fraction as F
+from functools import cache
 from itertools import product
 
 import pytest
 
-import ises.fjrw
-from ises.fjrw import NeedsBroadFixture, fjrw_theory
+from ises.fjrw import FjrwTheory, NeedsBroadFixture
 from ises.isespoly import get_entry, load_catalog
 from ises.wdvv import _instances, check_residuals
 
@@ -20,8 +19,10 @@ NAMES = [e.name for e in ENTRIES]
 KNOWN_WORD_FAULT = ("e7-chain322", (0, 4, 0))
 
 
+@cache
 def theory(name):
-    return fjrw_theory(get_entry(CATALOG, name))
+    """One theory per entry of CATALOG, shared by the tests."""
+    return FjrwTheory(get_entry(CATALOG, name))
 
 
 def literature_words(entry):
@@ -37,7 +38,7 @@ def test_the_ten_reconstructible_entries():
     for entry in CATALOG:
         if entry not in ENTRIES:
             with pytest.raises(NeedsBroadFixture):
-                fjrw_theory(entry)
+                FjrwTheory(entry)
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -82,19 +83,6 @@ def test_residual_checks_on_all_tables():
         assert checked > 0, name
         total += checked
     assert total == 5494
-
-
-def test_theory_cache_follows_the_entry_object(monkeypatch):
-    for _ in range(2):
-        # a fresh catalog each round; the previous one is dropped and collected
-        for entry in load_catalog():
-            if entry.fjrw and not entry.fjrw.get("excluded"):
-                assert fjrw_theory(entry).entry is entry
-        gc.collect()
-    # a theory cached under an id that a later object reuses is not returned
-    old, new = ENTRIES[0], ENTRIES[1]
-    monkeypatch.setitem(ises.fjrw._THEORIES, id(new), fjrw_theory(old))
-    assert fjrw_theory(new).entry is new
 
 
 # ---------------------------------------------------------------------------

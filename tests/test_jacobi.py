@@ -1,10 +1,11 @@
 """Milnor algebras, residues, Jacobian-ideal decompositions, flat sections,
 and the genus-zero correlators of the deformed singularities at sigma = 0."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from ises.isespoly import get_entry, load_catalog
@@ -22,6 +23,7 @@ from ises.numcore import (
     NoSolution,
     RatFun,
     UniPoly,
+    monomials_of_weighted_degree,
     nullspace,
     solve_linear,
 )
@@ -305,6 +307,120 @@ def test_decompose_rejects_the_unit_label():
     # phi_m itself has nonzero residue, so no decomposition can exist.
     with pytest.raises(DomainError):
         algebra("e6-fermat").decompose((0, 0, 0))
+
+
+# The greedy route that the ordered solve replaced, kept as its reference:
+# one elimination of [A | -b] for a solution and the nullspace of A, then a
+# scan from the highest-ranked column down that zeroes each coordinate the
+# remaining nullspace can still move.
+
+
+def _pin_zeros(sol, kernel, priority):
+    """Scan coordinates in ``priority`` order and zero each one when the
+    remaining affine freedom allows, freezing it for later steps."""
+    sol = list(sol)
+    kernel = [list(v) for v in kernel]
+    for c in priority:
+        pivot = next((k for k, v in enumerate(kernel) if v[c]), None)
+        if pivot is None:
+            continue
+        pv = kernel.pop(pivot)
+        if sol[c]:
+            f = sol[c] / pv[c]
+            sol = [s - f * x for s, x in zip(sol, pv)]
+        kernel = [
+            [x - (v[c] / pv[c]) * y for x, y in zip(v, pv)] if v[c] else v
+            for v in kernel
+        ]
+    return sol
+
+
+def pinned_solution(rows, rhs, ncols, priority):
+    """A solution of rows x = rhs from the nullspace of [A | -b], pinned to 0
+    by a greedy scan in ``priority`` order."""
+    kernel = nullspace([list(row) + [-b] for row, b in zip(rows, rhs)], ncols + 1)
+    if not (kernel and kernel[-1][-1]):
+        raise NoSolution("inconsistent linear system")
+    sol = kernel.pop()[:-1]
+    return _pin_zeros(sol, [v[:-1] for v in kernel], priority)
+
+
+def greedy_decomposition_system(self, rvec, rm, layers, bound):
+    """``JacobianAlgebra._decomposition_system`` by the greedy route: columns
+    in (partial i, monomial, sigma-degree) order, scanned from the highest
+    (sigma-degree, partial i, monomial order) down."""
+    deg_r = self._degree(rvec)
+    cols = []
+    for i in range(3):
+        target = deg_r + self.weights[i]
+        max_exps = tuple(int(target / self.weights[j]) for j in range(3))
+        for e in monomials_of_weighted_degree(self.weights, target, max_exps):
+            cols += [(i, e, d) for d in range(bound + 1)]
+    entries = {}
+    for ci, (i, e, d) in enumerate(cols):
+        for shift, layer in enumerate(layers[i]):
+            for pe, pc in layer.items():
+                te = tuple(a + b for a, b in zip(e, pe))
+                row = entries.setdefault((te, d + shift), {})
+                row[ci] = row.get(ci, F(0)) + pc
+    rhs_map = {(rm, 0): F(1), (rm, self.marginal.l): F(-self.marginal.C)}
+    keys = sorted(set(entries) | set(rhs_map))
+    rows = [[entries.get(k, {}).get(ci, F(0)) for ci in range(len(cols))] for k in keys]
+    rhs = [rhs_map.get(k, F(0)) for k in keys]
+    priority = sorted(
+        range(len(cols)),
+        key=lambda c: (cols[c][2], cols[c][0], self._key(cols[c][1])),
+        reverse=True,
+    )
+    return pinned_solution(rows, rhs, len(cols), priority), cols
+
+
+@pytest.mark.parametrize("name, m", ALL_PAIRS)
+def test_ordered_solve_equals_the_greedy_route(name, m, monkeypatch):
+    alg = algebra(name, m)
+    labels = [r for r in alg.basis if r != (0, 0, 0)]
+    got = {r: alg.decompose(r) for r in labels}
+    monkeypatch.setattr(
+        JacobianAlgebra, "_decomposition_system", greedy_decomposition_system
+    )
+    greedy = JacobianAlgebra(get_entry(CATALOG, name), m)
+    assert {r: greedy.decompose(r) for r in labels} == got
+
+
+def dependent_system(rng):
+    """A sparse consistent rational system with dependent columns: some
+    columns are multiples or sums of earlier ones, and b = A x0."""
+    m, n = rng.randint(1, 8), rng.randint(1, 8)
+
+    def cell():
+        if rng.random() >= 0.3:
+            return F(0)
+        return F(rng.randint(-9, 9), rng.randint(1, 4))
+
+    columns = [[cell() for _ in range(m)] for _ in range(n)]
+    for _ in range(rng.randint(1, 6)):
+        u, w = rng.choice(columns), rng.choice(columns)
+        k = F(rng.randint(-3, 3), rng.randint(1, 3))
+        columns.insert(rng.randrange(len(columns) + 1), [x + k * y for x, y in zip(u, w)])
+    rows = [list(row) for row in zip(*columns)]
+    x0 = [cell() for _ in columns]
+    rhs = [sum((a * b for a, b in zip(row, x0)), F(0)) for row in rows]
+    return rows, rhs, len(columns)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@seed(6862)
+@settings(max_examples=150, deadline=None)
+def test_ascending_solve_equals_the_descending_greedy_scan(s):
+    rng = random.Random(s)
+    rows, rhs, n = dependent_system(rng)
+    order = list(range(n))
+    rng.shuffle(order)  # the columns in ascending rank
+    x = solve_linear([[row[c] for c in order] for row in rows], rhs, n)
+    got = [F(0)] * n
+    for c, value in zip(order, x):
+        got[c] = value
+    assert got == pinned_solution(rows, rhs, n, order[::-1])
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from ises.pfsolve import (
     annihilation_check,
     build_gkz,
     reduce_left_divisors,
-    tabulated_weights,
     to_hg_weights,
     weight_report,
 )
@@ -144,31 +143,36 @@ def test_unreduced_operator_is_not_second_order():
 
 
 # ---------------------------------------------------------------------------
-# twisted table and steering
+# derived weights against the frozen catalog rows
 # ---------------------------------------------------------------------------
 
 
-def test_twisted_table_certified():
-    e8 = entry("e8-fermat")
-    m = e8.marginals[0].m
-    assert len(e8.twisted) == 8
-    for r, tab in e8.twisted:
-        w, verified = weight_report(e8, m, r)
-        assert w.triple == tab and verified, r
+def frozen_rows():
+    """(entry, m, r, frozen triple): every marginal row, and the twisted rows,
+    which the catalog freezes for the family marginal (the first listed)."""
+    for e in CATALOG:
+        for marg in e.marginals:
+            yield e, marg.m, (0, 0, 0), marg.weights
+        for r, triple in e.twisted:
+            yield e, e.marginals[0].m, r, triple
 
 
-def test_steering_overrides_greedy_overcancellation():
-    # two of the twisted rows reduce greedily to first order; the frozen
-    # triple (a degenerate 2F1 equal to the same function) is kept because
-    # the full operator certifies it
-    e8 = entry("e8-fermat")
-    m = e8.marginals[0].m
-    for r in [(1, 0, 0), (3, 1, 0)]:
-        red = reduce_left_divisors(build_gkz(e8, m, r))
-        assert red.order == 1
-        w, verified = weight_report(e8, m, r)
-        assert not w.first_order and verified
-        assert w.triple == tabulated_weights(e8, m, r).triple
+def test_derived_weights_match_the_frozen_rows():
+    rows = list(frozen_rows())
+    assert len(rows) == 33
+    first_order = []
+    for e, m, r, (a, b, g) in rows:
+        w, verified = weight_report(e, m, r)
+        assert verified, (e.name, m, r)
+        # the frozen triple solves the full operator too
+        assert annihilation_check(build_gkz(e, m, r), HGWeights(a, b, g)), (e.name, m, r)
+        if g in (a, b):
+            # 2F1(a, b; b; x) = (1 - x)^(-a): the canonical form is first order
+            assert w == HGWeights.of_first_order(b if g == a else a), (e.name, m, r)
+            first_order.append((e.name, r))
+        else:
+            assert w == HGWeights(a, b, g), (e.name, m, r)
+    assert first_order == [("e8-fermat", (1, 0, 0)), ("e8-fermat", (3, 1, 0))]
 
 
 def test_weight_report_without_frozen_row_uses_greedy():

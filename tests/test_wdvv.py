@@ -1,13 +1,13 @@
 """Correlator tables, WDVV propagation and the GW seed of P^1_{a,b,c}."""
 
 from fractions import Fraction as F
+from functools import cache
 from itertools import combinations_with_replacement
 
 import pytest
 
 import ises.fjrw
 import ises.wdvv
-from ises.fjrw import fjrw_theory
 from ises.isespoly import get_entry, load_catalog
 from ises.numcore import DomainError, NoSolution, inverse
 from ises.wdvv import (
@@ -28,6 +28,13 @@ FJRW_NAMES = [e.name for e in CATALOG if e.fjrw and not e.fjrw.get("excluded")]
 
 UNIT, POINT = (0, 1), (0, 2)
 ORBIFOLDS = [(3, 3, 3), (4, 4, 2), (6, 3, 2)]
+
+
+@cache
+def fjrw_theory(name):
+    """One FJRW theory per entry of CATALOG, shared by the tests."""
+    return ises.fjrw.FjrwTheory(get_entry(CATALOG, name))
+
 
 # Two phase-vector labels listed against their natural order, so that basis
 # order and sorted order differ.
@@ -399,7 +406,7 @@ def test_routed_residuals_on_the_solved_gw_tables(gw_solved):
 
 @pytest.mark.parametrize("name", FJRW_NAMES)
 def test_routed_residuals_on_the_fjrw_tables(name):
-    theory = fjrw_theory(get_entry(CATALOG, name))
+    theory = fjrw_theory(name)
     table = theory.correlator_table()
     shapes = assert_routed_residuals(table, (0,), theory.narrow_nodes)
     assert shapes["constant"] == 0
@@ -408,7 +415,7 @@ def test_routed_residuals_on_the_fjrw_tables(name):
 
 def test_routed_residuals_on_a_table_without_degrees():
     # e6-chain233's narrow table, which keeps unknowns, with its gradings dropped
-    graded = fjrw_theory(get_entry(CATALOG, "e6-chain233")).correlator_table()
+    graded = fjrw_theory("e6-chain233").correlator_table()
     labels = graded.labels
     pairing = {(a, b): graded.pairing(a, b) for a in labels for b in labels}
     table = CorrelatorTable(labels, pairing)
@@ -430,7 +437,7 @@ def budget_tables():
     for orders in ORBIFOLDS:
         yield gw_seed_table(orders), elliptic_orbifold_basis(orders)[1]
     for name in FJRW_NAMES:
-        theory = fjrw_theory(get_entry(CATALOG, name))
+        theory = fjrw_theory(name)
         degrees = {s.theta: s.degree for s in theory.narrow_sectors()}
         yield theory.correlator_table(), degrees
 
