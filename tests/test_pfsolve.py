@@ -175,6 +175,32 @@ def test_derived_weights_match_the_frozen_rows():
     assert first_order == [("e8-fermat", (1, 0, 0)), ("e8-fermat", (3, 1, 0))]
 
 
+def test_twisted_table_certified():
+    e8 = entry("e8-fermat")
+    m = e8.marginals[0].m
+    assert len(e8.twisted) == 8
+    for r, tab in e8.twisted:
+        w, verified = weight_report(e8, m, r)
+        assert verified, r
+        assert annihilation_check(build_gkz(e8, m, r), HGWeights(*tab)), r
+
+
+def test_steering_overrides_greedy_overcancellation():
+    # two of the twisted rows reduce greedily to first order; no frozen
+    # triple steers the report any more, so the first-order form is kept and
+    # the frozen degenerate 2F1 (the same function) is certified alongside it
+    e8 = entry("e8-fermat")
+    m = e8.marginals[0].m
+    frozen = dict(e8.twisted)
+    for r, alpha in [((1, 0, 0), F(1, 6)), ((3, 1, 0), F(5, 6))]:
+        op = build_gkz(e8, m, r)
+        assert reduce_left_divisors(op).order == 1
+        w, verified = weight_report(e8, m, r)
+        assert w.first_order and verified
+        assert w == HGWeights.of_first_order(alpha)
+        assert annihilation_check(op, HGWeights(*frozen[r]))
+
+
 def test_weight_report_without_frozen_row_uses_greedy():
     e7 = entry("e7-fermat")
     w, verified = weight_report(e7, e7.marginals[0].m, (2, 0, 0))
