@@ -8,7 +8,11 @@ rational-function field Q(sigma).  This module computes
   d3 W_sigma) under the graded reverse-lexicographic order with
   X1 > X2 > X3, graded by the charge vector, together with the staircase
   of standard monomials (a monomial basis of the Milnor algebra, of size
-  mu in {8, 9, 10});
+  mu in {8, 9, 10}).  Buchberger's algorithm reduces the S-pair of least
+  lcm first (normal selection, so the weighted-homogeneous ideal is closed
+  one degree at a time) and skips the pairs that the coprime-leading-term
+  and chain criteria prove redundant; the reduced basis of an ideal is
+  unique, so this changes the work and not the result;
 * the Grothendieck residue functional, normalized so that
   residue(det Hess(W_sigma)) = mu; with this normalization the residue of
   the top-degree monomial comes out as 1/(K*(1-x)) with x = C*sigma^l,
@@ -123,8 +127,29 @@ def _leading(f: MultiPoly, key) -> tuple[Exps, object]:
     return e, f.terms[e]
 
 
+def _lead_data(basis: Sequence[MultiPoly], key) -> list[tuple]:
+    """(leading exponent, leading coefficient, g) for each nonzero g of
+    ``basis``: the divisor list that ``_reduce`` takes."""
+    return [(*_leading(g, key), g) for g in basis if g]
+
+
 def _divides(a: Exps, b: Exps) -> bool:
     return a[0] <= b[0] and a[1] <= b[1] and a[2] <= b[2]
+
+
+def _lcm(a: Exps, b: Exps) -> Exps:
+    return (max(a[0], b[0]), max(a[1], b[1]), max(a[2], b[2]))
+
+
+def _sub(a: Exps, b: Exps) -> Exps:
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+
+def _shift(f: MultiPoly, s: Exps) -> MultiPoly:
+    """X^s * f, by moving exponents only."""
+    return MultiPoly(
+        {(e[0] + s[0], e[1] + s[1], e[2] + s[2]): c for e, c in f.terms.items()}
+    )
 
 
 def normal_form(f: MultiPoly, basis: Sequence[MultiPoly], weights) -> MultiPoly:
@@ -135,74 +160,114 @@ def normal_form(f: MultiPoly, basis: Sequence[MultiPoly], weights) -> MultiPoly:
     normal form.  Coefficients follow the coefficient field of the inputs.
     """
     key = order_key(weights)
-    data = [(_leading(g, key)[0], _leading(g, key)[1], g) for g in basis if g]
-    return _reduce(f, data, key)
+    return _reduce(f, _lead_data(basis, key), key)
 
 
 def _reduce(f: MultiPoly, data, key) -> MultiPoly:
-    remainder = MultiPoly.zero()
+    """Remainder of ``f`` on division by ``data`` (as ``_lead_data`` gives).
+
+    The terms still to reduce are one dict, updated in place: a division
+    step subtracts lc/gc * X^s * g from it, term by term, and drops the
+    leading term, which that step cancels exactly.
+    """
+    f = dict(f.terms)
+    remainder = {}
     while f:
-        le, lc = _leading(f, key)
+        le = max(f, key=key)
+        lc = f.pop(le)
         for ge, gc, g in data:
             if _divides(ge, le):
-                shift = (le[0] - ge[0], le[1] - ge[1], le[2] - ge[2])
-                f = f - g * MultiPoly.monomial(shift, lc / gc)
+                q = lc / gc
+                s0, s1, s2 = le[0] - ge[0], le[1] - ge[1], le[2] - ge[2]
+                for e, c in g.terms.items():
+                    if e != ge:
+                        te = (e[0] + s0, e[1] + s1, e[2] + s2)
+                        v = f.get(te, 0) - c * q
+                        if v:
+                            f[te] = v
+                        else:
+                            f.pop(te, None)
                 break
         else:
-            mono = MultiPoly.monomial(le, lc)
-            remainder = remainder + mono
-            f = f - mono
-    return remainder
+            remainder[le] = lc
+    return MultiPoly(remainder)
 
 
 def groebner(gens: Sequence[MultiPoly], weights) -> tuple[MultiPoly, ...]:
     """Reduced Groebner basis of the ideal spanned by ``gens``.
 
-    Buchberger's algorithm with the coprime-leading-term criterion; the
-    result is monic, mutually reduced, and sorted by leading monomial.  The
-    coefficients may live in any exact field (rationals, rational functions).
+    Buchberger's algorithm.  Each generator and each new member is made
+    monic as it enters the basis, with its leading exponent kept beside it.
+    The pending S-pair with the least lcm of leading monomials under
+    ``order_key`` is reduced next, ties broken by the pair (normal
+    selection); on a weighted-homogeneous ideal this completes the basis
+    one degree at a time.  Two criteria skip pairs whose S-polynomial is
+    known to reduce to zero:
+
+    * coprime leading monomials (Buchberger's first criterion);
+    * the chain criterion (Buchberger 1979, Gebauer-Moeller 1988): (i, j)
+      is skipped when some third member k has a leading monomial dividing
+      lcm(i, j) and neither (i, k) nor (j, k) is still pending, because
+      then S(i, j) is a combination of S(i, k) and S(j, k), which are done.
+
+    Neither changes the ideal the loop closes, and the reduced Groebner
+    basis of an ideal under a fixed order is unique, so the result is the
+    same as plain Buchberger's.  It is monic, mutually reduced, and sorted
+    by leading monomial.  The coefficients may live in any exact field
+    (rationals, rational functions).
     """
     key = order_key(weights)
-    basis = [g for g in gens if g]
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i)}
-    while pairs:
-        i, j = min(pairs)
-        pairs.discard((i, j))
-        fe, fc = _leading(basis[i], key)
-        ge, gc = _leading(basis[j], key)
-        lcm = (max(fe[0], ge[0]), max(fe[1], ge[1]), max(fe[2], ge[2]))
-        if lcm == (fe[0] + ge[0], fe[1] + ge[1], fe[2] + ge[2]):
+    data: list[tuple] = []  # _lead_data of the basis so far, all monic
+    pending: dict[tuple[int, int], tuple] = {}  # (i, j), i > j: key(lcm)
+
+    def enter(g: MultiPoly) -> None:
+        e, c = _leading(g, key)
+        g = g.scale(1 / c)
+        n = len(data)
+        data.append((e, g.terms[e], g))
+        for k, (ke, _, _) in enumerate(data[:n]):
+            pending[n, k] = key(_lcm(e, ke))
+
+    for g in gens:
+        if g:
+            enter(g)
+    while pending:
+        i, j = min(pending, key=lambda p: (pending[p], p))
+        del pending[i, j]
+        ie, je = data[i][0], data[j][0]
+        lcm = _lcm(ie, je)
+        if lcm == (ie[0] + je[0], ie[1] + je[1], ie[2] + je[2]):
             continue  # coprime leading monomials: S-polynomial drops to zero
-        s = basis[i] * MultiPoly.monomial(
-            (lcm[0] - fe[0], lcm[1] - fe[1], lcm[2] - fe[2]), 1 / fc
-        ) - basis[j] * MultiPoly.monomial(
-            (lcm[0] - ge[0], lcm[1] - ge[1], lcm[2] - ge[2]), 1 / gc
-        )
-        data = [(_leading(g, key)[0], _leading(g, key)[1], g) for g in basis]
+        if any(
+            k != i
+            and k != j
+            and _divides(ke, lcm)
+            and (max(i, k), min(i, k)) not in pending
+            and (max(j, k), min(j, k)) not in pending
+            for k, (ke, _, _) in enumerate(data)
+        ):
+            continue  # chain criterion
+        s = _shift(data[i][2], _sub(lcm, ie)) - _shift(data[j][2], _sub(lcm, je))
         s = _reduce(s, data, key)
         if s:
-            pairs.update((len(basis), k) for k in range(len(basis)))
-            basis.append(s)
+            enter(s)
     # Minimalize: drop members whose leading monomial another one divides.
-    lts = [_leading(g, key)[0] for g in basis]
     kept = [
-        g
-        for i, g in enumerate(basis)
+        d
+        for i, d in enumerate(data)
         if not any(
-            j != i and _divides(lts[j], lts[i]) and (lts[j] != lts[i] or j < i)
-            for j in range(len(basis))
+            j != i and _divides(data[j][0], d[0]) and (data[j][0] != d[0] or j < i)
+            for j in range(len(data))
         )
     ]
-    # Fully reduce each member against the others and normalize to monic.
-    out = []
-    for i, g in enumerate(kept):
-        rest = kept[:i] + kept[i + 1 :]
-        data = [(_leading(h, key)[0], _leading(h, key)[1], h) for h in rest]
-        r = _reduce(g, data, key)
-        _, lc = _leading(r, key)
-        out.append(r.scale(1 / lc))
-    out.sort(key=lambda g: key(_leading(g, key)[0]))
-    return tuple(out)
+    # Fully reduce each member against the others; the leading terms, which
+    # are monic already, stay put.
+    out = [
+        (key(e), _reduce(g, kept[:i] + kept[i + 1 :], key))
+        for i, (e, _, g) in enumerate(kept)
+    ]
+    out.sort(key=lambda t: t[0])
+    return tuple(g for _, g in out)
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +311,7 @@ class JacobianAlgebra:
         self.entry = entry
         mvec = tuple(int(e) for e in (m if m is not None else entry.marginals[0].m))
         self.marginal: MarginalData = entry.marginal(mvec)
+        self._label = f"{entry.name}, m={self.marginal.m}"
         self.weights = entry.charges
         self._key = order_key(self.weights)
 
@@ -255,10 +321,7 @@ class JacobianAlgebra:
         )
         self.partials = tuple(self.w_sigma.partial(i) for i in range(NVARS))
         self.groebner_basis = groebner(self.partials, self.weights)
-        self._gbdata = [
-            (_leading(g, self._key)[0], _leading(g, self._key)[1], g)
-            for g in self.groebner_basis
-        ]
+        self._gbdata = _lead_data(self.groebner_basis, self._key)
 
         self.staircase = self._standard_monomials()
         if len(self.staircase) != entry.milnor:
@@ -402,11 +465,11 @@ class JacobianAlgebra:
         rvec = tuple(int(e) for e in r)
         if rvec not in self._decompositions:
             if rvec not in self.basis:
-                raise DomainError(f"{rvec} is not a basis exponent")
+                raise DomainError(f"{self._label}: {rvec} is not a basis exponent")
             if rvec == (0, 0, 0):
                 raise DomainError(
-                    "phi_m has nonzero residue, so (1 - C*sigma^l)*phi_m "
-                    "is not a Jacobian-ideal member"
+                    f"{self._label}: phi_m has nonzero residue, so "
+                    "(1 - C*sigma^l)*phi_m is not a Jacobian-ideal member"
                 )
             self._decompositions[rvec] = self._solve_decomposition(rvec)
         return self._decompositions[rvec]
@@ -450,7 +513,9 @@ class JacobianAlgebra:
         for g, p in zip(gs, self.partials):
             total = total + g * p
         if total != lhs:
-            raise DomainError(f"decomposition of {rvec} failed verification")
+            raise DomainError(
+                f"{self._label}: decomposition of {rvec} failed verification"
+            )
         return tuple(gs)
 
     def _decomposition_system(self, rvec, rm, layers, bound):
@@ -485,18 +550,13 @@ class JacobianAlgebra:
                     row[ci] = row.get(ci, Fraction(0)) + pc
         rhs_map = {(rm, 0): Fraction(1), (rm, self.marginal.l): Fraction(-self.marginal.C)}
         keys = sorted(set(entries) | set(rhs_map))
-        rows = []
-        for kk in keys:
-            row = [Fraction(0)] * len(cols)
-            for ci, v in entries.get(kk, {}).items():
-                row[ci] = v
-            rows.append(row)
+        rows = [entries.get(kk, {}) for kk in keys]
         rhs = [rhs_map.get(kk, Fraction(0)) for kk in keys]
         try:
             sol = solve_linear(rows, rhs, len(cols))
         except NoSolution:
             raise NoSolution(
-                f"no decomposition of {rvec} with sigma-degree {bound}"
+                f"{self._label}: no decomposition of {rvec} with sigma-degree {bound}"
             ) from None
         return sol, cols
 
@@ -509,7 +569,9 @@ class JacobianAlgebra:
             return self._flats[rvec]
         deg_r = self._degree(rvec)
         if Fraction(deg_r).denominator == 1:
-            raise IntegralDegree(f"phi_{rvec} has integral degree {deg_r}")
+            raise IntegralDegree(
+                f"{self._label}: phi_{rvec} has integral degree {deg_r}"
+            )
         gs = self.decompose(rvec)
         p = MultiPoly.zero()
         for i in range(NVARS):
@@ -517,15 +579,17 @@ class JacobianAlgebra:
         corrections = []
         for e, c in sorted(self.coords(p).items(), key=lambda t: self._key(t[0])):
             if self._degree(e) != deg_r:
-                raise DomainError(f"correction {e} breaks the grading of {rvec}")
+                raise DomainError(
+                    f"{self._label}: correction {e} breaks the grading of {rvec}"
+                )
             if e == rvec:
                 continue  # same-label term only renormalizes at higher order
             try:
                 c0 = c.eval(0)
             except ZeroDivisionError as exc:
                 raise FlatSectionPole(
-                    f"{self.entry.name}, m={self.marginal.m}: the flat section of "
-                    f"phi_{rvec} has a pole at sigma = 0 in its {e} coefficient"
+                    f"{self._label}: the flat section of phi_{rvec} has a pole "
+                    f"at sigma = 0 in its {e} coefficient"
                 ) from exc
             if c0:
                 corrections.append((e, -c0))
@@ -547,8 +611,7 @@ class JacobianAlgebra:
             d0, d1 = res.den.coeff(0), res.den.coeff(1)
             if not d0:
                 raise DomainError(
-                    f"{self.entry.name}, m={self.marginal.m}: the residue of "
-                    f"X^{e} has a pole at sigma = 0"
+                    f"{self._label}: the residue of X^{e} has a pole at sigma = 0"
                 )
             jet = (n0 / d0, (n1 * d0 - n0 * d1) / (d0 * d0))
             self._jets[e] = jet

@@ -1291,9 +1291,11 @@ def _rref(rows, ncols):
         for k in prow:
             prow[k] = prow[k] * inv
         for row in pending:
-            _eliminate(row, prow, c)
+            if c in row:
+                _eliminate(row, prow, c)
         for _, row in pivots:
-            _eliminate(row, prow, c)
+            if c in row:
+                _eliminate(row, prow, c)
         pivots.append((c, prow))
         if not pending:
             break
@@ -1301,10 +1303,9 @@ def _rref(rows, ncols):
 
 
 def _eliminate(row, prow, c):
-    """Subtract ``row[c]`` times the unit pivot row ``prow`` from ``row``."""
-    f = row.pop(c, None)
-    if not f:
-        return
+    """Subtract ``row[c]`` times the unit pivot row ``prow`` from ``row``,
+    which has a (nonzero) cell in column ``c``."""
+    f = row.pop(c)
     for k, v in prow.items():
         if k != c:
             x = row.get(k, 0) - f * v
@@ -1315,15 +1316,20 @@ def _eliminate(row, prow, c):
 
 
 def _sparse(row):
-    return {c: v for c, v in enumerate(row) if v}
+    """The nonzero cells of a row, given as a sequence or as a
+    ``{column: value}`` dict, in a new dict."""
+    cells = row.items() if isinstance(row, dict) else enumerate(row)
+    return {c: v for c, v in cells if v}
 
 
 def solve_linear(rows, rhs, ncols=None):
     """Solve A x = b exactly over a field by Gaussian elimination.
 
-    ``rows`` is a list of lists (duck-typed field elements mixed with ints),
-    ``rhs`` the right-hand column.  Returns a particular solution with every
-    free variable set to 0.  Raises NoSolution when inconsistent.
+    Each of ``rows`` is a sequence of cells or a sparse ``{column: value}``
+    dict (duck-typed field elements mixed with ints; a dict row needs
+    ``ncols``), and ``rhs`` is the right-hand column.  Returns a particular
+    solution with every free variable set to 0.  Raises NoSolution when
+    inconsistent.
     """
     n = ncols if ncols is not None else (len(rows[0]) if rows else 0)
     aug = []
@@ -1343,7 +1349,8 @@ def solve_linear(rows, rhs, ncols=None):
 
 def inverse(rows) -> list:
     """Rows of the inverse of a square matrix, from one elimination of
-    ``[A | I]``.  Raises NoSolution when A is singular."""
+    ``[A | I]``; rows are sequences or ``{column: value}`` dicts, as in
+    ``solve_linear``.  Raises NoSolution when A is singular."""
     n = len(rows)
     pivots, _ = _rref([{**_sparse(row), n + i: 1} for i, row in enumerate(rows)], n)
     if len(pivots) < n:
@@ -1353,7 +1360,8 @@ def inverse(rows) -> list:
 
 def nullspace(rows, ncols) -> list:
     """Basis of the exact nullspace of A (list of coordinate lists), one
-    vector per free column in column order, that column set to 1."""
+    vector per free column in column order, that column set to 1.  Rows
+    are sequences or ``{column: value}`` dicts, as in ``solve_linear``."""
     pivots, _ = _rref([_sparse(row) for row in rows], ncols)
     pivot_cols = {c for c, _ in pivots}
     basis = []

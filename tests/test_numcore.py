@@ -562,3 +562,37 @@ def test_inverse_matches_one_solve_per_column(seed):
         else:
             assert inverse(matrix) == [[col[i] for col in columns] for i in range(k)]
         assert matrix == before
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_dict_rows_solve_like_list_rows(seed):
+    rows, rhs, n = _sparse_system(seed)
+    # {column: value} rows of the nonzero cells, some with explicit zeros
+    dict_rows = [
+        {c: v for c, v in enumerate(row) if v or c % 3 == seed % 3} for row in rows
+    ]
+    before = copy.deepcopy(dict_rows)
+    try:
+        want = solve_linear(rows, rhs, n)
+    except NoSolution:
+        with pytest.raises(NoSolution):
+            solve_linear(dict_rows, rhs, n)
+    else:
+        assert solve_linear(dict_rows, rhs, n) == want
+    assert nullspace(dict_rows, n) == nullspace(rows, n)
+    k = min(len(rows), n)
+    shifted = [
+        [x + (i == j) for j, x in enumerate(row[:k])] for i, row in enumerate(rows[:k])
+    ]
+    try:
+        want_inv = inverse(shifted)
+    except NoSolution:
+        want_inv = None
+    dict_shifted = [{c: v for c, v in enumerate(row) if v} for row in shifted]
+    if want_inv is None:
+        with pytest.raises(NoSolution):
+            inverse(dict_shifted)
+    else:
+        assert inverse(dict_shifted) == want_inv
+    assert dict_rows == before
