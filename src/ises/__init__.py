@@ -1,9 +1,9 @@
 """Exact-arithmetic workbench for invertible simple elliptic singularities.
 
-Computes B-model data (Picard-Fuchs weights, residue pairings, genus-0
-correlators, mirror-map q-expansions) and A-model data (FJRW sectors and
-correlators, WDVV reconstruction) and cross-verifies their identification at
-the special limits of the marginal deformation parameter.
+Computes B-model data (Picard-Fuchs weights, Milnor algebras over Q(sigma),
+residue pairings, flat sections and genus-0 four-point functions) and A-model
+data (FJRW sectors and correlators, WDVV reconstruction) over the bundled
+catalog, with exact rational arithmetic throughout.
 """
 
 __version__ = "0.1.0"
@@ -13,12 +13,6 @@ from .numcore import (  # noqa: F401
     UniPoly,
     RatFun,
     MultiPoly,
-    QSeries,
-    LogSeries,
-    AlgebraicField,
-    AlgebraicNum,
-    cyclotomic_field,
-    root_of_unity,
     rat,
     parse_rat,
     fmt_rat,

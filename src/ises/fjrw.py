@@ -44,7 +44,7 @@ from itertools import combinations_with_replacement
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
-from .isespoly import CatalogEntry
+from .isespoly import CatalogEntry, enumerate_group
 from .numcore import DomainError, Rat, nullspace, parse_rat, rat
 from .wdvv import CorrelatorTable, InconsistentSystem, propagate
 
@@ -300,6 +300,11 @@ class FjrwTheory:
     # -- sector helpers ------------------------------------------------
 
     def sector(self, index: Sequence[int]) -> FjrwSector:
+        if len(index) != len(self.orders):
+            raise DomainError(
+                f"{self.name}: sector index {tuple(index)} needs "
+                f"{len(self.orders)} coordinates"
+            )
         key = tuple(int(i) % o for i, o in zip(index, self.orders))
         return self.sectors[self._chart[key]]
 
@@ -644,7 +649,7 @@ def _sector_list(entry: CatalogEntry, chart_index: Mapping) -> tuple[FjrwSector,
     chart coordinates looked up in ``chart_index``."""
     mirror = entry.polynomial.transpose()
     charges = entry.polynomial.mirror_charges
-    group = mirror.group()
+    group = enumerate_group(mirror.exponents)
     out = []
     for theta in group:
         index = chart_index.get(theta)

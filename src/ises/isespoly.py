@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from math import lcm
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from .numcore import (
     DomainError,
@@ -53,12 +53,10 @@ __all__ = [
     "SchemaError",
     "InvertiblePolynomial",
     "MarginalData",
-    "SymmetryGroup",
     "PunctureData",
     "CatalogEntry",
     "charge_vector",
     "mirror_weights",
-    "transpose",
     "enumerate_group",
     "load_catalog",
     "get_entry",
@@ -250,11 +248,6 @@ class InvertiblePolynomial:
                         out.append((a, b, c))
         return tuple(out)
 
-    # -- symmetry group ------------------------------------------------------
-
-    def group(self) -> "SymmetryGroup":
-        return SymmetryGroup(enumerate_group(self.exponents))
-
     # -- dunders -------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -270,20 +263,13 @@ class InvertiblePolynomial:
         return self.polynomial().to_text()
 
 
-def transpose(exponents: Sequence[Sequence[int]] | InvertiblePolynomial) -> InvertiblePolynomial:
-    """Berglund--Huebsch transpose: transpose the exponent matrix."""
-    if isinstance(exponents, InvertiblePolynomial):
-        return exponents.transpose()
-    return InvertiblePolynomial(exponents).transpose()
-
-
 def enumerate_group(exponents: Sequence[Sequence[int]]) -> tuple[tuple[Rat, ...], ...]:
     """All diagonal symmetries of ``W`` as phase vectors in ``[0,1)^3``.
 
     ``theta`` is a symmetry iff ``E theta`` is integral; there are exactly
     ``|det E|`` of them.  Returned lexicographically sorted.
     """
-    poly = exponents if isinstance(exponents, InvertiblePolynomial) else InvertiblePolynomial(exponents)
+    poly = InvertiblePolynomial(exponents)
     inv = _inverse3(poly.exponents)
     order = abs(poly.determinant)
     generators = [tuple(inv[i][j] % 1 for i in range(NVARS)) for j in range(NVARS)]
@@ -299,23 +285,6 @@ def enumerate_group(exponents: Sequence[Sequence[int]]) -> tuple[tuple[Rat, ...]
     if len(seen) != order:
         raise DomainError("group enumeration does not match |det E|")
     return tuple(sorted(seen))
-
-
-@dataclass(frozen=True)
-class SymmetryGroup:
-    """The group of diagonal symmetries, as sorted phase vectors."""
-
-    elements: tuple[tuple[Rat, ...], ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    def __contains__(self, theta: Sequence[Rat]) -> bool:
-        return tuple(Fraction(t) % 1 for t in theta) in set(self.elements)
-
-    def __iter__(self) -> Iterator[tuple[Rat, ...]]:
-        return iter(self.elements)
 
 
 # ---------------------------------------------------------------------------
@@ -360,14 +329,6 @@ class MarginalData:
             if li:
                 c *= Fraction(-li, ell) ** li
         return MarginalData(m, lvec, ell, c, weights)
-
-    @property
-    def x_of_sigma_index(self) -> int:
-        return self.l
-
-    def x_of_sigma(self, sigma: Rat) -> Rat:
-        """The normalised coordinate ``x = C sigma^l``."""
-        return self.C * Fraction(sigma) ** self.l
 
 
 # ---------------------------------------------------------------------------
@@ -422,10 +383,6 @@ class CatalogEntry:
     @property
     def mirror_charges(self) -> tuple[Rat, Rat, Rat]:
         return self.polynomial.mirror_charges
-
-    @property
-    def has_modular_data(self) -> bool:
-        return self.P is not None
 
     def marginal(self, m: Sequence[int]) -> MarginalData:
         key = tuple(int(e) for e in m)

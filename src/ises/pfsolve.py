@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .isespoly import NVARS, CatalogEntry, InvertiblePolynomial, MarginalData, _inverse3, _mat_vec
+from .isespoly import NVARS, CatalogEntry, InvertiblePolynomial, _inverse3, _mat_vec
 from .numcore import DomainError, Rat
 
 __all__ = [
@@ -149,17 +149,13 @@ def _transpose_inverse(poly: InvertiblePolynomial) -> tuple[tuple[Rat, ...], ...
 
 
 def build_gkz(
-    entry: CatalogEntry | InvertiblePolynomial,
-    m: Sequence[int] | MarginalData,
+    entry: CatalogEntry,
+    m: Sequence[int],
     r: Sequence[int] = (0, 0, 0),
 ) -> DeltaOperator:
     """The (unreduced) period operator for ``phi_r`` in the family ``W + sigma phi_m``."""
-    if isinstance(entry, CatalogEntry):
-        poly = entry.polynomial
-        marginal = entry.marginal(m) if not isinstance(m, MarginalData) else m
-    else:
-        poly = entry
-        marginal = m if isinstance(m, MarginalData) else MarginalData.derive(poly, m)
+    poly = entry.polynomial
+    marginal = entry.marginal(m)
     inv_t = _transpose_inverse(poly)
     shifted = tuple(Fraction(int(ri) + 1) for ri in r)
     u = _mat_vec(inv_t, shifted)

@@ -8,6 +8,7 @@ import pytest
 
 from ises.fjrw import FjrwTheory, NeedsBroadFixture
 from ises.isespoly import get_entry, load_catalog
+from ises.numcore import DomainError
 from ises.wdvv import _instances, check_residuals
 
 CATALOG = load_catalog()
@@ -145,3 +146,18 @@ def test_a_node_in_a_broad_sector_without_states_is_harmless():
     assert th.sectors[a].narrow and th.sectors[b].narrow
     assert not th.sectors[node].narrow and th.sectors[node].dim == 0
     assert th.narrow_nodes(((a, b), (a, b)), ()) is True
+
+
+def test_a_sector_index_longer_than_the_chart_is_rejected():
+    th = theory("e7-chain322")
+    assert th.orders == (12,)
+    with pytest.raises(DomainError, match="e7-chain322"):
+        th.sector((1, 2, 3, 4))
+
+
+@pytest.mark.parametrize("name", ["e6-fermat", "e7-fermat", "e8-fermat", "e8-chain32"])
+def test_a_sector_index_shorter_than_the_chart_is_rejected(name):
+    th = theory(name)
+    assert len(th.orders) > 1
+    with pytest.raises(DomainError, match=name):
+        th.sector((1,))

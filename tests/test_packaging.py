@@ -1,17 +1,23 @@
 """Packaging metadata: every console script declared in pyproject.toml
-resolves to a callable of the package."""
+resolves to a callable of the package, and every name the package
+exports or re-exports exists."""
 
+import ast
 import importlib
+import pkgutil
 from pathlib import Path
 
 import pytest
 
-tomllib = pytest.importorskip("tomllib")
+import ises
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
+MODULES = sorted(m.name for m in pkgutil.iter_modules(ises.__path__, "ises.") if not m.ispkg)
+
 
 def test_console_script_targets_import():
+    tomllib = pytest.importorskip("tomllib")
     with PYPROJECT.open("rb") as fh:
         scripts = tomllib.load(fh)["project"].get("scripts", {})
     for name, target in scripts.items():
@@ -20,3 +26,20 @@ def test_console_script_targets_import():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), f"{name} = {target} is not callable"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_name_in_all_resolves(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert not missing, f"{module}.__all__ names missing objects: {missing}"
+
+
+def test_every_name_the_package_imports_exists():
+    tree = ast.parse(Path(ises.__file__).read_text(encoding="utf-8"))
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports
+    for node in imports:
+        mod = importlib.import_module("." * node.level + (node.module or ""), "ises")
+        for alias in node.names:
+            assert hasattr(mod, alias.name), f"{mod.__name__} has no {alias.name}"
