@@ -281,9 +281,11 @@ class FjrwTheory:
             raise DomainError(f"{entry.name}: state space dimension mismatch")
         # phases scaled to ints for narrow_nodes; q = J is a sector, so qL too
         scale = self._scale = lcm(*(t.denominator for th in self.sectors for t in th))
-        self._scaled = {th: tuple(int(t * scale) for t in th) for th in self.sectors}
-        self._scaled_q = self._scaled[self.identity.theta]
-        self._scaled_broad = frozenset(self._scaled[t] for t in self.broad_dims)
+        scaled = {th: tuple(int(t * scale) for t in th) for th in self.sectors}
+        self._scaled_q = scaled[self.identity.theta]
+        self._scaled_broad = frozenset(scaled[t] for t in self.broad_dims)
+        self._narrow_phases = tuple(scaled[s.theta] for s in self.narrow_sectors())
+        self._node_verdicts: dict = {}
 
         fixtures = raw.get("fixtures", {})
         self._fixture3 = {
@@ -413,28 +415,40 @@ class FjrwTheory:
         """Whether an associativity pairing only ever routes through narrow
         intermediate sectors.
 
-        In every term <left, S, k> eta <l, right, rest> the group grading
-        forces the sector of k: Theta(k) = (|S|+1) q - sum(left) - sum(S)
-        mod 1 (and l lands in its inverse).  Pairings that force a node
-        into a broad sector of positive dimension give residuals with
-        contributions the narrow table cannot see, so they must not be
-        used as identities on it.  Broad sectors of dimension zero carry
-        no states and are harmless.  All of it runs on phases scaled to
-        ints by the lcm L of their denominators: each node is
-        ((|S|+1) qL - sum(left L) - sum(S L)) mod L, looked up among the
-        scaled broad sectors of positive dimension.
+        ``pair`` and ``extra`` hold basis positions: ints into
+        :meth:`narrow_sectors`, which is the label order of
+        :meth:`correlator_table`.  In every term <left, S, k> eta <l, right,
+        rest> the group grading forces the sector of k: Theta(k) = (|S|+1) q
+        - sum(left) - sum(S) mod 1 (and l lands in its inverse).  Pairings
+        that force a node into a broad sector of positive dimension give
+        residuals with contributions the narrow table cannot see, so they
+        must not be used as identities on it.  Broad sectors of dimension
+        zero carry no states and are harmless.
+
+        A pairing is admissible when both of its halves are, and the verdict
+        of each (half, extra) is computed once per theory and kept, so the
+        scans of :func:`propagate` and :func:`check_residuals` share them.
         """
-        scale, q, scaled = self._scale, self._scaled_q, self._scaled
-        shifts = [tuple(qj - xj for qj, xj in zip(q, scaled[x])) for x in extra]
         for half in pair:
-            vectors = [scaled[t] for t in half]
-            nodes = [tuple(q[j] - sum(v[j] for v in vectors) for j in range(3))]
-            for shift in shifts:
-                nodes += [tuple(n + s for n, s in zip(node, shift)) for node in nodes]
-            for node in nodes:
-                if tuple(n % scale for n in node) in self._scaled_broad:
-                    return False
+            verdict = self._node_verdicts.get((half, extra))
+            if verdict is None:
+                verdict = self._node_verdicts[half, extra] = self._nodes_narrow(half, extra)
+            if not verdict:
+                return False
         return True
+
+    def _nodes_narrow(self, half, extra) -> bool:
+        """The node check of one half, on phases scaled to ints by the lcm L
+        of their denominators: each node is ((|S|+1) qL - sum(left L) -
+        sum(S L)) mod L, looked up among the scaled broad sectors of
+        positive dimension."""
+        scale, q, phases = self._scale, self._scaled_q, self._narrow_phases
+        nodes = [tuple(qj - sum(phases[i][j] for i in half) for j, qj in enumerate(q))]
+        for x in extra:
+            shift = tuple(qj - xj for qj, xj in zip(q, phases[x]))
+            nodes += [tuple(n + s for n, s in zip(node, shift)) for node in nodes]
+        broad = self._scaled_broad
+        return not any(tuple(n % scale for n in node) in broad for node in nodes)
 
     def correlator_table(self) -> CorrelatorTable:
         """Three- and four-point values over narrow sectors, closed under
@@ -448,17 +462,21 @@ class FjrwTheory:
             (s.theta, self.inverse_theta(s.theta)): Fraction(1) for s in narrow
         }
         table = CorrelatorTable(labels, pairing, degrees=degrees)
-        for trip in combinations_with_replacement(labels, 3):
-            if not table.budget_ok(trip):
-                continue
+        # deg(e_h) L, so the budget sum deg = n - 2 is checked on basis positions
+        weight = [sum(p) - sum(self._scaled_q) for p in self._narrow_phases]
+
+        def on_budget(n):
+            for ins in combinations_with_replacement(range(len(labels)), n):
+                if sum(weight[i] for i in ins) == (n - 2) * self._scale:
+                    yield tuple(labels[i] for i in ins)
+
+        for trip in on_budget(3):
             value = self.threepoint(*trip)
             if value is None:
                 table.declare_unknown(trip)
             else:
                 table.set(trip, value)
-        for quad in combinations_with_replacement(labels, 4):
-            if not table.budget_ok(quad):
-                continue
+        for quad in on_budget(4):
             _, feasible = line_bundle_degrees(self.mirror_charges, 0, quad)
             if not feasible:
                 table.set(quad, 0)

@@ -51,6 +51,7 @@ from .numcore import (
 __all__ = [
     "NVARS",
     "SchemaError",
+    "UnknownMarginal",
     "InvertiblePolynomial",
     "MarginalData",
     "PunctureData",
@@ -69,6 +70,14 @@ _ONES = (Fraction(1), Fraction(1), Fraction(1))
 
 class SchemaError(ValueError):
     """A catalog file is malformed or internally inconsistent."""
+
+
+class UnknownMarginal(DomainError, KeyError):
+    """A degree-one monomial that is not a catalogued marginal of the entry.
+
+    Also a KeyError, so handlers of a failed lookup keep catching it."""
+
+    __str__ = Exception.__str__  # the message, not KeyError's repr of it
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +398,7 @@ class CatalogEntry:
         for row in self.marginals:
             if row.m == key:
                 return row
-        raise KeyError(f"{self.name} has no catalogued marginal {key}")
+        raise UnknownMarginal(f"{self.name} has no catalogued marginal {key}")
 
 
 # ---------------------------------------------------------------------------
@@ -553,9 +562,12 @@ def _validate_gepner_block(name: str, entries: Mapping[str, CatalogEntry]) -> No
     if (ref.milnor, ref.j_zero) != (entry.milnor, entry.j_zero):
         raise _ctx(where, "reference lies in a different (milnor, j(0)) class")
     phi = _parse_int_triple(_need(block, "phi", where), where)
-    entry.marginal(phi)  # must be a catalogued marginal of the member
     ref_phi = _parse_int_triple(_need(block, "referencePhi", where), where)
-    ref.marginal(ref_phi)
+    try:
+        entry.marginal(phi)  # must be a catalogued marginal of the member
+        ref.marginal(ref_phi)
+    except UnknownMarginal as exc:
+        raise _ctx(where, str(exc)) from exc
 
 
 def _parse_entry(d: Mapping[str, Any]) -> CatalogEntry:

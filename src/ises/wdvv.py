@@ -40,10 +40,14 @@ exactly one unknown, solves them, and enforces consistency of the fully
 known instances, raising :class:`InconsistentSystem` on any conflict; each
 pass after the first rescans only the instances that are still open.
 Solved values are unique when the system is consistent, so the outcome is
-independent of the instance-selection order.  The ``admissible(pair,
-extra)`` filter of :func:`propagate` and :func:`check_residuals` receives
-labels and must be a pure function of its arguments: each scan calls it
-once per distinct (pairing, extra) and reuses the answer.
+independent of the instance-selection order.  The instance scans of
+:func:`propagate` and :func:`check_residuals` run on basis positions:
+their ``admissible(pair, extra)`` filter receives ints into
+``table.labels`` and must be a pure function of its arguments: each scan
+calls it once per distinct (pairing, extra) and reuses the answer.  The
+extras are routed by the degree budget as the pair sums are: a scan groups
+the extra multisets once by the quad weight they complete, and each quad
+visits only its group.
 
 The module also ships the small Gromov-Witten seed data for the elliptic
 orbifold projective lines P^1_{a,b,c}: Chen-Ruan pairing, the degree-zero
@@ -431,39 +435,51 @@ def wdvv_residual(
     )
 
 
-def _budget_filter(table: CorrelatorTable):
-    """Predicate selecting instances whose terms can pass the degree budget.
+def _extra_routes(table: CorrelatorTable, extra_slots: int):
+    """The extras of each size 0..extra_slots, routed by the degree budget.
 
-    Every term <L> eta^{kl} <R> has dual labels k and l whose weights sum to
-    c, the weight sum shared by all pairing-dual label pairs, and its two
-    factors meet their budgets only when the weights of the quad and the
-    extras sum to (2 + n_extra) L - c.  Disabled when gradings are absent
-    or the pairing is not degree-homogeneous.  Takes int tuples.
+    Every term <L> eta^{kl} <R> has dual positions k and l whose weights
+    sum to c, the weight sum shared by all pairing-dual pairs, and its two
+    factors meet their budgets only when the weights of the quad and of the
+    n extras sum to (2 + n) L - c.  So an extra of weight w serves only the
+    quads of weight (2 + n) L - c - w.  Returns ``(weight, routes)``:
+    ``routes[n]`` maps that quad weight to the extras of size n, in
+    combinations order, and ``weight`` gives the int weight of each
+    position.  Without gradings, or with a pairing that is not
+    degree-homogeneous, ``weight`` is None and every extra sits under None.
     """
     weight, scale = table._weight, table._scale
-    if weight is None:
-        return None
-    sums = {weight[i] + weight[j] for (i, j), v in table._pairing.items() if v}
-    if len(sums) != 1:
-        return None
-    offset = 2 * scale - sums.pop()
-
-    def ok(quad, extra) -> bool:
-        total = sum(weight[i] for i in quad) + sum(weight[i] for i in extra)
-        return total == offset + len(extra) * scale
-
-    return ok
+    if weight is not None:
+        sums = {weight[i] + weight[j] for (i, j), v in table._pairing.items() if v}
+        if len(sums) == 1:
+            offset = 2 * scale - sums.pop()
+        else:
+            weight = None
+    basis = range(len(table.labels))
+    routes = []
+    for n in range(extra_slots + 1):
+        by_quad: dict = {}
+        for extra in combinations_with_replacement(basis, n):
+            need = None
+            if weight is not None:
+                need = offset + n * scale - sum(weight[i] for i in extra)
+            by_quad.setdefault(need, []).append(extra)
+        routes.append(by_quad)
+    return weight, routes
 
 
 def _instances(table: CorrelatorTable, extra_slots: int, degrees, admissible):
-    """Residual instances (pair1, pair2, extra, degree) over int labels.
+    """Residual instances (pair1, pair2, extra, degree) over basis positions.
 
-    ``admissible(pair, extra)`` is called with labels, once per distinct
-    (pairing, extra) of this scan; instances with an inadmissible pairing
-    are left out.
+    Each quad visits only the extras that complete its degree budget (see
+    :func:`_extra_routes`); an instance off the budget has only terms that
+    read as zero.  ``admissible(pair, extra)`` is called with basis
+    positions, ints into ``table.labels``, once per distinct (pairing,
+    extra) of this scan; instances with an inadmissible pairing are left
+    out.
     """
     degree_list = list(degrees) if table.graded else [0]
-    budget = _budget_filter(table)
+    weight, routes = _extra_routes(table, extra_slots)
     memo: dict = {}
 
     def allowed(pair, extra) -> bool:
@@ -471,19 +487,17 @@ def _instances(table: CorrelatorTable, extra_slots: int, degrees, admissible):
             return True
         ok = memo.get((pair, extra))
         if ok is None:
-            ok = memo[pair, extra] = bool(
-                admissible(tuple(map(table._names, pair)), table._names(extra))
-            )
+            ok = memo[pair, extra] = bool(admissible(pair, extra))
         return ok
 
-    basis = range(len(table.labels))
-    for quad in combinations_with_replacement(basis, 4):
+    for quad in combinations_with_replacement(range(len(table.labels)), 4):
         a, b, c, d = quad
+        need = None
+        if weight is not None:
+            need = weight[a] + weight[b] + weight[c] + weight[d]
         pair1 = ((a, b), (c, d))
-        for n_extra in range(extra_slots + 1):
-            for extra in combinations_with_replacement(basis, n_extra):
-                if budget is not None and not budget(quad, extra):
-                    continue
+        for by_quad in routes:
+            for extra in by_quad.get(need, ()):
                 if not allowed(pair1, extra):
                     continue
                 others = [
@@ -527,8 +541,10 @@ def propagate(
     ``admissible(pair, extra)`` filters instances: when the table's labels
     span only part of a larger state space, only pairings whose forced
     intermediate states stay inside the label set yield complete residuals,
-    and the caller must reject the rest.  It receives labels and must be a
-    pure function of ``(pair, extra)``, since its answers are reused.
+    and the caller must reject the rest.  It receives basis positions, ints
+    into ``table.labels``, and must be a pure function of ``(pair,
+    extra)``, since its answers are reused.  Each quad meets only the
+    extras that complete its degree budget.
     """
     work = table.copy()
     pending = None
@@ -575,8 +591,8 @@ def check_residuals(
     """Evaluate every fully known residual instance; return the count.
 
     Raises InconsistentSystem on the first nonzero residual.  Instances
-    involving unknowns are skipped.  ``admissible`` filters pairings as in
-    :func:`propagate`.
+    involving unknowns are skipped.  ``admissible`` receives basis
+    positions and filters pairings as in :func:`propagate`.
     """
     checked = 0
     for pair1, pair2, extra, degree in _instances(

@@ -6,7 +6,8 @@ from itertools import product
 
 import pytest
 
-from ises.fjrw import FjrwTheory, NeedsBroadFixture
+import ises.fjrw
+from ises.fjrw import FjrwTheory, NeedsBroadFixture, NotConcave
 from ises.isespoly import get_entry, load_catalog
 from ises.numcore import DomainError
 from ises.wdvv import _instances, check_residuals
@@ -76,6 +77,32 @@ def test_e6_loop222_fourpoint_oracles():
         assert table.value(insertions) == F(oracle["value"])
 
 
+def test_e6_loop222_concave_oracle_is_the_riemann_roch_value(monkeypatch):
+    th = FjrwTheory(get_entry(CATALOG, "e6-loop222"))
+    oracles = {
+        o["route"]: ([th.sector(ix) for ix in o["insertions"]], F(o["value"]))
+        for o in th.entry.fjrw["oracles"]["fourPoint"]
+    }
+    assert set(oracles) == {"concave", "wdvv"}
+    sectors, value = oracles["concave"]
+    assert th.fourpoint_breakdown(sectors).value == value == F(-2, 9)
+    # the wdvv oracle is not concave, so the seed leaves it to propagate
+    sectors, value = oracles["wdvv"]
+    with pytest.raises(NotConcave):
+        th.fourpoint_breakdown(sectors)
+    seeded = []
+    original = ises.fjrw.propagate
+
+    def capture(table, **kwargs):
+        seeded.append(table)
+        return original(table, **kwargs)
+
+    monkeypatch.setattr(ises.fjrw, "propagate", capture)
+    thetas = [s.theta for s in sectors]
+    assert th.correlator_table().value(thetas) == value == F(1, 3)
+    assert seeded[0].value(thetas) is None
+
+
 def test_residual_checks_on_all_tables():
     total = 0
     for name in NAMES:
@@ -107,9 +134,15 @@ def fraction_narrow_nodes(th, pair, extra):
     return True
 
 
+def position(th, theta):
+    """The basis position of a narrow sector in the theory's table."""
+    return [s.theta for s in th.narrow_sectors()].index(theta)
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_narrow_nodes_matches_the_fraction_form(name):
     th = theory(name)
+    labels = th.correlator_table().labels
     offered = set()
 
     def record(pair, extra):
@@ -122,7 +155,9 @@ def test_narrow_nodes_matches_the_fraction_form(name):
     verdicts = set()
     for pair, extra in offered:
         verdict = th.narrow_nodes(pair, extra)
-        assert verdict == fraction_narrow_nodes(th, pair, extra), (pair, extra)
+        named_pair = tuple(tuple(labels[i] for i in half) for half in pair)
+        named_extra = tuple(labels[i] for i in extra)
+        assert verdict == fraction_narrow_nodes(th, named_pair, named_extra), (pair, extra)
         verdicts.add(verdict)
     if not th.broad_dims:
         assert verdicts == {True}
@@ -133,7 +168,8 @@ def test_a_node_in_a_broad_sector_with_states_is_rejected():
     a = (F(1, 8), F(5, 8), F(1, 2))
     node = (F(0), F(0), F(1, 2))  # q - 2a mod 1, with q = (1/4, 1/4, 1/2)
     assert th.sectors[a].narrow and th.broad_dims[node] == 2
-    other = (th.identity.theta, th.top.theta)
+    a = position(th, a)
+    other = (position(th, th.identity.theta), position(th, th.top.theta))
     assert th.narrow_nodes((other, other), ()) is True
     assert th.narrow_nodes(((a, a), other), ()) is False
     assert th.narrow_nodes((other, (a, a)), ()) is False
@@ -145,6 +181,7 @@ def test_a_node_in_a_broad_sector_without_states_is_harmless():
     node = (F(1, 3), F(1, 3), F(0))  # q - a - b mod 1, with q = (1/3, 1/3, 1/3)
     assert th.sectors[a].narrow and th.sectors[b].narrow
     assert not th.sectors[node].narrow and th.sectors[node].dim == 0
+    a, b = position(th, a), position(th, b)
     assert th.narrow_nodes(((a, b), (a, b)), ()) is True
 
 

@@ -221,6 +221,17 @@ def test_schema_error_on_broad_fixture_without_dim(tmp_path):
         load_catalog(str(path))
 
 
+@pytest.mark.parametrize("field", ["phi", "referencePhi"])
+def test_schema_error_on_an_uncatalogued_gepner_marginal(tmp_path, field):
+    doc = json.loads(_default_catalog_text())
+    (entry,) = [e for e in doc["entries"] if e["name"] == "e6-chain23"]
+    entry["gepner"][field] = [3, 0, 0]
+    path = tmp_path / "bad-phi.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match=r"entry e6-chain23 gepner: .* \(3, 0, 0\)"):
+        load_catalog(str(path))
+
+
 def test_env_variable_override(tmp_path, monkeypatch):
     path = tmp_path / "env.json"
     path.write_text(json.dumps({"entries": []}))

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ises.isespoly import NVARS, _inverse3, _mat_vec, get_entry, load_catalog
+from ises.isespoly import (
+    NVARS,
+    UnknownMarginal,
+    _inverse3,
+    _mat_vec,
+    get_entry,
+    load_catalog,
+)
 from ises.numcore import DomainError
 from ises.pfsolve import (
     DeltaOperator,
@@ -31,6 +38,15 @@ def entry(name):
 # ---------------------------------------------------------------------------
 # operator construction
 # ---------------------------------------------------------------------------
+
+
+def test_an_uncatalogued_marginal_is_a_typed_error():
+    # x^3 has degree one but lies in the Jacobian ideal of x^3 + y^3 + z^3
+    with pytest.raises(UnknownMarginal, match=r"e6-fermat .* \(3, 0, 0\)") as info:
+        weight_report(entry("e6-fermat"), (3, 0, 0))
+    assert isinstance(info.value, DomainError)
+    assert isinstance(info.value, KeyError)
+    assert str(info.value) == "e6-fermat has no catalogued marginal (3, 0, 0)"
 
 
 def test_fermat_e6_root_multisets():

@@ -211,7 +211,7 @@ def test_string_and_divisor_equations(gw_solved):
                     assert value == d * three
 
 
-def test_admissible_sees_labels_once_per_pairing_and_extra():
+def test_admissible_sees_positions_once_per_pairing_and_extra():
     # LOW is the unit of the algebra Q[x]/(x^2 - 2) with x = HIGH
     table = phase_table()
     table.set([LOW, LOW, HIGH], 1)
@@ -225,10 +225,10 @@ def test_admissible_sees_labels_once_per_pairing_and_extra():
     checked = check_residuals(table, admissible=admissible)
     assert checked > 0
     assert len(calls) == len(set(calls))
-    labels = {HIGH, LOW}
+    positions = set(range(len(table.labels)))
     for pair, extra in calls:
-        assert {x for half in pair for x in half} <= labels
-        assert set(extra) <= labels
+        assert {x for half in pair for x in half} <= positions
+        assert set(extra) <= positions
 
 
 def test_propagate_ignores_shuffle_seed(monkeypatch):
@@ -413,8 +413,9 @@ def test_routed_residuals_on_the_fjrw_tables(name):
     assert bool(table.unknown_keys) == bool(shapes["linear"])
 
 
-def test_routed_residuals_on_a_table_without_degrees():
-    # e6-chain233's narrow table, which keeps unknowns, with its gradings dropped
+def ungraded_table():
+    """e6-chain233's narrow table, which keeps unknowns, with its gradings
+    dropped."""
     graded = fjrw_theory("e6-chain233").correlator_table()
     labels = graded.labels
     pairing = {(a, b): graded.pairing(a, b) for a in labels for b in labels}
@@ -423,6 +424,11 @@ def test_routed_residuals_on_a_table_without_degrees():
         table.set(key, value)
     for key in graded.unknown_keys:
         table.declare_unknown(key)
+    return table
+
+
+def test_routed_residuals_on_a_table_without_degrees():
+    table = ungraded_table()
     assert list(table._dual_groups) == [None]
     assert table.copy()._dual_groups is table._dual_groups
     shapes = assert_routed_residuals(table, (0,))
@@ -451,3 +457,140 @@ def test_int_budget_matches_the_fraction_sum():
                 assert table.budget_ok(insertions) == expected, insertions
                 hits += expected
         assert hits
+
+
+# ---------------------------------------------------------------------------
+# the routed instance scan against the filtered full scan
+# ---------------------------------------------------------------------------
+
+
+def reference_budget_filter(table):
+    """Predicate selecting instances whose terms can pass the degree budget:
+    the weights of the quad and the extras must sum to (2 + n_extra) L - c,
+    with c the weight sum shared by all pairing-dual pairs.  None when
+    gradings are absent or the pairing is not degree-homogeneous."""
+    weight, scale = table._weight, table._scale
+    if weight is None:
+        return None
+    sums = {weight[i] + weight[j] for (i, j), v in table._pairing.items() if v}
+    if len(sums) != 1:
+        return None
+    offset = 2 * scale - sums.pop()
+
+    def ok(quad, extra):
+        total = sum(weight[i] for i in quad) + sum(weight[i] for i in extra)
+        return total == offset + len(extra) * scale
+
+    return ok
+
+
+def reference_instances(table, extra_slots, degrees, admissible):
+    """Reference for the instance scan: every (quad, extra) of the basis,
+    tested against the budget predicate; ``admissible`` receives labels."""
+    degree_list = list(degrees) if table.graded else [0]
+    budget = reference_budget_filter(table)
+    memo = {}
+
+    def allowed(pair, extra):
+        if admissible is None:
+            return True
+        ok = memo.get((pair, extra))
+        if ok is None:
+            ok = memo[pair, extra] = bool(
+                admissible(tuple(map(table._names, pair)), table._names(extra))
+            )
+        return ok
+
+    basis = range(len(table.labels))
+    for quad in combinations_with_replacement(basis, 4):
+        a, b, c, d = quad
+        pair1 = ((a, b), (c, d))
+        for n_extra in range(extra_slots + 1):
+            for extra in combinations_with_replacement(basis, n_extra):
+                if budget is not None and not budget(quad, extra):
+                    continue
+                if not allowed(pair1, extra):
+                    continue
+                others = [
+                    p for p in (((a, c), (b, d)), ((a, d), (b, c))) if allowed(p, extra)
+                ]
+                for degree in degree_list:
+                    for pair2 in others:
+                        yield pair1, pair2, extra, degree
+
+
+def assert_same_scan(table, extra_slots, degrees, admissible=None, named=None):
+    """The routed scan yields the reference instances in the same order;
+    ``named`` is ``admissible`` in labels, for the reference."""
+    expected = list(reference_instances(table, extra_slots, degrees, named))
+    assert expected
+    routed = ises.wdvv._instances(table, extra_slots, degrees, admissible)
+    assert list(routed) == expected
+
+
+def test_routed_scan_on_the_gw_tables(gw_seeded):
+    assert reference_budget_filter(gw_seeded) is not None
+    assert_same_scan(gw_seeded, 1, range(2))
+
+
+def test_routed_scan_with_two_extra_slots():
+    table = gw_seed_table((4, 4, 2))
+    assert_same_scan(table, 2, range(2))
+
+
+@pytest.mark.parametrize("name", FJRW_NAMES)
+def test_routed_scan_on_the_fjrw_tables(name):
+    theory = fjrw_theory(name)
+    table = theory.correlator_table()
+    assert table.labels == tuple(s.theta for s in theory.narrow_sectors())
+    assert reference_budget_filter(table) is not None
+    position = {label: i for i, label in enumerate(table.labels)}
+
+    def named(pair, extra):
+        return theory.narrow_nodes(
+            tuple(tuple(position[x] for x in half) for half in pair),
+            tuple(position[x] for x in extra),
+        )
+
+    assert_same_scan(table, 1, (0,), theory.narrow_nodes, named)
+
+
+def test_routed_scan_on_a_table_without_degrees():
+    table = ungraded_table()
+    assert ises.wdvv._extra_routes(table, 1)[0] is None
+    assert_same_scan(table, 1, (0,))
+
+
+def test_routed_scan_falls_back_on_a_pairing_that_is_not_homogeneous():
+    # u.p and h.h have weight sum 1, t.t has 2/3
+    degrees = {"u": F(0), "p": F(1), "h": F(1, 2), "t": F(1, 3)}
+    pairing = {("u", "p"): 1, ("h", "h"): 1, ("t", "t"): 1}
+    table = CorrelatorTable(tuple(degrees), pairing, degrees=degrees)
+    assert reference_budget_filter(table) is None
+    assert ises.wdvv._extra_routes(table, 1)[0] is None
+    assert_same_scan(table, 1, (0,))
+
+
+@pytest.mark.parametrize("name", FJRW_NAMES)
+def test_a_second_scan_computes_no_new_node_verdict(name, monkeypatch):
+    theory = ises.fjrw.FjrwTheory(get_entry(CATALOG, name))
+    table = theory.correlator_table()
+    # propagate scans the seeded table only while it has unknowns
+    scanned = bool(theory._node_verdicts)
+    computed = []
+    original = theory._nodes_narrow
+
+    def counted(half, extra):
+        computed.append((half, extra))
+        return original(half, extra)
+
+    monkeypatch.setattr(theory, "_nodes_narrow", counted)
+    first = check_residuals(table, admissible=theory.narrow_nodes)
+    if scanned:
+        # the check_residuals scan reuses the verdicts of the propagate scan
+        assert computed == []
+    else:
+        assert computed
+    computed.clear()
+    assert check_residuals(table, admissible=theory.narrow_nodes) == first
+    assert computed == []
