@@ -52,6 +52,7 @@ __all__ = [
     "NVARS",
     "SchemaError",
     "UnknownMarginal",
+    "UnknownEntry",
     "InvertiblePolynomial",
     "MarginalData",
     "PunctureData",
@@ -74,6 +75,14 @@ class SchemaError(ValueError):
 
 class UnknownMarginal(DomainError, KeyError):
     """A degree-one monomial that is not a catalogued marginal of the entry.
+
+    Also a KeyError, so handlers of a failed lookup keep catching it."""
+
+    __str__ = Exception.__str__  # the message, not KeyError's repr of it
+
+
+class UnknownEntry(DomainError, KeyError):
+    """A name that no entry of the catalog carries.
 
     Also a KeyError, so handlers of a failed lookup keep catching it."""
 
@@ -742,4 +751,4 @@ def get_entry(catalog: Sequence[CatalogEntry], name: str) -> CatalogEntry:
     for entry in catalog:
         if entry.name == name:
             return entry
-    raise KeyError(f"no catalog entry named {name!r}")
+    raise UnknownEntry(f"no catalog entry named {name!r}")

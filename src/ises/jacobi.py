@@ -18,7 +18,14 @@ rational-function field Q(sigma).  This module computes
   the top-degree monomial comes out as 1/(K*(1-x)) with x = C*sigma^l,
   which pins the constant K of each family;
 * decompositions (1 - C*sigma^l) * phi_{r+m} = sum_i g_{r,i} * d_i W_sigma
-  exhibiting the left-hand side as a Jacobian-ideal member;
+  exhibiting the left-hand side as a Jacobian-ideal member.  The linear
+  system over Q for the sigma-coefficients of the g_i depends only on
+  deg(phi_r) and the sigma-degree bound, so every basis label of one degree
+  is solved in one elimination, with one right-hand column per label; a
+  label that the first bound leaves unsolved is retried alone at the
+  guaranteed bound.  Each result is verified by multiplying the g_i by the
+  sigma-layers of the partials over Q, coefficient by coefficient in
+  (X, sigma);
 * first-order flat deformations
   delta_r = phi_r - sigma * sum_{r' != r} c_{r,r'}(0) * phi_{r'} + O(sigma^2)
   where the c's are the coefficients of -sum_i d_i g_{r,i} over the
@@ -62,6 +69,7 @@ from .numcore import (
     UniPoly,
     monomials_of_weighted_degree,
     nullspace,
+    solve_columns,
     solve_linear,
 )
 
@@ -320,6 +328,15 @@ class JacobianAlgebra:
             mvec, SIGMA
         )
         self.partials = tuple(self.w_sigma.partial(i) for i in range(NVARS))
+        # The sigma-layers over Q: d_i W_sigma = P_i0 + sigma*P_i1, and
+        # _layers[i][d] is P_id.
+        self._layers = tuple(
+            tuple(
+                {e: c.num.coeff(d) for e, c in p.terms.items() if c.num.coeff(d)}
+                for d in (0, 1)
+            )
+            for p in self.partials
+        )
         self.groebner_basis = groebner(self.partials, self.weights)
         self._gbdata = _lead_data(self.groebner_basis, self._key)
 
@@ -461,6 +478,14 @@ class JacobianAlgebra:
         over: the one a greedy scan gets by pinning coordinates to 0 from the
         highest rank down.  So its sigma-degree is as small as the system
         allows.
+
+        The first call for a weighted degree decomposes every non-unit basis
+        label of that degree in one elimination and memoises them all.  A
+        sigma-degree 2 ansatz suffices in practice; the labels it leaves
+        unsolved, and only those, are retried at the guaranteed bound 2l.  A
+        label with no decomposition at either bound raises ``NoSolution``
+        when it is asked for.  Each result is checked against the identity
+        coefficient by coefficient in (X, sigma) over Q.
         """
         rvec = tuple(int(e) for e in r)
         if rvec not in self._decompositions:
@@ -471,94 +496,106 @@ class JacobianAlgebra:
                     f"{self._label}: phi_m has nonzero residue, so "
                     "(1 - C*sigma^l)*phi_m is not a Jacobian-ideal member"
                 )
-            self._decompositions[rvec] = self._solve_decomposition(rvec)
-        return self._decompositions[rvec]
+            self._decompose_degree(self._degree(rvec))
+        result = self._decompositions[rvec]
+        if isinstance(result, NoSolution):
+            raise result.with_traceback(None)
+        return result
 
-    def _solve_decomposition(self, rvec: Exps) -> tuple[MultiPoly, ...]:
-        mar = self.marginal
-        # Sigma-graded coefficients of the partials: d_i W_sigma = P_i0 + sigma*P_i1.
-        w_plain = self.entry.polynomial.polynomial()
-        phi_m = MultiPoly.monomial(mar.m, Fraction(1))
-        layers = [
-            (dict(w_plain.partial(i).terms), dict(phi_m.partial(i).terms))
-            for i in range(NVARS)
-        ]
-        rm = tuple(rvec[i] + mar.m[i] for i in range(NVARS))
-        # A sigma-degree 2 ansatz suffices in practice; fall back to the
-        # guaranteed bound 2l when it does not.
-        for bound in (2, 2 * mar.l):
-            try:
-                sol, cols = self._decomposition_system(rvec, rm, layers, bound)
-            except NoSolution:
-                if bound == 2 * mar.l:
-                    raise
-                continue
-            break
-        # Assemble the g_i from the solved coordinates.
-        sigma_coeffs: list[dict[Exps, list[Rat]]] = [{}, {}, {}]
-        for value, (i, e, d) in zip(sol, cols):
-            if value:
-                acc = sigma_coeffs[i].setdefault(e, [Fraction(0)] * (bound + 1))
-                acc[d] = value
-        gs = []
-        for i in range(NVARS):
-            g = MultiPoly.zero()
-            for e, coeffs in sorted(sigma_coeffs[i].items()):
-                g = g + MultiPoly.monomial(e, RatFun(UniPoly(coeffs)))
-            gs.append(g)
-        lhs = MultiPoly.monomial(
-            rm, RatFun(UniPoly([1] + [0] * (mar.l - 1) + [-mar.C]))
-        )
-        total = MultiPoly.zero()
-        for g, p in zip(gs, self.partials):
-            total = total + g * p
-        if total != lhs:
-            raise DomainError(
-                f"{self._label}: decomposition of {rvec} failed verification"
+    def _decompose_degree(self, deg: Rat) -> None:
+        """Decompose every non-unit basis label of weighted degree ``deg``,
+        one elimination per sigma-degree bound, into ``_decompositions``."""
+        pending = [e for e in self.basis if e != (0, 0, 0) and self._degree(e) == deg]
+        for bound in (2, 2 * self.marginal.l):
+            cols, rows, rhs = self._degree_system(deg, pending, bound)
+            sols = solve_columns(rows, rhs, len(cols))
+            for r, sol in zip(pending, sols):
+                if sol is not None:
+                    self._decompositions[r] = self._assemble(r, sol, cols, bound)
+            pending = [r for r, sol in zip(pending, sols) if sol is None]
+            if not pending:
+                return
+        for r in pending:
+            self._decompositions[r] = NoSolution(
+                f"{self._label}: no decomposition of {r} with sigma-degree {bound}"
             )
-        return tuple(gs)
 
-    def _decomposition_system(self, rvec, rm, layers, bound):
-        """Set up and solve the sparse linear system A x = b for one
-        sigma-degree bound; returns (solution, column labels).
+    def _lhs(self, r: Exps) -> dict[tuple[Exps, int], Rat]:
+        """The cells of (1 - C*sigma^l) * X^(r+m), keyed by (exponent,
+        sigma-degree)."""
+        mar = self.marginal
+        rm = (r[0] + mar.m[0], r[1] + mar.m[1], r[2] + mar.m[2])
+        return {(rm, 0): Fraction(1), (rm, mar.l): Fraction(-mar.C)}
 
-        The columns are listed in ascending rank (sigma-degree, partial i,
-        monomial order), so one ``solve_linear`` gives the solution that
-        ``decompose`` promises.  Its RREF pivots on the least independent
-        columns, the least basis of A's column space, and sets every other
-        column to 0.  Those free columns are the complement of that basis,
-        the greatest basis of the dual matroid (the column matroid of the
-        nullspace), which is exactly the set a greedy scan from the highest
-        rank down pins to 0.  The solution that is 0 on them is unique, so
-        both routes agree.
+    def _degree_system(self, deg: Rat, labels: Sequence[Exps], bound: int):
+        """The sparse system A x = b_r of the decompositions of ``labels``,
+        all of weighted degree ``deg``, at sigma-degree ``bound``; returns
+        (column labels, rows, one right-hand column per label).
+
+        A depends on the degree and the bound only; the labels move only the
+        right-hand sides, the cells (r + m, 0) and (r + m, l).  The columns
+        are listed in ascending rank (sigma-degree, partial i, monomial
+        order), so one elimination gives the solutions that ``decompose``
+        promises.  Its RREF pivots on the least independent columns, the
+        least basis of A's column space, and sets every other column to 0.
+        Those free columns are the complement of that basis, the greatest
+        basis of the dual matroid (the column matroid of the nullspace),
+        which is exactly the set a greedy scan from the highest rank down
+        pins to 0.  The solution that is 0 on them is unique, so both routes
+        agree.
         """
-        deg_r = self._degree(rvec)
+        scale, w = _scaled_weights(self.weights)
         cols: list[tuple[int, Exps, int]] = []
         for i in range(NVARS):
-            target = deg_r + self.weights[i]
-            max_exps = tuple(int(target / self.weights[j]) for j in range(NVARS))
-            for e in monomials_of_weighted_degree(self.weights, target, max_exps):
+            target = int(deg * scale) + w[i]
+            max_exps = tuple(target // w[j] for j in range(NVARS))
+            for e in monomials_of_weighted_degree(w, target, max_exps):
                 for d in range(bound + 1):
                     cols.append((i, e, d))
         cols.sort(key=lambda c: (c[2], c[0], self._key(c[1])))
         entries: dict[tuple[Exps, int], dict[int, Rat]] = {}
         for ci, (i, e, d) in enumerate(cols):
-            for layer_shift, layer in enumerate(layers[i]):
+            for shift, layer in enumerate(self._layers[i]):
                 for pe, pc in layer.items():
                     te = (e[0] + pe[0], e[1] + pe[1], e[2] + pe[2])
-                    row = entries.setdefault((te, d + layer_shift), {})
-                    row[ci] = row.get(ci, Fraction(0)) + pc
-        rhs_map = {(rm, 0): Fraction(1), (rm, self.marginal.l): Fraction(-self.marginal.C)}
-        keys = sorted(set(entries) | set(rhs_map))
+                    entries.setdefault((te, d + shift), {})[ci] = pc
+        rhs_maps = [self._lhs(r) for r in labels]
+        keys = sorted(set(entries).union(*rhs_maps))
+        index = {kk: k for k, kk in enumerate(keys)}
         rows = [entries.get(kk, {}) for kk in keys]
-        rhs = [rhs_map.get(kk, Fraction(0)) for kk in keys]
-        try:
-            sol = solve_linear(rows, rhs, len(cols))
-        except NoSolution:
-            raise NoSolution(
-                f"{self._label}: no decomposition of {rvec} with sigma-degree {bound}"
-            ) from None
-        return sol, cols
+        rhs = [{index[kk]: v for kk, v in b.items()} for b in rhs_maps]
+        return cols, rows, rhs
+
+    def _assemble(self, rvec: Exps, sol, cols, bound: int) -> tuple[MultiPoly, ...]:
+        """The g_i of a solved column, checked against the identity.
+
+        The check multiplies the g_i by the sigma-layers of the partials over
+        Q, not by the system's rows, and compares with
+        (1 - C*sigma^l) * X^(r+m) coefficient by coefficient in (X, sigma).
+        """
+        sigma_coeffs: list[dict[Exps, list[Rat]]] = [{}, {}, {}]
+        for value, (i, e, d) in zip(sol, cols):
+            if value:
+                acc = sigma_coeffs[i].setdefault(e, [Fraction(0)] * (bound + 1))
+                acc[d] = value
+        total: dict[tuple[Exps, int], Rat] = {}
+        for i in range(NVARS):
+            for shift, layer in enumerate(self._layers[i]):
+                for pe, pc in layer.items():
+                    for e, coeffs in sigma_coeffs[i].items():
+                        te = (e[0] + pe[0], e[1] + pe[1], e[2] + pe[2])
+                        for d, c in enumerate(coeffs):
+                            if c:
+                                kk = (te, d + shift)
+                                total[kk] = total.get(kk, 0) + c * pc
+        if {kk: v for kk, v in total.items() if v} != self._lhs(rvec):
+            raise DomainError(
+                f"{self._label}: decomposition of {rvec} failed verification"
+            )
+        return tuple(
+            MultiPoly({e: RatFun(UniPoly(c)) for e, c in sorted(terms.items())})
+            for terms in sigma_coeffs
+        )
 
     # -- flat sections and correlators ----------------------------------------
 

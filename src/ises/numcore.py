@@ -3,7 +3,8 @@
 Provides arbitrary-precision rationals (``Rat``), univariate polynomials and
 rational functions in one deformation parameter, multivariate polynomials in
 three variables with pluggable coefficient rings, and one sparse exact
-elimination kernel behind ``solve_linear``, ``inverse`` and ``nullspace``.
+elimination kernel behind ``solve_columns`` (with ``solve_linear`` over it),
+``inverse`` and ``nullspace``.
 
 All values are immutable after construction and all operations are pure.
 Coefficient rings are duck-typed: any type supporting ``+ - *``, division by
@@ -562,7 +563,7 @@ class MultiPoly:
 
 def monomials_of_weighted_degree(weights, degree, max_exps) -> list:
     """All exponent triples e with Σ weights[i]*e[i] == degree, bounded by
-    max_exps componentwise."""
+    max_exps componentwise; weights and degree are ints or ``Fraction``s."""
     out = []
     for e1 in range(max_exps[0] + 1):
         for e2 in range(max_exps[1] + 1):
@@ -570,8 +571,8 @@ def monomials_of_weighted_degree(weights, degree, max_exps) -> list:
             rem = degree - partial
             if rem < 0:
                 continue
-            q3 = rem / weights[2]
-            if q3 == int(q3) and 0 <= int(q3) <= max_exps[2]:
+            q3, r3 = divmod(rem, weights[2])
+            if not r3 and q3 <= max_exps[2]:
                 out.append((e1, e2, int(q3)))
     return sorted(out)
 
@@ -637,6 +638,37 @@ def _sparse(row):
     return {c: v for c, v in cells if v}
 
 
+def solve_columns(rows, columns, ncols=None) -> list:
+    """Solve A x = b_j exactly for each right-hand column b_j of ``columns``,
+    all in one elimination of ``[A | b_1 ... b_k]``.
+
+    ``rows`` are as in ``solve_linear``; each column is a sequence of cells
+    or a sparse ``{row: value}`` dict.  Returns one entry per column: the
+    particular solution with every free variable set to 0, or ``None`` when
+    that column is inconsistent.  The RREF of the augmented matrix is unique
+    on every consistent column, so each solution is the one that
+    ``solve_linear`` gives for its column alone.
+    """
+    n = ncols if ncols is not None else (len(rows[0]) if rows else 0)
+    aug = [_sparse(row) for row in rows]
+    for j, col in enumerate(columns):
+        for i, b in _sparse(col).items():
+            aug[i][n + j] = b
+    pivots, rest = _rref(aug, n)
+    # A leftover row is 0 on A, so each of its cells marks an inconsistent column.
+    inconsistent = {k - n for row in rest for k in row}
+    out = []
+    for j in range(len(columns)):
+        if j in inconsistent:
+            out.append(None)
+            continue
+        x = [0] * n
+        for c, row in pivots:
+            x[c] = row.get(n + j, 0)
+        out.append(x)
+    return out
+
+
 def solve_linear(rows, rhs, ncols=None):
     """Solve A x = b exactly over a field by Gaussian elimination.
 
@@ -646,19 +678,9 @@ def solve_linear(rows, rhs, ncols=None):
     solution with every free variable set to 0.  Raises NoSolution when
     inconsistent.
     """
-    n = ncols if ncols is not None else (len(rows[0]) if rows else 0)
-    aug = []
-    for row, b in zip(rows, rhs):
-        srow = _sparse(row)
-        if b:
-            srow[n] = b
-        aug.append(srow)
-    pivots, rest = _rref(aug, n)
-    if any(rest):
+    (x,) = solve_columns(rows, [rhs], ncols)
+    if x is None:
         raise NoSolution("inconsistent linear system")
-    x = [0] * n
-    for c, row in pivots:
-        x[c] = row.get(n, 0)
     return x
 
 

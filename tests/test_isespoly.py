@@ -15,6 +15,7 @@ from ises.isespoly import (
     InvertiblePolynomial,
     MarginalData,
     SchemaError,
+    UnknownEntry,
     _default_catalog_text,
     charge_vector,
     enumerate_group,
@@ -166,6 +167,14 @@ def test_charge_helpers():
 def test_get_entry_unknown(catalog):
     with pytest.raises(KeyError):
         get_entry(catalog, "e9-fermat")
+
+
+def test_an_unknown_entry_name_is_a_typed_error(catalog):
+    with pytest.raises(UnknownEntry) as info:
+        get_entry(catalog, "e9-fermat")
+    assert isinstance(info.value, DomainError)
+    assert isinstance(info.value, KeyError)
+    assert str(info.value) == "no catalog entry named 'e9-fermat'"
 
 
 def test_schema_error_on_bad_file(tmp_path):

@@ -27,6 +27,7 @@ from ises.numcore import (
     UniPoly,
     monomials_of_weighted_degree,
     nullspace,
+    solve_columns,
     solve_linear,
 )
 
@@ -419,46 +420,114 @@ def test_decompositions_cover_every_nonunit_basis_monomial():
             assert total == lhs
 
 
+def batch_hooks(monkeypatch, tamper=None):
+    """Record the (labels, bound) of every decomposition system that is built,
+    and let ``tamper(labels, bound, sols)`` edit its solved columns in place."""
+    calls = []
+    real_system = JacobianAlgebra._degree_system
+    real_solve = jacobi.solve_columns
+
+    def system(self, deg, labels, bound):
+        calls.append((tuple(labels), bound))
+        return real_system(self, deg, labels, bound)
+
+    def solve(rows, rhs, ncols):
+        sols = real_solve(rows, rhs, ncols)
+        if tamper is not None:
+            tamper(*calls[-1], sols)
+        return sols
+
+    monkeypatch.setattr(JacobianAlgebra, "_degree_system", system)
+    monkeypatch.setattr(jacobi, "solve_columns", solve)
+    return calls
+
+
+E6_THIRDS = ((0, 0, 1), (0, 1, 0), (1, 0, 0))  # the e6-fermat labels of degree 1/3
+
+
+def test_one_elimination_decomposes_every_label_of_a_degree(monkeypatch):
+    calls = batch_hooks(monkeypatch)
+    alg = JacobianAlgebra(get_entry(CATALOG, "e6-fermat"))
+    got = {r: alg.decompose(r) for r in E6_THIRDS}
+    assert calls == [(E6_THIRDS, 2)]
+    assert got == {r: algebra("e6-fermat").decompose(r) for r in E6_THIRDS}
+
+
 def test_inconsistent_first_ansatz_falls_back_to_the_bound_2l(monkeypatch):
     # No catalog pair needs the fallback: the sigma-degree 2 ansatz always
-    # solves.  A sigma-degree 0 ansatz cannot reach the sigma^l term of the
-    # left-hand side, so shrinking the first attempt to it makes that
-    # augmented system inconsistent.
-    entry = get_entry(CATALOG, "e8-fermat")
+    # solves.  Dropping one label's bound-2 solution makes that label alone
+    # go to the bound 2l.
+    entry = get_entry(CATALOG, "e6-fermat")
     mar = entry.marginals[0]
-    want = algebra("e8-fermat").decompose((1, 0, 0))
-    real = JacobianAlgebra._decomposition_system
-    attempts = []
+    victim = (0, 1, 0)
+    want = {r: algebra("e6-fermat").decompose(r) for r in E6_THIRDS}
 
-    def first_ansatz_too_small(self, rvec, rm, layers, bound):
-        shrunk = 0 if not attempts else bound
-        try:
-            result = real(self, rvec, rm, layers, shrunk)
-        except NoSolution:
-            attempts.append((bound, shrunk, "NoSolution"))
-            raise
-        attempts.append((bound, shrunk, "solved"))
-        return result
+    def drop_at_bound_2(labels, bound, sols):
+        if bound == 2:
+            sols[labels.index(victim)] = None
 
-    monkeypatch.setattr(JacobianAlgebra, "_decomposition_system", first_ansatz_too_small)
-    got = JacobianAlgebra(entry, mar.m).decompose((1, 0, 0))
-    assert attempts == [(2, 0, "NoSolution"), (2 * mar.l, 2 * mar.l, "solved")]
+    calls = batch_hooks(monkeypatch, drop_at_bound_2)
+    alg = JacobianAlgebra(entry, mar.m)
+    got = {r: alg.decompose(r) for r in E6_THIRDS}
+    assert calls == [(E6_THIRDS, 2), ((victim,), 2 * mar.l)]
     assert got == want
 
 
 def test_unsolvable_decomposition_names_the_entry(monkeypatch):
     # Every ansatz shrunk to sigma-degree 0 misses the sigma^l term.
-    real = JacobianAlgebra._decomposition_system
+    real = JacobianAlgebra._degree_system
     monkeypatch.setattr(
         JacobianAlgebra,
-        "_decomposition_system",
-        lambda self, rvec, rm, layers, bound: real(self, rvec, rm, layers, 0),
+        "_degree_system",
+        lambda self, deg, labels, bound: real(self, deg, labels, 0),
     )
     entry = get_entry(CATALOG, "e8-fermat")
     alg = JacobianAlgebra(entry)
     label = re.escape(f"e8-fermat, m={entry.marginals[0].m}")
     with pytest.raises(NoSolution, match=label + r": no decomposition of \(1, 0, 0\)"):
         alg.decompose((1, 0, 0))
+
+
+def test_an_unsolvable_label_raises_only_when_asked_for(monkeypatch):
+    entry = get_entry(CATALOG, "e6-fermat")
+    mar = entry.marginals[0]
+    victim = (0, 1, 0)
+
+    def drop_always(labels, bound, sols):
+        if victim in labels:
+            sols[labels.index(victim)] = None
+
+    calls = batch_hooks(monkeypatch, drop_always)
+    alg = JacobianAlgebra(entry, mar.m)
+    for r in E6_THIRDS:
+        if r != victim:
+            assert alg.decompose(r) == algebra("e6-fermat").decompose(r)
+    message = re.escape(
+        f"e6-fermat, m={mar.m}: no decomposition of {victim} "
+        f"with sigma-degree {2 * mar.l}"
+    )
+    for _ in range(2):  # memoised: asking again raises again, without a solve
+        with pytest.raises(NoSolution, match=message):
+            alg.decompose(victim)
+    assert calls == [(E6_THIRDS, 2), ((victim,), 2 * mar.l)]
+
+
+def test_a_wrong_solution_cell_fails_verification(monkeypatch):
+    victim = (0, 1, 0)
+
+    def plant(labels, bound, sols):
+        sol = sols[labels.index(victim)]
+        c = next(c for c, v in enumerate(sol) if v)
+        sol[c] += 1
+
+    batch_hooks(monkeypatch, plant)
+    entry = get_entry(CATALOG, "e6-fermat")
+    alg = JacobianAlgebra(entry)
+    label = re.escape(f"e6-fermat, m={entry.marginals[0].m}")
+    with pytest.raises(
+        DomainError, match=label + r": decomposition of \(0, 1, 0\) failed verification"
+    ):
+        alg.decompose(victim)
 
 
 def test_decompose_rejects_non_basis_exponents():
@@ -509,9 +578,10 @@ def pinned_solution(rows, rhs, ncols, priority):
 
 
 def greedy_decomposition_system(self, rvec, rm, layers, bound):
-    """``JacobianAlgebra._decomposition_system`` by the greedy route: columns
-    in (partial i, monomial, sigma-degree) order, scanned from the highest
-    (sigma-degree, partial i, monomial order) down."""
+    """One label's decomposition system by the greedy route: columns in
+    (partial i, monomial, sigma-degree) order, scanned from the highest
+    (sigma-degree, partial i, monomial order) down.  Returns (solution,
+    column labels)."""
     deg_r = self._degree(rvec)
     cols = []
     for i in range(3):
@@ -538,16 +608,30 @@ def greedy_decomposition_system(self, rvec, rm, layers, bound):
     return pinned_solution(rows, rhs, len(cols), priority), cols
 
 
+def greedy_decomposition(alg, r, bound=2):
+    """The g_i of ``greedy_decomposition_system`` at one sigma-degree bound,
+    with the partials' sigma-layers read off W and phi_m."""
+    w_plain = alg.entry.polynomial.polynomial()
+    phi_m = MultiPoly.monomial(alg.marginal.m, F(1))
+    layers = [
+        (dict(w_plain.partial(i).terms), dict(phi_m.partial(i).terms))
+        for i in range(3)
+    ]
+    rm = tuple(a + b for a, b in zip(r, alg.marginal.m))
+    sol, cols = greedy_decomposition_system(alg, r, rm, layers, bound)
+    parts = [{}, {}, {}]
+    for value, (i, e, d) in zip(sol, cols):
+        if value:
+            parts[i].setdefault(e, [F(0)] * (bound + 1))[d] = value
+    return tuple(build(p) for p in parts)
+
+
 @pytest.mark.parametrize("name, m", ALL_PAIRS)
-def test_ordered_solve_equals_the_greedy_route(name, m, monkeypatch):
+def test_ordered_solve_equals_the_greedy_route(name, m):
     alg = algebra(name, m)
     labels = [r for r in alg.basis if r != (0, 0, 0)]
     got = {r: alg.decompose(r) for r in labels}
-    monkeypatch.setattr(
-        JacobianAlgebra, "_decomposition_system", greedy_decomposition_system
-    )
-    greedy = JacobianAlgebra(get_entry(CATALOG, name), m)
-    assert {r: greedy.decompose(r) for r in labels} == got
+    assert {r: greedy_decomposition(alg, r) for r in labels} == got
 
 
 def dependent_system(rng):
@@ -584,6 +668,42 @@ def test_ascending_solve_equals_the_descending_greedy_scan(s):
     for c, value in zip(order, x):
         got[c] = value
     assert got == pinned_solution(rows, rhs, n, order[::-1])
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@seed(6862)
+@settings(max_examples=150, deadline=None)
+def test_several_columns_solve_like_one_column_each(s):
+    rng = random.Random(s)
+    rows, rhs, n = dependent_system(rng)
+    columns = [rhs]
+    for _ in range(rng.randint(0, 3)):
+        x = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+        columns.append([sum((a * b for a, b in zip(row, x)), F(0)) for row in rows])
+    inconsistent = [False] * len(columns)
+    # b + y with y^T A = 0 and y != 0 is inconsistent: y^T (b + y) = y^T y.
+    for y in nullspace([list(col) for col in zip(*rows)], len(rows))[:2]:
+        k = rng.randrange(len(columns) + 1)
+        columns.insert(k, [b + v for b, v in zip(rng.choice(columns), y)])
+        inconsistent.insert(k, True)
+    # half of the columns as sparse {row: value} dicts
+    given_columns = [
+        {i: b for i, b in enumerate(col) if b} if rng.random() < 0.5 else col
+        for col in columns
+    ]
+    got = solve_columns(rows, given_columns, n)
+    assert len(got) == len(columns)
+    for col, bad, x in zip(columns, inconsistent, got):
+        if bad:
+            assert x is None
+            with pytest.raises(NoSolution):
+                solve_linear(rows, col, n)
+        else:
+            assert x == solve_linear(rows, col, n)
+    consistent = [col for col, bad in zip(columns, inconsistent) if not bad]
+    assert solve_columns(rows, consistent, n) == [
+        x for x, bad in zip(got, inconsistent) if not bad
+    ]
 
 
 # ---------------------------------------------------------------------------
