@@ -25,15 +25,27 @@ correlators with (n+1)-point ones.  With one extra slot this is the
 standard identity relating four-point and three-point functions; the
 result is a :class:`LinearForm` in the unknown keys.
 
-Each pair sum is routed by the degree budget.  A table with gradings
+Each pair sum is a sum over the Leibniz splits of split factors
+
+    T(head | tail, d) = sum_{d1 + d2 = d} sum_{k,l} <head, k>_{d1} eta^{kl} <l, tail>_{d2}
+
+with head = left pair + left extras and tail = right pair + right extras.
+A split factor depends only on the two multisets and the degree, so each
+scan (one :func:`check_residuals` call, one :func:`propagate` call) keeps
+a memo of them that dies with the scan, and the pair sums of the instances
+sharing a (first pairing, extra, degree) group are kept while that group
+lasts.  When :func:`propagate` solves a key it drops every split factor
+that read the key as unknown, and the pair sums; known values never
+change, so the factors that read only known keys stay exact.
+
+Each split factor is routed by the degree budget.  A table with gradings
 scales them once by L, the lcm of their denominators, to int weights, and
 groups the inverse-pairing rows (k, duals) by the weight of k.  The left
-factor <h_1, ..., h_m, k> of a Leibniz split, with head h = left pair +
-left extras, meets the budget only when weight(k) = (m - 1) L - sum
-weight(h), so only the rows of that one group are visited.  This is exact:
-a key off the budget is never set to a nonzero value nor declared unknown,
-so it reads as zero and could not contribute.  A table without gradings
-keeps every row in one group.
+factor <h_1, ..., h_m, k> meets the budget only when
+weight(k) = (m - 1) L - sum weight(h), so only the rows of that one group
+are visited.  This is exact: a key off the budget is never set to a
+nonzero value nor declared unknown, so it reads as zero and could not
+contribute.  A table without gradings keeps every row in one group.
 
 :func:`propagate` repeatedly scans residual instances that are linear in
 exactly one unknown, solves them, and enforces consistency of the fully
@@ -71,6 +83,7 @@ __all__ = [
     "InconsistentSystem",
     "LinearForm",
     "MissingPairing",
+    "UnknownLabel",
     "apply_divisor_rule",
     "check_residuals",
     "elliptic_orbifold_basis",
@@ -86,6 +99,14 @@ class InconsistentSystem(DomainError):
 
 class MissingPairing(DomainError):
     """The supplied pairing matrix is singular or incomplete."""
+
+
+class UnknownLabel(DomainError, KeyError):
+    """A label that is not in the basis of a correlator table.
+
+    Also a KeyError, so handlers of a failed lookup keep catching it."""
+
+    __str__ = Exception.__str__  # the message, not KeyError's repr of it
 
 
 class LinearForm:
@@ -198,9 +219,18 @@ class CorrelatorTable:
 
     # -- keys ----------------------------------------------------------
 
+    def _positions(self, labels: Iterable) -> tuple[int, ...]:
+        """Basis positions of labels; UnknownLabel names one outside the basis."""
+        try:
+            return tuple(self._index[label] for label in labels)
+        except KeyError as exc:
+            raise UnknownLabel(
+                f"{exc.args[0]!r} is not a basis label of this table"
+            ) from None
+
     def _key(self, insertions: Iterable, degree: int = 0):
         """Internal key of a label multiset."""
-        ins = tuple(sorted(self._index[label] for label in insertions))
+        ins = tuple(sorted(self._positions(insertions)))
         if len(ins) < 3:
             raise ValueError("correlator keys need at least 3 insertions")
         if self.graded:
@@ -231,11 +261,11 @@ class CorrelatorTable:
         return key[0] if self.graded else key
 
     def pairing(self, a, b) -> Rat:
-        return self._pairing.get((self._index[a], self._index[b]), Fraction(0))
+        return self._pairing.get(self._positions((a, b)), Fraction(0))
 
     def budget_ok(self, insertions) -> bool:
         """Genus-zero degree budget: sum of gradings equals n - 2."""
-        return self._budget_ok(tuple(self._index[label] for label in insertions))
+        return self._budget_ok(self._positions(insertions))
 
     def _budget_ok(self, ins: tuple[int, ...]) -> bool:
         weight = self._weight
@@ -329,86 +359,164 @@ def _leibniz_splits(extra: tuple[int, ...]):
     ]
 
 
-def _pair_sum(
-    table: CorrelatorTable, left_pair, right_pair, leibniz, splits, negate, terms
-):
-    """Add  sum_{k,l} <left, k (+E)> eta^{kl} <l, right (+extra-E)>  to terms.
+class _ScanMemo:
+    """The split factors of one scan and the pair sums of its current group.
 
-    Works on internal keys: the pairs are int tuples.  ``leibniz`` lists the
-    splits (E, extra - E) that distribute the extra insertions over the two
-    factors (per slot, so repeated labels acquire the right multiplicities),
-    and ``splits`` the degree splits d1 + d2 = degree (one on ungraded
-    tables).  The coefficients of unknown keys are added into ``terms`` and
-    the constant part is returned, both negated when ``negate`` is set; the
-    return is None when some contribution is quadratic in the unknowns.
+    ``factors`` maps (head, tail, degree) to the value of
+    :func:`_split_factor`, and ``readers`` maps each key a factor read as
+    unknown to the factors that read it, for :meth:`forget`.  ``sums`` maps
+    the pairings of the instances sharing ``group`` = (first pairing, extra,
+    degree) to their pair sums.
+    """
 
-    For each Leibniz split only the inverse-pairing rows of the k with
-    weight(k) = (m - 1) L - sum weight(head) are visited, where head is the
-    left pair plus E, m labels long.  Any other k puts <head, k> off the
-    degree budget, and such a key is never set to a nonzero value nor
-    declared unknown, so it reads as zero and adds nothing.
+    __slots__ = ("factors", "readers", "group", "sums", "leibniz")
+
+    def __init__(self):
+        self.factors: dict = {}
+        self.readers: dict = {}
+        self.group = None
+        self.sums: dict = {}
+        self.leibniz: dict = {}  # extra -> its Leibniz splits
+
+    def forget(self, key) -> None:
+        """Drop the factors that read ``key`` as unknown, and the pair sums."""
+        for factor in self.readers.pop(key, ()):
+            self.factors.pop(factor, None)
+        self.group = None
+
+
+_ZERO_FACTOR = (0, ())  # most split factors vanish; they share this value
+
+
+def _split_factor(table: CorrelatorTable, head, tail, degree):
+    """The split factor T(head | tail, degree) and the unknown keys it read.
+
+    T = sum_{d1 + d2 = degree} sum_{k,l} <head, k>_{d1} eta^{kl} <l, tail>_{d2}
+    on internal keys: head and tail are sorted int tuples, and ungraded
+    tables have the one split d1 = d2 = 0.  The value is ``(constant,
+    terms)``, ``terms`` holding the (unknown key, coefficient) pairs, or
+    None when some term is a product of two unknowns.
+
+    Only the inverse-pairing rows of the k with weight(k) = (m - 1) L - sum
+    weight(head) are visited, m being the length of head.  Any other k puts
+    <head, k> off the degree budget, and such a key is never set to a
+    nonzero value nor declared unknown, so it reads as zero and adds nothing.
     """
     graded = table.graded
     values, unknown = table._values, table._unknown
-    weight, scale, groups = table._weight, table._scale, table._dual_groups
-    constant = Fraction(0)
-    for left_extra, right_extra in leibniz:
-        head = left_pair + left_extra
-        route = None
-        if weight is not None:
-            route = (len(head) - 1) * scale - sum(weight[i] for i in head)
-        right_tail = right_pair + right_extra
-        for k, duals in groups.get(route, ()):
-            left_ins = tuple(sorted(head + (k,)))
-            for d1, d2 in splits:
-                left_key = (left_ins, d1) if graded else left_ins
-                left_unknown = left_key in unknown
-                left = None if left_unknown else values.get(left_key)
-                if not (left_unknown or left):
-                    continue
-                acc = Fraction(0)
-                acc_terms: dict = {}
-                for l, eta in duals:
-                    right_ins = tuple(sorted((l,) + right_tail))
-                    right_key = (right_ins, d2) if graded else right_ins
-                    if right_key in unknown:
-                        acc_terms[right_key] = acc_terms.get(right_key, 0) + eta
-                    else:
-                        right = values.get(right_key)
-                        if right:
-                            acc += eta * right
-                acc_terms = {key: c for key, c in acc_terms.items() if c}
-                if left_unknown:
-                    if acc_terms:
-                        return None
-                    if acc:
-                        terms[left_key] = terms.get(left_key, 0) + (-acc if negate else acc)
-                else:
-                    if negate:
-                        left = -left
-                    if acc:
-                        constant += left * acc
-                    for key, c in acc_terms.items():
-                        terms[key] = terms.get(key, 0) + left * c
-    return constant
-
-
-def _residual(table: CorrelatorTable, pair1, pair2, extra, degree):
-    """The residual form of one instance; None when it is quadratic.
-
-    Both pair sums share one Leibniz and one degree split list and add into
-    one term dict, the second negated, so one form is built at the end.
-    """
-    leibniz = _leibniz_splits(extra)
-    splits = [(d1, degree - d1) for d1 in range(degree + 1)] if table.graded else [(0, 0)]
+    route = None
+    if table._weight is not None:
+        weight = table._weight
+        route = (len(head) - 1) * table._scale - sum(weight[i] for i in head)
+    splits = [(d1, degree - d1) for d1 in range(degree + 1)] if graded else [(0, 0)]
+    constant = 0
     terms: dict = {}
-    first = _pair_sum(table, *pair1, leibniz, splits, False, terms)
-    if first is None:
-        return None
-    second = _pair_sum(table, *pair2, leibniz, splits, True, terms)
-    if second is None:
-        return None
-    return LinearForm(first + second, terms)
+    reads = []
+    for k, duals in table._dual_groups.get(route, ()):
+        left_ins = tuple(sorted(head + (k,)))
+        for d1, d2 in splits:
+            left_key = (left_ins, d1) if graded else left_ins
+            left_unknown = left_key in unknown
+            left = None if left_unknown else values.get(left_key)
+            if not (left_unknown or left):
+                continue
+            acc = Fraction(0)
+            # distinct l give distinct right keys, each with eta^{kl} != 0
+            open_right = []
+            for l, eta in duals:
+                right_ins = tuple(sorted((l,) + tail))
+                right_key = (right_ins, d2) if graded else right_ins
+                if right_key in unknown:
+                    open_right.append((right_key, eta))
+                else:
+                    right = values.get(right_key)
+                    if right:
+                        acc += eta * right
+            reads += (key for key, _ in open_right)
+            if left_unknown:
+                reads.append(left_key)
+                if open_right:
+                    return None, reads
+                if acc:
+                    terms[left_key] = terms.get(left_key, 0) + acc
+            else:
+                if acc:
+                    constant += left * acc
+                for key, eta in open_right:
+                    terms[key] = terms.get(key, 0) + left * eta
+    if constant or terms:
+        return (constant, tuple(terms.items())), reads
+    return _ZERO_FACTOR, reads
+
+
+def _pair_sum(table: CorrelatorTable, pair, extra, degree, memo: _ScanMemo):
+    """S(left | right) = sum_E T(left + E | right + extra - E, degree).
+
+    E runs over the Leibniz splits of the extra slots (per slot, so repeated
+    labels acquire the right multiplicities).  Each split factor is taken
+    from ``memo``, or evaluated and recorded there.  Returns ``(constant,
+    terms)``, or None when some split factor is quadratic.
+    """
+    left_pair, right_pair = pair
+    factors, readers = memo.factors, memo.readers
+    leibniz = memo.leibniz.get(extra)
+    if leibniz is None:
+        leibniz = memo.leibniz[extra] = _leibniz_splits(extra)
+    constant = 0
+    terms: dict = {}
+    for left_extra, right_extra in leibniz:
+        key = (
+            tuple(sorted(left_pair + left_extra)),
+            tuple(sorted(right_pair + right_extra)),
+            degree,
+        )
+        if key in factors:
+            value = factors[key]
+        else:
+            value, reads = _split_factor(table, *key)
+            factors[key] = value
+            for read in reads:
+                readers.setdefault(read, []).append(key)
+        if value is None:
+            return None
+        c, factor_terms = value
+        # most factors vanish: skip the zero Fraction additions
+        if c:
+            constant = constant + c if constant else c
+        for unknown_key, coeff in factor_terms:
+            if unknown_key in terms:
+                coeff += terms[unknown_key]
+            terms[unknown_key] = coeff
+    return constant, terms
+
+
+def _residual(table: CorrelatorTable, pair1, pair2, extra, degree, memo=None):
+    """The residual form S(pair1) - S(pair2) of one instance; None when it
+    is quadratic.
+
+    ``memo`` is the :class:`_ScanMemo` of the calling scan (a fresh one when
+    None).  The pair sums of the instance's (pair1, extra, degree) group are
+    kept there until the next group or the next solved key, so an instance
+    whose second pairing repeats an earlier one reads its sum back.
+    """
+    if memo is None:
+        memo = _ScanMemo()
+    group = (pair1, extra, degree)
+    if memo.group != group:
+        memo.group = group
+        memo.sums = {}
+    sums = memo.sums
+    for pair in (pair1, pair2):
+        if pair not in sums:
+            sums[pair] = _pair_sum(table, pair, extra, degree, memo)
+        if sums[pair] is None:
+            return None
+    (first, terms), (second, second_terms) = sums[pair1], sums[pair2]
+    if second_terms:
+        terms = dict(terms)
+        for key, coeff in second_terms.items():
+            terms[key] = terms[key] - coeff if key in terms else -coeff
+    return LinearForm(first - second if second else first, terms)
 
 
 def wdvv_residual(
@@ -424,11 +532,13 @@ def wdvv_residual(
     if table.graded and degree is None:
         raise ValueError("graded tables require a total degree")
     deg = 0 if degree is None else int(degree)
-    a, b, c, d = (table._index[x] for x in (a, b, c, d))
-    ext = tuple(table._index[x] for x in extra)
-    form = _residual(table, ((a, b), (c, d)), ((a, c), (b, d)), ext, deg)
+    a, b, c, d = table._positions((a, b, c, d))
+    instance = (((a, b), (c, d)), ((a, c), (b, d)), table._positions(extra), deg)
+    form = _residual(table, *instance)
     if form is None:
-        raise DomainError("residual is quadratic in the unknowns")
+        raise DomainError(
+            f"residual of {_describe(table, *instance)} is quadratic in the unknowns"
+        )
     return LinearForm(
         form.constant,
         {table._label_key(key): coeff for key, coeff in form.terms.items()},
@@ -538,6 +648,11 @@ def propagate(
     ``shuffle_seed`` randomizes the scan order, which must not change the
     outcome.
 
+    The call keeps one split-factor memo for all its passes.  Solving a key
+    drops the memo entries that read that key as unknown and the cached
+    pair sums of the current group; every other entry read known values
+    only, which never change, and stays exact.
+
     ``admissible(pair, extra)`` filters instances: when the table's labels
     span only part of a larger state space, only pairings whose forced
     intermediate states stay inside the label set yield complete residuals,
@@ -547,6 +662,7 @@ def propagate(
     extras that complete its degree budget.
     """
     work = table.copy()
+    memo = _ScanMemo()
     pending = None
     while work._unknown:
         if pending is None:
@@ -558,7 +674,7 @@ def propagate(
         still_open = []
         progress = False
         for instance in pending:
-            form = _residual(work, *instance)
+            form = _residual(work, *instance, memo)
             if form is not None and not form.terms:
                 if form.constant:
                     raise InconsistentSystem(
@@ -570,6 +686,7 @@ def propagate(
             else:
                 (key, coeff), = form.terms.items()
                 work._set_key(key, -form.constant / coeff)
+                memo.forget(key)
                 progress = True
         if not progress:
             break
@@ -592,13 +709,17 @@ def check_residuals(
 
     Raises InconsistentSystem on the first nonzero residual.  Instances
     involving unknowns are skipped.  ``admissible`` receives basis
-    positions and filters pairings as in :func:`propagate`.
+    positions and filters pairings as in :func:`propagate`.  The call keeps
+    one split-factor memo, which nothing invalidates since the table does
+    not change; an instance that repeats an earlier pairing of its group
+    reads that pair sum back, and every instance is still counted.
     """
     checked = 0
+    memo = _ScanMemo()
     for pair1, pair2, extra, degree in _instances(
         table, extra_slots, degrees, admissible
     ):
-        form = _residual(table, pair1, pair2, extra, degree)
+        form = _residual(table, pair1, pair2, extra, degree, memo)
         if form is None or form.terms:
             continue
         if form.constant:

@@ -15,6 +15,7 @@ from ises.wdvv import (
     InconsistentSystem,
     LinearForm,
     MissingPairing,
+    UnknownLabel,
     apply_divisor_rule,
     check_residuals,
     elliptic_orbifold_basis,
@@ -130,6 +131,28 @@ def test_nonzero_value_off_the_degree_budget_is_rejected():
     assert table.unknown_keys == ()
 
 
+def test_a_label_outside_the_basis_is_named():
+    table = gw_seed_table((3, 3, 3))
+    bad = (9, 9)
+    calls = [
+        lambda: table.value([bad, UNIT, POINT]),
+        lambda: table.set([UNIT, bad, POINT], 1),
+        lambda: table.declare_unknown([UNIT, POINT, bad], degree=1),
+        lambda: table.lookup([bad, bad, UNIT]),
+        lambda: table.pairing(UNIT, bad),
+        lambda: table.budget_ok([bad, UNIT, POINT]),
+        lambda: wdvv_residual(table, UNIT, UNIT, POINT, bad, degree=0),
+        lambda: wdvv_residual(table, UNIT, UNIT, POINT, POINT, extra=[bad], degree=0),
+        lambda: propagate(table, [((UNIT, POINT, bad), 1)], degrees=range(2)),
+    ]
+    for call in calls:
+        with pytest.raises(UnknownLabel) as info:
+            call()
+        assert isinstance(info.value, KeyError)
+        assert isinstance(info.value, DomainError)
+        assert str(info.value) == "(9, 9) is not a basis label of this table"
+
+
 def test_frozen_table_rejects_writes():
     table = phase_table().freeze()
     with pytest.raises(ValueError, match="frozen"):
@@ -166,6 +189,25 @@ def test_wdvv_residual_is_a_label_keyed_form(gw_solved):
     assert set(form.terms) <= set(seeded.unknown_keys)
     with pytest.raises(ValueError, match="total degree"):
         wdvv_residual(seeded, a, b, c, d)
+
+
+def test_a_quadratic_residual_names_its_instance(gw_seeded):
+    names = gw_seeded._names
+    for pair1, pair2, extra, degree in ises.wdvv._instances(gw_seeded, 1, range(2), None):
+        (a, b), (c, d) = pair1
+        if pair2 == ((a, c), (b, d)):
+            if ises.wdvv._residual(gw_seeded, pair1, pair2, extra, degree) is None:
+                break
+    else:
+        pytest.fail("no quadratic instance")
+    with pytest.raises(DomainError) as info:
+        wdvv_residual(gw_seeded, *names((a, b, c, d)), extra=names(extra), degree=degree)
+    first = (names((a, b)), names((c, d)))
+    second = (names((a, c)), names((b, d)))
+    assert str(info.value) == (
+        f"residual of {first}/{second} extra={names(extra)} degree={degree}"
+        " is quadratic in the unknowns"
+    )
 
 
 def test_propagate_solves_and_checks_the_gw_tables(gw_solved):
@@ -594,3 +636,127 @@ def test_a_second_scan_computes_no_new_node_verdict(name, monkeypatch):
     computed.clear()
     assert check_residuals(table, admissible=theory.narrow_nodes) == first
     assert computed == []
+
+
+# ---------------------------------------------------------------------------
+# the split-factor memo of a scan
+# ---------------------------------------------------------------------------
+
+
+def gw_closed(orders):
+    """The GW table of P^1_orders at D = 1, seeded and closed by propagate."""
+    seeded = apply_divisor_rule(gw_unknowns(gw_seed_table(orders), 1))
+    return seeded, propagate(seeded, degrees=range(2))
+
+
+def scan_tables():
+    """The 13 tables of the bench scans with their degrees and filters: the
+    three GW tables at D = 1, seeded and closed, and the 10 FJRW tables."""
+    for orders in ORBIFOLDS:
+        for table in gw_closed(orders):
+            yield f"gw{orders}", table, range(2), None
+    for name in FJRW_NAMES:
+        theory = fjrw_theory(name)
+        yield name, theory.correlator_table(), (0,), theory.narrow_nodes
+
+
+def normal(pair_sum):
+    """A pair sum with its zero coefficients dropped, or None."""
+    if pair_sum is None:
+        return None
+    constant, terms = pair_sum
+    return constant, {key: c for key, c in terms.items() if c}
+
+
+def test_pair_sums_are_symmetric_and_check_residuals_counts_the_known_zeros():
+    for name, table, degrees, admissible in scan_tables():
+        memo = ises.wdvv._ScanMemo()
+        eta = reference_eta(table)
+        instances = list(ises.wdvv._instances(table, 1, degrees, admissible))
+        swapped = 0
+        for pair1, pair2, extra, degree in instances:
+            for pair in (pair1, pair2):
+                left = ises.wdvv._pair_sum(table, pair, extra, degree, memo)
+                right = ises.wdvv._pair_sum(table, pair[::-1], extra, degree, memo)
+                assert normal(left) == normal(right), (name, pair, extra, degree)
+                swapped += left is not None
+        assert swapped, name
+        known_zeros = 0
+        for instance in instances:
+            expected = reference_residual(table, eta, *instance)
+            known_zeros += expected is not None and expected == (0, {})
+        checked = check_residuals(table, degrees=degrees, admissible=admissible)
+        assert checked == known_zeros, name
+
+
+# distinct (head, tail, degree) of the check_residuals scan of each closed GW
+# table at D = 1, against the 6,288, 7,960 and 8,576 split factors that a
+# scan without the memo evaluates
+SPLIT_FACTORS = {(3, 3, 3): 1856, (4, 4, 2): 2372, (6, 3, 2): 2580}
+
+
+@pytest.mark.parametrize("orders", ORBIFOLDS, ids=str)
+def test_check_residuals_evaluates_each_split_factor_once(orders, monkeypatch):
+    _, solved = gw_closed(orders)
+    distinct = set()
+    evaluations = 0
+    for pair1, pair2, extra, degree in ises.wdvv._instances(solved, 1, range(2), None):
+        for left_pair, right_pair in (pair1, pair2):
+            for left_extra, right_extra in ises.wdvv._leibniz_splits(extra):
+                head = tuple(sorted(left_pair + left_extra))
+                tail = tuple(sorted(right_pair + right_extra))
+                distinct.add((head, tail, degree))
+                evaluations += 1
+    calls = []
+    original = ises.wdvv._split_factor
+
+    def counted(*args):
+        calls.append(args[1:])
+        return original(*args)
+
+    monkeypatch.setattr(ises.wdvv, "_split_factor", counted)
+    assert check_residuals(solved, degrees=range(2)) > 0
+    assert len(calls) == len(set(calls)) == len(distinct) == SPLIT_FACTORS[orders]
+    assert len(calls) < evaluations
+
+
+def test_propagate_drops_the_split_factors_a_solved_key_makes_stale(monkeypatch):
+    orders = tuple(get_entry(CATALOG, "e6-fermat").qexp["orbifold"])
+    degrees = range(2)
+    seeded = apply_divisor_rule(gw_unknowns(gw_seed_table(orders), 1))
+    reference = rescanning_propagate(seeded, degrees)[0]
+    memos = []
+    dropped = []
+    original = ises.wdvv._ScanMemo.forget
+
+    def counted(memo, key):
+        before = len(memo.factors)
+        original(memo, key)
+        memos.append(memo)
+        dropped.append(before - len(memo.factors))
+
+    monkeypatch.setattr(ises.wdvv._ScanMemo, "forget", counted)
+    residual = ises.wdvv._residual
+    stale = []
+
+    def checked(table, *args):
+        # a residual never names a key that an earlier instance solved
+        form = residual(table, *args)
+        if form is not None:
+            stale.extend(key for key in form.terms if key not in table._unknown)
+        return form
+
+    monkeypatch.setattr(ises.wdvv, "_residual", checked)
+    for seed in (None, 1, 2, 3):
+        memos.clear()
+        dropped.clear()
+        solved = propagate(seeded, degrees=degrees, shuffle_seed=seed)
+        assert stale == []
+        assert sum(dropped) > 0
+        assert solved.known_items() == reference.known_items()
+        assert solved.unknown_keys == reference.unknown_keys
+        # every factor the scan kept is exact on the closed table
+        (memo,) = set(memos)
+        assert memo.factors
+        for key, value in memo.factors.items():
+            assert value == ises.wdvv._split_factor(solved, *key)[0], key
