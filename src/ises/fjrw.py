@@ -32,6 +32,21 @@ Computed from first principles:
   a sector generator through narrow intermediate products, and all
   factorizations of a word are cross-checked to agree.
 
+Sectors are labelled by ``Fraction`` phase vectors, but the arithmetic
+behind them runs on ints scaled by the lcm L of the phase denominators of
+the group: a phase Theta is held as the int Theta L in [0, L), and so is
+q^T (the grading element J = q^T is a group element), and a line bundle
+degree d_j is held as the int d_j L, in units of 1/L, so it is integral
+exactly when L divides it.  The four-point value above is then one
+``Fraction``
+
+    sum_j [ qL (qL - L) - sum_k a_k (a_k - L) + sum_channels n (n - L) ] / (2 L^2)
+
+over the scaled phases qL, a_k and node phases n of coordinate j (the 1/6
+terms cancel: 1 - 4 + 3 = 0).  Labels are turned into ``Fraction``s at the
+edge only: in sector labels, and in the degrees and phases that
+:class:`FourPointBreakdown` and the exception messages report.
+
 Entries whose catalog record marks the reconstruction as excluded (their
 state space is generated by broad classes) raise NeedsBroadFixture.
 """
@@ -42,10 +57,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .isespoly import CatalogEntry, enumerate_group
-from .numcore import DomainError, Rat, nullspace, parse_rat, rat
+from .isespoly import CatalogEntry, enumerate_group, group_generators
+from .numcore import DomainError, nullspace, parse_rat, rat
 from .wdvv import CorrelatorTable, InconsistentSystem, propagate
 
 __all__ = [
@@ -56,9 +71,6 @@ __all__ = [
     "Infeasible",
     "NeedsBroadFixture",
     "NotConcave",
-    "bernoulli_b2",
-    "line_bundle_degrees",
-    "selection_rule",
 ]
 
 
@@ -80,29 +92,32 @@ class NeedsBroadFixture(DomainError):
     correlators are not reconstructible from narrow data alone."""
 
 
-def bernoulli_b2(y) -> Fraction:
-    """The second Bernoulli polynomial  y^2 - y + 1/6."""
-    y = rat(y)
-    return y * y - y + Fraction(1, 6)
-
-
-def _frac(x) -> Fraction:
-    return rat(x) % 1
+_SPLITS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
 
 
 def _frac3(vec) -> tuple[Fraction, ...]:
     return tuple(rat(x) % 1 for x in vec)
 
 
-def sector_dimension(mirror_rows, charges, group, theta) -> int:
+def _scaled(phases, scale: int) -> tuple[int, ...]:
+    """Phases on the 1/scale grid, times ``scale``, as ints."""
+    return tuple(t.numerator * (scale // t.denominator) for t in phases)
+
+
+def sector_dimension(mirror_rows, charges, generators, theta) -> int:
     """State-space dimension of the sector with phase vector ``theta``.
 
     Narrow sectors carry exactly one class.  For the rest, restrict the
     mirror polynomial to the coordinates the sector fixes, grade the
     restricted Milnor algebra by weighted degree and by the characters of
-    the full symmetry group (each group element scales a monomial class
+    the symmetry group (each group element scales a monomial class
     together with the volume form on the fixed coordinates), and count the
-    classes on which every character vanishes.
+    classes on which every character vanishes.  ``generators`` is any
+    generating set of the group, such as the three phase vectors of
+    :func:`~ises.isespoly.group_generators`: a character is a homomorphism
+    into Q/Z, so it vanishes on the group when it vanishes on them.
+    Charges, weights and generator phases are scaled to ints by the lcm of
+    their denominators.
     """
     fixed = tuple(j for j in range(3) if theta[j] == 0)
     if not fixed:
@@ -112,18 +127,21 @@ def sector_dimension(mirror_rows, charges, group, theta) -> int:
         for r in mirror_rows
         if all(r[j] == 0 for j in range(3) if j not in fixed)
     ]
+    scale = lcm(*(t.denominator for t in (*charges, *(t for g in generators for t in g))))
+    charges = _scaled(charges, scale)
+    generators = [_scaled(g, scale) for g in generators]
 
     def char_zero(exps, shift_idx=None):
-        for gamma in group:
+        for gamma in generators:
             total = sum((exps[k] + 1) * gamma[j] for k, j in enumerate(fixed))
             if shift_idx is not None:
                 total -= gamma[shift_idx]
-            if _frac(total) != 0:
+            if total % scale:
                 return False
         return True
 
-    socle = sum(1 - 2 * charges[j] for j in fixed)
-    by_weight: dict[Fraction, list[tuple[int, ...]]] = {}
+    socle = sum(scale - 2 * charges[j] for j in fixed)
+    by_weight: dict[int, list[tuple[int, ...]]] = {}
 
     def enumerate_monomials(pos, prefix, weight):
         if pos == len(fixed):
@@ -135,7 +153,7 @@ def sector_dimension(mirror_rows, charges, group, theta) -> int:
             enumerate_monomials(pos + 1, prefix + [e], weight + e * q)
             e += 1
 
-    enumerate_monomials(0, [], Fraction(0))
+    enumerate_monomials(0, [], 0)
 
     dim = 0
     for weight, monomials in by_weight.items():
@@ -144,11 +162,11 @@ def sector_dimension(mirror_rows, charges, group, theta) -> int:
             continue
         relations = []
         for pos, j in enumerate(fixed):
-            lower = by_weight.get(weight - (1 - charges[j]), ())
+            lower = by_weight.get(weight - (scale - charges[j]), ())
             for mono in lower:
                 if not char_zero(mono, shift_idx=j):
                     continue
-                vector = [Fraction(0)] * len(columns)
+                vector = [0] * len(columns)
                 for row in rows:
                     if row[j] == 0:
                         continue
@@ -178,26 +196,6 @@ class FjrwSector:
     degree: Fraction | None
     index: tuple[int, ...] | None = None
     dim: int = 1
-
-
-def line_bundle_degrees(
-    mirror_charges: Sequence[Rat], g: int, thetas: Iterable[Sequence[Rat]]
-) -> tuple[tuple[Fraction, ...], bool]:
-    """Degrees d_j = q_j (2g - 2 + n) - sum_k Theta_j(h_k) and integrality."""
-    thetas = list(thetas)
-    n = len(thetas)
-    degrees = tuple(
-        rat(q) * (2 * g - 2 + n) - sum(rat(t[j]) for t in thetas)
-        for j, q in enumerate(mirror_charges)
-    )
-    feasible = all(d.denominator == 1 for d in degrees)
-    return degrees, feasible
-
-
-def selection_rule(g: int, degrees: Sequence[Rat], descents: Sequence[int] = ()) -> bool:
-    """Degree budget: sum deg + sum descents = 2g - 2 + n."""
-    degrees = list(degrees)
-    return sum(map(rat, degrees)) + sum(descents) == 2 * g - 2 + len(degrees)
 
 
 @dataclass(frozen=True)
@@ -237,26 +235,40 @@ class FjrwTheory:
         self.charges = entry.polynomial.charges
         self.mirror_charges = entry.polynomial.mirror_charges
 
+        # the group of W^T, its phases scaled to ints by the lcm L of their
+        # denominators; q = J is a sector, so qL is an int vector too
+        group = enumerate_group(entry.polynomial.transpose().exponents)
+        scale = self._scale = lcm(*(t.denominator for th in group for t in th))
+        self._scaled = {th: _scaled(th, scale) for th in group}
+        labels = {v: th for th, v in self._scaled.items()}
+
+        def on_grid(phases):
+            scaled = [parse_rat(x) * scale for x in phases]
+            if any(x.denominator != 1 for x in scaled):
+                raise DomainError(f"{entry.name}: chart phases {phases} are not symmetries")
+            return [int(x) for x in scaled]
+
         scheme = raw["scheme"]
-        offset = _frac3(parse_rat(x) for x in scheme["offset"])
-        steps = [_frac3(parse_rat(x) for x in step) for step in scheme["steps"]]
+        offset = on_grid(scheme["offset"])
+        steps = [on_grid(step) for step in scheme["steps"]]
         self.orders = tuple(int(o) for o in scheme["orders"])
         self._chart: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
         self._chart_index: dict[tuple[Fraction, ...], tuple[int, ...]] = {}
         for index in _index_range(self.orders):
-            theta = _frac3(
-                offset[j] + sum(i * step[j] for i, step in zip(index, steps))
+            theta = labels.get(tuple(
+                (offset[j] + sum(i * step[j] for i, step in zip(index, steps))) % scale
                 for j in range(3)
-            )
-            self._chart[index] = theta
-            self._chart_index.setdefault(theta, index)
-
-        self.sectors = {s.theta: s for s in _sector_list(entry, self._chart_index)}
-        for index, theta in self._chart.items():
-            if theta not in self.sectors:
+            ))
+            if theta is None:
                 raise DomainError(
                     f"{entry.name}: chart point {index} is not a symmetry"
                 )
+            self._chart[index] = theta
+            self._chart_index.setdefault(theta, index)
+
+        self.sectors = {
+            s.theta: s for s in _sector_list(entry, group, scale, self._chart_index)
+        }
 
         self.identity = self.sector(raw["J"])
         if self.identity.theta != self.mirror_charges:
@@ -269,7 +281,9 @@ class FjrwTheory:
         if self.top.degree != 1:
             raise DomainError(f"{entry.name}: top sector degree is not 1")
 
-        narrow_count = sum(1 for s in self.sectors.values() if s.narrow)
+        # the group, and so the sector dict, is in sorted order
+        self._narrow = tuple(s for s in self.sectors.values() if s.narrow)
+        narrow_count = len(self._narrow)
         if narrow_count != int(raw["narrow"]):
             raise DomainError(f"{entry.name}: narrow sector count mismatch")
         self.broad_dims = {
@@ -279,12 +293,9 @@ class FjrwTheory:
         }
         if narrow_count + sum(self.broad_dims.values()) != entry.milnor:
             raise DomainError(f"{entry.name}: state space dimension mismatch")
-        # phases scaled to ints for narrow_nodes; q = J is a sector, so qL too
-        scale = self._scale = lcm(*(t.denominator for th in self.sectors for t in th))
-        scaled = {th: tuple(int(t * scale) for t in th) for th in self.sectors}
-        self._scaled_q = scaled[self.identity.theta]
-        self._scaled_broad = frozenset(scaled[t] for t in self.broad_dims)
-        self._narrow_phases = tuple(scaled[s.theta] for s in self.narrow_sectors())
+        self._scaled_q = self._scaled[self.identity.theta]
+        self._scaled_broad = frozenset(self._scaled[t] for t in self.broad_dims)
+        self._narrow_phases = tuple(self._scaled[s.theta] for s in self._narrow)
         self._node_verdicts: dict = {}
 
         fixtures = raw.get("fixtures", {})
@@ -314,9 +325,7 @@ class FjrwTheory:
         return tuple(sorted(self.sector(ix).theta for ix in indices))
 
     def narrow_sectors(self) -> tuple[FjrwSector, ...]:
-        return tuple(
-            s for _, s in sorted(self.sectors.items()) if s.narrow
-        )
+        return self._narrow
 
     def inverse_theta(self, theta) -> tuple[Fraction, ...]:
         return _frac3(-t for t in theta)
@@ -345,17 +354,37 @@ class FjrwTheory:
         for t in thetas:
             if not self.sectors[t].narrow:
                 raise BroadInsertion(f"{self.name}: broad sector {t} in slot")
-        degs = [self.sectors[t].degree for t in thetas]
-        if not selection_rule(0, degs):
-            return Fraction(0)
-        d, feasible = line_bundle_degrees(self.mirror_charges, 0, thetas)
-        if not feasible:
-            return Fraction(0)
-        if all(dj == -1 for dj in d):
-            return Fraction(1)
-        if all(dj <= -1 for dj in d):
-            return Fraction(0)
-        return self._fixture3.get(tuple(sorted(thetas)))
+        value = self._threepoint([self._scaled[t] for t in thetas])
+        if value is None:
+            return self._fixture3.get(tuple(sorted(thetas)))
+        return Fraction(value)
+
+    def _threepoint(self, phases) -> int | None:
+        """:meth:`threepoint` on narrow phases scaled by L, before the
+        fixture lookup: 0 or 1 when the degrees decide, else None."""
+        scale = self._scale
+        if sum(map(sum, phases)) - 3 * sum(self._scaled_q) != scale:
+            return 0
+        d = self._degrees(phases)
+        if any(dj % scale for dj in d):
+            return 0
+        if all(dj == -scale for dj in d):
+            return 1
+        if all(dj <= -scale for dj in d):
+            return 0
+        return None
+
+    def _degrees(self, phases) -> tuple[int, ...]:
+        """Genus-zero line bundle degrees d_j = (n - 2) q_j - sum_k
+        Theta_j(h_k) of n insertions, all scaled by L: each is an int, and
+        integral exactly when L divides it."""
+        n = len(phases)
+        return tuple(
+            (n - 2) * qj - sum(a[j] for a in phases) for j, qj in enumerate(self._scaled_q)
+        )
+
+    def _unscaled(self, scaled) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self._scale) for x in scaled)
 
     # -- concave four-point values ---------------------------------------
 
@@ -366,40 +395,64 @@ class FjrwTheory:
         for t in thetas:
             if not self.sectors[t].narrow:
                 raise BroadInsertion(f"{self.name}: broad insertion {t}")
-        q = self.mirror_charges
-        main, feasible = line_bundle_degrees(q, 0, thetas)
-        if not feasible:
-            raise Infeasible(f"{self.name}: degrees {main} not integral")
-        degs = [self.sectors[t].degree for t in thetas]
-        if not selection_rule(0, degs):
+        phases = [self._scaled[t] for t in thetas]
+        main = self._degrees(phases)
+        if any(dj % self._scale for dj in main):
+            raise Infeasible(f"{self.name}: degrees {self._unscaled(main)} not integral")
+        if sum(map(sum, phases)) - 4 * sum(self._scaled_q) != 2 * self._scale:
             raise Infeasible(f"{self.name}: degree budget violated")
-        if any(dj > -1 for dj in main):
-            raise NotConcave(f"{self.name}: main component degrees {main}")
+        channels, parts = self._fourpoint(phases, main)
+        scale2 = 2 * self._scale**2
+        return FourPointBreakdown(
+            thetas,
+            self._unscaled(main),
+            tuple(
+                Channel(
+                    split,
+                    self._unscaled(node),
+                    (self._unscaled(sides[0]), self._unscaled(sides[1])),
+                )
+                for split, node, sides in channels
+            ),
+            tuple(Fraction(p, scale2) for p in parts),
+        )
+
+    def _fourpoint(self, phases, main):
+        """The concave four-point kernel on narrow phases scaled by L whose
+        main degrees ``main`` (scaled) are integral and meet the budget.
+
+        Returns the three channels as (split, node, side degrees), all
+        scaled, and per coordinate the Riemann-Roch numerator over 2 L^2
+        (module docstring).  Raises NotConcave when a degree on the main
+        component or on a side exceeds -1.  The side degrees need no
+        integrality test: the node makes the first side's multiples of L,
+        and the two sides add up to the main degrees minus a node phase and
+        its inverse, which sum to 0 or L.
+        """
+        scale, q = self._scale, self._scaled_q
+        if any(dj > -scale for dj in main):
+            raise NotConcave(f"{self.name}: main component degrees {self._unscaled(main)}")
         channels = []
-        for split in (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))):
-            node = _frac3(
-                q[j] - thetas[split[0][0]][j] - thetas[split[0][1]][j]
-                for j in range(3)
+        for split in _SPLITS:
+            (a, b), (c, d) = ([phases[k] for k in half] for half in split)
+            node = tuple((qj - x - y) % scale for qj, x, y in zip(q, a, b))
+            sides = (
+                tuple(qj - x - y - n for qj, x, y, n in zip(q, a, b, node)),
+                tuple(qj - x - y - (-n % scale) for qj, x, y, n in zip(q, c, d, node)),
             )
-            sides = []
-            for half, decoration in ((split[0], node), (split[1], self.inverse_theta(node))):
-                side_thetas = [thetas[half[0]], thetas[half[1]], decoration]
-                d, ok = line_bundle_degrees(q, 0, side_thetas)
-                if not ok:
-                    raise Infeasible(f"{self.name}: channel degrees {d}")
-                if any(dj > -1 for dj in d):
+            for side in sides:
+                if any(dj > -scale for dj in side):
                     raise NotConcave(
-                        f"{self.name}: channel {split} degrees {d}"
+                        f"{self.name}: channel {split} degrees {self._unscaled(side)}"
                     )
-                sides.append(d)
-            channels.append(Channel(split, node, (sides[0], sides[1])))
-        parts = []
-        for i in range(3):
-            total = bernoulli_b2(q[i])
-            total -= sum(bernoulli_b2(t[i]) for t in thetas)
-            total += sum(bernoulli_b2(ch.node_theta[i]) for ch in channels)
-            parts.append(total / 2)
-        return FourPointBreakdown(thetas, main, tuple(channels), tuple(parts))
+            channels.append((split, node, sides))
+        parts = tuple(
+            qj * (qj - scale)
+            - sum(a[j] * (a[j] - scale) for a in phases)
+            + sum(node[j] * (node[j] - scale) for _, node, _ in channels)
+            for j, qj in enumerate(q)
+        )
+        return channels, parts
 
     def _as_theta(self, s) -> tuple[Fraction, ...]:
         if isinstance(s, FjrwSector):
@@ -455,7 +508,7 @@ class FjrwTheory:
         associativity; unsolved keys stay in the unknown-set."""
         if self._table is not None:
             return self._table
-        narrow = self.narrow_sectors()
+        narrow, scale, phases = self._narrow, self._scale, self._narrow_phases
         labels = tuple(s.theta for s in narrow)
         degrees = {s.theta: s.degree for s in narrow}
         pairing = {
@@ -463,28 +516,32 @@ class FjrwTheory:
         }
         table = CorrelatorTable(labels, pairing, degrees=degrees)
         # deg(e_h) L, so the budget sum deg = n - 2 is checked on basis positions
-        weight = [sum(p) - sum(self._scaled_q) for p in self._narrow_phases]
+        weight = [sum(p) - sum(self._scaled_q) for p in phases]
 
         def on_budget(n):
             for ins in combinations_with_replacement(range(len(labels)), n):
-                if sum(weight[i] for i in ins) == (n - 2) * self._scale:
-                    yield tuple(labels[i] for i in ins)
+                if sum(weight[i] for i in ins) == (n - 2) * scale:
+                    yield tuple(labels[i] for i in ins), [phases[i] for i in ins]
 
-        for trip in on_budget(3):
-            value = self.threepoint(*trip)
+        for trip, trip_phases in on_budget(3):
+            value = self._threepoint(trip_phases)
+            if value is None:
+                value = self._fixture3.get(trip)
             if value is None:
                 table.declare_unknown(trip)
             else:
                 table.set(trip, value)
-        for quad in on_budget(4):
-            _, feasible = line_bundle_degrees(self.mirror_charges, 0, quad)
-            if not feasible:
+        for quad, quad_phases in on_budget(4):
+            main = self._degrees(quad_phases)
+            if any(dj % scale for dj in main):
                 table.set(quad, 0)
                 continue
             try:
-                table.set(quad, self.fourpoint_breakdown(quad).value)
+                _, parts = self._fourpoint(quad_phases, main)
             except NotConcave:
                 table.declare_unknown(quad)
+            else:
+                table.set(quad, Fraction(sum(parts), 2 * scale**2))
         self._table = propagate(table, admissible=self.narrow_nodes).freeze()
         return self._table
 
@@ -566,7 +623,7 @@ class FjrwTheory:
             s -= (sum(word) - 3) * q[j]
             s += self.top.theta[j]
             content.append(s)
-        return all(_frac(2 * q[j] - content[j]) == 0 for j in range(3))
+        return all((2 * q[j] - content[j]).denominator == 1 for j in range(3))
 
     def word_value(self, word: Sequence[int]):
         """Value of <Xi(rho), rho_top> for a weight-one word Xi.
@@ -662,20 +719,24 @@ def _subvectors(bound: tuple[int, ...]):
             yield (i,) + rest
 
 
-def _sector_list(entry: CatalogEntry, chart_index: Mapping) -> tuple[FjrwSector, ...]:
-    """The sectors of every diagonal symmetry of W^T, in group order, with
-    chart coordinates looked up in ``chart_index``."""
+def _sector_list(
+    entry: CatalogEntry, group, scale: int, chart_index: Mapping
+) -> tuple[FjrwSector, ...]:
+    """The sectors of ``group``, every diagonal symmetry of W^T, in group
+    order, with chart coordinates looked up in ``chart_index``; degrees are
+    summed on phases scaled by ``scale``."""
     mirror = entry.polynomial.transpose()
     charges = entry.polynomial.mirror_charges
-    group = enumerate_group(mirror.exponents)
+    generators = group_generators(mirror.exponents)
+    q_total = sum(_scaled(charges, scale))
     out = []
     for theta in group:
         index = chart_index.get(theta)
         if all(theta):
-            degree = sum(t - q for t, q in zip(theta, charges))
+            degree = Fraction(sum(_scaled(theta, scale)) - q_total, scale)
             out.append(FjrwSector(theta, True, degree, index))
         else:
-            dim = sector_dimension(mirror.exponents, charges, group, theta)
+            dim = sector_dimension(mirror.exponents, charges, generators, theta)
             out.append(FjrwSector(theta, False, None, index, dim))
     return tuple(out)
 

@@ -60,6 +60,7 @@ __all__ = [
     "charge_vector",
     "mirror_weights",
     "enumerate_group",
+    "group_generators",
     "load_catalog",
     "get_entry",
 ]
@@ -281,28 +282,38 @@ class InvertiblePolynomial:
         return self.polynomial().to_text()
 
 
+def group_generators(exponents: Sequence[Sequence[int]]) -> tuple[tuple[Rat, ...], ...]:
+    """The columns of ``E^-1`` mod 1: three phase vectors that generate the
+    diagonal symmetries of ``W``."""
+    inv = _inverse3(exponents)
+    return tuple(tuple(Fraction(inv[i][j]) % 1 for i in range(NVARS)) for j in range(NVARS))
+
+
 def enumerate_group(exponents: Sequence[Sequence[int]]) -> tuple[tuple[Rat, ...], ...]:
     """All diagonal symmetries of ``W`` as phase vectors in ``[0,1)^3``.
 
     ``theta`` is a symmetry iff ``E theta`` is integral; there are exactly
-    ``|det E|`` of them.  Returned lexicographically sorted.
+    ``|det E|`` of them.  The search runs over the generators scaled to ints
+    by the lcm ``L`` of their denominators, on int vectors mod ``L``; the
+    elements are returned as ``Fraction`` vectors, lexicographically sorted.
     """
     poly = InvertiblePolynomial(exponents)
-    inv = _inverse3(poly.exponents)
-    order = abs(poly.determinant)
-    generators = [tuple(inv[i][j] % 1 for i in range(NVARS)) for j in range(NVARS)]
-    seen: set[tuple[Rat, ...]] = {(Fraction(0), Fraction(0), Fraction(0))}
+    generators = group_generators(poly.exponents)
+    scale = lcm(*(t.denominator for gen in generators for t in gen))
+    steps = [tuple(t.numerator * (scale // t.denominator) for t in gen) for gen in generators]
+    seen = {(0, 0, 0)}
     frontier = list(seen)
     while frontier:
         theta = frontier.pop()
-        for gen in generators:
-            new = tuple((a + b) % 1 for a, b in zip(theta, gen))
+        for step in steps:
+            new = tuple((a + b) % scale for a, b in zip(theta, step))
             if new not in seen:
                 seen.add(new)
                 frontier.append(new)
-    if len(seen) != order:
+    if len(seen) != abs(poly.determinant):
         raise DomainError("group enumeration does not match |det E|")
-    return tuple(sorted(seen))
+    phase = [Fraction(k, scale) for k in range(scale)]
+    return tuple(tuple(phase[k] for k in theta) for theta in sorted(seen))
 
 
 # ---------------------------------------------------------------------------

@@ -67,10 +67,11 @@ from .numcore import (
     Rat,
     RatFun,
     UniPoly,
+    inverse,
     monomials_of_weighted_degree,
-    nullspace,
+    nullspace,  # noqa: F401  (traced bench runs wrap it by name)
     solve_columns,
-    solve_linear,
+    solve_linear,  # noqa: F401  (traced bench runs wrap it by name)
 )
 
 __all__ = [
@@ -367,12 +368,12 @@ class JacobianAlgebra:
             self.basis = tuple(sorted(swapped, key=self._key))
         else:
             self.basis = self.staircase
+        self._to_basis: list[list[RatFun]] | None = None
         if self.basis != self.staircase:
-            self._basis_matrix = self._change_of_basis()
-            if nullspace(self._basis_matrix, len(self.basis)):
-                raise DomainError(f"{entry.name}: catalog basis is degenerate")
-        else:
-            self._basis_matrix = None
+            try:
+                self._to_basis = inverse(self._change_of_basis())
+            except NoSolution:
+                raise DomainError(f"{entry.name}: catalog basis is degenerate") from None
 
         tops = [e for e in self.basis if self._degree(e) == 1]
         if tops != [self.basis[-1]]:
@@ -451,18 +452,20 @@ class JacobianAlgebra:
         return self._normalizer * c
 
     def coords(self, f: MultiPoly) -> dict[Exps, RatFun]:
-        """Coordinates of ``f`` mod the Jacobian ideal over the display basis."""
+        """Coordinates of ``f`` mod the Jacobian ideal over the display basis:
+        its staircase coordinates times the inverse change of basis, which
+        ``__init__`` computes once."""
         nf = self.normal_form(f)
-        if self._basis_matrix is None:
+        if self._to_basis is None:
             return {e: RatFun.coerce(c) for e, c in nf.terms.items()}
         index = {e: i for i, e in enumerate(self.staircase)}
-        rhs = [RatFun.const(0)] * len(self.staircase)
-        for e, c in nf.terms.items():
-            rhs[index[e]] = RatFun.coerce(c)
-        sol = solve_linear(self._basis_matrix, rhs, len(self.basis))
-        return {
-            b: RatFun.coerce(c) for b, c in zip(self.basis, sol) if RatFun.coerce(c)
-        }
+        cells = [(index[e], RatFun.coerce(c)) for e, c in nf.terms.items()]
+        out = {}
+        for b, row in zip(self.basis, self._to_basis):
+            c = sum((row[i] * v for i, v in cells if row[i]), RatFun.const(0))
+            if c:
+                out[b] = c
+        return out
 
     # -- Jacobian-ideal decompositions ----------------------------------------
 

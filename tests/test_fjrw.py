@@ -2,14 +2,22 @@
 
 from fractions import Fraction as F
 from functools import cache
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
 import ises.fjrw
-from ises.fjrw import FjrwTheory, NeedsBroadFixture, NotConcave
-from ises.isespoly import get_entry, load_catalog
-from ises.numcore import DomainError
+from ises.fjrw import (
+    Channel,
+    FjrwTheory,
+    FourPointBreakdown,
+    Infeasible,
+    NeedsBroadFixture,
+    NotConcave,
+    sector_dimension,
+)
+from ises.isespoly import enumerate_group, get_entry, group_generators, load_catalog
+from ises.numcore import DomainError, nullspace
 from ises.wdvv import _instances, check_residuals
 
 CATALOG = load_catalog()
@@ -198,3 +206,220 @@ def test_a_sector_index_shorter_than_the_chart_is_rejected(name):
     assert len(th.orders) > 1
     with pytest.raises(DomainError, match=name):
         th.sector((1,))
+
+
+# ---------------------------------------------------------------------------
+# the int-scaled kernels against their Fraction forms
+
+
+def bernoulli_b2(y):
+    """The second Bernoulli polynomial y^2 - y + 1/6."""
+    return y * y - y + F(1, 6)
+
+
+def line_bundle_degrees(q, thetas):
+    """Genus-zero degrees d_j = q_j (n - 2) - sum_k Theta_j(h_k), and
+    whether they are all integers."""
+    n = len(thetas)
+    degrees = tuple(qj * (n - 2) - sum(t[j] for t in thetas) for j, qj in enumerate(q))
+    return degrees, all(d.denominator == 1 for d in degrees)
+
+
+def frac3(vec):
+    return tuple(F(x) % 1 for x in vec)
+
+
+def fraction_threepoint(th, thetas):
+    """The Fraction form of ``FjrwTheory.threepoint`` on narrow sectors."""
+    if sum(th.sectors[t].degree for t in thetas) != 1:
+        return F(0)
+    d, feasible = line_bundle_degrees(th.mirror_charges, thetas)
+    if not feasible:
+        return F(0)
+    if all(dj == -1 for dj in d):
+        return F(1)
+    if all(dj <= -1 for dj in d):
+        return F(0)
+    return th._fixture3.get(tuple(sorted(thetas)))
+
+
+def fraction_fourpoint(th, thetas):
+    """The Fraction form of ``FjrwTheory.fourpoint_breakdown`` on narrow
+    sectors: Bernoulli sums over the main component and the three channels."""
+    q = th.mirror_charges
+    main, feasible = line_bundle_degrees(q, thetas)
+    if not feasible:
+        raise Infeasible(f"{th.name}: degrees {main} not integral")
+    if sum(th.sectors[t].degree for t in thetas) != 2:
+        raise Infeasible(f"{th.name}: degree budget violated")
+    if any(dj > -1 for dj in main):
+        raise NotConcave(f"{th.name}: main component degrees {main}")
+    channels = []
+    for split in (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))):
+        (a, b), (c, d) = ([thetas[k] for k in half] for half in split)
+        node = frac3(q[j] - a[j] - b[j] for j in range(3))
+        sides = []
+        for side_thetas in ([a, b, node], [c, d, frac3(-t for t in node)]):
+            degrees, ok = line_bundle_degrees(q, side_thetas)
+            if not ok:
+                raise Infeasible(f"{th.name}: channel degrees {degrees}")
+            if any(dj > -1 for dj in degrees):
+                raise NotConcave(f"{th.name}: channel {split} degrees {degrees}")
+            sides.append(degrees)
+        channels.append(Channel(split, node, tuple(sides)))
+    parts = tuple(
+        (
+            bernoulli_b2(q[i])
+            - sum(bernoulli_b2(t[i]) for t in thetas)
+            + sum(bernoulli_b2(ch.node_theta[i]) for ch in channels)
+        )
+        / 2
+        for i in range(3)
+    )
+    return FourPointBreakdown(tuple(thetas), main, tuple(channels), parts)
+
+
+def outcome(call, *args):
+    """The value of a call, or the class and message of its DomainError."""
+    try:
+        return call(*args)
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_fourpoint_kernel_matches_the_fraction_form(name):
+    th = theory(name)
+    labels = [s.theta for s in th.narrow_sectors()]
+    kinds = set()
+    for quad in combinations_with_replacement(labels, 4):
+        got = outcome(th.fourpoint_breakdown, quad)
+        assert got == outcome(fraction_fourpoint, th, quad), quad
+        if isinstance(got, FourPointBreakdown):
+            assert type(got.value) is F
+            kinds.add(FourPointBreakdown)
+        else:
+            kinds.add(got[0])
+    assert {FourPointBreakdown, Infeasible} <= kinds
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_threepoint_matches_the_fraction_form(name):
+    th = theory(name)
+    labels = [s.theta for s in th.narrow_sectors()]
+    for trip in combinations_with_replacement(labels, 3):
+        assert th.threepoint(*trip) == fraction_threepoint(th, trip), trip
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_table_seed_matches_the_fraction_form(name, monkeypatch):
+    th = FjrwTheory(get_entry(CATALOG, name))
+    seeded = []
+    original = ises.fjrw.propagate
+
+    def capture(table, **kwargs):
+        seeded.append((dict(table.known_items()), set(table.unknown_keys)))
+        return original(table, **kwargs)
+
+    monkeypatch.setattr(ises.fjrw, "propagate", capture)
+    th.correlator_table()
+    known, unknown = {}, set()
+    labels = [s.theta for s in th.narrow_sectors()]
+    for n in (3, 4):
+        for ins in combinations_with_replacement(labels, n):
+            if sum(th.sectors[t].degree for t in ins) != n - 2:
+                continue
+            if n == 3:
+                value = fraction_threepoint(th, ins)
+            elif not line_bundle_degrees(th.mirror_charges, ins)[1]:
+                value = F(0)
+            else:
+                value = outcome(fraction_fourpoint, th, ins)
+                if isinstance(value, FourPointBreakdown):
+                    value = value.value
+                else:
+                    assert value[0] is NotConcave
+                    value = None
+            if value is None:
+                unknown.add(ins)
+            else:
+                known[ins] = value
+    assert seeded == [(known, unknown)]
+
+
+# ---------------------------------------------------------------------------
+# sector dimensions: characters on the generators against the whole group
+
+
+def group_sector_dimension(mirror_rows, charges, group, theta):
+    """The Fraction form of ``sector_dimension``, testing every character on
+    every element of ``group``."""
+    fixed = tuple(j for j in range(3) if theta[j] == 0)
+    if not fixed:
+        return 1
+    rows = [r for r in mirror_rows if all(r[j] == 0 for j in range(3) if j not in fixed)]
+
+    def char_zero(exps, shift_idx=None):
+        for gamma in group:
+            total = sum((exps[k] + 1) * gamma[j] for k, j in enumerate(fixed))
+            if shift_idx is not None:
+                total -= gamma[shift_idx]
+            if total % 1:
+                return False
+        return True
+
+    socle = sum(1 - 2 * charges[j] for j in fixed)
+    by_weight = {}
+
+    def enumerate_monomials(pos, prefix, weight):
+        if pos == len(fixed):
+            by_weight.setdefault(weight, []).append(tuple(prefix))
+            return
+        q = charges[fixed[pos]]
+        e = 0
+        while weight + e * q <= socle:
+            enumerate_monomials(pos + 1, prefix + [e], weight + e * q)
+            e += 1
+
+    enumerate_monomials(0, [], F(0))
+    dim = 0
+    for weight, monomials in by_weight.items():
+        columns = {m: k for k, m in enumerate(m for m in monomials if char_zero(m))}
+        if not columns:
+            continue
+        relations = []
+        for j in fixed:
+            for mono in by_weight.get(weight - (1 - charges[j]), ()):
+                if not char_zero(mono, shift_idx=j):
+                    continue
+                vector = [F(0)] * len(columns)
+                for row in rows:
+                    if row[j] == 0:
+                        continue
+                    shifted = list(mono)
+                    for k, jj in enumerate(fixed):
+                        shifted[k] += row[jj] - (1 if jj == j else 0)
+                    vector[columns[tuple(shifted)]] += row[j]
+                relations.append(vector)
+        dim += len(nullspace(relations, len(columns)))
+    return dim
+
+
+def test_sector_dimension_on_generators_matches_the_whole_group():
+    assert len(CATALOG) == 13
+    dims = []
+    for entry in CATALOG:
+        mirror = entry.polynomial.transpose()
+        charges = entry.polynomial.mirror_charges
+        group = enumerate_group(mirror.exponents)
+        generators = group_generators(mirror.exponents)
+        assert len(generators) == 3
+        for theta in group:
+            dim = sector_dimension(mirror.exponents, charges, generators, theta)
+            assert dim == group_sector_dimension(mirror.exponents, charges, group, theta), (
+                entry.name,
+                theta,
+            )
+            if not all(theta):
+                dims.append(dim)
+    assert 0 in dims and max(dims) > 1

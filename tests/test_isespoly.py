@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ises.numcore import DomainError
+from ises.numcore import DomainError, inverse
 from ises.isespoly import (
     CatalogEntry,
     InvertiblePolynomial,
@@ -300,6 +300,32 @@ def invertible_matrices(draw):
     if kind == "loop":
         return [[a, 1, 0], [0, b, 1], [1, 0, c]]
     return [[a, 1, 0], [1, b, 0], [0, 0, c]]
+
+
+def fraction_group(exponents):
+    """The Fraction form of ``enumerate_group``: a breadth-first search over
+    the columns of E^-1 mod 1, adding Fraction phases mod 1."""
+    inv = inverse(exponents)
+    generators = [tuple(Fraction(inv[i][j]) % 1 for i in range(3)) for j in range(3)]
+    seen = {(Fraction(0), Fraction(0), Fraction(0))}
+    frontier = list(seen)
+    while frontier:
+        theta = frontier.pop()
+        for gen in generators:
+            new = tuple((a + b) % 1 for a, b in zip(theta, gen))
+            if new not in seen:
+                seen.add(new)
+                frontier.append(new)
+    return tuple(sorted(seen))
+
+
+def test_enumerate_group_matches_the_fraction_search(catalog):
+    assert len(catalog) == 13
+    for e in catalog:
+        for poly in (e.polynomial, e.polynomial.transpose()):
+            group = enumerate_group(poly.exponents)
+            assert group == fraction_group(poly.exponents), e.name
+            assert all(type(t) is Fraction for theta in group for t in theta)
 
 
 @given(invertible_matrices())
