@@ -14,9 +14,10 @@ Computed from first principles:
   and the pairing (e_h pairs with e_{h^-1});
 * line bundle degrees d_j = q_j^T (2g - 2 + n) - sum_k Theta_j(h_k) and
   their integrality (the correlator vanishes unless all d_j are integers);
-* three-point values on narrow sectors: 1 when every d_j = -1, 0 when all
-  d_j <= -1 with some d_j <= -2, and a frozen fixture (or an unknown to be
-  solved by associativity) when some d_j = 0;
+* three-point values on narrow sectors: 1 when every d_j = -1, and a
+  frozen fixture (or an unknown to be solved by associativity) when some
+  d_j >= 0; on the degree budget sum_j d_j = -1 - 2 sum_i q_i^T = -3, so
+  there is no third case;
 * concave four-point values by the genus-zero Riemann-Roch formula
       sum_{i=1..3} (1/2) ( B2(q_i^T) - sum_{j=1..4} B2(Theta_i(h_j))
                            + sum_{channels} B2(Theta_i(node)) ),
@@ -346,9 +347,8 @@ class FjrwTheory:
         """Narrow three-point value; None when only a fixture could decide.
 
         Zero when the degree budget or the line bundle integrality fails;
-        one when every line bundle degree is -1; zero when all degrees are
-        <= -1 and some is <= -2; otherwise (some degree >= 0) the value is
-        a frozen fixture or unknown.
+        one when every line bundle degree is -1; otherwise (some degree
+        >= 0) the value is a frozen fixture or unknown.
         """
         thetas = (tuple(t1), tuple(t2), tuple(t3))
         for t in thetas:
@@ -361,7 +361,11 @@ class FjrwTheory:
 
     def _threepoint(self, phases) -> int | None:
         """:meth:`threepoint` on narrow phases scaled by L, before the
-        fixture lookup: 0 or 1 when the degrees decide, else None."""
+        fixture lookup: 0 or 1 when the degrees decide, else None.
+
+        On the budget sum(phases) = L + 3 sum(q) and sum(q) = L (the
+        charges of W^T sum to 1), so the scaled degrees sum to -3L: all
+        of them <= -L forces every one to be -L."""
         scale = self._scale
         if sum(map(sum, phases)) - 3 * sum(self._scaled_q) != scale:
             return 0
@@ -370,8 +374,6 @@ class FjrwTheory:
             return 0
         if all(dj == -scale for dj in d):
             return 1
-        if all(dj <= -scale for dj in d):
-            return 0
         return None
 
     def _degrees(self, phases) -> tuple[int, ...]:

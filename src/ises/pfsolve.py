@@ -26,13 +26,18 @@ order, where the solution is ``(1 - x)^{-deg phi_r}``.  There is no general
 rule for which factors survive, so reduction is greedy and deterministic,
 and every reported weight triple is certified by :func:`annihilation_check`,
 which substitutes both Frobenius solutions at ``x = 0`` into the *unreduced*
-operator with exact rational arithmetic.
+operator exactly.  It does so on ints: the exponent, the roots and the
+series parameters of a solution are scaled by the lcm of their
+denominators, each series coefficient is an unreduced int fraction, and
+the identity at each power of ``x`` is one int cross-multiplication.
+Weights, roots and every returned value stay ``Fraction``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 from typing import Sequence
 
 from .isespoly import NVARS, CatalogEntry, InvertiblePolynomial, _inverse3, _mat_vec
@@ -204,6 +209,8 @@ def to_hg_weights(op: DeltaOperator, deg_phi: Rat) -> HGWeights:
     ``gamma = 1 + c_L / l`` and the right roots give ``alpha, beta = c_R / l``.
     """
     deg_phi = Fraction(deg_phi)
+    if op.order not in (1, 2):
+        raise NotSecondOrder(f"operator has order {op.order}")
     l = op.step
     if Fraction(0) in op.left_roots:
         s = Fraction(0)
@@ -215,11 +222,9 @@ def to_hg_weights(op: DeltaOperator, deg_phi: Rat) -> HGWeights:
         weights = HGWeights.of_first_order(right[0] / l, s)
         if weights.alpha - s != deg_phi:
             raise DomainError(
-                f"first-order exponent {weights.alpha} does not match deg phi_r = {deg_phi}"
+                f"first-order exponent {weights.alpha - s} does not match deg phi_r = {deg_phi}"
             )
         return weights
-    if op.order != 2:
-        raise NotSecondOrder(f"operator has order {op.order}")
     alpha, beta = (right[0] / l, right[1] / l)
     other = left[0] if left[1] == 0 else left[1]
     gamma = 1 + other / l
@@ -231,37 +236,22 @@ def to_hg_weights(op: DeltaOperator, deg_phi: Rat) -> HGWeights:
     return weights
 
 
-def _series_ratios(w: HGWeights) -> list[tuple[Rat, "_CoeffStream"]]:
-    """The local solutions at x = 0 as (exponent, coefficient stream) pairs."""
+def _series_ratios(w: HGWeights) -> list[tuple[Rat, tuple[Rat, ...], tuple[Rat, ...]]]:
+    """The local solutions at x = 0 as (exponent, upper, lower) parameters.
+
+    ``x^e 2F1(a, b; c; x)`` is ``(e, (a, b), (c,))`` and ``x^e (1 - x)^{-a}``
+    is ``(e, (a,), ())``.  No lower parameter is a nonpositive integer: they
+    are ``gamma`` and ``2 - gamma``, and an integral ``gamma`` is resonant.
+    """
     if w.first_order:
-        return [(w.prefactor, _CoeffStream(w.alpha, None, None))]
+        return [(w.prefactor, (w.alpha,), ())]
     exp2 = w.prefactor + 1 - w.gamma
     if (w.prefactor - exp2).denominator == 1:
         raise ResonantBasis(f"exponents {w.prefactor} and {exp2} differ by an integer")
     return [
-        (w.prefactor, _CoeffStream(w.alpha, w.beta, w.gamma)),
-        (exp2, _CoeffStream(w.alpha - w.gamma + 1, w.beta - w.gamma + 1, 2 - w.gamma)),
+        (w.prefactor, (w.alpha, w.beta), (w.gamma,)),
+        (exp2, (w.alpha - w.gamma + 1, w.beta - w.gamma + 1), (2 - w.gamma,)),
     ]
-
-
-class _CoeffStream:
-    """Exact coefficients of 2F1(a, b; c; x) (or of (1-x)^{-a} when b is None)."""
-
-    def __init__(self, a: Rat, b: Rat | None, c: Rat | None):
-        self.a, self.b, self.c = a, b, c
-
-    def coeffs(self, order: int) -> list[Rat]:
-        out = [Fraction(1)]
-        for k in range(order):
-            if self.b is None:
-                ratio = (self.a + k) / (1 + k)
-            else:
-                den = (self.c + k) * (1 + k)
-                if den == 0:
-                    raise ResonantBasis(f"lower parameter {self.c} hits a nonpositive integer")
-                ratio = (self.a + k) * (self.b + k) / den
-            out.append(out[-1] * ratio)
-        return out
 
 
 def annihilation_check(op: DeltaOperator, w: HGWeights, order: int = 30) -> bool:
@@ -271,23 +261,37 @@ def annihilation_check(op: DeltaOperator, w: HGWeights, order: int = 30) -> bool
     ``prod(l(e+k) + c_L)`` at the same power and, because
     ``C sigma^l = x``, ``-prod(l(e+k) + c_R)`` one power higher; the image
     vanishes iff ``f_k prod(l(e+k)+c_L) = f_{k-1} prod(l(e+k-1)+c_R)`` for all
-    k.  Checked exactly through ``x^{e+order}`` for each solution.
+    k, with ``f_{-1} = 0`` (so at k = 0 the test is ``prod(l e + c_L) = 0``).
+    Checked exactly through ``x^{e+order}`` for each solution in turn.
+
+    Every parameter of a solution -- ``l e``, the roots and the series
+    parameters -- is scaled by the lcm D of their denominators, so the test
+    runs on ints: both products gain the same factor ``D^n``, n the order
+    of ``op``; ``f_k`` is carried as an unreduced pair ``num / den`` built
+    from the Pochhammer step ``prod(A + kD) / (prod(C + kD) (1 + k) D)``;
+    and each identity is one cross-multiplication.  ``den`` never vanishes,
+    since no lower parameter is a nonpositive integer (see
+    :func:`_series_ratios`).
     """
     l = op.step
-    for exponent, stream in _series_ratios(w):
-        f = stream.coeffs(order)
+    for exponent, upper, lower in _series_ratios(w):
+        groups = ((l * exponent,), op.left_roots, op.right_roots, upper, lower)
+        d = lcm(*(c.denominator for group in groups for c in group))
+        (e,), left, right, up, low = (
+            [c.numerator * (d // c.denominator) for c in group] for group in groups
+        )
+        shift = l * d
+        prev_num, prev_den, num, den = 0, 1, 1, 1
         for k in range(order + 1):
-            th = l * (exponent + k)
-            lhs = f[k]
-            for c in op.left_roots:
-                lhs *= th + c
-            rhs = Fraction(0)
-            if k > 0:
-                rhs = f[k - 1]
-                for c in op.right_roots:
-                    rhs *= l * (exponent + k - 1) + c
+            th = e + k * shift
+            lhs = num * prev_den * prod(th + c for c in left)
+            rhs = prev_num * den * prod(th - shift + c for c in right)
             if lhs != rhs:
                 return False
+            kd = k * d
+            prev_num, prev_den = num, den
+            num *= prod(a + kd for a in up)
+            den *= (k + 1) * d * prod(c + kd for c in low)
     return True
 
 
@@ -301,9 +305,14 @@ def weight_report(
     flag is :func:`annihilation_check` of those weights against the
     unreduced operator.  Where the reduction reaches first order the
     weights are first order, also where a degenerate 2F1(a, b; b; x) =
-    (1 - x)^{-a} would describe the same function.
+    (1 - x)^{-a} would describe the same function.  A :class:`DomainError`
+    of the derivation or the check is raised again as its own class with
+    the entry, m and r in front of its message.
     """
     op = build_gkz(entry, m, r)
     deg_phi = sum(Fraction(int(v)) * q for v, q in zip(r, entry.polynomial.charges))
-    weights = to_hg_weights(reduce_left_divisors(op), deg_phi)
-    return weights, annihilation_check(op, weights)
+    try:
+        weights = to_hg_weights(reduce_left_divisors(op), deg_phi)
+        return weights, annihilation_check(op, weights)
+    except DomainError as exc:
+        raise type(exc)(f"{entry.name} m={tuple(m)} r={tuple(r)}: {exc}") from exc

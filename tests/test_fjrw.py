@@ -312,6 +312,22 @@ def test_threepoint_matches_the_fraction_form(name):
 
 
 @pytest.mark.parametrize("name", NAMES)
+def test_on_budget_narrow_triples_have_degree_sum_minus_three(name):
+    # so all d_j <= -1 forces every d_j = -1, and _threepoint needs no case
+    # for all d_j <= -1 with some d_j <= -2
+    th = theory(name)
+    labels = [s.theta for s in th.narrow_sectors()]
+    on_budget = [
+        trip
+        for trip in combinations_with_replacement(labels, 3)
+        if sum(th.sectors[t].degree for t in trip) == 1
+    ]
+    assert on_budget
+    for trip in on_budget:
+        assert sum(th._degrees([th._scaled[t] for t in trip])) == -3 * th._scale, trip
+
+
+@pytest.mark.parametrize("name", NAMES)
 def test_table_seed_matches_the_fraction_form(name, monkeypatch):
     th = FjrwTheory(get_entry(CATALOG, name))
     seeded = []

@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from ises.isespoly import (
@@ -158,6 +158,29 @@ def test_unreduced_operator_is_not_second_order():
         to_hg_weights(op, F(0))
 
 
+def test_an_order_zero_reduction_is_not_second_order():
+    # every root of the phi_(0,1,2) operator of e6-fermat cancels
+    red = reduce_left_divisors(build_gkz(entry("e6-fermat"), (1, 1, 1), (0, 1, 2)))
+    assert red.order == 0
+    with pytest.raises(NotSecondOrder, match=r"^operator has order 0$"):
+        to_hg_weights(red, F(1))
+
+
+def test_weight_report_errors_name_the_row():
+    e = entry("e6-fermat")
+    with pytest.raises(NotSecondOrder) as info:
+        weight_report(e, (1, 1, 1), (0, 1, 2))
+    assert str(info.value) == "e6-fermat m=(1, 1, 1) r=(0, 1, 2): operator has order 0"
+    # the message prints the exponent alpha - s that is compared
+    with pytest.raises(DomainError) as info:
+        weight_report(e, (1, 1, 1), (0, 0, 2))
+    assert type(info.value) is DomainError
+    assert str(info.value) == (
+        "e6-fermat m=(1, 1, 1) r=(0, 0, 2): "
+        "first-order exponent 1/3 does not match deg phi_r = 2/3"
+    )
+
+
 # ---------------------------------------------------------------------------
 # derived weights against the frozen catalog rows
 # ---------------------------------------------------------------------------
@@ -251,6 +274,141 @@ def test_annihilation_certifies_at_order_thirty():
         marg = e.marginals[0]
         op = build_gkz(e, marg.m)
         assert annihilation_check(op, HGWeights(*marg.weights), 30)
+
+
+# ---------------------------------------------------------------------------
+# the int kernel against its Fraction form
+# ---------------------------------------------------------------------------
+
+
+class FractionStream:
+    """Exact coefficients of 2F1(a, b; c; x) (or of (1-x)^{-a} when b is None)."""
+
+    def __init__(self, a, b, c):
+        self.a, self.b, self.c = a, b, c
+
+    def coeffs(self, order):
+        out = [F(1)]
+        for k in range(order):
+            if self.b is None:
+                ratio = (self.a + k) / (1 + k)
+            else:
+                den = (self.c + k) * (1 + k)
+                if den == 0:
+                    raise ResonantBasis(f"lower parameter {self.c} hits a nonpositive integer")
+                ratio = (self.a + k) * (self.b + k) / den
+            out.append(out[-1] * ratio)
+        return out
+
+
+def fraction_annihilation_check(op, w, order=30):
+    """The Fraction form of :func:`annihilation_check`: both Frobenius
+    series substituted into the unreduced operator term by term."""
+    if w.first_order:
+        solutions = [(w.prefactor, FractionStream(w.alpha, None, None))]
+    else:
+        exp2 = w.prefactor + 1 - w.gamma
+        if (w.prefactor - exp2).denominator == 1:
+            raise ResonantBasis(f"exponents {w.prefactor} and {exp2} differ by an integer")
+        solutions = [
+            (w.prefactor, FractionStream(w.alpha, w.beta, w.gamma)),
+            (exp2, FractionStream(w.alpha - w.gamma + 1, w.beta - w.gamma + 1, 2 - w.gamma)),
+        ]
+    l = op.step
+    for exponent, stream in solutions:
+        f = stream.coeffs(order)
+        for k in range(order + 1):
+            lhs = f[k]
+            for c in op.left_roots:
+                lhs *= l * (exponent + k) + c
+            rhs = F(0)
+            if k > 0:
+                rhs = f[k - 1]
+                for c in op.right_roots:
+                    rhs *= l * (exponent + k - 1) + c
+            if lhs != rhs:
+                return False
+    return True
+
+
+def check_outcome(check, op, w, order):
+    """The verdict of a check, or the class of the DomainError it raises."""
+    try:
+        return check(op, w, order)
+    except DomainError as exc:
+        return type(exc)
+
+
+def mutants(w):
+    """``w`` and weights near it that the operator of ``w`` should reject.
+
+    A first-order row also yields the degenerate 2F1(alpha, c; c; x) =
+    (1 - x)^{-alpha}: its first solution is right and its second is not."""
+    yield w
+    s = w.prefactor
+    if w.first_order:
+        yield HGWeights.of_first_order(w.alpha + F(1, 5), s)
+        yield HGWeights(w.alpha, F(1, 2), F(1, 2), s)
+        yield HGWeights(w.alpha, F(1, 7), F(1, 7), s)
+        return
+    a, b, g = w.triple
+    yield HGWeights(a + F(1, 7), b, g, s)
+    yield HGWeights(a, b - F(1, 5), g, s)
+    yield HGWeights(a, b, g + F(1, 3), s)
+    yield HGWeights(a, b, g, s + F(1, 2))
+
+
+def test_annihilation_check_matches_the_fraction_form_on_the_catalog():
+    verdicts = set()
+    for e, m, r, _ in frozen_rows():
+        op = build_gkz(e, m, r)
+        for w in mutants(weight_report(e, m, r)[0]):
+            for order in (0, 1, 5, 12, 30):
+                got = check_outcome(annihilation_check, op, w, order)
+                assert got == check_outcome(fraction_annihilation_check, op, w, order), (
+                    e.name, m, r, w, order,
+                )
+                verdicts.add((got, order))
+    # every order both certifies and rejects
+    assert {(v, order) for v in (True, False) for order in (0, 1, 5, 12, 30)} <= verdicts
+
+
+def test_annihilation_check_matches_the_fraction_form_on_resonant_weights():
+    op = build_gkz(entry("e6-fermat"), (1, 1, 1))
+    for gamma in (F(1), F(-1)):
+        w = HGWeights(F(1, 3), F(1, 3), gamma)
+        assert check_outcome(annihilation_check, op, w, 5) is ResonantBasis
+        assert check_outcome(fraction_annihilation_check, op, w, 5) is ResonantBasis
+
+
+_small = st.fractions(min_value=-2, max_value=2, max_denominator=6)
+
+
+@seed(0)
+@settings(max_examples=80, deadline=None)
+@given(
+    case=st.sampled_from(
+        [
+            ("e6-fermat", (1, 1, 1), (0, 0, 0)),
+            ("e6-chain23", (2, 0, 1), (0, 0, 0)),
+            ("e7-fermat", None, (2, 0, 0)),
+            ("e8-fermat", None, (1, 0, 0)),
+        ]
+    ),
+    params=st.tuples(_small, _small, _small, _small),
+    first_order=st.booleans(),
+    order=st.sampled_from([0, 1, 5, 12]),
+)
+def test_annihilation_check_matches_the_fraction_form_on_small_weights(
+    case, params, first_order, order
+):
+    name, m, r = case
+    e = entry(name)
+    op = build_gkz(e, m or e.marginals[0].m, r)
+    a, b, g, s = params
+    w = HGWeights.of_first_order(a, s) if first_order else HGWeights(a, b, g, s)
+    got = check_outcome(annihilation_check, op, w, order)
+    assert got == check_outcome(fraction_annihilation_check, op, w, order)
 
 
 # ---------------------------------------------------------------------------
