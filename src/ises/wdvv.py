@@ -311,12 +311,6 @@ class CorrelatorTable:
             return None
         return self._values.get(key, Fraction(0))
 
-    def lookup(self, insertions, degree: int = 0) -> LinearForm:
-        key = self._key(insertions, degree)
-        if key in self._unknown:
-            return LinearForm(0, {self._label_key(key): 1})
-        return LinearForm(self._values.get(key, Fraction(0)))
-
     @property
     def unknown_keys(self) -> tuple:
         return tuple(sorted(map(self._label_key, self._unknown), key=repr))
@@ -496,8 +490,8 @@ def _residual(table: CorrelatorTable, pair1, pair2, extra, degree, memo=None):
 
     ``memo`` is the :class:`_ScanMemo` of the calling scan (a fresh one when
     None).  The pair sums of the instance's (pair1, extra, degree) group are
-    kept there until the next group or the next solved key, so an instance
-    whose second pairing repeats an earlier one reads its sum back.
+    kept there until the next group or the next solved key, so the instances
+    of a group evaluate their shared first pairing once.
     """
     if memo is None:
         memo = _ScanMemo()
@@ -579,14 +573,20 @@ def _extra_routes(table: CorrelatorTable, extra_slots: int):
 
 
 def _instances(table: CorrelatorTable, extra_slots: int, degrees, admissible):
-    """Residual instances (pair1, pair2, extra, degree) over basis positions.
+    """Residual instances (pair1, pair2, extra, degree) over basis positions,
+    each WDVV relation of a (quad, extra, degree) once.
 
-    Each quad visits only the extras that complete its degree budget (see
-    :func:`_extra_routes`); an instance off the budget has only terms that
-    read as zero.  ``admissible(pair, extra)`` is called with basis
-    positions, ints into ``table.labels``, once per distinct (pairing,
-    extra) of this scan; instances with an inadmissible pairing are left
-    out.
+    A quad a <= b <= c <= d has the pairings ab|cd, ac|bd and ad|bc.  A pair
+    sum depends on a pairing only as an unordered pair of halves, since
+    S(L|R) = S(R|L), so a pairing whose halves equal those of an earlier one
+    (which happens only when labels repeat) is dropped, and a quad left with
+    one pairing yields nothing.  For each extra, the admissible pairings
+    that remain give the instances: the first of them against each of the
+    others.  Each quad visits only the extras that complete its degree
+    budget (see :func:`_extra_routes`); an instance off the budget has only
+    terms that read as zero.  ``admissible(pair, extra)`` is called with
+    basis positions, ints into ``table.labels``, once per distinct
+    (pairing, extra) of this scan.
     """
     degree_list = list(degrees) if table.graded else [0]
     weight, routes = _extra_routes(table, extra_slots)
@@ -602,22 +602,21 @@ def _instances(table: CorrelatorTable, extra_slots: int, degrees, admissible):
 
     for quad in combinations_with_replacement(range(len(table.labels)), 4):
         a, b, c, d = quad
+        distinct: dict = {}
+        for pair in (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c))):
+            distinct.setdefault(frozenset(pair), pair)
+        pairings = list(distinct.values())
+        if len(pairings) < 2:
+            continue
         need = None
         if weight is not None:
             need = weight[a] + weight[b] + weight[c] + weight[d]
-        pair1 = ((a, b), (c, d))
         for by_quad in routes:
             for extra in by_quad.get(need, ()):
-                if not allowed(pair1, extra):
-                    continue
-                others = [
-                    p
-                    for p in (((a, c), (b, d)), ((a, d), (b, c)))
-                    if allowed(p, extra)
-                ]
+                ok = [pair for pair in pairings if allowed(pair, extra)]
                 for degree in degree_list:
-                    for pair2 in others:
-                        yield pair1, pair2, extra, degree
+                    for pair2 in ok[1:]:
+                        yield ok[0], pair2, extra, degree
 
 
 def _describe(table: CorrelatorTable, pair1, pair2, extra, degree) -> str:
@@ -711,8 +710,7 @@ def check_residuals(
     involving unknowns are skipped.  ``admissible`` receives basis
     positions and filters pairings as in :func:`propagate`.  The call keeps
     one split-factor memo, which nothing invalidates since the table does
-    not change; an instance that repeats an earlier pairing of its group
-    reads that pair sum back, and every instance is still counted.
+    not change.
     """
     checked = 0
     memo = _ScanMemo()

@@ -118,7 +118,7 @@ def test_residual_checks_on_all_tables():
         checked = check_residuals(th.correlator_table(), admissible=th.narrow_nodes)
         assert checked > 0, name
         total += checked
-    assert total == 5494
+    assert total == 3062
 
 
 # ---------------------------------------------------------------------------

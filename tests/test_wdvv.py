@@ -1,5 +1,6 @@
 """Correlator tables, WDVV propagation and the GW seed of P^1_{a,b,c}."""
 
+import random
 from fractions import Fraction as F
 from functools import cache
 from itertools import combinations_with_replacement
@@ -58,6 +59,17 @@ def gw_unknowns(table: CorrelatorTable, top_degree: int) -> CorrelatorTable:
     return table
 
 
+def lookup(table: CorrelatorTable, insertions, degree: int = 0) -> LinearForm:
+    """A key as a LinearForm: its known value, or 1 * the key when unknown."""
+    value = table.value(insertions, degree=degree)
+    if value is not None:
+        return LinearForm(value)
+    ins = tuple(sorted(insertions, key=table.labels.index))
+    key = (ins, degree) if table.graded else ins
+    assert key in table.unknown_keys
+    return LinearForm(0, {key: 1})
+
+
 # ---------------------------------------------------------------------------
 # labels in, labels out
 # ---------------------------------------------------------------------------
@@ -73,7 +85,7 @@ def test_phase_vector_labels_round_trip():
     # keys list their insertions in basis order, not sorted order
     assert table.known_items() == (((HIGH, HIGH, LOW), F(5, 2)),)
     assert table.unknown_keys == ((HIGH, LOW, LOW),)
-    assert table.lookup([LOW, HIGH, LOW]) == LinearForm(0, {(HIGH, LOW, LOW): 1})
+    assert lookup(table, [LOW, HIGH, LOW]) == LinearForm(0, {(HIGH, LOW, LOW): 1})
     table.set([LOW, LOW, HIGH], 3)
     assert table.unknown_keys == ()
     # in the repr order of the (key, value) pairs
@@ -138,7 +150,7 @@ def test_a_label_outside_the_basis_is_named():
         lambda: table.value([bad, UNIT, POINT]),
         lambda: table.set([UNIT, bad, POINT], 1),
         lambda: table.declare_unknown([UNIT, POINT, bad], degree=1),
-        lambda: table.lookup([bad, bad, UNIT]),
+        lambda: lookup(table, [bad, bad, UNIT]),
         lambda: table.pairing(UNIT, bad),
         lambda: table.budget_ok([bad, UNIT, POINT]),
         lambda: wdvv_residual(table, UNIT, UNIT, POINT, bad, degree=0),
@@ -414,12 +426,15 @@ def reference_residual(table, eta, pair1, pair2, extra, degree):
     return first[0] - second[0], {key: c for key, c in terms.items() if c}
 
 
-def assert_routed_residuals(table, degrees, admissible=None):
-    """The routed residual of every instance equals the reference; returns
-    how many were quadratic, nonzero constants and linear in unknowns."""
+def assert_routed_residuals(table, degrees, admissible=None, instances=None):
+    """The routed residual of every instance (of the scan, unless given)
+    equals the reference; returns how many were quadratic, nonzero
+    constants and linear in unknowns."""
     eta = reference_eta(table)
     shapes = {"quadratic": 0, "constant": 0, "linear": 0}
-    for instance in ises.wdvv._instances(table, 1, degrees, admissible):
+    if instances is None:
+        instances = ises.wdvv._instances(table, 1, degrees, admissible)
+    for instance in instances:
         form = ises.wdvv._residual(table, *instance)
         expected = reference_residual(table, eta, *instance)
         if expected is None:
@@ -474,6 +489,11 @@ def test_routed_residuals_on_a_table_without_degrees():
     assert list(table._dual_groups) == [None]
     assert table.copy()._dual_groups is table._dual_groups
     shapes = assert_routed_residuals(table, (0,))
+    assert shapes == {"quadratic": 0, "constant": 0, "linear": 4}
+    # the quadratic instances of this table all set a pairing against itself
+    # and are left out of the scan; the full scan still routes them
+    full = reference_instances(table, 1, (0,), None)
+    shapes = assert_routed_residuals(table, (0,), instances=full)
     assert shapes["quadratic"] and shapes["linear"]
 
 
@@ -526,45 +546,78 @@ def reference_budget_filter(table):
     return ok
 
 
-def reference_instances(table, extra_slots, degrees, admissible):
-    """Reference for the instance scan: every (quad, extra) of the basis,
-    tested against the budget predicate; ``admissible`` receives labels."""
+def reference_groups(table, extra_slots, degrees, admissible):
+    """Every (quad, extra) of the basis that passes the budget predicate, as
+    (pairings, verdicts, extra, degree list): the quad's pairings ab|cd,
+    ac|bd and ad|bc with their admissible verdicts; ``admissible`` receives
+    labels."""
     degree_list = list(degrees) if table.graded else [0]
     budget = reference_budget_filter(table)
-    memo = {}
-
-    def allowed(pair, extra):
-        if admissible is None:
-            return True
-        ok = memo.get((pair, extra))
-        if ok is None:
-            ok = memo[pair, extra] = bool(
-                admissible(tuple(map(table._names, pair)), table._names(extra))
-            )
-        return ok
-
     basis = range(len(table.labels))
     for quad in combinations_with_replacement(basis, 4):
         a, b, c, d = quad
-        pair1 = ((a, b), (c, d))
+        pairings = (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c)))
         for n_extra in range(extra_slots + 1):
             for extra in combinations_with_replacement(basis, n_extra):
                 if budget is not None and not budget(quad, extra):
                     continue
-                if not allowed(pair1, extra):
-                    continue
-                others = [
-                    p for p in (((a, c), (b, d)), ((a, d), (b, c))) if allowed(p, extra)
+                verdicts = [
+                    admissible is None
+                    or bool(admissible(tuple(map(table._names, p)), table._names(extra)))
+                    for p in pairings
                 ]
-                for degree in degree_list:
-                    for pair2 in others:
-                        yield pair1, pair2, extra, degree
+                yield pairings, verdicts, extra, degree_list
+
+
+def reference_instances(table, extra_slots, degrees, admissible):
+    """The full instance scan: when ab|cd is admissible, ab|cd against each
+    admissible one of ac|bd and ad|bc as written, repeats included."""
+    for pairings, verdicts, extra, degree_list in reference_groups(
+        table, extra_slots, degrees, admissible
+    ):
+        if not verdicts[0]:
+            continue
+        others = [p for p, ok in zip(pairings[1:], verdicts[1:]) if ok]
+        for degree in degree_list:
+            for pair2 in others:
+                yield pairings[0], pair2, extra, degree
+
+
+def one_relation_each(table, extra_slots, degrees, admissible):
+    """The full scan filtered to each relation once: the pairings deduped by
+    their unordered halves, the admissible ones kept, and the first of them
+    against each of the others."""
+    for pairings, verdicts, extra, degree_list in reference_groups(
+        table, extra_slots, degrees, admissible
+    ):
+        distinct = []
+        for p, ok in zip(pairings, verdicts):
+            if set(p) not in [set(q) for q, _ in distinct]:
+                distinct.append((p, ok))
+        kept = [p for p, ok in distinct if ok]
+        for degree in degree_list:
+            for pair2 in kept[1:]:
+                yield kept[0], pair2, extra, degree
+
+
+def named_nodes(theory):
+    """``theory.narrow_nodes`` on labels of its correlator table."""
+    position = {label: i for i, label in enumerate(theory.correlator_table().labels)}
+
+    def named(pair, extra):
+        return theory.narrow_nodes(
+            tuple(tuple(position[x] for x in half) for half in pair),
+            tuple(position[x] for x in extra),
+        )
+
+    return named
 
 
 def assert_same_scan(table, extra_slots, degrees, admissible=None, named=None):
-    """The routed scan yields the reference instances in the same order;
-    ``named`` is ``admissible`` in labels, for the reference."""
-    expected = list(reference_instances(table, extra_slots, degrees, named))
+    """The routed scan yields each relation of the reference scan once, in
+    the same order; ``named`` is ``admissible`` in labels, for the
+    reference."""
+    expected = list(one_relation_each(table, extra_slots, degrees, named))
     assert expected
     routed = ises.wdvv._instances(table, extra_slots, degrees, admissible)
     assert list(routed) == expected
@@ -586,15 +639,7 @@ def test_routed_scan_on_the_fjrw_tables(name):
     table = theory.correlator_table()
     assert table.labels == tuple(s.theta for s in theory.narrow_sectors())
     assert reference_budget_filter(table) is not None
-    position = {label: i for i, label in enumerate(table.labels)}
-
-    def named(pair, extra):
-        return theory.narrow_nodes(
-            tuple(tuple(position[x] for x in half) for half in pair),
-            tuple(position[x] for x in extra),
-        )
-
-    assert_same_scan(table, 1, (0,), theory.narrow_nodes, named)
+    assert_same_scan(table, 1, (0,), theory.narrow_nodes, named_nodes(theory))
 
 
 def test_routed_scan_on_a_table_without_degrees():
@@ -660,6 +705,83 @@ def scan_tables():
         yield name, theory.correlator_table(), (0,), theory.narrow_nodes
 
 
+def group(instance):
+    """The (quad, extra, degree) of an instance."""
+    (left, right), _, extra, degree = instance
+    return tuple(sorted(left + right)), extra, degree
+
+
+def test_the_scan_drops_no_relation_of_the_full_scan():
+    for name, table, degrees, admissible in scan_tables():
+        named = None if admissible is None else named_nodes(fjrw_theory(name))
+        eta = reference_eta(table)
+        kept = {}
+        for instance in ises.wdvv._instances(table, 1, degrees, admissible):
+            residual = reference_residual(table, eta, *instance)
+            kept.setdefault(group(instance), []).append(residual)
+        repeats = 0
+        for instance in reference_instances(table, 1, degrees, named):
+            pair1, pair2, extra, degree = instance
+            if set(pair1) == set(pair2):
+                # S(L|R) = S(R|L), so the residual is zero on every table
+                first, second = (
+                    normal(reference_pair_sum(table, eta, *pair, extra, degree))
+                    for pair in (pair1, pair2)
+                )
+                assert first == second, (name, instance)
+                repeats += 1
+            else:
+                residual = reference_residual(table, eta, *instance)
+                assert residual in kept[group(instance)], (name, instance)
+        assert repeats, name
+
+
+@pytest.mark.parametrize(
+    "orders, instances", zip(ORBIFOLDS, (858, 1170, 1318)), ids=str
+)
+def test_every_scanned_instance_is_nonzero_on_a_random_table(orders, instances):
+    # every budget key of 3 to 5 insertions at degrees 0 and 1 gets a random
+    # positive value, so no relation of the scan holds by accident
+    labels, degrees = elliptic_orbifold_basis(orders)
+    seed = gw_seed_table(orders)
+    pairing = {(a, b): seed.pairing(a, b) for a in labels for b in labels}
+    table = CorrelatorTable(labels, pairing, degrees=degrees, graded=True)
+    rng = random.Random(str(orders))
+    for n in (3, 4, 5):
+        for insertions in combinations_with_replacement(labels, n):
+            if table.budget_ok(insertions):
+                for d in range(2):
+                    value = F(rng.randint(1, 1000), rng.randint(1, 1000))
+                    table.set(insertions, value, degree=d)
+    scanned = list(ises.wdvv._instances(table, 1, range(2), None))
+    assert len(scanned) == instances
+    for instance in scanned:
+        form = ises.wdvv._residual(table, *instance)
+        assert form is not None and form.constant and not form.terms, instance
+
+
+def test_relations_behind_an_inadmissible_first_pairing_are_scanned():
+    # ab|cd fails the node check, ac|bd and ad|bc pass: the full scan, which
+    # anchors on ab|cd, never checks this relation
+    anchored = {}
+    for name in FJRW_NAMES:
+        theory = fjrw_theory(name)
+        table = theory.correlator_table()
+        for instance in ises.wdvv._instances(table, 1, (0,), theory.narrow_nodes):
+            (a, b, c, d), extra, _ = group(instance)
+            if instance[0] != ((a, b), (c, d)):
+                assert not theory.narrow_nodes(((a, b), (c, d)), extra)
+                assert ises.wdvv._residual(table, *instance) == 0, (name, instance)
+                anchored[name] = anchored.get(name, 0) + 1
+    assert anchored == {
+        "e7-chain34": 11,
+        "e7-loop33": 3,
+        "e7-chain322": 15,
+        "e8-chain32": 17,
+        "e8-chain43": 11,
+    }
+
+
 def normal(pair_sum):
     """A pair sum with its zero coefficients dropped, or None."""
     if pair_sum is None:
@@ -690,9 +812,9 @@ def test_pair_sums_are_symmetric_and_check_residuals_counts_the_known_zeros():
 
 
 # distinct (head, tail, degree) of the check_residuals scan of each closed GW
-# table at D = 1, against the 6,288, 7,960 and 8,576 split factors that a
+# table at D = 1, against the 3,364, 4,588 and 5,180 split factors that a
 # scan without the memo evaluates
-SPLIT_FACTORS = {(3, 3, 3): 1856, (4, 4, 2): 2372, (6, 3, 2): 2580}
+SPLIT_FACTORS = {(3, 3, 3): 1622, (4, 4, 2): 2144, (6, 3, 2): 2340}
 
 
 @pytest.mark.parametrize("orders", ORBIFOLDS, ids=str)
