@@ -53,13 +53,11 @@ known instances, raising :class:`InconsistentSystem` on any conflict; each
 pass after the first rescans only the instances that are still open.
 Solved values are unique when the system is consistent, so the outcome is
 independent of the instance-selection order.  The instance scans of
-:func:`propagate` and :func:`check_residuals` run on basis positions:
-their ``admissible(pair, extra)`` filter receives ints into
-``table.labels`` and must be a pure function of its arguments: each scan
-calls it once per distinct (pairing, extra) and reuses the answer.  The
-extras are routed by the degree budget as the pair sums are: a scan groups
-the extra multisets once by the quad weight they complete, and each quad
-visits only its group.
+:func:`propagate` and :func:`check_residuals` run on basis positions, and
+so does their ``admissible(pair, extra)`` filter.  The extras are routed
+by the degree budget as the pair sums are: a scan groups the extra
+multisets once by the quad weight they complete, and each quad visits
+only its group.
 
 The module also ships the small Gromov-Witten seed data for the elliptic
 orbifold projective lines P^1_{a,b,c}: Chen-Ruan pairing, the degree-zero
@@ -590,16 +588,6 @@ def _instances(table: CorrelatorTable, extra_slots: int, degrees, admissible):
     """
     degree_list = list(degrees) if table.graded else [0]
     weight, routes = _extra_routes(table, extra_slots)
-    memo: dict = {}
-
-    def allowed(pair, extra) -> bool:
-        if admissible is None:
-            return True
-        ok = memo.get((pair, extra))
-        if ok is None:
-            ok = memo[pair, extra] = bool(admissible(pair, extra))
-        return ok
-
     for quad in combinations_with_replacement(range(len(table.labels)), 4):
         a, b, c, d = quad
         distinct: dict = {}
@@ -613,7 +601,9 @@ def _instances(table: CorrelatorTable, extra_slots: int, degrees, admissible):
             need = weight[a] + weight[b] + weight[c] + weight[d]
         for by_quad in routes:
             for extra in by_quad.get(need, ()):
-                ok = [pair for pair in pairings if allowed(pair, extra)]
+                ok = pairings
+                if admissible is not None:
+                    ok = [pair for pair in pairings if admissible(pair, extra)]
                 for degree in degree_list:
                     for pair2 in ok[1:]:
                         yield ok[0], pair2, extra, degree
@@ -656,9 +646,8 @@ def propagate(
     span only part of a larger state space, only pairings whose forced
     intermediate states stay inside the label set yield complete residuals,
     and the caller must reject the rest.  It receives basis positions, ints
-    into ``table.labels``, and must be a pure function of ``(pair,
-    extra)``, since its answers are reused.  Each quad meets only the
-    extras that complete its degree budget.
+    into ``table.labels``.  Each quad meets only the extras that complete
+    its degree budget.
     """
     work = table.copy()
     memo = _ScanMemo()
