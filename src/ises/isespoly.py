@@ -91,26 +91,13 @@ class UnknownEntry(DomainError, KeyError):
 
 
 # ---------------------------------------------------------------------------
-# small exact linear algebra helpers (3x3 over Fraction)
+# 3x3 determinant (solves and inverses call numcore directly)
 # ---------------------------------------------------------------------------
 
 
 def _det3(rows: Sequence[Sequence[Rat]]) -> Rat:
     (a, b, c), (d, e, f), (g, h, i) = rows
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
-def _solve3(rows: Sequence[Sequence[Rat]], rhs: Sequence[Rat]) -> tuple[Rat, Rat, Rat]:
-    sol = solve_linear([list(map(Fraction, r)) for r in rows], list(map(Fraction, rhs)), NVARS)
-    return (sol[0], sol[1], sol[2])
-
-
-def _inverse3(rows: Sequence[Sequence[Rat]]) -> tuple[tuple[Rat, ...], ...]:
-    return tuple(map(tuple, inverse(rows)))
-
-
-def _mat_vec(rows: Sequence[Sequence[Rat]], v: Sequence[Rat]) -> tuple[Rat, ...]:
-    return tuple(sum(r[j] * v[j] for j in range(NVARS)) for r in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -120,13 +107,12 @@ def _mat_vec(rows: Sequence[Sequence[Rat]], v: Sequence[Rat]) -> tuple[Rat, ...]
 
 def charge_vector(exponents: Sequence[Sequence[int]]) -> tuple[Rat, Rat, Rat]:
     """Weights ``q`` with ``E q = (1,1,1)``: every monomial has degree one."""
-    return _solve3(exponents, _ONES)
+    return tuple(solve_linear(exponents, _ONES, NVARS))
 
 
 def mirror_weights(exponents: Sequence[Sequence[int]]) -> tuple[Rat, Rat, Rat]:
     """Weights of the transposed polynomial: ``E^T qT = (1,1,1)``."""
-    transposed = [[exponents[j][i] for j in range(NVARS)] for i in range(NVARS)]
-    return _solve3(transposed, _ONES)
+    return charge_vector(list(zip(*exponents)))
 
 
 class InvertiblePolynomial:
@@ -285,7 +271,7 @@ class InvertiblePolynomial:
 def group_generators(exponents: Sequence[Sequence[int]]) -> tuple[tuple[Rat, ...], ...]:
     """The columns of ``E^-1`` mod 1: three phase vectors that generate the
     diagonal symmetries of ``W``."""
-    inv = _inverse3(exponents)
+    inv = inverse(exponents)
     return tuple(tuple(Fraction(inv[i][j]) % 1 for i in range(NVARS)) for j in range(NVARS))
 
 
@@ -349,8 +335,7 @@ class MarginalData:
         m = tuple(int(e) for e in m)
         if poly.weighted_degree(m) != 1:
             raise DomainError(f"monomial {m} is not of weighted degree one")
-        inv_t = _inverse3([[poly.exponents[j][i] for j in range(NVARS)] for i in range(NVARS)])
-        w = _mat_vec(inv_t, [Fraction(e) for e in m])
+        w = solve_linear(list(zip(*poly.exponents)), m, NVARS)
         ell = lcm(*(f.denominator for f in w))
         lvec = tuple(int(f * ell) for f in w)
         c = Fraction(1)

@@ -64,6 +64,7 @@ from .numcore import (
     DomainError,
     MultiPoly,
     NoSolution,
+    PoleError,
     Rat,
     RatFun,
     UniPoly,
@@ -626,7 +627,7 @@ class JacobianAlgebra:
                 continue  # same-label term only renormalizes at higher order
             try:
                 c0 = c.eval(0)
-            except ZeroDivisionError as exc:
+            except PoleError as exc:
                 raise FlatSectionPole(
                     f"{self._label}: the flat section of phi_{rvec} has a pole "
                     f"at sigma = 0 in its {e} coefficient"
@@ -647,13 +648,13 @@ class JacobianAlgebra:
         jet = self._jets.get(e)
         if jet is None:
             res = self.residue(MultiPoly.monomial(e, Fraction(1)))
-            n0, n1 = res.num.coeff(0), res.num.coeff(1)
-            d0, d1 = res.den.coeff(0), res.den.coeff(1)
+            n0, n1 = (*res.n, 0, 0)[:2]
+            d0, d1 = (*res.d, 0)[:2]
             if not d0:
                 raise DomainError(
                     f"{self._label}: the residue of X^{e} has a pole at sigma = 0"
                 )
-            jet = (n0 / d0, (n1 * d0 - n0 * d1) / (d0 * d0))
+            jet = (Fraction(n0, d0), Fraction(n1 * d0 - n0 * d1, d0 * d0))
             self._jets[e] = jet
         return jet
 

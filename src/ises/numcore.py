@@ -1,10 +1,11 @@
 """Exact arithmetic substrate.
 
-Provides arbitrary-precision rationals (``Rat``), univariate polynomials and
-rational functions in one deformation parameter, multivariate polynomials in
-three variables with pluggable coefficient rings, and one sparse exact
-elimination kernel behind ``solve_columns`` (with ``solve_linear`` over it),
-``inverse`` and ``nullspace``.
+Provides arbitrary-precision rationals (``Rat``), univariate polynomials over
+``Fraction``, rational functions in one deformation parameter (``RatFun``, on
+int coefficient tuples), multivariate polynomials in three variables with
+pluggable coefficient rings, and one sparse exact elimination kernel behind
+``solve_columns`` (with ``solve_linear`` over it), ``inverse`` and
+``nullspace``.
 
 All values are immutable after construction and all operations are pure.
 Coefficient rings are duck-typed: any type supporting ``+ - *``, division by
@@ -14,7 +15,10 @@ Every value is exact; there is no approximate mode.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import reduce
+from itertools import zip_longest
 
 Rat = Fraction
 
@@ -23,8 +27,9 @@ class DomainError(ValueError):
     """An operation was applied outside its mathematical domain."""
 
 
-class ZeroDenominator(DomainError):
-    """A rational function with zero denominator was requested."""
+class PoleError(DomainError, ZeroDivisionError):
+    """A rational function was built with a zero denominator, divided by
+    zero, or evaluated at a pole."""
 
 
 class NoSolution(ValueError):
@@ -228,175 +233,210 @@ class UniPoly:
 # ---------------------------------------------------------------------------
 
 
-class RatFun:
-    """Quotient of two ``UniPoly`` in canonical form: coprime numerator and
-    denominator with monic denominator.  Equality is structural equality of
-    the normal form.
+def _ints(p) -> tuple[tuple[int, ...], int]:
+    """An int, ``Fraction`` or ``UniPoly`` as (int tuple t, L) with p = t/L."""
+    cs = p.coeffs if isinstance(p, UniPoly) else (Fraction(p),) if p else ()
+    scale = math.lcm(*(c.denominator for c in cs))
+    return tuple(c.numerator * (scale // c.denominator) for c in cs), scale
 
-    The canonical form of a rational function is unique, so any route to it
-    gives the same ``num`` and ``den``.  The arithmetic uses that to skip the
-    Euclidean gcd where its answer is known: a constant on either side is
-    coprime to the other, a sum over a shared denominator only has to cancel
-    against that denominator, and a product cancels each numerator against
-    the other factor's denominator (Henrici), which leaves a canonical pair.
+
+def _add(a, b):
+    out = [x + y for x, y in zip_longest(a, b, fillvalue=0)]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _mul(a, b):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, c in enumerate(a):
+        if c:
+            for j, e in enumerate(b):
+                out[i + j] += c * e
+    return tuple(out)
+
+
+def _quo(a, b):
+    """a/b for int tuples, when b divides a in Z[s]."""
+    rem, db = list(a), len(b) - 1
+    quo = [0] * (len(a) - db)
+    for k in range(len(quo) - 1, -1, -1):
+        c = quo[k] = rem[k + db] // b[-1]
+        for j in range(db):
+            rem[k + j] -= c * b[j]
+    return tuple(quo)
+
+
+def _primitive(*ts):
+    """Int tuples divided by their joint content, signed so that the last
+    one has a positive lead."""
+    c = math.gcd(*sum(ts, ()))
+    c = -c if ts[-1][-1] < 0 else c
+    return ts if c == 1 else tuple(tuple(x // c for x in t) for t in ts)
+
+
+def _coprime(a, b):
+    """Int tuples a and b divided by their gcd in Q[s], found by Euclid on
+    pseudo-remainders made primitive; a primitive gcd divides both in Z[s]
+    (Gauss's lemma).  A constant on either side is coprime to the other, so
+    no Euclid step runs then."""
+    if len(a) < 2 or len(b) < 2:
+        return a, b
+    g, h = (a, b) if len(a) >= len(b) else (b, a)
+    (h,) = _primitive(h)
+    while len(h) > 1:
+        rem, dh = list(g), len(h) - 1
+        while len(rem) > dh:
+            top, k = rem.pop(), len(rem) - dh
+            rem = [x * h[-1] - (top * h[j - k] if j >= k else 0) for j, x in enumerate(rem)]
+        rem = _add(rem, ())
+        if not rem:
+            return _quo(a, h), _quo(b, h)
+        g, (h,) = h, _primitive(rem)
+    return a, b
+
+
+class RatFun:
+    """Element n/d of Q(s), held as int coefficient tuples ``n`` and ``d``,
+    low degree first, in canonical form: n and d coprime in Q[s], their
+    coefficients jointly primitive, and lead(d) > 0 (zero is ``((), (1,))``).
+    The form is unique, so equality and hashing compare the tuples.  ``num``
+    and ``den`` are the same pair over ``Fraction``, with ``den`` monic.
+
+    The arithmetic skips the gcd where its answer is known: a constant on
+    either side is coprime to the other, a sum over a shared denominator
+    only cancels against that denominator, and a product cancels each
+    numerator against the other factor's denominator only (Henrici), which
+    leaves a coprime pair.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("n", "d")
 
-    def __init__(self, num, den=None):
-        if isinstance(num, (int, Fraction)):
-            num = UniPoly.const(num)
-        if den is None:
-            den = _ONE
-        elif isinstance(den, (int, Fraction)):
-            den = UniPoly.const(den)
-        if not den:
-            raise ZeroDenominator("rational function with zero denominator")
-        if num:
-            num, den = _cancel(num, den)
-            lead = den.coeffs[-1]
-            if lead != 1:
-                num = num * (1 / lead)
-                den = den.monic()
-        else:
-            den = _ONE
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+    def __new__(cls, num, den=1):
+        (n, num_scale), (d, den_scale) = _ints(num), _ints(den)
+        if not d:
+            raise PoleError("rational function with zero denominator")
+        return cls._make(*_coprime(_mul(n, (den_scale,)), _mul(d, (num_scale,))))
 
     @classmethod
-    def _canonical(cls, num: UniPoly, den: UniPoly) -> "RatFun":
-        """Wrap a pair that is already coprime with monic denominator."""
+    def _make(cls, n, d) -> "RatFun":
+        """Wrap int tuples n and d (nonzero) that are coprime in Q[s]."""
         out = object.__new__(cls)
-        object.__setattr__(out, "num", num)
-        object.__setattr__(out, "den", den if num else _ONE)
+        n, d = _primitive(n, d) if n else ((), (1,))
+        object.__setattr__(out, "n", n)
+        object.__setattr__(out, "d", d)
         return out
 
     def __setattr__(self, *a):
         raise AttributeError("RatFun is immutable")
 
+    @property
+    def num(self) -> UniPoly:
+        return UniPoly([Fraction(c, self.d[-1]) for c in self.n])
+
+    @property
+    def den(self) -> UniPoly:
+        return UniPoly([Fraction(c, self.d[-1]) for c in self.d])
+
     @classmethod
     def const(cls, c) -> "RatFun":
-        return cls(UniPoly.const(c))
+        return cls.coerce(Fraction(c))
 
     @classmethod
     def variable(cls) -> "RatFun":
-        return cls(UniPoly.variable())
+        return cls._make((0, 1), (1,))
 
     @staticmethod
     def coerce(v) -> "RatFun":
         if isinstance(v, RatFun):
             return v
-        if isinstance(v, UniPoly):
-            return RatFun(v)
-        return RatFun.const(v)
+        if isinstance(v, (int, Fraction)):
+            return RatFun._make((v.numerator,) if v else (), (v.denominator,))
+        return RatFun(v)
 
     def __bool__(self):
-        return bool(self.num)
+        return bool(self.n)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, UniPoly)):
-            other = RatFun.coerce(other)
-        return (
-            isinstance(other, RatFun)
-            and self.num == other.num
-            and self.den == other.den
-        )
+        other = _operand(other)
+        return other is not None and self.n == other.n and self.d == other.d
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((self.n, self.d))
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, UniPoly)):
-            other = RatFun.coerce(other)
-        if not isinstance(other, RatFun):
+        other = _operand(other)
+        if other is None:
             return NotImplemented
-        if not other.num:
-            return self
-        if not self.num:
-            return other
-        if self.den == other.den:
-            return RatFun(self.num + other.num, self.den)
-        return RatFun(self.num * other.den + other.num * self.den, self.den * other.den)
+        if not self.n or not other.n:
+            return self if self.n else other
+        if self.d == other.d:
+            return RatFun._make(*_coprime(_add(self.n, other.n), self.d))
+        n = _add(_mul(self.n, other.d), _mul(other.n, self.d))
+        return RatFun._make(*_coprime(n, _mul(self.d, other.d)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFun._canonical(-self.num, self.den)
+        return RatFun._make(tuple(-c for c in self.n), self.d)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, UniPoly)):
-            other = RatFun.coerce(other)
-        if not isinstance(other, RatFun):
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, UniPoly)):
-            other = RatFun.coerce(other)
-        if not isinstance(other, RatFun):
+        other = _operand(other)
+        if other is None:
             return NotImplemented
-        a, d = _cancel(self.num, other.den)
-        c, b = _cancel(other.num, self.den)
-        return RatFun._canonical(a * c, b * d)
+        n1, d2 = _coprime(self.n, other.d)
+        n2, d1 = _coprime(other.n, self.d)
+        return RatFun._make(_mul(n1, n2), _mul(d1, d2))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction, UniPoly)):
-            other = RatFun.coerce(other)
-        if not isinstance(other, RatFun):
+        other = _operand(other)
+        if other is None:
             return NotImplemented
-        if not other:
-            raise ZeroDivisionError("division by zero rational function")
-        lead = 1 / other.num.coeffs[-1]
-        return self * RatFun._canonical(other.den * lead, other.num * lead)
+        if not other.n:
+            raise PoleError("division by zero rational function")
+        return self * RatFun._make(other.d, other.n)
 
     def __rtruediv__(self, other):
         return RatFun.coerce(other) / self
 
-    def __pow__(self, n: int):
-        if n < 0:
-            return RatFun.const(1) / self ** (-n)
-        return RatFun._canonical(self.num**n, self.den**n)
+    def __pow__(self, k: int):
+        if k < 0:
+            return RatFun.const(1) / self ** (-k)
+        n = d = (1,)
+        for _ in range(k):
+            n, d = _mul(n, self.n), _mul(d, self.d)
+        return RatFun._make(n, d)
 
-    def eval(self, v):
-        d = self.den.eval(v)
-        if isinstance(d, (int, Fraction)) and d == 0:
-            raise ZeroDivisionError("pole of rational function")
-        return self.num.eval(v) / d
+    def eval(self, v) -> Fraction:
+        n, d = (reduce(lambda acc, c: acc * v + c, reversed(t), 0) for t in (self.n, self.d))
+        if not d:
+            raise PoleError("pole of rational function")
+        return Fraction(n, d)
 
     def deriv(self) -> "RatFun":
-        if self.den.degree == 0:
-            return RatFun._canonical(self.num.deriv(), _ONE)
-        return RatFun(
-            self.num.deriv() * self.den - self.num * self.den.deriv(),
-            self.den * self.den,
-        )
+        dn, dd = (tuple(k * c for k, c in enumerate(t) if k) for t in (self.n, self.d))
+        num = _add(_mul(dn, self.d), _mul(self.n, _mul(dd, (-1,))))
+        return RatFun._make(*_coprime(num, _mul(self.d, self.d)))
 
     def to_text(self, var: str = "s") -> str:
         n = self.num.to_text(var)
-        if self.den.degree == 0:
-            return n
-        return f"({n})/({self.den.to_text(var)})"
+        return n if len(self.d) == 1 else f"({n})/({self.den.to_text(var)})"
 
     def __repr__(self):
         return f"RatFun({self.to_text()})"
 
 
-_ONE = UniPoly.const(1)
-
-
-def _cancel(num: UniPoly, den: UniPoly) -> tuple[UniPoly, UniPoly]:
-    """Divide ``num`` and ``den`` by their monic gcd; a constant on either
-    side is coprime to the other, so no Euclid step runs then."""
-    if num.degree > 0 and den.degree > 0:
-        g = UniPoly.gcd(num, den)
-        if g.degree > 0:
-            return num // g, den // g
-    return num, den
+def _operand(v):
+    """``v`` as a ``RatFun``, or None for a type the arithmetic does not take."""
+    return RatFun.coerce(v) if isinstance(v, (RatFun, int, Fraction, UniPoly)) else None
 
 
 # ---------------------------------------------------------------------------

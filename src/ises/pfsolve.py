@@ -40,8 +40,8 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import Sequence
 
-from .isespoly import NVARS, CatalogEntry, InvertiblePolynomial, _inverse3, _mat_vec
-from .numcore import DomainError, Rat
+from .isespoly import NVARS, CatalogEntry
+from .numcore import DomainError, Rat, solve_linear
 
 __all__ = [
     "DeltaOperator",
@@ -148,11 +148,6 @@ class HGWeights:
         return (self.alpha, self.beta, self.gamma)
 
 
-def _transpose_inverse(poly: InvertiblePolynomial) -> tuple[tuple[Rat, ...], ...]:
-    transposed = [[poly.exponents[j][i] for j in range(NVARS)] for i in range(NVARS)]
-    return _inverse3(transposed)
-
-
 def build_gkz(
     entry: CatalogEntry,
     m: Sequence[int],
@@ -161,9 +156,8 @@ def build_gkz(
     """The (unreduced) period operator for ``phi_r`` in the family ``W + sigma phi_m``."""
     poly = entry.polynomial
     marginal = entry.marginal(m)
-    inv_t = _transpose_inverse(poly)
     shifted = tuple(Fraction(int(ri) + 1) for ri in r)
-    u = _mat_vec(inv_t, shifted)
+    u = solve_linear(list(zip(*poly.exponents)), shifted, NVARS)
     l = marginal.l
     lvec = marginal.l_vector
     left: list[Rat] = [Fraction(-k) for k in range(l)]

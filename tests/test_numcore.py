@@ -1,15 +1,20 @@
 """Tests for the exact arithmetic substrate."""
 
 import copy
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
+from ises.isespoly import get_entry, load_catalog
+from ises.jacobi import groebner
 from ises.numcore import (
+    DomainError,
     MultiPoly,
     NoSolution,
+    PoleError,
     RatFun,
     UniPoly,
     fmt_rat,
@@ -100,6 +105,23 @@ def test_ratfun_arithmetic_and_eval():
     assert (1 / f) == (s - 1) / (s + 2)
     with pytest.raises(ZeroDivisionError):
         f.eval(F(1))
+
+
+def test_poles_are_typed_domain_errors():
+    s = RatFun.variable()
+    f = (s + 2) / (s - 1)
+    with pytest.raises(PoleError) as info:
+        f.eval(F(1))
+    assert isinstance(info.value, DomainError)
+    assert isinstance(info.value, ZeroDivisionError)
+    with pytest.raises(PoleError):
+        f / (s - s)
+    with pytest.raises(PoleError):
+        1 / RatFun.const(0)
+    with pytest.raises(PoleError):
+        (s - s) ** -2
+    with pytest.raises(PoleError):
+        RatFun(upoly(1), UniPoly())
 
 
 @given(small_rats, small_rats, small_rats, small_rats)
@@ -197,6 +219,255 @@ def test_ratfun_fast_paths_match_the_full_gcd_route(operands):
         assert got.den.coeffs[-1] == 1
         assert UniPoly.gcd(got.num, got.den) == 1
         assert all(type(c) is F for c in got.num.coeffs + got.den.coeffs)
+
+
+class FractionRatFun:
+    """The ``Fraction`` kernel that the int ``RatFun`` replaced, kept as a
+    reference: a ``UniPoly`` pair with coprime numerator and monic
+    denominator, cancelled by the ``UniPoly`` Euclidean gcd, with the same
+    constant, shared-denominator and Henrici shortcuts."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den=None):
+        if isinstance(num, (int, F)):
+            num = UniPoly.const(num)
+        if den is None:
+            den = ONE
+        elif isinstance(den, (int, F)):
+            den = UniPoly.const(den)
+        if not den:
+            raise ZeroDivisionError("rational function with zero denominator")
+        if num:
+            num, den = _cancel(num, den)
+            lead = den.coeffs[-1]
+            if lead != 1:
+                num = num * (1 / lead)
+                den = den.monic()
+        else:
+            den = ONE
+        self.num, self.den = num, den
+
+    @classmethod
+    def _canonical(cls, num, den):
+        out = object.__new__(cls)
+        out.num, out.den = num, den if num else ONE
+        return out
+
+    @classmethod
+    def const(cls, c):
+        return cls(UniPoly.const(c))
+
+    @classmethod
+    def variable(cls):
+        return cls(UniPoly.variable())
+
+    @staticmethod
+    def coerce(v):
+        if isinstance(v, FractionRatFun):
+            return v
+        if isinstance(v, UniPoly):
+            return FractionRatFun(v)
+        return FractionRatFun.const(v)
+
+    def __bool__(self):
+        return bool(self.num)
+
+    def __eq__(self, other):
+        if isinstance(other, (int, F, UniPoly)):
+            other = FractionRatFun.coerce(other)
+        return (
+            isinstance(other, FractionRatFun)
+            and self.num == other.num
+            and self.den == other.den
+        )
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+    def __add__(self, other):
+        if isinstance(other, (int, F, UniPoly)):
+            other = FractionRatFun.coerce(other)
+        if not isinstance(other, FractionRatFun):
+            return NotImplemented
+        if not other.num:
+            return self
+        if not self.num:
+            return other
+        if self.den == other.den:
+            return FractionRatFun(self.num + other.num, self.den)
+        return FractionRatFun(
+            self.num * other.den + other.num * self.den, self.den * other.den
+        )
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionRatFun._canonical(-self.num, self.den)
+
+    def __sub__(self, other):
+        if isinstance(other, (int, F, UniPoly)):
+            other = FractionRatFun.coerce(other)
+        if not isinstance(other, FractionRatFun):
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, (int, F, UniPoly)):
+            other = FractionRatFun.coerce(other)
+        if not isinstance(other, FractionRatFun):
+            return NotImplemented
+        a, d = _cancel(self.num, other.den)
+        c, b = _cancel(other.num, self.den)
+        return FractionRatFun._canonical(a * c, b * d)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, F, UniPoly)):
+            other = FractionRatFun.coerce(other)
+        if not isinstance(other, FractionRatFun):
+            return NotImplemented
+        if not other:
+            raise ZeroDivisionError("division by zero rational function")
+        lead = 1 / other.num.coeffs[-1]
+        return self * FractionRatFun._canonical(other.den * lead, other.num * lead)
+
+    def __rtruediv__(self, other):
+        return FractionRatFun.coerce(other) / self
+
+    def __pow__(self, n):
+        if n < 0:
+            return FractionRatFun.const(1) / self ** (-n)
+        return FractionRatFun._canonical(self.num**n, self.den**n)
+
+    def eval(self, v):
+        d = self.den.eval(v)
+        if isinstance(d, (int, F)) and d == 0:
+            raise ZeroDivisionError("pole of rational function")
+        return self.num.eval(v) / d
+
+    def deriv(self):
+        if self.den.degree == 0:
+            return FractionRatFun._canonical(self.num.deriv(), ONE)
+        return FractionRatFun(
+            self.num.deriv() * self.den - self.num * self.den.deriv(),
+            self.den * self.den,
+        )
+
+    def to_text(self, var="s"):
+        n = self.num.to_text(var)
+        if self.den.degree == 0:
+            return n
+        return f"({n})/({self.den.to_text(var)})"
+
+
+ONE = UniPoly.const(1)
+
+
+def _cancel(num, den):
+    """Divide num and den by their monic gcd; no Euclid step runs when
+    either side is a constant."""
+    if num.degree > 0 and den.degree > 0:
+        g = UniPoly.gcd(num, den)
+        if g.degree > 0:
+            return num // g, den // g
+    return num, den
+
+
+@st.composite
+def unipoly_pairs(draw):
+    """A (numerator, nonzero denominator) pair of ``UniPoly``s: products of
+    FACTORS, which share factors to cancel, or short random coefficient
+    lists."""
+    if draw(st.booleans()):
+        return (
+            factor_product(draw(small_rats), draw(POWERS)),
+            factor_product(draw(nonzero_rats), draw(POWERS)),
+        )
+    num = UniPoly(draw(st.lists(small_rats, max_size=4)))
+    den = UniPoly(draw(st.lists(small_rats, min_size=1, max_size=4)))
+    return num, den if den else UniPoly.const(draw(nonzero_rats))
+
+
+def assert_same(got: RatFun, want: FractionRatFun):
+    """``got`` is the reference's ``want``: the same ``num`` and ``den`` down
+    to their ``Fraction`` coefficients, and the canonical int pair, so that
+    ``==`` and ``hash`` agree with a fresh construction."""
+    assert structure(got) == (want.num.coeffs, want.den.coeffs)
+    assert all(type(c) is F for c in got.num.coeffs + got.den.coeffs)
+    assert math.gcd(*got.n, *got.d) == 1 and got.d[-1] > 0
+    fresh = RatFun(want.num, want.den)
+    assert got == fresh and hash(got) == hash(fresh)
+    assert got.to_text() == want.to_text()
+
+
+@example((upoly(2), upoly(-4)), (upoly(0, -3), upoly(6, 6)), F(-1, 2), -2, [0] * 5)
+@example((upoly(-1, 0, 1), upoly(-2, 2)), (UniPoly(), upoly(3)), F(0), -1, [1, 0, 0, 0, 0])
+@given(unipoly_pairs(), unipoly_pairs(), small_rats, st.integers(-3, 3), POWERS)
+@seed(1210)
+@settings(max_examples=150, deadline=None)
+def test_int_kernel_matches_the_fraction_reference(p, q, c, k, powers):
+    a, b = RatFun(*p), RatFun(*q)
+    ra, rb = FractionRatFun(*p), FractionRatFun(*q)
+    assert_same(a, ra)
+    assert_same(b, rb)
+    # the same function by another route: both sides times one polynomial
+    g = factor_product(c or 1, powers)
+    assert_same(RatFun(p[0] * g, p[1] * g), ra)
+    cases = [
+        (a + b, ra + rb),
+        (a - b, ra - rb),
+        (a * b, ra * rb),
+        (a + c, ra + c),
+        (c - a, c - ra),
+        (a * c, ra * c),
+        (a * p[1], ra * p[1]),
+        (a.deriv(), ra.deriv()),
+    ]
+    if b:
+        cases += [(a / b, ra / rb), (c / b, c / rb), (b**-1, rb**-1), ((a * b) / b, ra)]
+    else:
+        with pytest.raises(PoleError):
+            a / b
+    if a or k >= 0:
+        cases.append((a**k, ra**k))
+    for got, want in cases:
+        assert_same(got, want)
+    assert (a == b) == (ra == rb)
+    assert (a == c) == (ra == c)
+    assert (a == p[0]) == (ra == p[0])
+    for v in (F(0), F(1), F(-1), c):
+        try:
+            want = ra.eval(v)
+        except ZeroDivisionError:
+            with pytest.raises(PoleError):
+                a.eval(v)
+        else:
+            got = a.eval(v)
+            assert got == want and type(got) is F
+
+
+CATALOG = load_catalog()
+CATALOG_PAIRS = [(e.name, tuple(mar.m)) for e in CATALOG for mar in e.marginals]
+
+
+@pytest.mark.parametrize("name,m", CATALOG_PAIRS)
+def test_groebner_over_the_int_kernel_matches_the_fraction_reference(name, m):
+    entry = get_entry(CATALOG, name)
+    bases = []
+    for ring in (RatFun, FractionRatFun):
+        w = entry.polynomial.polynomial().map_coeffs(ring.coerce)
+        w = w + MultiPoly.monomial(m, ring.variable())
+        basis = groebner([w.partial(i) for i in range(3)], entry.charges)
+        bases.append(
+            [{e: (c.num.coeffs, c.den.coeffs) for e, c in g.terms.items()} for g in basis]
+        )
+    assert len(CATALOG_PAIRS) == 25
+    assert bases[0] == bases[1]
 
 
 def test_unipoly_keeps_fraction_coefficients():
