@@ -56,12 +56,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from math import lcm
-from typing import Mapping, Sequence
+from itertools import combinations_with_replacement, product
+from typing import Sequence
 
 from .isespoly import CatalogEntry, enumerate_group, group_generators
-from .numcore import DomainError, nullspace, parse_rat, rat
+from .numcore import DomainError, nullspace, parse_rat, rat, scaled_ints
 from .wdvv import CorrelatorTable, InconsistentSystem, propagate
 
 __all__ = [
@@ -100,11 +99,6 @@ def _frac3(vec) -> tuple[Fraction, ...]:
     return tuple(rat(x) % 1 for x in vec)
 
 
-def _scaled(phases, scale: int) -> tuple[int, ...]:
-    """Phases on the 1/scale grid, times ``scale``, as ints."""
-    return tuple(t.numerator * (scale // t.denominator) for t in phases)
-
-
 def sector_dimension(mirror_rows, charges, generators, theta) -> int:
     """State-space dimension of the sector with phase vector ``theta``.
 
@@ -128,9 +122,9 @@ def sector_dimension(mirror_rows, charges, generators, theta) -> int:
         for r in mirror_rows
         if all(r[j] == 0 for j in range(3) if j not in fixed)
     ]
-    scale = lcm(*(t.denominator for t in (*charges, *(t for g in generators for t in g))))
-    charges = _scaled(charges, scale)
-    generators = [_scaled(g, scale) for g in generators]
+    scale = scaled_ints([*charges, *(t for g in generators for t in g)])[1]
+    charges = scaled_ints(charges, scale)[0]
+    generators = [scaled_ints(g, scale)[0] for g in generators]
 
     def char_zero(exps, shift_idx=None):
         for gamma in generators:
@@ -184,8 +178,6 @@ def sector_dimension(mirror_rows, charges, generators, theta) -> int:
 class FjrwSector:
     """One group element h with its phases and classification.
 
-    ``index`` holds the catalog chart coordinates when the element lies in
-    the chart spanned by the catalog's scheme generators, else None.
     ``degree`` is the grading of the narrow generator e_h; None for broad
     sectors (their forms carry degrees the narrow data cannot see).
     ``dim`` counts the states of the sector: one for narrow, the number of
@@ -195,7 +187,6 @@ class FjrwSector:
     theta: tuple[Fraction, ...]
     narrow: bool
     degree: Fraction | None
-    index: tuple[int, ...] | None = None
     dim: int = 1
 
 
@@ -223,7 +214,17 @@ class FourPointBreakdown:
 
 
 class FjrwTheory:
-    """Sectors, ring generators and correlators for one catalog entry."""
+    """Sectors, ring generators and correlators for one catalog entry.
+
+    The state space is derived from the exponent matrix alone: the sectors
+    are the group of W^T, the grading element J is the sector q^T, the top
+    sector is its inverse 1 - q^T, and the narrow count and the broad
+    dimensions come from :func:`sector_dimension`.  Of the catalog's fjrw
+    block only the chart (``scheme``), the ring generators ``rho``, the
+    fixtures and ``excluded`` (with its ``reason``) are read; the chart
+    only translates the integer indices of ``rho``, the fixtures and
+    :meth:`sector` into phase vectors.
+    """
 
     def __init__(self, entry: CatalogEntry):
         raw = entry.fjrw
@@ -239,8 +240,8 @@ class FjrwTheory:
         # the group of W^T, its phases scaled to ints by the lcm L of their
         # denominators; q = J is a sector, so qL is an int vector too
         group = enumerate_group(entry.polynomial.transpose().exponents)
-        scale = self._scale = lcm(*(t.denominator for th in group for t in th))
-        self._scaled = {th: _scaled(th, scale) for th in group}
+        scale = self._scale = scaled_ints([t for th in group for t in th])[1]
+        self._scaled = {th: scaled_ints(th, scale)[0] for th in group}
         labels = {v: th for th, v in self._scaled.items()}
 
         def on_grid(phases):
@@ -249,13 +250,18 @@ class FjrwTheory:
                 raise DomainError(f"{entry.name}: chart phases {phases} are not symmetries")
             return [int(x) for x in scaled]
 
-        scheme = raw["scheme"]
-        offset = on_grid(scheme["offset"])
-        steps = [on_grid(step) for step in scheme["steps"]]
-        self.orders = tuple(int(o) for o in scheme["orders"])
+        try:
+            scheme, rho = raw["scheme"], raw["rho"]
+            offset, steps, orders = scheme["offset"], scheme["steps"], scheme["orders"]
+        except KeyError as exc:
+            raise DomainError(f"{entry.name}: the fjrw block has no {exc}") from None
+        if len(steps) != len(orders):
+            raise DomainError(f"{entry.name}: chart steps and orders must align")
+        offset = on_grid(offset)
+        steps = [on_grid(step) for step in steps]
+        self.orders = tuple(int(o) for o in orders)
         self._chart: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
-        self._chart_index: dict[tuple[Fraction, ...], tuple[int, ...]] = {}
-        for index in _index_range(self.orders):
+        for index in product(*map(range, self.orders)):
             theta = labels.get(tuple(
                 (offset[j] + sum(i * step[j] for i, step in zip(index, steps))) % scale
                 for j in range(3)
@@ -265,34 +271,23 @@ class FjrwTheory:
                     f"{entry.name}: chart point {index} is not a symmetry"
                 )
             self._chart[index] = theta
-            self._chart_index.setdefault(theta, index)
 
-        self.sectors = {
-            s.theta: s for s in _sector_list(entry, group, scale, self._chart_index)
-        }
-
-        self.identity = self.sector(raw["J"])
-        if self.identity.theta != self.mirror_charges:
-            raise DomainError(f"{entry.name}: grading element mismatch")
-        self.top = self.sector(raw["top"] if "top" in raw else raw["rho"]["top"])
+        self.sectors = {s.theta: s for s in _sector_list(entry, group, scale)}
+        self.identity = self.sectors[self.mirror_charges]
+        self.top = self.sectors[self.inverse_theta(self.mirror_charges)]
         self.rho = {
-            int(k): self.sector(v) for k, v in raw["rho"].items() if k != "top"
+            int(k): self.sector(v) for k, v in rho.items() if k != "top"
         }
         self.generators = tuple(sorted(self.rho))
-        if self.top.degree != 1:
-            raise DomainError(f"{entry.name}: top sector degree is not 1")
 
         # the group, and so the sector dict, is in sorted order
         self._narrow = tuple(s for s in self.sectors.values() if s.narrow)
-        narrow_count = len(self._narrow)
-        if narrow_count != int(raw["narrow"]):
-            raise DomainError(f"{entry.name}: narrow sector count mismatch")
         self.broad_dims = {
             s.theta: s.dim
             for s in self.sectors.values()
             if not s.narrow and s.dim
         }
-        if narrow_count + sum(self.broad_dims.values()) != entry.milnor:
+        if len(self._narrow) + sum(self.broad_dims.values()) != entry.milnor:
             raise DomainError(f"{entry.name}: state space dimension mismatch")
         self._scaled_q = self._scaled[self.identity.theta]
         self._scaled_broad = frozenset(self._scaled[t] for t in self.broad_dims)
@@ -684,15 +679,6 @@ class FjrwTheory:
         return {w: self.word_value(w)[0] for w in self.weight_one_words()}
 
 
-def _index_range(orders: Sequence[int]):
-    if not orders:
-        yield ()
-        return
-    for rest in _index_range(orders[1:]):
-        for i in range(orders[0]):
-            yield (i,) + rest
-
-
 def _three_partitions(word: tuple[int, ...]):
     """Unordered splittings of an exponent vector into three nonzero parts."""
     seen = set()
@@ -721,24 +707,20 @@ def _subvectors(bound: tuple[int, ...]):
             yield (i,) + rest
 
 
-def _sector_list(
-    entry: CatalogEntry, group, scale: int, chart_index: Mapping
-) -> tuple[FjrwSector, ...]:
+def _sector_list(entry: CatalogEntry, group, scale: int) -> tuple[FjrwSector, ...]:
     """The sectors of ``group``, every diagonal symmetry of W^T, in group
-    order, with chart coordinates looked up in ``chart_index``; degrees are
-    summed on phases scaled by ``scale``."""
+    order; degrees are summed on phases scaled by ``scale``."""
     mirror = entry.polynomial.transpose()
     charges = entry.polynomial.mirror_charges
     generators = group_generators(mirror.exponents)
-    q_total = sum(_scaled(charges, scale))
+    q_total = sum(scaled_ints(charges, scale)[0])
     out = []
     for theta in group:
-        index = chart_index.get(theta)
         if all(theta):
-            degree = Fraction(sum(_scaled(theta, scale)) - q_total, scale)
-            out.append(FjrwSector(theta, True, degree, index))
+            degree = Fraction(sum(scaled_ints(theta, scale)[0]) - q_total, scale)
+            out.append(FjrwSector(theta, True, degree))
         else:
             dim = sector_dimension(mirror.exponents, charges, generators, theta)
-            out.append(FjrwSector(theta, False, None, index, dim))
+            out.append(FjrwSector(theta, False, None, dim))
     return tuple(out)
 

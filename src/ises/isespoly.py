@@ -24,7 +24,9 @@ one for the associated period series).
 :func:`load_catalog` reads a JSON catalog of the thirteen exponent matrices
 together with frozen reference data (marginal rows, state-space bookkeeping,
 q-expansion coefficients) and revalidates every derivable statement at load
-time, raising :class:`SchemaError` on any mismatch.
+time, raising :class:`SchemaError` on any mismatch.  The one exception is
+the FJRW block: it is kept as parsed JSON, and :class:`ises.fjrw.FjrwTheory`
+is the only code that reads and checks it.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from math import lcm
 from typing import Any, Mapping, Sequence
 
 from .numcore import (
@@ -44,7 +45,7 @@ from .numcore import (
     UniPoly,
     inverse,
     parse_rat,
-    rat,
+    scaled_ints,
     solve_linear,
 )
 
@@ -285,8 +286,8 @@ def enumerate_group(exponents: Sequence[Sequence[int]]) -> tuple[tuple[Rat, ...]
     """
     poly = InvertiblePolynomial(exponents)
     generators = group_generators(poly.exponents)
-    scale = lcm(*(t.denominator for gen in generators for t in gen))
-    steps = [tuple(t.numerator * (scale // t.denominator) for t in gen) for gen in generators]
+    scale = scaled_ints([t for gen in generators for t in gen])[1]
+    steps = [scaled_ints(gen, scale)[0] for gen in generators]
     seen = {(0, 0, 0)}
     frontier = list(seen)
     while frontier:
@@ -335,9 +336,7 @@ class MarginalData:
         m = tuple(int(e) for e in m)
         if poly.weighted_degree(m) != 1:
             raise DomainError(f"monomial {m} is not of weighted degree one")
-        w = solve_linear(list(zip(*poly.exponents)), m, NVARS)
-        ell = lcm(*(f.denominator for f in w))
-        lvec = tuple(int(f * ell) for f in w)
+        lvec, ell = scaled_ints(solve_linear(list(zip(*poly.exponents)), m, NVARS))
         c = Fraction(1)
         for li in lvec:
             if li:
@@ -495,63 +494,6 @@ def _validate_modular_block(name: str, entry_dict: Mapping[str, Any], entry: Cat
         raise _ctx(where, f"P at the puncture is {val}, not {entry.P_at_puncture}")
 
 
-def _validate_fjrw_block(name: str, entry: CatalogEntry) -> None:
-    """Light structural checks; the state-space module revalidates in depth."""
-    where = f"entry {name} fjrw"
-    block = entry.fjrw
-    if block is None:
-        return
-    if block.get("excluded"):
-        return
-    scheme = _need(block, "scheme", where)
-    offset = [_parse_rat_field(v, where) for v in _need(scheme, "offset", where)]
-    steps = [[_parse_rat_field(v, where) for v in s] for s in _need(scheme, "steps", where)]
-    orders = _need(scheme, "orders", where)
-    if len(steps) != len(orders):
-        raise _ctx(where, "steps and orders must align")
-    mirror_poly = entry.polynomial.transpose()
-    group = set(enumerate_group(mirror_poly.exponents))
-
-    def resolve(index: Sequence[int]) -> tuple[Rat, ...]:
-        if len(index) != len(steps):
-            raise _ctx(where, f"sector index {index} has wrong arity")
-        phases = list(offset)
-        for i, s in zip(index, steps):
-            for k in range(NVARS):
-                phases[k] += i * s[k]
-        phases = tuple(p % 1 for p in phases)
-        if phases not in group:
-            raise _ctx(where, f"sector {tuple(index)} -> {phases} is not a symmetry")
-        return phases
-
-    if tuple(Fraction(v) % 1 for v in offset) not in group:
-        raise _ctx(where, "scheme offset is not a symmetry of the transpose")
-    for s in steps:
-        if tuple(Fraction(v) % 1 for v in s) not in group:
-            raise _ctx(where, f"step {s} is not a symmetry of the transpose")
-    qt = entry.mirror_charges
-    j_phase = resolve(_need(block, "J", where))
-    if j_phase != tuple(q % 1 for q in qt):
-        raise _ctx(where, f"J sector {j_phase} must carry the transpose weights")
-    rho = _need(block, "rho", where)
-    top_phase = resolve(_need(rho, "top", where))
-    if top_phase != tuple((1 - q) % 1 for q in qt):
-        raise _ctx(where, "top sector must carry phases 1 - qT")
-    for key, idx in rho.items():
-        if key != "top":
-            resolve(idx)
-    for fixture in block.get("broad", []):
-        resolve(_need(fixture, "index", where))
-    narrow = _need(block, "narrow", where)
-    actual = sum(1 for g in group if all(p != 0 for p in g))
-    if actual != narrow:
-        raise _ctx(where, f"narrow sector count is {actual}, not {narrow}")
-    broad = block.get("broad", [])
-    total = narrow + sum(int(_need(b, "dim", where)) for b in broad)
-    if total != entry.milnor:
-        raise _ctx(where, f"state space dimension {total} != Milnor number {entry.milnor}")
-
-
 def _validate_gepner_block(name: str, entries: Mapping[str, CatalogEntry]) -> None:
     entry = entries[name]
     block = entry.gepner
@@ -596,7 +538,7 @@ def _parse_entry(d: Mapping[str, Any]) -> CatalogEntry:
     if poly.milnor_number != milnor:
         raise _ctx(where, f"Milnor number is {poly.milnor_number}, not {milnor}")
     L = _need(d, "L", where)
-    if lcm(*(q.denominator for q in poly.charges)) != L:
+    if scaled_ints(poly.charges)[1] != L:
         raise _ctx(where, "L must be the lcm of the weight denominators")
     j_zero = _parse_rat_field(_need(d, "jZero", where), where)
 
@@ -689,7 +631,6 @@ def _parse_entry(d: Mapping[str, Any]) -> CatalogEntry:
         notes=notes,
     )
     _validate_modular_block(name, d, entry)
-    _validate_fjrw_block(name, entry)
     return entry
 
 

@@ -54,7 +54,6 @@ monomial past a pure power in the reverse-lexicographic order.)
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -71,6 +70,7 @@ from .numcore import (
     inverse,
     monomials_of_weighted_degree,
     nullspace,  # noqa: F401  (traced bench runs wrap it by name)
+    scaled_ints,
     solve_columns,
     solve_linear,  # noqa: F401  (traced bench runs wrap it by name)
 )
@@ -107,14 +107,6 @@ class FlatSectionPole(DomainError):
 # ---------------------------------------------------------------------------
 
 
-def _scaled_weights(weights: Sequence[Rat]) -> tuple[int, tuple[int, ...]]:
-    """The lcm L of the weights' denominators and the weights times L, so
-    that L times a weighted degree is an int."""
-    ws = [Fraction(w) for w in weights]
-    scale = math.lcm(*(w.denominator for w in ws))
-    return scale, tuple(int(w * scale) for w in ws)
-
-
 def order_key(weights: Sequence[Rat]) -> Callable[[Exps], tuple]:
     """Sort key realizing graded reverse-lexicographic order, X1 > X2 > X3,
     graded by the weighted degree ``sum weights[i]*e[i]``.
@@ -124,7 +116,7 @@ def order_key(weights: Sequence[Rat]) -> Callable[[Exps], tuple]:
     The degrees are compared as ints, scaled by the lcm of the weights'
     denominators, which is the same order.
     """
-    _, (w1, w2, w3) = _scaled_weights(weights)
+    (w1, w2, w3), _ = scaled_ints(weights)
 
     def key(e: Exps) -> tuple:
         return (w1 * e[0] + w2 * e[1] + w3 * e[2], -e[2], -e[1], -e[0])
@@ -548,7 +540,7 @@ class JacobianAlgebra:
         pins to 0.  The solution that is 0 on them is unique, so both routes
         agree.
         """
-        scale, w = _scaled_weights(self.weights)
+        w, scale = scaled_ints(self.weights)
         cols: list[tuple[int, Exps, int]] = []
         for i in range(NVARS):
             target = int(deg * scale) + w[i]
@@ -682,21 +674,12 @@ class JacobianAlgebra:
                 value += c * self._residue_jet(shifted)[0]
         return self.k_constant * value
 
-    def fourpoint_raw(self, exps: Sequence[int]) -> Rat:
-        """Four-point function with a single raw monomial insertion (no flat
-        correction) and one marginal: K * R'(0) for R = residue(X^exps)."""
-        return self.k_constant * self._residue_jet(tuple(int(e) for e in exps))[1]
-
-    def raw_marginal_vector(self) -> tuple[Rat, Rat, Rat]:
-        """The raw four-point values at the three monomials of W itself."""
-        return tuple(self.fourpoint_raw(row) for row in self.entry.polynomial.exponents)
-
     def weight_one_triples(self) -> tuple[tuple[Exps, Exps, Exps], ...]:
         """All multisets {r1, r2, r3} of basis exponents of non-integral
         degree whose degrees sum to 1 (the domain of the four-point table),
         each listed once in the order of the monomial order."""
         if self._triples is None:
-            scale, w = _scaled_weights(self.weights)
+            w, scale = scaled_ints(self.weights)
             degrees = {e: w[0] * e[0] + w[1] * e[1] + w[2] * e[2] for e in self.basis}
             frac = [(self._key(e), d, e) for e, d in degrees.items() if d % scale]
             self._triples = tuple(

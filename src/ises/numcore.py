@@ -50,6 +50,15 @@ def parse_rat(text: str) -> Fraction:
     return Fraction(text.strip())
 
 
+def scaled_ints(values, scale=None) -> tuple[tuple[int, ...], int]:
+    """Rationals (ints or ``Fraction``s) on one integer grid: ``(t, L)`` with
+    ``values[i] = t[i] / L``.  ``L`` is the lcm of their denominators, or
+    ``scale`` when given, which each denominator must divide."""
+    if scale is None:
+        scale = math.lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (scale // v.denominator) for v in values), scale
+
+
 def fmt_rat(value) -> str:
     """Render an exact rational as "p/q" ("p" when integral)."""
     f = Fraction(value)
@@ -103,10 +112,13 @@ class UniPoly:
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = UniPoly.const(other)
-        return isinstance(other, UniPoly) and self.coeffs == other.coeffs
+        if not isinstance(other, UniPoly):
+            return NotImplemented  # so a RatFun compares itself
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # a constant equals its coefficient (zero equals 0), so it hashes alike
+        return hash(self.coeff(0)) if len(self.coeffs) < 2 else hash(self.coeffs)
 
     def coeff(self, k: int) -> Fraction:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
@@ -233,13 +245,6 @@ class UniPoly:
 # ---------------------------------------------------------------------------
 
 
-def _ints(p) -> tuple[tuple[int, ...], int]:
-    """An int, ``Fraction`` or ``UniPoly`` as (int tuple t, L) with p = t/L."""
-    cs = p.coeffs if isinstance(p, UniPoly) else (Fraction(p),) if p else ()
-    scale = math.lcm(*(c.denominator for c in cs))
-    return tuple(c.numerator * (scale // c.denominator) for c in cs), scale
-
-
 def _add(a, b):
     out = [x + y for x, y in zip_longest(a, b, fillvalue=0)]
     while out and not out[-1]:
@@ -313,7 +318,10 @@ class RatFun:
     __slots__ = ("n", "d")
 
     def __new__(cls, num, den=1):
-        (n, num_scale), (d, den_scale) = _ints(num), _ints(den)
+        (n, num_scale), (d, den_scale) = (
+            scaled_ints(p.coeffs if isinstance(p, UniPoly) else (Fraction(p),) if p else ())
+            for p in (num, den)
+        )
         if not d:
             raise PoleError("rational function with zero denominator")
         return cls._make(*_coprime(_mul(n, (den_scale,)), _mul(d, (num_scale,))))
@@ -362,7 +370,8 @@ class RatFun:
         return other is not None and self.n == other.n and self.d == other.d
 
     def __hash__(self):
-        return hash((self.n, self.d))
+        # with d constant it equals its UniPoly, and a constant its Fraction
+        return hash(self.num) if len(self.d) == 1 else hash((self.n, self.d))
 
     def __add__(self, other):
         other = _operand(other)

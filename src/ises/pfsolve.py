@@ -37,11 +37,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 from typing import Sequence
 
 from .isespoly import NVARS, CatalogEntry
-from .numcore import DomainError, Rat, solve_linear
+from .numcore import DomainError, Rat, scaled_ints, solve_linear
 
 __all__ = [
     "DeltaOperator",
@@ -270,10 +270,8 @@ def annihilation_check(op: DeltaOperator, w: HGWeights, order: int = 30) -> bool
     l = op.step
     for exponent, upper, lower in _series_ratios(w):
         groups = ((l * exponent,), op.left_roots, op.right_roots, upper, lower)
-        d = lcm(*(c.denominator for group in groups for c in group))
-        (e,), left, right, up, low = (
-            [c.numerator * (d // c.denominator) for c in group] for group in groups
-        )
+        d = scaled_ints([c for group in groups for c in group])[1]
+        (e,), left, right, up, low = (scaled_ints(group, d)[0] for group in groups)
         shift = l * d
         prev_num, prev_den, num, den = 0, 1, 1, 1
         for k in range(order + 1):

@@ -71,10 +71,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import lcm
 from typing import Iterable, Mapping, Sequence
 
-from .numcore import DomainError, NoSolution, Rat, inverse, rat
+from .numcore import DomainError, NoSolution, Rat, inverse, rat, scaled_ints
 
 __all__ = [
     "CorrelatorTable",
@@ -170,9 +169,7 @@ class CorrelatorTable:
         self._weight = None
         self._scale = 1
         if degrees is not None:
-            degree = [rat(degrees[label]) for label in self.labels]
-            self._scale = lcm(*(x.denominator for x in degree))
-            self._weight = tuple(int(x * self._scale) for x in degree)
+            self._weight, self._scale = scaled_ints([rat(degrees[label]) for label in self.labels])
         self._pairing = self._symmetrized(pairing)
         self._dual_groups = self._group_duals(self._invert_pairing())
         self._values: dict = {}

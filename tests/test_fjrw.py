@@ -1,5 +1,7 @@
 """FJRW sectors, the narrow correlator tables and weight-one words."""
 
+import copy
+import dataclasses
 from fractions import Fraction as F
 from functools import cache
 from itertools import combinations_with_replacement, product
@@ -17,7 +19,8 @@ from ises.fjrw import (
     sector_dimension,
 )
 from ises.isespoly import enumerate_group, get_entry, group_generators, load_catalog
-from ises.numcore import DomainError, nullspace
+from ises.jacobi import groebner, normal_form
+from ises.numcore import DomainError, MultiPoly, nullspace
 from ises.wdvv import _instances, check_residuals
 
 CATALOG = load_catalog()
@@ -439,3 +442,130 @@ def test_sector_dimension_on_generators_matches_the_whole_group():
             if not all(theta):
                 dims.append(dim)
     assert 0 in dims and max(dims) > 1
+
+
+# ---------------------------------------------------------------------------
+# broad sectors by Groebner bases, without sector_dimension
+
+
+def invariant_classes(entry, theta):
+    """Exponents a of the standard monomials x^a of the Milnor algebra of
+    W^T restricted to the coordinates that ``theta`` fixes, for which
+    x^a times the volume form on those coordinates is invariant: (a + 1)
+    theta' is integral for every theta' of the group of W^T."""
+    mirror = entry.polynomial.transpose()
+    q = entry.polynomial.mirror_charges
+    group = enumerate_group(mirror.exponents)
+    fixed = [j for j in range(3) if theta[j] == 0]
+    moved = [j for j in range(3) if j not in fixed]
+    restricted = MultiPoly(
+        {e: c for e, c in mirror.polynomial().terms.items() if not any(e[j] for j in moved)}
+    )
+    basis = groebner([restricted.partial(j) for j in fixed], q)
+    bound = [int(1 / q[j]) + 1 if j in fixed else 0 for j in range(3)]
+    standard = [
+        a
+        for a in product(*(range(b + 1) for b in bound))
+        if normal_form(MultiPoly.monomial(a, F(1)), basis, q) == MultiPoly.monomial(a, F(1))
+    ]
+    return [
+        a for a in standard if all(sum((a[j] + 1) * g[j] for j in fixed) % 1 == 0 for g in group)
+    ]
+
+
+def test_e7_chain322_broad_class_is_in_the_z_twisted_sector():
+    entry = get_entry(CATALOG, "e7-chain322")
+    mirror = entry.polynomial.transpose()
+    assert mirror.to_text() == "X1^3 + X1*X2^2 + X2*X3^2"
+    q = entry.polynomial.mirror_charges
+    group = enumerate_group(mirror.exponents)
+    # the untwisted sector: x^a dV is invariant iff (a + 1) theta is integral
+    candidates = [
+        a
+        for a in product(range(4), repeat=3)
+        if sum(ai * qi for ai, qi in zip(a, q)) <= 1
+        and all(sum((ai + 1) * t for ai, t in zip(a, g)) % 1 == 0 for g in group)
+    ]
+    assert candidates == [(0, 2, 1), (2, 0, 1)]  # y^2 z and x^2 z
+    jacobian = groebner([mirror.polynomial().partial(j) for j in range(3)], q)
+    for a in candidates:
+        assert not normal_form(MultiPoly.monomial(a, F(1)), jacobian, q)
+    assert invariant_classes(entry, (F(0), F(0), F(0))) == []
+    # on z = 0, the sector (0, 0, 1/2) keeps y dx^dy and nothing else
+    assert invariant_classes(entry, (F(0), F(0), F(1, 2))) == [(0, 1, 0)]
+    th = theory("e7-chain322")
+    assert th.broad_dims == {(F(0), F(0), F(1, 2)): 1}
+    frozen = {th.sector(b["index"]).theta: b["dim"] for b in entry.fjrw["broad"]}
+    assert frozen == th.broad_dims
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_broad_dims_are_the_invariant_standard_classes(name):
+    th, entry = theory(name), get_entry(CATALOG, name)
+    derived = {}
+    for theta, sector in th.sectors.items():
+        if not sector.narrow:
+            assert len(invariant_classes(entry, theta)) == sector.dim, theta
+            if sector.dim:
+                derived[theta] = sector.dim
+    assert derived == th.broad_dims
+
+
+# ---------------------------------------------------------------------------
+# the frozen fjrw fields are oracles for the derived state space
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_the_frozen_state_space_fields_match_the_derived_ones(name):
+    th = theory(name)
+    block = get_entry(CATALOG, name).fjrw
+    assert th.sector(block["J"]) is th.identity
+    assert th.identity.theta == th.mirror_charges
+    assert th.sector(block["rho"]["top"]) is th.top
+    assert th.top.degree == 1
+    assert block["narrow"] == len(th.narrow_sectors())
+    frozen = {th.sector(b["index"]).theta: b["dim"] for b in block["broad"]}
+    assert frozen == th.broad_dims
+
+
+def with_fjrw(name, edit):
+    """The catalog entry ``name`` with ``edit`` applied to a copy of its
+    fjrw block."""
+    entry = get_entry(CATALOG, name)
+    block = copy.deepcopy(dict(entry.fjrw))
+    edit(block)
+    return dataclasses.replace(entry, fjrw=block)
+
+
+@pytest.mark.parametrize("step", [["1/3", "5/6", "1/6"], ["1/5", "0", "0"]])
+def test_a_scheme_step_that_is_not_a_symmetry_is_rejected(step):
+    def edit(block):
+        block["scheme"]["steps"] = [step]
+
+    with pytest.raises(DomainError, match="e7-chain322: chart .* not (a )?symmetr"):
+        FjrwTheory(with_fjrw("e7-chain322", edit))
+
+
+def test_a_chart_with_more_orders_than_steps_is_rejected():
+    def edit(block):
+        block["scheme"]["orders"] = [4, 4, 2]
+
+    with pytest.raises(DomainError, match="e7-fermat: chart steps and orders must align"):
+        FjrwTheory(with_fjrw("e7-fermat", edit))
+
+
+@pytest.mark.parametrize("key", ["scheme", "rho"])
+def test_an_fjrw_block_without_its_chart_or_generators_is_rejected(key):
+    def edit(block):
+        del block[key]
+
+    with pytest.raises(DomainError, match=f"e6-fermat: the fjrw block has no '{key}'"):
+        FjrwTheory(with_fjrw("e6-fermat", edit))
+
+
+def test_a_rho_index_of_the_wrong_arity_is_rejected():
+    def edit(block):
+        block["rho"]["1"] = [2]
+
+    with pytest.raises(DomainError, match=r"e8-fermat: sector index \(2,\) needs 2 coordinates"):
+        FjrwTheory(with_fjrw("e8-fermat", edit))

@@ -219,17 +219,6 @@ def test_schema_error_on_wrong_data(tmp_path):
         load_catalog(str(path))
 
 
-def test_schema_error_on_broad_fixture_without_dim(tmp_path):
-    doc = json.loads(_default_catalog_text())
-    (entry,) = [e for e in doc["entries"] if e["name"] == "e6-chain233"]
-    assert entry["fjrw"]["broad"]
-    del entry["fjrw"]["broad"][0]["dim"]
-    path = tmp_path / "no-dim.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(SchemaError, match="entry e6-chain233 fjrw: missing key 'dim'"):
-        load_catalog(str(path))
-
-
 @pytest.mark.parametrize("field", ["phi", "referencePhi"])
 def test_schema_error_on_an_uncatalogued_gepner_marginal(tmp_path, field):
     doc = json.loads(_default_catalog_text())

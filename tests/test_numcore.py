@@ -22,6 +22,7 @@ from ises.numcore import (
     monomials_of_weighted_degree,
     nullspace,
     parse_rat,
+    scaled_ints,
     solve_linear,
 )
 
@@ -122,6 +123,26 @@ def test_poles_are_typed_domain_errors():
         (s - s) ** -2
     with pytest.raises(PoleError):
         RatFun(upoly(1), UniPoly())
+
+
+def test_scaled_ints_puts_rationals_on_one_grid():
+    assert scaled_ints([F(1, 4), 0, F(-5, 6), 2]) == ((3, 0, -10, 24), 12)
+    assert scaled_ints((F(1, 3), F(2, 3)), 12) == ((4, 8), 12)
+    assert scaled_ints(()) == ((), 1)
+    assert all(type(v) is int for v in scaled_ints([F(1, 2), 1])[0])
+
+
+def test_equal_values_hash_alike_across_coefficient_types():
+    assert 1 in {RatFun.const(1)} and F(1, 2) in {RatFun.const(F(1, 2))}
+    assert hash(RatFun.const(0)) == hash(RatFun(UniPoly())) == hash(UniPoly()) == 0
+    assert hash(UniPoly.const(F(-2, 3))) == hash(F(-2, 3))
+    x = UniPoly.variable()
+    assert RatFun.variable() == x == RatFun.variable() and hash(RatFun.variable()) == hash(x)
+    assert RatFun.variable() in {x} and x in {RatFun.variable()}
+    assert x != RatFun(UniPoly(), x + 1) and x != "s"
+    assert hash(RatFun(x * x - 1, 2)) == hash(UniPoly([F(-1, 2), 0, F(1, 2)]))
+    two = MultiPoly.const(F(2)), MultiPoly.const(RatFun.const(2))
+    assert two[0] == two[1] and hash(two[0]) == hash(two[1])
 
 
 @given(small_rats, small_rats, small_rats, small_rats)
