@@ -4,14 +4,20 @@ For a catalog entry with polynomial W, this module works with the
 transposed polynomial W^T acted on by its maximal group of diagonal
 symmetries.  Group elements h are phase vectors Theta(h) in [0,1)^3; the
 state space carries one generator e_h per *narrow* sector (no phase
-component vanishes) plus finitely many *broad* sectors (some component
-vanishes, so the fixed locus is positive-dimensional) whose contributions
-enter only through frozen fixture values.
+component vanishes) plus the classes of the *broad* sectors (some
+component vanishes, so the fixed locus is positive-dimensional), whose
+correlators enter only through frozen fixture values.
 
 Computed from first principles:
 
 * sector classification, gradings deg(e_h) = sum_i (Theta_i(h) - q_i^T),
   and the pairing (e_h pairs with e_{h^-1});
+* the dimension of a broad sector h that fixes the coordinates S: the
+  number of standard monomials x^a of the Milnor ring of W^T restricted to
+  Fix(h), that is of the Groebner basis of (d_j W^T for j in S, X_k for k
+  not in S), whose class x^a dV is invariant: (a + 1) Theta is integral on
+  S for each of the three group generators Theta (Krawitz,
+  arXiv:0906.0796); it depends on S only;
 * line bundle degrees d_j = q_j^T (2g - 2 + n) - sum_k Theta_j(h_k) and
   their integrality (the correlator vanishes unless all d_j are integers);
 * three-point values on narrow sectors: 1 when every d_j = -1, and a
@@ -59,8 +65,9 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from typing import Sequence
 
-from .isespoly import CatalogEntry, enumerate_group, group_generators
-from .numcore import DomainError, nullspace, parse_rat, rat, scaled_ints
+from .isespoly import CatalogEntry, InvertiblePolynomial, enumerate_group, group_generators
+from .jacobi import groebner, standard_monomials
+from .numcore import DomainError, MultiPoly, parse_rat, rat, scaled_ints
 from .wdvv import CorrelatorTable, InconsistentSystem, propagate
 
 __all__ = [
@@ -99,79 +106,21 @@ def _frac3(vec) -> tuple[Fraction, ...]:
     return tuple(rat(x) % 1 for x in vec)
 
 
-def sector_dimension(mirror_rows, charges, generators, theta) -> int:
-    """State-space dimension of the sector with phase vector ``theta``.
-
-    Narrow sectors carry exactly one class.  For the rest, restrict the
-    mirror polynomial to the coordinates the sector fixes, grade the
-    restricted Milnor algebra by weighted degree and by the characters of
-    the symmetry group (each group element scales a monomial class
-    together with the volume form on the fixed coordinates), and count the
-    classes on which every character vanishes.  ``generators`` is any
-    generating set of the group, such as the three phase vectors of
-    :func:`~ises.isespoly.group_generators`: a character is a homomorphism
-    into Q/Z, so it vanishes on the group when it vanishes on them.
-    Charges, weights and generator phases are scaled to ints by the lcm of
-    their denominators.
-    """
-    fixed = tuple(j for j in range(3) if theta[j] == 0)
-    if not fixed:
-        return 1
-    rows = [
-        r
-        for r in mirror_rows
-        if all(r[j] == 0 for j in range(3) if j not in fixed)
-    ]
-    scale = scaled_ints([*charges, *(t for g in generators for t in g)])[1]
-    charges = scaled_ints(charges, scale)[0]
-    generators = [scaled_ints(g, scale)[0] for g in generators]
-
-    def char_zero(exps, shift_idx=None):
-        for gamma in generators:
-            total = sum((exps[k] + 1) * gamma[j] for k, j in enumerate(fixed))
-            if shift_idx is not None:
-                total -= gamma[shift_idx]
-            if total % scale:
-                return False
-        return True
-
-    socle = sum(scale - 2 * charges[j] for j in fixed)
-    by_weight: dict[int, list[tuple[int, ...]]] = {}
-
-    def enumerate_monomials(pos, prefix, weight):
-        if pos == len(fixed):
-            by_weight.setdefault(weight, []).append(tuple(prefix))
-            return
-        q = charges[fixed[pos]]
-        e = 0
-        while weight + e * q <= socle:
-            enumerate_monomials(pos + 1, prefix + [e], weight + e * q)
-            e += 1
-
-    enumerate_monomials(0, [], 0)
-
-    dim = 0
-    for weight, monomials in by_weight.items():
-        columns = {m: k for k, m in enumerate(m for m in monomials if char_zero(m))}
-        if not columns:
-            continue
-        relations = []
-        for pos, j in enumerate(fixed):
-            lower = by_weight.get(weight - (scale - charges[j]), ())
-            for mono in lower:
-                if not char_zero(mono, shift_idx=j):
-                    continue
-                vector = [0] * len(columns)
-                for row in rows:
-                    if row[j] == 0:
-                        continue
-                    shifted = list(mono)
-                    for k, jj in enumerate(fixed):
-                        shifted[k] += row[jj] - (1 if jj == j else 0)
-                    vector[columns[tuple(shifted)]] += row[j]
-                relations.append(vector)
-        dim += len(nullspace(relations, len(columns)))
-    return dim
+def sector_dimension(
+    entry: CatalogEntry, mirror: InvertiblePolynomial, generators, fixed: Sequence[int]
+) -> int:
+    """State-space dimension of a sector that fixes the coordinates
+    ``fixed``, by the broad-sector rule of the module docstring.  ``mirror``
+    is the transposed polynomial of ``entry`` and ``generators`` are the
+    three generators of its group, as :func:`group_generators` gives them.
+    With no fixed coordinate the staircase is the one monomial 1, so a
+    narrow sector counts one."""
+    w, q = mirror.polynomial().map_coeffs(Fraction), mirror.charges
+    basis = groebner([w.partial(j) if j in fixed else MultiPoly.variable(j) for j in range(3)], q)
+    return sum(
+        all(sum((a[j] + 1) * g[j] for j in fixed) % 1 == 0 for g in generators)
+        for a in standard_monomials(basis, q, entry)
+    )
 
 
 @dataclass(frozen=True)
@@ -218,8 +167,8 @@ class FjrwTheory:
 
     The state space is derived from the exponent matrix alone: the sectors
     are the group of W^T, the grading element J is the sector q^T, the top
-    sector is its inverse 1 - q^T, and the narrow count and the broad
-    dimensions come from :func:`sector_dimension`.  Of the catalog's fjrw
+    sector is its inverse 1 - q^T, and the broad dimensions are counted on
+    the staircases of the fixed loci (module docstring).  Of the catalog's fjrw
     block only the chart (``scheme``), the ring generators ``rho``, the
     fixtures and ``excluded`` (with its ``reason``) are read; the chart
     only translates the integer indices of ``rho``, the fixtures and
@@ -234,11 +183,9 @@ class FjrwTheory:
             )
         self.entry = entry
         self.name = entry.name
-        self.charges = entry.polynomial.charges
         self.mirror_charges = entry.polynomial.mirror_charges
 
-        # the group of W^T, its phases scaled to ints by the lcm L of their
-        # denominators; q = J is a sector, so qL is an int vector too
+        # the group of W^T and its phases scaled by L (module docstring)
         group = enumerate_group(entry.polynomial.transpose().exponents)
         scale = self._scale = scaled_ints([t for th in group for t in th])[1]
         self._scaled = {th: scaled_ints(th, scale)[0] for th in group}
@@ -373,8 +320,7 @@ class FjrwTheory:
 
     def _degrees(self, phases) -> tuple[int, ...]:
         """Genus-zero line bundle degrees d_j = (n - 2) q_j - sum_k
-        Theta_j(h_k) of n insertions, all scaled by L: each is an int, and
-        integral exactly when L divides it."""
+        Theta_j(h_k) of n insertions, scaled by L."""
         n = len(phases)
         return tuple(
             (n - 2) * qj - sum(a[j] for a in phases) for j, qj in enumerate(self._scaled_q)
@@ -488,10 +434,9 @@ class FjrwTheory:
         return True
 
     def _nodes_narrow(self, half, extra) -> bool:
-        """The node check of one half, on phases scaled to ints by the lcm L
-        of their denominators: each node is ((|S|+1) qL - sum(left L) -
-        sum(S L)) mod L, looked up among the scaled broad sectors of
-        positive dimension."""
+        """The node check of one half, on scaled phases: each node is
+        ((|S|+1) qL - sum(left L) - sum(S L)) mod L, looked up among the
+        scaled broad sectors of positive dimension."""
         scale, q, phases = self._scale, self._scaled_q, self._narrow_phases
         nodes = [tuple(qj - sum(phases[i][j] for i in half) for j, qj in enumerate(q))]
         for x in extra:
@@ -709,18 +654,22 @@ def _subvectors(bound: tuple[int, ...]):
 
 def _sector_list(entry: CatalogEntry, group, scale: int) -> tuple[FjrwSector, ...]:
     """The sectors of ``group``, every diagonal symmetry of W^T, in group
-    order; degrees are summed on phases scaled by ``scale``."""
+    order; degrees are summed on phases scaled by ``scale``.  A broad
+    dimension depends only on the fixed coordinates (module docstring), so
+    it is counted once for each set of them."""
     mirror = entry.polynomial.transpose()
-    charges = entry.polynomial.mirror_charges
     generators = group_generators(mirror.exponents)
-    q_total = sum(scaled_ints(charges, scale)[0])
+    q_total = sum(scaled_ints(mirror.charges, scale)[0])
+    dims: dict[tuple[int, ...], int] = {}
     out = []
     for theta in group:
         if all(theta):
             degree = Fraction(sum(scaled_ints(theta, scale)[0]) - q_total, scale)
             out.append(FjrwSector(theta, True, degree))
         else:
-            dim = sector_dimension(mirror.exponents, charges, generators, theta)
-            out.append(FjrwSector(theta, False, None, dim))
+            fixed = tuple(j for j in range(3) if not theta[j])
+            if fixed not in dims:
+                dims[fixed] = sector_dimension(entry, mirror, generators, fixed)
+            out.append(FjrwSector(theta, False, None, dims[fixed]))
     return tuple(out)
 

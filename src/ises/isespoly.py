@@ -44,6 +44,7 @@ from .numcore import (
     Rat,
     UniPoly,
     inverse,
+    monomials_of_weighted_degree,
     parse_rat,
     scaled_ints,
     solve_linear,
@@ -119,12 +120,14 @@ def mirror_weights(exponents: Sequence[Sequence[int]]) -> tuple[Rat, Rat, Rat]:
 class InvertiblePolynomial:
     """A three-variable invertible quasihomogeneous polynomial.
 
-    Stored as the integer exponent matrix ``E`` whose rows are the monomials.
-    All coefficients are one; the classification of these singularities lets
-    any nonzero coefficients be rescaled away.
+    Stored as the integer exponent matrix ``E`` whose rows are the monomials,
+    with its weights ``charges`` (``E q = 1``) and ``mirror_charges``
+    (``E^T q^T = 1``), solved once.  All coefficients are one; the
+    classification of these singularities lets any nonzero coefficients be
+    rescaled away.
     """
 
-    __slots__ = ("exponents",)
+    __slots__ = ("exponents", "charges", "mirror_charges")
 
     def __init__(self, exponents: Sequence[Sequence[int]]):
         rows = tuple(tuple(int(e) for e in row) for row in exponents)
@@ -135,6 +138,8 @@ class InvertiblePolynomial:
         if _det3(rows) == 0:
             raise DomainError("exponent matrix must be invertible")
         object.__setattr__(self, "exponents", rows)
+        object.__setattr__(self, "charges", charge_vector(rows))
+        object.__setattr__(self, "mirror_charges", mirror_weights(rows))
         self.atoms()  # validates the Fermat/chain/loop structure
 
     def __setattr__(self, *a):
@@ -203,14 +208,6 @@ class InvertiblePolynomial:
         return int(_det3(self.exponents))
 
     @property
-    def charges(self) -> tuple[Rat, Rat, Rat]:
-        return charge_vector(self.exponents)
-
-    @property
-    def mirror_charges(self) -> tuple[Rat, Rat, Rat]:
-        return mirror_weights(self.exponents)
-
-    @property
     def is_simple_elliptic(self) -> bool:
         return sum(self.charges) == 1
 
@@ -241,18 +238,9 @@ class InvertiblePolynomial:
         return sum(Fraction(e) * q[i] for i, e in enumerate(exps))
 
     def degree_one_monomials(self) -> tuple[tuple[int, int, int], ...]:
-        """All monomial exponent triples of weighted degree one."""
+        """All monomial exponent triples of weighted degree one, sorted."""
         q = self.charges
-        out = []
-        b0 = int(1 / q[0]) + 1
-        b1 = int(1 / q[1]) + 1
-        b2 = int(1 / q[2]) + 1
-        for a in range(b0):
-            for b in range(b1):
-                for c in range(b2):
-                    if a * q[0] + b * q[1] + c * q[2] == 1:
-                        out.append((a, b, c))
-        return tuple(out)
+        return tuple(monomials_of_weighted_degree(q, 1, [int(1 / qi) for qi in q]))
 
     # -- dunders -------------------------------------------------------------
 
@@ -565,7 +553,7 @@ def _parse_entry(d: Mapping[str, Any]) -> CatalogEntry:
         twhere = f"{where} twisted {row.get('r')}"
         r = _parse_int_triple(_need(row, "r", twhere), twhere)
         tw = _parse_weights(_need(row, "weights", twhere), twhere)
-        deg = sum(Fraction(e) * q for e, q in zip(r, poly.charges))
+        deg = poly.weighted_degree(r)
         if tw[0] + tw[1] - tw[2] != deg:
             raise _ctx(twhere, f"expected alpha + beta - gamma = {deg}")
         twisted.append((r, tw))

@@ -85,6 +85,7 @@ __all__ = [
     "groebner",
     "normal_form",
     "order_key",
+    "standard_monomials",
 ]
 
 Exps = tuple[int, int, int]
@@ -272,6 +273,32 @@ def groebner(gens: Sequence[MultiPoly], weights) -> tuple[MultiPoly, ...]:
     return tuple(g for _, g in out)
 
 
+def standard_monomials(
+    basis: Sequence[MultiPoly], weights, entry: CatalogEntry
+) -> tuple[Exps, ...]:
+    """The staircase of a Groebner basis: the exponents that no leading
+    monomial of ``basis`` divides, in ascending ``order_key(weights)``.
+    They form a monomial basis of the quotient ring, and more than four
+    times the Milnor number of ``entry`` of them raise a DomainError that
+    names it: the quotient is not finite."""
+    key = order_key(weights)
+    lts = [e for e, _, _ in _lead_data(basis, key)]
+    standard: set[Exps] = set()
+    stack: list[Exps] = [(0, 0, 0)]
+    while stack:
+        e = stack.pop()
+        if e in standard or any(_divides(t, e) for t in lts):
+            continue
+        standard.add(e)
+        if len(standard) > 4 * entry.milnor:
+            raise DomainError(f"{entry.name}: quotient is not finite")
+        stack.extend(
+            (e[0] + (i == 0), e[1] + (i == 1), e[2] + (i == 2))
+            for i in range(NVARS)
+        )
+    return tuple(sorted(standard, key=key))
+
+
 # ---------------------------------------------------------------------------
 # Flat sections to first order
 # ---------------------------------------------------------------------------
@@ -334,7 +361,7 @@ class JacobianAlgebra:
         self.groebner_basis = groebner(self.partials, self.weights)
         self._gbdata = _lead_data(self.groebner_basis, self._key)
 
-        self.staircase = self._standard_monomials()
+        self.staircase = standard_monomials(self.groebner_basis, self.weights, entry)
         if len(self.staircase) != entry.milnor:
             raise DomainError(
                 f"{entry.name}: quotient dimension {len(self.staircase)} "
@@ -389,23 +416,6 @@ class JacobianAlgebra:
     def _degree(self, e: Exps) -> Rat:
         w = self.weights
         return w[0] * e[0] + w[1] * e[1] + w[2] * e[2]
-
-    def _standard_monomials(self) -> tuple[Exps, ...]:
-        lts = [e for e, _, _ in self._gbdata]
-        standard: set[Exps] = set()
-        stack: list[Exps] = [(0, 0, 0)]
-        while stack:
-            e = stack.pop()
-            if e in standard or any(_divides(t, e) for t in lts):
-                continue
-            standard.add(e)
-            if len(standard) > 4 * self.entry.milnor:
-                raise DomainError(f"{self.entry.name}: quotient is not finite")
-            stack.extend(
-                (e[0] + (i == 0), e[1] + (i == 1), e[2] + (i == 2))
-                for i in range(NVARS)
-            )
-        return tuple(sorted(standard, key=self._key))
 
     def _change_of_basis(self) -> list[list[RatFun]]:
         """Matrix whose column b holds the staircase coordinates of the

@@ -302,9 +302,8 @@ def weight_report(
     the entry, m and r in front of its message.
     """
     op = build_gkz(entry, m, r)
-    deg_phi = sum(Fraction(int(v)) * q for v, q in zip(r, entry.polynomial.charges))
     try:
-        weights = to_hg_weights(reduce_left_divisors(op), deg_phi)
+        weights = to_hg_weights(reduce_left_divisors(op), entry.polynomial.weighted_degree(r))
         return weights, annihilation_check(op, weights)
     except DomainError as exc:
         raise type(exc)(f"{entry.name} m={tuple(m)} r={tuple(r)}: {exc}") from exc

@@ -367,12 +367,14 @@ def test_table_seed_matches_the_fraction_form(name, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# sector dimensions: characters on the generators against the whole group
+# sector dimensions: the staircase count against a character nullspace
 
 
 def group_sector_dimension(mirror_rows, charges, group, theta):
-    """The Fraction form of ``sector_dimension``, testing every character on
-    every element of ``group``."""
+    """The dimension of the sector ``theta`` by linear algebra over Q: per
+    weighted degree, the invariant monomials of the fixed coordinates
+    modulo the invariant multiples of the restricted partials, testing
+    every character on every element of ``group``."""
     fixed = tuple(j for j in range(3) if theta[j] == 0)
     if not fixed:
         return 1
@@ -434,7 +436,8 @@ def test_sector_dimension_on_generators_matches_the_whole_group():
         generators = group_generators(mirror.exponents)
         assert len(generators) == 3
         for theta in group:
-            dim = sector_dimension(mirror.exponents, charges, generators, theta)
+            fixed = tuple(j for j in range(3) if theta[j] == 0)
+            dim = sector_dimension(entry, mirror, generators, fixed)
             assert dim == group_sector_dimension(mirror.exponents, charges, group, theta), (
                 entry.name,
                 theta,

@@ -18,6 +18,7 @@ from ises.jacobi import (
     JacobianAlgebra,
     groebner,
     order_key,
+    standard_monomials,
 )
 from ises.numcore import (
     DomainError,
@@ -250,6 +251,24 @@ def test_normal_form_fixes_standard_monomials():
         alg = algebra(name)
         for e in alg.staircase:
             assert alg.normal_form(mono(e)) == mono(e)
+
+
+def test_the_staircase_of_a_monomial_ideal_is_its_complement():
+    entry = get_entry(CATALOG, "e6-fermat")
+    q = entry.charges
+    squares = [MultiPoly.monomial(e, F(1)) for e in ((2, 0, 0), (0, 2, 0), (0, 0, 2))]
+    cube = standard_monomials(groebner(squares, q), q, entry)
+    assert sorted(cube) == [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+    assert list(cube) == sorted(cube, key=order_key(q))
+
+
+def test_an_infinite_staircase_raises_a_domain_error_naming_the_entry():
+    # (X1^2, X2^2) leaves every power of X3 standard
+    entry = get_entry(CATALOG, "e6-fermat")
+    q = entry.charges
+    basis = groebner([MultiPoly.monomial(e, F(1)) for e in ((2, 0, 0), (0, 2, 0))], q)
+    with pytest.raises(DomainError, match="^e6-fermat: quotient is not finite$"):
+        standard_monomials(basis, q, entry)
 
 
 def test_coords_are_dual_to_the_display_basis():

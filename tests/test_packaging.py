@@ -1,6 +1,6 @@
 """Packaging metadata: every console script declared in pyproject.toml
-resolves to a callable of the package, and every name the package
-exports or re-exports exists."""
+resolves to a callable of the package, every name the package exports or
+re-exports exists, and so does every name the traced bench wraps."""
 
 import ast
 import importlib
@@ -11,7 +11,8 @@ import pytest
 
 import ises
 
-PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+ROOT = Path(__file__).resolve().parent.parent
+PYPROJECT = ROOT / "pyproject.toml"
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(ises.__path__, "ises.") if not m.ispkg)
 
@@ -43,3 +44,26 @@ def test_every_name_the_package_imports_exists():
         mod = importlib.import_module("." * node.level + (node.module or ""), "ises")
         for alias in node.names:
             assert hasattr(mod, alias.name), f"{mod.__name__} has no {alias.name}"
+
+
+def test_the_bench_tracer_wraps_and_restores_names_that_exist(monkeypatch):
+    """Traced bench runs swap names in the package's modules for timed
+    wrappers, so deleting or renaming one of those names fails here."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    tracing = importlib.import_module("tracing")
+    workloads = importlib.import_module("workloads")
+    modules = [importlib.import_module(name) for name in MODULES]
+    before = [dict(vars(mod)) for mod in modules]
+    tracer = tracing.Tracer()
+    try:
+        workloads.install_wrappers(tracer)
+        wrapped = [
+            value
+            for mod, names in zip(modules, before)
+            for name, value in vars(mod).items()
+            if names.get(name) is not value
+        ]
+    finally:
+        tracer.unwrap_all()
+    assert wrapped and all(hasattr(value, "__wrapped__") for value in wrapped)
+    assert [dict(vars(mod)) for mod in modules] == before

@@ -14,7 +14,6 @@ from ises.isespoly import (
 )
 from ises.numcore import DomainError, solve_linear
 from ises.pfsolve import (
-    DeltaOperator,
     HGWeights,
     NotSecondOrder,
     ResonantBasis,
