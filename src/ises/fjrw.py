@@ -186,7 +186,8 @@ class FjrwTheory:
         self.mirror_charges = entry.polynomial.mirror_charges
 
         # the group of W^T and its phases scaled by L (module docstring)
-        group = enumerate_group(entry.polynomial.transpose().exponents)
+        mirror = entry.polynomial.transpose()
+        group = enumerate_group(mirror.exponents)
         scale = self._scale = scaled_ints([t for th in group for t in th])[1]
         self._scaled = {th: scaled_ints(th, scale)[0] for th in group}
         labels = {v: th for th, v in self._scaled.items()}
@@ -219,7 +220,7 @@ class FjrwTheory:
                 )
             self._chart[index] = theta
 
-        self.sectors = {s.theta: s for s in _sector_list(entry, group, scale)}
+        self.sectors = {s.theta: s for s in _sector_list(entry, mirror, group, scale)}
         self.identity = self.sectors[self.mirror_charges]
         self.top = self.sectors[self.inverse_theta(self.mirror_charges)]
         self.rho = {
@@ -652,12 +653,11 @@ def _subvectors(bound: tuple[int, ...]):
             yield (i,) + rest
 
 
-def _sector_list(entry: CatalogEntry, group, scale: int) -> tuple[FjrwSector, ...]:
-    """The sectors of ``group``, every diagonal symmetry of W^T, in group
-    order; degrees are summed on phases scaled by ``scale``.  A broad
-    dimension depends only on the fixed coordinates (module docstring), so
-    it is counted once for each set of them."""
-    mirror = entry.polynomial.transpose()
+def _sector_list(entry: CatalogEntry, mirror, group, scale: int) -> tuple[FjrwSector, ...]:
+    """The sectors of ``group``, every diagonal symmetry of ``mirror`` =
+    W^T, in group order; degrees are summed on phases scaled by ``scale``.
+    A broad dimension depends only on the fixed coordinates (module
+    docstring), so it is counted once for each set of them."""
     generators = group_generators(mirror.exponents)
     q_total = sum(scaled_ints(mirror.charges, scale)[0])
     dims: dict[tuple[int, ...], int] = {}

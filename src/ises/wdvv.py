@@ -25,24 +25,27 @@ correlators with (n+1)-point ones.  With one extra slot this is the
 standard identity relating four-point and three-point functions; the
 result is a :class:`LinearForm` in the unknown keys.
 
-Each pair sum is a sum over the Leibniz splits of split factors
+Each pair sum is a sum over the Leibniz splits of the extra slots of
 
-    T(head | tail, d) = sum_{d1 + d2 = d} sum_{k,l} <head, k>_{d1} eta^{kl} <l, tail>_{d2}
+    sum_{d1 + d2 = d} sum_{k,l} <head, k>_{d1} eta^{kl} <l, tail>_{d2}
 
-with head = left pair + left extras and tail = right pair + right extras.
-A split factor depends only on the two multisets and the degree, so each
-scan (one :func:`check_residuals` call, one :func:`propagate` call) keeps
-a memo of them that dies with the scan, and the pair sums of the instances
-sharing a (first pairing, extra, degree) group are kept while that group
-lasts.  When :func:`propagate` solves a key it drops every split factor
-that read the key as unknown, and the pair sums; known values never
-change, so the factors that read only known keys stay exact.
+with head = left pair + left extras and tail = right pair + right extras,
+taken as the sparse dot product of two supports.  The support of a
+multiset m lists the (k, d1) whose key <m, k>_{d1} is nonzero or unknown
+when a scan (one :func:`check_residuals` or :func:`propagate` call)
+starts; a tail support is indexed by the k that eta pairs with its l.
+A scan builds one support per distinct head and tail and never
+invalidates it: no key is added during a scan, :func:`propagate` only
+solves declared unknowns and known values never change, so the live keys
+only shrink and a support stays a superset of them.  Values are read as
+they are used.  The pair sums of a (first pairing, extra, degree) group
+are kept until the next group or the next solved key.
 
-Each split factor is routed by the degree budget.  A table with gradings
-scales them once by L, the lcm of their denominators, to int weights, and
-groups the inverse-pairing rows (k, duals) by the weight of k.  The left
-factor <h_1, ..., h_m, k> meets the budget only when
-weight(k) = (m - 1) L - sum weight(h), so only the rows of that one group
+A support is routed by the degree budget.  A table with gradings scales
+them once by L, the lcm of their denominators, to int weights, and groups
+the inverse-pairing rows (k, duals) by the weight of k.  The key
+<m_1, ..., m_j, k> meets the budget only when
+weight(k) = (j - 1) L - sum weight(m), so only the rows of that one group
 are visited.  This is exact: a key off the budget is never set to a
 nonzero value nor declared unknown, so it reads as zero and could not
 contribute.  A table without gradings keeps every row in one group.
@@ -70,6 +73,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache, partial
 from itertools import combinations_with_replacement
 from typing import Iterable, Mapping, Sequence
 
@@ -349,139 +353,113 @@ def _leibniz_splits(extra: tuple[int, ...]):
 
 
 class _ScanMemo:
-    """The split factors of one scan and the pair sums of its current group.
+    """The supports of one scan and the pair sums of its current group.
 
-    ``factors`` maps (head, tail, degree) to the value of
-    :func:`_split_factor`, and ``readers`` maps each key a factor read as
-    unknown to the factors that read it, for :meth:`forget`.  ``sums`` maps
-    the pairings of the instances sharing ``group`` = (first pairing, extra,
-    degree) to their pair sums.
+    ``heads`` and ``tails`` give the supports of a multiset (module
+    docstring), each built once from the keys that are nonzero or unknown
+    when the memo is made, and ``sums`` maps the pairings of the instances
+    sharing ``group`` = (first pairing, extra, degree) to their pair sums.
+    The cached builders hold the table, not the memo, so a memo is freed
+    as soon as its scan ends.
     """
 
-    __slots__ = ("factors", "readers", "group", "sums", "leibniz")
+    __slots__ = ("heads", "tails", "group", "sums", "leibniz")
 
-    def __init__(self):
-        self.factors: dict = {}
-        self.readers: dict = {}
+    def __init__(self, table: CorrelatorTable):
+        live: dict = {}  # insertions -> (degree, key) of its live keys
+        for key in (*(k for k, v in table._values.items() if v), *table._unknown):
+            ins, degree = key if table.graded else (key, 0)
+            live.setdefault(ins, []).append((degree, key))
+        self.heads = cache(partial(_head_support, table, live))
+        self.tails = cache(partial(_tail_support, table, live))
         self.group = None
         self.sums: dict = {}
-        self.leibniz: dict = {}  # extra -> its Leibniz splits
-
-    def forget(self, key) -> None:
-        """Drop the factors that read ``key`` as unknown, and the pair sums."""
-        for factor in self.readers.pop(key, ()):
-            self.factors.pop(factor, None)
-        self.group = None
+        self.leibniz = cache(_leibniz_splits)
 
 
-_ZERO_FACTOR = (0, ())  # most split factors vanish; they share this value
+def _support(table: CorrelatorTable, live: dict, insertions: tuple[int, ...]) -> list:
+    """(k, duals, degree, key) of each live key <insertions, k>_degree.
 
-
-def _split_factor(table: CorrelatorTable, head, tail, degree):
-    """The split factor T(head | tail, degree) and the unknown keys it read.
-
-    T = sum_{d1 + d2 = degree} sum_{k,l} <head, k>_{d1} eta^{kl} <l, tail>_{d2}
-    on internal keys: head and tail are sorted int tuples, and ungraded
-    tables have the one split d1 = d2 = 0.  The value is ``(constant,
-    terms)``, ``terms`` holding the (unknown key, coefficient) pairs, or
-    None when some term is a product of two unknowns.
-
-    Only the inverse-pairing rows of the k with weight(k) = (m - 1) L - sum
-    weight(head) are visited, m being the length of head.  Any other k puts
-    <head, k> off the degree budget, and such a key is never set to a
-    nonzero value nor declared unknown, so it reads as zero and adds nothing.
+    Only the inverse-pairing rows (k, duals) with weight(k) = (m - 1) L -
+    sum weight(insertions) are visited, m being the length of insertions;
+    any other k puts the key off the degree budget, where it reads as zero.
     """
-    graded = table.graded
-    values, unknown = table._values, table._unknown
     route = None
     if table._weight is not None:
         weight = table._weight
-        route = (len(head) - 1) * table._scale - sum(weight[i] for i in head)
-    splits = [(d1, degree - d1) for d1 in range(degree + 1)] if graded else [(0, 0)]
-    constant = 0
-    terms: dict = {}
-    reads = []
-    for k, duals in table._dual_groups.get(route, ()):
-        left_ins = tuple(sorted(head + (k,)))
-        for d1, d2 in splits:
-            left_key = (left_ins, d1) if graded else left_ins
-            left_unknown = left_key in unknown
-            left = None if left_unknown else values.get(left_key)
-            if not (left_unknown or left):
-                continue
-            acc = Fraction(0)
-            # distinct l give distinct right keys, each with eta^{kl} != 0
-            open_right = []
-            for l, eta in duals:
-                right_ins = tuple(sorted((l,) + tail))
-                right_key = (right_ins, d2) if graded else right_ins
-                if right_key in unknown:
-                    open_right.append((right_key, eta))
-                else:
-                    right = values.get(right_key)
-                    if right:
-                        acc += eta * right
-            reads += (key for key, _ in open_right)
-            if left_unknown:
-                reads.append(left_key)
-                if open_right:
-                    return None, reads
-                if acc:
-                    terms[left_key] = terms.get(left_key, 0) + acc
-            else:
-                if acc:
-                    constant += left * acc
-                for key, eta in open_right:
-                    terms[key] = terms.get(key, 0) + left * eta
-    if constant or terms:
-        return (constant, tuple(terms.items())), reads
-    return _ZERO_FACTOR, reads
+        route = (len(insertions) - 1) * table._scale - sum(weight[i] for i in insertions)
+    return [
+        (k, duals, degree, key)
+        for k, duals in table._dual_groups.get(route, ())
+        for degree, key in live.get(tuple(sorted(insertions + (k,))), ())
+    ]
+
+
+def _head_support(table: CorrelatorTable, live: dict, head: tuple[int, ...]) -> list:
+    """The (k, degree, key) of the live keys <head, k>."""
+    return [(k, d, key) for k, _, d, key in _support(table, live, head)]
+
+
+def _tail_support(table: CorrelatorTable, live: dict, tail: tuple[int, ...]) -> dict:
+    """(k, degree) -> the (key, eta^{kl}) of the live keys <l, tail>."""
+    rows: dict = {}
+    for _, duals, d, key in _support(table, live, tail):
+        for k, eta in duals:
+            rows.setdefault((k, d), []).append((key, eta))
+    return rows
 
 
 def _pair_sum(table: CorrelatorTable, pair, extra, degree, memo: _ScanMemo):
-    """S(left | right) = sum_E T(left + E | right + extra - E, degree).
+    """S(left | right) = sum over the Leibniz splits E of the extra slots of
+    sum_{d1 + d2 = degree} sum_{k,l} <left + E, k>_{d1} eta^{kl} <l, right + extra - E>_{d2}.
 
-    E runs over the Leibniz splits of the extra slots (per slot, so repeated
-    labels acquire the right multiplicities).  Each split factor is taken
-    from ``memo``, or evaluated and recorded there.  Returns ``(constant,
-    terms)``, or None when some split factor is quadratic.
+    E runs per slot, so repeated labels acquire the right multiplicities.
+    The terms are the sparse dot products of the supports in ``memo``, with
+    values read as they are used.  Returns ``(constant, terms)``, or None
+    when some term is a product of two unknowns.
     """
     left_pair, right_pair = pair
-    factors, readers = memo.factors, memo.readers
-    leibniz = memo.leibniz.get(extra)
-    if leibniz is None:
-        leibniz = memo.leibniz[extra] = _leibniz_splits(extra)
+    values, unknown = table._values, table._unknown
+    heads, tails = memo.heads, memo.tails
     constant = 0
     terms: dict = {}
-    for left_extra, right_extra in leibniz:
-        key = (
-            tuple(sorted(left_pair + left_extra)),
-            tuple(sorted(right_pair + right_extra)),
-            degree,
-        )
-        if key in factors:
-            value = factors[key]
-        else:
-            value, reads = _split_factor(table, *key)
-            factors[key] = value
-            for read in reads:
-                readers.setdefault(read, []).append(key)
-        if value is None:
-            return None
-        c, factor_terms = value
-        # most factors vanish: skip the zero Fraction additions
-        if c:
-            constant = constant + c if constant else c
-        for unknown_key, coeff in factor_terms:
-            if unknown_key in terms:
-                coeff += terms[unknown_key]
-            terms[unknown_key] = coeff
+    for left_extra, right_extra in memo.leibniz(extra):
+        head = heads(tuple(sorted(left_pair + left_extra)))
+        if not head:
+            continue
+        tail = tails(tuple(sorted(right_pair + right_extra)))
+        for k, d1, left_key in head:
+            rights = tail.get((k, degree - d1))
+            if rights is None:
+                continue
+            left = None if left_key in unknown else values[left_key]
+            if not (left is None or left):
+                continue
+            # int + Fraction is slow in Python: a sum that is still 0 takes
+            # its first term as it is
+            acc = 0
+            for right_key, eta in rights:
+                if right_key in unknown:
+                    if left is None:
+                        return None
+                    term = left * eta
+                    terms[right_key] = terms[right_key] + term if right_key in terms else term
+                else:
+                    right = values[right_key]
+                    if right:
+                        acc = acc + eta * right if acc else eta * right
+            if not acc:
+                continue
+            if left is None:
+                terms[left_key] = terms[left_key] + acc if left_key in terms else acc
+            else:
+                constant = constant + left * acc if constant else left * acc
     return constant, terms
 
 
 def _residual(table: CorrelatorTable, pair1, pair2, extra, degree, memo=None):
-    """The residual form S(pair1) - S(pair2) of one instance; None when it
-    is quadratic.
+    """The residual S(pair1) - S(pair2) of one instance as ``(constant,
+    terms)``, zero coefficients dropped; None when it is quadratic.
 
     ``memo`` is the :class:`_ScanMemo` of the calling scan (a fresh one when
     None).  The pair sums of the instance's (pair1, extra, degree) group are
@@ -489,7 +467,7 @@ def _residual(table: CorrelatorTable, pair1, pair2, extra, degree, memo=None):
     of a group evaluate their shared first pairing once.
     """
     if memo is None:
-        memo = _ScanMemo()
+        memo = _ScanMemo(table)
     group = (pair1, extra, degree)
     if memo.group != group:
         memo.group = group
@@ -505,7 +483,8 @@ def _residual(table: CorrelatorTable, pair1, pair2, extra, degree, memo=None):
         terms = dict(terms)
         for key, coeff in second_terms.items():
             terms[key] = terms[key] - coeff if key in terms else -coeff
-    return LinearForm(first - second if second else first, terms)
+    constant = first - second if second else first
+    return constant, {key: coeff for key, coeff in terms.items() if coeff}
 
 
 def wdvv_residual(
@@ -528,9 +507,9 @@ def wdvv_residual(
         raise DomainError(
             f"residual of {_describe(table, *instance)} is quadratic in the unknowns"
         )
+    constant, terms = form
     return LinearForm(
-        form.constant,
-        {table._label_key(key): coeff for key, coeff in form.terms.items()},
+        constant, {table._label_key(key): coeff for key, coeff in terms.items()}
     )
 
 
@@ -634,10 +613,8 @@ def propagate(
     ``shuffle_seed`` randomizes the scan order, which must not change the
     outcome.
 
-    The call keeps one split-factor memo for all its passes.  Solving a key
-    drops the memo entries that read that key as unknown and the cached
-    pair sums of the current group; every other entry read known values
-    only, which never change, and stays exact.
+    The call keeps one set of supports for all its passes (module
+    docstring); solving a key drops only the pair sums of the current group.
 
     ``admissible(pair, extra)`` filters instances: when the table's labels
     span only part of a larger state space, only pairings whose forced
@@ -647,7 +624,7 @@ def propagate(
     its degree budget.
     """
     work = table.copy()
-    memo = _ScanMemo()
+    memo = _ScanMemo(work)
     pending = None
     while work._unknown:
         if pending is None:
@@ -660,19 +637,21 @@ def propagate(
         progress = False
         for instance in pending:
             form = _residual(work, *instance, memo)
-            if form is not None and not form.terms:
-                if form.constant:
+            if form is None or len(form[1]) > 1:
+                still_open.append(instance)
+                continue
+            constant, terms = form
+            if not terms:
+                if constant:
                     raise InconsistentSystem(
                         f"known instance {_describe(work, *instance)}"
-                        f" has residual {form.constant}"
+                        f" has residual {constant}"
                     )
-            elif form is None or len(form.terms) != 1:
-                still_open.append(instance)
-            else:
-                (key, coeff), = form.terms.items()
-                work._set_key(key, -form.constant / coeff)
-                memo.forget(key)
-                progress = True
+                continue
+            (key, coeff), = terms.items()
+            work._set_key(key, -constant / coeff)
+            memo.group = None  # the cached pair sums may read the key
+            progress = True
         if not progress:
             break
         pending = still_open
@@ -694,22 +673,18 @@ def check_residuals(
 
     Raises InconsistentSystem on the first nonzero residual.  Instances
     involving unknowns are skipped.  ``admissible`` receives basis
-    positions and filters pairings as in :func:`propagate`.  The call keeps
-    one split-factor memo, which nothing invalidates since the table does
-    not change.
+    positions and filters pairings as in :func:`propagate`.  The call builds
+    each support once.
     """
     checked = 0
-    memo = _ScanMemo()
-    for pair1, pair2, extra, degree in _instances(
-        table, extra_slots, degrees, admissible
-    ):
-        form = _residual(table, pair1, pair2, extra, degree, memo)
-        if form is None or form.terms:
+    memo = _ScanMemo(table)
+    for instance in _instances(table, extra_slots, degrees, admissible):
+        form = _residual(table, *instance, memo)
+        if form is None or form[1]:
             continue
-        if form.constant:
+        if form[0]:
             raise InconsistentSystem(
-                f"instance {_describe(table, pair1, pair2, extra, degree)} "
-                f"has residual {form.constant}"
+                f"instance {_describe(table, *instance)} has residual {form[0]}"
             )
         checked += 1
     return checked

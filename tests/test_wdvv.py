@@ -317,9 +317,10 @@ def rescanning_propagate(table, degrees):
         passes += 1
         for instance in instances:
             form = ises.wdvv._residual(work, *instance)
-            if form is not None and len(form.terms) == 1:
-                (key, coeff), = form.terms.items()
-                work._set_key(key, -form.constant / coeff)
+            if form is not None and len(form[1]) == 1:
+                constant, terms = form
+                (key, coeff), = terms.items()
+                work._set_key(key, -constant / coeff)
                 progress = True
     return work, passes, len(instances)
 
@@ -441,11 +442,11 @@ def assert_routed_residuals(table, degrees, admissible=None, instances=None):
             assert form is None, instance
             shapes["quadratic"] += 1
             continue
-        assert form is not None, instance
-        assert (form.constant, form.terms) == expected, instance
-        if form.terms:
+        assert form == expected, instance
+        constant, terms = form
+        if terms:
             shapes["linear"] += 1
-        elif form.constant:
+        elif constant:
             shapes["constant"] += 1
     return shapes
 
@@ -684,7 +685,7 @@ def test_a_second_scan_computes_no_new_node_verdict(name, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the split-factor memo of a scan
+# the supports of a scan
 # ---------------------------------------------------------------------------
 
 
@@ -757,7 +758,7 @@ def test_every_scanned_instance_is_nonzero_on_a_random_table(orders, instances):
     assert len(scanned) == instances
     for instance in scanned:
         form = ises.wdvv._residual(table, *instance)
-        assert form is not None and form.constant and not form.terms, instance
+        assert form is not None and form[0] and not form[1], instance
 
 
 def test_relations_behind_an_inadmissible_first_pairing_are_scanned():
@@ -771,7 +772,7 @@ def test_relations_behind_an_inadmissible_first_pairing_are_scanned():
             (a, b, c, d), extra, _ = group(instance)
             if instance[0] != ((a, b), (c, d)):
                 assert not theory.narrow_nodes(((a, b), (c, d)), extra)
-                assert ises.wdvv._residual(table, *instance) == 0, (name, instance)
+                assert ises.wdvv._residual(table, *instance) == (0, {}), (name, instance)
                 anchored[name] = anchored.get(name, 0) + 1
     assert anchored == {
         "e7-chain34": 11,
@@ -792,7 +793,7 @@ def normal(pair_sum):
 
 def test_pair_sums_are_symmetric_and_check_residuals_counts_the_known_zeros():
     for name, table, degrees, admissible in scan_tables():
-        memo = ises.wdvv._ScanMemo()
+        memo = ises.wdvv._ScanMemo(table)
         eta = reference_eta(table)
         instances = list(ises.wdvv._instances(table, 1, degrees, admissible))
         swapped = 0
@@ -811,53 +812,82 @@ def test_pair_sums_are_symmetric_and_check_residuals_counts_the_known_zeros():
         assert checked == known_zeros, name
 
 
-# distinct (head, tail, degree) of the check_residuals scan of each closed GW
-# table at D = 1, against the 3,364, 4,588 and 5,180 split factors that a
-# scan without the memo evaluates
-SPLIT_FACTORS = {(3, 3, 3): 1622, (4, 4, 2): 2144, (6, 3, 2): 2340}
-
-
-@pytest.mark.parametrize("orders", ORBIFOLDS, ids=str)
-def test_check_residuals_evaluates_each_split_factor_once(orders, monkeypatch):
-    _, solved = gw_closed(orders)
-    distinct = set()
-    evaluations = 0
-    for pair1, pair2, extra, degree in ises.wdvv._instances(solved, 1, range(2), None):
+def scan_splits(table):
+    """The (head, tail) of every Leibniz split of both pairings of every
+    instance of the scan of a GW table at D = 1, with repeats."""
+    for pair1, pair2, extra, _ in ises.wdvv._instances(table, 1, range(2), None):
         for left_pair, right_pair in (pair1, pair2):
             for left_extra, right_extra in ises.wdvv._leibniz_splits(extra):
                 head = tuple(sorted(left_pair + left_extra))
-                tail = tuple(sorted(right_pair + right_extra))
-                distinct.add((head, tail, degree))
-                evaluations += 1
-    calls = []
-    original = ises.wdvv._split_factor
+                yield head, tuple(sorted(right_pair + right_extra))
 
-    def counted(*args):
-        calls.append(args[1:])
-        return original(*args)
 
-    monkeypatch.setattr(ises.wdvv, "_split_factor", counted)
+# the head supports and tail supports that the check_residuals scan of each
+# closed GW table at D = 1 builds: one for each distinct head, and one for each
+# distinct tail that meets a nonempty head support, against the 3,364, 4,588
+# and 5,180 Leibniz splits that the scan evaluates
+SUPPORTS = {(3, 3, 3): (91, 114), (4, 4, 2): (132, 148), (6, 3, 2): (160, 186)}
+
+
+@pytest.mark.parametrize("orders", ORBIFOLDS, ids=str)
+def test_check_residuals_builds_each_support_once(orders, monkeypatch):
+    _, solved = gw_closed(orders)
+    splits = list(scan_splits(solved))
+    built = {"head": [], "tail": []}
+    for kind in built:
+        original = getattr(ises.wdvv, f"_{kind}_support")
+
+        def counted(table, live, insertions, kind=kind, original=original):
+            built[kind].append(insertions)
+            return original(table, live, insertions)
+
+        monkeypatch.setattr(ises.wdvv, f"_{kind}_support", counted)
     assert check_residuals(solved, degrees=range(2)) > 0
-    assert len(calls) == len(set(calls)) == len(distinct) == SPLIT_FACTORS[orders]
-    assert len(calls) < evaluations
+    heads, tails = built["head"], built["tail"]
+    assert len(heads) == len(set(heads)) and len(tails) == len(set(tails))
+    assert set(heads) == {head for head, _ in splits}
+    assert set(tails) <= {tail for _, tail in splits}
+    assert (len(heads), len(tails)) == SUPPORTS[orders]
+    assert max(SUPPORTS[orders]) < len(splits)
 
 
-def test_propagate_drops_the_split_factors_a_solved_key_makes_stale(monkeypatch):
-    orders = tuple(get_entry(CATALOG, "e6-fermat").qexp["orbifold"])
+def supports(table, insertions):
+    """The head and the tail support of a multiset, as sets."""
+    memo = ises.wdvv._ScanMemo(table)
+    head = set(memo.heads(insertions))
+    tail = {
+        (k, d, key, eta)
+        for (k, d), rows in memo.tails(insertions).items()
+        for key, eta in rows
+    }
+    return head, tail
+
+
+@pytest.mark.parametrize("orders", ORBIFOLDS, ids=str)
+def test_the_supports_of_the_closed_table_are_inside_the_seeded_ones(orders):
+    seeded, solved = gw_closed(orders)
+    # keys solved to 0 stay in a support built before they were solved
+    solved_zero = [key for key in seeded._unknown if solved._values.get(key) == 0]
+    assert solved_zero
+    multisets = {x for split in scan_splits(seeded) for x in split}
+    smaller = 0
+    for insertions in multisets:
+        for closed, before in zip(supports(solved, insertions), supports(seeded, insertions)):
+            assert closed <= before, insertions
+            smaller += closed < before
+    assert smaller
+    # so the supports of the seeded table give the closed table's residuals
+    stale = ises.wdvv._ScanMemo(seeded)
+    for instance in ises.wdvv._instances(solved, 1, range(2), None):
+        expected = ises.wdvv._residual(solved, *instance)
+        assert ises.wdvv._residual(solved, *instance, stale) == expected, instance
+
+
+@pytest.mark.parametrize("orders", ORBIFOLDS, ids=str)
+def test_propagate_never_names_a_solved_key(orders, monkeypatch):
     degrees = range(2)
     seeded = apply_divisor_rule(gw_unknowns(gw_seed_table(orders), 1))
     reference = rescanning_propagate(seeded, degrees)[0]
-    memos = []
-    dropped = []
-    original = ises.wdvv._ScanMemo.forget
-
-    def counted(memo, key):
-        before = len(memo.factors)
-        original(memo, key)
-        memos.append(memo)
-        dropped.append(before - len(memo.factors))
-
-    monkeypatch.setattr(ises.wdvv._ScanMemo, "forget", counted)
     residual = ises.wdvv._residual
     stale = []
 
@@ -865,20 +895,12 @@ def test_propagate_drops_the_split_factors_a_solved_key_makes_stale(monkeypatch)
         # a residual never names a key that an earlier instance solved
         form = residual(table, *args)
         if form is not None:
-            stale.extend(key for key in form.terms if key not in table._unknown)
+            stale.extend(key for key in form[1] if key not in table._unknown)
         return form
 
     monkeypatch.setattr(ises.wdvv, "_residual", checked)
     for seed in (None, 1, 2, 3):
-        memos.clear()
-        dropped.clear()
         solved = propagate(seeded, degrees=degrees, shuffle_seed=seed)
         assert stale == []
-        assert sum(dropped) > 0
         assert solved.known_items() == reference.known_items()
         assert solved.unknown_keys == reference.unknown_keys
-        # every factor the scan kept is exact on the closed table
-        (memo,) = set(memos)
-        assert memo.factors
-        for key, value in memo.factors.items():
-            assert value == ises.wdvv._split_factor(solved, *key)[0], key
