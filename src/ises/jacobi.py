@@ -19,13 +19,14 @@ rational-function field Q(sigma).  This module computes
   which pins the constant K of each family;
 * decompositions (1 - C*sigma^l) * phi_{r+m} = sum_i g_{r,i} * d_i W_sigma
   exhibiting the left-hand side as a Jacobian-ideal member.  The linear
-  system over Q for the sigma-coefficients of the g_i depends only on
-  deg(phi_r) and the sigma-degree bound, so every basis label of one degree
-  is solved in one elimination, with one right-hand column per label; a
-  label that the first bound leaves unsolved is retried alone at the
-  guaranteed bound.  Each result is verified by multiplying the g_i by the
-  sigma-layers of the partials over Q, coefficient by coefficient in
-  (X, sigma);
+  system for the sigma-coefficients of the g_i (int cells, and 1 and -C on
+  the right) depends only on deg(phi_r) and the sigma-degree bound, so
+  every basis label of one degree is solved in one elimination, with one
+  right-hand column per label; a label that the first bound leaves
+  unsolved is retried alone at the guaranteed bound.  Each result is
+  verified in ints, scaled by the lcm of its denominators, by multiplying
+  the g_i by the sigma-layers of the partials coefficient by coefficient
+  in (X, sigma);
 * first-order flat deformations
   delta_r = phi_r - sigma * sum_{r' != r} c_{r,r'}(0) * phi_{r'} + O(sigma^2)
   where the c's are the coefficients of -sum_i d_i g_{r,i} over the
@@ -66,7 +67,6 @@ from .numcore import (
     PoleError,
     Rat,
     RatFun,
-    UniPoly,
     inverse,
     monomials_of_weighted_degree,
     nullspace,  # noqa: F401  (traced bench runs wrap it by name)
@@ -150,7 +150,7 @@ def _sub(a: Exps, b: Exps) -> Exps:
 
 def _shift(f: MultiPoly, s: Exps) -> MultiPoly:
     """X^s * f, by moving exponents only."""
-    return MultiPoly(
+    return MultiPoly._wrap(
         {(e[0] + s[0], e[1] + s[1], e[2] + s[2]): c for e, c in f.terms.items()}
     )
 
@@ -193,7 +193,7 @@ def _reduce(f: MultiPoly, data, key) -> MultiPoly:
                 break
         else:
             remainder[le] = lc
-    return MultiPoly(remainder)
+    return MultiPoly._wrap(remainder)
 
 
 def groebner(gens: Sequence[MultiPoly], weights) -> tuple[MultiPoly, ...]:
@@ -343,20 +343,18 @@ class JacobianAlgebra:
         self._label = f"{entry.name}, m={self.marginal.m}"
         self.weights = entry.charges
         self._key = order_key(self.weights)
+        self._w, self._scale = scaled_ints(self.weights)
 
         w_plain = entry.polynomial.polynomial()
         self.w_sigma = w_plain.map_coeffs(RatFun.coerce) + MultiPoly.monomial(
             mvec, SIGMA
         )
         self.partials = tuple(self.w_sigma.partial(i) for i in range(NVARS))
-        # The sigma-layers over Q: d_i W_sigma = P_i0 + sigma*P_i1, and
-        # _layers[i][d] is P_id.
+        # The sigma-layers: d_i W_sigma = P_i0 + sigma*P_i1 with P_i0 = d_i W
+        # and P_i1 = d_i phi_m, and _layers[i][d] is P_id.
+        phi_m = MultiPoly.monomial(mvec, 1)
         self._layers = tuple(
-            tuple(
-                {e: c.num.coeff(d) for e, c in p.terms.items() if c.num.coeff(d)}
-                for d in (0, 1)
-            )
-            for p in self.partials
+            (w_plain.partial(i).terms, phi_m.partial(i).terms) for i in range(NVARS)
         )
         self.groebner_basis = groebner(self.partials, self.weights)
         self._gbdata = _lead_data(self.groebner_basis, self._key)
@@ -367,7 +365,7 @@ class JacobianAlgebra:
                 f"{entry.name}: quotient dimension {len(self.staircase)} "
                 f"!= Milnor number {entry.milnor}"
             )
-        socles = [e for e in self.staircase if self._degree(e) == 1]
+        socles = [e for e in self.staircase if self._degree(e) == self._scale]
         if len(socles) != 1:
             raise DomainError(f"{entry.name}: top graded piece is not a line")
         self.socle: Exps = socles[0]
@@ -383,7 +381,7 @@ class JacobianAlgebra:
         if entry.basis is not None:
             self.basis = tuple(sorted(entry.basis, key=self._key))
         elif entry.top_monomial is not None:
-            swapped = [e for e in self.staircase if self._degree(e) != 1]
+            swapped = [e for e in self.staircase if self._degree(e) != self._scale]
             swapped.append(tuple(entry.top_monomial))
             self.basis = tuple(sorted(swapped, key=self._key))
         else:
@@ -395,7 +393,7 @@ class JacobianAlgebra:
             except NoSolution:
                 raise DomainError(f"{entry.name}: catalog basis is degenerate") from None
 
-        tops = [e for e in self.basis if self._degree(e) == 1]
+        tops = [e for e in self.basis if self._degree(e) == self._scale]
         if tops != [self.basis[-1]]:
             raise DomainError(f"{entry.name}: basis has no unique top monomial")
         self.top_monomial: Exps = tops[0]
@@ -413,8 +411,9 @@ class JacobianAlgebra:
 
     # -- construction helpers ------------------------------------------------
 
-    def _degree(self, e: Exps) -> Rat:
-        w = self.weights
+    def _degree(self, e: Exps) -> int:
+        """The weighted degree of X^e times ``_scale``."""
+        w = self._w
         return w[0] * e[0] + w[1] * e[1] + w[2] * e[2]
 
     def _change_of_basis(self) -> list[list[RatFun]]:
@@ -491,7 +490,7 @@ class JacobianAlgebra:
         unsolved, and only those, are retried at the guaranteed bound 2l.  A
         label with no decomposition at either bound raises ``NoSolution``
         when it is asked for.  Each result is checked against the identity
-        coefficient by coefficient in (X, sigma) over Q.
+        coefficient by coefficient in (X, sigma).
         """
         rvec = tuple(int(e) for e in r)
         if rvec not in self._decompositions:
@@ -508,16 +507,17 @@ class JacobianAlgebra:
             raise result.with_traceback(None)
         return result
 
-    def _decompose_degree(self, deg: Rat) -> None:
-        """Decompose every non-unit basis label of weighted degree ``deg``,
-        one elimination per sigma-degree bound, into ``_decompositions``."""
+    def _decompose_degree(self, deg: int) -> None:
+        """Decompose every non-unit basis label of scaled weighted degree
+        ``deg``, one elimination per sigma-degree bound, into
+        ``_decompositions``."""
         pending = [e for e in self.basis if e != (0, 0, 0) and self._degree(e) == deg]
         for bound in (2, 2 * self.marginal.l):
             cols, rows, rhs = self._degree_system(deg, pending, bound)
             sols = solve_columns(rows, rhs, len(cols))
             for r, sol in zip(pending, sols):
                 if sol is not None:
-                    self._decompositions[r] = self._assemble(r, sol, cols, bound)
+                    self._decompositions[r] = self._assemble(r, sol, cols)
             pending = [r for r, sol in zip(pending, sols) if sol is None]
             if not pending:
                 return
@@ -528,15 +528,17 @@ class JacobianAlgebra:
 
     def _lhs(self, r: Exps) -> dict[tuple[Exps, int], Rat]:
         """The cells of (1 - C*sigma^l) * X^(r+m), keyed by (exponent,
-        sigma-degree)."""
+        sigma-degree): 1 and -C."""
         mar = self.marginal
         rm = (r[0] + mar.m[0], r[1] + mar.m[1], r[2] + mar.m[2])
-        return {(rm, 0): Fraction(1), (rm, mar.l): Fraction(-mar.C)}
+        return {(rm, 0): 1, (rm, mar.l): -mar.C}
 
-    def _degree_system(self, deg: Rat, labels: Sequence[Exps], bound: int):
+    def _degree_system(self, deg: int, labels: Sequence[Exps], bound: int):
         """The sparse system A x = b_r of the decompositions of ``labels``,
-        all of weighted degree ``deg``, at sigma-degree ``bound``; returns
-        (column labels, rows, one right-hand column per label).
+        all of scaled weighted degree ``deg``, at sigma-degree ``bound``;
+        returns (column labels, rows, one right-hand column per label).  The
+        cells of A are the int coefficients of the sigma-layers, and those
+        of b_r are 1 and -C.
 
         A depends on the degree and the bound only; the labels move only the
         right-hand sides, the cells (r + m, 0) and (r + m, l).  The columns
@@ -550,16 +552,16 @@ class JacobianAlgebra:
         pins to 0.  The solution that is 0 on them is unique, so both routes
         agree.
         """
-        w, scale = scaled_ints(self.weights)
+        w = self._w
         cols: list[tuple[int, Exps, int]] = []
         for i in range(NVARS):
-            target = int(deg * scale) + w[i]
+            target = deg + w[i]
             max_exps = tuple(target // w[j] for j in range(NVARS))
             for e in monomials_of_weighted_degree(w, target, max_exps):
                 for d in range(bound + 1):
                     cols.append((i, e, d))
         cols.sort(key=lambda c: (c[2], c[0], self._key(c[1])))
-        entries: dict[tuple[Exps, int], dict[int, Rat]] = {}
+        entries: dict[tuple[Exps, int], dict[int, int]] = {}
         for ci, (i, e, d) in enumerate(cols):
             for shift, layer in enumerate(self._layers[i]):
                 for pe, pc in layer.items():
@@ -572,34 +574,39 @@ class JacobianAlgebra:
         rhs = [{index[kk]: v for kk, v in b.items()} for b in rhs_maps]
         return cols, rows, rhs
 
-    def _assemble(self, rvec: Exps, sol, cols, bound: int) -> tuple[MultiPoly, ...]:
+    def _assemble(self, rvec: Exps, sol, cols) -> tuple[MultiPoly, ...]:
         """The g_i of a solved column, checked against the identity.
 
-        The check multiplies the g_i by the sigma-layers of the partials over
-        Q, not by the system's rows, and compares with
-        (1 - C*sigma^l) * X^(r+m) coefficient by coefficient in (X, sigma).
+        The check scales the solution by the lcm L of its denominators,
+        multiplies the int g_i by the sigma-layers of the partials, not by
+        the system's rows, and compares with L * (1 - C*sigma^l) * X^(r+m)
+        coefficient by coefficient in (X, sigma).
         """
-        sigma_coeffs: list[dict[Exps, list[Rat]]] = [{}, {}, {}]
-        for value, (i, e, d) in zip(sol, cols):
+        scaled, den = scaled_ints(sol)
+        sigma_coeffs: list[dict[Exps, dict[int, int]]] = [{}, {}, {}]
+        for value, (i, e, d) in zip(scaled, cols):
             if value:
-                acc = sigma_coeffs[i].setdefault(e, [Fraction(0)] * (bound + 1))
-                acc[d] = value
-        total: dict[tuple[Exps, int], Rat] = {}
+                sigma_coeffs[i].setdefault(e, {})[d] = value
+        total: dict[tuple[Exps, int], int] = {}
         for i in range(NVARS):
             for shift, layer in enumerate(self._layers[i]):
                 for pe, pc in layer.items():
                     for e, coeffs in sigma_coeffs[i].items():
                         te = (e[0] + pe[0], e[1] + pe[1], e[2] + pe[2])
-                        for d, c in enumerate(coeffs):
-                            if c:
-                                kk = (te, d + shift)
-                                total[kk] = total.get(kk, 0) + c * pc
-        if {kk: v for kk, v in total.items() if v} != self._lhs(rvec):
+                        for d, c in coeffs.items():
+                            kk = (te, d + shift)
+                            total[kk] = total.get(kk, 0) + c * pc
+        lhs = {kk: den * v for kk, v in self._lhs(rvec).items()}
+        if {kk: v for kk, v in total.items() if v} != lhs:
             raise DomainError(
                 f"{self._label}: decomposition of {rvec} failed verification"
             )
+
+        def over_den(c):  # the int sigma-polynomial {d: c_d} over den
+            return RatFun._make(tuple(c.get(d, 0) for d in range(max(c) + 1)), (den,))
+
         return tuple(
-            MultiPoly({e: RatFun(UniPoly(c)) for e, c in sorted(terms.items())})
+            MultiPoly._wrap({e: over_den(c) for e, c in sorted(terms.items())})
             for terms in sigma_coeffs
         )
 
@@ -611,9 +618,10 @@ class JacobianAlgebra:
         if rvec in self._flats:
             return self._flats[rvec]
         deg_r = self._degree(rvec)
-        if Fraction(deg_r).denominator == 1:
+        if deg_r % self._scale == 0:
             raise IntegralDegree(
-                f"{self._label}: phi_{rvec} has integral degree {deg_r}"
+                f"{self._label}: phi_{rvec} has integral degree "
+                f"{deg_r // self._scale}"
             )
         gs = self.decompose(rvec)
         p = MultiPoly.zero()
@@ -689,8 +697,8 @@ class JacobianAlgebra:
         degree whose degrees sum to 1 (the domain of the four-point table),
         each listed once in the order of the monomial order."""
         if self._triples is None:
-            w, scale = scaled_ints(self.weights)
-            degrees = {e: w[0] * e[0] + w[1] * e[1] + w[2] * e[2] for e in self.basis}
+            scale = self._scale
+            degrees = {e: self._degree(e) for e in self.basis}
             frac = [(self._key(e), d, e) for e, d in degrees.items() if d % scale]
             self._triples = tuple(
                 (a, b, c)

@@ -5,7 +5,9 @@ Provides arbitrary-precision rationals (``Rat``), univariate polynomials over
 int coefficient tuples), multivariate polynomials in three variables with
 pluggable coefficient rings, and one sparse exact elimination kernel behind
 ``solve_columns`` (with ``solve_linear`` over it), ``inverse`` and
-``nullspace``.
+``nullspace``.  On rational input the kernel is fraction-free: primitive
+int rows, kept primitive after each combination and bucketed by leading
+column, with a ``Fraction`` made only for a cell a caller reads.
 
 All values are immutable after construction and all operations are pure.
 Coefficient rings are duck-typed: any type supporting ``+ - *``, division by
@@ -171,41 +173,6 @@ class UniPoly:
             base = base * base
             n >>= 1
         return out
-
-    def divmod(self, other: "UniPoly"):
-        if not other:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(other.coeffs) - 1
-        lead = other.coeffs[-1]
-        if len(rem) <= dq:
-            return UniPoly(), self
-        quo = [Fraction(0)] * (len(rem) - dq)
-        for k in range(len(rem) - dq - 1, -1, -1):
-            c = rem[k + dq] / lead
-            quo[k] = c
-            if c:
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] -= c * b
-        return UniPoly(quo), UniPoly(rem[:dq])
-
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
-
-    def __mod__(self, other):
-        return self.divmod(other)[1]
-
-    @staticmethod
-    def gcd(a: "UniPoly", b: "UniPoly") -> "UniPoly":
-        while b:
-            a, b = b, a % b
-        return a.monic() if a else a
-
-    def monic(self) -> "UniPoly":
-        if not self:
-            return self
-        lead = self.coeffs[-1]
-        return UniPoly(tuple(c / lead for c in self.coeffs))
 
     def eval(self, v):
         out = Fraction(0) if isinstance(v, (int, Fraction)) else v * 0
@@ -481,6 +448,14 @@ class MultiPoly:
                 del d[e]
         object.__setattr__(self, "terms", dict(d))
 
+    @classmethod
+    def _wrap(cls, terms: dict) -> "MultiPoly":
+        """A polynomial that takes over ``terms``, whose keys are already
+        exponent triples and whose coefficients are nonzero, unchecked."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "terms", terms)
+        return out
+
     def __setattr__(self, *a):
         raise AttributeError("MultiPoly is immutable")
 
@@ -527,10 +502,10 @@ class MultiPoly:
                 d[e] = s
             elif e in d:
                 del d[e]
-        return MultiPoly(d)
+        return MultiPoly._wrap(d)
 
     def __neg__(self):
-        return MultiPoly({e: -c for e, c in self.terms.items()})
+        return MultiPoly._wrap({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, MultiPoly):
@@ -548,7 +523,7 @@ class MultiPoly:
                         d[e] = s
                     elif e in d:
                         del d[e]
-            return MultiPoly(d)
+            return MultiPoly._wrap(d)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -557,7 +532,7 @@ class MultiPoly:
     def scale(self, c):
         if not c:
             return MultiPoly()
-        return MultiPoly({e: v * c for e, v in self.terms.items()})
+        return MultiPoly._wrap({e: v * c for e, v in self.terms.items()})
 
     def __pow__(self, n: int):
         out = MultiPoly.const(Fraction(1))
@@ -576,7 +551,7 @@ class MultiPoly:
                 ne = list(e)
                 ne[i] -= 1
                 d[tuple(ne)] = c * e[i]
-        return MultiPoly(d)
+        return MultiPoly._wrap(d)
 
     def map_coeffs(self, fn) -> "MultiPoly":
         return MultiPoly({e: fn(c) for e, c in self.terms.items()})
@@ -632,45 +607,87 @@ def monomials_of_weighted_degree(weights, degree, max_exps) -> list:
 
 
 def _rref(rows, ncols):
-    """Reduced row echelon form of sparse rows, by Gauss-Jordan elimination.
+    """Reduced row echelon form of sparse rows, fraction-free.
 
-    ``rows`` are ``{column: value}`` dicts of nonzero cells, which are
-    reduced in place; only columns below ``ncols`` are pivoted on, and each
-    step touches only nonzero cells.  Returns the pivot rows as
-    ``(column, row)`` pairs in column order, each scaled to a leading 1 and
-    clear in every other pivot column, and the leftover rows, which are
-    empty below ``ncols``.  Int pivots are inverted as ``Fraction``s, so
-    int input stays exact.
+    ``rows`` are ``{column: value}`` dicts of nonzero cells, reduced in
+    place; only columns below ``ncols`` are pivoted on.  Returns the pivot
+    rows as ``(column, row)`` pairs in column order, each clear in every
+    other pivot column and still scaled by its pivot cell (``_cell``
+    divides by it), and the leftover rows, which are empty below ``ncols``.
+
+    When every cell is an int or a ``Fraction``, each row is scaled on
+    entry to a primitive int row (a row scale keeps the solution set).  A
+    combination is ``row = a*row - f*prow``, with a and f divided by their
+    gcd, and the row's content is removed after it, so the loop makes no
+    ``Fraction``.  Otherwise (``RatFun`` cells) each row is divided by its
+    leading cell instead, so that a = 1.  A pending row waits in the bucket
+    of its leading column: all lower columns are done, so the rows to clear
+    at column c are that bucket.  The RREF is unique, so neither the
+    pivot-row choice nor the order of the steps changes it.
     """
-    pending = list(rows)
+    ints = all(isinstance(v, (int, Fraction)) for row in rows for v in row.values())
+    buckets: dict[int, list[dict]] = {}
+    rest = []
+
+    def enqueue(row, lead):
+        if lead is not None:
+            (rest if lead >= ncols else buckets.setdefault(lead, [])).append(row)
+
+    for row in rows:
+        if ints:
+            for k, x in zip(row, scaled_ints(row.values())[0]):
+                row[k] = x
+        enqueue(row, _normalise(row, ints))
     pivots = []
     for c in range(ncols):
-        hits = [i for i, row in enumerate(pending) if c in row]
-        if not hits:
+        hits = buckets.pop(c, None)
+        if hits is None:
             continue
-        prow = pending.pop(min(hits, key=lambda i: len(pending[i])))
-        p = prow[c]
-        if isinstance(p, int):
-            p = Fraction(p)
-        inv = 1 / p
-        for k in prow:
-            prow[k] = prow[k] * inv
-        for row in pending:
-            if c in row:
-                _eliminate(row, prow, c)
-        for _, row in pivots:
-            if c in row:
-                _eliminate(row, prow, c)
+        prow = min(hits, key=len)
+        for row in hits:
+            if row is not prow:
+                enqueue(row, _combine(row, prow, c, ints))
         pivots.append((c, prow))
-        if not pending:
-            break
-    return pivots, pending
+    # Back substitution, last pivot first: clearing a row with a reduced
+    # pivot row brings in no other pivot column.
+    pivot_rows = dict(pivots)
+    for c, row in reversed(pivots):
+        for k in [k for k in row if k != c and k in pivot_rows]:
+            _combine(row, pivot_rows[k], k, ints)
+    return pivots, rest
 
 
-def _eliminate(row, prow, c):
-    """Subtract ``row[c]`` times the unit pivot row ``prow`` from ``row``,
-    which has a (nonzero) cell in column ``c``."""
-    f = row.pop(c)
+def _normalise(row, ints):
+    """Divide ``row`` by the gcd of its int cells, or else by its leading
+    cell, which becomes 1; returns the leading column (None for no cell)."""
+    if not row:
+        return None
+    lead = min(row)
+    if ints:
+        g = math.gcd(*row.values())
+        if g != 1:
+            for k in row:
+                row[k] //= g
+    else:
+        p = row[lead]
+        if p != 1:
+            inv = 1 / (Fraction(p) if isinstance(p, int) else p)
+            for k in row:
+                row[k] *= inv
+        row[lead] = 1
+    return lead
+
+
+def _combine(row, prow, c, ints):
+    """Clear column ``c`` of ``row`` as row = a*row - f*prow, with ``prow``
+    the pivot row of ``c``; normalise it and return its leading column."""
+    a, f = prow[c], row.pop(c)
+    if a != 1:
+        g = math.gcd(a, f)
+        a, f = a // g, f // g
+        if a != 1:
+            for k in row:
+                row[k] *= a
     for k, v in prow.items():
         if k != c:
             x = row.get(k, 0) - f * v
@@ -678,6 +695,14 @@ def _eliminate(row, prow, c):
                 row[k] = x
             else:
                 row.pop(k, None)
+    return _normalise(row, ints)
+
+
+def _cell(row, c, k):
+    """Cell ``k`` of the pivot row of column ``c`` over its pivot cell: a
+    ``Fraction`` for an int cell, 0 for no cell."""
+    v = row.get(k, 0)
+    return Fraction(v, row[c]) if v and isinstance(v, int) else v
 
 
 def _sparse(row):
@@ -713,7 +738,7 @@ def solve_columns(rows, columns, ncols=None) -> list:
             continue
         x = [0] * n
         for c, row in pivots:
-            x[c] = row.get(n + j, 0)
+            x[c] = _cell(row, c, n + j)
         out.append(x)
     return out
 
@@ -741,7 +766,7 @@ def inverse(rows) -> list:
     pivots, _ = _rref([{**_sparse(row), n + i: 1} for i, row in enumerate(rows)], n)
     if len(pivots) < n:
         raise NoSolution("singular matrix")
-    return [[row.get(n + j, 0) for j in range(n)] for _, row in pivots]
+    return [[_cell(row, c, n + j) for j in range(n)] for c, row in pivots]
 
 
 def nullspace(rows, ncols) -> list:
@@ -758,6 +783,6 @@ def nullspace(rows, ncols) -> list:
         v[fc] = 1
         for c, row in pivots:
             if fc in row:
-                v[c] = -row[fc]
+                v[c] = -_cell(row, c, fc)
         basis.append(v)
     return basis

@@ -50,7 +50,6 @@ __all__ = [
     "ResonantBasis",
     "build_gkz",
     "reduce_left_divisors",
-    "all_reductions",
     "to_hg_weights",
     "annihilation_check",
     "weight_report",
@@ -178,20 +177,6 @@ def reduce_left_divisors(op: DeltaOperator) -> DeltaOperator:
         if not pairs:
             return op
         op = op.cancel(min(pairs))
-
-
-def all_reductions(op: DeltaOperator) -> set[tuple[tuple[Rat, ...], tuple[Rat, ...]]]:
-    """Final (left, right) multisets over every greedy cancellation order."""
-    results: set[tuple[tuple[Rat, ...], tuple[Rat, ...]]] = set()
-    stack = [op]
-    while stack:
-        cur = stack.pop()
-        pairs = set(cur.cancellable_pairs())
-        if not pairs:
-            results.add((cur.left_roots, cur.right_roots))
-            continue
-        stack.extend(cur.cancel(c) for c in pairs)
-    return results
 
 
 def to_hg_weights(op: DeltaOperator, deg_phi: Rat) -> HGWeights:

@@ -31,6 +31,7 @@ from ises.numcore import (
     solve_columns,
     solve_linear,
 )
+from test_numcore import _reference_solve
 
 CATALOG = load_catalog()
 
@@ -65,6 +66,11 @@ def build(parts) -> MultiPoly:
 ALL_PAIRS = [
     (entry.name, tuple(mar.m)) for entry in CATALOG for mar in entry.marginals
 ]
+
+
+def degree(alg: JacobianAlgebra, e) -> F:
+    """The weighted degree of X^e under the charges of ``alg``."""
+    return sum((w * x for w, x in zip(alg.weights, e)), F(0))
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +287,7 @@ def test_coords_are_dual_to_the_display_basis():
 def test_unique_top_monomial_per_display_basis():
     for name, m in ALL_PAIRS:
         alg = algebra(name, m)
-        tops = [e for e in alg.basis if alg._degree(e) == 1]
+        tops = [e for e in alg.basis if degree(alg, e) == 1]
         assert tops == [alg.top_monomial]
 
 
@@ -549,6 +555,40 @@ def test_a_wrong_solution_cell_fails_verification(monkeypatch):
         alg.decompose(victim)
 
 
+# The pairs whose four-point table is defined: e7-chain322 with m = (1, 1, 1)
+# has flat sections with a pole at sigma = 0.
+COMPUTABLE_PAIRS = [pair for pair in ALL_PAIRS if pair != ("e7-chain322", (1, 1, 1))]
+
+
+def test_every_catalog_decomposition_system_solves_like_the_dense_reference(
+    monkeypatch,
+):
+    # Real traffic for the fraction-free kernel: every system that the
+    # four-point tables of the computable pairs build, each right-hand
+    # column solved again by the dense Fraction elimination.
+    calls = batch_hooks(monkeypatch)
+    systems = []
+    hooked_solve = jacobi.solve_columns
+
+    def solve(rows, rhs, ncols):
+        sols = hooked_solve(rows, rhs, ncols)
+        systems.append((rows, rhs, ncols, sols))
+        return sols
+
+    monkeypatch.setattr(jacobi, "solve_columns", solve)
+    for name, m in COMPUTABLE_PAIRS:
+        JacobianAlgebra(get_entry(CATALOG, name), m).fourpoint_table()
+    assert len(COMPUTABLE_PAIRS) == 24
+    assert (len(systems), sum(len(labels) for labels, _ in calls)) == (48, 110)
+    assert {bound for _, bound in calls} == {2}  # no label is retried at 2l
+    for rows, rhs, n, sols in systems:
+        dense = [[F(row.get(c, 0)) for c in range(n)] for row in rows]
+        for column, x in zip(rhs, sols):
+            b = [F(column.get(i, 0)) for i in range(len(rows))]
+            assert x == _reference_solve(dense, b, n)
+            assert all(type(v) is F for v in x if v)
+
+
 def test_decompose_rejects_non_basis_exponents():
     with pytest.raises(DomainError, match=r"e6-fermat, m=\(1, 1, 1\): \(5, 5, 5\)"):
         algebra("e6-fermat").decompose((5, 5, 5))
@@ -601,7 +641,7 @@ def greedy_decomposition_system(self, rvec, rm, layers, bound):
     (partial i, monomial, sigma-degree) order, scanned from the highest
     (sigma-degree, partial i, monomial order) down.  Returns (solution,
     column labels)."""
-    deg_r = self._degree(rvec)
+    deg_r = degree(self, rvec)
     cols = []
     for i in range(3):
         target = deg_r + self.weights[i]

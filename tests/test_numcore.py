@@ -35,6 +35,42 @@ def upoly(*cs):
     return UniPoly(tuple(F(c) for c in cs))
 
 
+# Euclid over Q[s] on UniPoly, the reference that the RatFun oracles below
+# cancel with; the package's RatFun runs its own gcd on int tuples.
+
+
+def poly_divmod(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a.coeffs)
+    db = len(b.coeffs) - 1
+    lead = b.coeffs[-1]
+    if len(rem) <= db:
+        return UniPoly(), a
+    quo = [F(0)] * (len(rem) - db)
+    for k in range(len(rem) - db - 1, -1, -1):
+        c = rem[k + db] / lead
+        quo[k] = c
+        if c:
+            for j, v in enumerate(b.coeffs):
+                rem[k + j] -= c * v
+    return UniPoly(quo), UniPoly(rem[:db])
+
+
+def monic(p: UniPoly) -> UniPoly:
+    if not p:
+        return p
+    lead = p.coeffs[-1]
+    return UniPoly(tuple(c / lead for c in p.coeffs))
+
+
+def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
+    """The monic gcd (0 when both are 0)."""
+    while b:
+        a, b = b, poly_divmod(a, b)[1]
+    return monic(a)
+
+
 # ---------------------------------------------------------------------- Rat
 
 
@@ -60,10 +96,10 @@ def test_unipoly_basic():
 def test_unipoly_divmod_gcd():
     a = upoly(-1, 0, 0, 1)  # s^3 - 1
     b = upoly(-1, 1)  # s - 1
-    quo, rem = a.divmod(b)
+    quo, rem = poly_divmod(a, b)
     assert rem == UniPoly()
     assert quo == upoly(1, 1, 1)
-    assert UniPoly.gcd(a, b) == b.monic()
+    assert poly_gcd(a, b) == monic(b)
 
 
 @given(st.lists(small_rats, max_size=5), st.lists(small_rats, min_size=1, max_size=4))
@@ -72,7 +108,7 @@ def test_unipoly_divmod_property(ac, bc):
     a, b = UniPoly(ac), UniPoly(bc)
     if not b:
         return
-    q, r = a.divmod(b)
+    q, r = poly_divmod(a, b)
     assert q * b + r == a
     assert r.degree < b.degree
 
@@ -94,7 +130,7 @@ def test_ratfun_residue_shape():
     val = 1 / (27 * (1 - x))
     assert val == RatFun(upoly(1), upoly(27, 0, 0, 1))
     assert val.den.coeffs[-1] == 1
-    assert UniPoly.gcd(val.num, val.den) == 1
+    assert poly_gcd(val.num, val.den) == 1
 
 
 def test_ratfun_arithmetic_and_eval():
@@ -176,10 +212,10 @@ def factor_product(scale, powers) -> UniPoly:
 def reference_canonical(num: UniPoly, den: UniPoly) -> tuple:
     """Canonical (num, den) coefficient tuples by the full route: divide by
     the monic Euclidean gcd, then make the denominator monic."""
-    g = UniPoly.gcd(num, den)
-    num, den = num // g, den // g
+    g = poly_gcd(num, den)
+    num, den = poly_divmod(num, g)[0], poly_divmod(den, g)[0]
     lead = den.coeffs[-1]
-    return (num * (1 / lead)).coeffs, den.monic().coeffs
+    return (num * (1 / lead)).coeffs, monic(den).coeffs
 
 
 def structure(f: RatFun) -> tuple:
@@ -199,7 +235,7 @@ def ratfun_operands(draw):
     if draw(st.booleans()):
         # Same canonical denominator: numerator powers only on factors that
         # do not divide it, so (num, a.den) is already coprime.
-        free = [bool(a.den % f) for f in FACTORS]
+        free = [bool(poly_divmod(a.den, f)[1]) for f in FACTORS]
         powers = [k if ok else 0 for k, ok in zip(draw(POWERS), free)]
         b = RatFun(factor_product(draw(small_rats), powers), a.den)
         assert b.den == a.den
@@ -238,7 +274,7 @@ def test_ratfun_fast_paths_match_the_full_gcd_route(operands):
     for got, num, den in cases:
         assert structure(got) == reference_canonical(num, den)
         assert got.den.coeffs[-1] == 1
-        assert UniPoly.gcd(got.num, got.den) == 1
+        assert poly_gcd(got.num, got.den) == 1
         assert all(type(c) is F for c in got.num.coeffs + got.den.coeffs)
 
 
@@ -264,7 +300,7 @@ class FractionRatFun:
             lead = den.coeffs[-1]
             if lead != 1:
                 num = num * (1 / lead)
-                den = den.monic()
+                den = monic(den)
         else:
             den = ONE
         self.num, self.den = num, den
@@ -393,9 +429,9 @@ def _cancel(num, den):
     """Divide num and den by their monic gcd; no Euclid step runs when
     either side is a constant."""
     if num.degree > 0 and den.degree > 0:
-        g = UniPoly.gcd(num, den)
+        g = poly_gcd(num, den)
         if g.degree > 0:
-            return num // g, den // g
+            return poly_divmod(num, g)[0], poly_divmod(den, g)[0]
     return num, den
 
 
@@ -581,11 +617,11 @@ def _dense_rref(rows, ncols):
             continue
         a[r], a[pr] = a[pr], a[r]
         inv = 1 / a[r][c]
-        a[r] = [v * inv for v in a[r]]
+        a[r] = [v * inv if v else v for v in a[r]]
         for i in range(m):
             if i != r and a[i][c]:
                 f = a[i][c]
-                a[i] = [vi - f * vr for vi, vr in zip(a[i], a[r])]
+                a[i] = [vi - f * vr if vr else vi for vi, vr in zip(a[i], a[r])]
         piv_cols.append(c)
         r += 1
         if r == m:
@@ -646,19 +682,50 @@ def _sparse_system(seed):
     return rows, rhs, n
 
 
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-@settings(max_examples=150, deadline=None)
-def test_sparse_kernel_matches_dense_reference(seed):
-    rows, rhs, n = _sparse_system(seed)
+def _growth_system(seed):
+    """A seeded int system with entries up to 10**6 and a right side whose
+    denominators are coprime, with all-zero rows inserted and, half the
+    time, a row that is zero on A but not on b."""
+    rng = random.Random(seed)
+    m, n = rng.randint(1, 9), rng.randint(1, 9)
+    primes = (1, 2, 3, 5, 7, 11, 13)
+
+    def big():
+        return rng.randint(-(10**6), 10**6)
+
+    rows = [[big() if rng.random() < 0.6 else 0 for _ in range(n)] for _ in range(m)]
+    if rng.random() < 0.5:
+        x = [F(big(), rng.choice(primes)) for _ in range(n)]
+        rhs = [sum((a * b for a, b in zip(row, x)), F(0)) for row in rows]
+    else:
+        rhs = [F(big(), rng.choice(primes)) for _ in range(m)]
+    for _ in range(rng.randint(1, 2)):
+        k = rng.randrange(len(rows) + 1)
+        rows.insert(k, [0] * n)
+        rhs.insert(k, F(0))
+    if rng.random() < 0.5:
+        k = rng.randrange(len(rows) + 1)
+        rows.insert(k, [0] * n)
+        rhs.insert(k, F(1, rng.choice(primes)))
+    return rows, rhs, n
+
+
+def assert_kernel_matches_dense_reference(rows, rhs, n):
+    """``solve_linear`` and ``nullspace`` equal the dense ``Fraction``
+    elimination, every solution cell is a ``Fraction`` or 0, and the inputs
+    are left unchanged."""
     before = copy.deepcopy((rows, rhs))
-    want = _reference_solve(rows, rhs, n)
+    exact = [[F(v) for v in row] for row in rows]
+    want = _reference_solve(exact, rhs, n)
     if want is None:
         with pytest.raises(NoSolution):
             solve_linear(rows, rhs, n)
     else:
-        assert solve_linear(rows, rhs, n) == want
+        got = solve_linear(rows, rhs, n)
+        assert got == want
+        assert all(type(v) is F for v in got if v)
     kernel = nullspace(rows, n)
-    assert kernel == _reference_nullspace(rows, n)
+    assert kernel == _reference_nullspace(exact, n)
     # One elimination of [A | -b] gives both: the solution is the last
     # kernel vector when its last coordinate is 1, the rest is ker A.
     augmented = nullspace([row + [-b] for row, b in zip(rows, rhs)], n + 1)
@@ -670,6 +737,19 @@ def test_sparse_kernel_matches_dense_reference(seed):
         assert augmented[-1][:n] == want
         assert [v[:n] for v in augmented[:-1]] == kernel
     assert (rows, rhs) == before
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_sparse_kernel_matches_dense_reference(seed):
+    assert_kernel_matches_dense_reference(*_sparse_system(seed))
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@seed(6862)
+@settings(max_examples=100, deadline=None)
+def test_large_int_rows_match_dense_reference(seed):
+    assert_kernel_matches_dense_reference(*_growth_system(seed))
 
 
 def test_inverse_of_int_rows_is_exact():

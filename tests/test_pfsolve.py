@@ -14,10 +14,10 @@ from ises.isespoly import (
 )
 from ises.numcore import DomainError, solve_linear
 from ises.pfsolve import (
+    DeltaOperator,
     HGWeights,
     NotSecondOrder,
     ResonantBasis,
-    all_reductions,
     annihilation_check,
     build_gkz,
     reduce_left_divisors,
@@ -103,6 +103,20 @@ def test_marginal_weights_sum_rule():
         for marg in e.marginals:
             a, b, g = marg.weights
             assert a + b == g == 1 - F(1, marg.l)
+
+
+def all_reductions(op: DeltaOperator) -> set:
+    """Final (left, right) multisets over every greedy cancellation order."""
+    results = set()
+    stack = [op]
+    while stack:
+        cur = stack.pop()
+        pairs = set(cur.cancellable_pairs())
+        if not pairs:
+            results.add((cur.left_roots, cur.right_roots))
+            continue
+        stack.extend(cur.cancel(c) for c in pairs)
+    return results
 
 
 def test_reduction_is_confluent_on_catalog():
