@@ -51,8 +51,8 @@ exactly when L divides it.  The four-point value above is then one
 
 over the scaled phases qL, a_k and node phases n of coordinate j (the 1/6
 terms cancel: 1 - 4 + 3 = 0).  Labels are turned into ``Fraction``s at the
-edge only: in sector labels, and in the degrees and phases that
-:class:`FourPointBreakdown` and the exception messages report.
+edge only: in sector labels, and in the degrees that the exception
+messages report.
 
 Entries whose catalog record marks the reconstruction as excluded (their
 state space is generated by broad classes) raise NeedsBroadFixture.
@@ -71,22 +71,11 @@ from .numcore import DomainError, MultiPoly, parse_rat, rat, scaled_ints
 from .wdvv import CorrelatorTable, InconsistentSystem, propagate
 
 __all__ = [
-    "BroadInsertion",
     "FjrwSector",
     "FjrwTheory",
-    "FourPointBreakdown",
-    "Infeasible",
     "NeedsBroadFixture",
     "NotConcave",
 ]
-
-
-class BroadInsertion(DomainError):
-    """A correlator slot holds a broad sector where a narrow one is needed."""
-
-
-class Infeasible(DomainError):
-    """The line bundle degrees are not all integers."""
 
 
 class NotConcave(DomainError):
@@ -137,29 +126,6 @@ class FjrwSector:
     narrow: bool
     degree: Fraction | None
     dim: int = 1
-
-
-@dataclass(frozen=True)
-class Channel:
-    """One boundary channel {a,b}|{c,d} of a four-pointed rational curve."""
-
-    split: tuple[tuple[int, int], tuple[int, int]]
-    node_theta: tuple[Fraction, ...]
-    side_degrees: tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
-
-
-@dataclass(frozen=True)
-class FourPointBreakdown:
-    """A concave four-point value with its per-coordinate Bernoulli sums."""
-
-    thetas: tuple[tuple[Fraction, ...], ...]
-    main_degrees: tuple[Fraction, ...]
-    channels: tuple[Channel, Channel, Channel]
-    coordinate_parts: tuple[Fraction, Fraction, Fraction]
-
-    @property
-    def value(self) -> Fraction:
-        return sum(self.coordinate_parts, Fraction(0))
 
 
 class FjrwTheory:
@@ -268,9 +234,6 @@ class FjrwTheory:
     def _sector_key(self, indices) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(sorted(self.sector(ix).theta for ix in indices))
 
-    def narrow_sectors(self) -> tuple[FjrwSector, ...]:
-        return self._narrow
-
     def inverse_theta(self, theta) -> tuple[Fraction, ...]:
         return _frac3(-t for t in theta)
 
@@ -278,33 +241,13 @@ class FjrwTheory:
         """Sector of a product: phases add, minus one grading-element twist."""
         return _frac3(a + b - q for a, b, q in zip(t1, t2, self.mirror_charges))
 
-    def pairing(self, t1, t2) -> Fraction:
-        s1, s2 = self.sectors[tuple(t1)], self.sectors[tuple(t2)]
-        if not (s1.narrow and s2.narrow):
-            return Fraction(0)
-        return Fraction(1 if self.inverse_theta(s1.theta) == s2.theta else 0)
-
     # -- three-point values over narrow sectors -------------------------
 
-    def threepoint(self, t1, t2, t3) -> Fraction | None:
-        """Narrow three-point value; None when only a fixture could decide.
-
-        Zero when the degree budget or the line bundle integrality fails;
-        one when every line bundle degree is -1; otherwise (some degree
-        >= 0) the value is a frozen fixture or unknown.
-        """
-        thetas = (tuple(t1), tuple(t2), tuple(t3))
-        for t in thetas:
-            if not self.sectors[t].narrow:
-                raise BroadInsertion(f"{self.name}: broad sector {t} in slot")
-        value = self._threepoint([self._scaled[t] for t in thetas])
-        if value is None:
-            return self._fixture3.get(tuple(sorted(thetas)))
-        return Fraction(value)
-
     def _threepoint(self, phases) -> int | None:
-        """:meth:`threepoint` on narrow phases scaled by L, before the
-        fixture lookup: 0 or 1 when the degrees decide, else None.
+        """The three-point value of narrow phases scaled by L, when the
+        degrees decide it: 0 off the degree budget or when the line bundle
+        degrees are not integral, 1 when every degree is -1, else None (some
+        degree >= 0: the value is a frozen fixture or unknown).
 
         On the budget sum(phases) = L + 3 sum(q) and sum(q) = L (the
         charges of W^T sum to 1), so the scaled degrees sum to -3L: all
@@ -332,43 +275,13 @@ class FjrwTheory:
 
     # -- concave four-point values ---------------------------------------
 
-    def fourpoint_breakdown(self, sectors: Sequence) -> FourPointBreakdown:
-        thetas = tuple(self._as_theta(s) for s in sectors)
-        if len(thetas) != 4:
-            raise ValueError("need exactly four insertions")
-        for t in thetas:
-            if not self.sectors[t].narrow:
-                raise BroadInsertion(f"{self.name}: broad insertion {t}")
-        phases = [self._scaled[t] for t in thetas]
-        main = self._degrees(phases)
-        if any(dj % self._scale for dj in main):
-            raise Infeasible(f"{self.name}: degrees {self._unscaled(main)} not integral")
-        if sum(map(sum, phases)) - 4 * sum(self._scaled_q) != 2 * self._scale:
-            raise Infeasible(f"{self.name}: degree budget violated")
-        channels, parts = self._fourpoint(phases, main)
-        scale2 = 2 * self._scale**2
-        return FourPointBreakdown(
-            thetas,
-            self._unscaled(main),
-            tuple(
-                Channel(
-                    split,
-                    self._unscaled(node),
-                    (self._unscaled(sides[0]), self._unscaled(sides[1])),
-                )
-                for split, node, sides in channels
-            ),
-            tuple(Fraction(p, scale2) for p in parts),
-        )
-
-    def _fourpoint(self, phases, main):
-        """The concave four-point kernel on narrow phases scaled by L whose
+    def _fourpoint(self, phases, main) -> Fraction:
+        """The concave four-point value of narrow phases scaled by L whose
         main degrees ``main`` (scaled) are integral and meet the budget.
 
-        Returns the three channels as (split, node, side degrees), all
-        scaled, and per coordinate the Riemann-Roch numerator over 2 L^2
-        (module docstring).  Raises NotConcave when a degree on the main
-        component or on a side exceeds -1.  The side degrees need no
+        Returns the Riemann-Roch sum over 2 L^2 of the module docstring.
+        Raises NotConcave when a degree on the main component or on either
+        side of a channel exceeds -1.  The side degrees need no
         integrality test: the node makes the first side's multiples of L,
         and the two sides add up to the main degrees minus a node phase and
         its inverse, which sum to 0 or L.
@@ -376,7 +289,7 @@ class FjrwTheory:
         scale, q = self._scale, self._scaled_q
         if any(dj > -scale for dj in main):
             raise NotConcave(f"{self.name}: main component degrees {self._unscaled(main)}")
-        channels = []
+        nodes = []
         for split in _SPLITS:
             (a, b), (c, d) = ([phases[k] for k in half] for half in split)
             node = tuple((qj - x - y) % scale for qj, x, y in zip(q, a, b))
@@ -389,22 +302,14 @@ class FjrwTheory:
                     raise NotConcave(
                         f"{self.name}: channel {split} degrees {self._unscaled(side)}"
                     )
-            channels.append((split, node, sides))
-        parts = tuple(
+            nodes.append(node)
+        total = sum(
             qj * (qj - scale)
             - sum(a[j] * (a[j] - scale) for a in phases)
-            + sum(node[j] * (node[j] - scale) for _, node, _ in channels)
+            + sum(node[j] * (node[j] - scale) for node in nodes)
             for j, qj in enumerate(q)
         )
-        return channels, parts
-
-    def _as_theta(self, s) -> tuple[Fraction, ...]:
-        if isinstance(s, FjrwSector):
-            return s.theta
-        s = tuple(s)
-        if s in self.sectors:
-            return s
-        return self.sector(s).theta
+        return Fraction(total, 2 * scale**2)
 
     # -- the narrow correlator table --------------------------------------
 
@@ -412,11 +317,11 @@ class FjrwTheory:
         """Whether an associativity pairing only ever routes through narrow
         intermediate sectors.
 
-        ``pair`` and ``extra`` hold basis positions: ints into
-        :meth:`narrow_sectors`, which is the label order of
-        :meth:`correlator_table`.  In every term <left, S, k> eta <l, right,
-        rest> the group grading forces the sector of k: Theta(k) = (|S|+1) q
-        - sum(left) - sum(S) mod 1 (and l lands in its inverse).  Pairings
+        ``pair`` and ``extra`` hold basis positions: ints into the labels of
+        :meth:`correlator_table`, the narrow sectors in group order.  In
+        every term <left, S, k> eta <l, right, rest> the group grading
+        forces the sector of k: Theta(k) = (|S|+1) q - sum(left) - sum(S)
+        mod 1 (and l lands in its inverse).  Pairings
         that force a node into a broad sector of positive dimension give
         residuals with contributions the narrow table cannot see, so they
         must not be used as identities on it.  Broad sectors of dimension
@@ -480,11 +385,9 @@ class FjrwTheory:
                 table.set(quad, 0)
                 continue
             try:
-                _, parts = self._fourpoint(quad_phases, main)
+                table.set(quad, self._fourpoint(quad_phases, main))
             except NotConcave:
                 table.declare_unknown(quad)
-            else:
-                table.set(quad, Fraction(sum(parts), 2 * scale**2))
         self._table = propagate(table, admissible=self.narrow_nodes).freeze()
         return self._table
 

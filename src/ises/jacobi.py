@@ -436,10 +436,6 @@ class JacobianAlgebra:
     def milnor(self) -> int:
         return len(self.staircase)
 
-    def phi(self, r: Sequence[int]) -> MultiPoly:
-        """The monomial X^r with coefficient 1 in Q(sigma)."""
-        return MultiPoly.monomial(tuple(int(e) for e in r), RatFun.const(1))
-
     def normal_form(self, f: MultiPoly) -> MultiPoly:
         """Unique normal form of ``f`` modulo the Jacobian ideal."""
         return _reduce(f.map_coeffs(RatFun.coerce), self._gbdata, self._key)

@@ -97,10 +97,6 @@ class UniPoly:
         return cls((Fraction(c),))
 
     @classmethod
-    def monomial(cls, k: int, c=1) -> "UniPoly":
-        return cls((0,) * k + (Fraction(c),))
-
-    @classmethod
     def variable(cls) -> "UniPoly":
         return cls((0, 1))
 

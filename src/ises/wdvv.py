@@ -15,15 +15,18 @@ labels in both directions: methods take label multisets and return label
 keys, and a label key is the insertion tuple in basis order (paired with
 the degree on graded tables).
 
-:func:`wdvv_residual` evaluates the associativity constraint
+The scans of :func:`propagate` and :func:`check_residuals` evaluate the
+associativity constraint
 
     sum_k <a, b, e_k> eta^{kl} <e_l, c, d>  -  (b <-> c)
 
 together with its derivative extensions: each extra insertion x is
 distributed over the two factors by the Leibniz rule, which mixes n-point
 correlators with (n+1)-point ones.  With one extra slot this is the
-standard identity relating four-point and three-point functions; the
-result is a :class:`LinearForm` in the unknown keys.
+standard identity relating four-point and three-point functions.  The
+residual of an instance is affine-linear in the unknown keys, or quadratic
+when some term multiplies two of them; a nonzero constant residual on a
+fully known instance is a contradiction.
 
 Each pair sum is a sum over the Leibniz splits of the extra slots of
 
@@ -82,7 +85,6 @@ from .numcore import DomainError, NoSolution, Rat, inverse, rat, scaled_ints
 __all__ = [
     "CorrelatorTable",
     "InconsistentSystem",
-    "LinearForm",
     "MissingPairing",
     "UnknownLabel",
     "apply_divisor_rule",
@@ -90,7 +92,6 @@ __all__ = [
     "elliptic_orbifold_basis",
     "gw_seed_table",
     "propagate",
-    "wdvv_residual",
 ]
 
 
@@ -108,40 +109,6 @@ class UnknownLabel(DomainError, KeyError):
     Also a KeyError, so handlers of a failed lookup keep catching it."""
 
     __str__ = Exception.__str__  # the message, not KeyError's repr of it
-
-
-class LinearForm:
-    """An affine-linear combination  constant + sum coeff * unknown_key."""
-
-    __slots__ = ("constant", "terms")
-
-    def __init__(self, constant=0, terms: Mapping | None = None):
-        self.constant = rat(constant)
-        self.terms: dict = {}
-        if terms:
-            for key, coeff in terms.items():
-                c = rat(coeff)
-                if c:
-                    self.terms[key] = c
-
-    @property
-    def is_constant(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, LinearForm):
-            return self.constant == other.constant and self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self.is_constant and self.constant == other
-        return NotImplemented
-
-    def __bool__(self) -> bool:
-        return bool(self.terms) or bool(self.constant)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        parts = [str(self.constant)] if self.constant or not self.terms else []
-        parts += [f"{c}*<{', '.join(map(str, k))}>" for k, c in self.terms.items()]
-        return " + ".join(parts) if parts else "0"
 
 
 class CorrelatorTable:
@@ -237,13 +204,6 @@ class CorrelatorTable:
         if degree:
             raise ValueError("degree grading not enabled for this table")
         return ins
-
-    def _key_of(self, label_key):
-        """Internal key of a label key as returned by :attr:`unknown_keys`."""
-        if self.graded:
-            insertions, degree = label_key
-            return self._key(insertions, degree)
-        return self._key(label_key)
 
     def _names(self, ins: tuple[int, ...]) -> tuple:
         """The labels of interned insertions."""
@@ -487,32 +447,6 @@ def _residual(table: CorrelatorTable, pair1, pair2, extra, degree, memo=None):
     return constant, {key: coeff for key, coeff in terms.items() if coeff}
 
 
-def wdvv_residual(
-    table: CorrelatorTable, a, b, c, d, extra: Sequence = (), degree: int | None = None
-) -> LinearForm:
-    """Associativity residual for insertions (a, b | c, d) with extras.
-
-    Computes  sum <a,b,k,(E)> eta^{kl} <l,c,d,(extra-E)>  minus the same
-    expression with b and c exchanged.  Zero on every consistent table;
-    a nonzero constant flags a contradiction, a nonconstant form is a
-    linear relation among the declared unknowns, keyed by label keys.
-    """
-    if table.graded and degree is None:
-        raise ValueError("graded tables require a total degree")
-    deg = 0 if degree is None else int(degree)
-    a, b, c, d = table._positions((a, b, c, d))
-    instance = (((a, b), (c, d)), ((a, c), (b, d)), table._positions(extra), deg)
-    form = _residual(table, *instance)
-    if form is None:
-        raise DomainError(
-            f"residual of {_describe(table, *instance)} is quadratic in the unknowns"
-        )
-    constant, terms = form
-    return LinearForm(
-        constant, {table._label_key(key): coeff for key, coeff in terms.items()}
-    )
-
-
 def _extra_routes(table: CorrelatorTable, extra_slots: int):
     """The extras of each size 0..extra_slots, routed by the degree budget.
 
@@ -594,7 +528,6 @@ def _describe(table: CorrelatorTable, pair1, pair2, extra, degree) -> str:
 
 def propagate(
     table: CorrelatorTable,
-    targets: Sequence | None = None,
     *,
     extra_slots: int = 1,
     degrees: Sequence[int] = (0,),
@@ -607,9 +540,8 @@ def propagate(
     ``extra_slots`` extra insertions, solves every instance that is linear
     in exactly one unknown, and rescans the instances still open (quadratic,
     or linear in two or more unknowns) until a pass solves nothing.  Fully
-    known instances must vanish (InconsistentSystem otherwise).  ``targets``,
-    when given, lists label keys (as in :attr:`CorrelatorTable.unknown_keys`)
-    that must end up resolved; unresolved targets raise NoSolution.
+    known instances must vanish (InconsistentSystem otherwise).  Keys that
+    no instance resolves stay in the unknown-set of the returned table.
     ``shuffle_seed`` randomizes the scan order, which must not change the
     outcome.
 
@@ -655,10 +587,6 @@ def propagate(
         if not progress:
             break
         pending = still_open
-    if targets is not None:
-        missing = [k for k in targets if work._key_of(k) in work._unknown]
-        if missing:
-            raise NoSolution(f"unresolved correlators: {missing!r}")
     return work
 
 

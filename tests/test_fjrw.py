@@ -9,17 +9,9 @@ from itertools import combinations_with_replacement, product
 import pytest
 
 import ises.fjrw
-from ises.fjrw import (
-    Channel,
-    FjrwTheory,
-    FourPointBreakdown,
-    Infeasible,
-    NeedsBroadFixture,
-    NotConcave,
-    sector_dimension,
-)
+from ises.fjrw import FjrwTheory, NeedsBroadFixture, sector_dimension
 from ises.isespoly import enumerate_group, get_entry, group_generators, load_catalog
-from ises.jacobi import groebner, normal_form
+from ises.jacobi import JacobianAlgebra, groebner, normal_form
 from ises.numcore import DomainError, MultiPoly, nullspace
 from ises.wdvv import _instances, check_residuals
 
@@ -78,6 +70,42 @@ def test_known_word_fault_value():
     assert theory(name).fourpoint_words()[word] == F(-2, 3)
 
 
+# A ring relation that no sign convention touches.  On e7-chain322, W = x^3 y +
+# y^2 z + z^2 and d_z W_sigma = y^2 + 2z whenever the marginal phi_m has no z,
+# so y^4 + 2 y^2 z = y^2 d_z W_sigma vanishes in the Jacobian algebra; on
+# e8-chain32, W = x^3 y + y^2 + z^3 and d_y W_sigma = x^3 + 2y likewise gives
+# x^6 + 2 x^3 y = 0.  Since a word value is linear in the ring class,
+# word(0,4,0) = -2 word(0,2,1) and word(6,0,0) = -2 word(3,1,0).  The catalog's
+# deg1Words give both halves 1/3 and both doubled words 0.
+RING_RELATIONS = {
+    # name: (variable missing from phi_m, word, half word, FJRW values of both)
+    "e7-chain322": (2, (0, 4, 0), (0, 2, 1), (F(-2, 3), F(1, 3))),
+    "e8-chain32": (1, (6, 0, 0), (3, 1, 0), (None, None)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RING_RELATIONS))
+def test_a_ring_relation_doubles_the_disputed_words(name):
+    variable, word, half, fjrw = RING_RELATIONS[name]
+    entry = get_entry(CATALOG, name)
+    relation = MultiPoly.monomial(word, F(1)) + MultiPoly.monomial(half, F(2))
+    # the relation holds for every marginal but m = (1, 1, 1), whose phi_m
+    # holds the variable
+    holds = {
+        mar.m: not JacobianAlgebra(entry, mar.m).normal_form(relation)
+        for mar in entry.marginals
+    }
+    assert holds == {m: not m[variable] for m in holds}
+    words = theory(name).fourpoint_words()
+    assert (words[word], words[half]) == fjrw
+    if fjrw[0] is not None:
+        assert words[word] == -2 * words[half]
+    # the catalog's own half word forces -2/3 where it freezes 0
+    frozen = literature_words(entry)
+    assert frozen[half] == F(1, 3) and frozen[word] == 0
+    assert -2 * frozen[half] == F(-2, 3)
+
+
 def test_e6_loop222_fourpoint_oracles():
     th = theory("e6-loop222")
     table = th.correlator_table()
@@ -91,16 +119,10 @@ def test_e6_loop222_fourpoint_oracles():
 def test_e6_loop222_concave_oracle_is_the_riemann_roch_value(monkeypatch):
     th = FjrwTheory(get_entry(CATALOG, "e6-loop222"))
     oracles = {
-        o["route"]: ([th.sector(ix) for ix in o["insertions"]], F(o["value"]))
+        o["route"]: ([th.sector(ix).theta for ix in o["insertions"]], F(o["value"]))
         for o in th.entry.fjrw["oracles"]["fourPoint"]
     }
     assert set(oracles) == {"concave", "wdvv"}
-    sectors, value = oracles["concave"]
-    assert th.fourpoint_breakdown(sectors).value == value == F(-2, 9)
-    # the wdvv oracle is not concave, so the seed leaves it to propagate
-    sectors, value = oracles["wdvv"]
-    with pytest.raises(NotConcave):
-        th.fourpoint_breakdown(sectors)
     seeded = []
     original = ises.fjrw.propagate
 
@@ -109,9 +131,13 @@ def test_e6_loop222_concave_oracle_is_the_riemann_roch_value(monkeypatch):
         return original(table, **kwargs)
 
     monkeypatch.setattr(ises.fjrw, "propagate", capture)
-    thetas = [s.theta for s in sectors]
-    assert th.correlator_table().value(thetas) == value == F(1, 3)
+    table = th.correlator_table()
+    # the seed holds the concave oracle and leaves the other one to propagate
+    thetas, value = oracles["concave"]
+    assert seeded[0].value(thetas) == value == F(-2, 9)
+    thetas, value = oracles["wdvv"]
     assert seeded[0].value(thetas) is None
+    assert table.value(thetas) == value == F(1, 3)
 
 
 def test_residual_checks_on_all_tables():
@@ -147,7 +173,7 @@ def fraction_narrow_nodes(th, pair, extra):
 
 def position(th, theta):
     """The basis position of a narrow sector in the theory's table."""
-    return [s.theta for s in th.narrow_sectors()].index(theta)
+    return th.correlator_table().labels.index(theta)
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -233,7 +259,8 @@ def frac3(vec):
 
 
 def fraction_threepoint(th, thetas):
-    """The Fraction form of ``FjrwTheory.threepoint`` on narrow sectors."""
+    """The seeded three-point value of narrow sectors, in Fractions: None
+    when only a fixture could decide and the entry has none."""
     if sum(th.sectors[t].degree for t in thetas) != 1:
         return F(0)
     d, feasible = line_bundle_degrees(th.mirror_charges, thetas)
@@ -247,71 +274,35 @@ def fraction_threepoint(th, thetas):
 
 
 def fraction_fourpoint(th, thetas):
-    """The Fraction form of ``FjrwTheory.fourpoint_breakdown`` on narrow
-    sectors: Bernoulli sums over the main component and the three channels."""
+    """The seeded four-point value of narrow sectors on the degree budget
+    whose main degrees are integral, in Fractions: Bernoulli sums over the
+    main component and the three channels, or None when some degree on a
+    component exceeds -1."""
     q = th.mirror_charges
     main, feasible = line_bundle_degrees(q, thetas)
-    if not feasible:
-        raise Infeasible(f"{th.name}: degrees {main} not integral")
-    if sum(th.sectors[t].degree for t in thetas) != 2:
-        raise Infeasible(f"{th.name}: degree budget violated")
+    assert feasible and sum(th.sectors[t].degree for t in thetas) == 2, thetas
     if any(dj > -1 for dj in main):
-        raise NotConcave(f"{th.name}: main component degrees {main}")
-    channels = []
+        return None
+    nodes = []
     for split in (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))):
         (a, b), (c, d) = ([thetas[k] for k in half] for half in split)
         node = frac3(q[j] - a[j] - b[j] for j in range(3))
-        sides = []
         for side_thetas in ([a, b, node], [c, d, frac3(-t for t in node)]):
             degrees, ok = line_bundle_degrees(q, side_thetas)
-            if not ok:
-                raise Infeasible(f"{th.name}: channel degrees {degrees}")
+            # the node makes the sides integral, so the kernel skips this test
+            assert ok, (thetas, split)
             if any(dj > -1 for dj in degrees):
-                raise NotConcave(f"{th.name}: channel {split} degrees {degrees}")
-            sides.append(degrees)
-        channels.append(Channel(split, node, tuple(sides)))
-    parts = tuple(
+                return None
+        nodes.append(node)
+    return sum(
         (
             bernoulli_b2(q[i])
             - sum(bernoulli_b2(t[i]) for t in thetas)
-            + sum(bernoulli_b2(ch.node_theta[i]) for ch in channels)
+            + sum(bernoulli_b2(node[i]) for node in nodes)
         )
         / 2
         for i in range(3)
     )
-    return FourPointBreakdown(tuple(thetas), main, tuple(channels), parts)
-
-
-def outcome(call, *args):
-    """The value of a call, or the class and message of its DomainError."""
-    try:
-        return call(*args)
-    except DomainError as exc:
-        return type(exc), str(exc)
-
-
-@pytest.mark.parametrize("name", NAMES)
-def test_fourpoint_kernel_matches_the_fraction_form(name):
-    th = theory(name)
-    labels = [s.theta for s in th.narrow_sectors()]
-    kinds = set()
-    for quad in combinations_with_replacement(labels, 4):
-        got = outcome(th.fourpoint_breakdown, quad)
-        assert got == outcome(fraction_fourpoint, th, quad), quad
-        if isinstance(got, FourPointBreakdown):
-            assert type(got.value) is F
-            kinds.add(FourPointBreakdown)
-        else:
-            kinds.add(got[0])
-    assert {FourPointBreakdown, Infeasible} <= kinds
-
-
-@pytest.mark.parametrize("name", NAMES)
-def test_threepoint_matches_the_fraction_form(name):
-    th = theory(name)
-    labels = [s.theta for s in th.narrow_sectors()]
-    for trip in combinations_with_replacement(labels, 3):
-        assert th.threepoint(*trip) == fraction_threepoint(th, trip), trip
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -319,7 +310,7 @@ def test_on_budget_narrow_triples_have_degree_sum_minus_three(name):
     # so all d_j <= -1 forces every d_j = -1, and _threepoint needs no case
     # for all d_j <= -1 with some d_j <= -2
     th = theory(name)
-    labels = [s.theta for s in th.narrow_sectors()]
+    labels = th.correlator_table().labels
     on_budget = [
         trip
         for trip in combinations_with_replacement(labels, 3)
@@ -341,9 +332,8 @@ def test_table_seed_matches_the_fraction_form(name, monkeypatch):
         return original(table, **kwargs)
 
     monkeypatch.setattr(ises.fjrw, "propagate", capture)
-    th.correlator_table()
+    labels = th.correlator_table().labels
     known, unknown = {}, set()
-    labels = [s.theta for s in th.narrow_sectors()]
     for n in (3, 4):
         for ins in combinations_with_replacement(labels, n):
             if sum(th.sectors[t].degree for t in ins) != n - 2:
@@ -353,12 +343,7 @@ def test_table_seed_matches_the_fraction_form(name, monkeypatch):
             elif not line_bundle_degrees(th.mirror_charges, ins)[1]:
                 value = F(0)
             else:
-                value = outcome(fraction_fourpoint, th, ins)
-                if isinstance(value, FourPointBreakdown):
-                    value = value.value
-                else:
-                    assert value[0] is NotConcave
-                    value = None
+                value = fraction_fourpoint(th, ins)
             if value is None:
                 unknown.add(ins)
             else:
@@ -526,7 +511,7 @@ def test_the_frozen_state_space_fields_match_the_derived_ones(name):
     assert th.identity.theta == th.mirror_charges
     assert th.sector(block["rho"]["top"]) is th.top
     assert th.top.degree == 1
-    assert block["narrow"] == len(th.narrow_sectors())
+    assert block["narrow"] == sum(s.narrow for s in th.sectors.values())
     frozen = {th.sector(b["index"]).theta: b["dim"] for b in block["broad"]}
     assert frozen == th.broad_dims
 

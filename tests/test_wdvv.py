@@ -10,11 +10,10 @@ import pytest
 import ises.fjrw
 import ises.wdvv
 from ises.isespoly import get_entry, load_catalog
-from ises.numcore import DomainError, NoSolution, inverse
+from ises.numcore import DomainError, inverse
 from ises.wdvv import (
     CorrelatorTable,
     InconsistentSystem,
-    LinearForm,
     MissingPairing,
     UnknownLabel,
     apply_divisor_rule,
@@ -22,7 +21,6 @@ from ises.wdvv import (
     elliptic_orbifold_basis,
     gw_seed_table,
     propagate,
-    wdvv_residual,
 )
 
 CATALOG = load_catalog()
@@ -59,17 +57,6 @@ def gw_unknowns(table: CorrelatorTable, top_degree: int) -> CorrelatorTable:
     return table
 
 
-def lookup(table: CorrelatorTable, insertions, degree: int = 0) -> LinearForm:
-    """A key as a LinearForm: its known value, or 1 * the key when unknown."""
-    value = table.value(insertions, degree=degree)
-    if value is not None:
-        return LinearForm(value)
-    ins = tuple(sorted(insertions, key=table.labels.index))
-    key = (ins, degree) if table.graded else ins
-    assert key in table.unknown_keys
-    return LinearForm(0, {key: 1})
-
-
 # ---------------------------------------------------------------------------
 # labels in, labels out
 # ---------------------------------------------------------------------------
@@ -85,7 +72,6 @@ def test_phase_vector_labels_round_trip():
     # keys list their insertions in basis order, not sorted order
     assert table.known_items() == (((HIGH, HIGH, LOW), F(5, 2)),)
     assert table.unknown_keys == ((HIGH, LOW, LOW),)
-    assert lookup(table, [LOW, HIGH, LOW]) == LinearForm(0, {(HIGH, LOW, LOW): 1})
     table.set([LOW, LOW, HIGH], 3)
     assert table.unknown_keys == ()
     # in the repr order of the (key, value) pairs
@@ -150,12 +136,8 @@ def test_a_label_outside_the_basis_is_named():
         lambda: table.value([bad, UNIT, POINT]),
         lambda: table.set([UNIT, bad, POINT], 1),
         lambda: table.declare_unknown([UNIT, POINT, bad], degree=1),
-        lambda: lookup(table, [bad, bad, UNIT]),
         lambda: table.pairing(UNIT, bad),
         lambda: table.budget_ok([bad, UNIT, POINT]),
-        lambda: wdvv_residual(table, UNIT, UNIT, POINT, bad, degree=0),
-        lambda: wdvv_residual(table, UNIT, UNIT, POINT, POINT, extra=[bad], degree=0),
-        lambda: propagate(table, [((UNIT, POINT, bad), 1)], degrees=range(2)),
     ]
     for call in calls:
         with pytest.raises(UnknownLabel) as info:
@@ -187,53 +169,12 @@ def gw_solved(gw_seeded):
     return gw_seeded, propagate(gw_seeded, degrees=range(2))
 
 
-def test_wdvv_residual_is_a_label_keyed_form(gw_solved):
-    seeded, solved = gw_solved
-    a = b = c = (1, 1)
-    d = (1, 2)
-    assert wdvv_residual(solved, a, b, c, d, extra=[POINT], degree=1) == 0
-    # some instance is a linear relation among the unknowns, keyed by labels
-    forms = (
-        wdvv_residual(seeded, *quad, extra=[POINT], degree=1)
-        for quad in combinations_with_replacement(seeded.labels, 4)
-    )
-    form = next(f for f in forms if f.terms)
-    assert set(form.terms) <= set(seeded.unknown_keys)
-    with pytest.raises(ValueError, match="total degree"):
-        wdvv_residual(seeded, a, b, c, d)
-
-
-def test_a_quadratic_residual_names_its_instance(gw_seeded):
-    names = gw_seeded._names
-    for pair1, pair2, extra, degree in ises.wdvv._instances(gw_seeded, 1, range(2), None):
-        (a, b), (c, d) = pair1
-        if pair2 == ((a, c), (b, d)):
-            if ises.wdvv._residual(gw_seeded, pair1, pair2, extra, degree) is None:
-                break
-    else:
-        pytest.fail("no quadratic instance")
-    with pytest.raises(DomainError) as info:
-        wdvv_residual(gw_seeded, *names((a, b, c, d)), extra=names(extra), degree=degree)
-    first = (names((a, b)), names((c, d)))
-    second = (names((a, c)), names((b, d)))
-    assert str(info.value) == (
-        f"residual of {first}/{second} extra={names(extra)} degree={degree}"
-        " is quadratic in the unknowns"
-    )
-
-
 def test_propagate_solves_and_checks_the_gw_tables(gw_solved):
     seeded, solved = gw_solved
     solved_keys = set(seeded.unknown_keys) - set(solved.unknown_keys)
     assert solved_keys
     assert set(solved.unknown_keys) <= set(seeded.unknown_keys)
     assert check_residuals(solved, degrees=range(2)) > 0
-    # resolved targets pass; a target left unknown raises with its label key
-    propagate(seeded, sorted(solved_keys, key=repr), degrees=range(2))
-    missing = solved.unknown_keys[0]
-    with pytest.raises(NoSolution) as info:
-        propagate(seeded, [missing], degrees=range(2))
-    assert repr(missing) in str(info.value)
 
 
 def test_propagate_rejects_a_contradiction():
@@ -507,8 +448,8 @@ def budget_tables():
         yield gw_seed_table(orders), elliptic_orbifold_basis(orders)[1]
     for name in FJRW_NAMES:
         theory = fjrw_theory(name)
-        degrees = {s.theta: s.degree for s in theory.narrow_sectors()}
-        yield theory.correlator_table(), degrees
+        table = theory.correlator_table()
+        yield table, {label: theory.sectors[label].degree for label in table.labels}
 
 
 def test_int_budget_matches_the_fraction_sum():
@@ -638,7 +579,7 @@ def test_routed_scan_with_two_extra_slots():
 def test_routed_scan_on_the_fjrw_tables(name):
     theory = fjrw_theory(name)
     table = theory.correlator_table()
-    assert table.labels == tuple(s.theta for s in theory.narrow_sectors())
+    assert table.labels == tuple(t for t, s in theory.sectors.items() if s.narrow)
     assert reference_budget_filter(table) is not None
     assert_same_scan(table, 1, (0,), theory.narrow_nodes, named_nodes(theory))
 
