@@ -273,9 +273,9 @@ class RatFun:
 
     The arithmetic skips the gcd where its answer is known: a constant on
     either side is coprime to the other, a sum over a shared denominator
-    only cancels against that denominator, and a product cancels each
+    only cancels against that denominator, a product cancels each
     numerator against the other factor's denominator only (Henrici), which
-    leaves a coprime pair.
+    leaves a coprime pair, and a product with an int scales the numerator.
     """
 
     __slots__ = ("n", "d")
@@ -359,6 +359,9 @@ class RatFun:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, int):
+            # k n / d stays coprime, and _make makes it primitive again
+            return RatFun._make(tuple(other * c for c in self.n) if other else (), self.d)
         other = _operand(other)
         if other is None:
             return NotImplemented

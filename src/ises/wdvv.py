@@ -65,6 +65,16 @@ by the degree budget as the pair sums are: a scan groups the extra
 multisets once by the quad weight they complete, and each quad visits
 only its group.
 
+The scans run on ints.  A table holds its known values as int numerators
+over one table denominator D, the lcm of their denominators, and its
+inverse-pairing entries as int numerators over E, the lcm of theirs.  Every
+pair-sum term is a correlator times an eta entry times a correlator, so a
+residual comes out as an int constant over D^2 E against int coefficients
+over D E, and a fully known instance holds when that int constant is 0.
+Solving c x + C = 0 for the one unknown x gives x = -C / (D c), the only
+``Fraction`` a solved key costs.  A value whose denominator does not divide
+D rescales the table's numerators once, to the new lcm.
+
 The module also ships the small Gromov-Witten seed data for the elliptic
 orbifold projective lines P^1_{a,b,c}: Chen-Ruan pairing, the degree-zero
 three-point products, the normalized degree-one three-point correlator,
@@ -74,6 +84,7 @@ four-point values with a divisor insertion.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from functools import cache, partial
@@ -118,10 +129,12 @@ class CorrelatorTable:
     by sorting in basis order; graded tables additionally key by an
     integer degree.  Internally each label is its basis position, so a key
     is a sorted int tuple, or ``(int tuple, degree)`` on a graded table;
-    every public method takes labels and returns label keys.  When every
-    label carries a rational grading, setting a nonzero value on a key
-    violating the genus-zero degree budget (sum of degrees = n - 2) is
-    rejected, and such keys read as zero.
+    every public method takes labels and returns label keys.  Values and
+    the inverse pairing are held as ints over the denominators D and E of
+    the module docstring, and the public methods return ``Fraction``s.
+    When every label carries a rational grading, setting a nonzero value on
+    a key violating the genus-zero degree budget (sum of degrees = n - 2)
+    is rejected, and such keys read as zero.
     """
 
     def __init__(
@@ -142,8 +155,10 @@ class CorrelatorTable:
         if degrees is not None:
             self._weight, self._scale = scaled_ints([rat(degrees[label]) for label in self.labels])
         self._pairing = self._symmetrized(pairing)
-        self._dual_groups = self._group_duals(self._invert_pairing())
-        self._values: dict = {}
+        eta, self._eta_den = self._invert_pairing()
+        self._dual_groups = self._group_duals(eta)
+        self._values: dict = {}  # key -> int numerator over self._den
+        self._den = 1
         self._unknown: set = set()
         self._frozen = False
 
@@ -162,14 +177,17 @@ class CorrelatorTable:
         return out
 
     def _invert_pairing(self) -> tuple:
-        """Rows of the inverse pairing: row k lists (l, eta^{kl}) != 0."""
+        """Rows of the inverse pairing on ints over E, and E: row k lists
+        (l, E eta^{kl}) for each eta^{kl} != 0."""
         n = len(self.labels)
         matrix = [[self._pairing.get((i, j), 0) for j in range(n)] for i in range(n)]
         try:
             rows = inverse(matrix)
         except NoSolution as exc:
             raise MissingPairing("pairing matrix is singular") from exc
-        return tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in rows)
+        scaled, den = scaled_ints([v for row in rows for v in row if v])
+        cells = iter(scaled)
+        return tuple(tuple((j, next(cells)) for j, v in enumerate(row) if v) for row in rows), den
 
     def _group_duals(self, eta: tuple) -> dict:
         """The nonzero rows (k, duals) of eta grouped by the weight of k.
@@ -248,10 +266,20 @@ class CorrelatorTable:
                     f"{self._label_key(key)!r}"
                 )
             return
+        if self._den % v.denominator:
+            # rare: a new denominator rescales every numerator once
+            den = math.lcm(self._den, v.denominator)
+            factor = den // self._den
+            for k in self._values:
+                self._values[k] *= factor
+            self._den = den
+        n = v.numerator * (self._den // v.denominator)
         old = self._values.get(key)
-        if old is not None and old != v:
-            raise InconsistentSystem(f"{self._label_key(key)!r}: {old} versus {v}")
-        self._values[key] = v
+        if old is not None and old != n:
+            raise InconsistentSystem(
+                f"{self._label_key(key)!r}: {Fraction(old, self._den)} versus {v}"
+            )
+        self._values[key] = n
         self._unknown.discard(key)
 
     def declare_unknown(self, insertions, degree: int = 0) -> None:
@@ -268,16 +296,17 @@ class CorrelatorTable:
         key = self._key(insertions, degree)
         if key in self._unknown:
             return None
-        return self._values.get(key, Fraction(0))
+        return Fraction(self._values.get(key, 0), self._den)
 
     @property
     def unknown_keys(self) -> tuple:
         return tuple(sorted(map(self._label_key, self._unknown), key=repr))
 
     def known_items(self):
+        den = self._den
         return tuple(
             sorted(
-                ((self._label_key(k), v) for k, v in self._values.items()),
+                ((self._label_key(k), Fraction(n, den)) for k, n in self._values.items()),
                 key=repr,
             )
         )
@@ -294,8 +323,10 @@ class CorrelatorTable:
         dup._weight = self._weight
         dup._scale = self._scale
         dup._pairing = self._pairing
+        dup._eta_den = self._eta_den
         dup._dual_groups = self._dual_groups
         dup._values = dict(self._values)
+        dup._den = self._den
         dup._unknown = set(self._unknown)
         dup._frozen = False
         return dup
@@ -375,8 +406,9 @@ def _pair_sum(table: CorrelatorTable, pair, extra, degree, memo: _ScanMemo):
 
     E runs per slot, so repeated labels acquire the right multiplicities.
     The terms are the sparse dot products of the supports in ``memo``, with
-    values read as they are used.  Returns ``(constant, terms)``, or None
-    when some term is a product of two unknowns.
+    values read as they are used.  Returns ``(constant, terms)`` on ints,
+    the constant over D^2 E and each coefficient over D E (module
+    docstring), or None when some term is a product of two unknowns.
     """
     left_pair, right_pair = pair
     values, unknown = table._values, table._unknown
@@ -393,33 +425,29 @@ def _pair_sum(table: CorrelatorTable, pair, extra, degree, memo: _ScanMemo):
             if rights is None:
                 continue
             left = None if left_key in unknown else values[left_key]
-            if not (left is None or left):
+            if left == 0:
                 continue
-            # int + Fraction is slow in Python: a sum that is still 0 takes
-            # its first term as it is
             acc = 0
             for right_key, eta in rights:
                 if right_key in unknown:
                     if left is None:
                         return None
-                    term = left * eta
-                    terms[right_key] = terms[right_key] + term if right_key in terms else term
+                    terms[right_key] = terms.get(right_key, 0) + left * eta
                 else:
-                    right = values[right_key]
-                    if right:
-                        acc = acc + eta * right if acc else eta * right
+                    acc += eta * values[right_key]
             if not acc:
                 continue
             if left is None:
-                terms[left_key] = terms[left_key] + acc if left_key in terms else acc
+                terms[left_key] = terms.get(left_key, 0) + acc
             else:
-                constant = constant + left * acc if constant else left * acc
+                constant += left * acc
     return constant, terms
 
 
 def _residual(table: CorrelatorTable, pair1, pair2, extra, degree, memo=None):
     """The residual S(pair1) - S(pair2) of one instance as ``(constant,
-    terms)``, zero coefficients dropped; None when it is quadratic.
+    terms)`` on ints over D^2 E and D E (module docstring), zero
+    coefficients dropped; None when it is quadratic.
 
     ``memo`` is the :class:`_ScanMemo` of the calling scan (a fresh one when
     None).  The pair sums of the instance's (pair1, extra, degree) group are
@@ -442,9 +470,8 @@ def _residual(table: CorrelatorTable, pair1, pair2, extra, degree, memo=None):
     if second_terms:
         terms = dict(terms)
         for key, coeff in second_terms.items():
-            terms[key] = terms[key] - coeff if key in terms else -coeff
-    constant = first - second if second else first
-    return constant, {key: coeff for key, coeff in terms.items() if coeff}
+            terms[key] = terms.get(key, 0) - coeff
+    return first - second, {key: coeff for key, coeff in terms.items() if coeff}
 
 
 def _extra_routes(table: CorrelatorTable, extra_slots: int):
@@ -519,11 +546,16 @@ def _instances(table: CorrelatorTable, extra_slots: int, degrees, admissible):
                         yield ok[0], pair2, extra, degree
 
 
-def _describe(table: CorrelatorTable, pair1, pair2, extra, degree) -> str:
-    """An instance in labels, for error messages."""
+def _describe(table: CorrelatorTable, instance, constant: int) -> str:
+    """An instance in labels with its exact residual, for error messages."""
+    pair1, pair2, extra, degree = instance
     first, second = (tuple(map(table._names, pair)) for pair in (pair1, pair2))
     shown = degree if table.graded else None
-    return f"{first}/{second} extra={table._names(extra)} degree={shown}"
+    residual = Fraction(constant, table._den**2 * table._eta_den)
+    return (
+        f"{first}/{second} extra={table._names(extra)} degree={shown}"
+        f" has residual {residual}"
+    )
 
 
 def propagate(
@@ -547,6 +579,8 @@ def propagate(
 
     The call keeps one set of supports for all its passes (module
     docstring); solving a key drops only the pair sums of the current group.
+    The residuals are ints over the table's denominators (module docstring),
+    and each solved key costs one ``Fraction``.
 
     ``admissible(pair, extra)`` filters instances: when the table's labels
     span only part of a larger state space, only pairings whose forced
@@ -576,13 +610,13 @@ def propagate(
             if not terms:
                 if constant:
                     raise InconsistentSystem(
-                        f"known instance {_describe(work, *instance)}"
-                        f" has residual {constant}"
+                        f"known instance {_describe(work, instance, constant)}"
                     )
                 continue
             (key, coeff), = terms.items()
-            work._set_key(key, -constant / coeff)
-            memo.group = None  # the cached pair sums may read the key
+            work._set_key(key, Fraction(-constant, work._den * coeff))
+            # the cached pair sums may read the key, or be over an older D
+            memo.group = None
             progress = True
         if not progress:
             break
@@ -611,9 +645,7 @@ def check_residuals(
         if form is None or form[1]:
             continue
         if form[0]:
-            raise InconsistentSystem(
-                f"instance {_describe(table, *instance)} has residual {form[0]}"
-            )
+            raise InconsistentSystem(f"instance {_describe(table, instance, form[0])}")
         checked += 1
     return checked
 

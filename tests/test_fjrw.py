@@ -11,7 +11,7 @@ import pytest
 import ises.fjrw
 from ises.fjrw import FjrwTheory, NeedsBroadFixture, sector_dimension
 from ises.isespoly import enumerate_group, get_entry, group_generators, load_catalog
-from ises.jacobi import JacobianAlgebra, groebner, normal_form
+from ises.jacobi import FlatSectionPole, JacobianAlgebra, groebner, normal_form
 from ises.numcore import DomainError, MultiPoly, nullspace
 from ises.wdvv import _instances, check_residuals
 
@@ -104,6 +104,47 @@ def test_a_ring_relation_doubles_the_disputed_words(name):
     frozen = literature_words(entry)
     assert frozen[half] == F(1, 3) and frozen[word] == 0
     assert -2 * frozen[half] == F(-2, 3)
+
+
+# The words that FJRW leaves None and the B side fills, with the B values.
+# The first three equal the catalog's deg1Words; e8-chain32 (6,0,0) is the
+# disputed word that the catalog freezes at 0.
+B_FILLED = {
+    ("e6-chain233", (0, 2, 1)): F(1, 4),
+    ("e7-chain322", (3, 1, 0)): F(1, 3),
+    ("e8-chain32", (3, 1, 0)): F(1, 3),
+    ("e8-chain32", (6, 0, 0)): F(-2, 3),
+}
+
+
+def test_the_sigma_zero_mirror_comparison():
+    # each weight-one triple (r1, r2, r3) of a B table is the word r1 + r2 + r3;
+    # under word = -(B value) every word that FJRW resolves agrees
+    agree, disagree, poles, filled = 0, [], [], {}
+    for name in NAMES:
+        entry = get_entry(CATALOG, name)
+        words = {padded(w): v for w, v in theory(name).fourpoint_words().items()}
+        for mar in entry.marginals:
+            try:
+                table = JacobianAlgebra(entry, mar.m).fourpoint_table()
+            except FlatSectionPole:
+                poles.append((name, mar.m))
+                continue
+            for trip, value in table.items():
+                word = tuple(map(sum, zip(*trip)))
+                fjrw = words[word]
+                if fjrw is None:
+                    filled.setdefault((name, word), set()).add(-value)
+                elif fjrw == -value:
+                    agree += 1
+                else:
+                    disagree.append((name, mar.m, trip))
+    assert (agree, disagree) == (160, [])
+    assert poles == [("e7-chain322", (1, 1, 1))]
+    assert filled == {key: {value} for key, value in B_FILLED.items()}
+    for (name, word), value in B_FILLED.items():
+        frozen = literature_words(get_entry(CATALOG, name))[word]
+        assert frozen == (0 if word == (6, 0, 0) else value)
 
 
 def test_e6_loop222_fourpoint_oracles():

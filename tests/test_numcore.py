@@ -278,6 +278,26 @@ def test_ratfun_fast_paths_match_the_full_gcd_route(operands):
         assert all(type(c) is F for c in got.num.coeffs + got.den.coeffs)
 
 
+@example(RatFun.const(0), 5)
+@example(_S + 1, 0)
+@example(1 / (_S - 1), -1)
+@given(
+    st.builds(
+        lambda c, p, e, q: RatFun(factor_product(c, p), factor_product(e, q)),
+        small_rats, POWERS, nonzero_rats, POWERS,
+    ),
+    st.integers(min_value=-(10**6), max_value=10**6),
+)
+@seed(6862)
+@settings(max_examples=120, deadline=None)
+def test_ratfun_times_an_int_matches_the_coerce_route(f, k):
+    # the int path scales the numerator; the coerce route cancels k against d
+    expected = f * RatFun.coerce(k)
+    for got in (f * k, k * f):
+        assert (got.n, got.d) == (expected.n, expected.d)
+        assert structure(got) == reference_canonical(f.num * UniPoly.const(k), f.den)
+
+
 class FractionRatFun:
     """The ``Fraction`` kernel that the int ``RatFun`` replaced, kept as a
     reference: a ``UniPoly`` pair with coprime numerator and monic

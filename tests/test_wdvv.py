@@ -245,6 +245,18 @@ def test_propagate_ignores_shuffle_seed(monkeypatch):
         assert shuffled.unknown_keys == reference.unknown_keys
 
 
+def exact(table, form):
+    """A residual or pair sum of the int kernel as exact rationals: the
+    constant over D^2 E and each coefficient over D E, D and E being the
+    table's denominators of values and of the inverse pairing; None stays
+    None."""
+    if form is None:
+        return None
+    constant, terms = form
+    scale = table._den * table._eta_den
+    return F(constant, scale * table._den), {key: F(c, scale) for key, c in terms.items()}
+
+
 def rescanning_propagate(table, degrees):
     """Reference for :func:`propagate`: every pass evaluates every instance,
     until a pass solves nothing.  Returns the closed table and the number
@@ -257,7 +269,7 @@ def rescanning_propagate(table, degrees):
         progress = False
         passes += 1
         for instance in instances:
-            form = ises.wdvv._residual(work, *instance)
+            form = exact(work, ises.wdvv._residual(work, *instance))
             if form is not None and len(form[1]) == 1:
                 constant, terms = form
                 (key, coeff), = terms.items()
@@ -310,12 +322,27 @@ def reference_eta(table):
     return [tuple((l, v) for l, v in enumerate(row) if v) for row in inverse(matrix)]
 
 
-def reference_pair_sum(table, eta, left_pair, right_pair, extra, degree):
+class FractionTable:
+    """The state of the ``Fraction``-only references: a table's known values
+    as read through ``known_items`` and keyed by internal key, its unknown
+    keys, and its inverse pairing inverted from the pairing itself."""
+
+    def __init__(self, table):
+        self.graded = table.graded
+        self.values = {
+            table._key(*key) if table.graded else table._key(key): value
+            for key, value in table.known_items()
+        }
+        self.unknown = set(table._unknown)
+        self.eta = reference_eta(table)
+
+
+def reference_pair_sum(ref, left_pair, right_pair, extra, degree):
     """The pair sum over every k of the inverse pairing, with the Leibniz
     and degree splits computed per call; (constant, terms), or None when
     quadratic."""
-    graded = table.graded
-    values, unknown = table._values, table._unknown
+    graded, eta = ref.graded, ref.eta
+    values, unknown = ref.values, ref.unknown
     splits = [(d1, degree - d1) for d1 in range(degree + 1)] if graded else [(0, 0)]
     leibniz = ises.wdvv._leibniz_splits(extra)
     constant = F(0)
@@ -357,9 +384,9 @@ def reference_pair_sum(table, eta, left_pair, right_pair, extra, degree):
     return constant, terms
 
 
-def reference_residual(table, eta, pair1, pair2, extra, degree):
-    first = reference_pair_sum(table, eta, *pair1, extra, degree)
-    second = reference_pair_sum(table, eta, *pair2, extra, degree)
+def reference_residual(ref, pair1, pair2, extra, degree):
+    first = reference_pair_sum(ref, *pair1, extra, degree)
+    second = reference_pair_sum(ref, *pair2, extra, degree)
     if first is None or second is None:
         return None
     terms = dict(first[1])
@@ -372,13 +399,13 @@ def assert_routed_residuals(table, degrees, admissible=None, instances=None):
     """The routed residual of every instance (of the scan, unless given)
     equals the reference; returns how many were quadratic, nonzero
     constants and linear in unknowns."""
-    eta = reference_eta(table)
+    ref = FractionTable(table)
     shapes = {"quadratic": 0, "constant": 0, "linear": 0}
     if instances is None:
         instances = ises.wdvv._instances(table, 1, degrees, admissible)
     for instance in instances:
-        form = ises.wdvv._residual(table, *instance)
-        expected = reference_residual(table, eta, *instance)
+        form = exact(table, ises.wdvv._residual(table, *instance))
+        expected = reference_residual(ref, *instance)
         if expected is None:
             assert form is None, instance
             shapes["quadratic"] += 1
@@ -656,10 +683,10 @@ def group(instance):
 def test_the_scan_drops_no_relation_of_the_full_scan():
     for name, table, degrees, admissible in scan_tables():
         named = None if admissible is None else named_nodes(fjrw_theory(name))
-        eta = reference_eta(table)
+        ref = FractionTable(table)
         kept = {}
         for instance in ises.wdvv._instances(table, 1, degrees, admissible):
-            residual = reference_residual(table, eta, *instance)
+            residual = reference_residual(ref, *instance)
             kept.setdefault(group(instance), []).append(residual)
         repeats = 0
         for instance in reference_instances(table, 1, degrees, named):
@@ -667,13 +694,13 @@ def test_the_scan_drops_no_relation_of_the_full_scan():
             if set(pair1) == set(pair2):
                 # S(L|R) = S(R|L), so the residual is zero on every table
                 first, second = (
-                    normal(reference_pair_sum(table, eta, *pair, extra, degree))
+                    normal(reference_pair_sum(ref, *pair, extra, degree))
                     for pair in (pair1, pair2)
                 )
                 assert first == second, (name, instance)
                 repeats += 1
             else:
-                residual = reference_residual(table, eta, *instance)
+                residual = reference_residual(ref, *instance)
                 assert residual in kept[group(instance)], (name, instance)
         assert repeats, name
 
@@ -735,7 +762,7 @@ def normal(pair_sum):
 def test_pair_sums_are_symmetric_and_check_residuals_counts_the_known_zeros():
     for name, table, degrees, admissible in scan_tables():
         memo = ises.wdvv._ScanMemo(table)
-        eta = reference_eta(table)
+        ref = FractionTable(table)
         instances = list(ises.wdvv._instances(table, 1, degrees, admissible))
         swapped = 0
         for pair1, pair2, extra, degree in instances:
@@ -747,7 +774,7 @@ def test_pair_sums_are_symmetric_and_check_residuals_counts_the_known_zeros():
         assert swapped, name
         known_zeros = 0
         for instance in instances:
-            expected = reference_residual(table, eta, *instance)
+            expected = reference_residual(ref, *instance)
             known_zeros += expected is not None and expected == (0, {})
         checked = check_residuals(table, degrees=degrees, admissible=admissible)
         assert checked == known_zeros, name
@@ -820,8 +847,8 @@ def test_the_supports_of_the_closed_table_are_inside_the_seeded_ones(orders):
     # so the supports of the seeded table give the closed table's residuals
     stale = ises.wdvv._ScanMemo(seeded)
     for instance in ises.wdvv._instances(solved, 1, range(2), None):
-        expected = ises.wdvv._residual(solved, *instance)
-        assert ises.wdvv._residual(solved, *instance, stale) == expected, instance
+        expected = exact(solved, ises.wdvv._residual(solved, *instance))
+        assert exact(solved, ises.wdvv._residual(solved, *instance, stale)) == expected, instance
 
 
 @pytest.mark.parametrize("orders", ORBIFOLDS, ids=str)
@@ -845,3 +872,132 @@ def test_propagate_never_names_a_solved_key(orders, monkeypatch):
         assert stale == []
         assert solved.known_items() == reference.known_items()
         assert solved.unknown_keys == reference.unknown_keys
+
+
+# ---------------------------------------------------------------------------
+# the int kernel against the Fraction-only reference
+# ---------------------------------------------------------------------------
+
+
+def reference_propagate(table, degrees):
+    """Reference for :func:`propagate` on ``Fraction``s only: every pass
+    evaluates every instance of the scan by :func:`reference_residual`,
+    solves each that is linear in one unknown and raises InconsistentSystem
+    on a known instance with a nonzero residual, until a pass solves
+    nothing.  Returns the closed :class:`FractionTable`."""
+    ref = FractionTable(table)
+    instances = list(ises.wdvv._instances(table, 1, degrees, None))
+    progress = True
+    while progress and ref.unknown:
+        progress = False
+        for instance in instances:
+            form = reference_residual(ref, *instance)
+            if form is None or len(form[1]) > 1:
+                continue
+            constant, terms = form
+            if not terms:
+                if constant:
+                    raise InconsistentSystem(f"has residual {constant}")
+                continue
+            (key, coeff), = terms.items()
+            ref.values[key] = -constant / coeff
+            ref.unknown.discard(key)
+            progress = True
+    return ref
+
+
+def scaled_gw(orders, scale):
+    """The seeded GW table of P^1_orders at D = 1 with its pairing and every
+    seeded value multiplied by ``scale``.  A WDVV term is a correlator times
+    an inverse-pairing entry times a correlator, so each residual scales by
+    ``scale`` and the closed table is ``scale`` times the unscaled one."""
+    seed = gw_seed_table(orders)
+    labels, degrees = elliptic_orbifold_basis(orders)
+    pairing = {(a, b): scale * seed.pairing(a, b) for a in labels for b in labels}
+    table = CorrelatorTable(labels, pairing, degrees=degrees, graded=True)
+    for (insertions, d), value in seed.known_items():
+        table.set(insertions, scale * value, degree=d)
+    return apply_divisor_rule(gw_unknowns(table, 1))
+
+
+# scale -> (D of the seeded table, D of the closed table, E): at scale 1 the
+# solved keys bring the denominator 9 into a table over 3; 2 makes the inverse
+# pairing 3/2 on the twisted sectors; the prime 999983 puts numerators near
+# 10^6 on the values and into the denominator of the inverse pairing
+SCALES = {1: (3, 9, 1), 2: (3, 9, 2), 999983: (3, 9, 999983)}
+
+
+@pytest.mark.parametrize("scale", sorted(SCALES))
+def test_the_int_kernel_closes_like_the_fraction_reference(scale):
+    seeded = scaled_gw((3, 3, 3), scale)
+    solved = propagate(seeded, degrees=range(2))
+    assert (seeded._den, solved._den, solved._eta_den) == SCALES[scale]
+    if scale > 10**5:
+        assert max(map(abs, seeded._values.values())) >= scale
+    ref = reference_propagate(seeded, range(2))
+    assert FractionTable(solved).values == ref.values
+    assert solved._unknown == ref.unknown
+    assert dict(solved.known_items()) == {
+        key: scale * value for key, value in gw_closed((3, 3, 3))[1].known_items()
+    }
+    assert check_residuals(solved, degrees=range(2)) > 0
+
+
+@pytest.mark.parametrize("scale", [1, 999983])
+def test_a_planted_value_raises_with_its_exact_residual(scale):
+    seeded = scaled_gw((3, 3, 3), scale)
+    seeded.set([(1, 1), (1, 1), (2, 2), (2, 2)], scale * F(5, 7), degree=0)
+    with pytest.raises(InconsistentSystem) as expected:
+        reference_propagate(seeded, range(2))
+    residual = str(expected.value).removeprefix("has residual ")
+    assert F(residual).denominator > 1
+    with pytest.raises(InconsistentSystem) as info:
+        propagate(seeded, degrees=range(2))
+    assert str(info.value).startswith("known instance ")
+    assert str(info.value).endswith(f" has residual {residual}")
+    # check_residuals names the first known instance of the scan
+    ref = FractionTable(seeded)
+    forms = (
+        reference_residual(ref, *instance)
+        for instance in ises.wdvv._instances(seeded, 1, range(2), None)
+    )
+    first = next(constant for constant, terms in filter(None, forms) if constant and not terms)
+    with pytest.raises(InconsistentSystem) as info:
+        check_residuals(seeded, degrees=range(2))
+    assert str(info.value).endswith(f" has residual {first}")
+
+
+# ---------------------------------------------------------------------------
+# degree-two reconstruction at the cusps
+# ---------------------------------------------------------------------------
+
+
+# orders -> keys solved, keys still open, residuals checked and three-point
+# values resolved by the graded reconstruction at degrees 0..2
+DEGREE_TWO = {
+    (3, 3, 3): (122, 94, 1058, 3),
+    (4, 4, 2): (128, 121, 1330, 4),
+    (6, 3, 2): (118, 124, 1371, 7),
+}
+
+
+@pytest.mark.parametrize("orders", ORBIFOLDS, ids=str)
+def test_degree_two_reconstruction_meets_the_catalog_q_expansions(orders):
+    degrees = range(3)
+    seeded = apply_divisor_rule(gw_unknowns(gw_seed_table(orders), 2))
+    solved = propagate(seeded, degrees=degrees)
+    checked = check_residuals(solved, degrees=degrees)
+    (entry,) = [e for e in CATALOG if e.qexp and tuple(e.qexp.get("orbifold", ())) == orders]
+    resolved = 0
+    for block in entry.qexp["gw"]:
+        label = [tuple(x) for x in block["label"]]
+        for d in degrees:
+            value = solved.value(label, degree=d)
+            if value is not None:
+                # the coefficient of q^d; an exponent the series omits is 0
+                expected = next((F(v) for e, v in block["series"] if e == d), F(0))
+                assert value == expected, (label, d)
+                resolved += 1
+    solved_keys = len(seeded.unknown_keys) - len(solved.unknown_keys)
+    counts = (solved_keys, len(solved.unknown_keys), checked, resolved)
+    assert counts == DEGREE_TWO[orders]
