@@ -65,8 +65,9 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from typing import Sequence
 
+from . import jacobi  # groebner through its module, so a wrapper on ises.jacobi sees the calls
 from .isespoly import CatalogEntry, InvertiblePolynomial, enumerate_group, group_generators
-from .jacobi import groebner, standard_monomials
+from .jacobi import standard_monomials
 from .numcore import DomainError, MultiPoly, parse_rat, rat, scaled_ints
 from .wdvv import CorrelatorTable, InconsistentSystem, propagate
 
@@ -105,7 +106,7 @@ def sector_dimension(
     With no fixed coordinate the staircase is the one monomial 1, so a
     narrow sector counts one."""
     w, q = mirror.polynomial().map_coeffs(Fraction), mirror.charges
-    basis = groebner([w.partial(j) if j in fixed else MultiPoly.variable(j) for j in range(3)], q)
+    basis = jacobi.groebner([w.partial(j) if j in fixed else MultiPoly.variable(j) for j in range(3)], q)
     return sum(
         all(sum((a[j] + 1) * g[j] for j in fixed) % 1 == 0 for g in generators)
         for a in standard_monomials(basis, q, entry)

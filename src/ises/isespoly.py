@@ -375,7 +375,6 @@ class CatalogEntry:
     gepner: Mapping[str, Any] | None
     qexp: Mapping[str, Any] | None
     infinity_fjrw: Mapping[str, Any] | None
-    notes: tuple[str, ...]
 
     @property
     def charges(self) -> tuple[Rat, Rat, Rat]:
@@ -592,8 +591,6 @@ def _parse_entry(d: Mapping[str, Any]) -> CatalogEntry:
             count=int(_need(pun, "count", where)),
         )
 
-    notes = tuple(str(s) for s in d.get("notes", []))
-
     entry = CatalogEntry(
         name=name,
         family=family,
@@ -616,7 +613,6 @@ def _parse_entry(d: Mapping[str, Any]) -> CatalogEntry:
         gepner=d.get("gepner"),
         qexp=d.get("qexp"),
         infinity_fjrw=d.get("infinityFjrw"),
-        notes=notes,
     )
     _validate_modular_block(name, d, entry)
     return entry

@@ -488,9 +488,6 @@ class MultiPoly:
     def coeff(self, exps):
         return self.terms.get(tuple(exps), 0)
 
-    def __iter__(self):
-        return iter(sorted(self.terms.items()))
-
     def __add__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented

@@ -44,14 +44,14 @@ only shrink and a support stays a superset of them.  Values are read as
 they are used.  The pair sums of a (first pairing, extra, degree) group
 are kept until the next group or the next solved key.
 
-A support is routed by the degree budget.  A table with gradings scales
-them once by L, the lcm of their denominators, to int weights, and groups
+A support is routed by the degree budget.  A table scales its gradings
+once by L, the lcm of their denominators, to int weights, and groups
 the inverse-pairing rows (k, duals) by the weight of k.  The key
 <m_1, ..., m_j, k> meets the budget only when
 weight(k) = (j - 1) L - sum weight(m), so only the rows of that one group
 are visited.  This is exact: a key off the budget is never set to a
 nonzero value nor declared unknown, so it reads as zero and could not
-contribute.  A table without gradings keeps every row in one group.
+contribute.
 
 :func:`propagate` repeatedly scans residual instances that are linear in
 exactly one unknown, solves them, and enforces consistency of the fully
@@ -84,6 +84,7 @@ four-point values with a divisor insertion.
 
 from __future__ import annotations
 
+import copy
 import math
 import random
 from fractions import Fraction
@@ -127,21 +128,26 @@ class CorrelatorTable:
 
     Keys are multisets of basis labels (n >= 3 insertions), canonicalized
     by sorting in basis order; graded tables additionally key by an
-    integer degree.  Internally each label is its basis position, so a key
-    is a sorted int tuple, or ``(int tuple, degree)`` on a graded table;
-    every public method takes labels and returns label keys.  Values and
-    the inverse pairing are held as ints over the denominators D and E of
-    the module docstring, and the public methods return ``Fraction``s.
-    When every label carries a rational grading, setting a nonzero value on
-    a key violating the genus-zero degree budget (sum of degrees = n - 2)
-    is rejected, and such keys read as zero.
+    integer degree.  Internally each label is its basis position and every
+    key is ``(sorted int tuple, degree)``, the degree 0 on a table built
+    with ``graded=False``; every public method takes labels and returns
+    label keys.  Values and the inverse pairing are held as ints over the
+    denominators D and E of the module docstring, and the public methods
+    return ``Fraction``s.
+
+    Every label carries a rational grading.  Setting a nonzero value on a
+    key violating the genus-zero degree budget (sum of degrees = n - 2) is
+    rejected, and such keys read as zero.  The gradings of the two labels
+    of every nonzero pairing entry must have one sum c for the whole table
+    (c = 1 on the FJRW and GW tables), else the table raises
+    :class:`MissingPairing`.
     """
 
     def __init__(
         self,
         labels: Sequence,
         pairing: Mapping,
-        degrees: Mapping | None = None,
+        degrees: Mapping,
         graded: bool = False,
     ):
         self.labels = tuple(labels)
@@ -150,12 +156,14 @@ class CorrelatorTable:
             raise ValueError("duplicate basis labels")
         self.graded = bool(graded)
         # gradings scaled to int weights by the lcm of their denominators
-        self._weight = None
-        self._scale = 1
-        if degrees is not None:
-            self._weight, self._scale = scaled_ints([rat(degrees[label]) for label in self.labels])
+        self._weight, self._scale = scaled_ints([rat(degrees[label]) for label in self.labels])
         self._pairing = self._symmetrized(pairing)
         eta, self._eta_den = self._invert_pairing()
+        sums = {self._weight[i] + self._weight[j] for (i, j), v in self._pairing.items() if v}
+        if len(sums) != 1:
+            shown = ", ".join(str(Fraction(c, self._scale)) for c in sorted(sums))
+            raise MissingPairing(f"pairing is not degree-homogeneous: dual grading sums {shown}")
+        (self._pair_weight,) = sums  # c L, the weight of every dual pair
         self._dual_groups = self._group_duals(eta)
         self._values: dict = {}  # key -> int numerator over self._den
         self._den = 1
@@ -190,15 +198,11 @@ class CorrelatorTable:
         return tuple(tuple((j, next(cells)) for j, v in enumerate(row) if v) for row in rows), den
 
     def _group_duals(self, eta: tuple) -> dict:
-        """The nonzero rows (k, duals) of eta grouped by the weight of k.
-
-        A table without gradings has one group, under ``None``.
-        """
+        """The nonzero rows (k, duals) of eta grouped by the weight of k."""
         groups: dict = {}
         for k, duals in enumerate(eta):
             if duals:
-                weight = None if self._weight is None else self._weight[k]
-                groups.setdefault(weight, []).append((k, duals))
+                groups.setdefault(self._weight[k], []).append((k, duals))
         return {weight: tuple(rows) for weight, rows in groups.items()}
 
     # -- keys ----------------------------------------------------------
@@ -217,11 +221,9 @@ class CorrelatorTable:
         ins = tuple(sorted(self._positions(insertions)))
         if len(ins) < 3:
             raise ValueError("correlator keys need at least 3 insertions")
-        if self.graded:
-            return (ins, int(degree))
-        if degree:
+        if degree and not self.graded:
             raise ValueError("degree grading not enabled for this table")
-        return ins
+        return (ins, int(degree))
 
     def _names(self, ins: tuple[int, ...]) -> tuple:
         """The labels of interned insertions."""
@@ -229,13 +231,8 @@ class CorrelatorTable:
 
     def _label_key(self, key):
         """Label key of an internal key."""
-        if self.graded:
-            ins, degree = key
-            return (self._names(ins), degree)
-        return self._names(key)
-
-    def _insertions(self, key) -> tuple[int, ...]:
-        return key[0] if self.graded else key
+        ins, degree = key
+        return (self._names(ins), degree) if self.graded else self._names(ins)
 
     def pairing(self, a, b) -> Rat:
         return self._pairing.get(self._positions((a, b)), Fraction(0))
@@ -245,10 +242,7 @@ class CorrelatorTable:
         return self._budget_ok(self._positions(insertions))
 
     def _budget_ok(self, ins: tuple[int, ...]) -> bool:
-        weight = self._weight
-        if weight is None:
-            return True
-        return sum(weight[i] for i in ins) == (len(ins) - 2) * self._scale
+        return sum(self._weight[i] for i in ins) == (len(ins) - 2) * self._scale
 
     # -- values ----------------------------------------------------------
 
@@ -259,7 +253,7 @@ class CorrelatorTable:
         if self._frozen:
             raise ValueError("table is frozen")
         v = rat(value)
-        if not self._budget_ok(self._insertions(key)):
+        if not self._budget_ok(key[0]):
             if v:
                 raise DomainError(
                     "nonzero value on degree-budget-violating key "
@@ -286,7 +280,7 @@ class CorrelatorTable:
         if self._frozen:
             raise ValueError("table is frozen")
         key = self._key(insertions, degree)
-        if not self._budget_ok(self._insertions(key)):
+        if not self._budget_ok(key[0]):
             return
         if key not in self._values:
             self._unknown.add(key)
@@ -316,17 +310,8 @@ class CorrelatorTable:
         return self
 
     def copy(self) -> "CorrelatorTable":
-        dup = CorrelatorTable.__new__(CorrelatorTable)
-        dup.labels = self.labels
-        dup._index = self._index
-        dup.graded = self.graded
-        dup._weight = self._weight
-        dup._scale = self._scale
-        dup._pairing = self._pairing
-        dup._eta_den = self._eta_den
-        dup._dual_groups = self._dual_groups
+        dup = copy.copy(self)
         dup._values = dict(self._values)
-        dup._den = self._den
         dup._unknown = set(self._unknown)
         dup._frozen = False
         return dup
@@ -359,8 +344,7 @@ class _ScanMemo:
     def __init__(self, table: CorrelatorTable):
         live: dict = {}  # insertions -> (degree, key) of its live keys
         for key in (*(k for k, v in table._values.items() if v), *table._unknown):
-            ins, degree = key if table.graded else (key, 0)
-            live.setdefault(ins, []).append((degree, key))
+            live.setdefault(key[0], []).append((key[1], key))
         self.heads = cache(partial(_head_support, table, live))
         self.tails = cache(partial(_tail_support, table, live))
         self.group = None
@@ -375,10 +359,8 @@ def _support(table: CorrelatorTable, live: dict, insertions: tuple[int, ...]) ->
     sum weight(insertions) are visited, m being the length of insertions;
     any other k puts the key off the degree budget, where it reads as zero.
     """
-    route = None
-    if table._weight is not None:
-        weight = table._weight
-        route = (len(insertions) - 1) * table._scale - sum(weight[i] for i in insertions)
+    weight = table._weight
+    route = (len(insertions) - 1) * table._scale - sum(weight[i] for i in insertions)
     return [
         (k, duals, degree, key)
         for k, duals in table._dual_groups.get(route, ())
@@ -444,18 +426,16 @@ def _pair_sum(table: CorrelatorTable, pair, extra, degree, memo: _ScanMemo):
     return constant, terms
 
 
-def _residual(table: CorrelatorTable, pair1, pair2, extra, degree, memo=None):
+def _residual(table: CorrelatorTable, pair1, pair2, extra, degree, memo: _ScanMemo):
     """The residual S(pair1) - S(pair2) of one instance as ``(constant,
     terms)`` on ints over D^2 E and D E (module docstring), zero
     coefficients dropped; None when it is quadratic.
 
-    ``memo`` is the :class:`_ScanMemo` of the calling scan (a fresh one when
-    None).  The pair sums of the instance's (pair1, extra, degree) group are
-    kept there until the next group or the next solved key, so the instances
-    of a group evaluate their shared first pairing once.
+    ``memo`` is the :class:`_ScanMemo` of the calling scan.  The pair sums
+    of the instance's (pair1, extra, degree) group are kept there until the
+    next group or the next solved key, so the instances of a group evaluate
+    their shared first pairing once.
     """
-    if memo is None:
-        memo = _ScanMemo(table)
     group = (pair1, extra, degree)
     if memo.group != group:
         memo.group = group
@@ -481,30 +461,20 @@ def _extra_routes(table: CorrelatorTable, extra_slots: int):
     sum to c, the weight sum shared by all pairing-dual pairs, and its two
     factors meet their budgets only when the weights of the quad and of the
     n extras sum to (2 + n) L - c.  So an extra of weight w serves only the
-    quads of weight (2 + n) L - c - w.  Returns ``(weight, routes)``:
-    ``routes[n]`` maps that quad weight to the extras of size n, in
-    combinations order, and ``weight`` gives the int weight of each
-    position.  Without gradings, or with a pairing that is not
-    degree-homogeneous, ``weight`` is None and every extra sits under None.
+    quads of weight (2 + n) L - c - w.  ``routes[n]`` maps that quad weight
+    to the extras of size n, in combinations order.
     """
     weight, scale = table._weight, table._scale
-    if weight is not None:
-        sums = {weight[i] + weight[j] for (i, j), v in table._pairing.items() if v}
-        if len(sums) == 1:
-            offset = 2 * scale - sums.pop()
-        else:
-            weight = None
+    offset = 2 * scale - table._pair_weight
     basis = range(len(table.labels))
     routes = []
     for n in range(extra_slots + 1):
         by_quad: dict = {}
         for extra in combinations_with_replacement(basis, n):
-            need = None
-            if weight is not None:
-                need = offset + n * scale - sum(weight[i] for i in extra)
+            need = offset + n * scale - sum(weight[i] for i in extra)
             by_quad.setdefault(need, []).append(extra)
         routes.append(by_quad)
-    return weight, routes
+    return routes
 
 
 def _instances(table: CorrelatorTable, extra_slots: int, degrees, admissible):
@@ -524,7 +494,7 @@ def _instances(table: CorrelatorTable, extra_slots: int, degrees, admissible):
     (pairing, extra) of this scan.
     """
     degree_list = list(degrees) if table.graded else [0]
-    weight, routes = _extra_routes(table, extra_slots)
+    weight, routes = table._weight, _extra_routes(table, extra_slots)
     for quad in combinations_with_replacement(range(len(table.labels)), 4):
         a, b, c, d = quad
         distinct: dict = {}
@@ -533,9 +503,7 @@ def _instances(table: CorrelatorTable, extra_slots: int, degrees, admissible):
         pairings = list(distinct.values())
         if len(pairings) < 2:
             continue
-        need = None
-        if weight is not None:
-            need = weight[a] + weight[b] + weight[c] + weight[d]
+        need = weight[a] + weight[b] + weight[c] + weight[d]
         for by_quad in routes:
             for extra in by_quad.get(need, ()):
                 ok = pairings
@@ -701,12 +669,13 @@ def gw_seed_table(orders: Sequence[int]) -> CorrelatorTable:
     return table
 
 
-def apply_divisor_rule(table: CorrelatorTable, divisor=(0, 2)) -> CorrelatorTable:
-    """Extend a graded table by  <divisor, A, B, C>_d = d * <A, B, C>_d .
+def apply_divisor_rule(table: CorrelatorTable) -> CorrelatorTable:
+    """Extend a graded table by  <P, A, B, C>_d = d * <A, B, C>_d .
 
-    The divisor insertion integrates to the curve degree against each
-    stable map, so every known three-point value at degree d yields the
-    four-point value with one extra divisor insertion.
+    The point class P = (0, 2) is the divisor of P^1_{a1,a2,a3}: it
+    integrates to the curve degree against each stable map, so every known
+    three-point value at degree d yields the four-point value with one
+    extra P insertion.
     """
     if not table.graded:
         raise ValueError("divisor rule applies to degree-graded tables")
@@ -715,5 +684,5 @@ def apply_divisor_rule(table: CorrelatorTable, divisor=(0, 2)) -> CorrelatorTabl
         insertions, degree = key
         if len(insertions) != 3:
             continue
-        out.set(insertions + (divisor,), degree * value, degree=degree)
+        out.set(insertions + ((0, 2),), degree * value, degree=degree)
     return out

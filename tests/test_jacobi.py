@@ -350,6 +350,41 @@ def test_gram_matrix_is_nondegenerate(name):
             assert rows[i][j] == rows[j][i]
 
 
+# The pairs whose display basis pairs singularly at sigma = 0.
+SIGMA_ZERO_SINGULAR = {
+    ("e6-chain23", (2, 0, 1)),
+    ("e6-chain23", (0, 2, 1)),
+    ("e6-loop22", (1, 1, 1)),
+    ("e6-loop22", (2, 0, 1)),
+    ("e7-chain22", (2, 0, 2)),
+    ("e7-chain22", (0, 1, 2)),
+    ("e7-chain322", (1, 1, 1)),
+    ("e7-chain322", (1, 3, 0)),
+    ("e7-chain322", (4, 0, 0)),
+    ("e8-chain43", (2, 2, 0)),
+    ("e8-chain43", (6, 0, 0)),
+}
+
+
+def test_the_sigma_zero_basis_status_of_every_pair():
+    """The matrix K residue(a b)(0) over the display basis is singular for
+    exactly 11 of the 25 pairs and invertible for the other 14.
+
+    This records an open defect, not a fix: on those 11 pairs the display
+    basis is not a basis of Jac(W) at sigma = 0, yet all but e7-chain322
+    with m = (1,1,1) return four-point tables in it.  The test flips when
+    the algebra takes a basis whose sigma = 0 pairing is invertible.
+    """
+    singular = set()
+    for name, m in ALL_PAIRS:
+        alg = algebra(name, m)
+        rows = [[alg.threepoint(mono(a) * mono(b)).eval(0) for b in alg.basis] for a in alg.basis]
+        if nullspace(rows, len(alg.basis)):
+            singular.add((name, m))
+    assert singular == SIGMA_ZERO_SINGULAR
+    assert len(ALL_PAIRS) - len(singular) == 14
+
+
 # ---------------------------------------------------------------------------
 # Jacobian-ideal decompositions
 # ---------------------------------------------------------------------------

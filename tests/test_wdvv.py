@@ -43,7 +43,8 @@ LOW = (F(1, 3), F(1, 3), F(1, 3))
 
 
 def phase_table() -> CorrelatorTable:
-    return CorrelatorTable((HIGH, LOW), {(HIGH, LOW): 1})
+    # every three-point key is on the budget of these gradings
+    return CorrelatorTable((HIGH, LOW), {(HIGH, LOW): 1}, degrees={HIGH: F(1, 3), LOW: F(1, 3)})
 
 
 def gw_unknowns(table: CorrelatorTable, top_degree: int) -> CorrelatorTable:
@@ -98,7 +99,7 @@ def test_gw_labels_round_trip():
 
 def test_singular_pairing_is_rejected():
     with pytest.raises(MissingPairing, match="singular"):
-        CorrelatorTable((HIGH, LOW), {(HIGH, HIGH): 1})
+        CorrelatorTable((HIGH, LOW), {(HIGH, HIGH): 1}, degrees={HIGH: F(1, 3), LOW: F(1, 3)})
 
 
 def test_keys_need_three_insertions_and_a_grading_for_degrees():
@@ -245,6 +246,11 @@ def test_propagate_ignores_shuffle_seed(monkeypatch):
         assert shuffled.unknown_keys == reference.unknown_keys
 
 
+def residual(table, instance):
+    """The int kernel's residual of one instance, in a scan of its own."""
+    return ises.wdvv._residual(table, *instance, ises.wdvv._ScanMemo(table))
+
+
 def exact(table, form):
     """A residual or pair sum of the int kernel as exact rationals: the
     constant over D^2 E and each coefficient over D E, D and E being the
@@ -269,7 +275,7 @@ def rescanning_propagate(table, degrees):
         progress = False
         passes += 1
         for instance in instances:
-            form = exact(work, ises.wdvv._residual(work, *instance))
+            form = exact(work, residual(work, instance))
             if form is not None and len(form[1]) == 1:
                 constant, terms = form
                 (key, coeff), = terms.items()
@@ -328,7 +334,6 @@ class FractionTable:
     keys, and its inverse pairing inverted from the pairing itself."""
 
     def __init__(self, table):
-        self.graded = table.graded
         self.values = {
             table._key(*key) if table.graded else table._key(key): value
             for key, value in table.known_items()
@@ -341,9 +346,8 @@ def reference_pair_sum(ref, left_pair, right_pair, extra, degree):
     """The pair sum over every k of the inverse pairing, with the Leibniz
     and degree splits computed per call; (constant, terms), or None when
     quadratic."""
-    graded, eta = ref.graded, ref.eta
-    values, unknown = ref.values, ref.unknown
-    splits = [(d1, degree - d1) for d1 in range(degree + 1)] if graded else [(0, 0)]
+    eta, values, unknown = ref.eta, ref.values, ref.unknown
+    splits = [(d1, degree - d1) for d1 in range(degree + 1)]
     leibniz = ises.wdvv._leibniz_splits(extra)
     constant = F(0)
     terms = {}
@@ -354,7 +358,7 @@ def reference_pair_sum(ref, left_pair, right_pair, extra, degree):
             left_ins = tuple(sorted(left_pair + (k,) + left_extra))
             right_tail = right_pair + right_extra
             for d1, d2 in splits:
-                left_key = (left_ins, d1) if graded else left_ins
+                left_key = (left_ins, d1)
                 left_unknown = left_key in unknown
                 left = None if left_unknown else values.get(left_key)
                 if not (left_unknown or left):
@@ -363,7 +367,7 @@ def reference_pair_sum(ref, left_pair, right_pair, extra, degree):
                 acc_terms = {}
                 for l, eta_kl in duals:
                     right_ins = tuple(sorted((l,) + right_tail))
-                    right_key = (right_ins, d2) if graded else right_ins
+                    right_key = (right_ins, d2)
                     if right_key in unknown:
                         acc_terms[right_key] = acc_terms.get(right_key, 0) + eta_kl
                     else:
@@ -404,7 +408,7 @@ def assert_routed_residuals(table, degrees, admissible=None, instances=None):
     if instances is None:
         instances = ises.wdvv._instances(table, 1, degrees, admissible)
     for instance in instances:
-        form = exact(table, ises.wdvv._residual(table, *instance))
+        form = exact(table, residual(table, instance))
         expected = reference_residual(ref, *instance)
         if expected is None:
             assert form is None, instance
@@ -439,24 +443,11 @@ def test_routed_residuals_on_the_fjrw_tables(name):
     assert bool(table.unknown_keys) == bool(shapes["linear"])
 
 
-def ungraded_table():
-    """e6-chain233's narrow table, which keeps unknowns, with its gradings
-    dropped."""
-    graded = fjrw_theory("e6-chain233").correlator_table()
-    labels = graded.labels
-    pairing = {(a, b): graded.pairing(a, b) for a in labels for b in labels}
-    table = CorrelatorTable(labels, pairing)
-    for key, value in graded.known_items():
-        table.set(key, value)
-    for key in graded.unknown_keys:
-        table.declare_unknown(key)
-    return table
-
-
-def test_routed_residuals_on_a_table_without_degrees():
-    table = ungraded_table()
-    assert list(table._dual_groups) == [None]
+def test_routed_residuals_without_the_node_filter():
+    # e6-chain233's narrow table keeps unknowns
+    table = fjrw_theory("e6-chain233").correlator_table()
     assert table.copy()._dual_groups is table._dual_groups
+    assert_same_scan(table, 1, (0,))
     shapes = assert_routed_residuals(table, (0,))
     assert shapes == {"quadratic": 0, "constant": 0, "linear": 4}
     # the quadratic instances of this table all set a pairing against itself
@@ -498,11 +489,9 @@ def test_int_budget_matches_the_fraction_sum():
 def reference_budget_filter(table):
     """Predicate selecting instances whose terms can pass the degree budget:
     the weights of the quad and the extras must sum to (2 + n_extra) L - c,
-    with c the weight sum shared by all pairing-dual pairs.  None when
-    gradings are absent or the pairing is not degree-homogeneous."""
+    with c the weight sum shared by all pairing-dual pairs.  None when the
+    pairing is not degree-homogeneous."""
     weight, scale = table._weight, table._scale
-    if weight is None:
-        return None
     sums = {weight[i] + weight[j] for (i, j), v in table._pairing.items() if v}
     if len(sums) != 1:
         return None
@@ -611,20 +600,20 @@ def test_routed_scan_on_the_fjrw_tables(name):
     assert_same_scan(table, 1, (0,), theory.narrow_nodes, named_nodes(theory))
 
 
-def test_routed_scan_on_a_table_without_degrees():
-    table = ungraded_table()
-    assert ises.wdvv._extra_routes(table, 1)[0] is None
-    assert_same_scan(table, 1, (0,))
-
-
-def test_routed_scan_falls_back_on_a_pairing_that_is_not_homogeneous():
-    # u.p and h.h have weight sum 1, t.t has 2/3
+def test_a_pairing_that_is_not_homogeneous_is_rejected():
+    # u.p and h.h have grading sum 1, t.t has 2/3
     degrees = {"u": F(0), "p": F(1), "h": F(1, 2), "t": F(1, 3)}
     pairing = {("u", "p"): 1, ("h", "h"): 1, ("t", "t"): 1}
+    with pytest.raises(MissingPairing, match="dual grading sums 2/3, 1$"):
+        CorrelatorTable(tuple(degrees), pairing, degrees=degrees)
+    # with t.T for t.t every dual pair sums to 1, and the explicit zeros of a
+    # pairing listed over all label pairs are not read
+    degrees["T"] = F(2, 3)
+    pairing = {(a, b): 0 for a in degrees for b in degrees}
+    for a, b in (("u", "p"), ("h", "h"), ("t", "T")):
+        pairing[a, b] = pairing[b, a] = 1
     table = CorrelatorTable(tuple(degrees), pairing, degrees=degrees)
-    assert reference_budget_filter(table) is None
-    assert ises.wdvv._extra_routes(table, 1)[0] is None
-    assert_same_scan(table, 1, (0,))
+    assert table.pairing("T", "t") == 1
 
 
 @pytest.mark.parametrize("name", FJRW_NAMES)
@@ -725,7 +714,7 @@ def test_every_scanned_instance_is_nonzero_on_a_random_table(orders, instances):
     scanned = list(ises.wdvv._instances(table, 1, range(2), None))
     assert len(scanned) == instances
     for instance in scanned:
-        form = ises.wdvv._residual(table, *instance)
+        form = residual(table, instance)
         assert form is not None and form[0] and not form[1], instance
 
 
@@ -740,7 +729,7 @@ def test_relations_behind_an_inadmissible_first_pairing_are_scanned():
             (a, b, c, d), extra, _ = group(instance)
             if instance[0] != ((a, b), (c, d)):
                 assert not theory.narrow_nodes(((a, b), (c, d)), extra)
-                assert ises.wdvv._residual(table, *instance) == (0, {}), (name, instance)
+                assert residual(table, instance) == (0, {}), (name, instance)
                 anchored[name] = anchored.get(name, 0) + 1
     assert anchored == {
         "e7-chain34": 11,
@@ -847,7 +836,7 @@ def test_the_supports_of_the_closed_table_are_inside_the_seeded_ones(orders):
     # so the supports of the seeded table give the closed table's residuals
     stale = ises.wdvv._ScanMemo(seeded)
     for instance in ises.wdvv._instances(solved, 1, range(2), None):
-        expected = exact(solved, ises.wdvv._residual(solved, *instance))
+        expected = exact(solved, residual(solved, instance))
         assert exact(solved, ises.wdvv._residual(solved, *instance, stale)) == expected, instance
 
 
@@ -972,32 +961,38 @@ def test_a_planted_value_raises_with_its_exact_residual(scale):
 # ---------------------------------------------------------------------------
 
 
-# orders -> keys solved, keys still open, residuals checked and three-point
-# values resolved by the graded reconstruction at degrees 0..2
-DEGREE_TWO = {
-    (3, 3, 3): (122, 94, 1058, 3),
-    (4, 4, 2): (128, 121, 1330, 4),
-    (6, 3, 2): (118, 124, 1371, 7),
+# (orders, D) -> keys solved, keys still open, residuals checked and
+# three-point values resolved by the graded reconstruction at degrees 0..D;
+# the D = 1 sums, 295 / 135 / 3,063, are the counts of the gw-reconstruct
+# workload
+RECONSTRUCTION = {
+    ((3, 3, 3), 1): (96, 34, 831, 3),
+    ((4, 4, 2), 1): (103, 49, 1079, 4),
+    ((6, 3, 2), 1): (96, 52, 1153, 7),
+    ((3, 3, 3), 2): (122, 94, 1058, 3),
+    ((4, 4, 2), 2): (128, 121, 1330, 4),
+    ((6, 3, 2), 2): (118, 124, 1371, 7),
 }
 
 
 @pytest.mark.parametrize("orders", ORBIFOLDS, ids=str)
 def test_degree_two_reconstruction_meets_the_catalog_q_expansions(orders):
-    degrees = range(3)
-    seeded = apply_divisor_rule(gw_unknowns(gw_seed_table(orders), 2))
-    solved = propagate(seeded, degrees=degrees)
-    checked = check_residuals(solved, degrees=degrees)
     (entry,) = [e for e in CATALOG if e.qexp and tuple(e.qexp.get("orbifold", ())) == orders]
-    resolved = 0
-    for block in entry.qexp["gw"]:
-        label = [tuple(x) for x in block["label"]]
-        for d in degrees:
-            value = solved.value(label, degree=d)
-            if value is not None:
-                # the coefficient of q^d; an exponent the series omits is 0
-                expected = next((F(v) for e, v in block["series"] if e == d), F(0))
-                assert value == expected, (label, d)
-                resolved += 1
-    solved_keys = len(seeded.unknown_keys) - len(solved.unknown_keys)
-    counts = (solved_keys, len(solved.unknown_keys), checked, resolved)
-    assert counts == DEGREE_TWO[orders]
+    for top in (1, 2):
+        degrees = range(top + 1)
+        seeded = apply_divisor_rule(gw_unknowns(gw_seed_table(orders), top))
+        solved = propagate(seeded, degrees=degrees)
+        checked = check_residuals(solved, degrees=degrees)
+        resolved = 0
+        for block in entry.qexp["gw"]:
+            label = [tuple(x) for x in block["label"]]
+            for d in degrees:
+                value = solved.value(label, degree=d)
+                if value is not None:
+                    # the coefficient of q^d; an exponent the series omits is 0
+                    expected = next((F(v) for e, v in block["series"] if e == d), F(0))
+                    assert value == expected, (label, d)
+                    resolved += 1
+        solved_keys = len(seeded.unknown_keys) - len(solved.unknown_keys)
+        counts = (solved_keys, len(solved.unknown_keys), checked, resolved)
+        assert counts == RECONSTRUCTION[orders, top]
