@@ -50,9 +50,15 @@ exactly when L divides it.  The four-point value above is then one
     sum_j [ qL (qL - L) - sum_k a_k (a_k - L) + sum_channels n (n - L) ] / (2 L^2)
 
 over the scaled phases qL, a_k and node phases n of coordinate j (the 1/6
-terms cancel: 1 - 4 + 3 = 0).  Labels are turned into ``Fraction``s at the
-edge only: in sector labels, and in the degrees that the exception
-messages report.
+terms cancel: 1 - 4 + 3 = 0).  The table seed (on basis positions, the
+correlator table's own keys), the node check of ``narrow_nodes``, the
+broad-sector count (on the group generators scaled to ints) and the word
+feasibility test run on ints only.  ``Fraction``s are made at the edge
+only, which is: the sector labels and gradings of ``FjrwSector`` (the keys
+of ``sectors``, the chart and the fixtures); the labels, gradings and
+pairing handed to ``CorrelatorTable`` once per theory; the correlator
+values; the word reductions, which read the finished table by label; and
+the degrees that the exception messages report.
 
 Entries whose catalog record marks the reconstruction as excluded (their
 state space is generated by broad classes) raise NeedsBroadFixture.
@@ -107,8 +113,11 @@ def sector_dimension(
     narrow sector counts one."""
     w, q = mirror.polynomial().map_coeffs(Fraction), mirror.charges
     basis = jacobi.groebner([w.partial(j) if j in fixed else MultiPoly.variable(j) for j in range(3)], q)
+    # the generators scaled to ints by the lcm of their denominators
+    scale = scaled_ints([t for g in generators for t in g])[1]
+    steps = [scaled_ints(g, scale)[0] for g in generators]
     return sum(
-        all(sum((a[j] + 1) * g[j] for j in fixed) % 1 == 0 for g in generators)
+        all(sum((a[j] + 1) * g[j] for j in fixed) % scale == 0 for g in steps)
         for a in standard_monomials(basis, q, entry)
     )
 
@@ -204,10 +213,17 @@ class FjrwTheory:
         }
         if len(self._narrow) + sum(self.broad_dims.values()) != entry.milnor:
             raise DomainError(f"{entry.name}: state space dimension mismatch")
-        self._scaled_q = self._scaled[self.identity.theta]
+        self._scaled_q = q = self._scaled[self.identity.theta]
         self._scaled_broad = frozenset(self._scaled[t] for t in self.broad_dims)
-        self._narrow_phases = tuple(self._scaled[s.theta] for s in self._narrow)
-        self._node_verdicts: dict = {}
+        self._narrow_phases = phases = tuple(self._scaled[s.theta] for s in self._narrow)
+        # the node data of narrow_nodes: the node of every half, and the
+        # nodes that the empty extra and each one-slot extra rule out
+        basis = range(len(phases))
+        self._half_nodes = {
+            (i, k): tuple((qj - a - b) % scale for qj, a, b in zip(q, phases[i], phases[k]))
+            for i, k in product(basis, repeat=2)
+        }
+        self._blocked = {extra: self._blocked_nodes(extra) for extra in [(), *((i,) for i in basis)]}
 
         fixtures = raw.get("fixtures", {})
         self._fixture3 = {
@@ -319,38 +335,39 @@ class FjrwTheory:
         intermediate sectors.
 
         ``pair`` and ``extra`` hold basis positions: ints into the labels of
-        :meth:`correlator_table`, the narrow sectors in group order.  In
-        every term <left, S, k> eta <l, right, rest> the group grading
-        forces the sector of k: Theta(k) = (|S|+1) q - sum(left) - sum(S)
-        mod 1 (and l lands in its inverse).  Pairings
-        that force a node into a broad sector of positive dimension give
-        residuals with contributions the narrow table cannot see, so they
-        must not be used as identities on it.  Broad sectors of dimension
-        zero carry no states and are harmless.
+        :meth:`correlator_table`, the narrow sectors in group order; each
+        half of ``pair`` is two positions.  In every term <left, S, k> eta
+        <l, right, rest> the group grading forces the sector of k: Theta(k)
+        = (|S|+1) q - sum(left) - sum(S) mod 1 (and l lands in its inverse).
+        Pairings that force a node into a broad sector of positive dimension
+        give residuals with contributions the narrow table cannot see, so
+        they must not be used as identities on it.  Broad sectors of
+        dimension zero carry no states and are harmless.
 
-        A pairing is admissible when both of its halves are, and the verdict
-        of each (half, extra) is computed once per theory and kept, so the
-        scans of :func:`propagate` and :func:`check_residuals` share them.
+        The check runs on scaled int group elements built with the theory:
+        the node (q - sum(left)) L mod L of every half, and per extra the
+        frozenset of those broad sectors shifted back by sum(q - x) L over
+        each Leibniz subset S of the extra, which a half's node must avoid.
+        The sets of the empty extra and of every one-slot extra are built
+        once; a longer extra, which only a scan with more extra slots
+        offers, has its set built on each call.
         """
-        for half in pair:
-            verdict = self._node_verdicts.get((half, extra))
-            if verdict is None:
-                verdict = self._node_verdicts[half, extra] = self._nodes_narrow(half, extra)
-            if not verdict:
-                return False
-        return True
+        blocked = self._blocked.get(extra)
+        if blocked is None:
+            blocked = self._blocked_nodes(extra)
+        first, second = pair
+        return self._half_nodes[first] not in blocked and self._half_nodes[second] not in blocked
 
-    def _nodes_narrow(self, half, extra) -> bool:
-        """The node check of one half, on scaled phases: each node is
-        ((|S|+1) qL - sum(left L) - sum(S L)) mod L, looked up among the
-        scaled broad sectors of positive dimension."""
+    def _blocked_nodes(self, extra) -> frozenset:
+        """The half nodes that ``extra`` rules out (see :meth:`narrow_nodes`),
+        as scaled int phase vectors."""
         scale, q, phases = self._scale, self._scaled_q, self._narrow_phases
-        nodes = [tuple(qj - sum(phases[i][j] for i in half) for j, qj in enumerate(q))]
+        shifts = {(0, 0, 0)}
         for x in extra:
-            shift = tuple(qj - xj for qj, xj in zip(q, phases[x]))
-            nodes += [tuple(n + s for n, s in zip(node, shift)) for node in nodes]
+            step = tuple(qj - xj for qj, xj in zip(q, phases[x]))
+            shifts |= {tuple((s + t) % scale for s, t in zip(shift, step)) for shift in shifts}
         broad = self._scaled_broad
-        return not any(tuple(n % scale for n in node) in broad for node in nodes)
+        return frozenset(tuple((b - s) % scale for b, s in zip(node, shift)) for node in broad for shift in shifts)
 
     def correlator_table(self) -> CorrelatorTable:
         """Three- and four-point values over narrow sectors, closed under
@@ -368,27 +385,29 @@ class FjrwTheory:
         weight = [sum(p) - sum(self._scaled_q) for p in phases]
 
         def on_budget(n):
+            """Sorted basis positions on the budget, as the table's keys
+            (module wdvv), with their scaled phases."""
             for ins in combinations_with_replacement(range(len(labels)), n):
                 if sum(weight[i] for i in ins) == (n - 2) * scale:
-                    yield tuple(labels[i] for i in ins), [phases[i] for i in ins]
+                    yield (ins, 0), [phases[i] for i in ins]
 
-        for trip, trip_phases in on_budget(3):
+        for key, trip_phases in on_budget(3):
             value = self._threepoint(trip_phases)
             if value is None:
-                value = self._fixture3.get(trip)
+                value = self._fixture3.get(tuple(labels[i] for i in key[0]))
             if value is None:
-                table.declare_unknown(trip)
+                table._declare_key(key)
             else:
-                table.set(trip, value)
-        for quad, quad_phases in on_budget(4):
+                table._set_key(key, value)
+        for key, quad_phases in on_budget(4):
             main = self._degrees(quad_phases)
             if any(dj % scale for dj in main):
-                table.set(quad, 0)
+                table._set_key(key, 0)
                 continue
             try:
-                table.set(quad, self._fourpoint(quad_phases, main))
+                table._set_key(key, self._fourpoint(quad_phases, main))
             except NotConcave:
-                table.declare_unknown(quad)
+                table._declare_key(key)
         self._table = propagate(table, admissible=self.narrow_nodes).freeze()
         return self._table
 
@@ -450,27 +469,19 @@ class FjrwTheory:
     def weight_one_words(self) -> tuple[tuple[int, ...], ...]:
         """Exponent words in the ring generators with total charge one."""
         ngen = len(self.generators)
-        words = []
-        for mono in self.entry.polynomial.degree_one_monomials():
-            if any(mono[j] for j in range(ngen, 3)):
-                continue
-            words.append(tuple(mono[:ngen]))
-        return tuple(words)
+        monomials = self.entry.polynomial.degree_one_monomials()
+        return tuple(tuple(mono[:ngen]) for mono in monomials if not any(mono[ngen:]))
 
     def word_feasible(self, word: Sequence[int]) -> bool:
         """Line bundle integrality for any three-insertion factorization
         (independent of the factorization: phases differ by integers)."""
-        q = self.mirror_charges
-        content = []
-        for j in range(3):
-            s = sum(
-                v * self.rho[g].theta[j]
-                for v, g in zip(word, self.generators)
-            )
-            s -= (sum(word) - 3) * q[j]
-            s += self.top.theta[j]
-            content.append(s)
-        return all((2 * q[j] - content[j]).denominator == 1 for j in range(3))
+        scale, q, top = self._scale, self._scaled_q, self._scaled[self.top.theta]
+        rho = [self._scaled[self.rho[g].theta] for g in self.generators]
+        # 2 q_j minus the phase content of the word and the top sector, scaled
+        return all(
+            ((sum(word) - 1) * qj - sum(v * r[j] for v, r in zip(word, rho)) - top[j]) % scale == 0
+            for j, qj in enumerate(q)
+        )
 
     def word_value(self, word: Sequence[int]):
         """Value of <Xi(rho), rho_top> for a weight-one word Xi.

@@ -135,7 +135,8 @@ class CorrelatorTable:
     denominators D and E of the module docstring, and the public methods
     return ``Fraction``s.
 
-    Every label carries a rational grading.  Setting a nonzero value on a
+    Every label carries a rational grading (a label missing from
+    ``degrees`` raises :class:`DomainError`).  Setting a nonzero value on a
     key violating the genus-zero degree budget (sum of degrees = n - 2) is
     rejected, and such keys read as zero.  The gradings of the two labels
     of every nonzero pairing entry must have one sum c for the whole table
@@ -155,8 +156,12 @@ class CorrelatorTable:
         if len(self._index) != len(self.labels):
             raise ValueError("duplicate basis labels")
         self.graded = bool(graded)
+        try:
+            gradings = [rat(degrees[label]) for label in self.labels]
+        except KeyError as exc:
+            raise DomainError(f"basis label {exc.args[0]!r} has no grading in degrees") from None
         # gradings scaled to int weights by the lcm of their denominators
-        self._weight, self._scale = scaled_ints([rat(degrees[label]) for label in self.labels])
+        self._weight, self._scale = scaled_ints(gradings)
         self._pairing = self._symmetrized(pairing)
         eta, self._eta_den = self._invert_pairing()
         sums = {self._weight[i] + self._weight[j] for (i, j), v in self._pairing.items() if v}
@@ -277,12 +282,12 @@ class CorrelatorTable:
         self._unknown.discard(key)
 
     def declare_unknown(self, insertions, degree: int = 0) -> None:
+        self._declare_key(self._key(insertions, degree))
+
+    def _declare_key(self, key) -> None:
         if self._frozen:
             raise ValueError("table is frozen")
-        key = self._key(insertions, degree)
-        if not self._budget_ok(key[0]):
-            return
-        if key not in self._values:
+        if self._budget_ok(key[0]) and key not in self._values:
             self._unknown.add(key)
 
     def value(self, insertions, degree: int = 0):
@@ -488,22 +493,25 @@ def _instances(table: CorrelatorTable, extra_slots: int, degrees, admissible):
     one pairing yields nothing.  For each extra, the admissible pairings
     that remain give the instances: the first of them against each of the
     others.  Each quad visits only the extras that complete its degree
-    budget (see :func:`_extra_routes`); an instance off the budget has only
-    terms that read as zero.  ``admissible(pair, extra)`` is called with
-    basis positions, ints into ``table.labels``, once per distinct
-    (pairing, extra) of this scan.
+    budget (see :func:`_extra_routes`), and a quad that no extra completes
+    is skipped before its pairings are built; an instance off the budget
+    has only terms that read as zero.  ``admissible(pair, extra)`` is
+    called with basis positions, ints into ``table.labels``, once per
+    distinct (pairing, extra) of this scan.
     """
     degree_list = list(degrees) if table.graded else [0]
     weight, routes = table._weight, _extra_routes(table, extra_slots)
-    for quad in combinations_with_replacement(range(len(table.labels)), 4):
-        a, b, c, d = quad
+    served = {need for by_quad in routes for need in by_quad}
+    for a, b, c, d in combinations_with_replacement(range(len(table.labels)), 4):
+        need = weight[a] + weight[b] + weight[c] + weight[d]
+        if need not in served:
+            continue
         distinct: dict = {}
         for pair in (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c))):
             distinct.setdefault(frozenset(pair), pair)
         pairings = list(distinct.values())
         if len(pairings) < 2:
             continue
-        need = weight[a] + weight[b] + weight[c] + weight[d]
         for by_quad in routes:
             for extra in by_quad.get(need, ()):
                 ok = pairings

@@ -102,6 +102,12 @@ def test_singular_pairing_is_rejected():
         CorrelatorTable((HIGH, LOW), {(HIGH, HIGH): 1}, degrees={HIGH: F(1, 3), LOW: F(1, 3)})
 
 
+def test_a_label_without_a_grading_is_named():
+    with pytest.raises(DomainError, match="^basis label 'b' has no grading in degrees$") as info:
+        CorrelatorTable(("a", "b"), {("a", "b"): 1}, degrees={"a": 0})
+    assert not isinstance(info.value, KeyError)
+
+
 def test_keys_need_three_insertions_and_a_grading_for_degrees():
     table = phase_table()
     with pytest.raises(ValueError):
@@ -621,28 +627,20 @@ def test_a_pairing_that_is_not_homogeneous_is_rejected():
 
 
 @pytest.mark.parametrize("name", FJRW_NAMES)
-def test_a_second_scan_computes_no_new_node_verdict(name, monkeypatch):
+def test_a_second_scan_adds_no_node_data(name):
     theory = ises.fjrw.FjrwTheory(get_entry(CATALOG, name))
+    halves, blocked = theory._half_nodes, theory._blocked
+    built = (dict(halves), dict(blocked))
+    # every ordered half of the narrow basis, and the empty and one-slot extras
+    n = len(theory.correlator_table().labels)
+    assert len(halves) == n * n
+    assert set(blocked) == {(), *((i,) for i in range(n))}
     table = theory.correlator_table()
-    # propagate scans the seeded table only while it has unknowns
-    scanned = bool(theory._node_verdicts)
-    computed = []
-    original = theory._nodes_narrow
-
-    def counted(half, extra):
-        computed.append((half, extra))
-        return original(half, extra)
-
-    monkeypatch.setattr(theory, "_nodes_narrow", counted)
     first = check_residuals(table, admissible=theory.narrow_nodes)
-    if scanned:
-        # the check_residuals scan reuses the verdicts of the propagate scan
-        assert computed == []
-    else:
-        assert computed
-    computed.clear()
+    assert first > 0
     assert check_residuals(table, admissible=theory.narrow_nodes) == first
-    assert computed == []
+    assert theory._half_nodes is halves and theory._blocked is blocked
+    assert (halves, blocked) == built
 
 
 # ---------------------------------------------------------------------------
