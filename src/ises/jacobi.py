@@ -13,6 +13,13 @@ rational-function field Q(sigma).  This module computes
   one degree at a time) and skips the pairs that the coprime-leading-term
   and chain criteria prove redundant; the reduced basis of an ideal is
   unique, so this changes the work and not the result;
+* normal forms from one table per algebra, which holds the normal form
+  of each monomial met so far over the staircase: a standard monomial is
+  its own, and any other is rewritten by the first Groebner member whose
+  leading monomial divides it into earlier monomials of the table.
+  Normal forms are unique, so this gives what division gives.  Residues,
+  coordinates, the Hessian normalization and the change of basis all
+  read the table;
 * the Grothendieck residue functional, normalized so that
   residue(det Hess(W_sigma)) = mu; with this normalization the residue of
   the top-degree monomial comes out as 1/(K*(1-x)) with x = C*sigma^l,
@@ -22,16 +29,18 @@ rational-function field Q(sigma).  This module computes
   system for the sigma-coefficients of the g_i (int cells, and 1 and -C on
   the right) depends only on deg(phi_r) and the sigma-degree bound, so
   every basis label of one degree is solved in one elimination, with one
-  right-hand column per label; a label that the first bound leaves
-  unsolved is retried alone at the guaranteed bound.  Each result is
-  verified in ints, scaled by the lcm of its denominators, by multiplying
-  the g_i by the sigma-layers of the partials coefficient by coefficient
-  in (X, sigma);
+  right-hand column per label, first at sigma-degree l - 1; a label that
+  the first bound leaves unsolved is retried alone at the guaranteed
+  bound.  Each solution stays int numerators over one denominator, as the
+  elimination returns it, and is verified in ints by multiplying the g_i
+  by the sigma-layers of the partials coefficient by coefficient in (X,
+  sigma);
 * first-order flat deformations
   delta_r = phi_r - sigma * sum_{r' != r} c_{r,r'}(0) * phi_{r'} + O(sigma^2)
   where the c's are the coefficients of -sum_i d_i g_{r,i} over the
   monomial basis (independent of the choice of decomposition, because the
-  partials form a regular sequence and all syzygies are Koszul);
+  partials form a regular sequence and all syzygies are Koszul); that sum
+  is taken on the ints of the decomposition;
 * the genus-zero three- and four-point functions of the deformed
   singularity at sigma = 0, normalized so that <1, phi_m>|_{sigma=0} = 1.
 
@@ -171,7 +180,8 @@ def _reduce(f: MultiPoly, data, key) -> MultiPoly:
 
     The terms still to reduce are one dict, updated in place: a division
     step subtracts lc/gc * X^s * g from it, term by term, and drops the
-    leading term, which that step cancels exactly.
+    leading term, which that step cancels exactly.  A monic g (every
+    Groebner member) takes no division.
     """
     f = dict(f.terms)
     remainder = {}
@@ -180,7 +190,7 @@ def _reduce(f: MultiPoly, data, key) -> MultiPoly:
         lc = f.pop(le)
         for ge, gc, g in data:
             if _divides(ge, le):
-                q = lc / gc
+                q = lc if gc == 1 else lc / gc
                 s0, s1, s2 = le[0] - ge[0], le[1] - ge[1], le[2] - ge[2]
                 for e, c in g.terms.items():
                     if e != ge:
@@ -299,6 +309,13 @@ def standard_monomials(
     return tuple(sorted(standard, key=key))
 
 
+def _dense(coeffs: dict[int, int]) -> tuple[int, ...]:
+    """The int sigma-polynomial {degree: c}, not all c zero, as its
+    coefficients, low degree first, up to the top nonzero one."""
+    top = max(d for d, c in coeffs.items() if c)
+    return tuple(coeffs.get(d, 0) for d in range(top + 1))
+
+
 # ---------------------------------------------------------------------------
 # Flat sections to first order
 # ---------------------------------------------------------------------------
@@ -369,6 +386,8 @@ class JacobianAlgebra:
         if len(socles) != 1:
             raise DomainError(f"{entry.name}: top graded piece is not a line")
         self.socle: Exps = socles[0]
+        # The normal-form table (``_monomial_nf``), seeded with the staircase.
+        self._nf: dict[Exps, dict[Exps, RatFun]] = {e: {e: RatFun.const(1)} for e in self.staircase}
 
         hess_nf = self.normal_form(self.w_sigma.hessian_det())
         if set(hess_nf.terms) != {self.socle}:
@@ -405,7 +424,7 @@ class JacobianAlgebra:
         if entry.K is not None and entry.K != self.k_constant:
             raise DomainError(f"{entry.name}: K = {self.k_constant} != {entry.K}")
 
-        self._decompositions: dict[Exps, tuple[MultiPoly, ...]] = {}
+        self._decompositions: dict[Exps, tuple[list, int] | NoSolution] = {}
         self._flats: dict[Exps, FlatSectionApprox] = {}
         self._triples: tuple[tuple[Exps, Exps, Exps], ...] | None = None
 
@@ -418,17 +437,8 @@ class JacobianAlgebra:
 
     def _change_of_basis(self) -> list[list[RatFun]]:
         """Matrix whose column b holds the staircase coordinates of the
-        normal form of display-basis monomial b."""
-        index = {e: i for i, e in enumerate(self.staircase)}
-        mu = len(self.staircase)
-        cols = []
-        for b in self.basis:
-            nf = self.normal_form(MultiPoly.monomial(b, Fraction(1)))
-            col = [RatFun.const(0)] * mu
-            for e, c in nf.terms.items():
-                col[index[e]] = RatFun.coerce(c)
-            cols.append(col)
-        return [[cols[j][i] for j in range(mu)] for i in range(mu)]
+        normal form of display-basis monomial b (0 for no term)."""
+        return [[self._monomial_nf(b).get(e, 0) for b in self.basis] for e in self.staircase]
 
     # -- basic queries ---------------------------------------------------------
 
@@ -437,17 +447,44 @@ class JacobianAlgebra:
         return len(self.staircase)
 
     def normal_form(self, f: MultiPoly) -> MultiPoly:
-        """Unique normal form of ``f`` modulo the Jacobian ideal."""
-        return _reduce(f.map_coeffs(RatFun.coerce), self._gbdata, self._key)
+        """Unique normal form of ``f`` modulo the Jacobian ideal: the sum of
+        c_e * NF(X^e) over the terms c_e * X^e of ``f``."""
+        out: dict[Exps, RatFun] = {}
+        for e, c in f.terms.items():
+            c = None if c == 1 else RatFun.coerce(c)
+            for k, v in self._monomial_nf(e).items():
+                v = v if c is None else c * v
+                out[k] = out[k] + v if k in out else v
+        return MultiPoly._wrap({k: v for k, v in out.items() if v})
+
+    def _monomial_nf(self, e: Exps) -> dict[Exps, RatFun]:
+        """NF(X^e) as {standard exponent: coefficient}, from the table.
+
+        A standard monomial is its own normal form.  Any other X^e is taken
+        apart by the first Groebner member g whose leading monomial lt
+        divides e: g is monic, so NF(X^e) = -sum_{t != lt} c_t * NF(X^(t + e
+        - lt)), over the terms c_t * X^t of g, each exponent below e in the
+        monomial order.  The members are weighted-homogeneous, so NF(X^e)
+        has the degree of e and is 0 above the socle degree, which is not
+        stored.
+        """
+        if e in self._nf or self._degree(e) > self._scale:
+            return self._nf.get(e, {})
+        ge, _, g = next(d for d in self._gbdata if _divides(d[0], e))
+        s0, s1, s2 = e[0] - ge[0], e[1] - ge[1], e[2] - ge[2]
+        acc: dict[Exps, RatFun] = {}
+        for t, c in g.terms.items():
+            if t != ge:
+                for k, v in self._monomial_nf((t[0] + s0, t[1] + s1, t[2] + s2)).items():
+                    acc[k] = acc[k] + c * v if k in acc else c * v
+        nf = self._nf[e] = {k: -v for k, v in acc.items() if v}
+        return nf
 
     def residue(self, f: MultiPoly) -> RatFun:
         """Grothendieck residue of ``f``, normalized so the Hessian
         determinant has residue equal to the Milnor number."""
-        nf = self.normal_form(f)
-        c = nf.terms.get(self.socle)
-        if c is None:
-            return RatFun.const(0)
-        return self._normalizer * c
+        c = self.normal_form(f).terms.get(self.socle)
+        return RatFun.const(0) if c is None else self._normalizer * c
 
     def coords(self, f: MultiPoly) -> dict[Exps, RatFun]:
         """Coordinates of ``f`` mod the Jacobian ideal over the display basis:
@@ -455,9 +492,9 @@ class JacobianAlgebra:
         ``__init__`` computes once."""
         nf = self.normal_form(f)
         if self._to_basis is None:
-            return {e: RatFun.coerce(c) for e, c in nf.terms.items()}
+            return nf.terms
         index = {e: i for i, e in enumerate(self.staircase)}
-        cells = [(index[e], RatFun.coerce(c)) for e, c in nf.terms.items()]
+        cells = [(index[e], c) for e, c in nf.terms.items()]
         out = {}
         for b, row in zip(self.basis, self._to_basis):
             c = sum((row[i] * v for i, v in cells if row[i]), RatFun.const(0))
@@ -481,13 +518,23 @@ class JacobianAlgebra:
         allows.
 
         The first call for a weighted degree decomposes every non-unit basis
-        label of that degree in one elimination and memoises them all.  A
-        sigma-degree 2 ansatz suffices in practice; the labels it leaves
-        unsolved, and only those, are retried at the guaranteed bound 2l.  A
-        label with no decomposition at either bound raises ``NoSolution``
-        when it is asked for.  Each result is checked against the identity
+        label of that degree in one elimination and memoises them all.  The
+        first ansatz has sigma-degree l - 1, the least that reaches the
+        sigma^l term; it solves every catalog label, and a solution there
+        is the solution at any higher bound too, since the columns of higher
+        sigma-degree come after its pivots.  The labels it leaves unsolved,
+        and only those, are retried at the guaranteed bound 2l.  A label
+        with no decomposition at either bound raises ``NoSolution`` when it
+        is asked for.  Each result is checked against the identity
         coefficient by coefficient in (X, sigma).
         """
+        gs, den = self._decomposition(r)
+        return tuple(MultiPoly._wrap({e: RatFun._make(n, (den,)) for e, n in g.items()}) for g in gs)
+
+    def _decomposition(self, r: Sequence[int]) -> tuple[list, int]:
+        """The g_i of ``decompose`` on ints: for each i, {exponent: its
+        sigma-coefficients, low degree first}, in exponent order, all over
+        the one denominator returned."""
         rvec = tuple(int(e) for e in r)
         if rvec not in self._decompositions:
             if rvec not in self.basis:
@@ -508,7 +555,7 @@ class JacobianAlgebra:
         ``deg``, one elimination per sigma-degree bound, into
         ``_decompositions``."""
         pending = [e for e in self.basis if e != (0, 0, 0) and self._degree(e) == deg]
-        for bound in (2, 2 * self.marginal.l):
+        for bound in (self.marginal.l - 1, 2 * self.marginal.l):
             cols, rows, rhs = self._degree_system(deg, pending, bound)
             sols = solve_columns(rows, rhs, len(cols))
             for r, sol in zip(pending, sols):
@@ -570,15 +617,17 @@ class JacobianAlgebra:
         rhs = [{index[kk]: v for kk, v in b.items()} for b in rhs_maps]
         return cols, rows, rhs
 
-    def _assemble(self, rvec: Exps, sol, cols) -> tuple[MultiPoly, ...]:
-        """The g_i of a solved column, checked against the identity.
+    def _assemble(self, rvec: Exps, sol, cols) -> tuple[list, int]:
+        """The g_i of a solved column on ints, as ``_decomposition`` gives
+        them, checked against the identity.
 
-        The check scales the solution by the lcm L of its denominators,
-        multiplies the int g_i by the sigma-layers of the partials, not by
-        the system's rows, and compares with L * (1 - C*sigma^l) * X^(r+m)
-        coefficient by coefficient in (X, sigma).
+        ``sol`` is the column's solution as ``solve_columns`` returns it:
+        int numerators over one denominator L.  The check multiplies the
+        int g_i by the sigma-layers of the partials, not by the system's
+        rows, and compares with L * (1 - C*sigma^l) * X^(r+m) coefficient
+        by coefficient in (X, sigma).
         """
-        scaled, den = scaled_ints(sol)
+        scaled, den = sol
         sigma_coeffs: list[dict[Exps, dict[int, int]]] = [{}, {}, {}]
         for value, (i, e, d) in zip(scaled, cols):
             if value:
@@ -597,14 +646,7 @@ class JacobianAlgebra:
             raise DomainError(
                 f"{self._label}: decomposition of {rvec} failed verification"
             )
-
-        def over_den(c):  # the int sigma-polynomial {d: c_d} over den
-            return RatFun._make(tuple(c.get(d, 0) for d in range(max(c) + 1)), (den,))
-
-        return tuple(
-            MultiPoly._wrap({e: over_den(c) for e, c in sorted(terms.items())})
-            for terms in sigma_coeffs
-        )
+        return [{e: _dense(c) for e, c in sorted(g.items())} for g in sigma_coeffs], den
 
     # -- flat sections and correlators ----------------------------------------
 
@@ -619,10 +661,17 @@ class JacobianAlgebra:
                 f"{self._label}: phi_{rvec} has integral degree "
                 f"{deg_r // self._scale}"
             )
-        gs = self.decompose(rvec)
-        p = MultiPoly.zero()
-        for i in range(NVARS):
-            p = p - gs[i].partial(i)
+        gs, den = self._decomposition(rvec)
+        p_ints: dict[Exps, dict[int, int]] = {}  # -sum_i d_i g_i, over den
+        for i, g in enumerate(gs):
+            for e, coeffs in g.items():
+                if e[i]:
+                    acc = p_ints.setdefault((e[0] - (i == 0), e[1] - (i == 1), e[2] - (i == 2)), {})
+                    for d, c in enumerate(coeffs):
+                        acc[d] = acc.get(d, 0) - e[i] * c
+        p = MultiPoly._wrap(
+            {e: RatFun._make(_dense(c), (den,)) for e, c in p_ints.items() if any(c.values())}
+        )
         corrections = []
         for e, c in sorted(self.coords(p).items(), key=lambda t: self._key(t[0])):
             if self._degree(e) != deg_r:

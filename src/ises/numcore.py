@@ -7,7 +7,10 @@ pluggable coefficient rings, and one sparse exact elimination kernel behind
 ``solve_columns`` (with ``solve_linear`` over it), ``inverse`` and
 ``nullspace``.  On rational input the kernel is fraction-free: primitive
 int rows, kept primitive after each combination and bucketed by leading
-column, with a ``Fraction`` made only for a cell a caller reads.
+column.  ``solve_columns`` returns each solution as int numerators over
+one denominator, the form the elimination holds; ``solve_linear``,
+``inverse`` and ``nullspace`` make a ``Fraction`` only for a cell they
+return.
 
 All values are immutable after construction and all operations are pure.
 Coefficient rings are duck-typed: any type supporting ``+ - *``, division by
@@ -612,7 +615,8 @@ def _rref(rows, ncols):
     divides by it), and the leftover rows, which are empty below ``ncols``.
 
     When every cell is an int or a ``Fraction``, each row is scaled on
-    entry to a primitive int row (a row scale keeps the solution set).  A
+    entry to a primitive int row (a row scale keeps the solution set); a
+    row of ints only needs no scale, just its content removed.  A
     combination is ``row = a*row - f*prow``, with a and f divided by their
     gcd, and the row's content is removed after it, so the loop makes no
     ``Fraction``.  Otherwise (``RatFun`` cells) each row is divided by its
@@ -630,9 +634,8 @@ def _rref(rows, ncols):
             (rest if lead >= ncols else buckets.setdefault(lead, [])).append(row)
 
     for row in rows:
-        if ints:
-            for k, x in zip(row, scaled_ints(row.values())[0]):
-                row[k] = x
+        if ints and not all(type(v) is int for v in row.values()):
+            row.update(zip(list(row), scaled_ints(row.values())[0]))
         enqueue(row, _normalise(row, ints))
     pivots = []
     for c in range(ncols):
@@ -713,11 +716,15 @@ def solve_columns(rows, columns, ncols=None) -> list:
     all in one elimination of ``[A | b_1 ... b_k]``.
 
     ``rows`` are as in ``solve_linear``; each column is a sequence of cells
-    or a sparse ``{row: value}`` dict.  Returns one entry per column: the
-    particular solution with every free variable set to 0, or ``None`` when
-    that column is inconsistent.  The RREF of the augmented matrix is unique
-    on every consistent column, so each solution is the one that
-    ``solve_linear`` gives for its column alone.
+    or a sparse ``{row: value}`` dict.  Returns one entry per column:
+    ``None`` when that column is inconsistent, else the particular solution
+    with every free variable set to 0, as a pair ``(x, den)`` whose
+    solution is x[i] / den, in the form the elimination holds it.  On
+    rational input x holds ints and den is the lcm of the solution's
+    denominators; otherwise (``RatFun`` cells) den is 1 and x holds the
+    cells.  A zero coordinate is the int 0.  The RREF of the augmented
+    matrix is unique on every consistent column, so each solution is the
+    one that ``solve_linear`` gives for its column alone.
     """
     n = ncols if ncols is not None else (len(rows[0]) if rows else 0)
     aug = [_sparse(row) for row in rows]
@@ -728,14 +735,18 @@ def solve_columns(rows, columns, ncols=None) -> list:
     # A leftover row is 0 on A, so each of its cells marks an inconsistent column.
     inconsistent = {k - n for row in rest for k in row}
     out = []
-    for j in range(len(columns)):
-        if j in inconsistent:
+    for k in range(n, n + len(columns)):
+        if k - n in inconsistent:
             out.append(None)
             continue
+        # each cell is row[k] over its pivot cell, which is 1 on RatFun rows
+        cells = [(c, row[c], row[k]) for c, row in pivots if k in row]
+        den = math.lcm(*(p for _, p, _ in cells))
         x = [0] * n
-        for c, row in pivots:
-            x[c] = _cell(row, c, n + j)
-        out.append(x)
+        for c, p, v in cells:
+            x[c] = v if p == den else v * (den // p)
+        g = math.gcd(den, *x) if den != 1 else 1  # to the least denominator
+        out.append(([v // g for v in x], den // g) if g != 1 else (x, den))
     return out
 
 
@@ -748,10 +759,11 @@ def solve_linear(rows, rhs, ncols=None):
     solution with every free variable set to 0.  Raises NoSolution when
     inconsistent.
     """
-    (x,) = solve_columns(rows, [rhs], ncols)
-    if x is None:
+    (sol,) = solve_columns(rows, [rhs], ncols)
+    if sol is None:
         raise NoSolution("inconsistent linear system")
-    return x
+    x, den = sol
+    return [Fraction(v, den) if v and isinstance(v, int) else v for v in x]
 
 
 def inverse(rows) -> list:

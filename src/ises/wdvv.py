@@ -97,6 +97,7 @@ from .numcore import DomainError, NoSolution, Rat, inverse, rat, scaled_ints
 __all__ = [
     "CorrelatorTable",
     "InconsistentSystem",
+    "MissingKey",
     "MissingPairing",
     "UnknownLabel",
     "apply_divisor_rule",
@@ -109,6 +110,10 @@ __all__ = [
 
 class InconsistentSystem(DomainError):
     """Two WDVV instances (or two assignments) force different values."""
+
+
+class MissingKey(DomainError):
+    """A scan reads keys of more insertions than the table declares."""
 
 
 class MissingPairing(DomainError):
@@ -522,6 +527,19 @@ def _instances(table: CorrelatorTable, extra_slots: int, degrees, admissible):
                         yield ok[0], pair2, extra, degree
 
 
+def _require_keys(table: CorrelatorTable, extra_slots: int) -> None:
+    """Raise MissingKey when a scan with ``extra_slots`` can read
+    (3 + extra_slots)-point keys, some multiset of that size meeting the
+    degree budget, but the table declares none, known or unknown: the
+    closed-world table would read every one of them as 0."""
+    n, sums = 3 + extra_slots, {0}
+    for _ in range(n):  # the weight sums of the n-point multisets
+        sums = {s + w for s in sums for w in table._weight}
+    keys = (*table._values, *table._unknown)
+    if (n - 2) * table._scale in sums and not any(len(key[0]) == n for key in keys):
+        raise MissingKey(f"the scan reads {n}-point keys, but the table declares none")
+
+
 def _describe(table: CorrelatorTable, instance, constant: int) -> str:
     """An instance in labels with its exact residual, for error messages."""
     pair1, pair2, extra, degree = instance
@@ -549,7 +567,10 @@ def propagate(
     in exactly one unknown, and rescans the instances still open (quadratic,
     or linear in two or more unknowns) until a pass solves nothing.  Fully
     known instances must vanish (InconsistentSystem otherwise).  Keys that
-    no instance resolves stay in the unknown-set of the returned table.
+    no instance resolves stay in the unknown-set of the returned table.  A
+    table that declares no (3 + ``extra_slots``)-point key, where some key
+    of that size meets the degree budget, raises :class:`MissingKey` before
+    the first scan.
     ``shuffle_seed`` randomizes the scan order, which must not change the
     outcome.
 
@@ -570,6 +591,7 @@ def propagate(
     pending = None
     while work._unknown:
         if pending is None:
+            _require_keys(work, extra_slots)
             pending = list(_instances(work, extra_slots, degrees, admissible))
             if shuffle_seed is not None:
                 random.Random(shuffle_seed).shuffle(pending)
@@ -609,11 +631,13 @@ def check_residuals(
 ) -> int:
     """Evaluate every fully known residual instance; return the count.
 
-    Raises InconsistentSystem on the first nonzero residual.  Instances
-    involving unknowns are skipped.  ``admissible`` receives basis
-    positions and filters pairings as in :func:`propagate`.  The call builds
-    each support once.
+    Raises InconsistentSystem on the first nonzero residual, and
+    :class:`MissingKey` as :func:`propagate` does.  Instances involving
+    unknowns are skipped.  ``admissible`` receives basis positions and
+    filters pairings as in :func:`propagate`.  The call builds each support
+    once.
     """
+    _require_keys(table, extra_slots)
     checked = 0
     memo = _ScanMemo(table)
     for instance in _instances(table, extra_slots, degrees, admissible):

@@ -13,7 +13,7 @@ from ises.fjrw import FjrwTheory, NeedsBroadFixture, sector_dimension
 from ises.isespoly import enumerate_group, get_entry, group_generators, load_catalog
 from ises.jacobi import FlatSectionPole, JacobianAlgebra, groebner, normal_form
 from ises.numcore import DomainError, MultiPoly, nullspace
-from ises.wdvv import _instances, check_residuals
+from ises.wdvv import MissingKey, _instances, check_residuals, propagate
 
 CATALOG = load_catalog()
 ENTRIES = [e for e in CATALOG if e.fjrw and not e.fjrw.get("excluded")]
@@ -217,6 +217,23 @@ def test_residual_checks_on_all_tables():
         assert checked > 0, name
         total += checked
     assert total == 3062
+
+
+def test_a_scan_past_the_seeded_keys_names_the_missing_point_count():
+    # The tables are seeded with three- and four-point keys only.  A scan
+    # with two extra slots reads five-point keys, which the closed-world
+    # table would read as 0 and report as a false contradiction.
+    with_unknowns = 0
+    for name in NAMES:
+        th = theory(name)
+        table = th.correlator_table()
+        with pytest.raises(MissingKey, match="reads 5-point keys"):
+            check_residuals(table, extra_slots=2, admissible=th.narrow_nodes)
+        if table.unknown_keys:
+            with_unknowns += 1
+            with pytest.raises(MissingKey, match="reads 5-point keys"):
+                propagate(table, extra_slots=2, admissible=th.narrow_nodes)
+    assert with_unknowns > 0
 
 
 # ---------------------------------------------------------------------------

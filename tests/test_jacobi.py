@@ -1,6 +1,7 @@
 """Milnor algebras, residues, Jacobian-ideal decompositions, flat sections,
 and the genus-zero correlators of the deformed singularities at sigma = 0."""
 
+import hashlib
 import random
 import re
 from fractions import Fraction as F
@@ -28,9 +29,11 @@ from ises.numcore import (
     UniPoly,
     monomials_of_weighted_degree,
     nullspace,
+    scaled_ints,
     solve_columns,
     solve_linear,
 )
+from ises.pfsolve import weight_report
 from test_numcore import _reference_solve
 
 CATALOG = load_catalog()
@@ -257,6 +260,26 @@ def test_normal_form_fixes_standard_monomials():
         alg = algebra(name)
         for e in alg.staircase:
             assert alg.normal_form(mono(e)) == mono(e)
+
+
+@pytest.mark.parametrize("name,m", ALL_PAIRS)
+def test_the_normal_form_table_equals_division(name, m):
+    # The table builds NF(X^e) from the normal forms of smaller monomials;
+    # the division of ``jacobi.normal_form`` is its reference, on every
+    # monomial up to the socle degree plus the largest weight (past the
+    # degree where the table stores nothing) and on the Hessian.
+    alg = JacobianAlgebra(get_entry(CATALOG, name), m)
+    w, scale = scaled_ints(alg.weights)
+    top = scale + max(w)
+    exps = [
+        (a, b, c)
+        for a in range(top // w[0] + 1)
+        for b in range(top // w[1] + 1)
+        for c in range(top // w[2] + 1)
+        if w[0] * a + w[1] * b + w[2] * c <= top
+    ]
+    for f in [mono(e) for e in exps] + [alg.w_sigma.hessian_det()]:
+        assert alg.normal_form(f) == jacobi.normal_form(f, alg.groebner_basis, alg.weights)
 
 
 def test_the_staircase_of_a_monomial_ideal_is_its_complement():
@@ -514,9 +537,9 @@ def test_one_elimination_decomposes_every_label_of_a_degree(monkeypatch):
 
 
 def test_inconsistent_first_ansatz_falls_back_to_the_bound_2l(monkeypatch):
-    # No catalog pair needs the fallback: the sigma-degree 2 ansatz always
-    # solves.  Dropping one label's bound-2 solution makes that label alone
-    # go to the bound 2l.
+    # No catalog pair needs the fallback: the sigma-degree l - 1 ansatz
+    # always solves (2 here, l = 3).  Dropping one label's bound-2 solution
+    # makes that label alone go to the bound 2l.
     entry = get_entry(CATALOG, "e6-fermat")
     mar = entry.marginals[0]
     victim = (0, 1, 0)
@@ -576,9 +599,9 @@ def test_a_wrong_solution_cell_fails_verification(monkeypatch):
     victim = (0, 1, 0)
 
     def plant(labels, bound, sols):
-        sol = sols[labels.index(victim)]
-        c = next(c for c, v in enumerate(sol) if v)
-        sol[c] += 1
+        numerators, _ = sols[labels.index(victim)]
+        c = next(c for c, v in enumerate(numerators) if v)
+        numerators[c] += 1
 
     batch_hooks(monkeypatch, plant)
     entry = get_entry(CATALOG, "e6-fermat")
@@ -593,6 +616,56 @@ def test_a_wrong_solution_cell_fails_verification(monkeypatch):
 # The pairs whose four-point table is defined: e7-chain322 with m = (1, 1, 1)
 # has flat sections with a pole at sigma = 0.
 COMPUTABLE_PAIRS = [pair for pair in ALL_PAIRS if pair != ("e7-chain322", (1, 1, 1))]
+
+
+def bside_dump() -> list[str]:
+    """Every B-side output of the 25 pairs, one line each, in catalog order:
+    the weight rows that the bmodel-catalog bench reports (r = 0 for each
+    marginal, and the twisted rows on the first), then the staircase,
+    Groebner basis and K of the algebra, each flat section of a weight-one
+    triple with its decomposition (or its pole), and the four-point table.
+    Every value is written in a deterministic text form."""
+    lines = []
+    for entry in CATALOG:
+        for mar in entry.marginals:
+            pair = f"{entry.name} m={tuple(mar.m)}"
+            rows = [(0, 0, 0)]
+            if mar.m == entry.marginals[0].m:
+                rows += [tuple(r) for r, _ in entry.twisted]
+            for r in rows:
+                lines.append(f"{pair} weight {r} {weight_report(entry, mar.m, r)!r}")
+            alg = algebra(entry.name, mar.m)
+            lines.append(f"{pair} staircase {alg.staircase} basis {alg.basis}")
+            lines.append(f"{pair} groebner {[g.to_text() for g in alg.groebner_basis]}")
+            lines.append(f"{pair} K {alg.k_constant}")
+            pole = False
+            for r in sorted({r for trip in alg.weight_one_triples() for r in trip}):
+                try:
+                    flat = alg.flat_first_order(r)
+                except FlatSectionPole as exc:
+                    lines.append(f"{pair} pole {exc}")
+                    pole = True
+                    continue
+                gs = [g.to_text() for g in alg.decompose(r)]
+                lines.append(f"{pair} flat {flat!r} decomposition {gs}")
+            if not pole:
+                lines.extend(
+                    f"{pair} fourpoint {trip} {value}"
+                    for trip, value in sorted(alg.fourpoint_table().items())
+                )
+    return lines
+
+
+def test_the_bside_outputs_are_pinned():
+    """The SHA-256 of ``bside_dump`` pins every B-side value: a faster path
+    must leave each weight row, Groebner basis, decomposition, flat section
+    and four-point value byte-identical."""
+    lines = bside_dump()
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == (
+        454,
+        "0f66d8fe2b2b3701bff90e82f526b9d716ceefab3f183090b77e92642fe8a24d",
+    )
 
 
 def test_every_catalog_decomposition_system_solves_like_the_dense_reference(
@@ -615,13 +688,35 @@ def test_every_catalog_decomposition_system_solves_like_the_dense_reference(
         JacobianAlgebra(get_entry(CATALOG, name), m).fourpoint_table()
     assert len(COMPUTABLE_PAIRS) == 24
     assert (len(systems), sum(len(labels) for labels, _ in calls)) == (48, 110)
-    assert {bound for _, bound in calls} == {2}  # no label is retried at 2l
+    assert {bound for _, bound in calls} == {1, 2}  # l - 1; none retried at 2l
     for rows, rhs, n, sols in systems:
         dense = [[F(row.get(c, 0)) for c in range(n)] for row in rows]
-        for column, x in zip(rhs, sols):
+        for column, (x, den) in zip(rhs, sols):
             b = [F(column.get(i, 0)) for i in range(len(rows))]
-            assert x == _reference_solve(dense, b, n)
-            assert all(type(v) is F for v in x if v)
+            want = _reference_solve(dense, b, n)
+            assert [F(v, den) for v in x] == want
+            # int numerators over the lcm of the solution's denominators
+            assert all(type(v) is int for v in x)
+            assert (tuple(x), den) == scaled_ints(want)
+
+
+def test_every_catalog_label_solves_at_sigma_degree_l_minus_1(monkeypatch):
+    # The first ansatz, sigma-degree l - 1, solves all 110 labels that the
+    # four-point tables decompose, and none of them needs a lower degree.
+    calls = batch_hooks(monkeypatch)
+    labels_by_l = {}
+    for name, m in COMPUTABLE_PAIRS:
+        alg = JacobianAlgebra(get_entry(CATALOG, name), m)
+        seen = len(calls)
+        alg.fourpoint_table()
+        l = alg.marginal.l
+        for labels, bound in calls[seen:]:
+            assert bound == l - 1
+            for r in labels:
+                gs = alg.decompose(r)
+                assert max(len(c.n) - 1 for g in gs for c in g.terms.values()) == l - 1
+            labels_by_l[l] = labels_by_l.get(l, 0) + len(labels)
+    assert labels_by_l == {3: 62, 2: 48}
 
 
 def test_decompose_rejects_non_basis_exponents():
@@ -793,7 +888,8 @@ def test_several_columns_solve_like_one_column_each(s):
             with pytest.raises(NoSolution):
                 solve_linear(rows, col, n)
         else:
-            assert x == solve_linear(rows, col, n)
+            numerators, den = x
+            assert [F(v, den) for v in numerators] == solve_linear(rows, col, n)
     consistent = [col for col, bad in zip(columns, inconsistent) if not bad]
     assert solve_columns(rows, consistent, n) == [
         x for x, bad in zip(got, inconsistent) if not bad
