@@ -236,6 +236,75 @@ def test_a_scan_past_the_seeded_keys_names_the_missing_point_count():
     assert with_unknowns > 0
 
 
+# The five-point keys that WDVV with two extra slots leaves open on each table
+FIVE_POINT_OPEN = {
+    "e6-fermat": 0,
+    "e6-chain233": 7,
+    "e6-loop222": 0,
+    "e7-fermat": 0,
+    "e7-chain34": 3,
+    "e7-loop33": 8,
+    "e7-chain322": 12,
+    "e8-fermat": 0,
+    "e8-chain32": 12,
+    "e8-chain43": 1,
+}
+
+
+def five_point_layer(th):
+    """A copy of the closed table with every five-point key on the degree
+    budget: 0 when its line bundle degrees are not integral, else declared
+    unknown.  Returns the table and the (on budget, zero) counts."""
+    table = th.correlator_table().copy()
+    on_budget = zero = 0
+    for thetas in combinations_with_replacement(table.labels, 5):
+        if not table.budget_ok(thetas):
+            continue
+        on_budget += 1
+        if line_bundle_degrees(th.mirror_charges, thetas)[1]:
+            table.declare_unknown(thetas)
+        else:
+            table.set(thetas, 0)
+            zero += 1
+    return table, on_budget, zero
+
+
+def test_wdvv_closes_the_five_point_layer():
+    totals = dict.fromkeys(("on budget", "zero", "open", "solved", "nonzero", "residuals"), 0)
+    left = {}
+    for name in NAMES:
+        th = theory(name)
+        closed = th.correlator_table()
+        seeded, on_budget, zero = five_point_layer(th)
+        opened = {key for key in seeded.unknown_keys if len(key) == 5}
+        solved = propagate(seeded, extra_slots=2, admissible=th.narrow_nodes)
+        still_open = {key for key in solved.unknown_keys if len(key) == 5}
+        values = dict(solved.known_items())
+        # the four-point layer is untouched: its values and its open keys
+        assert {k: v for k, v in values.items() if len(k) < 5} == dict(closed.known_items())
+        assert set(solved.unknown_keys) - still_open == set(closed.unknown_keys)
+        counts = (
+            on_budget,
+            zero,
+            len(opened),
+            len(opened - still_open),
+            sum(bool(values[key]) for key in opened - still_open),
+            check_residuals(solved, extra_slots=2, admissible=th.narrow_nodes),
+        )
+        for total, count in zip(totals, counts):
+            totals[total] += count
+        left[name] = len(still_open)
+    assert totals == {
+        "on budget": 878,
+        "zero": 579,
+        "open": 299,
+        "solved": 256,
+        "nonzero": 150,
+        "residuals": 17722,
+    }
+    assert left == FIVE_POINT_OPEN
+
+
 # ---------------------------------------------------------------------------
 # narrow_nodes on scaled int phases against its Fraction form
 
