@@ -217,7 +217,8 @@ class FjrwTheory:
         self._scaled_broad = frozenset(self._scaled[t] for t in self.broad_dims)
         self._narrow_phases = phases = tuple(self._scaled[s.theta] for s in self._narrow)
         # the node data of narrow_nodes: the node of every half, and the
-        # nodes that the empty extra and each one-slot extra rule out
+        # nodes that the empty extra and each one-slot extra rule out (a
+        # longer extra is added on first use)
         basis = range(len(phases))
         self._half_nodes = {
             (i, k): tuple((qj - a - b) % scale for qj, a, b in zip(q, phases[i], phases[k]))
@@ -349,12 +350,12 @@ class FjrwTheory:
         frozenset of those broad sectors shifted back by sum(q - x) L over
         each Leibniz subset S of the extra, which a half's node must avoid.
         The sets of the empty extra and of every one-slot extra are built
-        once; a longer extra, which only a scan with more extra slots
-        offers, has its set built on each call.
+        with the theory; a longer extra, which only a scan with more extra
+        slots offers, has its set built on first use and kept.
         """
         blocked = self._blocked.get(extra)
         if blocked is None:
-            blocked = self._blocked_nodes(extra)
+            blocked = self._blocked[extra] = self._blocked_nodes(extra)
         first, second = pair
         return self._half_nodes[first] not in blocked and self._half_nodes[second] not in blocked
 

@@ -37,12 +37,22 @@ taken as the sparse dot product of two supports.  The support of a
 multiset m lists the (k, d1) whose key <m, k>_{d1} is nonzero or unknown
 when a scan (one :func:`check_residuals` or :func:`propagate` call)
 starts; a tail support is indexed by the k that eta pairs with its l.
-A scan builds one support per distinct head and tail and never
-invalidates it: no key is added during a scan, :func:`propagate` only
-solves declared unknowns and known values never change, so the live keys
-only shrink and a support stays a superset of them.  Values are read as
-they are used.  The pair sums of a (first pairing, extra, degree) group
-are kept until the next group or the next solved key.
+A scan looks a support up by (half, part), the sorted pair of a pairing
+and the extra slots that a Leibniz split sends to it, so a split costs
+one dict read; only the first read of a (half, part) sorts the multiset,
+and each distinct multiset has its support built once.  The scan never
+invalidates a support: no key is added during a scan, :func:`propagate`
+only solves declared unknowns and known values never change, so the live
+keys only shrink and a support stays a superset of them.  Values are read
+as they are used.
+
+The instances of a scan come in relation groups (pairings, extra,
+degree): the first pairing against each of the others.  A scan evaluates
+each pairing's pair sum once per group and forms each residual as the
+first sum minus the other.  A group whose first sum is quadratic is left
+whole without evaluating the others; in :func:`propagate` a key solved
+inside a group makes the first sum be evaluated again, since it may read
+that key or be over an older D.
 
 A support is routed by the degree budget.  A table scales its gradings
 once by L, the lcm of their denominators, to int weights, and groups
@@ -327,39 +337,49 @@ class CorrelatorTable:
         return dup
 
 
-def _leibniz_splits(extra: tuple[int, ...]):
+@cache
+def _leibniz_splits(extra: tuple[int, ...]) -> tuple:
     """Every way to send each extra slot to the left or the right factor."""
-    return [
+    return tuple(
         (
             tuple(x for i, x in enumerate(extra) if mask >> i & 1),
             tuple(x for i, x in enumerate(extra) if not mask >> i & 1),
         )
         for mask in range(1 << len(extra))
-    ]
+    )
+
+
+class _Supports(dict):
+    """Supports of one kind by (half, part); a missing key sorts half + part
+    once and reads the support of that multiset, built once per multiset."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build):
+        self.build = cache(build)
+
+    def __missing__(self, key):
+        support = self[key] = self.build(tuple(sorted(key[0] + key[1])))
+        return support
 
 
 class _ScanMemo:
-    """The supports of one scan and the pair sums of its current group.
+    """The supports of one scan.
 
-    ``heads`` and ``tails`` give the supports of a multiset (module
-    docstring), each built once from the keys that are nonzero or unknown
-    when the memo is made, and ``sums`` maps the pairings of the instances
-    sharing ``group`` = (first pairing, extra, degree) to their pair sums.
-    The cached builders hold the table, not the memo, so a memo is freed
-    as soon as its scan ends.
+    ``heads[half, part]`` and ``tails[half, part]`` are the supports of the
+    multiset half + part (module docstring), each built once from the keys
+    that are nonzero or unknown when the memo is made.  The builders hold
+    the table, not the memo, so a memo is freed as soon as its scan ends.
     """
 
-    __slots__ = ("heads", "tails", "group", "sums", "leibniz")
+    __slots__ = ("heads", "tails")
 
     def __init__(self, table: CorrelatorTable):
         live: dict = {}  # insertions -> (degree, key) of its live keys
         for key in (*(k for k, v in table._values.items() if v), *table._unknown):
             live.setdefault(key[0], []).append((key[1], key))
-        self.heads = cache(partial(_head_support, table, live))
-        self.tails = cache(partial(_tail_support, table, live))
-        self.group = None
-        self.sums: dict = {}
-        self.leibniz = cache(_leibniz_splits)
+        self.heads = _Supports(partial(_head_support, table, live))
+        self.tails = _Supports(partial(_tail_support, table, live))
 
 
 def _support(table: CorrelatorTable, live: dict, insertions: tuple[int, ...]) -> list:
@@ -407,11 +427,11 @@ def _pair_sum(table: CorrelatorTable, pair, extra, degree, memo: _ScanMemo):
     heads, tails = memo.heads, memo.tails
     constant = 0
     terms: dict = {}
-    for left_extra, right_extra in memo.leibniz(extra):
-        head = heads(tuple(sorted(left_pair + left_extra)))
+    for left_extra, right_extra in _leibniz_splits(extra):
+        head = heads[left_pair, left_extra]
         if not head:
             continue
-        tail = tails(tuple(sorted(right_pair + right_extra)))
+        tail = tails[right_pair, right_extra]
         for k, d1, left_key in head:
             rights = tail.get((k, degree - d1))
             if rights is None:
@@ -436,32 +456,23 @@ def _pair_sum(table: CorrelatorTable, pair, extra, degree, memo: _ScanMemo):
     return constant, terms
 
 
-def _residual(table: CorrelatorTable, pair1, pair2, extra, degree, memo: _ScanMemo):
-    """The residual S(pair1) - S(pair2) of one instance as ``(constant,
-    terms)`` on ints over D^2 E and D E (module docstring), zero
-    coefficients dropped; None when it is quadratic.
+def _residual(table: CorrelatorTable, first, pair, extra, degree, memo: _ScanMemo):
+    """The residual first - S(pair) of one instance of a relation group, as
+    ``(constant, terms)`` on ints over D^2 E and D E (module docstring),
+    zero coefficients dropped; None when S(pair) is quadratic.
 
-    ``memo`` is the :class:`_ScanMemo` of the calling scan.  The pair sums
-    of the instance's (pair1, extra, degree) group are kept there until the
-    next group or the next solved key, so the instances of a group evaluate
-    their shared first pairing once.
+    ``first`` is the group's first pair sum, evaluated by the calling scan
+    and not quadratic; ``memo`` is that scan's :class:`_ScanMemo`.
     """
-    group = (pair1, extra, degree)
-    if memo.group != group:
-        memo.group = group
-        memo.sums = {}
-    sums = memo.sums
-    for pair in (pair1, pair2):
-        if pair not in sums:
-            sums[pair] = _pair_sum(table, pair, extra, degree, memo)
-        if sums[pair] is None:
-            return None
-    (first, terms), (second, second_terms) = sums[pair1], sums[pair2]
-    if second_terms:
+    second = _pair_sum(table, pair, extra, degree, memo)
+    if second is None:
+        return None
+    (constant, terms), (other, other_terms) = first, second
+    if other_terms:
         terms = dict(terms)
-        for key, coeff in second_terms.items():
+        for key, coeff in other_terms.items():
             terms[key] = terms.get(key, 0) - coeff
-    return first - second, {key: coeff for key, coeff in terms.items() if coeff}
+    return constant - other, {key: coeff for key, coeff in terms.items() if coeff}
 
 
 def _extra_routes(table: CorrelatorTable, extra_slots: int):
@@ -487,22 +498,23 @@ def _extra_routes(table: CorrelatorTable, extra_slots: int):
     return routes
 
 
-def _instances(table: CorrelatorTable, extra_slots: int, degrees, admissible):
-    """Residual instances (pair1, pair2, extra, degree) over basis positions,
-    each WDVV relation of a (quad, extra, degree) once.
+def _groups(table: CorrelatorTable, extra_slots: int, degrees, admissible):
+    """Relation groups (pairings, extra, degree) over basis positions, each
+    WDVV relation of a (quad, extra, degree) once: the instances of a group
+    set its first pairing against each of the others.
 
     A quad a <= b <= c <= d has the pairings ab|cd, ac|bd and ad|bc.  A pair
     sum depends on a pairing only as an unordered pair of halves, since
     S(L|R) = S(R|L), so a pairing whose halves equal those of an earlier one
     (which happens only when labels repeat) is dropped, and a quad left with
     one pairing yields nothing.  For each extra, the admissible pairings
-    that remain give the instances: the first of them against each of the
-    others.  Each quad visits only the extras that complete its degree
-    budget (see :func:`_extra_routes`), and a quad that no extra completes
-    is skipped before its pairings are built; an instance off the budget
-    has only terms that read as zero.  ``admissible(pair, extra)`` is
-    called with basis positions, ints into ``table.labels``, once per
-    distinct (pairing, extra) of this scan.
+    that remain form a group when there are at least two of them.  Each
+    quad visits only the extras that complete its degree budget (see
+    :func:`_extra_routes`), and a quad that no extra completes is skipped
+    before its pairings are built; an instance off the budget has only
+    terms that read as zero.  ``admissible(pair, extra)`` is called with
+    basis positions, ints into ``table.labels``, once per distinct
+    (pairing, extra) of this scan.
     """
     degree_list = list(degrees) if table.graded else [0]
     weight, routes = table._weight, _extra_routes(table, extra_slots)
@@ -522,9 +534,16 @@ def _instances(table: CorrelatorTable, extra_slots: int, degrees, admissible):
                 ok = pairings
                 if admissible is not None:
                     ok = [pair for pair in pairings if admissible(pair, extra)]
-                for degree in degree_list:
-                    for pair2 in ok[1:]:
-                        yield ok[0], pair2, extra, degree
+                if len(ok) > 1:
+                    yield from ((ok, extra, degree) for degree in degree_list)
+
+
+def _instances(table: CorrelatorTable, extra_slots: int, degrees, admissible):
+    """The instances (first pairing, other pairing, extra, degree) of the
+    groups of :func:`_groups`, one by one in scan order."""
+    for (first, *others), extra, degree in _groups(table, extra_slots, degrees, admissible):
+        for other in others:
+            yield first, other, extra, degree
 
 
 def _require_keys(table: CorrelatorTable, extra_slots: int) -> None:
@@ -574,10 +593,13 @@ def propagate(
     ``shuffle_seed`` randomizes the scan order, which must not change the
     outcome.
 
-    The call keeps one set of supports for all its passes (module
-    docstring); solving a key drops only the pair sums of the current group.
-    The residuals are ints over the table's denominators (module docstring),
-    and each solved key costs one ``Fraction``.
+    The call keeps one set of supports for all its passes and evaluates
+    each pairing's pair sum once per relation group and pass (module
+    docstring); a key solved inside a group makes the group's first sum be
+    evaluated again before the next residual, and only the instances still
+    open stay in their group for the next pass.  The residuals are ints
+    over the table's denominators (module docstring), and each solved key
+    costs one ``Fraction``.
 
     ``admissible(pair, extra)`` filters instances: when the table's labels
     span only part of a larger state space, only pairings whose forced
@@ -592,30 +614,40 @@ def propagate(
     while work._unknown:
         if pending is None:
             _require_keys(work, extra_slots)
-            pending = list(_instances(work, extra_slots, degrees, admissible))
+            pending = list(_groups(work, extra_slots, degrees, admissible))
             if shuffle_seed is not None:
                 random.Random(shuffle_seed).shuffle(pending)
         # known values never change, so a constant or solved residual stays
         # settled and only the still-open instances are scanned again
         still_open = []
         progress = False
-        for instance in pending:
-            form = _residual(work, *instance, memo)
-            if form is None or len(form[1]) > 1:
-                still_open.append(instance)
+        for group in pending:
+            (head, *others), extra, degree = group
+            first = _pair_sum(work, head, extra, degree, memo)
+            if first is None:
+                still_open.append(group)
                 continue
-            constant, terms = form
-            if not terms:
-                if constant:
-                    raise InconsistentSystem(
-                        f"known instance {_describe(work, instance, constant)}"
-                    )
-                continue
-            (key, coeff), = terms.items()
-            work._set_key(key, Fraction(-constant, work._den * coeff))
-            # the cached pair sums may read the key, or be over an older D
-            memo.group = None
-            progress = True
+            kept = [head]
+            for pair in others:
+                if first is None:
+                    # a key was solved: the first sum may read it, or be over an older D
+                    first = _pair_sum(work, head, extra, degree, memo)
+                form = _residual(work, first, pair, extra, degree, memo)
+                if form is None or len(form[1]) > 1:
+                    kept.append(pair)
+                    continue
+                constant, terms = form
+                if not terms:
+                    if constant:
+                        described = _describe(work, (head, pair, extra, degree), constant)
+                        raise InconsistentSystem(f"known instance {described}")
+                    continue
+                (key, coeff), = terms.items()
+                work._set_key(key, Fraction(-constant, work._den * coeff))
+                first = None
+                progress = True
+            if len(kept) > 1:
+                still_open.append((kept, extra, degree))
         if not progress:
             break
         pending = still_open
@@ -632,21 +664,27 @@ def check_residuals(
     """Evaluate every fully known residual instance; return the count.
 
     Raises InconsistentSystem on the first nonzero residual, and
-    :class:`MissingKey` as :func:`propagate` does.  Instances involving
-    unknowns are skipped.  ``admissible`` receives basis positions and
-    filters pairings as in :func:`propagate`.  The call builds each support
-    once.
+    :class:`MissingKey` as :func:`propagate` does.  Instances whose residual
+    involves unknowns are skipped; an instance whose two pair sums carry the
+    same unknown terms is fully known and counted.  ``admissible`` receives
+    basis positions and filters pairings as in :func:`propagate`.  The call
+    builds each support once and evaluates each pairing's pair sum once per
+    relation group; a group whose first sum is quadratic is skipped whole.
     """
     _require_keys(table, extra_slots)
     checked = 0
     memo = _ScanMemo(table)
-    for instance in _instances(table, extra_slots, degrees, admissible):
-        form = _residual(table, *instance, memo)
-        if form is None or form[1]:
+    for (head, *others), extra, degree in _groups(table, extra_slots, degrees, admissible):
+        first = _pair_sum(table, head, extra, degree, memo)
+        if first is None:
             continue
-        if form[0]:
-            raise InconsistentSystem(f"instance {_describe(table, instance, form[0])}")
-        checked += 1
+        for pair in others:
+            form = _residual(table, first, pair, extra, degree, memo)
+            if form is not None and not form[1]:
+                if form[0]:
+                    described = _describe(table, (head, pair, extra, degree), form[0])
+                    raise InconsistentSystem(f"instance {described}")
+                checked += 1
     return checked
 
 

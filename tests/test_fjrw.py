@@ -305,6 +305,30 @@ def test_wdvv_closes_the_five_point_layer():
     assert left == FIVE_POINT_OPEN
 
 
+def test_a_two_slot_scan_builds_each_node_set_once(monkeypatch):
+    th = FjrwTheory(get_entry(CATALOG, "e7-loop33"))
+    table = five_point_layer(th)[0]
+    one_slot = dict(th._blocked)
+    built = []
+    original = th._blocked_nodes
+
+    def counted(extra):
+        built.append(extra)
+        return original(extra)
+
+    monkeypatch.setattr(th, "_blocked_nodes", counted)
+    first = check_residuals(table, extra_slots=2, admissible=th.narrow_nodes)
+    # the theory built the empty and one-slot extras' sets; the scan adds
+    # each two-slot extra's set once
+    assert built and {len(extra) for extra in built} == {2}
+    assert len(built) == len(set(built))
+    assert set(th._blocked) == set(one_slot) | set(built)
+    assert all(th._blocked[extra] is blocked for extra, blocked in one_slot.items())
+    built.clear()
+    assert check_residuals(table, extra_slots=2, admissible=th.narrow_nodes) == first
+    assert built == []
+
+
 # ---------------------------------------------------------------------------
 # narrow_nodes on scaled int phases against its Fraction form
 
@@ -334,7 +358,7 @@ def position(th, theta):
 @pytest.mark.parametrize("name", NAMES)
 def test_narrow_nodes_matches_the_fraction_form(name):
     # two extra slots offer the one-slot extras and the two-slot ones, whose
-    # node sets are built on each call; only the verdicts are compared (the
+    # node sets are built on first use; only the verdicts are compared (the
     # five-point keys are never declared, so these scans close no table)
     th = theory(name)
     labels = th.correlator_table().labels

@@ -252,9 +252,16 @@ def test_propagate_ignores_shuffle_seed(monkeypatch):
         assert shuffled.unknown_keys == reference.unknown_keys
 
 
-def residual(table, instance):
-    """The int kernel's residual of one instance, in a scan of its own."""
-    return ises.wdvv._residual(table, *instance, ises.wdvv._ScanMemo(table))
+def residual(table, instance, memo=None):
+    """The int kernel's residual of one instance, as a scan forms it from
+    the first pairing's sum: in a scan of its own unless ``memo`` is given."""
+    pair1, pair2, extra, degree = instance
+    if memo is None:
+        memo = ises.wdvv._ScanMemo(table)
+    first = ises.wdvv._pair_sum(table, pair1, extra, degree, memo)
+    if first is None:
+        return None
+    return ises.wdvv._residual(table, first, pair2, extra, degree, memo)
 
 
 def exact(table, form):
@@ -813,10 +820,10 @@ def test_check_residuals_builds_each_support_once(orders, monkeypatch):
 def supports(table, insertions):
     """The head and the tail support of a multiset, as sets."""
     memo = ises.wdvv._ScanMemo(table)
-    head = set(memo.heads(insertions))
+    head = set(memo.heads[insertions, ()])
     tail = {
         (k, d, key, eta)
-        for (k, d), rows in memo.tails(insertions).items()
+        for (k, d), rows in memo.tails[insertions, ()].items()
         for key, eta in rows
     }
     return head, tail
@@ -839,7 +846,7 @@ def test_the_supports_of_the_closed_table_are_inside_the_seeded_ones(orders):
     stale = ises.wdvv._ScanMemo(seeded)
     for instance in ises.wdvv._instances(solved, 1, range(2), None):
         expected = exact(solved, residual(solved, instance))
-        assert exact(solved, ises.wdvv._residual(solved, *instance, stale)) == expected, instance
+        assert exact(solved, residual(solved, instance, stale)) == expected, instance
 
 
 @pytest.mark.parametrize("orders", ORBIFOLDS, ids=str)
