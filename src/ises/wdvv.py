@@ -359,8 +359,7 @@ class _Supports(dict):
         self.build = cache(build)
 
     def __missing__(self, key):
-        support = self[key] = self.build(tuple(sorted(key[0] + key[1])))
-        return support
+        return self.setdefault(key, self.build(tuple(sorted(key[0] + key[1]))))
 
 
 class _ScanMemo:
@@ -542,8 +541,7 @@ def _instances(table: CorrelatorTable, extra_slots: int, degrees, admissible):
     """The instances (first pairing, other pairing, extra, degree) of the
     groups of :func:`_groups`, one by one in scan order."""
     for (first, *others), extra, degree in _groups(table, extra_slots, degrees, admissible):
-        for other in others:
-            yield first, other, extra, degree
+        yield from ((first, other, extra, degree) for other in others)
 
 
 def _require_keys(table: CorrelatorTable, extra_slots: int) -> None:
@@ -590,8 +588,10 @@ def propagate(
     table that declares no (3 + ``extra_slots``)-point key, where some key
     of that size meets the degree budget, raises :class:`MissingKey` before
     the first scan.
-    ``shuffle_seed`` randomizes the scan order, which must not change the
-    outcome.
+    ``shuffle_seed`` randomizes the order of the relation groups and of the
+    other pairings inside each group, so of the solves within a group; the
+    first pairing of a group stays first, so the instances are the same.
+    The order must not change the outcome.
 
     The call keeps one set of supports for all its passes and evaluates
     each pairing's pair sum once per relation group and pass (module
@@ -616,7 +616,9 @@ def propagate(
             _require_keys(work, extra_slots)
             pending = list(_groups(work, extra_slots, degrees, admissible))
             if shuffle_seed is not None:
-                random.Random(shuffle_seed).shuffle(pending)
+                rng = random.Random(shuffle_seed)
+                pending = [([h, *rng.sample(o, len(o))], e, d) for (h, *o), e, d in pending]
+                rng.shuffle(pending)
         # known values never change, so a constant or solved residual stays
         # settled and only the still-open instances are scanned again
         still_open = []

@@ -323,8 +323,9 @@ def test_propagate_rescans_only_open_instances(monkeypatch):
 
 def test_propagate_skips_the_instances_of_a_closed_table(monkeypatch):
     def unexpected(*args):
-        raise AssertionError("instances listed for a table without unknowns")
+        raise AssertionError("relation groups listed for a table without unknowns")
 
+    monkeypatch.setattr(ises.wdvv, "_groups", unexpected)
     monkeypatch.setattr(ises.wdvv, "_instances", unexpected)
     table = gw_seed_table((3, 3, 3))
     assert propagate(table, degrees=range(2)).known_items() == table.known_items()
