@@ -152,7 +152,7 @@ class FjrwTheory:
     """
 
     def __init__(self, entry: CatalogEntry):
-        raw = entry.fjrw
+        raw = entry.fjrw or {}
         if not raw or raw.get("excluded"):
             raise NeedsBroadFixture(
                 f"{entry.name}: {raw.get('reason', 'no state-space data')}"

@@ -22,11 +22,14 @@ natural deformation coordinate to ``x = C sigma^l`` (radius of convergence
 one for the associated period series).
 
 :func:`load_catalog` reads a JSON catalog of the thirteen exponent matrices
-together with frozen reference data (marginal rows, state-space bookkeeping,
-q-expansion coefficients) and revalidates every derivable statement at load
-time, raising :class:`SchemaError` on any mismatch.  The one exception is
-the FJRW block: it is kept as parsed JSON, and :class:`ises.fjrw.FjrwTheory`
-is the only code that reads and checks it.
+and, of each entry, only what the program consumes: ``E``, the marginal
+``m`` list, the twisted rows, the display basis, ``K``, and the fjrw and
+qexp blocks.  It checks those inputs and raises a :class:`SchemaError` that
+names the entry on a malformed one.  The fjrw and qexp blocks are kept as
+parsed JSON; :class:`ises.fjrw.FjrwTheory` reads and checks the fjrw block.
+Every other frozen value (family, Milnor number, the marginal rows' ``l``,
+``C`` and weights, the j-invariant and puncture data, the Gepner block) is
+reference data that the loader ignores and the test suite checks.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from .numcore import (
     DomainError,
     MultiPoly,
     Rat,
-    UniPoly,
     inverse,
     monomials_of_weighted_degree,
     parse_rat,
@@ -57,7 +59,6 @@ __all__ = [
     "UnknownEntry",
     "InvertiblePolynomial",
     "MarginalData",
-    "PunctureData",
     "CatalogEntry",
     "charge_vector",
     "mirror_weights",
@@ -300,27 +301,21 @@ def enumerate_group(exponents: Sequence[Sequence[int]]) -> tuple[tuple[Rat, ...]
 class MarginalData:
     """A degree-one deformation direction ``sigma * X^m`` of ``W``.
 
-    ``l_vector`` is the integer relation ``E^T l_vector = l * m`` (so
+    The catalog supplies ``m``; every other part is derived from ``m`` and
+    ``E``.  ``l_vector`` is the integer relation ``E^T l_vector = l * m`` (so
     ``X^{l m} = prod M_i^{l_i}``), ``l`` its positive denominator-clearing
     index, and ``C = prod (-l_i/l)^{l_i}`` the coordinate normalisation
-    giving ``x = C sigma^l`` unit radius of convergence.  ``weights`` are the
-    hypergeometric parameters ``(alpha, beta, gamma)`` of the reduced
-    second-order Picard--Fuchs operator for the primitive period, when frozen
-    in the catalog.
+    giving ``x = C sigma^l`` unit radius of convergence.  The rows' frozen
+    ``l``, ``lcm``, ``C`` and hypergeometric ``weights`` are test oracles.
     """
 
     m: tuple[int, int, int]
     l_vector: tuple[int, int, int]
     l: int
     C: Rat
-    weights: tuple[Rat, Rat, Rat] | None = None
 
     @staticmethod
-    def derive(
-        poly: InvertiblePolynomial,
-        m: Sequence[int],
-        weights: tuple[Rat, Rat, Rat] | None = None,
-    ) -> "MarginalData":
+    def derive(poly: InvertiblePolynomial, m: Sequence[int]) -> "MarginalData":
         m = tuple(int(e) for e in m)
         if poly.weighted_degree(m) != 1:
             raise DomainError(f"monomial {m} is not of weighted degree one")
@@ -329,7 +324,7 @@ class MarginalData:
         for li in lvec:
             if li:
                 c *= Fraction(-li, ell) ** li
-        return MarginalData(m, lvec, ell, c, weights)
+        return MarginalData(m, lvec, ell, c)
 
 
 # ---------------------------------------------------------------------------
@@ -338,43 +333,26 @@ class MarginalData:
 
 
 @dataclass(frozen=True)
-class PunctureData:
-    """Interior special points ``sigma = p_k`` with ``p_k^index = radicand``.
+class CatalogEntry:
+    """One singularity of the catalog, as the program reads it.
 
-    The ``count`` values of ``p_k`` differ by ``index``-th roots of unity;
-    ``radicand = 1/C`` so that ``x(p_k) = 1``.
+    The catalog supplies ``E`` (``polynomial``), the marginal ``m`` list,
+    the twisted ``(r, weights)`` rows, the display ``basis`` and its
+    ``top_monomial``, ``K``, and the fjrw and qexp blocks, the last two as
+    parsed JSON.  ``milnor`` and the rest of each marginal row are derived
+    from ``E``.  Every other value of a catalog entry is a test oracle.
     """
 
-    radicand: Rat
-    index: int
-    count: int
-
-
-@dataclass(frozen=True)
-class CatalogEntry:
-    """One singularity of the catalog, with its frozen reference data."""
-
     name: str
-    family: str
     polynomial: InvertiblePolynomial
     milnor: int
-    L: int
-    j_zero: Rat
     marginals: tuple[MarginalData, ...]
     twisted: tuple[tuple[tuple[int, int, int], tuple[Rat, Rat, Rat]], ...]
     basis: tuple[tuple[int, int, int], ...] | None
     top_monomial: tuple[int, int, int] | None
     K: Rat | None
-    N: int | None
-    j_numerator: UniPoly | None
-    j_denominator: UniPoly | None
-    P: UniPoly | None
-    P_at_puncture: Rat | None
-    punctures: PunctureData | None
     fjrw: Mapping[str, Any] | None
-    gepner: Mapping[str, Any] | None
     qexp: Mapping[str, Any] | None
-    infinity_fjrw: Mapping[str, Any] | None
 
     @property
     def charges(self) -> tuple[Rat, Rat, Rat]:
@@ -422,12 +400,6 @@ def _parse_int_triple(v: Any, where: str) -> tuple[int, int, int]:
     return (v[0], v[1], v[2])
 
 
-def _parse_unipoly(v: Any, where: str) -> UniPoly:
-    if not isinstance(v, list):
-        raise _ctx(where, "expected a coefficient list")
-    return UniPoly([_parse_rat_field(c, where) for c in v])
-
-
 def _parse_weights(v: Any, where: str) -> tuple[Rat, Rat, Rat]:
     if not isinstance(v, list) or len(v) != 3:
         raise _ctx(where, f"expected three hypergeometric weights, got {v!r}")
@@ -435,73 +407,16 @@ def _parse_weights(v: Any, where: str) -> tuple[Rat, Rat, Rat]:
     return (a, b, g)
 
 
+def _rows(d: Mapping[str, Any], key: str, where: str) -> list[Mapping[str, Any]]:
+    rows = d.get(key, [])
+    if not isinstance(rows, list) or not all(isinstance(r, Mapping) for r in rows):
+        raise _ctx(where, f"{key} must be a list of objects, got {rows!r}")
+    return rows
+
+
 # ---------------------------------------------------------------------------
-# entry validation
+# entry parsing
 # ---------------------------------------------------------------------------
-
-
-def _validate_modular_block(name: str, entry_dict: Mapping[str, Any], entry: CatalogEntry) -> None:
-    """Check the frozen modular data against what is derivable."""
-    where = f"entry {name}"
-    if entry.P is None:
-        for key in ("N", "jNumerator", "jDenominator", "PAtPuncture", "punctures"):
-            if entry_dict.get(key) is not None:
-                raise _ctx(where, f"{key} requires P")
-        return
-    if entry.N is None or entry.j_numerator is None or entry.j_denominator is None:
-        raise _ctx(where, "modular block needs N, jNumerator, jDenominator")
-    if entry.punctures is None or entry.P_at_puncture is None:
-        raise _ctx(where, "modular block needs punctures and PAtPuncture")
-    fam = entry.marginals[0]
-    # j = jNumerator/jDenominator must equal P / (1 - C sigma^l)^N.
-    one_minus = UniPoly([Fraction(1)] + [Fraction(0)] * (fam.l - 1) + [-fam.C])
-    lhs = entry.j_numerator * one_minus ** entry.N
-    rhs = entry.P * entry.j_denominator
-    if lhs != rhs:
-        raise _ctx(where, "jNumerator/jDenominator does not match P/(1 - C sigma^l)^N")
-    if entry.j_denominator.eval(Fraction(0)) == 0:
-        raise _ctx(where, "j has a pole at sigma = 0")
-    j0 = entry.j_numerator.eval(Fraction(0)) / entry.j_denominator.eval(Fraction(0))
-    if j0 != entry.j_zero:
-        raise _ctx(where, f"j(0) = {j0} disagrees with jZero {entry.j_zero}")
-    pun = entry.punctures
-    if pun.index != fam.l:
-        raise _ctx(where, "puncture index must equal the marginal index l")
-    if pun.radicand != 1 / fam.C:
-        raise _ctx(where, "puncture radicand must equal 1/C")
-    # P must be a polynomial in sigma^l; evaluate it at sigma^l = radicand.
-    val = Fraction(0)
-    for k, c in enumerate(entry.P.coeffs):
-        if c == 0:
-            continue
-        if k % fam.l:
-            raise _ctx(where, "P is not a polynomial in sigma^l")
-        val += c * pun.radicand ** (k // fam.l)
-    if val != entry.P_at_puncture:
-        raise _ctx(where, f"P at the puncture is {val}, not {entry.P_at_puncture}")
-
-
-def _validate_gepner_block(name: str, entries: Mapping[str, CatalogEntry]) -> None:
-    entry = entries[name]
-    block = entry.gepner
-    if block is None:
-        return
-    where = f"entry {name} gepner"
-    ref_name = block.get("reference")
-    if ref_name is None:
-        return
-    if ref_name not in entries:
-        raise _ctx(where, f"unknown reference {ref_name!r}")
-    ref = entries[ref_name]
-    if (ref.milnor, ref.j_zero) != (entry.milnor, entry.j_zero):
-        raise _ctx(where, "reference lies in a different (milnor, j(0)) class")
-    phi = _parse_int_triple(_need(block, "phi", where), where)
-    ref_phi = _parse_int_triple(_need(block, "referencePhi", where), where)
-    try:
-        entry.marginal(phi)  # must be a catalogued marginal of the member
-        ref.marginal(ref_phi)
-    except UnknownMarginal as exc:
-        raise _ctx(where, str(exc)) from exc
 
 
 def _parse_entry(d: Mapping[str, Any]) -> CatalogEntry:
@@ -509,11 +424,13 @@ def _parse_entry(d: Mapping[str, Any]) -> CatalogEntry:
         raise SchemaError(f"entry must be an object, got {type(d).__name__}")
     name = _need(d, "name", "entry")
     where = f"entry {name}"
-    family = _need(d, "family", where)
-    if family not in ("e6", "e7", "e8"):
-        raise _ctx(where, f"unknown family {family!r}")
+    E = _need(d, "E", where)
+    if not isinstance(E, list):
+        raise _ctx(where, f"expected a list of exponent rows, got {E!r}")
+    rows = [_parse_int_triple(row, f"{where} E") for row in E]
     try:
-        poly = InvertiblePolynomial(_need(d, "E", where))
+        poly = InvertiblePolynomial(rows)
+        milnor = poly.milnor_number
     except DomainError as exc:
         raise _ctx(where, f"bad exponent matrix: {exc}") from exc
     if not poly.is_simple_elliptic:
@@ -521,41 +438,22 @@ def _parse_entry(d: Mapping[str, Any]) -> CatalogEntry:
     if sum(poly.mirror_charges) != 1:
         raise _ctx(where, "transpose weights do not sum to one")
 
-    milnor = _need(d, "milnor", where)
-    if poly.milnor_number != milnor:
-        raise _ctx(where, f"Milnor number is {poly.milnor_number}, not {milnor}")
-    L = _need(d, "L", where)
-    if scaled_ints(poly.charges)[1] != L:
-        raise _ctx(where, "L must be the lcm of the weight denominators")
-    j_zero = _parse_rat_field(_need(d, "jZero", where), where)
-
     marginals = []
-    for row in _need(d, "marginals", where):
+    for row in _rows(d, "marginals", where):
         mwhere = f"{where} marginal {row.get('m')}"
         m = _parse_int_triple(_need(row, "m", mwhere), mwhere)
-        weights = _parse_weights(_need(row, "weights", mwhere), mwhere)
-        if weights[0] + weights[1] != weights[2]:
-            raise _ctx(mwhere, "expected gamma = alpha + beta for a degree-one direction")
-        derived = MarginalData.derive(poly, m, weights)
-        if list(derived.l_vector) != list(_need(row, "l", mwhere)):
-            raise _ctx(mwhere, f"l vector should be {derived.l_vector}")
-        if derived.l != _need(row, "lcm", mwhere):
-            raise _ctx(mwhere, f"index l should be {derived.l}")
-        if derived.C != _parse_rat_field(_need(row, "C", mwhere), mwhere):
-            raise _ctx(mwhere, f"C should be {derived.C}")
-        marginals.append(derived)
+        try:
+            marginals.append(MarginalData.derive(poly, m))
+        except DomainError as exc:
+            raise _ctx(mwhere, str(exc)) from exc
     if not marginals:
         raise _ctx(where, "at least one marginal row is required")
 
     twisted = []
-    for row in d.get("twisted", []):
+    for row in _rows(d, "twisted", where):
         twhere = f"{where} twisted {row.get('r')}"
         r = _parse_int_triple(_need(row, "r", twhere), twhere)
-        tw = _parse_weights(_need(row, "weights", twhere), twhere)
-        deg = poly.weighted_degree(r)
-        if tw[0] + tw[1] - tw[2] != deg:
-            raise _ctx(twhere, f"expected alpha + beta - gamma = {deg}")
-        twisted.append((r, tw))
+        twisted.append((r, _parse_weights(_need(row, "weights", twhere), twhere)))
 
     basis = d.get("basis")
     if basis is not None:
@@ -573,49 +471,18 @@ def _parse_entry(d: Mapping[str, Any]) -> CatalogEntry:
             raise _ctx(where, "topMonomial must lie in the basis")
 
     K = d.get("K")
-    K = None if K is None else _parse_rat_field(K, where)
-    N = d.get("N")
-    jnum = d.get("jNumerator")
-    jnum = None if jnum is None else _parse_unipoly(jnum, f"{where} jNumerator")
-    jden = d.get("jDenominator")
-    jden = None if jden is None else _parse_unipoly(jden, f"{where} jDenominator")
-    P = d.get("P")
-    P = None if P is None else _parse_unipoly(P, f"{where} P")
-    pap = d.get("PAtPuncture")
-    pap = None if pap is None else _parse_rat_field(pap, where)
-    pun = d.get("punctures")
-    if pun is not None:
-        pun = PunctureData(
-            radicand=_parse_rat_field(_need(pun, "radicand", where), where),
-            index=int(_need(pun, "index", where)),
-            count=int(_need(pun, "count", where)),
-        )
-
-    entry = CatalogEntry(
+    return CatalogEntry(
         name=name,
-        family=family,
         polynomial=poly,
         milnor=milnor,
-        L=L,
-        j_zero=j_zero,
         marginals=tuple(marginals),
         twisted=tuple(twisted),
         basis=basis,
         top_monomial=top,
-        K=K,
-        N=N,
-        j_numerator=jnum,
-        j_denominator=jden,
-        P=P,
-        P_at_puncture=pap,
-        punctures=pun,
+        K=None if K is None else _parse_rat_field(K, where),
         fjrw=d.get("fjrw"),
-        gepner=d.get("gepner"),
         qexp=d.get("qexp"),
-        infinity_fjrw=d.get("infinityFjrw"),
     )
-    _validate_modular_block(name, d, entry)
-    return entry
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +495,7 @@ def _default_catalog_text() -> str:
 
 
 def load_catalog(path: str | None = None) -> tuple[CatalogEntry, ...]:
-    """Load and validate a catalog.
+    """Load a catalog and check the inputs that the program reads.
 
     Resolution order: explicit ``path`` argument, then the ``ISES_CATALOG``
     environment variable, then the bundled data file.
@@ -662,9 +529,6 @@ def load_catalog(path: str | None = None) -> tuple[CatalogEntry, ...]:
             raise SchemaError(f"{source}: duplicate entry name {entry.name!r}")
         seen_names.add(entry.name)
         entries.append(entry)
-    by_name = {e.name: e for e in entries}
-    for e in entries:
-        _validate_gepner_block(e.name, by_name)
     return tuple(entries)
 
 

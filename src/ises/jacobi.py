@@ -420,7 +420,10 @@ class JacobianAlgebra:
             raise DomainError(f"{entry.name}: top monomial disagrees with catalog")
 
         self._jets: dict[Exps, tuple[Rat, Rat]] = {}
-        self.k_constant: Rat = 1 / self._residue_jet(mvec)[0]
+        residue = self._residue_jet(mvec)[0]
+        if residue == 0:
+            raise DomainError(f"{self._label}: X^m lies in the Jacobian ideal of W")
+        self.k_constant: Rat = 1 / residue
         if entry.K is not None and entry.K != self.k_constant:
             raise DomainError(f"{entry.name}: K = {self.k_constant} != {entry.K}")
 

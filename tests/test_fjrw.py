@@ -734,6 +734,13 @@ def with_fjrw(name, edit):
     return dataclasses.replace(entry, fjrw=block)
 
 
+@pytest.mark.parametrize("block", [None, {}])
+def test_an_entry_without_state_space_data_needs_a_broad_fixture(block):
+    entry = dataclasses.replace(get_entry(CATALOG, "e6-fermat"), fjrw=block)
+    with pytest.raises(NeedsBroadFixture, match="^e6-fermat: no state-space data$"):
+        FjrwTheory(entry)
+
+
 @pytest.mark.parametrize("step", [["1/3", "5/6", "1/6"], ["1/5", "0", "0"]])
 def test_a_scheme_step_that_is_not_a_symmetry_is_rejected(step):
     def edit(block):

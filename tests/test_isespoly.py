@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ises.numcore import DomainError, inverse
+from ises.numcore import DomainError, UniPoly, inverse, parse_rat, scaled_ints
 from ises.isespoly import (
     CatalogEntry,
     InvertiblePolynomial,
@@ -41,9 +42,263 @@ ALL_NAMES = [
 ]
 
 
+# The bundled catalog as parsed JSON: every frozen value that the loader
+# does not read is checked here, against a derivation from E.
+FROZEN = {d["name"]: d for d in json.loads(_default_catalog_text())["entries"]}
+
+
 @pytest.fixture(scope="module")
 def catalog():
     return load_catalog()
+
+
+def load_doc(tmp_path, doc):
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(doc))
+    return load_catalog(str(path))
+
+
+def rats(values):
+    return tuple(parse_rat(str(v)) for v in values)
+
+
+# ---------------------------------------------------------------------------
+# the oracle for the frozen reference data
+# ---------------------------------------------------------------------------
+
+MILNOR_BY_FAMILY = {"e6": 8, "e7": 9, "e8": 10}
+MODULAR_KEYS = ("N", "jNumerator", "jDenominator", "P", "PAtPuncture", "punctures")
+
+
+def check_modular_block(where, d, fam):
+    """j = jNumerator/jDenominator = P/(1 - C sigma^l)^N, jZero = j(0), and
+    the punctures x(p_k) = 1: p_k^l = 1/C, with P(p_k) = PAtPuncture."""
+    present = [key for key in MODULAR_KEYS if d.get(key) is not None]
+    if not present:
+        return
+    if len(present) != len(MODULAR_KEYS):
+        raise SchemaError(f"{where}: the modular block needs all of {MODULAR_KEYS}")
+    jnum, jden, P = (UniPoly(rats(d[key])) for key in ("jNumerator", "jDenominator", "P"))
+    one_minus = UniPoly([Fraction(1)] + [Fraction(0)] * (fam.l - 1) + [-fam.C])
+    if jnum * one_minus ** d["N"] != P * jden:
+        raise SchemaError(f"{where}: jNumerator/jDenominator does not match P/(1 - C sigma^l)^N")
+    if jden.eval(Fraction(0)) == 0:
+        raise SchemaError(f"{where}: j has a pole at sigma = 0")
+    j0 = jnum.eval(Fraction(0)) / jden.eval(Fraction(0))
+    if j0 != parse_rat(d["jZero"]):
+        raise SchemaError(f"{where}: j(0) = {j0} disagrees with jZero {d['jZero']}")
+    pun = d["punctures"]
+    radicand = parse_rat(pun["radicand"])
+    # the count points p_k are the l-th roots of the radicand
+    if pun["index"] != fam.l or pun["count"] != fam.l:
+        raise SchemaError(f"{where}: puncture index and count must equal the marginal index l")
+    if radicand != 1 / fam.C:
+        raise SchemaError(f"{where}: puncture radicand must equal 1/C")
+    # P must be a polynomial in sigma^l; evaluate it at sigma^l = radicand
+    value = Fraction(0)
+    for k, c in enumerate(P.coeffs):
+        if c and k % fam.l:
+            raise SchemaError(f"{where}: P is not a polynomial in sigma^l")
+        value += c * radicand ** (k // fam.l)
+    if value != parse_rat(d["PAtPuncture"]):
+        raise SchemaError(f"{where}: P at the puncture is {value}, not {d['PAtPuncture']}")
+
+
+def check_gepner_block(name, entries):
+    """A Gepner reference lies in the member's (milnor, jZero) class, and
+    phi and referencePhi are catalogued marginals of member and reference."""
+    block = entries[name].get("gepner") or {}
+    ref_name = block.get("reference")
+    if ref_name is None:
+        return
+    where = f"entry {name} gepner"
+    if ref_name not in entries:
+        raise SchemaError(f"{where}: unknown reference {ref_name!r}")
+    d, ref = entries[name], entries[ref_name]
+    if (ref["milnor"], parse_rat(ref["jZero"])) != (d["milnor"], parse_rat(d["jZero"])):
+        raise SchemaError(f"{where}: reference lies in a different (milnor, j(0)) class")
+    for key, owner in (("phi", d), ("referencePhi", ref)):
+        if block[key] not in [row["m"] for row in owner["marginals"]]:
+            raise SchemaError(
+                f"{where}: {owner['name']} has no catalogued marginal {tuple(block[key])}"
+            )
+
+
+def check_frozen_values(doc):
+    """Check every frozen value of ``doc`` that the loader does not read
+    against its derivation from E; raise a SchemaError naming the entry at
+    the first disagreement."""
+    entries = {d["name"]: d for d in doc["entries"]}
+    for name, d in entries.items():
+        where = f"entry {name}"
+        poly = InvertiblePolynomial(d["E"])
+        mu = poly.milnor_number
+        if (MILNOR_BY_FAMILY.get(d["family"]), d["milnor"]) != (mu, mu):
+            raise SchemaError(
+                f"{where}: family {d['family']} and milnor {d['milnor']} "
+                f"do not match the Milnor number {mu}"
+            )
+        if d["L"] != scaled_ints(poly.charges)[1]:
+            raise SchemaError(f"{where}: L must be the lcm of the weight denominators")
+        for row in d["marginals"]:
+            mwhere = f"{where} marginal {row['m']}"
+            derived = MarginalData.derive(poly, row["m"])
+            a, b, g = rats(row["weights"])
+            if a + b != g:
+                raise SchemaError(f"{mwhere}: expected gamma = alpha + beta")
+            if tuple(row["l"]) != derived.l_vector:
+                raise SchemaError(f"{mwhere}: l vector should be {derived.l_vector}")
+            if row["lcm"] != derived.l:
+                raise SchemaError(f"{mwhere}: index l should be {derived.l}")
+            if parse_rat(row["C"]) != derived.C:
+                raise SchemaError(f"{mwhere}: C should be {derived.C}")
+        for row in d.get("twisted", []):
+            a, b, g = rats(row["weights"])
+            deg = poly.weighted_degree(row["r"])
+            if a + b - g != deg:
+                twhere = f"{where} twisted {row['r']}"
+                raise SchemaError(f"{twhere}: expected alpha + beta - gamma = {deg}")
+        check_modular_block(where, d, MarginalData.derive(poly, d["marginals"][0]["m"]))
+    for name in entries:
+        check_gepner_block(name, entries)
+
+
+def test_the_frozen_reference_data_matches_the_derivations():
+    check_frozen_values(json.loads(_default_catalog_text()))
+
+
+def edited(name, edit):
+    """The bundled catalog with ``edit`` applied to entry ``name``."""
+    doc = json.loads(_default_catalog_text())
+    edit(next(d for d in doc["entries"] if d["name"] == name))
+    return doc
+
+
+@pytest.mark.parametrize(
+    "name, edit, message",
+    [
+        pytest.param("e6-fermat", lambda d: d.update(family="e7"), "family e7", id="family"),
+        pytest.param("e6-chain23", lambda d: d.update(milnor=9), "milnor 9", id="milnor"),
+        pytest.param("e8-chain32", lambda d: d.update(L=3), "L must be", id="L"),
+        pytest.param(
+            "e7-chain322",
+            lambda d: d["marginals"][1].update(l=[4, 0, 0]),
+            "l vector should be",
+            id="l",
+        ),
+        pytest.param(
+            "e6-chain23", lambda d: d["marginals"][0].update(lcm=5), "index l should be", id="lcm"
+        ),
+        pytest.param(
+            "e7-fermat",
+            lambda d: d["marginals"][0]["weights"].__setitem__(2, "2/3"),
+            r"gamma = alpha \+ beta",
+            id="weights",
+        ),
+        pytest.param(
+            "e8-fermat",
+            lambda d: d["twisted"][0]["weights"].__setitem__(2, "1/3"),
+            r"alpha \+ beta - gamma",
+            id="twisted-weights",
+        ),
+        pytest.param("e6-fermat", lambda d: d.pop("N"), "modular block needs", id="N"),
+        pytest.param(
+            "e7-fermat", lambda d: d["P"].__setitem__(0, "1"), "does not match P", id="P"
+        ),
+        pytest.param(
+            "e7-fermat", lambda d: d.update(jZero="0"), "disagrees with jZero", id="jZero"
+        ),
+        pytest.param(
+            "e6-fermat",
+            lambda d: d["punctures"].update(radicand="27"),
+            "radicand must equal 1/C",
+            id="radicand",
+        ),
+        pytest.param(
+            "e8-fermat", lambda d: d["punctures"].update(count=2), "index and count", id="count"
+        ),
+        pytest.param(
+            "e6-fermat", lambda d: d.update(PAtPuncture="1"), "P at the puncture", id="PAtPuncture"
+        ),
+        pytest.param(
+            "e7-chain322",
+            lambda d: d["gepner"].update(reference="e7-fermat"),
+            r"different \(milnor, j\(0\)\) class",
+            id="reference",
+        ),
+    ],
+)
+def test_the_oracle_flags_a_changed_frozen_value(name, edit, message):
+    with pytest.raises(SchemaError, match=f"^entry {name}.*{message}"):
+        check_frozen_values(edited(name, edit))
+
+
+# Each key of a bundled entry, of its marginal and twisted rows and of its
+# gepner and punctures blocks, with what checks it: the loader, a named
+# oracle test, or nothing yet, with the ROADMAP item that will check it.
+LOADER = "load_catalog"
+ORACLE = "test_the_frozen_reference_data_matches_the_derivations"
+KEY_CHECKS = {
+    **dict.fromkeys(
+        ["name", "E", "marginals.m", "twisted.r", "twisted.weights"]
+        + ["basis", "topMonomial", "K", "fjrw", "qexp"],
+        LOADER,
+    ),
+    **dict.fromkeys(
+        ["family", "milnor", "L"]
+        + ["marginals.l", "marginals.lcm", "marginals.C", "marginals.weights"]
+        + ["jZero", "N", "jNumerator", "jDenominator", "P", "PAtPuncture"]
+        + ["punctures.radicand", "punctures.index", "punctures.count"]
+        + ["gepner.reference", "gepner.phi", "gepner.referencePhi"],
+        ORACLE,
+    ),
+    "gepner.psi": "unchecked: ROADMAP item 12",
+    "gepner.cells": "unchecked: ROADMAP item 12",
+    "limits": "unchecked: ROADMAP item 7",
+    "infinityFjrw": "unchecked: ROADMAP item 8",
+    "notes": "unchecked: free text",
+}
+NESTED = ("marginals", "twisted", "gepner", "punctures")
+
+
+def key_paths(doc):
+    """The key paths of the entries of ``doc``: ``E``, ``marginals.C``, ..."""
+    paths = set()
+    for d in doc["entries"]:
+        for key, value in d.items():
+            if key not in NESTED:
+                paths.add(key)
+                continue
+            for row in value if isinstance(value, list) else [value]:
+                paths.update(f"{key}.{k}" for k in row)
+    return paths
+
+
+def without_key(doc, path):
+    """A copy of ``doc`` with the key ``path`` removed wherever it occurs."""
+    doc = copy.deepcopy(doc)
+    head, _, tail = path.partition(".")
+    for d in doc["entries"]:
+        if not tail:
+            d.pop(head, None)
+        elif head in d:
+            for row in d[head] if isinstance(d[head], list) else [d[head]]:
+                row.pop(tail, None)
+    return doc
+
+
+def test_every_catalog_key_is_read_or_checked(tmp_path, catalog):
+    doc = json.loads(_default_catalog_text())
+    assert key_paths(doc) == set(KEY_CHECKS)
+    assert callable(globals()[ORACLE])
+    for path, check in KEY_CHECKS.items():
+        assert check in (LOADER, ORACLE) or check.startswith("unchecked: "), path
+        # the loaded catalog depends on exactly the keys that the loader reads
+        try:
+            read = load_doc(tmp_path, without_key(doc, path)) != catalog
+        except SchemaError:
+            read = True
+        assert read == (check == LOADER), path
 
 
 def test_names_and_order(catalog):
@@ -53,7 +308,7 @@ def test_names_and_order(catalog):
 def test_counts_by_family(catalog):
     fams = {}
     for e in catalog:
-        fams.setdefault(e.family, []).append(e)
+        fams.setdefault(FROZEN[e.name]["family"], []).append(e)
     assert len(fams["e6"]) == 5
     assert len(fams["e7"]) == 5
     assert len(fams["e8"]) == 3
@@ -62,7 +317,7 @@ def test_counts_by_family(catalog):
 def test_milnor_numbers(catalog):
     by_family = {"e6": 8, "e7": 9, "e8": 10}
     for e in catalog:
-        assert e.milnor == by_family[e.family]
+        assert e.milnor == by_family[FROZEN[e.name]["family"]] == FROZEN[e.name]["milnor"]
         assert e.polynomial.milnor_number == e.milnor
 
 
@@ -137,23 +392,23 @@ def test_marginal_relation_is_exact(catalog):
             assert sum(row.l_vector) == row.l
 
 
-def test_weights_sum_rule(catalog):
-    for e in catalog:
-        for row in e.marginals:
-            a, b, g = row.weights
+def test_weights_sum_rule():
+    for d in FROZEN.values():
+        for row in d["marginals"]:
+            a, b, g = rats(row["weights"])
             assert a + b == g
             assert 0 < a <= b < 1
 
 
-def test_modular_identity(catalog):
-    e = get_entry(catalog, "e7-fermat")
+def test_modular_identity():
+    e = FROZEN["e7-fermat"]
     # j(sigma) at sigma = 0 equals 1728 and the numerator is 16*P.
-    assert e.j_numerator.coeffs == tuple(16 * c for c in e.P.coeffs)
-    assert e.j_zero == 1728
-    e6 = get_entry(catalog, "e6-fermat")
-    assert e6.j_numerator.eval(Fraction(0)) == 0
-    assert e6.punctures.radicand == Fraction(-27)
-    assert e6.punctures.count == 3
+    assert UniPoly(rats(e["jNumerator"])).coeffs == tuple(16 * c for c in rats(e["P"]))
+    assert parse_rat(e["jZero"]) == 1728
+    e6 = FROZEN["e6-fermat"]
+    assert UniPoly(rats(e6["jNumerator"])).eval(Fraction(0)) == 0
+    assert parse_rat(e6["punctures"]["radicand"]) == Fraction(-27)
+    assert e6["punctures"]["count"] == 3
 
 
 def test_charge_helpers():
@@ -213,21 +468,31 @@ def test_schema_error_on_wrong_data(tmp_path):
             }
         ]
     }
-    path = tmp_path / "wrong.json"
-    path.write_text(json.dumps(doc))
     with pytest.raises(SchemaError, match="C should be"):
-        load_catalog(str(path))
+        check_frozen_values(doc)
+    # the loader derives C from m and E, and reads no frozen C
+    (entry,) = load_doc(tmp_path, doc)
+    assert entry.marginals[0].C == Fraction(-1, 27)
 
 
 @pytest.mark.parametrize("field", ["phi", "referencePhi"])
-def test_schema_error_on_an_uncatalogued_gepner_marginal(tmp_path, field):
-    doc = json.loads(_default_catalog_text())
-    (entry,) = [e for e in doc["entries"] if e["name"] == "e6-chain23"]
-    entry["gepner"][field] = [3, 0, 0]
-    path = tmp_path / "bad-phi.json"
-    path.write_text(json.dumps(doc))
+def test_schema_error_on_an_uncatalogued_gepner_marginal(field):
+    doc = edited("e6-chain23", lambda d: d["gepner"].update({field: [3, 0, 0]}))
     with pytest.raises(SchemaError, match=r"entry e6-chain23 gepner: .* \(3, 0, 0\)"):
-        load_catalog(str(path))
+        check_frozen_values(doc)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda d: d["marginals"][0].update(m=[1, 0, 0]), id="m-not-of-degree-one"),
+        pytest.param(lambda d: d["marginals"].__setitem__(0, [1, 1, 1]), id="marginal-row-list"),
+        pytest.param(lambda d: d["E"][0].__setitem__(0, "3x"), id="non-integer-exponent"),
+    ],
+)
+def test_a_malformed_input_is_a_schema_error_that_names_the_entry(tmp_path, edit):
+    with pytest.raises(SchemaError, match="^entry e6-fermat"):
+        load_doc(tmp_path, edited("e6-fermat", edit))
 
 
 def test_env_variable_override(tmp_path, monkeypatch):
@@ -252,15 +517,15 @@ def test_fjrw_blocks_present(catalog):
             assert total == e.milnor
 
 
-def test_class_reference_data(catalog):
+def test_class_reference_data():
     refs = {}
-    for e in catalog:
-        block = e.gepner
+    for e in FROZEN.values():
+        block = e["gepner"]
         assert block is not None
-        key = (e.milnor, e.j_zero)
+        key = (e["milnor"], parse_rat(e["jZero"]))
         if block.get("reference") is None:
             assert key not in refs
-            refs[key] = e.name
+            refs[key] = e["name"]
     assert refs == {
         (8, 0): "e6-fermat",
         (8, 1728): "e6-chain233",
@@ -269,10 +534,10 @@ def test_class_reference_data(catalog):
         (10, 0): "e8-fermat",
         (10, 1728): "e8-chain43",
     }
-    for e in catalog:
-        ref_name = e.gepner.get("reference")
+    for e in FROZEN.values():
+        ref_name = e["gepner"].get("reference")
         if ref_name is not None:
-            assert refs[(e.milnor, e.j_zero)] == ref_name
+            assert refs[(e["milnor"], parse_rat(e["jZero"]))] == ref_name
 
 
 @st.composite
@@ -351,7 +616,7 @@ def test_milnor_number_is_integer(E):
 def test_marginal_derive_rejects_non_marginal():
     poly = InvertiblePolynomial([[3, 0, 0], [0, 3, 0], [0, 0, 3]])
     with pytest.raises(DomainError):
-        MarginalData.derive(poly, (1, 0, 0), (Fraction(1, 3), Fraction(1, 3), Fraction(2, 3)))
+        MarginalData.derive(poly, (1, 0, 0))
 
 
 def test_entry_is_hashable_identity(catalog):

@@ -1,6 +1,7 @@
 """Milnor algebras, residues, Jacobian-ideal decompositions, flat sections,
 and the genus-zero correlators of the deformed singularities at sigma = 0."""
 
+import dataclasses
 import hashlib
 import random
 import re
@@ -11,7 +12,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from ises import jacobi
-from ises.isespoly import get_entry, load_catalog
+from ises.isespoly import MarginalData, get_entry, load_catalog
 from ises.jacobi import (
     FlatSectionApprox,
     FlatSectionPole,
@@ -1105,6 +1106,16 @@ def test_residue_pole_at_sigma_zero_is_a_typed_domain_error(monkeypatch):
     monkeypatch.setattr(alg, "residue", lambda f: 1 / RatFun.variable())
     with pytest.raises(DomainError, match="pole at sigma = 0"):
         fourpoint_raw(alg, (3, 0, 0))
+
+
+def test_a_marginal_in_the_jacobian_ideal_is_a_typed_error():
+    # x^3 has degree one but lies in the Jacobian ideal of x^3 + y^3 + z^3;
+    # a catalog given by path can list it, and its residue is zero
+    e = get_entry(CATALOG, "e6-fermat")
+    entry = dataclasses.replace(e, marginals=(MarginalData.derive(e.polynomial, (3, 0, 0)),))
+    with pytest.raises(DomainError, match=r"^e6-fermat, m=\(3, 0, 0\): .*Jacobian ideal") as info:
+        JacobianAlgebra(entry, (3, 0, 0))
+    assert not isinstance(info.value, ZeroDivisionError)
 
 
 def fraction_order_key(weights):
