@@ -39,26 +39,29 @@ Computed from first principles:
   a sector generator through narrow intermediate products, and all
   factorizations of a word are cross-checked to agree.
 
-Sectors are labelled by ``Fraction`` phase vectors, but the arithmetic
-behind them runs on ints scaled by the lcm L of the phase denominators of
-the group: a phase Theta is held as the int Theta L in [0, L), and so is
-q^T (the grading element J = q^T is a group element), and a line bundle
-degree d_j is held as the int d_j L, in units of 1/L, so it is integral
-exactly when L divides it.  The four-point value above is then one
-``Fraction``
+The group of W^T is read on its int grid, as
+:meth:`ises.isespoly.InvertiblePolynomial.group` gives it: L is the lcm of
+the denominators of the inverse exponent matrix, and a phase Theta is held
+as the int Theta L in [0, L).  So is q^T (the grading element J = q^T is a
+group element), and a line bundle degree d_j is held as the int d_j L, in
+units of 1/L, so it is integral exactly when L divides it.  The four-point
+value above is then one ``Fraction``
 
     sum_j [ qL (qL - L) - sum_k a_k (a_k - L) + sum_channels n (n - L) ] / (2 L^2)
 
 over the scaled phases qL, a_k and node phases n of coordinate j (the 1/6
 terms cancel: 1 - 4 + 3 = 0).  The table seed (on basis positions, the
 correlator table's own keys), the node check of ``narrow_nodes``, the
-broad-sector count (on the group generators scaled to ints) and the word
-feasibility test run on ints only.  ``Fraction``s are made at the edge
-only, which is: the sector labels and gradings of ``FjrwSector`` (the keys
-of ``sectors``, the chart and the fixtures); the labels, gradings and
-pairing handed to ``CorrelatorTable`` once per theory; the correlator
-values; the word reductions, which read the finished table by label; and
-the degrees that the exception messages report.
+broad-sector count (on the int generators of the group) and the word
+feasibility test run on ints only.  The group never passes through
+``Fraction``s: each int element gets its ``Fraction`` label once, when the
+theory is built, and the ints are looked up by label from then on.
+``Fraction``s are made at the edge only, which is: the sector labels and
+gradings of ``FjrwSector`` (the keys of ``sectors``, the chart and the
+fixtures); the labels, gradings and pairing handed to ``CorrelatorTable``
+once per theory; the correlator values; the word reductions, which read
+the finished table by label; and the degrees that the exception messages
+report.
 
 Entries whose catalog record marks the reconstruction as excluded (their
 state space is generated by broad classes) raise NeedsBroadFixture.
@@ -69,10 +72,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from . import jacobi  # groebner through its module, so a wrapper on ises.jacobi sees the calls
-from .isespoly import CatalogEntry, InvertiblePolynomial, enumerate_group, group_generators
+from .isespoly import CatalogEntry, InvertiblePolynomial
 from .jacobi import standard_monomials
 from .numcore import DomainError, MultiPoly, parse_rat, rat, scaled_ints
 from .wdvv import CorrelatorTable, InconsistentSystem, propagate
@@ -103,21 +106,20 @@ def _frac3(vec) -> tuple[Fraction, ...]:
 
 
 def sector_dimension(
-    entry: CatalogEntry, mirror: InvertiblePolynomial, generators, fixed: Sequence[int]
+    entry: CatalogEntry, mirror: InvertiblePolynomial, group, fixed: Sequence[int]
 ) -> int:
     """State-space dimension of a sector that fixes the coordinates
     ``fixed``, by the broad-sector rule of the module docstring.  ``mirror``
-    is the transposed polynomial of ``entry`` and ``generators`` are the
-    three generators of its group, as :func:`group_generators` gives them.
-    With no fixed coordinate the staircase is the one monomial 1, so a
-    narrow sector counts one."""
+    is the transposed polynomial of ``entry`` and ``group`` is its group on
+    the int grid, as :meth:`InvertiblePolynomial.group` gives it; the
+    invariance test reads the three generators theta L: (a + 1) theta L is
+    a multiple of L.  With no fixed coordinate the staircase is the one
+    monomial 1, so a narrow sector counts one."""
     w, q = mirror.polynomial().map_coeffs(Fraction), mirror.charges
     basis = jacobi.groebner([w.partial(j) if j in fixed else MultiPoly.variable(j) for j in range(3)], q)
-    # the generators scaled to ints by the lcm of their denominators
-    scale = scaled_ints([t for g in generators for t in g])[1]
-    steps = [scaled_ints(g, scale)[0] for g in generators]
+    scale, generators, _ = group
     return sum(
-        all(sum((a[j] + 1) * g[j] for j in fixed) % scale == 0 for g in steps)
+        all(sum((a[j] + 1) * g[j] for j in fixed) % scale == 0 for g in generators)
         for a in standard_monomials(basis, q, entry)
     )
 
@@ -161,12 +163,13 @@ class FjrwTheory:
         self.name = entry.name
         self.mirror_charges = entry.polynomial.mirror_charges
 
-        # the group of W^T and its phases scaled by L (module docstring)
+        # the group of W^T on its int grid and its Fraction labels (module docstring)
         mirror = entry.polynomial.transpose()
-        group = enumerate_group(mirror.exponents)
-        scale = self._scale = scaled_ints([t for th in group for t in th])[1]
-        self._scaled = {th: scaled_ints(th, scale)[0] for th in group}
-        labels = {v: th for th, v in self._scaled.items()}
+        scale, _, elements = group = mirror.group()
+        self._scale = scale
+        phase = [Fraction(k, scale) for k in range(scale)]
+        labels = {g: tuple(phase[k] for k in g) for g in elements}
+        self._scaled = {th: g for g, th in labels.items()}
 
         def on_grid(phases):
             scaled = [parse_rat(x) * scale for x in phases]
@@ -176,6 +179,9 @@ class FjrwTheory:
 
         try:
             scheme, rho = raw["scheme"], raw["rho"]
+            for key, block in (("scheme", scheme), ("rho", rho)):
+                if not isinstance(block, Mapping):
+                    raise DomainError(f"{entry.name}: the fjrw {key} must be an object, got {block!r}")
             offset, steps, orders = scheme["offset"], scheme["steps"], scheme["orders"]
         except KeyError as exc:
             raise DomainError(f"{entry.name}: the fjrw block has no {exc}") from None
@@ -196,7 +202,7 @@ class FjrwTheory:
                 )
             self._chart[index] = theta
 
-        self.sectors = {s.theta: s for s in _sector_list(entry, mirror, group, scale)}
+        self.sectors = {s.theta: s for s in _sector_list(entry, mirror, group, labels)}
         self.identity = self.sectors[self.mirror_charges]
         self.top = self.sectors[self.inverse_theta(self.mirror_charges)]
         self.rho = {
@@ -569,23 +575,23 @@ def _subvectors(bound: tuple[int, ...]):
             yield (i,) + rest
 
 
-def _sector_list(entry: CatalogEntry, mirror, group, scale: int) -> tuple[FjrwSector, ...]:
+def _sector_list(entry: CatalogEntry, mirror, group, labels) -> tuple[FjrwSector, ...]:
     """The sectors of ``group``, every diagonal symmetry of ``mirror`` =
-    W^T, in group order; degrees are summed on phases scaled by ``scale``.
-    A broad dimension depends only on the fixed coordinates (module
-    docstring), so it is counted once for each set of them."""
-    generators = group_generators(mirror.exponents)
+    W^T on its int grid, in group order, each keyed by its phase-vector
+    label in ``labels``; degrees are summed on the int phases.  A broad
+    dimension depends only on the fixed coordinates (module docstring), so
+    it is counted once for each set of them."""
+    scale = group[0]
     q_total = sum(scaled_ints(mirror.charges, scale)[0])
     dims: dict[tuple[int, ...], int] = {}
     out = []
-    for theta in group:
-        if all(theta):
-            degree = Fraction(sum(scaled_ints(theta, scale)[0]) - q_total, scale)
-            out.append(FjrwSector(theta, True, degree))
+    for g, theta in labels.items():
+        if all(g):
+            out.append(FjrwSector(theta, True, Fraction(sum(g) - q_total, scale)))
         else:
-            fixed = tuple(j for j in range(3) if not theta[j])
+            fixed = tuple(j for j in range(3) if not g[j])
             if fixed not in dims:
-                dims[fixed] = sector_dimension(entry, mirror, generators, fixed)
+                dims[fixed] = sector_dimension(entry, mirror, group, fixed)
             out.append(FjrwSector(theta, False, None, dims[fixed]))
     return tuple(out)
 

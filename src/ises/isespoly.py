@@ -9,6 +9,14 @@ whose exponent matrix ``E`` is invertible over the rationals.  The weight
 (charge) vector ``q`` solves ``E q = (1,1,1)`` so that every monomial has
 weighted degree one.  *Simple elliptic* means ``q1 + q2 + q3 = 1``.
 
+``E`` is inverted once, exactly, when an :class:`InvertiblePolynomial` is
+built, and everything it determines is read off ``E^-1``: ``q`` (the row
+sums), the weights of the transpose (the column sums), the solves of the
+marginal relation below and of the hypergeometric exponents of
+:mod:`ises.pfsolve` (``E^T x = v``), and the diagonal symmetry group,
+generated by the columns of ``E^-1`` mod 1 and held on the int grid of the
+lcm of their denominators.
+
 Each such polynomial decomposes into Fermat (``x^a``), chain
 (``x1^{a1} x2 + x2^{a2} x3 + ... + xk^{ak}``) and loop
 (``x1^{a1} x2 + ... + xk^{ak} x1``) atoms; the Berglund--Huebsch transpose is
@@ -22,13 +30,14 @@ natural deformation coordinate to ``x = C sigma^l`` (radius of convergence
 one for the associated period series).
 
 :func:`load_catalog` reads a JSON catalog of the thirteen exponent matrices
-and, of each entry, only what the program consumes: ``E``, the marginal
-``m`` list, the twisted rows, the display basis, ``K``, and the fjrw and
-qexp blocks.  It checks those inputs and raises a :class:`SchemaError` that
-names the entry on a malformed one.  The fjrw and qexp blocks are kept as
-parsed JSON; :class:`ises.fjrw.FjrwTheory` reads and checks the fjrw block.
-Every other frozen value (family, Milnor number, the marginal rows' ``l``,
-``C`` and weights, the j-invariant and puncture data, the Gepner block) is
+and, of each entry, only what the program consumes: the name, ``E``, the
+marginal ``m`` list, the twisted rows, the display basis and top monomial,
+and the fjrw and qexp blocks.  It checks those inputs and raises a
+:class:`SchemaError` that names the entry on a malformed one.  The fjrw and
+qexp blocks are kept as parsed JSON objects;
+:class:`ises.fjrw.FjrwTheory` reads and checks the fjrw block.  Every other
+frozen value (family, Milnor number, ``K``, the marginal rows' ``l``, ``C``
+and weights, the j-invariant and puncture data, the Gepner block) is
 reference data that the loader ignores and the test suite checks.
 """
 
@@ -49,7 +58,6 @@ from .numcore import (
     monomials_of_weighted_degree,
     parse_rat,
     scaled_ints,
-    solve_linear,
 )
 
 __all__ = [
@@ -60,17 +68,11 @@ __all__ = [
     "InvertiblePolynomial",
     "MarginalData",
     "CatalogEntry",
-    "charge_vector",
-    "mirror_weights",
-    "enumerate_group",
-    "group_generators",
     "load_catalog",
     "get_entry",
 ]
 
 NVARS = 3
-
-_ONES = (Fraction(1), Fraction(1), Fraction(1))
 
 
 class SchemaError(ValueError):
@@ -94,7 +96,7 @@ class UnknownEntry(DomainError, KeyError):
 
 
 # ---------------------------------------------------------------------------
-# 3x3 determinant (solves and inverses call numcore directly)
+# 3x3 determinant (the inverse comes from numcore)
 # ---------------------------------------------------------------------------
 
 
@@ -108,27 +110,19 @@ def _det3(rows: Sequence[Sequence[Rat]]) -> Rat:
 # ---------------------------------------------------------------------------
 
 
-def charge_vector(exponents: Sequence[Sequence[int]]) -> tuple[Rat, Rat, Rat]:
-    """Weights ``q`` with ``E q = (1,1,1)``: every monomial has degree one."""
-    return tuple(solve_linear(exponents, _ONES, NVARS))
-
-
-def mirror_weights(exponents: Sequence[Sequence[int]]) -> tuple[Rat, Rat, Rat]:
-    """Weights of the transposed polynomial: ``E^T qT = (1,1,1)``."""
-    return charge_vector(list(zip(*exponents)))
-
-
 class InvertiblePolynomial:
     """A three-variable invertible quasihomogeneous polynomial.
 
     Stored as the integer exponent matrix ``E`` whose rows are the monomials,
-    with its weights ``charges`` (``E q = 1``) and ``mirror_charges``
-    (``E^T q^T = 1``), solved once.  All coefficients are one; the
-    classification of these singularities lets any nonzero coefficients be
-    rescaled away.
+    with its exact inverse, computed once.  Everything ``E`` determines is
+    read off ``E^-1``: the weights ``charges`` (``E q = 1``, the row sums),
+    the weights ``mirror_charges`` of the transpose (``E^T q^T = 1``, the
+    column sums), the solves of :meth:`solve_transposed` and the symmetry
+    group of :meth:`group`.  All coefficients are one; the classification
+    of these singularities lets any nonzero coefficients be rescaled away.
     """
 
-    __slots__ = ("exponents", "charges", "mirror_charges")
+    __slots__ = ("exponents", "_inverse", "charges", "mirror_charges")
 
     def __init__(self, exponents: Sequence[Sequence[int]]):
         rows = tuple(tuple(int(e) for e in row) for row in exponents)
@@ -138,9 +132,11 @@ class InvertiblePolynomial:
             raise DomainError("exponents must be nonnegative")
         if _det3(rows) == 0:
             raise DomainError("exponent matrix must be invertible")
+        inv = tuple(map(tuple, inverse(rows)))
         object.__setattr__(self, "exponents", rows)
-        object.__setattr__(self, "charges", charge_vector(rows))
-        object.__setattr__(self, "mirror_charges", mirror_weights(rows))
+        object.__setattr__(self, "_inverse", inv)
+        object.__setattr__(self, "charges", tuple(map(sum, inv)))
+        object.__setattr__(self, "mirror_charges", tuple(map(sum, zip(*inv))))
         self.atoms()  # validates the Fermat/chain/loop structure
 
     def __setattr__(self, *a):
@@ -226,6 +222,37 @@ class InvertiblePolynomial:
             [[self.exponents[j][i] for j in range(NVARS)] for i in range(NVARS)]
         )
 
+    def solve_transposed(self, v: Sequence[Rat]) -> tuple[Rat, Rat, Rat]:
+        """The ``x`` with ``E^T x = v``: ``x_i = sum_j (E^-1)_ji v_j``."""
+        return tuple(sum(row[i] * vj for row, vj in zip(self._inverse, v)) for i in range(NVARS))
+
+    def group(self) -> tuple[int, tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+        """The diagonal symmetries of ``W`` on their int grid: ``(L,
+        generators, elements)``.
+
+        A phase vector ``theta`` in ``[0,1)^3`` is a symmetry iff ``E theta``
+        is integral; there are exactly ``|det E|`` of them, generated by the
+        columns of ``E^-1`` mod 1.  Each ``theta`` is held as the int vector
+        ``theta L``, with ``L`` the lcm of the denominators of ``E^-1``.
+        The search runs on int vectors mod ``L``; the elements are sorted.
+        """
+        cells, scale = scaled_ints([c for row in self._inverse for c in row])
+        generators = tuple(
+            tuple(cells[NVARS * i + j] % scale for i in range(NVARS)) for j in range(NVARS)
+        )
+        seen = {(0, 0, 0)}
+        frontier = list(seen)
+        while frontier:
+            theta = frontier.pop()
+            for gen in generators:
+                new = tuple((a + b) % scale for a, b in zip(theta, gen))
+                if new not in seen:
+                    seen.add(new)
+                    frontier.append(new)
+        if len(seen) != abs(self.determinant):
+            raise DomainError("group enumeration does not match |det E|")
+        return scale, generators, tuple(sorted(seen))
+
     # -- polynomial views ----------------------------------------------------
 
     def polynomial(self) -> MultiPoly:
@@ -258,40 +285,6 @@ class InvertiblePolynomial:
         return self.polynomial().to_text()
 
 
-def group_generators(exponents: Sequence[Sequence[int]]) -> tuple[tuple[Rat, ...], ...]:
-    """The columns of ``E^-1`` mod 1: three phase vectors that generate the
-    diagonal symmetries of ``W``."""
-    inv = inverse(exponents)
-    return tuple(tuple(Fraction(inv[i][j]) % 1 for i in range(NVARS)) for j in range(NVARS))
-
-
-def enumerate_group(exponents: Sequence[Sequence[int]]) -> tuple[tuple[Rat, ...], ...]:
-    """All diagonal symmetries of ``W`` as phase vectors in ``[0,1)^3``.
-
-    ``theta`` is a symmetry iff ``E theta`` is integral; there are exactly
-    ``|det E|`` of them.  The search runs over the generators scaled to ints
-    by the lcm ``L`` of their denominators, on int vectors mod ``L``; the
-    elements are returned as ``Fraction`` vectors, lexicographically sorted.
-    """
-    poly = InvertiblePolynomial(exponents)
-    generators = group_generators(poly.exponents)
-    scale = scaled_ints([t for gen in generators for t in gen])[1]
-    steps = [scaled_ints(gen, scale)[0] for gen in generators]
-    seen = {(0, 0, 0)}
-    frontier = list(seen)
-    while frontier:
-        theta = frontier.pop()
-        for step in steps:
-            new = tuple((a + b) % scale for a, b in zip(theta, step))
-            if new not in seen:
-                seen.add(new)
-                frontier.append(new)
-    if len(seen) != abs(poly.determinant):
-        raise DomainError("group enumeration does not match |det E|")
-    phase = [Fraction(k, scale) for k in range(scale)]
-    return tuple(tuple(phase[k] for k in theta) for theta in sorted(seen))
-
-
 # ---------------------------------------------------------------------------
 # marginal deformation rows
 # ---------------------------------------------------------------------------
@@ -319,7 +312,7 @@ class MarginalData:
         m = tuple(int(e) for e in m)
         if poly.weighted_degree(m) != 1:
             raise DomainError(f"monomial {m} is not of weighted degree one")
-        lvec, ell = scaled_ints(solve_linear(list(zip(*poly.exponents)), m, NVARS))
+        lvec, ell = scaled_ints(poly.solve_transposed(m))
         c = Fraction(1)
         for li in lvec:
             if li:
@@ -338,9 +331,10 @@ class CatalogEntry:
 
     The catalog supplies ``E`` (``polynomial``), the marginal ``m`` list,
     the twisted ``(r, weights)`` rows, the display ``basis`` and its
-    ``top_monomial``, ``K``, and the fjrw and qexp blocks, the last two as
-    parsed JSON.  ``milnor`` and the rest of each marginal row are derived
-    from ``E``.  Every other value of a catalog entry is a test oracle.
+    ``top_monomial``, and the fjrw and qexp blocks, the last two as parsed
+    JSON.  ``milnor`` and the rest of each marginal row are derived from
+    ``E``; the weights and the group are read off ``polynomial``.  Every
+    other value of a catalog entry is a test oracle.
     """
 
     name: str
@@ -350,17 +344,8 @@ class CatalogEntry:
     twisted: tuple[tuple[tuple[int, int, int], tuple[Rat, Rat, Rat]], ...]
     basis: tuple[tuple[int, int, int], ...] | None
     top_monomial: tuple[int, int, int] | None
-    K: Rat | None
     fjrw: Mapping[str, Any] | None
     qexp: Mapping[str, Any] | None
-
-    @property
-    def charges(self) -> tuple[Rat, Rat, Rat]:
-        return self.polynomial.charges
-
-    @property
-    def mirror_charges(self) -> tuple[Rat, Rat, Rat]:
-        return self.polynomial.mirror_charges
 
     def marginal(self, m: Sequence[int]) -> MarginalData:
         key = tuple(int(e) for e in m)
@@ -424,6 +409,8 @@ def _parse_entry(d: Mapping[str, Any]) -> CatalogEntry:
         raise SchemaError(f"entry must be an object, got {type(d).__name__}")
     name = _need(d, "name", "entry")
     where = f"entry {name}"
+    if not isinstance(name, str):
+        raise _ctx(where, f"name must be a string, got {type(name).__name__}")
     E = _need(d, "E", where)
     if not isinstance(E, list):
         raise _ctx(where, f"expected a list of exponent rows, got {E!r}")
@@ -457,6 +444,8 @@ def _parse_entry(d: Mapping[str, Any]) -> CatalogEntry:
 
     basis = d.get("basis")
     if basis is not None:
+        if not isinstance(basis, list):
+            raise _ctx(where, f"basis must be a list of exponent triples, got {basis!r}")
         basis = tuple(_parse_int_triple(b, f"{where} basis") for b in basis)
         if len(basis) != milnor:
             raise _ctx(where, "basis length must equal the Milnor number")
@@ -470,7 +459,10 @@ def _parse_entry(d: Mapping[str, Any]) -> CatalogEntry:
         if basis is not None and top not in basis:
             raise _ctx(where, "topMonomial must lie in the basis")
 
-    K = d.get("K")
+    blocks = {key: d.get(key) for key in ("fjrw", "qexp")}
+    for key, block in blocks.items():
+        if block is not None and not isinstance(block, Mapping):
+            raise _ctx(where, f"the {key} block must be an object, got {block!r}")
     return CatalogEntry(
         name=name,
         polynomial=poly,
@@ -479,9 +471,7 @@ def _parse_entry(d: Mapping[str, Any]) -> CatalogEntry:
         twisted=tuple(twisted),
         basis=basis,
         top_monomial=top,
-        K=None if K is None else _parse_rat_field(K, where),
-        fjrw=d.get("fjrw"),
-        qexp=d.get("qexp"),
+        **blocks,
     )
 
 

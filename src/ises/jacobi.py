@@ -358,7 +358,7 @@ class JacobianAlgebra:
         mvec = tuple(int(e) for e in (m if m is not None else entry.marginals[0].m))
         self.marginal: MarginalData = entry.marginal(mvec)
         self._label = f"{entry.name}, m={self.marginal.m}"
-        self.weights = entry.charges
+        self.weights = entry.polynomial.charges
         self._key = order_key(self.weights)
         self._w, self._scale = scaled_ints(self.weights)
 
@@ -424,8 +424,6 @@ class JacobianAlgebra:
         if residue == 0:
             raise DomainError(f"{self._label}: X^m lies in the Jacobian ideal of W")
         self.k_constant: Rat = 1 / residue
-        if entry.K is not None and entry.K != self.k_constant:
-            raise DomainError(f"{entry.name}: K = {self.k_constant} != {entry.K}")
 
         self._decompositions: dict[Exps, tuple[list, int] | NoSolution] = {}
         self._flats: dict[Exps, FlatSectionApprox] = {}

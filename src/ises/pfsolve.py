@@ -41,7 +41,7 @@ from math import prod
 from typing import Sequence
 
 from .isespoly import NVARS, CatalogEntry
-from .numcore import DomainError, Rat, scaled_ints, solve_linear
+from .numcore import DomainError, Rat, scaled_ints
 
 __all__ = [
     "DeltaOperator",
@@ -153,10 +153,8 @@ def build_gkz(
     r: Sequence[int] = (0, 0, 0),
 ) -> DeltaOperator:
     """The (unreduced) period operator for ``phi_r`` in the family ``W + sigma phi_m``."""
-    poly = entry.polynomial
     marginal = entry.marginal(m)
-    shifted = tuple(Fraction(int(ri) + 1) for ri in r)
-    u = solve_linear(list(zip(*poly.exponents)), shifted, NVARS)
+    u = entry.polynomial.solve_transposed([int(ri) + 1 for ri in r])
     l = marginal.l
     lvec = marginal.l_vector
     left: list[Rat] = [Fraction(-k) for k in range(l)]

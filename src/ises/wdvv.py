@@ -537,13 +537,6 @@ def _groups(table: CorrelatorTable, extra_slots: int, degrees, admissible):
                     yield from ((ok, extra, degree) for degree in degree_list)
 
 
-def _instances(table: CorrelatorTable, extra_slots: int, degrees, admissible):
-    """The instances (first pairing, other pairing, extra, degree) of the
-    groups of :func:`_groups`, one by one in scan order."""
-    for (first, *others), extra, degree in _groups(table, extra_slots, degrees, admissible):
-        yield from ((first, other, extra, degree) for other in others)
-
-
 def _require_keys(table: CorrelatorTable, extra_slots: int) -> None:
     """Raise MissingKey when a scan with ``extra_slots`` can read
     (3 + extra_slots)-point keys, some multiset of that size meeting the

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import hashlib
 from fractions import Fraction as F
 from functools import cache
 from itertools import combinations_with_replacement, product
@@ -10,10 +11,10 @@ import pytest
 
 import ises.fjrw
 from ises.fjrw import FjrwTheory, NeedsBroadFixture, sector_dimension
-from ises.isespoly import enumerate_group, get_entry, group_generators, load_catalog
+from ises.isespoly import get_entry, load_catalog
 from ises.jacobi import FlatSectionPole, JacobianAlgebra, groebner, normal_form
 from ises.numcore import DomainError, MultiPoly, nullspace
-from ises.wdvv import MissingKey, _instances, check_residuals, propagate
+from ises.wdvv import MissingKey, _groups, check_residuals, propagate
 
 CATALOG = load_catalog()
 ENTRIES = [e for e in CATALOG if e.fjrw and not e.fjrw.get("excluded")]
@@ -209,6 +210,46 @@ def test_the_closed_tables_keep_every_key():
     assert tuple(map(sum, zip(*counts.values()))) == (645, 10, 63)
 
 
+def aside_dump() -> list[str]:
+    """Every A-side output of the 10 theories, one line each, in catalog
+    order: each sector's phases, narrow flag, degree and dimension; rho,
+    the identity and the top sector; the closed table's known values and
+    open keys; the weight-one words and the residual count.  Then the
+    NeedsBroadFixture message of each of the 3 broad entries.  Every value
+    is written by its repr."""
+    lines = []
+    for name in NAMES:
+        th = theory(name)
+        for s in th.sectors.values():
+            lines.append(f"{name} sector {s.theta!r} {s.narrow} {s.degree!r} {s.dim}")
+        lines.append(f"{name} rho {sorted((k, s.theta) for k, s in th.rho.items())!r}")
+        lines.append(f"{name} identity {th.identity.theta!r} top {th.top.theta!r}")
+        table = th.correlator_table()
+        lines.extend(f"{name} known {key!r} {value!r}" for key, value in table.known_items())
+        lines.extend(f"{name} unknown {key!r}" for key in table.unknown_keys)
+        lines.extend(f"{name} word {w!r} {v!r}" for w, v in th.fourpoint_words().items())
+        checked = check_residuals(table, admissible=th.narrow_nodes)
+        lines.append(f"{name} residuals {checked}")
+    for entry in CATALOG:
+        if entry.name not in NAMES:
+            with pytest.raises(NeedsBroadFixture) as exc:
+                FjrwTheory(entry)
+            lines.append(f"{entry.name} broad {exc.value}")
+    return lines
+
+
+def test_the_aside_outputs_are_pinned():
+    """The SHA-256 of ``aside_dump`` pins every A-side value: a change to
+    the state space, the seed or the closure must leave each sector, table
+    value, open key, word and residual count byte-identical."""
+    lines = aside_dump()
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == (
+        967,
+        "001db54b4395626e3218660fd667903c0b813d199566e59bcb3ec9e15908c490",
+    )
+
+
 def test_residual_checks_on_all_tables():
     total = 0
     for name in NAMES:
@@ -368,7 +409,7 @@ def test_narrow_nodes_matches_the_fraction_form(name):
         offered.add((pair, extra))
         return True
 
-    for _ in _instances(th.correlator_table(), 2, (0,), record):
+    for _ in _groups(th.correlator_table(), 2, (0,), record):
         pass
     assert {len(extra) for _, extra in offered} == {0, 1, 2}
 
@@ -564,6 +605,13 @@ def test_table_seed_matches_the_fraction_form(name, monkeypatch):
 # sector dimensions: the staircase count against a character nullspace
 
 
+def phase_group(poly):
+    """The diagonal symmetries of ``poly`` as Fraction phase vectors, in
+    group order."""
+    scale, _, group = poly.group()
+    return [tuple(F(k, scale) for k in g) for g in group]
+
+
 def group_sector_dimension(mirror_rows, charges, group, theta):
     """The dimension of the sector ``theta`` by linear algebra over Q: per
     weighted degree, the invariant monomials of the fixed coordinates
@@ -626,12 +674,11 @@ def test_sector_dimension_on_generators_matches_the_whole_group():
     for entry in CATALOG:
         mirror = entry.polynomial.transpose()
         charges = entry.polynomial.mirror_charges
-        group = enumerate_group(mirror.exponents)
-        generators = group_generators(mirror.exponents)
-        assert len(generators) == 3
+        group = phase_group(mirror)
+        assert len(mirror.group()[1]) == 3
         for theta in group:
             fixed = tuple(j for j in range(3) if theta[j] == 0)
-            dim = sector_dimension(entry, mirror, generators, fixed)
+            dim = sector_dimension(entry, mirror, mirror.group(), fixed)
             assert dim == group_sector_dimension(mirror.exponents, charges, group, theta), (
                 entry.name,
                 theta,
@@ -652,7 +699,7 @@ def invariant_classes(entry, theta):
     theta' is integral for every theta' of the group of W^T."""
     mirror = entry.polynomial.transpose()
     q = entry.polynomial.mirror_charges
-    group = enumerate_group(mirror.exponents)
+    group = phase_group(mirror)
     fixed = [j for j in range(3) if theta[j] == 0]
     moved = [j for j in range(3) if j not in fixed]
     restricted = MultiPoly(
@@ -675,7 +722,7 @@ def test_e7_chain322_broad_class_is_in_the_z_twisted_sector():
     mirror = entry.polynomial.transpose()
     assert mirror.to_text() == "X1^3 + X1*X2^2 + X2*X3^2"
     q = entry.polynomial.mirror_charges
-    group = enumerate_group(mirror.exponents)
+    group = phase_group(mirror)
     # the untwisted sector: x^a dV is invariant iff (a + 1) theta is integral
     candidates = [
         a
@@ -764,6 +811,15 @@ def test_an_fjrw_block_without_its_chart_or_generators_is_rejected(key):
         del block[key]
 
     with pytest.raises(DomainError, match=f"e6-fermat: the fjrw block has no '{key}'"):
+        FjrwTheory(with_fjrw("e6-fermat", edit))
+
+
+@pytest.mark.parametrize("key, value", [("scheme", 5), ("rho", ["0", "1"])])
+def test_an_fjrw_chart_or_generators_that_is_not_an_object_is_rejected(key, value):
+    def edit(block):
+        block[key] = value
+
+    with pytest.raises(DomainError, match=f"^e6-fermat: the fjrw {key} must be an object"):
         FjrwTheory(with_fjrw("e6-fermat", edit))
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,12 +19,11 @@ from ises.isespoly import (
     SchemaError,
     UnknownEntry,
     _default_catalog_text,
-    charge_vector,
-    enumerate_group,
+    _parse_entry,
     get_entry,
     load_catalog,
-    mirror_weights,
 )
+from ises.jacobi import JacobianAlgebra
 
 ALL_NAMES = [
     "e6-fermat",
@@ -159,6 +159,11 @@ def check_frozen_values(doc):
                 twhere = f"{where} twisted {row['r']}"
                 raise SchemaError(f"{twhere}: expected alpha + beta - gamma = {deg}")
         check_modular_block(where, d, MarginalData.derive(poly, d["marginals"][0]["m"]))
+        if "K" in d:
+            # K of the algebra of the first marginal, which is the default one
+            k = JacobianAlgebra(_parse_entry(d)).k_constant
+            if parse_rat(d["K"]) != k:
+                raise SchemaError(f"{where}: K {d['K']} does not match the algebra's K = {k}")
     for name in entries:
         check_gepner_block(name, entries)
 
@@ -226,6 +231,7 @@ def edited(name, edit):
             r"different \(milnor, j\(0\)\) class",
             id="reference",
         ),
+        pytest.param("e8-fermat", lambda d: d.update(K="35"), "K 35 does not match", id="K"),
     ],
 )
 def test_the_oracle_flags_a_changed_frozen_value(name, edit, message):
@@ -241,11 +247,11 @@ ORACLE = "test_the_frozen_reference_data_matches_the_derivations"
 KEY_CHECKS = {
     **dict.fromkeys(
         ["name", "E", "marginals.m", "twisted.r", "twisted.weights"]
-        + ["basis", "topMonomial", "K", "fjrw", "qexp"],
+        + ["basis", "topMonomial", "fjrw", "qexp"],
         LOADER,
     ),
     **dict.fromkeys(
-        ["family", "milnor", "L"]
+        ["family", "milnor", "L", "K"]
         + ["marginals.l", "marginals.lcm", "marginals.C", "marginals.weights"]
         + ["jZero", "N", "jNumerator", "jDenominator", "P", "PAtPuncture"]
         + ["punctures.radicand", "punctures.index", "punctures.count"]
@@ -322,12 +328,12 @@ def test_milnor_numbers(catalog):
 
 
 def test_weight_systems(catalog):
-    e = get_entry(catalog, "e8-chain32")
-    assert e.charges == (Fraction(1, 6), Fraction(1, 2), Fraction(1, 3))
-    assert e.mirror_charges == (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
-    e = get_entry(catalog, "e7-chain34")
-    assert e.charges == (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))
-    assert e.mirror_charges == (Fraction(1, 3), Fraction(1, 6), Fraction(1, 2))
+    poly = get_entry(catalog, "e8-chain32").polynomial
+    assert poly.charges == (Fraction(1, 6), Fraction(1, 2), Fraction(1, 3))
+    assert poly.mirror_charges == (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
+    poly = get_entry(catalog, "e7-chain34").polynomial
+    assert poly.charges == (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))
+    assert poly.mirror_charges == (Fraction(1, 3), Fraction(1, 6), Fraction(1, 2))
 
 
 def test_atoms():
@@ -355,13 +361,12 @@ def test_transpose_matches_matrix():
 
 def test_group_orders(catalog):
     for e in catalog:
-        group = enumerate_group(e.polynomial.exponents)
+        scale, _, group = e.polynomial.group()
         assert len(group) == abs(e.polynomial.determinant)
-        # every element must leave each monomial invariant
+        # every element theta L must leave each monomial invariant
         for theta in group:
             for row in e.polynomial.exponents:
-                total = sum(a * t for a, t in zip(row, theta))
-                assert total.denominator == 1
+                assert sum(a * t for a, t in zip(row, theta)) % scale == 0
 
 
 def test_marginal_normalisations(catalog):
@@ -412,11 +417,18 @@ def test_modular_identity():
 
 
 def test_charge_helpers():
-    E = [[6, 0, 0], [0, 3, 0], [0, 0, 2]]
-    assert charge_vector(E) == (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2))
-    assert mirror_weights(E) == (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2))
-    E = [[3, 1, 0], [0, 2, 0], [0, 0, 3]]
-    assert mirror_weights(E) == (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
+    # the row sums and the column sums of E^-1
+    poly = InvertiblePolynomial([[6, 0, 0], [0, 3, 0], [0, 0, 2]])
+    assert poly.charges == (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2))
+    assert poly.mirror_charges == (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2))
+    poly = InvertiblePolynomial([[3, 1, 0], [0, 2, 0], [0, 0, 3]])
+    assert poly.charges == (Fraction(1, 6), Fraction(1, 2), Fraction(1, 3))
+    assert poly.mirror_charges == (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
+
+
+def test_a_singular_exponent_matrix_is_rejected():
+    with pytest.raises(DomainError, match="^exponent matrix must be invertible$"):
+        InvertiblePolynomial([[2, 1, 0], [4, 2, 0], [0, 0, 3]])
 
 
 def test_get_entry_unknown(catalog):
@@ -488,11 +500,18 @@ def test_schema_error_on_an_uncatalogued_gepner_marginal(field):
         pytest.param(lambda d: d["marginals"][0].update(m=[1, 0, 0]), id="m-not-of-degree-one"),
         pytest.param(lambda d: d["marginals"].__setitem__(0, [1, 1, 1]), id="marginal-row-list"),
         pytest.param(lambda d: d["E"][0].__setitem__(0, "3x"), id="non-integer-exponent"),
+        pytest.param(lambda d: d.update(name=["e6-fermat"]), id="name-list"),
+        pytest.param(lambda d: d.update(name=6), id="name-int"),
+        pytest.param(lambda d: d.update(basis=5), id="basis-int"),
+        pytest.param(lambda d: d.update(fjrw=5), id="fjrw-int"),
+        pytest.param(lambda d: d.update(qexp=["orbifold"]), id="qexp-list"),
     ],
 )
 def test_a_malformed_input_is_a_schema_error_that_names_the_entry(tmp_path, edit):
-    with pytest.raises(SchemaError, match="^entry e6-fermat"):
-        load_doc(tmp_path, edited("e6-fermat", edit))
+    doc = edited("e6-fermat", edit)
+    name = doc["entries"][ALL_NAMES.index("e6-fermat")]["name"]
+    with pytest.raises(SchemaError, match=f"^entry {re.escape(str(name))}[ :]"):
+        load_doc(tmp_path, doc)
 
 
 def test_env_variable_override(tmp_path, monkeypatch):
@@ -557,8 +576,8 @@ def invertible_matrices(draw):
 
 
 def fraction_group(exponents):
-    """The Fraction form of ``enumerate_group``: a breadth-first search over
-    the columns of E^-1 mod 1, adding Fraction phases mod 1."""
+    """The Fraction form of ``InvertiblePolynomial.group``: a breadth-first
+    search over the columns of E^-1 mod 1, adding Fraction phases mod 1."""
     inv = inverse(exponents)
     generators = [tuple(Fraction(inv[i][j]) % 1 for i in range(3)) for j in range(3)]
     seen = {(Fraction(0), Fraction(0), Fraction(0))}
@@ -573,23 +592,38 @@ def fraction_group(exponents):
     return tuple(sorted(seen))
 
 
-def test_enumerate_group_matches_the_fraction_search(catalog):
+def test_the_group_matches_the_fraction_search(catalog):
     assert len(catalog) == 13
     for e in catalog:
         for poly in (e.polynomial, e.polynomial.transpose()):
-            group = enumerate_group(poly.exponents)
-            assert group == fraction_group(poly.exponents), e.name
-            assert all(type(t) is Fraction for theta in group for t in theta)
+            scale, generators, group = poly.group()
+            phases = tuple(tuple(Fraction(t, scale) for t in theta) for theta in group)
+            assert phases == fraction_group(poly.exponents), e.name
+            assert all(type(t) is int and 0 <= t < scale for theta in group for t in theta)
+            # L is the lcm of the denominators of E^-1, and the generators
+            # are its columns mod 1
+            inv = inverse(poly.exponents)
+            assert scaled_ints([c for row in inv for c in row])[1] == scale
+            columns = [tuple(Fraction(inv[i][j]) % 1 * scale for i in range(3)) for j in range(3)]
+            assert list(generators) == columns
 
 
 @given(invertible_matrices())
 def test_group_elements_fix_monomials(E):
     poly = InvertiblePolynomial(E)
-    group = enumerate_group(poly.exponents)
+    scale, _, group = poly.group()
     assert len(group) == abs(poly.determinant)
     for theta in group:
         for row in poly.exponents:
-            assert sum(a * t for a, t in zip(row, theta)).denominator == 1
+            assert sum(a * t for a, t in zip(row, theta)) % scale == 0
+
+
+@given(invertible_matrices(), st.lists(st.integers(-5, 5), min_size=3, max_size=3))
+def test_solve_transposed_solves_the_transposed_system(E, v):
+    poly = InvertiblePolynomial(E)
+    x = poly.solve_transposed(v)
+    for j in range(3):
+        assert sum(poly.exponents[i][j] * x[i] for i in range(3)) == v[j]
 
 
 @given(invertible_matrices())

@@ -210,7 +210,7 @@ def test_groebner_skips_s_pairs_that_plain_buchberger_reduces(monkeypatch):
         entry = get_entry(CATALOG, name)
         w_sigma = entry.polynomial.polynomial().map_coeffs(RatFun.coerce)
         w_sigma = w_sigma + MultiPoly.monomial(m, RatFun.variable())
-        jobs.append(([w_sigma.partial(i) for i in range(3)], entry.charges))
+        jobs.append(([w_sigma.partial(i) for i in range(3)], entry.polynomial.charges))
     calls = []
     real = jacobi._reduce
 
@@ -285,7 +285,7 @@ def test_the_normal_form_table_equals_division(name, m):
 
 def test_the_staircase_of_a_monomial_ideal_is_its_complement():
     entry = get_entry(CATALOG, "e6-fermat")
-    q = entry.charges
+    q = entry.polynomial.charges
     squares = [MultiPoly.monomial(e, F(1)) for e in ((2, 0, 0), (0, 2, 0), (0, 0, 2))]
     cube = standard_monomials(groebner(squares, q), q, entry)
     assert sorted(cube) == [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
@@ -295,7 +295,7 @@ def test_the_staircase_of_a_monomial_ideal_is_its_complement():
 def test_an_infinite_staircase_raises_a_domain_error_naming_the_entry():
     # (X1^2, X2^2) leaves every power of X3 standard
     entry = get_entry(CATALOG, "e6-fermat")
-    q = entry.charges
+    q = entry.polynomial.charges
     basis = groebner([MultiPoly.monomial(e, F(1)) for e in ((2, 0, 0), (0, 2, 0))], q)
     with pytest.raises(DomainError, match="^e6-fermat: quotient is not finite$"):
         standard_monomials(basis, q, entry)
@@ -1001,7 +1001,7 @@ def test_fourpoint_table_is_supported_on_the_polynomial_monomials(name):
     alg = algebra(name)
     entry = get_entry(CATALOG, name)
     rows = [tuple(row) for row in entry.polynomial.exponents]
-    qt = entry.mirror_charges
+    qt = entry.polynomial.mirror_charges
     table = alg.fourpoint_table()
     assert table
     hits = 0

@@ -540,7 +540,7 @@ def test_groebner_over_the_int_kernel_matches_the_fraction_reference(name, m):
     for ring in (RatFun, FractionRatFun):
         w = entry.polynomial.polynomial().map_coeffs(ring.coerce)
         w = w + MultiPoly.monomial(m, ring.variable())
-        basis = groebner([w.partial(i) for i in range(3)], entry.charges)
+        basis = groebner([w.partial(i) for i in range(3)], entry.polynomial.charges)
         bases.append(
             [{e: (c.num.coeffs, c.den.coeffs) for e, c in g.terms.items()} for g in basis]
         )

@@ -160,7 +160,7 @@ def test_first_order_rows_match_degree():
     ]:
         e = entry(name)
         op = build_gkz(e, e.marginals[0].m, r)
-        deg = sum(F(x) * q for x, q in zip(r, e.charges))
+        deg = sum(F(x) * q for x, q in zip(r, e.polynomial.charges))
         w = to_hg_weights(reduce_left_divisors(op), deg)
         assert w.first_order and w.alpha == deg
         assert annihilation_check(op, w, 12)

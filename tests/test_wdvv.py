@@ -36,6 +36,13 @@ def fjrw_theory(name):
     return ises.fjrw.FjrwTheory(get_entry(CATALOG, name))
 
 
+def scan_instances(table, extra_slots, degrees, admissible):
+    """The instances (first pairing, other pairing, extra, degree) of the
+    relation groups of ``ises.wdvv._groups``, one by one in scan order."""
+    for (first, *others), extra, degree in ises.wdvv._groups(table, extra_slots, degrees, admissible):
+        yield from ((first, other, extra, degree) for other in others)
+
+
 # Two phase-vector labels listed against their natural order, so that basis
 # order and sorted order differ.
 HIGH = (F(2, 3), F(2, 3), F(2, 3))
@@ -281,7 +288,7 @@ def rescanning_propagate(table, degrees):
     until a pass solves nothing.  Returns the closed table and the number
     of passes."""
     work = table.copy()
-    instances = list(ises.wdvv._instances(work, 1, degrees, None))
+    instances = list(scan_instances(work, 1, degrees, None))
     passes = 0
     progress = True
     while progress and work._unknown:
@@ -326,7 +333,6 @@ def test_propagate_skips_the_instances_of_a_closed_table(monkeypatch):
         raise AssertionError("relation groups listed for a table without unknowns")
 
     monkeypatch.setattr(ises.wdvv, "_groups", unexpected)
-    monkeypatch.setattr(ises.wdvv, "_instances", unexpected)
     table = gw_seed_table((3, 3, 3))
     assert propagate(table, degrees=range(2)).known_items() == table.known_items()
 
@@ -420,7 +426,7 @@ def assert_routed_residuals(table, degrees, admissible=None, instances=None):
     ref = FractionTable(table)
     shapes = {"quadratic": 0, "constant": 0, "linear": 0}
     if instances is None:
-        instances = ises.wdvv._instances(table, 1, degrees, admissible)
+        instances = scan_instances(table, 1, degrees, admissible)
     for instance in instances:
         form = exact(table, residual(table, instance))
         expected = reference_residual(ref, *instance)
@@ -590,7 +596,7 @@ def assert_same_scan(table, extra_slots, degrees, admissible=None, named=None):
     reference."""
     expected = list(one_relation_each(table, extra_slots, degrees, named))
     assert expected
-    routed = ises.wdvv._instances(table, extra_slots, degrees, admissible)
+    routed = scan_instances(table, extra_slots, degrees, admissible)
     assert list(routed) == expected
 
 
@@ -684,7 +690,7 @@ def test_the_scan_drops_no_relation_of_the_full_scan():
         named = None if admissible is None else named_nodes(fjrw_theory(name))
         ref = FractionTable(table)
         kept = {}
-        for instance in ises.wdvv._instances(table, 1, degrees, admissible):
+        for instance in scan_instances(table, 1, degrees, admissible):
             residual = reference_residual(ref, *instance)
             kept.setdefault(group(instance), []).append(residual)
         repeats = 0
@@ -721,7 +727,7 @@ def test_every_scanned_instance_is_nonzero_on_a_random_table(orders, instances):
                 for d in range(2):
                     value = F(rng.randint(1, 1000), rng.randint(1, 1000))
                     table.set(insertions, value, degree=d)
-    scanned = list(ises.wdvv._instances(table, 1, range(2), None))
+    scanned = list(scan_instances(table, 1, range(2), None))
     assert len(scanned) == instances
     for instance in scanned:
         form = residual(table, instance)
@@ -735,7 +741,7 @@ def test_relations_behind_an_inadmissible_first_pairing_are_scanned():
     for name in FJRW_NAMES:
         theory = fjrw_theory(name)
         table = theory.correlator_table()
-        for instance in ises.wdvv._instances(table, 1, (0,), theory.narrow_nodes):
+        for instance in scan_instances(table, 1, (0,), theory.narrow_nodes):
             (a, b, c, d), extra, _ = group(instance)
             if instance[0] != ((a, b), (c, d)):
                 assert not theory.narrow_nodes(((a, b), (c, d)), extra)
@@ -762,7 +768,7 @@ def test_pair_sums_are_symmetric_and_check_residuals_counts_the_known_zeros():
     for name, table, degrees, admissible in scan_tables():
         memo = ises.wdvv._ScanMemo(table)
         ref = FractionTable(table)
-        instances = list(ises.wdvv._instances(table, 1, degrees, admissible))
+        instances = list(scan_instances(table, 1, degrees, admissible))
         swapped = 0
         for pair1, pair2, extra, degree in instances:
             for pair in (pair1, pair2):
@@ -782,7 +788,7 @@ def test_pair_sums_are_symmetric_and_check_residuals_counts_the_known_zeros():
 def scan_splits(table):
     """The (head, tail) of every Leibniz split of both pairings of every
     instance of the scan of a GW table at D = 1, with repeats."""
-    for pair1, pair2, extra, _ in ises.wdvv._instances(table, 1, range(2), None):
+    for pair1, pair2, extra, _ in scan_instances(table, 1, range(2), None):
         for left_pair, right_pair in (pair1, pair2):
             for left_extra, right_extra in ises.wdvv._leibniz_splits(extra):
                 head = tuple(sorted(left_pair + left_extra))
@@ -845,7 +851,7 @@ def test_the_supports_of_the_closed_table_are_inside_the_seeded_ones(orders):
     assert smaller
     # so the supports of the seeded table give the closed table's residuals
     stale = ises.wdvv._ScanMemo(seeded)
-    for instance in ises.wdvv._instances(solved, 1, range(2), None):
+    for instance in scan_instances(solved, 1, range(2), None):
         expected = exact(solved, residual(solved, instance))
         assert exact(solved, residual(solved, instance, stale)) == expected, instance
 
@@ -885,7 +891,7 @@ def reference_propagate(table, degrees):
     on a known instance with a nonzero residual, until a pass solves
     nothing.  Returns the closed :class:`FractionTable`."""
     ref = FractionTable(table)
-    instances = list(ises.wdvv._instances(table, 1, degrees, None))
+    instances = list(scan_instances(table, 1, degrees, None))
     progress = True
     while progress and ref.unknown:
         progress = False
@@ -958,7 +964,7 @@ def test_a_planted_value_raises_with_its_exact_residual(scale):
     ref = FractionTable(seeded)
     forms = (
         reference_residual(ref, *instance)
-        for instance in ises.wdvv._instances(seeded, 1, range(2), None)
+        for instance in scan_instances(seeded, 1, range(2), None)
     )
     first = next(constant for constant, terms in filter(None, forms) if constant and not terms)
     with pytest.raises(InconsistentSystem) as info:
