@@ -72,12 +72,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+from math import prod
 from typing import Mapping, Sequence
 
 from . import jacobi  # groebner through its module, so a wrapper on ises.jacobi sees the calls
 from .isespoly import CatalogEntry, InvertiblePolynomial
 from .jacobi import standard_monomials
-from .numcore import DomainError, MultiPoly, parse_rat, rat, scaled_ints
+from .numcore import DomainError, MultiPoly, parse_rat, scaled_ints
 from .wdvv import CorrelatorTable, InconsistentSystem, propagate
 
 __all__ = [
@@ -101,26 +102,21 @@ class NeedsBroadFixture(DomainError):
 _SPLITS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
 
 
-def _frac3(vec) -> tuple[Fraction, ...]:
-    return tuple(rat(x) % 1 for x in vec)
-
-
-def sector_dimension(
-    entry: CatalogEntry, mirror: InvertiblePolynomial, group, fixed: Sequence[int]
-) -> int:
+def sector_dimension(name: str, mirror: InvertiblePolynomial, group, fixed: Sequence[int]) -> int:
     """State-space dimension of a sector that fixes the coordinates
     ``fixed``, by the broad-sector rule of the module docstring.  ``mirror``
-    is the transposed polynomial of ``entry`` and ``group`` is its group on
-    the int grid, as :meth:`InvertiblePolynomial.group` gives it; the
-    invariance test reads the three generators theta L: (a + 1) theta L is
-    a multiple of L.  With no fixed coordinate the staircase is the one
-    monomial 1, so a narrow sector counts one."""
+    is the transposed polynomial of the entry ``name`` and ``group`` is its
+    group on the int grid, as :meth:`InvertiblePolynomial.group` gives it;
+    the invariance test reads the three generators theta L: (a + 1) theta L
+    is a multiple of L.  With no fixed coordinate the staircase is the one
+    monomial 1, so a narrow sector counts one; ``name`` is only for the
+    error of a staircase that is not finite."""
     w, q = mirror.polynomial().map_coeffs(Fraction), mirror.charges
     basis = jacobi.groebner([w.partial(j) if j in fixed else MultiPoly.variable(j) for j in range(3)], q)
     scale, generators, _ = group
     return sum(
         all(sum((a[j] + 1) * g[j] for j in fixed) % scale == 0 for g in generators)
-        for a in standard_monomials(basis, q, entry)
+        for a in standard_monomials(basis, q, name)
     )
 
 
@@ -178,8 +174,8 @@ class FjrwTheory:
             return [int(x) for x in scaled]
 
         try:
-            scheme, rho = raw["scheme"], raw["rho"]
-            for key, block in (("scheme", scheme), ("rho", rho)):
+            scheme, rho, fixtures = raw["scheme"], raw["rho"], raw.get("fixtures", {})
+            for key, block in (("scheme", scheme), ("rho", rho), ("fixtures", fixtures)):
                 if not isinstance(block, Mapping):
                     raise DomainError(f"{entry.name}: the fjrw {key} must be an object, got {block!r}")
             offset, steps, orders = scheme["offset"], scheme["steps"], scheme["orders"]
@@ -202,7 +198,7 @@ class FjrwTheory:
                 )
             self._chart[index] = theta
 
-        self.sectors = {s.theta: s for s in _sector_list(entry, mirror, group, labels)}
+        self.sectors = {s.theta: s for s in _sector_list(entry.name, mirror, group, labels)}
         self.identity = self.sectors[self.mirror_charges]
         self.top = self.sectors[self.inverse_theta(self.mirror_charges)]
         self.rho = {
@@ -217,7 +213,7 @@ class FjrwTheory:
             for s in self.sectors.values()
             if not s.narrow and s.dim
         }
-        if len(self._narrow) + sum(self.broad_dims.values()) != entry.milnor:
+        if len(self._narrow) + sum(self.broad_dims.values()) != entry.polynomial.milnor_number:
             raise DomainError(f"{entry.name}: state space dimension mismatch")
         self._scaled_q = q = self._scaled[self.identity.theta]
         self._scaled_broad = frozenset(self._scaled[t] for t in self.broad_dims)
@@ -232,53 +228,50 @@ class FjrwTheory:
         }
         self._blocked = {extra: self._blocked_nodes(extra) for extra in [(), *((i,) for i in basis)]}
 
-        fixtures = raw.get("fixtures", {})
-        self._fixture3 = {
-            self._sector_key(f["insertions"]): parse_rat(f["value"])
-            for f in fixtures.get("threePoint", [])
-        }
-        self._fixture4 = {
-            self._sector_key(f["insertions"]): parse_rat(f["value"])
-            for f in fixtures.get("fourPoint", [])
-        }
+        values = []
+        for key in ("threePoint", "fourPoint"):
+            rows = fixtures.get(key, [])
+            if not isinstance(rows, list) or not all(isinstance(f, Mapping) for f in rows):
+                raise DomainError(
+                    f"{entry.name}: the fjrw fixtures {key} must be a list of objects, got {rows!r}"
+                )
+            values.append({self._sector_key(f["insertions"]): parse_rat(f["value"]) for f in rows})
+        self._fixture3, self._fixture4 = values
         self._table: CorrelatorTable | None = None
         self._reduce_cache: dict = {}
 
     # -- sector helpers ------------------------------------------------
 
     def sector(self, index: Sequence[int]) -> FjrwSector:
+        if not isinstance(index, (list, tuple)) or not all(type(i) is int for i in index):
+            raise DomainError(f"{self.name}: sector index {index!r} is not a list of integers")
         if len(index) != len(self.orders):
-            raise DomainError(
-                f"{self.name}: sector index {tuple(index)} needs "
-                f"{len(self.orders)} coordinates"
-            )
-        key = tuple(int(i) % o for i, o in zip(index, self.orders))
+            raise DomainError(f"{self.name}: sector index {tuple(index)} needs {len(self.orders)} coordinates")
+        key = tuple(i % o for i, o in zip(index, self.orders))
         return self.sectors[self._chart[key]]
 
     def _sector_key(self, indices) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(sorted(self.sector(ix).theta for ix in indices))
 
     def inverse_theta(self, theta) -> tuple[Fraction, ...]:
-        return _frac3(-t for t in theta)
+        return tuple(-t % 1 for t in theta)
 
     def product_theta(self, t1, t2) -> tuple[Fraction, ...]:
         """Sector of a product: phases add, minus one grading-element twist."""
-        return _frac3(a + b - q for a, b, q in zip(t1, t2, self.mirror_charges))
+        return tuple((a + b - q) % 1 for a, b, q in zip(t1, t2, self.mirror_charges))
 
     # -- three-point values over narrow sectors -------------------------
 
     def _threepoint(self, phases) -> int | None:
-        """The three-point value of narrow phases scaled by L, when the
-        degrees decide it: 0 off the degree budget or when the line bundle
-        degrees are not integral, 1 when every degree is -1, else None (some
-        degree >= 0: the value is a frozen fixture or unknown).
+        """The three-point value of narrow phases scaled by L on the degree
+        budget, when the degrees decide it: 0 when the line bundle degrees
+        are not integral, 1 when every degree is -1, else None (some degree
+        >= 0: the value is a frozen fixture or unknown).
 
         On the budget sum(phases) = L + 3 sum(q) and sum(q) = L (the
         charges of W^T sum to 1), so the scaled degrees sum to -3L: all
         of them <= -L forces every one to be -L."""
         scale = self._scale
-        if sum(map(sum, phases)) - 3 * sum(self._scaled_q) != scale:
-            return 0
         d = self._degrees(phases)
         if any(dj % scale for dj in d):
             return 0
@@ -519,8 +512,7 @@ class FjrwTheory:
                 if value is None:
                     blocked += 1
                     continue
-                product = constants[0] * constants[1] * constants[2] * value
-                candidates.setdefault(product, "sector-table")
+                candidates.setdefault(prod(constants) * value, "sector-table")
             elif all(sum(p) == 1 for p in parts):
                 sectors = [
                     self.rho[self.generators[p.index(1)]].theta for p in parts
@@ -538,8 +530,7 @@ class FjrwTheory:
             raise InconsistentSystem(
                 f"{self.name}: word {word} factorizations disagree: {candidates}"
             )
-        value, route = candidates.popitem()
-        return value, route
+        return candidates.popitem()
 
     def fourpoint_words(self) -> dict[tuple[int, ...], Fraction | None]:
         """All weight-one words with their four-point values (None when the
@@ -575,7 +566,7 @@ def _subvectors(bound: tuple[int, ...]):
             yield (i,) + rest
 
 
-def _sector_list(entry: CatalogEntry, mirror, group, labels) -> tuple[FjrwSector, ...]:
+def _sector_list(name: str, mirror, group, labels) -> tuple[FjrwSector, ...]:
     """The sectors of ``group``, every diagonal symmetry of ``mirror`` =
     W^T on its int grid, in group order, each keyed by its phase-vector
     label in ``labels``; degrees are summed on the int phases.  A broad
@@ -591,7 +582,7 @@ def _sector_list(entry: CatalogEntry, mirror, group, labels) -> tuple[FjrwSector
         else:
             fixed = tuple(j for j in range(3) if not g[j])
             if fixed not in dims:
-                dims[fixed] = sector_dimension(entry, mirror, group, fixed)
+                dims[fixed] = sector_dimension(name, mirror, group, fixed)
             out.append(FjrwSector(theta, False, None, dims[fixed]))
     return tuple(out)
 

@@ -9,18 +9,24 @@ whose exponent matrix ``E`` is invertible over the rationals.  The weight
 (charge) vector ``q`` solves ``E q = (1,1,1)`` so that every monomial has
 weighted degree one.  *Simple elliptic* means ``q1 + q2 + q3 = 1``.
 
-``E`` is inverted once, exactly, when an :class:`InvertiblePolynomial` is
-built, and everything it determines is read off ``E^-1``: ``q`` (the row
-sums), the weights of the transpose (the column sums), the solves of the
-marginal relation below and of the hypergeometric exponents of
+An :class:`InvertiblePolynomial` checks the shape of ``E`` once, when it
+is built: each row ``i`` is ``X_i^{a_i}`` with ``a_i >= 2`` times at most
+one other variable to the first power, and no variable is fed by two rows.
+A map in which each variable feeds at most one row and is fed by at most one
+splits the polynomial into Fermat (``x^a``), chain
+(``x1^{a1} x2 + x2^{a2} x3 + ... + xk^{ak}``) and loop
+(``x1^{a1} x2 + ... + xk^{ak} x1``) atoms, so no decomposition is kept.  The
+Berglund--Huebsch transpose is obtained by transposing ``E``.
+
+``E`` is inverted once, exactly, at the same time, and everything it
+determines is read off ``E^-1``: ``q`` (the row sums), the Milnor number
+``mu = prod_i (1 - q_i) / q_i`` (8, 9 or 10 on the E6, E7 and E8
+families), the weights of the transpose (the column sums), the solves of
+the marginal relation below and of the hypergeometric exponents of
 :mod:`ises.pfsolve` (``E^T x = v``), and the diagonal symmetry group,
 generated by the columns of ``E^-1`` mod 1 and held on the int grid of the
-lcm of their denominators.
-
-Each such polynomial decomposes into Fermat (``x^a``), chain
-(``x1^{a1} x2 + x2^{a2} x3 + ... + xk^{ak}``) and loop
-(``x1^{a1} x2 + ... + xk^{ak} x1``) atoms; the Berglund--Huebsch transpose is
-obtained by transposing ``E``.
+lcm of their denominators.  ``q`` and ``mu`` are stored, and every module
+reads them there.
 
 A marginal deformation direction is a degree-one monomial ``X^m``.  Its
 combinatorics are captured by the integer relation ``E^T lvec = l * m``:
@@ -48,6 +54,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from math import prod
 from typing import Any, Mapping, Sequence
 
 from .numcore import (
@@ -114,15 +121,19 @@ class InvertiblePolynomial:
     """A three-variable invertible quasihomogeneous polynomial.
 
     Stored as the integer exponent matrix ``E`` whose rows are the monomials,
-    with its exact inverse, computed once.  Everything ``E`` determines is
-    read off ``E^-1``: the weights ``charges`` (``E q = 1``, the row sums),
-    the weights ``mirror_charges`` of the transpose (``E^T q^T = 1``, the
-    column sums), the solves of :meth:`solve_transposed` and the symmetry
-    group of :meth:`group`.  All coefficients are one; the classification
-    of these singularities lets any nonzero coefficients be rescaled away.
+    with its exact inverse, computed once.  The constructor checks the shape
+    of ``E`` once: each row ``i`` is ``X_i^{a_i}`` with ``a_i >= 2`` times at
+    most one other variable to the first power, and no variable is fed by
+    two rows.  Everything ``E`` determines is read off ``E^-1``: the weights
+    ``charges`` (``E q = 1``, the row sums), the Milnor number
+    ``milnor_number = prod (1 - q_i) / q_i``, the weights ``mirror_charges``
+    of the transpose (``E^T q^T = 1``, the column sums), the solves of
+    :meth:`solve_transposed` and the symmetry group of :meth:`group`.  All
+    coefficients are one; the classification of these singularities lets
+    any nonzero coefficients be rescaled away.
     """
 
-    __slots__ = ("exponents", "_inverse", "charges", "mirror_charges")
+    __slots__ = ("exponents", "_inverse", "charges", "mirror_charges", "milnor_number")
 
     def __init__(self, exponents: Sequence[Sequence[int]]):
         rows = tuple(tuple(int(e) for e in row) for row in exponents)
@@ -132,90 +143,35 @@ class InvertiblePolynomial:
             raise DomainError("exponents must be nonnegative")
         if _det3(rows) == 0:
             raise DomainError("exponent matrix must be invertible")
+        # each variable feeds at most one row and is fed by at most one, so
+        # the rows split into Fermat points, chains and loops
+        fed = []
+        for i, row in enumerate(rows):
+            if row[i] < 2:
+                raise DomainError(f"diagonal exponent of row {i + 1} must be >= 2")
+            off = [j for j, e in enumerate(row) if j != i and e]
+            if len(off) > 1 or any(row[j] != 1 for j in off):
+                raise DomainError(f"row {i + 1} is not of Fermat/chain/loop shape")
+            fed += off
+        if len(set(fed)) != len(fed):
+            raise DomainError("a variable is fed by more than one chain link")
         inv = tuple(map(tuple, inverse(rows)))
+        charges = tuple(map(sum, inv))
+        mu = prod((1 - q) / q for q in charges)
+        if mu.denominator != 1:
+            raise DomainError("weights do not give an integral Milnor number")
         object.__setattr__(self, "exponents", rows)
         object.__setattr__(self, "_inverse", inv)
-        object.__setattr__(self, "charges", tuple(map(sum, inv)))
+        object.__setattr__(self, "charges", charges)
         object.__setattr__(self, "mirror_charges", tuple(map(sum, zip(*inv))))
-        self.atoms()  # validates the Fermat/chain/loop structure
+        object.__setattr__(self, "milnor_number", int(mu))
 
     def __setattr__(self, *a):
         raise AttributeError("InvertiblePolynomial is immutable")
 
-    # -- structure ---------------------------------------------------------
-
-    def atoms(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
-        """Decompose into (kind, variable cycle/chain) atoms.
-
-        Row ``i`` must be ``X_i^{a_i}`` (Fermat) or ``X_i^{a_i} X_{s(i)}``
-        with unit off-diagonal exponent.  The successor map ``s`` splits the
-        variables into Fermat fixed points, chains and loops.
-        """
-        succ: list[int | None] = []
-        for i, row in enumerate(self.exponents):
-            if row[i] < 2:
-                raise DomainError(f"diagonal exponent of row {i + 1} must be >= 2")
-            off = [(j, e) for j, e in enumerate(row) if j != i and e != 0]
-            if not off:
-                succ.append(None)
-            elif len(off) == 1 and off[0][1] == 1:
-                succ.append(off[0][0])
-            else:
-                raise DomainError(f"row {i + 1} is not of Fermat/chain/loop shape")
-        preds = {i: [j for j in range(NVARS) if succ[j] == i] for i in range(NVARS)}
-        if any(len(p) > 1 for p in preds.values()):
-            raise DomainError("a variable is fed by more than one chain link")
-        atoms: list[tuple[str, tuple[int, ...]]] = []
-        seen: set[int] = set()
-        # loops: follow the successor map until it revisits the path
-        for start in range(NVARS):
-            if start in seen:
-                continue
-            path = [start]
-            node = succ[start]
-            while node is not None and node not in path:
-                path.append(node)
-                node = succ[node]
-            if node is not None:
-                cycle = path[path.index(node):]
-                if start in cycle:
-                    atoms.append(("loop", tuple(cycle)))
-                    seen.update(cycle)
-        # chains and Fermat atoms start at variables nothing feeds into
-        for start in range(NVARS):
-            if start in seen or preds[start]:
-                continue
-            path = [start]
-            node = succ[start]
-            while node is not None:
-                if node in seen or node in path:
-                    raise DomainError("a chain link feeds a loop variable")
-                path.append(node)
-                node = succ[node]
-            atoms.append(("fermat" if len(path) == 1 else "chain", tuple(path)))
-            seen.update(path)
-        if seen != set(range(NVARS)):
-            raise DomainError("unrecognised chain/loop structure")
-        return tuple(sorted(atoms, key=lambda a: a[1]))
-
-    # -- basic invariants ----------------------------------------------------
-
     @property
     def determinant(self) -> int:
         return int(_det3(self.exponents))
-
-    @property
-    def is_simple_elliptic(self) -> bool:
-        return sum(self.charges) == 1
-
-    @property
-    def milnor_number(self) -> int:
-        mu = Fraction(1)
-        for q in self.charges:
-            mu *= (1 - q) / q
-        if mu.denominator != 1:
-            raise DomainError("weights do not give an integral Milnor number")
-        return int(mu)
 
     def transpose(self) -> "InvertiblePolynomial":
         return InvertiblePolynomial(
@@ -281,9 +237,6 @@ class InvertiblePolynomial:
     def __repr__(self) -> str:
         return f"InvertiblePolynomial({list(map(list, self.exponents))})"
 
-    def to_text(self) -> str:
-        return self.polynomial().to_text()
-
 
 # ---------------------------------------------------------------------------
 # marginal deformation rows
@@ -332,14 +285,13 @@ class CatalogEntry:
     The catalog supplies ``E`` (``polynomial``), the marginal ``m`` list,
     the twisted ``(r, weights)`` rows, the display ``basis`` and its
     ``top_monomial``, and the fjrw and qexp blocks, the last two as parsed
-    JSON.  ``milnor`` and the rest of each marginal row are derived from
-    ``E``; the weights and the group are read off ``polynomial``.  Every
-    other value of a catalog entry is a test oracle.
+    JSON.  The rest of each marginal row is derived from ``E``; the
+    weights, the Milnor number and the group are read off ``polynomial``.
+    Every other value of a catalog entry is a test oracle.
     """
 
     name: str
     polynomial: InvertiblePolynomial
-    milnor: int
     marginals: tuple[MarginalData, ...]
     twisted: tuple[tuple[tuple[int, int, int], tuple[Rat, Rat, Rat]], ...]
     basis: tuple[tuple[int, int, int], ...] | None
@@ -417,10 +369,9 @@ def _parse_entry(d: Mapping[str, Any]) -> CatalogEntry:
     rows = [_parse_int_triple(row, f"{where} E") for row in E]
     try:
         poly = InvertiblePolynomial(rows)
-        milnor = poly.milnor_number
     except DomainError as exc:
         raise _ctx(where, f"bad exponent matrix: {exc}") from exc
-    if not poly.is_simple_elliptic:
+    if sum(poly.charges) != 1:
         raise _ctx(where, "weights do not sum to one")
     if sum(poly.mirror_charges) != 1:
         raise _ctx(where, "transpose weights do not sum to one")
@@ -447,9 +398,9 @@ def _parse_entry(d: Mapping[str, Any]) -> CatalogEntry:
         if not isinstance(basis, list):
             raise _ctx(where, f"basis must be a list of exponent triples, got {basis!r}")
         basis = tuple(_parse_int_triple(b, f"{where} basis") for b in basis)
-        if len(basis) != milnor:
+        if len(basis) != poly.milnor_number:
             raise _ctx(where, "basis length must equal the Milnor number")
-        if len(set(basis)) != milnor:
+        if len(set(basis)) != len(basis):
             raise _ctx(where, "basis monomials must be distinct")
     top = d.get("topMonomial")
     if top is not None:
@@ -466,7 +417,6 @@ def _parse_entry(d: Mapping[str, Any]) -> CatalogEntry:
     return CatalogEntry(
         name=name,
         polynomial=poly,
-        milnor=milnor,
         marginals=tuple(marginals),
         twisted=tuple(twisted),
         basis=basis,

@@ -283,16 +283,17 @@ def groebner(gens: Sequence[MultiPoly], weights) -> tuple[MultiPoly, ...]:
     return tuple(g for _, g in out)
 
 
-def standard_monomials(
-    basis: Sequence[MultiPoly], weights, entry: CatalogEntry
-) -> tuple[Exps, ...]:
+def standard_monomials(basis: Sequence[MultiPoly], weights, name: str) -> tuple[Exps, ...]:
     """The staircase of a Groebner basis: the exponents that no leading
     monomial of ``basis`` divides, in ascending ``order_key(weights)``.
-    They form a monomial basis of the quotient ring, and more than four
-    times the Milnor number of ``entry`` of them raise a DomainError that
-    names it: the quotient is not finite."""
+    They form a monomial basis of the quotient ring.  The quotient is finite
+    exactly when, for each variable, some leading monomial is a pure power
+    of it (a constant counts, and leaves no standard monomial); otherwise a
+    DomainError names ``name``: the quotient is not finite."""
     key = order_key(weights)
     lts = [e for e, _, _ in _lead_data(basis, key)]
+    if not all(any(not any(t[:i] + t[i + 1 :]) for t in lts) for i in range(NVARS)):
+        raise DomainError(f"{name}: quotient is not finite")
     standard: set[Exps] = set()
     stack: list[Exps] = [(0, 0, 0)]
     while stack:
@@ -300,8 +301,6 @@ def standard_monomials(
         if e in standard or any(_divides(t, e) for t in lts):
             continue
         standard.add(e)
-        if len(standard) > 4 * entry.milnor:
-            raise DomainError(f"{entry.name}: quotient is not finite")
         stack.extend(
             (e[0] + (i == 0), e[1] + (i == 1), e[2] + (i == 2))
             for i in range(NVARS)
@@ -376,11 +375,12 @@ class JacobianAlgebra:
         self.groebner_basis = groebner(self.partials, self.weights)
         self._gbdata = _lead_data(self.groebner_basis, self._key)
 
-        self.staircase = standard_monomials(self.groebner_basis, self.weights, entry)
-        if len(self.staircase) != entry.milnor:
+        mu = entry.polynomial.milnor_number
+        self.staircase = standard_monomials(self.groebner_basis, self.weights, entry.name)
+        if len(self.staircase) != mu:
             raise DomainError(
                 f"{entry.name}: quotient dimension {len(self.staircase)} "
-                f"!= Milnor number {entry.milnor}"
+                f"!= Milnor number {mu}"
             )
         socles = [e for e in self.staircase if self._degree(e) == self._scale]
         if len(socles) != 1:
@@ -392,7 +392,7 @@ class JacobianAlgebra:
         hess_nf = self.normal_form(self.w_sigma.hessian_det())
         if set(hess_nf.terms) != {self.socle}:
             raise DomainError(f"{entry.name}: Hessian does not span the socle")
-        self._normalizer = RatFun.const(entry.milnor) / hess_nf.terms[self.socle]
+        self._normalizer = RatFun.const(mu) / hess_nf.terms[self.socle]
 
         # Display basis: the catalog's preferred monomial basis when stored;
         # else the staircase, with its weight-one monomial swapped for the
@@ -442,10 +442,6 @@ class JacobianAlgebra:
         return [[self._monomial_nf(b).get(e, 0) for b in self.basis] for e in self.staircase]
 
     # -- basic queries ---------------------------------------------------------
-
-    @property
-    def milnor(self) -> int:
-        return len(self.staircase)
 
     def normal_form(self, f: MultiPoly) -> MultiPoly:
         """Unique normal form of ``f`` modulo the Jacobian ideal: the sum of

@@ -41,10 +41,8 @@ class NoSolution(ValueError):
     """An exact linear system admits no solution."""
 
 
-def rat(value, den=None) -> Fraction:
-    """Coerce to an exact rational; ``rat(p, q)`` builds p/q."""
-    if den is not None:
-        return Fraction(value, den)
+def rat(value) -> Fraction:
+    """Coerce to an exact rational."""
     if isinstance(value, Fraction):
         return value
     return Fraction(value)

@@ -40,8 +40,9 @@ from fractions import Fraction
 from math import prod
 from typing import Sequence
 
+from . import jacobi  # groebner through its module, so a wrapper on ises.jacobi sees the calls
 from .isespoly import NVARS, CatalogEntry
-from .numcore import DomainError, Rat, scaled_ints
+from .numcore import DomainError, MultiPoly, Rat, scaled_ints
 
 __all__ = [
     "DeltaOperator",
@@ -282,11 +283,19 @@ def weight_report(
     weights are first order, also where a degenerate 2F1(a, b; b; x) =
     (1 - x)^{-a} would describe the same function.  A :class:`DomainError`
     of the derivation or the check is raised again as its own class with
-    the entry, m and r in front of its message.
+    the entry, m and r in front of its message; when ``X^m`` lies in the
+    Jacobian ideal of ``W`` (so it deforms nothing) the message says that
+    instead.  Only this error path computes the Groebner basis of the
+    partials of ``W`` over Q.
     """
     op = build_gkz(entry, m, r)
     try:
         weights = to_hg_weights(reduce_left_divisors(op), entry.polynomial.weighted_degree(r))
         return weights, annihilation_check(op, weights)
     except DomainError as exc:
-        raise type(exc)(f"{entry.name} m={tuple(m)} r={tuple(r)}: {exc}") from exc
+        where = f"{entry.name} m={tuple(m)} r={tuple(r)}"
+        w, q = entry.polynomial.polynomial().map_coeffs(Fraction), entry.polynomial.charges
+        ideal = jacobi.groebner([w.partial(i) for i in range(NVARS)], q)
+        if not jacobi.normal_form(MultiPoly.monomial(tuple(m), 1), ideal, q):
+            raise DomainError(f"{where}: X^m lies in the Jacobian ideal of W") from exc
+        raise type(exc)(f"{where}: {exc}") from exc

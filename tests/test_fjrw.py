@@ -678,7 +678,7 @@ def test_sector_dimension_on_generators_matches_the_whole_group():
         assert len(mirror.group()[1]) == 3
         for theta in group:
             fixed = tuple(j for j in range(3) if theta[j] == 0)
-            dim = sector_dimension(entry, mirror, mirror.group(), fixed)
+            dim = sector_dimension(entry.name, mirror, mirror.group(), fixed)
             assert dim == group_sector_dimension(mirror.exponents, charges, group, theta), (
                 entry.name,
                 theta,
@@ -720,7 +720,7 @@ def invariant_classes(entry, theta):
 def test_e7_chain322_broad_class_is_in_the_z_twisted_sector():
     entry = get_entry(CATALOG, "e7-chain322")
     mirror = entry.polynomial.transpose()
-    assert mirror.to_text() == "X1^3 + X1*X2^2 + X2*X3^2"
+    assert mirror.polynomial().to_text() == "X1^3 + X1*X2^2 + X2*X3^2"
     q = entry.polynomial.mirror_charges
     group = phase_group(mirror)
     # the untwisted sector: x^a dV is invariant iff (a + 1) theta is integral
@@ -829,3 +829,20 @@ def test_a_rho_index_of_the_wrong_arity_is_rejected():
 
     with pytest.raises(DomainError, match=r"e8-fermat: sector index \(2,\) needs 2 coordinates"):
         FjrwTheory(with_fjrw("e8-fermat", edit))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda block: block.update(fixtures=5), "the fjrw fixtures must be an object, got 5"),
+        (
+            lambda block: block.update(fixtures={"threePoint": 5}),
+            "the fjrw fixtures threePoint must be a list of objects, got 5",
+        ),
+        (lambda block: block["rho"].update({"1": 5}), "sector index 5 is not a list of integers"),
+    ],
+    ids=["fixtures", "threePoint", "rho"],
+)
+def test_a_malformed_fjrw_block_is_rejected_naming_the_entry(edit, message):
+    with pytest.raises(DomainError, match=f"^e6-fermat: {message}$"):
+        FjrwTheory(with_fjrw("e6-fermat", edit))

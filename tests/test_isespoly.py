@@ -6,6 +6,7 @@ import copy
 import json
 import re
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -323,8 +324,8 @@ def test_counts_by_family(catalog):
 def test_milnor_numbers(catalog):
     by_family = {"e6": 8, "e7": 9, "e8": 10}
     for e in catalog:
-        assert e.milnor == by_family[FROZEN[e.name]["family"]] == FROZEN[e.name]["milnor"]
-        assert e.polynomial.milnor_number == e.milnor
+        mu = e.polynomial.milnor_number
+        assert mu == by_family[FROZEN[e.name]["family"]] == FROZEN[e.name]["milnor"]
 
 
 def test_weight_systems(catalog):
@@ -336,15 +337,116 @@ def test_weight_systems(catalog):
     assert poly.mirror_charges == (Fraction(1, 3), Fraction(1, 6), Fraction(1, 2))
 
 
-def test_atoms():
-    fermat = InvertiblePolynomial([[3, 0, 0], [0, 3, 0], [0, 0, 3]])
-    assert fermat.atoms() == (("fermat", (0,)), ("fermat", (1,)), ("fermat", (2,)))
-    chain = InvertiblePolynomial([[2, 1, 0], [0, 2, 1], [0, 0, 3]])
-    assert chain.atoms() == (("chain", (0, 1, 2)),)
-    loop = InvertiblePolynomial([[2, 1, 0], [1, 2, 0], [0, 0, 3]])
-    assert loop.atoms() == (("loop", (0, 1)), ("fermat", (2,)))
-    full_loop = InvertiblePolynomial([[2, 1, 0], [0, 2, 1], [1, 0, 2]])
-    assert full_loop.atoms() == (("loop", (0, 1, 2)),)
+def reference_atoms(rows):
+    """Decompose an exponent matrix into (kind, variable cycle/chain)
+    atoms, raising a DomainError on a matrix that is not of Fermat, chain
+    and loop atoms.
+
+    Row ``i`` must be ``X_i^{a_i}`` (Fermat) or ``X_i^{a_i} X_{s(i)}``
+    with unit off-diagonal exponent.  The successor map ``s`` splits the
+    variables into Fermat fixed points, chains and loops.
+    """
+    succ = []
+    for i, row in enumerate(rows):
+        if row[i] < 2:
+            raise DomainError(f"diagonal exponent of row {i + 1} must be >= 2")
+        off = [(j, e) for j, e in enumerate(row) if j != i and e != 0]
+        if not off:
+            succ.append(None)
+        elif len(off) == 1 and off[0][1] == 1:
+            succ.append(off[0][0])
+        else:
+            raise DomainError(f"row {i + 1} is not of Fermat/chain/loop shape")
+    preds = {i: [j for j in range(3) if succ[j] == i] for i in range(3)}
+    if any(len(p) > 1 for p in preds.values()):
+        raise DomainError("a variable is fed by more than one chain link")
+    atoms = []
+    seen = set()
+    # loops: follow the successor map until it revisits the path
+    for start in range(3):
+        if start in seen:
+            continue
+        path = [start]
+        node = succ[start]
+        while node is not None and node not in path:
+            path.append(node)
+            node = succ[node]
+        if node is not None:
+            cycle = path[path.index(node):]
+            if start in cycle:
+                atoms.append(("loop", tuple(cycle)))
+                seen.update(cycle)
+    # chains and Fermat atoms start at variables nothing feeds into
+    for start in range(3):
+        if start in seen or preds[start]:
+            continue
+        path = [start]
+        node = succ[start]
+        while node is not None:
+            if node in seen or node in path:
+                raise DomainError("a chain link feeds a loop variable")
+            path.append(node)
+            node = succ[node]
+        atoms.append(("fermat" if len(path) == 1 else "chain", tuple(path)))
+        seen.update(path)
+    if seen != set(range(3)):
+        raise DomainError("unrecognised chain/loop structure")
+    return tuple(sorted(atoms, key=lambda a: a[1]))
+
+
+def test_reference_atoms():
+    assert reference_atoms([[3, 0, 0], [0, 3, 0], [0, 0, 3]]) == (
+        ("fermat", (0,)),
+        ("fermat", (1,)),
+        ("fermat", (2,)),
+    )
+    assert reference_atoms([[2, 1, 0], [0, 2, 1], [0, 0, 3]]) == (("chain", (0, 1, 2)),)
+    assert reference_atoms([[2, 1, 0], [1, 2, 0], [0, 0, 3]]) == (("loop", (0, 1)), ("fermat", (2,)))
+    assert reference_atoms([[2, 1, 0], [0, 2, 1], [1, 0, 2]]) == (("loop", (0, 1, 2)),)
+
+
+#: how the 3^9 matrices with entries 0..2 fall; a chain link feeding a loop
+#: variable, or any other unrecognised structure, never occurs
+VERDICTS = {
+    None: 18,
+    "exponent matrix must be invertible": 6891,
+    "diagonal exponent of row 1 must be >= 2": 8304,
+    "diagonal exponent of row 2 must be >= 2": 948,
+    "diagonal exponent of row 3 must be >= 2": 104,
+    "row 1 is not of Fermat/chain/loop shape": 2974,
+    "row 2 is not of Fermat/chain/loop shape": 382,
+    "row 3 is not of Fermat/chain/loop shape": 53,
+    "a variable is fed by more than one chain link": 9,
+}
+
+
+def det3(rows):
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def test_the_shape_check_accepts_exactly_the_atom_decompositions():
+    # every 3x3 matrix with entries 0..2: the constructor's verdict and
+    # message are those of the invertibility test and then the atom
+    # decomposition, which it replaced
+    verdicts = {}
+    for cells in product(range(3), repeat=9):
+        rows = [cells[0:3], cells[3:6], cells[6:9]]
+        try:
+            if det3(rows) == 0:
+                raise DomainError("exponent matrix must be invertible")
+            reference_atoms(rows)
+            want = None
+        except DomainError as exc:
+            want = str(exc)
+        try:
+            InvertiblePolynomial(rows)
+            got = None
+        except DomainError as exc:
+            got = str(exc)
+        assert got == want, rows
+        verdicts[want] = verdicts.get(want, 0) + 1
+    assert verdicts == VERDICTS
 
 
 def test_invertible_polynomial_is_immutable():
@@ -533,7 +635,7 @@ def test_fjrw_blocks_present(catalog):
         else:
             assert "scheme" in e.fjrw
             total = e.fjrw["narrow"] + sum(b["dim"] for b in e.fjrw["broad"])
-            assert total == e.milnor
+            assert total == e.polynomial.milnor_number
 
 
 def test_class_reference_data():

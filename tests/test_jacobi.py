@@ -246,14 +246,14 @@ def test_chain_criterion_waits_for_both_side_pairs():
 @pytest.mark.parametrize("name,m", ALL_PAIRS)
 def test_quotient_dimension_is_the_milnor_number(name, m):
     alg = algebra(name, m)
-    assert alg.milnor == get_entry(CATALOG, name).milnor
-    assert len(alg.basis) == alg.milnor
+    mu = get_entry(CATALOG, name).polynomial.milnor_number
+    assert len(alg.staircase) == len(alg.basis) == mu
 
 
 @pytest.mark.parametrize("name,m", ALL_PAIRS)
 def test_hessian_residue_is_the_milnor_number(name, m):
     alg = algebra(name, m)
-    assert alg.residue(alg.w_sigma.hessian_det()) == RatFun.const(alg.milnor)
+    assert alg.residue(alg.w_sigma.hessian_det()) == RatFun.const(len(alg.staircase))
 
 
 def test_normal_form_fixes_standard_monomials():
@@ -287,18 +287,24 @@ def test_the_staircase_of_a_monomial_ideal_is_its_complement():
     entry = get_entry(CATALOG, "e6-fermat")
     q = entry.polynomial.charges
     squares = [MultiPoly.monomial(e, F(1)) for e in ((2, 0, 0), (0, 2, 0), (0, 0, 2))]
-    cube = standard_monomials(groebner(squares, q), q, entry)
+    cube = standard_monomials(groebner(squares, q), q, entry.name)
     assert sorted(cube) == [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
     assert list(cube) == sorted(cube, key=order_key(q))
 
 
 def test_an_infinite_staircase_raises_a_domain_error_naming_the_entry():
-    # (X1^2, X2^2) leaves every power of X3 standard
-    entry = get_entry(CATALOG, "e6-fermat")
-    q = entry.polynomial.charges
-    basis = groebner([MultiPoly.monomial(e, F(1)) for e in ((2, 0, 0), (0, 2, 0))], q)
-    with pytest.raises(DomainError, match="^e6-fermat: quotient is not finite$"):
-        standard_monomials(basis, q, entry)
+    # (X1^2, X2^2) leaves every power of X3 standard, and (X1X2, X2X3, X1X3)
+    # every power of each variable: neither has a pure power of every one
+    q = get_entry(CATALOG, "e6-fermat").polynomial.charges
+    for gens in (((2, 0, 0), (0, 2, 0)), ((1, 1, 0), (0, 1, 1), (1, 0, 1))):
+        basis = groebner([MultiPoly.monomial(e, F(1)) for e in gens], q)
+        with pytest.raises(DomainError, match="^e6-fermat: quotient is not finite$"):
+            standard_monomials(basis, q, "e6-fermat")
+
+
+def test_a_constant_in_the_basis_leaves_an_empty_staircase():
+    q = get_entry(CATALOG, "e6-fermat").polynomial.charges
+    assert standard_monomials([MultiPoly.const(F(1))], q, "e6-fermat") == ()
 
 
 def test_coords_are_dual_to_the_display_basis():

@@ -1,5 +1,6 @@
 """Period operators: root multisets, reduction, weight certification."""
 
+import dataclasses
 import json
 from fractions import Fraction as F
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from ises.isespoly import (
     NVARS,
+    MarginalData,
     UnknownMarginal,
     _default_catalog_text,
     get_entry,
@@ -200,6 +202,17 @@ def test_weight_report_errors_name_the_row():
         "e6-fermat m=(1, 1, 1) r=(0, 0, 2): "
         "first-order exponent 1/3 does not match deg phi_r = 2/3"
     )
+
+
+def test_weight_report_names_a_marginal_in_the_jacobian_ideal():
+    # X1^3 = (X1 / 3) d1 W lies in (dW) for the Fermat cubic, so the
+    # reduction fails; the message blames the marginal, not the operator
+    e = entry("e6-fermat")
+    e = dataclasses.replace(e, marginals=e.marginals + (MarginalData.derive(e.polynomial, (3, 0, 0)),))
+    with pytest.raises(DomainError) as info:
+        weight_report(e, (3, 0, 0))
+    assert type(info.value) is DomainError
+    assert str(info.value) == "e6-fermat m=(3, 0, 0) r=(0, 0, 0): X^m lies in the Jacobian ideal of W"
 
 
 # ---------------------------------------------------------------------------
