@@ -235,7 +235,7 @@ class FjrwTheory:
                 raise DomainError(
                     f"{entry.name}: the fjrw fixtures {key} must be a list of objects, got {rows!r}"
                 )
-            values.append({self._sector_key(f["insertions"]): parse_rat(f["value"]) for f in rows})
+            values.append(dict(self._fixture(key, f) for f in rows))
         self._fixture3, self._fixture4 = values
         self._table: CorrelatorTable | None = None
         self._reduce_cache: dict = {}
@@ -252,6 +252,22 @@ class FjrwTheory:
 
     def _sector_key(self, indices) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(sorted(self.sector(ix).theta for ix in indices))
+
+    def _fixture(self, key: str, row: Mapping) -> tuple[tuple[tuple[Fraction, ...], ...], Fraction]:
+        """(sector key, value) of one row of the fjrw fixtures ``key``; a
+        DomainError naming the entry and the row unless it holds a list of
+        sector indices and a rational string."""
+        insertions, value = row.get("insertions"), row.get("value")
+        if isinstance(insertions, list) and isinstance(value, str):
+            sectors = self._sector_key(insertions)
+            try:
+                return sectors, parse_rat(value)
+            except (ValueError, ZeroDivisionError):
+                pass
+        raise DomainError(
+            f"{self.name}: the fjrw fixtures {key} row {dict(row)!r} needs a list of "
+            "sector indices as insertions and a rational string as value"
+        )
 
     def inverse_theta(self, theta) -> tuple[Fraction, ...]:
         return tuple(-t % 1 for t in theta)

@@ -37,14 +37,14 @@ one for the associated period series).
 
 :func:`load_catalog` reads a JSON catalog of the thirteen exponent matrices
 and, of each entry, only what the program consumes: the name, ``E``, the
-marginal ``m`` list, the twisted rows, the display basis and top monomial,
-and the fjrw and qexp blocks.  It checks those inputs and raises a
-:class:`SchemaError` that names the entry on a malformed one.  The fjrw and
-qexp blocks are kept as parsed JSON objects;
-:class:`ises.fjrw.FjrwTheory` reads and checks the fjrw block.  Every other
-frozen value (family, Milnor number, ``K``, the marginal rows' ``l``, ``C``
-and weights, the j-invariant and puncture data, the Gepner block) is
-reference data that the loader ignores and the test suite checks.
+marginal ``m`` list, the twisted rows, and the fjrw and qexp blocks.  It
+checks those inputs and raises a :class:`SchemaError` that names the entry
+on a malformed one.  The fjrw and qexp blocks are kept as parsed JSON
+objects; :class:`ises.fjrw.FjrwTheory` reads and checks the fjrw block.
+Every other frozen value (family, Milnor number, ``K``, the marginal rows'
+``l``, ``C`` and weights, the display basis and top monomial, the
+j-invariant and puncture data, the Gepner block) is reference data that
+the loader ignores and the test suite checks.
 """
 
 from __future__ import annotations
@@ -283,19 +283,17 @@ class CatalogEntry:
     """One singularity of the catalog, as the program reads it.
 
     The catalog supplies ``E`` (``polynomial``), the marginal ``m`` list,
-    the twisted ``(r, weights)`` rows, the display ``basis`` and its
-    ``top_monomial``, and the fjrw and qexp blocks, the last two as parsed
-    JSON.  The rest of each marginal row is derived from ``E``; the
-    weights, the Milnor number and the group are read off ``polynomial``.
-    Every other value of a catalog entry is a test oracle.
+    the twisted ``(r, weights)`` rows, and the fjrw and qexp blocks, the
+    last two as parsed JSON.  The rest of each marginal row is derived from
+    ``E``; the weights, the Milnor number and the group are read off
+    ``polynomial``.  Every other value of a catalog entry, the display basis
+    and top monomial included, is a test oracle.
     """
 
     name: str
     polynomial: InvertiblePolynomial
     marginals: tuple[MarginalData, ...]
     twisted: tuple[tuple[tuple[int, int, int], tuple[Rat, Rat, Rat]], ...]
-    basis: tuple[tuple[int, int, int], ...] | None
-    top_monomial: tuple[int, int, int] | None
     fjrw: Mapping[str, Any] | None
     qexp: Mapping[str, Any] | None
 
@@ -393,23 +391,6 @@ def _parse_entry(d: Mapping[str, Any]) -> CatalogEntry:
         r = _parse_int_triple(_need(row, "r", twhere), twhere)
         twisted.append((r, _parse_weights(_need(row, "weights", twhere), twhere)))
 
-    basis = d.get("basis")
-    if basis is not None:
-        if not isinstance(basis, list):
-            raise _ctx(where, f"basis must be a list of exponent triples, got {basis!r}")
-        basis = tuple(_parse_int_triple(b, f"{where} basis") for b in basis)
-        if len(basis) != poly.milnor_number:
-            raise _ctx(where, "basis length must equal the Milnor number")
-        if len(set(basis)) != len(basis):
-            raise _ctx(where, "basis monomials must be distinct")
-    top = d.get("topMonomial")
-    if top is not None:
-        top = _parse_int_triple(top, f"{where} topMonomial")
-        if poly.weighted_degree(top) != 1:
-            raise _ctx(where, "topMonomial must have weighted degree one")
-        if basis is not None and top not in basis:
-            raise _ctx(where, "topMonomial must lie in the basis")
-
     blocks = {key: d.get(key) for key in ("fjrw", "qexp")}
     for key, block in blocks.items():
         if block is not None and not isinstance(block, Mapping):
@@ -419,8 +400,6 @@ def _parse_entry(d: Mapping[str, Any]) -> CatalogEntry:
         polynomial=poly,
         marginals=tuple(marginals),
         twisted=tuple(twisted),
-        basis=basis,
-        top_monomial=top,
         **blocks,
     )
 

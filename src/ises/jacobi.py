@@ -39,8 +39,10 @@ rational-function field Q(sigma).  This module computes
   delta_r = phi_r - sigma * sum_{r' != r} c_{r,r'}(0) * phi_{r'} + O(sigma^2)
   where the c's are the coefficients of -sum_i d_i g_{r,i} over the
   monomial basis (independent of the choice of decomposition, because the
-  partials form a regular sequence and all syzygies are Koszul); that sum
-  is taken on the ints of the decomposition;
+  partials form a regular sequence and all syzygies are Koszul).  The
+  display basis is a basis at sigma = 0, so c_{r,r'}(0) is the coordinate
+  of p(0) = -sum_i d_i g_{r,i}(sigma = 0) in Jac(W): the sigma^0 layer of
+  the int decomposition, reduced over Q;
 * the genus-zero three- and four-point functions of the deformed
   singularity at sigma = 0, normalized so that <1, phi_m>|_{sigma=0} = 1.
 
@@ -56,10 +58,13 @@ of the three flat sections is sum_e (a_e + b_e*sigma + O(sigma^2)) X^e,
 its four-point value is K * sum_e (a_e * R_e'(0) + b_e * R_e(0)), exactly;
 the pair (R_e(0), R_e'(0)) is computed once per monomial and memoised.
 
-Entries whose catalog record fixes a preferred monomial basis are reported
-in that basis; the change of basis from the staircase is performed over
-Q(sigma).  (The two can differ: a marginal term may promote a mixed
-monomial past a pure power in the reverse-lexicographic order.)
+The display basis is the staircase B0 of the Jacobian ideal of W itself,
+from a Groebner basis over Q; its last member is the top monomial.  B0 is a
+basis of Jac(W), the algebra at sigma = 0, so the sigma = 0 pairing on it is
+invertible for every entry and marginal.  The staircase over Q(sigma)
+can differ from it (a marginal term may promote a mixed monomial past a
+pure power in the reverse-lexicographic order); ``coords`` changes basis
+from one to the other over Q(sigma), as the reference route of the tests.
 """
 
 from __future__ import annotations
@@ -68,12 +73,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .isespoly import NVARS, CatalogEntry, MarginalData
+from .isespoly import NVARS, CatalogEntry, InvertiblePolynomial, MarginalData
 from .numcore import (
     DomainError,
     MultiPoly,
     NoSolution,
-    PoleError,
     Rat,
     RatFun,
     inverse,
@@ -87,11 +91,11 @@ from .numcore import (
 __all__ = [
     "Exps",
     "FlatSectionApprox",
-    "FlatSectionPole",
     "IntegralDegree",
     "JacobianAlgebra",
     "SIGMA",
     "groebner",
+    "milnor_groebner",
     "normal_form",
     "order_key",
     "standard_monomials",
@@ -106,10 +110,6 @@ SIGMA = RatFun.variable()
 class IntegralDegree(DomainError):
     """First-order flat data is undefined at basis monomials of integral
     weighted degree (the unit and the top-degree monomial)."""
-
-
-class FlatSectionPole(DomainError):
-    """A first-order flat-section coefficient has a pole at sigma = 0."""
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +283,12 @@ def groebner(gens: Sequence[MultiPoly], weights) -> tuple[MultiPoly, ...]:
     return tuple(g for _, g in out)
 
 
+def milnor_groebner(poly: InvertiblePolynomial) -> tuple[MultiPoly, ...]:
+    """Reduced Groebner basis over Q of the Jacobian ideal of W."""
+    w = poly.polynomial().map_coeffs(Fraction)
+    return groebner([w.partial(i) for i in range(NVARS)], poly.charges)
+
+
 def standard_monomials(basis: Sequence[MultiPoly], weights, name: str) -> tuple[Exps, ...]:
     """The staircase of a Groebner basis: the exponents that no leading
     monomial of ``basis`` divides, in ascending ``order_key(weights)``.
@@ -376,16 +382,21 @@ class JacobianAlgebra:
         self._gbdata = _lead_data(self.groebner_basis, self._key)
 
         mu = entry.polynomial.milnor_number
-        self.staircase = standard_monomials(self.groebner_basis, self.weights, entry.name)
-        if len(self.staircase) != mu:
-            raise DomainError(
-                f"{entry.name}: quotient dimension {len(self.staircase)} "
-                f"!= Milnor number {mu}"
-            )
-        socles = [e for e in self.staircase if self._degree(e) == self._scale]
-        if len(socles) != 1:
-            raise DomainError(f"{entry.name}: top graded piece is not a line")
-        self.socle: Exps = socles[0]
+
+        def staircase(basis: Sequence[MultiPoly], over: str) -> tuple[Exps, ...]:
+            """The staircase of ``basis``, certified: mu monomials, of which
+            exactly one, the last, has weighted degree one."""
+            stairs = standard_monomials(basis, self.weights, entry.name)
+            tops = [e for e in stairs if self._degree(e) == self._scale]
+            if len(stairs) != mu or tops != [stairs[-1]]:
+                raise DomainError(
+                    f"{entry.name}: the staircase over {over} has {len(stairs)} monomials "
+                    f"and {len(tops)} of degree one, not mu = {mu} and one, the last"
+                )
+            return stairs
+
+        self.staircase = staircase(self.groebner_basis, "Q(sigma)")
+        self.socle: Exps = self.staircase[-1]
         # The normal-form table (``_monomial_nf``), seeded with the staircase.
         self._nf: dict[Exps, dict[Exps, RatFun]] = {e: {e: RatFun.const(1)} for e in self.staircase}
 
@@ -394,30 +405,12 @@ class JacobianAlgebra:
             raise DomainError(f"{entry.name}: Hessian does not span the socle")
         self._normalizer = RatFun.const(mu) / hess_nf.terms[self.socle]
 
-        # Display basis: the catalog's preferred monomial basis when stored;
-        # else the staircase, with its weight-one monomial swapped for the
-        # catalog's preferred top representative when one is recorded.
-        if entry.basis is not None:
-            self.basis = tuple(sorted(entry.basis, key=self._key))
-        elif entry.top_monomial is not None:
-            swapped = [e for e in self.staircase if self._degree(e) != self._scale]
-            swapped.append(tuple(entry.top_monomial))
-            self.basis = tuple(sorted(swapped, key=self._key))
-        else:
-            self.basis = self.staircase
-        self._to_basis: list[list[RatFun]] | None = None
-        if self.basis != self.staircase:
-            try:
-                self._to_basis = inverse(self._change_of_basis())
-            except NoSolution:
-                raise DomainError(f"{entry.name}: catalog basis is degenerate") from None
-
-        tops = [e for e in self.basis if self._degree(e) == self._scale]
-        if tops != [self.basis[-1]]:
-            raise DomainError(f"{entry.name}: basis has no unique top monomial")
-        self.top_monomial: Exps = tops[0]
-        if entry.top_monomial is not None and entry.top_monomial != tops[0]:
-            raise DomainError(f"{entry.name}: top monomial disagrees with catalog")
+        # Display basis: the staircase of W over Q, a basis at sigma = 0.
+        gb0 = milnor_groebner(entry.polynomial)
+        self._gb0data = _lead_data(gb0, self._key)
+        self.basis = staircase(gb0, "Q")
+        self.top_monomial: Exps = self.basis[-1]
+        self._to_basis: list[list[RatFun]] | None = None  # built by ``coords``
 
         self._jets: dict[Exps, tuple[Rat, Rat]] = {}
         residue = self._residue_jet(mvec)[0]
@@ -435,11 +428,6 @@ class JacobianAlgebra:
         """The weighted degree of X^e times ``_scale``."""
         w = self._w
         return w[0] * e[0] + w[1] * e[1] + w[2] * e[2]
-
-    def _change_of_basis(self) -> list[list[RatFun]]:
-        """Matrix whose column b holds the staircase coordinates of the
-        normal form of display-basis monomial b (0 for no term)."""
-        return [[self._monomial_nf(b).get(e, 0) for b in self.basis] for e in self.staircase]
 
     # -- basic queries ---------------------------------------------------------
 
@@ -484,12 +472,17 @@ class JacobianAlgebra:
         return RatFun.const(0) if c is None else self._normalizer * c
 
     def coords(self, f: MultiPoly) -> dict[Exps, RatFun]:
-        """Coordinates of ``f`` mod the Jacobian ideal over the display basis:
-        its staircase coordinates times the inverse change of basis, which
-        ``__init__`` computes once."""
+        """Coordinates of ``f`` mod the Jacobian ideal over the display basis,
+        over Q(sigma): its staircase coordinates times the inverse change of
+        basis, which the first call computes.  The flat sections do not read
+        it; it is the Q(sigma) route that the tests compare them with."""
         nf = self.normal_form(f)
         if self._to_basis is None:
-            return nf.terms
+            # column b holds the staircase coordinates of NF(X^b); B0 is a
+            # basis at sigma = 0, so this matrix is invertible over Q(sigma)
+            self._to_basis = inverse(
+                [[self._monomial_nf(b).get(e, 0) for b in self.basis] for e in self.staircase]
+            )
         index = {e: i for i, e in enumerate(self.staircase)}
         cells = [(index[e], c) for e, c in nf.terms.items()]
         out = {}
@@ -648,7 +641,8 @@ class JacobianAlgebra:
     # -- flat sections and correlators ----------------------------------------
 
     def flat_first_order(self, r: Sequence[int]) -> FlatSectionApprox:
-        """First-order flat deformation of the basis monomial phi_r."""
+        """First-order flat deformation of the basis monomial phi_r, with
+        its corrections read at sigma = 0 over Q."""
         rvec = tuple(int(e) for e in r)
         if rvec in self._flats:
             return self._flats[rvec]
@@ -659,33 +653,20 @@ class JacobianAlgebra:
                 f"{deg_r // self._scale}"
             )
         gs, den = self._decomposition(rvec)
-        p_ints: dict[Exps, dict[int, int]] = {}  # -sum_i d_i g_i, over den
+        # p(0) = -sum_i d_i g_i at sigma = 0, from the sigma^0 layer of the ints
+        p = MultiPoly.zero()
         for i, g in enumerate(gs):
-            for e, coeffs in g.items():
-                if e[i]:
-                    acc = p_ints.setdefault((e[0] - (i == 0), e[1] - (i == 1), e[2] - (i == 2)), {})
-                    for d, c in enumerate(coeffs):
-                        acc[d] = acc.get(d, 0) - e[i] * c
-        p = MultiPoly._wrap(
-            {e: RatFun._make(_dense(c), (den,)) for e, c in p_ints.items() if any(c.values())}
-        )
+            p = p - MultiPoly._wrap({e: c[0] for e, c in g.items() if c[0]}).partial(i)
+        # its B0 coordinates: the remainder over the Groebner basis of W
+        remainder = _reduce(p.scale(Fraction(1, den)), self._gb0data, self._key).terms
         corrections = []
-        for e, c in sorted(self.coords(p).items(), key=lambda t: self._key(t[0])):
+        for e, c in sorted(remainder.items(), key=lambda t: self._key(t[0])):
             if self._degree(e) != deg_r:
                 raise DomainError(
                     f"{self._label}: correction {e} breaks the grading of {rvec}"
                 )
-            if e == rvec:
-                continue  # same-label term only renormalizes at higher order
-            try:
-                c0 = c.eval(0)
-            except PoleError as exc:
-                raise FlatSectionPole(
-                    f"{self._label}: the flat section of phi_{rvec} has a pole "
-                    f"at sigma = 0 in its {e} coefficient"
-                ) from exc
-            if c0:
-                corrections.append((e, -c0))
+            if e != rvec:  # the same-label term only renormalizes at higher order
+                corrections.append((e, -c))
         flat = FlatSectionApprox(r=rvec, corrections=tuple(corrections))
         self._flats[rvec] = flat
         return flat

@@ -40,7 +40,7 @@ from fractions import Fraction
 from math import prod
 from typing import Sequence
 
-from . import jacobi  # groebner through its module, so a wrapper on ises.jacobi sees the calls
+from . import jacobi  # milnor_groebner calls groebner in ises.jacobi, where a wrapper sees it
 from .isespoly import NVARS, CatalogEntry
 from .numcore import DomainError, MultiPoly, Rat, scaled_ints
 
@@ -294,8 +294,7 @@ def weight_report(
         return weights, annihilation_check(op, weights)
     except DomainError as exc:
         where = f"{entry.name} m={tuple(m)} r={tuple(r)}"
-        w, q = entry.polynomial.polynomial().map_coeffs(Fraction), entry.polynomial.charges
-        ideal = jacobi.groebner([w.partial(i) for i in range(NVARS)], q)
-        if not jacobi.normal_form(MultiPoly.monomial(tuple(m), 1), ideal, q):
+        ideal = jacobi.milnor_groebner(entry.polynomial)
+        if not jacobi.normal_form(MultiPoly.monomial(tuple(m), 1), ideal, entry.polynomial.charges):
             raise DomainError(f"{where}: X^m lies in the Jacobian ideal of W") from exc
         raise type(exc)(f"{where}: {exc}") from exc

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import hashlib
+import re
 from fractions import Fraction as F
 from functools import cache
 from itertools import combinations_with_replacement, product
@@ -12,7 +13,7 @@ import pytest
 import ises.fjrw
 from ises.fjrw import FjrwTheory, NeedsBroadFixture, sector_dimension
 from ises.isespoly import get_entry, load_catalog
-from ises.jacobi import FlatSectionPole, JacobianAlgebra, groebner, normal_form
+from ises.jacobi import JacobianAlgebra, groebner, normal_form
 from ises.numcore import DomainError, MultiPoly, nullspace
 from ises.wdvv import MissingKey, _groups, check_residuals, propagate
 
@@ -121,16 +122,12 @@ B_FILLED = {
 def test_the_sigma_zero_mirror_comparison():
     # each weight-one triple (r1, r2, r3) of a B table is the word r1 + r2 + r3;
     # under word = -(B value) every word that FJRW resolves agrees
-    agree, disagree, poles, filled = 0, [], [], {}
+    agree, disagree, filled = 0, [], {}
     for name in NAMES:
         entry = get_entry(CATALOG, name)
         words = {padded(w): v for w, v in theory(name).fourpoint_words().items()}
         for mar in entry.marginals:
-            try:
-                table = JacobianAlgebra(entry, mar.m).fourpoint_table()
-            except FlatSectionPole:
-                poles.append((name, mar.m))
-                continue
+            table = JacobianAlgebra(entry, mar.m).fourpoint_table()
             for trip, value in table.items():
                 word = tuple(map(sum, zip(*trip)))
                 fjrw = words[word]
@@ -140,8 +137,7 @@ def test_the_sigma_zero_mirror_comparison():
                     agree += 1
                 else:
                     disagree.append((name, mar.m, trip))
-    assert (agree, disagree) == (160, [])
-    assert poles == [("e7-chain322", (1, 1, 1))]
+    assert (agree, disagree) == (167, [])
     assert filled == {key: {value} for key, value in B_FILLED.items()}
     for (name, word), value in B_FILLED.items():
         frozen = literature_words(get_entry(CATALOG, name))[word]
@@ -831,6 +827,19 @@ def test_a_rho_index_of_the_wrong_arity_is_rejected():
         FjrwTheory(with_fjrw("e8-fermat", edit))
 
 
+def fixture_row(value):
+    """A fixture row of e6-fermat on three real sector indices."""
+    return {"insertions": [[1, 1, 1], [1, 1, 1], [1, 1, 1]], "value": value}
+
+
+def bad_row(key, row):
+    """The message pattern that rejects the fixture ``row`` of ``key``."""
+    return re.escape(
+        f"the fjrw fixtures {key} row {row!r} needs a list of "
+        "sector indices as insertions and a rational string as value"
+    )
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -840,8 +849,24 @@ def test_a_rho_index_of_the_wrong_arity_is_rejected():
             "the fjrw fixtures threePoint must be a list of objects, got 5",
         ),
         (lambda block: block["rho"].update({"1": 5}), "sector index 5 is not a list of integers"),
+        (
+            lambda block: block.update(fixtures={"threePoint": [{}]}),
+            bad_row("threePoint", {}),
+        ),
+        (
+            lambda block: block.update(fixtures={"threePoint": [{"insertions": 5, "value": "1"}]}),
+            bad_row("threePoint", {"insertions": 5, "value": "1"}),
+        ),
+        (
+            lambda block: block.update(fixtures={"fourPoint": [fixture_row("x")]}),
+            bad_row("fourPoint", fixture_row("x")),
+        ),
+        (
+            lambda block: block.update(fixtures={"threePoint": [fixture_row([])]}),
+            bad_row("threePoint", fixture_row([])),
+        ),
     ],
-    ids=["fixtures", "threePoint", "rho"],
+    ids=["fixtures", "threePoint", "rho", "row-empty", "insertions-int", "value-x", "value-list"],
 )
 def test_a_malformed_fjrw_block_is_rejected_naming_the_entry(edit, message):
     with pytest.raises(DomainError, match=f"^e6-fermat: {message}$"):

@@ -24,7 +24,7 @@ from ises.isespoly import (
     get_entry,
     load_catalog,
 )
-from ises.jacobi import JacobianAlgebra
+from ises.jacobi import JacobianAlgebra, milnor_groebner, order_key, standard_monomials
 
 ALL_NAMES = [
     "e6-fermat",
@@ -165,6 +165,13 @@ def check_frozen_values(doc):
             k = JacobianAlgebra(_parse_entry(d)).k_constant
             if parse_rat(d["K"]) != k:
                 raise SchemaError(f"{where}: K {d['K']} does not match the algebra's K = {k}")
+        # the display basis is the staircase of W over Q, in the monomial order
+        staircase = standard_monomials(milnor_groebner(poly), poly.charges, name)
+        basis = sorted(map(tuple, d.get("basis", staircase)), key=order_key(poly.charges))
+        if basis != list(staircase):
+            raise SchemaError(f"{where}: basis should be the staircase of W, {staircase}")
+        if "topMonomial" in d and tuple(d["topMonomial"]) != staircase[-1]:
+            raise SchemaError(f"{where}: topMonomial should be {staircase[-1]}")
     for name in entries:
         check_gepner_block(name, entries)
 
@@ -233,6 +240,18 @@ def edited(name, edit):
             id="reference",
         ),
         pytest.param("e8-fermat", lambda d: d.update(K="35"), "K 35 does not match", id="K"),
+        pytest.param(
+            "e6-fermat",
+            lambda d: d["basis"].__setitem__(7, [3, 0, 0]),
+            "basis should be the staircase of W",
+            id="basis",
+        ),
+        pytest.param(
+            "e6-chain23",
+            lambda d: d.update(topMonomial=[0, 0, 3]),
+            r"topMonomial should be \(0, 2, 1\)",
+            id="topMonomial",
+        ),
     ],
 )
 def test_the_oracle_flags_a_changed_frozen_value(name, edit, message):
@@ -247,22 +266,21 @@ LOADER = "load_catalog"
 ORACLE = "test_the_frozen_reference_data_matches_the_derivations"
 KEY_CHECKS = {
     **dict.fromkeys(
-        ["name", "E", "marginals.m", "twisted.r", "twisted.weights"]
-        + ["basis", "topMonomial", "fjrw", "qexp"],
+        ["name", "E", "marginals.m", "twisted.r", "twisted.weights", "fjrw", "qexp"],
         LOADER,
     ),
     **dict.fromkeys(
-        ["family", "milnor", "L", "K"]
+        ["family", "milnor", "L", "K", "basis", "topMonomial"]
         + ["marginals.l", "marginals.lcm", "marginals.C", "marginals.weights"]
         + ["jZero", "N", "jNumerator", "jDenominator", "P", "PAtPuncture"]
         + ["punctures.radicand", "punctures.index", "punctures.count"]
         + ["gepner.reference", "gepner.phi", "gepner.referencePhi"],
         ORACLE,
     ),
-    "gepner.psi": "unchecked: ROADMAP item 12",
-    "gepner.cells": "unchecked: ROADMAP item 12",
-    "limits": "unchecked: ROADMAP item 7",
-    "infinityFjrw": "unchecked: ROADMAP item 8",
+    "gepner.psi": "unchecked: ROADMAP item 15",
+    "gepner.cells": "unchecked: ROADMAP item 15",
+    "limits": "unchecked: ROADMAP item 2",
+    "infinityFjrw": "unchecked: ROADMAP item 11",
     "notes": "unchecked: free text",
 }
 NESTED = ("marginals", "twisted", "gepner", "punctures")
@@ -604,7 +622,6 @@ def test_schema_error_on_an_uncatalogued_gepner_marginal(field):
         pytest.param(lambda d: d["E"][0].__setitem__(0, "3x"), id="non-integer-exponent"),
         pytest.param(lambda d: d.update(name=["e6-fermat"]), id="name-list"),
         pytest.param(lambda d: d.update(name=6), id="name-int"),
-        pytest.param(lambda d: d.update(basis=5), id="basis-int"),
         pytest.param(lambda d: d.update(fjrw=5), id="fjrw-int"),
         pytest.param(lambda d: d.update(qexp=["orbifold"]), id="qexp-list"),
     ],

@@ -15,7 +15,6 @@ from ises import jacobi
 from ises.isespoly import MarginalData, get_entry, load_catalog
 from ises.jacobi import (
     FlatSectionApprox,
-    FlatSectionPole,
     IntegralDegree,
     JacobianAlgebra,
     groebner,
@@ -380,39 +379,18 @@ def test_gram_matrix_is_nondegenerate(name):
             assert rows[i][j] == rows[j][i]
 
 
-# The pairs whose display basis pairs singularly at sigma = 0.
-SIGMA_ZERO_SINGULAR = {
-    ("e6-chain23", (2, 0, 1)),
-    ("e6-chain23", (0, 2, 1)),
-    ("e6-loop22", (1, 1, 1)),
-    ("e6-loop22", (2, 0, 1)),
-    ("e7-chain22", (2, 0, 2)),
-    ("e7-chain22", (0, 1, 2)),
-    ("e7-chain322", (1, 1, 1)),
-    ("e7-chain322", (1, 3, 0)),
-    ("e7-chain322", (4, 0, 0)),
-    ("e8-chain43", (2, 2, 0)),
-    ("e8-chain43", (6, 0, 0)),
-}
-
-
 def test_the_sigma_zero_basis_status_of_every_pair():
-    """The matrix K residue(a b)(0) over the display basis is singular for
-    exactly 11 of the 25 pairs and invertible for the other 14.
-
-    This records an open defect, not a fix: on those 11 pairs the display
-    basis is not a basis of Jac(W) at sigma = 0, yet all but e7-chain322
-    with m = (1,1,1) return four-point tables in it.  The test flips when
-    the algebra takes a basis whose sigma = 0 pairing is invertible.
-    """
+    """The matrix K residue(a b)(0) over the display basis is invertible
+    for all 25 pairs: the display basis is the staircase of W over Q, a
+    basis of the algebra at sigma = 0."""
     singular = set()
     for name, m in ALL_PAIRS:
         alg = algebra(name, m)
         rows = [[alg.threepoint(mono(a) * mono(b)).eval(0) for b in alg.basis] for a in alg.basis]
         if nullspace(rows, len(alg.basis)):
             singular.add((name, m))
-    assert singular == SIGMA_ZERO_SINGULAR
-    assert len(ALL_PAIRS) - len(singular) == 14
+    assert singular == set()
+    assert len(ALL_PAIRS) == 25
 
 
 # ---------------------------------------------------------------------------
@@ -620,17 +598,12 @@ def test_a_wrong_solution_cell_fails_verification(monkeypatch):
         alg.decompose(victim)
 
 
-# The pairs whose four-point table is defined: e7-chain322 with m = (1, 1, 1)
-# has flat sections with a pole at sigma = 0.
-COMPUTABLE_PAIRS = [pair for pair in ALL_PAIRS if pair != ("e7-chain322", (1, 1, 1))]
-
-
 def bside_dump() -> list[str]:
     """Every B-side output of the 25 pairs, one line each, in catalog order:
     the weight rows that the bmodel-catalog bench reports (r = 0 for each
     marginal, and the twisted rows on the first), then the staircase,
     Groebner basis and K of the algebra, each flat section of a weight-one
-    triple with its decomposition (or its pole), and the four-point table.
+    triple with its decomposition, and the four-point table.
     Every value is written in a deterministic text form."""
     lines = []
     for entry in CATALOG:
@@ -645,21 +618,14 @@ def bside_dump() -> list[str]:
             lines.append(f"{pair} staircase {alg.staircase} basis {alg.basis}")
             lines.append(f"{pair} groebner {[g.to_text() for g in alg.groebner_basis]}")
             lines.append(f"{pair} K {alg.k_constant}")
-            pole = False
             for r in sorted({r for trip in alg.weight_one_triples() for r in trip}):
-                try:
-                    flat = alg.flat_first_order(r)
-                except FlatSectionPole as exc:
-                    lines.append(f"{pair} pole {exc}")
-                    pole = True
-                    continue
+                flat = alg.flat_first_order(r)
                 gs = [g.to_text() for g in alg.decompose(r)]
                 lines.append(f"{pair} flat {flat!r} decomposition {gs}")
-            if not pole:
-                lines.extend(
-                    f"{pair} fourpoint {trip} {value}"
-                    for trip, value in sorted(alg.fourpoint_table().items())
-                )
+            lines.extend(
+                f"{pair} fourpoint {trip} {value}"
+                for trip, value in sorted(alg.fourpoint_table().items())
+            )
     return lines
 
 
@@ -670,8 +636,8 @@ def test_the_bside_outputs_are_pinned():
     lines = bside_dump()
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert (len(lines), digest) == (
-        454,
-        "0f66d8fe2b2b3701bff90e82f526b9d716ceefab3f183090b77e92642fe8a24d",
+        463,
+        "6cf3e383bc161a9a341c3ca74e6f51e382d613f8fd0736f47807e24b5b043d7c",
     )
 
 
@@ -679,7 +645,7 @@ def test_every_catalog_decomposition_system_solves_like_the_dense_reference(
     monkeypatch,
 ):
     # Real traffic for the fraction-free kernel: every system that the
-    # four-point tables of the computable pairs build, each right-hand
+    # four-point tables of all 25 pairs build, each right-hand
     # column solved again by the dense Fraction elimination.
     calls = batch_hooks(monkeypatch)
     systems = []
@@ -691,10 +657,10 @@ def test_every_catalog_decomposition_system_solves_like_the_dense_reference(
         return sols
 
     monkeypatch.setattr(jacobi, "solve_columns", solve)
-    for name, m in COMPUTABLE_PAIRS:
+    for name, m in ALL_PAIRS:
         JacobianAlgebra(get_entry(CATALOG, name), m).fourpoint_table()
-    assert len(COMPUTABLE_PAIRS) == 24
-    assert (len(systems), sum(len(labels) for labels, _ in calls)) == (48, 110)
+    assert len(ALL_PAIRS) == 25
+    assert (len(systems), sum(len(labels) for labels, _ in calls)) == (50, 115)
     assert {bound for _, bound in calls} == {1, 2}  # l - 1; none retried at 2l
     for rows, rhs, n, sols in systems:
         dense = [[F(row.get(c, 0)) for c in range(n)] for row in rows]
@@ -708,11 +674,11 @@ def test_every_catalog_decomposition_system_solves_like_the_dense_reference(
 
 
 def test_every_catalog_label_solves_at_sigma_degree_l_minus_1(monkeypatch):
-    # The first ansatz, sigma-degree l - 1, solves all 110 labels that the
+    # The first ansatz, sigma-degree l - 1, solves all 115 labels that the
     # four-point tables decompose, and none of them needs a lower degree.
     calls = batch_hooks(monkeypatch)
     labels_by_l = {}
-    for name, m in COMPUTABLE_PAIRS:
+    for name, m in ALL_PAIRS:
         alg = JacobianAlgebra(get_entry(CATALOG, name), m)
         seen = len(calls)
         alg.fourpoint_table()
@@ -723,7 +689,7 @@ def test_every_catalog_label_solves_at_sigma_degree_l_minus_1(monkeypatch):
                 gs = alg.decompose(r)
                 assert max(len(c.n) - 1 for g in gs for c in g.terms.values()) == l - 1
             labels_by_l[l] = labels_by_l.get(l, 0) + len(labels)
-    assert labels_by_l == {3: 62, 2: 48}
+    assert labels_by_l == {3: 67, 2: 48}
 
 
 def test_decompose_rejects_non_basis_exponents():
@@ -944,6 +910,27 @@ def test_flat_corrections_do_not_depend_on_the_decomposition():
     assert alg.normal_form(p_ref) == alg.normal_form(p_own)
 
 
+@pytest.mark.parametrize("name,m", ALL_PAIRS)
+def test_sigma_zero_flats_equal_the_q_sigma_coordinates_at_zero(name, m):
+    # The Q(sigma) route: the display-basis coordinates of p = -sum_i d_i g_i
+    # over Q(sigma), by the inverse change of basis of ``coords``, each
+    # evaluated at sigma = 0, give the corrections that the flat section
+    # reads off p(0) over Q.
+    alg = algebra(name, m)
+    labels = [r for r in alg.basis if degree(alg, r).denominator != 1]
+    assert labels
+    for r in labels:
+        p = MultiPoly.zero()
+        for i, g in enumerate(alg.decompose(r)):
+            p = p - g.partial(i)
+        expected = tuple(
+            (e, -c.eval(0))
+            for e, c in sorted(alg.coords(p).items(), key=lambda t: order_key(alg.weights)(t[0]))
+            if e != r and c.eval(0)
+        )
+        assert alg.flat_first_order(r).corrections == expected
+
+
 def test_flat_polynomial_form():
     flat = algebra("e7-fermat").flat_first_order((2, 0, 0))
     poly = flat.polynomial()
@@ -958,18 +945,6 @@ def test_integral_degree_labels_are_rejected():
         alg.flat_first_order((0, 0, 0))
     with pytest.raises(IntegralDegree, match="e6-fermat"):
         alg.flat_first_order(alg.top_monomial)
-
-
-@pytest.mark.parametrize("r", [(0, 0, 1), (0, 2, 0)])
-def test_flat_section_pole_is_a_typed_domain_error(r):
-    alg = algebra("e7-chain322", (1, 1, 1))
-    with pytest.raises(FlatSectionPole) as info:
-        alg.flat_first_order(r)
-    assert isinstance(info.value, DomainError)
-    message = str(info.value)
-    assert "e7-chain322" in message
-    assert "m=(1, 1, 1)" in message
-    assert f"phi_{r}" in message
 
 
 # ---------------------------------------------------------------------------
@@ -1079,12 +1054,7 @@ def test_jet_fourpoints_equal_the_full_normal_form_route(name, m):
     triples = alg.weight_one_triples()
     assert triples
     for trip in triples:
-        try:
-            flats = [alg.flat_first_order(r) for r in trip]
-        except FlatSectionPole:
-            with pytest.raises(FlatSectionPole):
-                alg.fourpoint(*trip)
-            continue
+        flats = [alg.flat_first_order(r) for r in trip]
         expected = reference_fourpoint(alg, flats)
         assert alg.fourpoint(*trip) == expected
         assert alg.fourpoint(*flats) == expected
