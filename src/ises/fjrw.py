@@ -34,6 +34,12 @@ Computed from first principles:
   most -1;
 * the remaining four-point values by associativity propagation (module
   ``wdvv``) over the narrow sectors;
+* the ring generators rho_i, by the Berglund-Huebsch-Krawitz isomorphism
+  Jac(W) = FJRW(W^T, G_max): it sends the variable X_i of W to the sector
+  J g_i, with g_i the i-th generator of the group of W^T (Krawitz,
+  arXiv:0906.0796); X_i is a generator only when that sector holds a
+  state, for a sector without states means X_i lies in the Jacobian ideal
+  of W;
 * values of weight-one words in the ring generators rho_i: each word is
   split into three insertions, every insertion is reduced to a multiple of
   a sector generator through narrow intermediate products, and all
@@ -52,16 +58,16 @@ value above is then one ``Fraction``
 over the scaled phases qL, a_k and node phases n of coordinate j (the 1/6
 terms cancel: 1 - 4 + 3 = 0).  The table seed (on basis positions, the
 correlator table's own keys), the node check of ``narrow_nodes``, the
-broad-sector count (on the int generators of the group) and the word
-feasibility test run on ints only.  The group never passes through
-``Fraction``s: each int element gets its ``Fraction`` label once, when the
-theory is built, and the ints are looked up by label from then on.
+broad-sector count and the mirror map (on the int generators of the
+group), the chart points of ``sector`` and the word feasibility test run
+on ints only.  The group never passes through ``Fraction``s: each int
+element gets its ``Fraction`` label once, when the theory is built, and
+the ints and labels are looked up by each other from then on.
 ``Fraction``s are made at the edge only, which is: the sector labels and
-gradings of ``FjrwSector`` (the keys of ``sectors``, the chart and the
-fixtures); the labels, gradings and pairing handed to ``CorrelatorTable``
-once per theory; the correlator values; the word reductions, which read
-the finished table by label; and the degrees that the exception messages
-report.
+gradings of ``FjrwSector`` (the keys of ``sectors``); the labels, gradings
+and pairing handed to ``CorrelatorTable`` once per theory; the correlator
+values; the word reductions, which read the finished table by label; and
+the degrees that the exception messages report.
 
 Entries whose catalog record marks the reconstruction as excluded (their
 state space is generated by broad classes) raise NeedsBroadFixture.
@@ -141,100 +147,88 @@ class FjrwTheory:
 
     The state space is derived from the exponent matrix alone: the sectors
     are the group of W^T, the grading element J is the sector q^T, the top
-    sector is its inverse 1 - q^T, and the broad dimensions are counted on
-    the staircases of the fixed loci (module docstring).  Of the catalog's fjrw
-    block only the chart (``scheme``), the ring generators ``rho``, the
-    fixtures and ``excluded`` (with its ``reason``) are read; the chart
-    only translates the integer indices of ``rho``, the fixtures and
-    :meth:`sector` into phase vectors.
+    sector is its inverse 1 - q^T, the broad dimensions are counted on the
+    staircases of the fixed loci, and the ring generators rho are the
+    sectors of Krawitz's mirror map (module docstring).  Of the catalog's
+    fjrw block only the chart (``scheme``), the fixtures and ``excluded``
+    (with its ``reason``) are read; the chart only translates the integer
+    indices of the fixtures and of :meth:`sector` into phase vectors.
     """
 
     def __init__(self, entry: CatalogEntry):
         raw = entry.fjrw or {}
         if not raw or raw.get("excluded"):
-            raise NeedsBroadFixture(
-                f"{entry.name}: {raw.get('reason', 'no state-space data')}"
-            )
+            raise NeedsBroadFixture(f"{entry.name}: {raw.get('reason', 'no state-space data')}")
         self.entry = entry
         self.name = entry.name
         self.mirror_charges = entry.polynomial.mirror_charges
 
         # the group of W^T on its int grid and its Fraction labels (module docstring)
         mirror = entry.polynomial.transpose()
-        scale, _, elements = group = mirror.group()
+        scale, generators, elements = group = mirror.group()
         self._scale = scale
         phase = [Fraction(k, scale) for k in range(scale)]
-        labels = {g: tuple(phase[k] for k in g) for g in elements}
+        self._labels = labels = {g: tuple(phase[k] for k in g) for g in elements}
         self._scaled = {th: g for g, th in labels.items()}
 
-        def on_grid(phases):
-            scaled = [parse_rat(x) * scale for x in phases]
-            if any(x.denominator != 1 for x in scaled):
-                raise DomainError(f"{entry.name}: chart phases {phases} are not symmetries")
-            return [int(x) for x in scaled]
+        def on_grid(key, phases):
+            """The int point of the chart's ``key`` (its offset or a step),
+            whose phases are ``phases``; a DomainError naming them unless
+            they are three rational strings that make a symmetry."""
+            try:
+                point = tuple(parse_rat(x) * scale % scale for x in phases)
+            except (AttributeError, TypeError, ValueError, ZeroDivisionError):
+                point = None
+            if not isinstance(phases, list) or point not in labels:
+                raise DomainError(f"{entry.name}: chart {key} {phases!r} is not a symmetry")
+            return tuple(map(int, point))
 
         try:
-            scheme, rho, fixtures = raw["scheme"], raw["rho"], raw.get("fixtures", {})
-            for key, block in (("scheme", scheme), ("rho", rho), ("fixtures", fixtures)):
+            scheme, fixtures = raw["scheme"], raw.get("fixtures", {})
+            for key, block in (("scheme", scheme), ("fixtures", fixtures)):
                 if not isinstance(block, Mapping):
                     raise DomainError(f"{entry.name}: the fjrw {key} must be an object, got {block!r}")
             offset, steps, orders = scheme["offset"], scheme["steps"], scheme["orders"]
         except KeyError as exc:
             raise DomainError(f"{entry.name}: the fjrw block has no {exc}") from None
-        if len(steps) != len(orders):
-            raise DomainError(f"{entry.name}: chart steps and orders must align")
-        offset = on_grid(offset)
-        steps = [on_grid(step) for step in steps]
-        self.orders = tuple(int(o) for o in orders)
-        self._chart: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
-        for index in product(*map(range, self.orders)):
-            theta = labels.get(tuple(
-                (offset[j] + sum(i * step[j] for i, step in zip(index, steps))) % scale
-                for j in range(3)
-            ))
-            if theta is None:
-                raise DomainError(
-                    f"{entry.name}: chart point {index} is not a symmetry"
-                )
-            self._chart[index] = theta
+        aligned = isinstance(orders, list) and isinstance(steps, list) and len(steps) == len(orders)
+        if not aligned or not all(type(o) is int and o > 0 for o in orders):
+            raise DomainError(f"{entry.name}: chart steps and orders must align, with positive int orders: {orders!r}")
+        # the group is closed, so a symmetric offset and steps make every chart point one
+        self._offset, self._steps = on_grid("offset", offset), [on_grid("step", step) for step in steps]
+        self.orders = tuple(orders)
 
         self.sectors = {s.theta: s for s in _sector_list(entry.name, mirror, group, labels)}
         self.identity = self.sectors[self.mirror_charges]
         self.top = self.sectors[self.inverse_theta(self.mirror_charges)]
-        self.rho = {
-            int(k): self.sector(v) for k, v in rho.items() if k != "top"
-        }
-        self.generators = tuple(sorted(self.rho))
+        self._scaled_q = q = self._scaled[self.identity.theta]
+        # Krawitz's mirror map sends X_i to the sector J g_i, g_i the i-th
+        # generator of the group of W^T; a sector without states means X_i
+        # lies in the Jacobian ideal of W, and X_i is no ring generator
+        images = (self.sectors[labels[tuple((a + b) % scale for a, b in zip(q, g))]] for g in generators)
+        self.rho = {i: s for i, s in enumerate(images, 1) if s.dim}
+        self.generators = tuple(self.rho)
 
         # the group, and so the sector dict, is in sorted order
         self._narrow = tuple(s for s in self.sectors.values() if s.narrow)
-        self.broad_dims = {
-            s.theta: s.dim
-            for s in self.sectors.values()
-            if not s.narrow and s.dim
-        }
+        self.broad_dims = {s.theta: s.dim for s in self.sectors.values() if not s.narrow and s.dim}
         if len(self._narrow) + sum(self.broad_dims.values()) != entry.polynomial.milnor_number:
             raise DomainError(f"{entry.name}: state space dimension mismatch")
-        self._scaled_q = q = self._scaled[self.identity.theta]
         self._scaled_broad = frozenset(self._scaled[t] for t in self.broad_dims)
         self._narrow_phases = phases = tuple(self._scaled[s.theta] for s in self._narrow)
-        # the node data of narrow_nodes: the node of every half, and the
-        # nodes that the empty extra and each one-slot extra rule out (a
-        # longer extra is added on first use)
-        basis = range(len(phases))
+        # the node of every half, and the nodes that each extra rules out,
+        # filled on first use (narrow_nodes)
         self._half_nodes = {
             (i, k): tuple((qj - a - b) % scale for qj, a, b in zip(q, phases[i], phases[k]))
-            for i, k in product(basis, repeat=2)
+            for i, k in product(range(len(phases)), repeat=2)
         }
-        self._blocked = {extra: self._blocked_nodes(extra) for extra in [(), *((i,) for i in basis)]}
+        self._blocked: dict[tuple[int, ...], frozenset] = {}
 
         values = []
         for key in ("threePoint", "fourPoint"):
             rows = fixtures.get(key, [])
             if not isinstance(rows, list) or not all(isinstance(f, Mapping) for f in rows):
-                raise DomainError(
-                    f"{entry.name}: the fjrw fixtures {key} must be a list of objects, got {rows!r}"
-                )
+                raise DomainError(f"{entry.name}: the fjrw fixtures {key} must be a list of objects, got {rows!r}")
             values.append(dict(self._fixture(key, f) for f in rows))
         self._fixture3, self._fixture4 = values
         self._table: CorrelatorTable | None = None
@@ -243,15 +237,17 @@ class FjrwTheory:
     # -- sector helpers ------------------------------------------------
 
     def sector(self, index: Sequence[int]) -> FjrwSector:
-        if not isinstance(index, (list, tuple)) or not all(type(i) is int for i in index):
-            raise DomainError(f"{self.name}: sector index {index!r} is not a list of integers")
-        if len(index) != len(self.orders):
-            raise DomainError(f"{self.name}: sector index {tuple(index)} needs {len(self.orders)} coordinates")
-        key = tuple(i % o for i, o in zip(index, self.orders))
-        return self.sectors[self._chart[key]]
-
-    def _sector_key(self, indices) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(sorted(self.sector(ix).theta for ix in indices))
+        """The sector at the chart index ``index``: the chart's offset plus
+        index_k times its step k, with index_k taken mod its order k; a
+        DomainError naming the entry unless ``index`` holds one int per
+        step."""
+        count = len(self.orders)
+        if not isinstance(index, (list, tuple)) or len(index) != count or not all(type(i) is int for i in index):
+            raise DomainError(f"{self.name}: sector index {index!r} is not a list of {count} integers")
+        point = self._offset
+        for i, o, step in zip(index, self.orders, self._steps):
+            point = tuple((p + i % o * x) % self._scale for p, x in zip(point, step))
+        return self.sectors[self._labels[point]]
 
     def _fixture(self, key: str, row: Mapping) -> tuple[tuple[tuple[Fraction, ...], ...], Fraction]:
         """(sector key, value) of one row of the fjrw fixtures ``key``; a
@@ -259,7 +255,7 @@ class FjrwTheory:
         sector indices and a rational string."""
         insertions, value = row.get("insertions"), row.get("value")
         if isinstance(insertions, list) and isinstance(value, str):
-            sectors = self._sector_key(insertions)
+            sectors = tuple(sorted(self.sector(ix).theta for ix in insertions))
             try:
                 return sectors, parse_rat(value)
             except (ValueError, ZeroDivisionError):
@@ -360,13 +356,11 @@ class FjrwTheory:
         they must not be used as identities on it.  Broad sectors of
         dimension zero carry no states and are harmless.
 
-        The check runs on scaled int group elements built with the theory:
-        the node (q - sum(left)) L mod L of every half, and per extra the
-        frozenset of those broad sectors shifted back by sum(q - x) L over
-        each Leibniz subset S of the extra, which a half's node must avoid.
-        The sets of the empty extra and of every one-slot extra are built
-        with the theory; a longer extra, which only a scan with more extra
-        slots offers, has its set built on first use and kept.
+        The check runs on scaled int group elements: the node (q -
+        sum(left)) L mod L of every half, built with the theory, and per
+        extra the frozenset of those broad sectors shifted back by sum(q -
+        x) L over each Leibniz subset S of the extra, which a half's node
+        must avoid; each extra has its set built on first use and kept.
         """
         blocked = self._blocked.get(extra)
         if blocked is None:
@@ -436,7 +430,7 @@ class FjrwTheory:
         product must stay narrow and every step constant must be a known
         three-point value.  All reduction orders are cross-checked.
         """
-        word = tuple(int(v) for v in word)
+        word = self._word(word)
         if word in self._reduce_cache:
             return self._reduce_cache[word]
         total = sum(word)
@@ -454,9 +448,7 @@ class FjrwTheory:
                 gen_sector = self.rho[self.generators[pos]]
                 if not gen_sector.narrow:
                     continue
-                sub = self.reduce_word(
-                    word[:pos] + (count - 1,) + word[pos + 1 :]
-                )
+                sub = self.reduce_word(word[:pos] + (count - 1,) + word[pos + 1 :])
                 if sub is None:
                     continue
                 c_sub, t_sub = sub
@@ -482,15 +474,28 @@ class FjrwTheory:
         self._reduce_cache[word] = result
         return result
 
+    def _word(self, word) -> tuple[int, ...]:
+        """``word`` as a tuple; a DomainError naming the entry unless it holds
+        one nonnegative int exponent per ring generator."""
+        count = len(self.generators)
+        if isinstance(word, (list, tuple)) and len(word) == count and all(type(v) is int and v >= 0 for v in word):
+            return tuple(word)
+        raise DomainError(f"{self.name}: word {word!r} needs {count} nonnegative integer exponents")
+
     def weight_one_words(self) -> tuple[tuple[int, ...], ...]:
-        """Exponent words in the ring generators with total charge one."""
-        ngen = len(self.generators)
-        monomials = self.entry.polynomial.degree_one_monomials()
-        return tuple(tuple(mono[:ngen]) for mono in monomials if not any(mono[ngen:]))
+        """Exponent words in the ring generators with total charge one: the
+        monomials of charge one in the variables X_i with i in
+        ``generators``, as their exponents of those variables."""
+        return tuple(
+            tuple(mono[i - 1] for i in self.generators)
+            for mono in self.entry.polynomial.degree_one_monomials()
+            if sum(mono[i - 1] for i in self.generators) == sum(mono)
+        )
 
     def word_feasible(self, word: Sequence[int]) -> bool:
         """Line bundle integrality for any three-insertion factorization
         (independent of the factorization: phases differ by integers)."""
+        word = self._word(word)
         scale, q, top = self._scale, self._scaled_q, self._scaled[self.top.theta]
         rho = [self._scaled[self.rho[g].theta] for g in self.generators]
         # 2 q_j minus the phase content of the word and the top sector, scaled
@@ -506,7 +511,7 @@ class FjrwTheory:
         computable from narrow data and fixtures.  All computable
         factorizations must agree.
         """
-        word = tuple(int(v) for v in word)
+        word = self._word(word)
         if not self.word_feasible(word):
             return Fraction(0), "infeasible"
         table = self.correlator_table()

@@ -13,7 +13,7 @@ import pytest
 import ises.fjrw
 from ises.fjrw import FjrwTheory, NeedsBroadFixture, sector_dimension
 from ises.isespoly import get_entry, load_catalog
-from ises.jacobi import JacobianAlgebra, groebner, normal_form
+from ises.jacobi import JacobianAlgebra, groebner, milnor_groebner, normal_form
 from ises.numcore import DomainError, MultiPoly, nullspace
 from ises.wdvv import MissingKey, _groups, check_residuals, propagate
 
@@ -206,16 +206,17 @@ def test_the_closed_tables_keep_every_key():
     assert tuple(map(sum, zip(*counts.values()))) == (645, 10, 63)
 
 
-def aside_dump() -> list[str]:
+def aside_dump(build=lambda entry: theory(entry.name)) -> list[str]:
     """Every A-side output of the 10 theories, one line each, in catalog
     order: each sector's phases, narrow flag, degree and dimension; rho,
     the identity and the top sector; the closed table's known values and
     open keys; the weight-one words and the residual count.  Then the
     NeedsBroadFixture message of each of the 3 broad entries.  Every value
-    is written by its repr."""
+    is written by its repr.  ``build`` makes the theory of a catalog
+    entry."""
     lines = []
     for name in NAMES:
-        th = theory(name)
+        th = build(get_entry(CATALOG, name))
         for s in th.sectors.values():
             lines.append(f"{name} sector {s.theta!r} {s.narrow} {s.degree!r} {s.dim}")
         lines.append(f"{name} rho {sorted((k, s.theta) for k, s in th.rho.items())!r}")
@@ -229,7 +230,7 @@ def aside_dump() -> list[str]:
     for entry in CATALOG:
         if entry.name not in NAMES:
             with pytest.raises(NeedsBroadFixture) as exc:
-                FjrwTheory(entry)
+                build(entry)
             lines.append(f"{entry.name} broad {exc.value}")
     return lines
 
@@ -242,8 +243,40 @@ def test_the_aside_outputs_are_pinned():
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert (len(lines), digest) == (
         967,
-        "001db54b4395626e3218660fd667903c0b813d199566e59bcb3ec9e15908c490",
+        "dd3fe75a9d2449cd3901b4742d39dd77139bc34485f8b9f09844aa51d3ed5887",
     )
+
+
+# Each key of the catalog's fjrw blocks: READ when FjrwTheory reads it, else
+# the test that checks it, as a frozen oracle, against what FjrwTheory derives
+READ = "read"
+FJRW_KEYS = {
+    "scheme": READ,
+    "fixtures": READ,
+    "excluded": READ,
+    "reason": READ,
+    "J": "test_the_frozen_state_space_fields_match_the_derived_ones",
+    "rho": "test_the_frozen_state_space_fields_match_the_derived_ones",
+    "narrow": "test_the_frozen_state_space_fields_match_the_derived_ones",
+    "broad": "test_the_frozen_state_space_fields_match_the_derived_ones",
+    "deg1Words": "test_resolved_words_match_the_literature",
+    "oracles": "test_e6_loop222_fourpoint_oracles",
+}
+
+
+def test_the_fjrw_key_table_covers_every_catalog_key():
+    keys = {key for entry in CATALOG if entry.fjrw for key in entry.fjrw}
+    assert keys == set(FJRW_KEYS)
+    for check in set(FJRW_KEYS.values()) - {READ}:
+        assert callable(globals()[check]), check
+
+
+def test_a_theory_reads_only_the_read_keys():
+    def stripped(entry):
+        block = {key: value for key, value in entry.fjrw.items() if FJRW_KEYS[key] == READ}
+        return FjrwTheory(dataclasses.replace(entry, fjrw=block))
+
+    assert aside_dump(stripped) == aside_dump()
 
 
 def test_residual_checks_on_all_tables():
@@ -344,8 +377,10 @@ def test_wdvv_closes_the_five_point_layer():
 
 def test_a_two_slot_scan_builds_each_node_set_once(monkeypatch):
     th = FjrwTheory(get_entry(CATALOG, "e7-loop33"))
+    assert th._blocked == {}
     table = five_point_layer(th)[0]
     one_slot = dict(th._blocked)
+    assert {len(extra) for extra in one_slot} == {0, 1}
     built = []
     original = th._blocked_nodes
 
@@ -355,8 +390,8 @@ def test_a_two_slot_scan_builds_each_node_set_once(monkeypatch):
 
     monkeypatch.setattr(th, "_blocked_nodes", counted)
     first = check_residuals(table, extra_slots=2, admissible=th.narrow_nodes)
-    # the theory built the empty and one-slot extras' sets; the scan adds
-    # each two-slot extra's set once
+    # closing the table built the empty and one-slot extras' sets on first
+    # use; the scan adds each two-slot extra's set once
     assert built and {len(extra) for extra in built} == {2}
     assert len(built) == len(set(built))
     assert set(th._blocked) == set(one_slot) | set(built)
@@ -549,6 +584,29 @@ def test_word_feasible_matches_the_fraction_form(name):
         assert verdict == fraction_word_feasible(th, word), word
         verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+# Words that are not one nonnegative int exponent per ring generator: too
+# short, too long, with a float, a negative or a bool exponent, or a string
+BAD_WORDS = [
+    ("e6-fermat", (3,)),
+    ("e6-fermat", (3, 0, 0, 0)),
+    ("e6-fermat", (1.5, 1.5, 0)),
+    ("e6-fermat", (-1, 2, 2)),
+    ("e6-fermat", (True, 1, 1)),
+    ("e6-fermat", "300"),
+    ("e7-fermat", (4,)),
+    ("e7-fermat", (4, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("name, word", BAD_WORDS)
+@pytest.mark.parametrize("method", ["word_value", "reduce_word", "word_feasible"])
+def test_a_malformed_word_is_rejected_naming_the_entry(name, word, method):
+    th = theory(name)
+    count = len(th.generators)
+    with pytest.raises(DomainError, match=f"^{name}: word .* needs {count} nonnegative integer exponents$"):
+        getattr(th, method)(word)
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -763,9 +821,31 @@ def test_the_frozen_state_space_fields_match_the_derived_ones(name):
     assert th.identity.theta == th.mirror_charges
     assert th.sector(block["rho"]["top"]) is th.top
     assert th.top.degree == 1
+    frozen = {int(k): th.sector(ix) for k, ix in block["rho"].items() if k != "top"}
+    if name == "e6-loop222":
+        # Krawitz's map composed with the symmetry x -> y -> z of x^2 y + y^2 z + z^2 x
+        assert frozen != th.rho
+        assert frozen == {i: th.rho[i % 3 + 1] for i in th.rho}
+    else:
+        assert frozen == th.rho
     assert block["narrow"] == sum(s.narrow for s in th.sectors.values())
     frozen = {th.sector(b["index"]).theta: b["dim"] for b in block["broad"]}
     assert frozen == th.broad_dims
+
+
+def test_the_generators_are_the_variables_outside_the_jacobian_ideal():
+    dropped = {}
+    for name in NAMES:
+        poly = get_entry(CATALOG, name).polynomial
+        basis = milnor_groebner(poly)
+        outside = tuple(i for i in (1, 2, 3) if normal_form(MultiPoly.variable(i - 1), basis, poly.charges))
+        assert theory(name).generators == outside, name
+        if outside != (1, 2, 3):
+            dropped[name] = (outside, poly.exponents)
+    # each dropped variable is z, and W holds it only in a lone Morse term z^2
+    assert sorted(dropped) == ["e7-chain34", "e7-fermat", "e7-loop33", "e8-chain43", "e8-fermat"]
+    for outside, rows in dropped.values():
+        assert outside == (1, 2) and rows[2] == (0, 0, 2) and rows[0][2] == rows[1][2] == 0
 
 
 def with_fjrw(name, edit):
@@ -801,7 +881,7 @@ def test_a_chart_with_more_orders_than_steps_is_rejected():
         FjrwTheory(with_fjrw("e7-fermat", edit))
 
 
-@pytest.mark.parametrize("key", ["scheme", "rho"])
+@pytest.mark.parametrize("key", ["scheme"])
 def test_an_fjrw_block_without_its_chart_or_generators_is_rejected(key):
     def edit(block):
         del block[key]
@@ -810,21 +890,13 @@ def test_an_fjrw_block_without_its_chart_or_generators_is_rejected(key):
         FjrwTheory(with_fjrw("e6-fermat", edit))
 
 
-@pytest.mark.parametrize("key, value", [("scheme", 5), ("rho", ["0", "1"])])
+@pytest.mark.parametrize("key, value", [("scheme", 5)])
 def test_an_fjrw_chart_or_generators_that_is_not_an_object_is_rejected(key, value):
     def edit(block):
         block[key] = value
 
     with pytest.raises(DomainError, match=f"^e6-fermat: the fjrw {key} must be an object"):
         FjrwTheory(with_fjrw("e6-fermat", edit))
-
-
-def test_a_rho_index_of_the_wrong_arity_is_rejected():
-    def edit(block):
-        block["rho"]["1"] = [2]
-
-    with pytest.raises(DomainError, match=r"e8-fermat: sector index \(2,\) needs 2 coordinates"):
-        FjrwTheory(with_fjrw("e8-fermat", edit))
 
 
 def fixture_row(value):
@@ -848,7 +920,19 @@ def bad_row(key, row):
             lambda block: block.update(fixtures={"threePoint": 5}),
             "the fjrw fixtures threePoint must be a list of objects, got 5",
         ),
-        (lambda block: block["rho"].update({"1": 5}), "sector index 5 is not a list of integers"),
+        (
+            lambda block: block["scheme"].update(offset=["x", "0", "0"]),
+            re.escape("chart offset ['x', '0', '0'] is not a symmetry"),
+        ),
+        (lambda block: block["scheme"].update(offset=5), "chart offset 5 is not a symmetry"),
+        (
+            lambda block: block["scheme"].update(orders=[3, 3, "a"]),
+            re.escape("chart steps and orders must align, with positive int orders: [3, 3, 'a']"),
+        ),
+        (
+            lambda block: block["scheme"].update(steps=[["1/0", "0", "0"], ["0", "1/3", "0"], ["0", "0", "1/3"]]),
+            re.escape("chart step ['1/0', '0', '0'] is not a symmetry"),
+        ),
         (
             lambda block: block.update(fixtures={"threePoint": [{}]}),
             bad_row("threePoint", {}),
@@ -866,7 +950,18 @@ def bad_row(key, row):
             bad_row("threePoint", fixture_row([])),
         ),
     ],
-    ids=["fixtures", "threePoint", "rho", "row-empty", "insertions-int", "value-x", "value-list"],
+    ids=[
+        "fixtures",
+        "threePoint",
+        "offset-x",
+        "offset-int",
+        "orders-a",
+        "step-zero-denominator",
+        "row-empty",
+        "insertions-int",
+        "value-x",
+        "value-list",
+    ],
 )
 def test_a_malformed_fjrw_block_is_rejected_naming_the_entry(edit, message):
     with pytest.raises(DomainError, match=f"^e6-fermat: {message}$"):

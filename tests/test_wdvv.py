@@ -644,14 +644,17 @@ def test_a_pairing_that_is_not_homogeneous_is_rejected():
 def test_a_second_scan_adds_no_node_data(name):
     theory = ises.fjrw.FjrwTheory(get_entry(CATALOG, name))
     halves, blocked = theory._half_nodes, theory._blocked
-    built = (dict(halves), dict(blocked))
-    # every ordered half of the narrow basis, and the empty and one-slot extras
-    n = len(theory.correlator_table().labels)
-    assert len(halves) == n * n
-    assert set(blocked) == {(), *((i,) for i in range(n))}
+    assert blocked == {}
     table = theory.correlator_table()
     first = check_residuals(table, admissible=theory.narrow_nodes)
     assert first > 0
+    # every ordered half of the narrow basis, built with the theory, and the
+    # empty and one-slot extras, whose node sets the closure and the first
+    # scan built on first use
+    n = len(table.labels)
+    assert len(halves) == n * n
+    assert set(blocked) == {(), *((i,) for i in range(n))}
+    built = (dict(halves), dict(blocked))
     assert check_residuals(table, admissible=theory.narrow_nodes) == first
     assert theory._half_nodes is halves and theory._blocked is blocked
     assert (halves, blocked) == built
