@@ -20,10 +20,13 @@ Computed from first principles:
   arXiv:0906.0796); it depends on S only;
 * line bundle degrees d_j = q_j^T (2g - 2 + n) - sum_k Theta_j(h_k) and
   their integrality (the correlator vanishes unless all d_j are integers);
-* three-point values on narrow sectors: 1 when every d_j = -1, and a
-  frozen fixture (or an unknown to be solved by associativity) when some
-  d_j >= 0; on the degree budget sum_j d_j = -1 - 2 sum_i q_i^T = -3, so
-  there is no third case;
+* three-point values on narrow sectors, by the genus-zero axioms (Fan,
+  Jarvis and Ruan, arXiv:0712.4021): on the degree budget sum_j d_j = -1 -
+  2 sum_i q_i^T = -3, so either every d_j = -1 and concavity gives 1, or
+  some d_j >= 0.  When the degrees are 0, -1 and -2, Index Zero gives -a,
+  with x_j^a x_k the monomial of W^T led by the degree-0 variable x_j,
+  where x_k is the degree -2 variable (see ``FjrwTheory._threepoint``); any
+  other key is an unknown to be solved by associativity;
 * concave four-point values by the genus-zero Riemann-Roch formula
       sum_{i=1..3} (1/2) ( B2(q_i^T) - sum_{j=1..4} B2(Theta_i(h_j))
                            + sum_{channels} B2(Theta_i(node)) ),
@@ -149,10 +152,12 @@ class FjrwTheory:
     are the group of W^T, the grading element J is the sector q^T, the top
     sector is its inverse 1 - q^T, the broad dimensions are counted on the
     staircases of the fixed loci, and the ring generators rho are the
-    sectors of Krawitz's mirror map (module docstring).  Of the catalog's
-    fjrw block only the chart (``scheme``), the fixtures and ``excluded``
-    (with its ``reason``) are read; the chart only translates the integer
-    indices of the fixtures and of :meth:`sector` into phase vectors.
+    sectors of Krawitz's mirror map, and the three-point values follow from
+    the degree axioms (module docstring).  Of the catalog's fjrw block only
+    the chart's offset and steps (``scheme``), the four-point fixtures and
+    ``excluded`` (with its ``reason``) are read; the chart only translates
+    the integer indices of the fixtures and of :meth:`sector` into phase
+    vectors.
     """
 
     def __init__(self, entry: CatalogEntry):
@@ -165,6 +170,7 @@ class FjrwTheory:
 
         # the group of W^T on its int grid and its Fraction labels (module docstring)
         mirror = entry.polynomial.transpose()
+        self._mirror_rows = mirror.exponents  # the monomials of W^T, for Index Zero
         scale, generators, elements = group = mirror.group()
         self._scale = scale
         phase = [Fraction(k, scale) for k in range(scale)]
@@ -188,15 +194,13 @@ class FjrwTheory:
             for key, block in (("scheme", scheme), ("fixtures", fixtures)):
                 if not isinstance(block, Mapping):
                     raise DomainError(f"{entry.name}: the fjrw {key} must be an object, got {block!r}")
-            offset, steps, orders = scheme["offset"], scheme["steps"], scheme["orders"]
+            offset, steps = scheme["offset"], scheme["steps"]
         except KeyError as exc:
             raise DomainError(f"{entry.name}: the fjrw block has no {exc}") from None
-        aligned = isinstance(orders, list) and isinstance(steps, list) and len(steps) == len(orders)
-        if not aligned or not all(type(o) is int and o > 0 for o in orders):
-            raise DomainError(f"{entry.name}: chart steps and orders must align, with positive int orders: {orders!r}")
+        if not isinstance(steps, list):
+            raise DomainError(f"{entry.name}: chart steps {steps!r} must be a list")
         # the group is closed, so a symmetric offset and steps make every chart point one
         self._offset, self._steps = on_grid("offset", offset), [on_grid("step", step) for step in steps]
-        self.orders = tuple(orders)
 
         self.sectors = {s.theta: s for s in _sector_list(entry.name, mirror, group, labels)}
         self.identity = self.sectors[self.mirror_charges]
@@ -224,13 +228,12 @@ class FjrwTheory:
         }
         self._blocked: dict[tuple[int, ...], frozenset] = {}
 
-        values = []
-        for key in ("threePoint", "fourPoint"):
-            rows = fixtures.get(key, [])
-            if not isinstance(rows, list) or not all(isinstance(f, Mapping) for f in rows):
-                raise DomainError(f"{entry.name}: the fjrw fixtures {key} must be a list of objects, got {rows!r}")
-            values.append(dict(self._fixture(key, f) for f in rows))
-        self._fixture3, self._fixture4 = values
+        # e6-chain233's four-point value with two broad insertions stays a
+        # fixture until the table covers the broad state space (ROADMAP item 7)
+        rows = fixtures.get("fourPoint", [])
+        if not isinstance(rows, list) or not all(isinstance(f, Mapping) for f in rows):
+            raise DomainError(f"{entry.name}: the fjrw fixtures fourPoint must be a list of objects, got {rows!r}")
+        self._fixture4 = dict(map(self._fixture, rows))
         self._table: CorrelatorTable | None = None
         self._reduce_cache: dict = {}
 
@@ -238,19 +241,20 @@ class FjrwTheory:
 
     def sector(self, index: Sequence[int]) -> FjrwSector:
         """The sector at the chart index ``index``: the chart's offset plus
-        index_k times its step k, with index_k taken mod its order k; a
-        DomainError naming the entry unless ``index`` holds one int per
-        step."""
-        count = len(self.orders)
+        index_k times its step k, mod 1, so each index_k is read mod the order
+        of step k in the group; a DomainError naming the entry unless
+        ``index`` holds one int per step."""
+        count = len(self._steps)
         if not isinstance(index, (list, tuple)) or len(index) != count or not all(type(i) is int for i in index):
             raise DomainError(f"{self.name}: sector index {index!r} is not a list of {count} integers")
-        point = self._offset
-        for i, o, step in zip(index, self.orders, self._steps):
-            point = tuple((p + i % o * x) % self._scale for p, x in zip(point, step))
+        point = tuple(
+            (p + sum(i * step[j] for i, step in zip(index, self._steps))) % self._scale
+            for j, p in enumerate(self._offset)
+        )
         return self.sectors[self._labels[point]]
 
-    def _fixture(self, key: str, row: Mapping) -> tuple[tuple[tuple[Fraction, ...], ...], Fraction]:
-        """(sector key, value) of one row of the fjrw fixtures ``key``; a
+    def _fixture(self, row: Mapping) -> tuple[tuple[tuple[Fraction, ...], ...], Fraction]:
+        """(sector key, value) of one row of the four-point fixtures; a
         DomainError naming the entry and the row unless it holds a list of
         sector indices and a rational string."""
         insertions, value = row.get("insertions"), row.get("value")
@@ -261,7 +265,7 @@ class FjrwTheory:
             except (ValueError, ZeroDivisionError):
                 pass
         raise DomainError(
-            f"{self.name}: the fjrw fixtures {key} row {dict(row)!r} needs a list of "
+            f"{self.name}: the fjrw fixtures fourPoint row {dict(row)!r} needs a list of "
             "sector indices as insertions and a rational string as value"
         )
 
@@ -277,18 +281,32 @@ class FjrwTheory:
     def _threepoint(self, phases) -> int | None:
         """The three-point value of narrow phases scaled by L on the degree
         budget, when the degrees decide it: 0 when the line bundle degrees
-        are not integral, 1 when every degree is -1, else None (some degree
-        >= 0: the value is a frozen fixture or unknown).
+        are not integral, 1 when every degree is -1 (concavity), -a when
+        they are 0, -1 and -2, with x_j^a x_k the monomial of W^T that the
+        degree-0 variable x_j leads (Index Zero), else None (an unknown).
 
         On the budget sum(phases) = L + 3 sum(q) and sum(q) = L (the
         charges of W^T sum to 1), so the scaled degrees sum to -3L: all
-        of them <= -L forces every one to be -L."""
+        of them <= -L forces every one to be -L.  A monomial x^r of W^T
+        has r.q = 1 and r.Theta a positive integer on each narrow
+        insertion, so r.d <= 1 - 3 = -2 over three insertions; with d_j = 0
+        the monomial that x_j leads must then hold the one variable x_k of
+        degree -2, to the first power.  With degrees 0, -1 and -2 the
+        bundles have h^0 = 1 (L_j) and h^1 = 1 (L_k) and nothing else, so
+        the moduli and obstruction spaces both have rank D = 1, and the
+        Index Zero axiom gives (-1)^D times the degree of the Witten map
+        H^0(L_j) -> H^1(L_k).  That map is d W^T / d x_k = x_j^a, so s ->
+        s^a, of degree a (Fan-Jarvis-Ruan, arXiv:0712.4021; Krawitz,
+        arXiv:0906.0796)."""
         scale = self._scale
         d = self._degrees(phases)
         if any(dj % scale for dj in d):
             return 0
         if all(dj == -scale for dj in d):
             return 1
+        if sorted(d) == [-2 * scale, -scale, 0]:
+            j = d.index(0)
+            return -self._mirror_rows[j][j]
         return None
 
     def _degrees(self, phases) -> tuple[int, ...]:
@@ -403,8 +421,6 @@ class FjrwTheory:
 
         for key, trip_phases in on_budget(3):
             value = self._threepoint(trip_phases)
-            if value is None:
-                value = self._fixture3.get(tuple(labels[i] for i in key[0]))
             if value is None:
                 table._declare_key(key)
             else:

@@ -464,16 +464,17 @@ def test_routed_residuals_on_the_fjrw_tables(name):
 
 
 def test_routed_residuals_without_the_node_filter():
-    # e6-chain233's narrow table keeps unknowns
-    table = fjrw_theory("e6-chain233").correlator_table()
+    # e7-chain322's narrow table keeps 4 unknowns
+    table = fjrw_theory("e7-chain322").correlator_table()
+    assert len(table.unknown_keys) == 4
     assert table.copy()._dual_groups is table._dual_groups
     shapes = assert_routed_residuals(table, (0,))
-    assert shapes == {"quadratic": 0, "constant": 0, "linear": 4}
-    # the quadratic instances of this table all set a pairing against itself
-    # and are left out of the scan; the full scan still routes them
+    assert shapes == {"quadratic": 0, "constant": 0, "linear": 10}
+    # the scan takes each relation once; the full scan, repeats included,
+    # still routes the rest, here two more linear ones
     full = reference_instances(table, 1, (0,), None)
     shapes = assert_routed_residuals(table, (0,), instances=full)
-    assert shapes["quadratic"] and shapes["linear"]
+    assert shapes == {"quadratic": 0, "constant": 0, "linear": 12}
 
 
 def budget_tables():
