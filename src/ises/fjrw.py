@@ -43,10 +43,13 @@ Computed from first principles:
   arXiv:0906.0796); X_i is a generator only when that sector holds a
   state, for a sector without states means X_i lies in the Jacobian ideal
   of W;
-* values of weight-one words in the ring generators rho_i: each word is
-  split into three insertions, every insertion is reduced to a multiple of
-  a sector generator through narrow intermediate products, and all
-  factorizations of a word are cross-checked to agree.
+* values of weight-one words in the ring generators rho_i: the group
+  grading puts a product e_a e_b in the one sector a + b - J, so a word's
+  sector is its group point sum_i w_i rho_i - (|w| - 1) J, whatever the
+  order of its letters; each word is split into three insertions, every
+  insertion is reduced to a multiple of its sector's generator through
+  narrow intermediate products, and only the constants of the reduction
+  orders and the values of the factorizations are cross-checked to agree.
 
 The group of W^T is read on its int grid, as
 :meth:`ises.isespoly.InvertiblePolynomial.group` gives it: L is the lcm of
@@ -62,7 +65,7 @@ over the scaled phases qL, a_k and node phases n of coordinate j (the 1/6
 terms cancel: 1 - 4 + 3 = 0).  The table seed (on basis positions, the
 correlator table's own keys), the node check of ``narrow_nodes``, the
 broad-sector count and the mirror map (on the int generators of the
-group), the chart points of ``sector`` and the word feasibility test run
+group), the chart points of ``sector`` and the group points of words run
 on ints only.  The group never passes through ``Fraction``s: each int
 element gets its ``Fraction`` label once, when the theory is built, and
 the ints and labels are looked up by each other from then on.
@@ -212,6 +215,7 @@ class FjrwTheory:
         images = (self.sectors[labels[tuple((a + b) % scale for a, b in zip(q, g))]] for g in generators)
         self.rho = {i: s for i, s in enumerate(images, 1) if s.dim}
         self.generators = tuple(self.rho)
+        self._scaled_rho = [self._scaled[s.theta] for s in self.rho.values()]
 
         # the group, and so the sector dict, is in sorted order
         self._narrow = tuple(s for s in self.sectors.values() if s.narrow)
@@ -271,10 +275,6 @@ class FjrwTheory:
 
     def inverse_theta(self, theta) -> tuple[Fraction, ...]:
         return tuple(-t % 1 for t in theta)
-
-    def product_theta(self, t1, t2) -> tuple[Fraction, ...]:
-        """Sector of a product: phases add, minus one grading-element twist."""
-        return tuple((a + b - q) % 1 for a, b, q in zip(t1, t2, self.mirror_charges))
 
     # -- three-point values over narrow sectors -------------------------
 
@@ -409,14 +409,12 @@ class FjrwTheory:
             (s.theta, self.inverse_theta(s.theta)): Fraction(1) for s in narrow
         }
         table = CorrelatorTable(labels, pairing, degrees=degrees)
-        # deg(e_h) L, so the budget sum deg = n - 2 is checked on basis positions
-        weight = [sum(p) - sum(self._scaled_q) for p in phases]
 
         def on_budget(n):
-            """Sorted basis positions on the budget, as the table's keys
-            (module wdvv), with their scaled phases."""
+            """Sorted basis positions on the table's degree budget, as its
+            keys (module wdvv), with their scaled phases."""
             for ins in combinations_with_replacement(range(len(labels)), n):
-                if sum(weight[i] for i in ins) == (n - 2) * scale:
+                if table._budget_ok(ins):
                     yield (ins, 0), [phases[i] for i in ins]
 
         for key, trip_phases in on_budget(3):
@@ -442,53 +440,54 @@ class FjrwTheory:
     def reduce_word(self, word: Sequence[int]):
         """Express rho^word as (constant, sector theta); None when blocked.
 
-        Reduction multiplies one generator at a time; every intermediate
-        product must stay narrow and every step constant must be a known
-        three-point value.  All reduction orders are cross-checked.
+        The sector is the group point of the word (:meth:`_point`), the same
+        in every reduction order.  A word of two or more letters whose point
+        is broad is blocked.  Otherwise reduction multiplies one generator
+        at a time; every intermediate product must stay narrow and every
+        step constant must be a known three-point value.  The constants of
+        all reduction orders are cross-checked: more than one distinct
+        constant raises InconsistentSystem.
         """
         word = self._word(word)
         if word in self._reduce_cache:
             return self._reduce_cache[word]
-        total = sum(word)
-        if total == 0:
-            result = (Fraction(1), self.identity.theta)
-        elif total == 1:
-            gen = self.generators[word.index(1)]
-            result = (Fraction(1), self.rho[gen].theta)
+        target = self._labels[self._point(word)]
+        if sum(word) < 2:
+            result = (Fraction(1), target)
+        elif not self.sectors[target].narrow:
+            result = None
         else:
             table = self.correlator_table()
-            candidates = set()
+            dual = self.inverse_theta(target)
+            constants = set()
             for pos, count in enumerate(word):
-                if not count:
-                    continue
                 gen_sector = self.rho[self.generators[pos]]
-                if not gen_sector.narrow:
+                if not count or not gen_sector.narrow:
                     continue
                 sub = self.reduce_word(word[:pos] + (count - 1,) + word[pos + 1 :])
-                if sub is None:
+                if sub is None or not self.sectors[sub[1]].narrow:
                     continue
-                c_sub, t_sub = sub
-                if not self.sectors[t_sub].narrow:
-                    continue
-                target = self.product_theta(t_sub, gen_sector.theta)
-                dual = self.inverse_theta(target)
-                if not self.sectors[dual].narrow:
-                    continue
-                constant = table.value((t_sub, gen_sector.theta, dual))
-                if constant is None:
-                    continue
-                candidates.add((c_sub * constant, target))
-            zero = {c for c in candidates if c[0] == 0}
-            if not candidates:
-                result = None
-            elif len(candidates - zero) > 1 or (zero and candidates - zero):
+                constant = table.value((sub[1], gen_sector.theta, dual))
+                if constant is not None:
+                    constants.add(sub[0] * constant)
+            if len(constants) > 1:
                 raise InconsistentSystem(
-                    f"{self.name}: word {word} reduces ambiguously: {candidates}"
+                    f"{self.name}: word {word} reduces ambiguously: {constants}"
                 )
-            else:
-                result = next(iter(candidates))
+            result = (constants.pop(), target) if constants else None
         self._reduce_cache[word] = result
         return result
+
+    def _point(self, word: tuple[int, ...]) -> tuple[int, ...]:
+        """The sector of rho^word as an int point: (sum_i w_i rho_i - (|w| -
+        1) q) L mod L.  It is the product rule (phases add, minus one twist
+        by the grading element q) folded over the word, so every reduction
+        order and every factorization of the word lands on it."""
+        n, scale = sum(word), self._scale
+        return tuple(
+            (sum(w * r[j] for w, r in zip(word, self._scaled_rho)) - (n - 1) * qj) % scale
+            for j, qj in enumerate(self._scaled_q)
+        )
 
     def _word(self, word) -> tuple[int, ...]:
         """``word`` as a tuple; a DomainError naming the entry unless it holds
@@ -510,97 +509,64 @@ class FjrwTheory:
 
     def word_feasible(self, word: Sequence[int]) -> bool:
         """Line bundle integrality for any three-insertion factorization
-        (independent of the factorization: phases differ by integers)."""
-        word = self._word(word)
-        scale, q, top = self._scale, self._scaled_q, self._scaled[self.top.theta]
-        rho = [self._scaled[self.rho[g].theta] for g in self.generators]
-        # 2 q_j minus the phase content of the word and the top sector, scaled
-        return all(
-            ((sum(word) - 1) * qj - sum(v * r[j] for v, r in zip(word, rho)) - top[j]) % scale == 0
-            for j, qj in enumerate(q)
-        )
+        with the top sector: its degrees are d_j = q_j - point_j mod 1, with
+        point the group point of the word, so it is integral exactly when
+        the point is the grading element J = q."""
+        return self._point(self._word(word)) == self._scaled_q
 
-    def word_value(self, word: Sequence[int]):
+    def word_value(self, word: Sequence[int]) -> Fraction | None:
         """Value of <Xi(rho), rho_top> for a weight-one word Xi.
 
-        Returns (value, route) with value None when no factorization is
-        computable from narrow data and fixtures.  All computable
-        factorizations must agree.
+        None when no factorization is computable from narrow data and
+        fixtures.  Every factorization lands on the word's one group point,
+        so only the values are cross-checked: computable factorizations
+        that disagree raise InconsistentSystem.
         """
         word = self._word(word)
         if not self.word_feasible(word):
-            return Fraction(0), "infeasible"
+            return Fraction(0)
         table = self.correlator_table()
-        candidates: dict[Fraction, str] = {}
-        blocked = 0
+        values = set()
         for parts in _three_partitions(word):
             reduced = [self.reduce_word(p) for p in parts]
-            if all(
-                r is not None and self.sectors[r[1]].narrow for r in reduced
-            ):
-                constants = [r[0] for r in reduced]
-                if any(c == 0 for c in constants):
+            if None in reduced:
+                continue
+            constants, thetas = zip(*reduced)
+            if all(self.sectors[t].narrow for t in thetas):
+                if 0 in constants:
                     # a part that multiplies to zero is not a factorization
                     # of the (nonzero) monomial Xi, so this route says nothing
-                    blocked += 1
                     continue
-                thetas = [r[1] for r in reduced] + [self.top.theta]
-                value = table.value(thetas)
-                if value is None:
-                    blocked += 1
-                    continue
-                candidates.setdefault(prod(constants) * value, "sector-table")
-            elif all(sum(p) == 1 for p in parts):
-                sectors = [
-                    self.rho[self.generators[p.index(1)]].theta for p in parts
-                ]
-                key = tuple(sorted(sectors + [self.top.theta]))
+                value = table.value(thetas + (self.top.theta,))
+                if value is not None:
+                    values.add(prod(constants) * value)
+            elif sum(word) == 3:
+                # three single letters, some broad: a four-point fixture
+                key = tuple(sorted(thetas + (self.top.theta,)))
                 if key in self._fixture4:
-                    candidates.setdefault(self._fixture4[key], "fixture")
-                else:
-                    blocked += 1
-            else:
-                blocked += 1
-        if not candidates:
-            return None, f"unresolved ({blocked} blocked factorizations)"
-        if len(candidates) > 1:
+                    values.add(self._fixture4[key])
+        if len(values) > 1:
             raise InconsistentSystem(
-                f"{self.name}: word {word} factorizations disagree: {candidates}"
+                f"{self.name}: word {word} factorizations disagree: {values}"
             )
-        return candidates.popitem()
+        return values.pop() if values else None
 
     def fourpoint_words(self) -> dict[tuple[int, ...], Fraction | None]:
         """All weight-one words with their four-point values (None when the
         narrow data plus fixtures cannot decide)."""
-        return {w: self.word_value(w)[0] for w in self.weight_one_words()}
+        return {w: self.word_value(w) for w in self.weight_one_words()}
 
 
-def _three_partitions(word: tuple[int, ...]):
+def _three_partitions(word: tuple[int, ...]) -> set:
     """Unordered splittings of an exponent vector into three nonzero parts."""
-    seen = set()
-    for first in _subvectors(word):
-        if not any(first):
-            continue
+    splits = set()
+    for first in product(*(range(w + 1) for w in word)):
         rest = tuple(w - f for w, f in zip(word, first))
-        for second in _subvectors(rest):
-            if not any(second):
-                continue
-            third = tuple(r - s for r, s in zip(rest, second))
-            if not any(third):
-                continue
-            key = tuple(sorted((first, second, third)))
-            if key not in seen:
-                seen.add(key)
-                yield key
-
-
-def _subvectors(bound: tuple[int, ...]):
-    if not bound:
-        yield ()
-        return
-    for rest in _subvectors(bound[1:]):
-        for i in range(bound[0] + 1):
-            yield (i,) + rest
+        for second in product(*(range(r + 1) for r in rest)):
+            split = (first, second, tuple(r - s for r, s in zip(rest, second)))
+            if all(map(any, split)):
+                splits.add(tuple(sorted(split)))
+    return splits
 
 
 def _sector_list(name: str, mirror, group, labels) -> tuple[FjrwSector, ...]:

@@ -97,10 +97,6 @@ class UniPoly:
     def const(cls, c) -> "UniPoly":
         return cls((Fraction(c),))
 
-    @classmethod
-    def variable(cls) -> "UniPoly":
-        return cls((0, 1))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -485,9 +481,6 @@ class MultiPoly:
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def coeff(self, exps):
-        return self.terms.get(tuple(exps), 0)
 
     def __add__(self, other):
         if not isinstance(other, MultiPoly):

@@ -98,16 +98,6 @@ class DeltaOperator:
         right.remove(c + self.step)
         return DeltaOperator(tuple(left), tuple(right), self.step, self.constant)
 
-    def to_text(self) -> str:
-        def factor(c: Rat) -> str:
-            if c == 0:
-                return "(d)"
-            return f"(d{'+' if c > 0 else '-'}{abs(c)})"
-
-        lhs = " ".join(factor(c) for c in self.left_roots)
-        rhs = " ".join(factor(c) for c in self.right_roots)
-        return f"{lhs} - ({self.constant}) s^{self.step} {rhs}"
-
 
 @dataclass(frozen=True)
 class HGWeights:

@@ -6,7 +6,7 @@ import hashlib
 import re
 from fractions import Fraction as F
 from functools import cache
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, permutations, product
 from math import lcm
 
 import pytest
@@ -16,7 +16,7 @@ from ises.fjrw import FjrwTheory, NeedsBroadFixture, sector_dimension
 from ises.isespoly import get_entry, load_catalog
 from ises.jacobi import JacobianAlgebra, groebner, milnor_groebner, normal_form
 from ises.numcore import DomainError, MultiPoly, nullspace
-from ises.wdvv import MissingKey, _groups, check_residuals, propagate
+from ises.wdvv import InconsistentSystem, MissingKey, _groups, check_residuals, propagate
 
 CATALOG = load_catalog()
 ENTRIES = [e for e in CATALOG if e.fjrw and not e.fjrw.get("excluded")]
@@ -629,6 +629,76 @@ def test_word_feasible_matches_the_fraction_form(name):
         assert verdict == fraction_word_feasible(th, word), word
         verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def fraction_word_sectors(th, word):
+    """The sectors of rho^word by the product rule theta_a + theta_b - q mod
+    1, in Fractions, folded from the identity over every order of the
+    word's letters."""
+    q = th.mirror_charges
+    letters = [g for count, g in zip(word, th.generators) for _ in range(count)]
+    sectors = set()
+    for order in set(permutations(letters)):
+        theta = q
+        for g in order:
+            theta = tuple((a + b - qj) % 1 for a, b, qj in zip(theta, th.rho[g].theta, q))
+        sectors.add(theta)
+    return sectors
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_every_reduction_order_lands_on_the_group_point(name):
+    th = theory(name)
+    subwords = {
+        sub for word in th.weight_one_words() for sub in product(*(range(v + 1) for v in word))
+    }
+    for sub in subwords:
+        assert fraction_word_sectors(th, sub) == {th._labels[th._point(sub)]}, sub
+
+
+def planted(name, key, shift, monkeypatch):
+    """A fresh theory of ``name`` whose closed table reads the value at the
+    label key ``key`` moved by ``shift``."""
+    th = FjrwTheory(get_entry(CATALOG, name))
+    table = th.correlator_table()
+    true_value = table.value
+    key = sorted(key)
+
+    def value(insertions, degree=0):
+        found = true_value(insertions, degree)
+        return found + shift if sorted(insertions) == key else found
+
+    monkeypatch.setattr(table, "value", value)
+    return th
+
+
+def test_reduction_orders_that_disagree_raise(monkeypatch):
+    # e8-fermat's rho_1^2 rho_2 reduces as rho_1 rho_2 times rho_1 and as
+    # rho_1^2 times rho_2, through two different three-point keys
+    name, word = "e8-fermat", (2, 1)
+    th = theory(name)
+    first, second = (th.rho[g].theta for g in th.generators)
+    dual = th.inverse_theta(th.reduce_word(word)[1])
+    keys = [(th.reduce_word((1, 1))[1], first, dual), (th.reduce_word((2, 0))[1], second, dual)]
+    assert all(th.correlator_table().value(key) for key in keys)
+    assert len({tuple(sorted(key)) for key in keys}) == 2
+    th = planted(name, keys[1], 1, monkeypatch)
+    with pytest.raises(InconsistentSystem, match=rf"^{name}: word \(2, 1\) reduces ambiguously"):
+        th.reduce_word(word)
+
+
+def test_factorizations_that_disagree_raise(monkeypatch):
+    # e8-fermat's word rho_1^6 factorizes as rho_1^2 rho_1^2 rho_1^2 and
+    # through other sectors, whose four-point keys differ
+    name, word = "e8-fermat", (6, 0)
+    th = theory(name)
+    assert th.word_value(word) is not None
+    half = th.reduce_word((2, 0))[1]
+    key = (half, half, half, th.top.theta)
+    assert th.correlator_table().value(key)
+    th = planted(name, key, 1, monkeypatch)
+    with pytest.raises(InconsistentSystem, match=rf"^{name}: word \(6, 0\) factorizations disagree"):
+        th.word_value(word)
 
 
 # Words that are not one nonnegative int exponent per ring generator: too

@@ -25,6 +25,7 @@ from ises.isespoly import (
     load_catalog,
 )
 from ises.jacobi import JacobianAlgebra, milnor_groebner, order_key, standard_monomials
+from ises.pfsolve import weight_report
 
 ALL_NAMES = [
     "e6-fermat",
@@ -105,6 +106,41 @@ def check_modular_block(where, d, fam):
         raise SchemaError(f"{where}: P at the puncture is {value}, not {d['PAtPuncture']}")
 
 
+# A local exponent difference 1/k of the period's 2F1 with k = 3 or 2 is a
+# finite monodromy of that order in SL2(Z), which fixes tau = e^(2 pi i/3)
+# (j = 0) or tau = i (j = 1728): an FJRW limit.  A difference of 0 is a
+# logarithm, a cusp with j = infinity: a GW limit.
+FINITE_MONODROMY = {Fraction(1, 3): 0, Fraction(1, 2): 1728}
+
+
+def exponent_differences(entry, m):
+    """The local exponent differences |1 - gamma|, |gamma - alpha - beta| and
+    |alpha - beta| at x = 0, 1 and infinity of the certified 2F1 weights of
+    (entry, m), x = C sigma^l, keyed by the catalog's names for those
+    limits."""
+    w, certified = weight_report(entry, m)
+    if not certified:
+        raise SchemaError(f"entry {entry.name} marginal {m}: weights not certified")
+    return {
+        "zero": abs(1 - w.gamma),
+        "puncture": abs(w.gamma - w.alpha - w.beta),
+        "infinity": abs(w.alpha - w.beta),
+    }
+
+
+def check_limits(where, d):
+    """jZero and every frozen limit of ``d`` against the exponent
+    differences of its first marginal."""
+    diffs = exponent_differences(_parse_entry(d), d["marginals"][0]["m"])
+    j = FINITE_MONODROMY.get(diffs["zero"])
+    if parse_rat(d["jZero"]) != j:
+        raise SchemaError(f"{where}: jZero {d['jZero']} should be {j}, by the difference {diffs['zero']} at 0")
+    for point, limit in d.get("limits", {}).items():
+        derived = "gw" if diffs[point] == 0 else "fjrw" if diffs[point] in FINITE_MONODROMY else None
+        if limit != derived:
+            raise SchemaError(f"{where}: limits.{point} {limit} should be {derived}, by the difference {diffs[point]}")
+
+
 def check_gepner_block(name, entries):
     """A Gepner reference lies in the member's (milnor, jZero) class, and
     phi and referencePhi are catalogued marginals of member and reference."""
@@ -160,6 +196,7 @@ def check_frozen_values(doc):
                 twhere = f"{where} twisted {row['r']}"
                 raise SchemaError(f"{twhere}: expected alpha + beta - gamma = {deg}")
         check_modular_block(where, d, MarginalData.derive(poly, d["marginals"][0]["m"]))
+        check_limits(where, d)
         if "K" in d:
             # K of the algebra of the first marginal, which is the default one
             k = JacobianAlgebra(_parse_entry(d)).k_constant
@@ -222,6 +259,27 @@ def edited(name, edit):
             "e7-fermat", lambda d: d.update(jZero="0"), "disagrees with jZero", id="jZero"
         ),
         pytest.param(
+            "e6-chain233", lambda d: d.update(jZero="0"), "jZero 0 should be 1728", id="jZero-derived"
+        ),
+        pytest.param(
+            "e6-fermat",
+            lambda d: d["limits"].update(infinity="fjrw"),
+            "limits.infinity fjrw should be gw",
+            id="limits-infinity",
+        ),
+        pytest.param(
+            "e8-fermat",
+            lambda d: d["limits"].update(infinity="gw"),
+            "limits.infinity gw should be fjrw",
+            id="limits-fjrw",
+        ),
+        pytest.param(
+            "e6-chain23",
+            lambda d: d["limits"].update(zero="gw"),
+            "limits.zero gw should be fjrw",
+            id="limits-zero",
+        ),
+        pytest.param(
             "e6-fermat",
             lambda d: d["punctures"].update(radicand="27"),
             "radicand must equal 1/C",
@@ -259,6 +317,27 @@ def test_the_oracle_flags_a_changed_frozen_value(name, edit, message):
         check_frozen_values(edited(name, edit))
 
 
+# The pairs whose difference at infinity is not that of their entry's first
+# marginal, against a frozen limits.infinity of gw (CHANGES.md, FOUND on
+# limits.infinity): the catalog's entry-level limit holds for the first
+# marginal only
+INFINITY_NOT_GW = [("e7-chain322", (1, 3, 0)), ("e7-chain322", (4, 0, 0)), ("e8-chain32", (4, 0, 1))]
+
+
+def test_every_pair_is_classified_at_each_limit(catalog):
+    not_gw = []
+    for entry in catalog:
+        first = exponent_differences(entry, entry.marginals[0].m)
+        for mar in entry.marginals:
+            diffs = exponent_differences(entry, mar.m)
+            # j(0) and the cusp at the puncture do not depend on the marginal
+            assert (diffs["zero"], diffs["puncture"]) == (first["zero"], 0), (entry.name, mar.m)
+            assert diffs["infinity"] in {0, *FINITE_MONODROMY}, (entry.name, mar.m)
+            if FROZEN[entry.name].get("limits", {}).get("infinity") == "gw" and diffs["infinity"]:
+                not_gw.append((entry.name, mar.m))
+    assert not_gw == INFINITY_NOT_GW
+
+
 # Each key of a bundled entry, of its marginal and twisted rows and of its
 # gepner and punctures blocks, with what checks it: the loader, a named
 # oracle test, or nothing yet, with the ROADMAP item that will check it.
@@ -272,14 +351,13 @@ KEY_CHECKS = {
     **dict.fromkeys(
         ["family", "milnor", "L", "K", "basis", "topMonomial"]
         + ["marginals.l", "marginals.lcm", "marginals.C", "marginals.weights"]
-        + ["jZero", "N", "jNumerator", "jDenominator", "P", "PAtPuncture"]
+        + ["jZero", "limits", "N", "jNumerator", "jDenominator", "P", "PAtPuncture"]
         + ["punctures.radicand", "punctures.index", "punctures.count"]
         + ["gepner.reference", "gepner.phi", "gepner.referencePhi"],
         ORACLE,
     ),
     "gepner.psi": "unchecked: ROADMAP item 15",
     "gepner.cells": "unchecked: ROADMAP item 15",
-    "limits": "unchecked: ROADMAP item 2",
     "infinityFjrw": "unchecked: ROADMAP item 11",
     "notes": "unchecked: free text",
 }

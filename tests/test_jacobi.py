@@ -934,8 +934,8 @@ def test_sigma_zero_flats_equal_the_q_sigma_coordinates_at_zero(name, m):
 def test_flat_polynomial_form():
     flat = algebra("e7-fermat").flat_first_order((2, 0, 0))
     poly = flat.polynomial()
-    assert poly.coeff((2, 0, 0)) == RatFun.const(1)
-    assert poly.coeff((0, 2, 0)) == RatFun.variable() * F(1, 4)
+    assert poly.terms.get((2, 0, 0)) == RatFun.const(1)
+    assert poly.terms.get((0, 2, 0)) == RatFun.variable() * F(1, 4)
 
 
 def test_integral_degree_labels_are_rejected():

@@ -172,7 +172,7 @@ def test_equal_values_hash_alike_across_coefficient_types():
     assert 1 in {RatFun.const(1)} and F(1, 2) in {RatFun.const(F(1, 2))}
     assert hash(RatFun.const(0)) == hash(RatFun(UniPoly())) == hash(UniPoly()) == 0
     assert hash(UniPoly.const(F(-2, 3))) == hash(F(-2, 3))
-    x = UniPoly.variable()
+    x = UniPoly([0, 1])
     assert RatFun.variable() == x == RatFun.variable() and hash(RatFun.variable()) == hash(x)
     assert RatFun.variable() in {x} and x in {RatFun.variable()}
     assert x != RatFun(UniPoly(), x + 1) and x != "s"
@@ -338,7 +338,7 @@ class FractionRatFun:
 
     @classmethod
     def variable(cls):
-        return cls(UniPoly.variable())
+        return cls(UniPoly([0, 1]))
 
     @staticmethod
     def coerce(v):
@@ -564,7 +564,7 @@ def x(i):
 def test_multipoly_ring():
     w = x(0) ** 3 + x(1) ** 3 + x(2) ** 3
     assert w.partial(0) == 3 * x(0) ** 2
-    assert w.coeff((3, 0, 0)) == 1
+    assert w.terms.get((3, 0, 0)) == 1
     assert (w - w) == MultiPoly.zero()
 
 

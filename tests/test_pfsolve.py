@@ -495,9 +495,3 @@ def test_greedy_reduction_leaves_no_pairs(case, r):
     red = reduce_left_divisors(build_gkz(entry(name), m, r))
     assert not red.cancellable_pairs()
     assert len(red.left_roots) == len(red.right_roots)
-
-
-def test_operator_text_roundtrip_shape():
-    op = build_gkz(entry("e6-fermat"), (1, 1, 1))
-    text = op.to_text()
-    assert "s^3" in text and "-1/27" in text
