@@ -45,17 +45,22 @@ Every other frozen value (family, Milnor number, ``K``, the marginal rows'
 ``l``, ``C`` and weights, the display basis and top monomial, the
 j-invariant and puncture data, the Gepner block) is reference data that
 the loader ignores and the test suite checks.
+
+The two records are not dataclasses, so loading the catalog does not import
+:mod:`dataclasses` (and :mod:`inspect` behind it): :class:`MarginalData` is
+a ``typing.NamedTuple``, whose variants come from ``_replace``, and
+:class:`CatalogEntry` a frozen ``types.SimpleNamespace``.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from math import prod
-from typing import Any, Mapping, Sequence
+from types import SimpleNamespace
+from typing import Any, Mapping, NamedTuple, Sequence
 
 from .numcore import (
     DomainError,
@@ -243,8 +248,7 @@ class InvertiblePolynomial:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MarginalData:
+class MarginalData(NamedTuple):
     """A degree-one deformation direction ``sigma * X^m`` of ``W``.
 
     The catalog supplies ``m``; every other part is derived from ``m`` and
@@ -253,6 +257,7 @@ class MarginalData:
     index, and ``C = prod (-l_i/l)^{l_i}`` the coordinate normalisation
     giving ``x = C sigma^l`` unit radius of convergence.  The rows' frozen
     ``l``, ``lcm``, ``C`` and hypergeometric ``weights`` are test oracles.
+    A NamedTuple, so immutable; build a variant with ``_replace``.
     """
 
     m: tuple[int, int, int]
@@ -278,8 +283,7 @@ class MarginalData:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(SimpleNamespace):
     """One singularity of the catalog, as the program reads it.
 
     The catalog supplies ``E`` (``polynomial``), the marginal ``m`` list,
@@ -288,6 +292,11 @@ class CatalogEntry:
     ``E``; the weights, the Milnor number and the group are read off
     ``polynomial``.  Every other value of a catalog entry, the display basis
     and top monomial included, is a test oracle.
+
+    Built by keyword, immutable and equal to an entry with equal fields.  It
+    is not a tuple, so callers can tell an entry from an ``(entry, marginal)``
+    pair by ``isinstance(item, tuple)``; a variant entry comes from
+    ``CatalogEntry(**{**vars(entry), "fjrw": block})``.
     """
 
     name: str
@@ -303,6 +312,11 @@ class CatalogEntry:
             if row.m == key:
                 return row
         raise UnknownMarginal(f"{self.name} has no catalogued marginal {key}")
+
+    def __setattr__(self, *a):
+        raise AttributeError("CatalogEntry is immutable")
+
+    __delattr__ = __setattr__
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +344,8 @@ def _parse_rat_field(v: Any, where: str) -> Rat:
 
 
 def _parse_int_triple(v: Any, where: str) -> tuple[int, int, int]:
-    if not isinstance(v, list) or len(v) != NVARS or not all(isinstance(e, int) for e in v):
+    # JSON true/false load as bools, which are ints to isinstance
+    if not isinstance(v, list) or len(v) != NVARS or not all(type(e) is int for e in v):
         raise _ctx(where, f"expected a list of three integers, got {v!r}")
     return (v[0], v[1], v[2])
 

@@ -1,7 +1,6 @@
 """FJRW sectors, the narrow correlator tables and weight-one words."""
 
 import copy
-import dataclasses
 import hashlib
 import re
 from fractions import Fraction as F
@@ -13,7 +12,7 @@ import pytest
 
 import ises.fjrw
 from ises.fjrw import FjrwTheory, NeedsBroadFixture, sector_dimension
-from ises.isespoly import get_entry, load_catalog
+from ises.isespoly import CatalogEntry, get_entry, load_catalog
 from ises.jacobi import JacobianAlgebra, groebner, milnor_groebner, normal_form
 from ises.numcore import DomainError, MultiPoly, nullspace
 from ises.wdvv import InconsistentSystem, MissingKey, _groups, check_residuals, propagate
@@ -288,7 +287,7 @@ def test_a_theory_reads_only_the_read_keys():
         block = {key: value for key, value in entry.fjrw.items() if FJRW_KEYS[key] == READ}
         for key in set(NESTED) & set(block):
             block[key] = {sub: value for sub, value in block[key].items() if FJRW_KEYS[f"{key}.{sub}"] == READ}
-        return FjrwTheory(dataclasses.replace(entry, fjrw=block))
+        return FjrwTheory(CatalogEntry(**{**vars(entry), "fjrw": block}))
 
     assert aside_dump(stripped) == aside_dump()
 
@@ -1064,12 +1063,12 @@ def with_fjrw(name, edit):
     entry = get_entry(CATALOG, name)
     block = copy.deepcopy(dict(entry.fjrw))
     edit(block)
-    return dataclasses.replace(entry, fjrw=block)
+    return CatalogEntry(**{**vars(entry), "fjrw": block})
 
 
 @pytest.mark.parametrize("block", [None, {}])
 def test_an_entry_without_state_space_data_needs_a_broad_fixture(block):
-    entry = dataclasses.replace(get_entry(CATALOG, "e6-fermat"), fjrw=block)
+    entry = CatalogEntry(**{**vars(get_entry(CATALOG, "e6-fermat")), "fjrw": block})
     with pytest.raises(NeedsBroadFixture, match="^e6-fermat: no state-space data$"):
         FjrwTheory(entry)
 

@@ -698,6 +698,13 @@ def test_schema_error_on_an_uncatalogued_gepner_marginal(field):
         pytest.param(lambda d: d["marginals"][0].update(m=[1, 0, 0]), id="m-not-of-degree-one"),
         pytest.param(lambda d: d["marginals"].__setitem__(0, [1, 1, 1]), id="marginal-row-list"),
         pytest.param(lambda d: d["E"][0].__setitem__(0, "3x"), id="non-integer-exponent"),
+        # JSON true/false are bools, which Python counts as the ints 1/0
+        pytest.param(lambda d: d["E"].__setitem__(0, [3, False, False]), id="E-bool"),
+        pytest.param(lambda d: d["marginals"][0].update(m=[True, True, True]), id="m-bool"),
+        pytest.param(
+            lambda d: d.update(twisted=[{"r": [True, False, False], "weights": ["1/3", "1/3", "2/3"]}]),
+            id="r-bool",
+        ),
         pytest.param(lambda d: d.update(name=["e6-fermat"]), id="name-list"),
         pytest.param(lambda d: d.update(name=6), id="name-int"),
         pytest.param(lambda d: d.update(fjrw=5), id="fjrw-int"),

@@ -1,7 +1,6 @@
 """Milnor algebras, residues, Jacobian-ideal decompositions, flat sections,
 and the genus-zero correlators of the deformed singularities at sigma = 0."""
 
-import dataclasses
 import hashlib
 import random
 import re
@@ -12,7 +11,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from ises import jacobi
-from ises.isespoly import MarginalData, get_entry, load_catalog
+from ises.isespoly import CatalogEntry, MarginalData, get_entry, load_catalog
 from ises.jacobi import (
     FlatSectionApprox,
     IntegralDegree,
@@ -1088,7 +1087,7 @@ def test_a_marginal_in_the_jacobian_ideal_is_a_typed_error():
     # x^3 has degree one but lies in the Jacobian ideal of x^3 + y^3 + z^3;
     # a catalog given by path can list it, and its residue is zero
     e = get_entry(CATALOG, "e6-fermat")
-    entry = dataclasses.replace(e, marginals=(MarginalData.derive(e.polynomial, (3, 0, 0)),))
+    entry = CatalogEntry(**{**vars(e), "marginals": (MarginalData.derive(e.polynomial, (3, 0, 0)),)})
     with pytest.raises(DomainError, match=r"^e6-fermat, m=\(3, 0, 0\): .*Jacobian ideal") as info:
         JacobianAlgebra(entry, (3, 0, 0))
     assert not isinstance(info.value, ZeroDivisionError)

@@ -1,10 +1,14 @@
 """Packaging metadata: every console script declared in pyproject.toml
 resolves to a callable of the package, every name the package exports or
-re-exports exists, and so does every name the traced bench wraps."""
+re-exports exists, and so does every name the traced bench wraps; a fresh
+catalog load imports only the modules it needs."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +17,7 @@ import ises
 
 ROOT = Path(__file__).resolve().parent.parent
 PYPROJECT = ROOT / "pyproject.toml"
+SRC = ROOT / "src"
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(ises.__path__, "ises.") if not m.ispkg)
 
@@ -44,6 +49,37 @@ def test_every_name_the_package_imports_exists():
         mod = importlib.import_module("." * node.level + (node.module or ""), "ises")
         for alias in node.names:
             assert hasattr(mod, alias.name), f"{mod.__name__} has no {alias.name}"
+    assert ises._LAZY
+    for name, module in ises._LAZY.items():
+        mod = importlib.import_module(module, "ises")
+        assert getattr(ises, name) is getattr(mod, name), f"ises.{name} is not {mod.__name__}.{name}"
+    assert not hasattr(ises, "no_such_name")
+
+
+def fresh_modules(code):
+    """The sorted ``sys.modules`` of a fresh interpreter after ``code``,
+    with ``src`` first on its path and no PYTHONPATH."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    script = f"import sys\nsys.path.insert(0, {str(SRC)!r})\n{code}\nprint(*sorted(sys.modules))"
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    return done.stdout.split()
+
+
+def test_a_catalog_load_imports_only_numcore_and_isespoly():
+    """``import ises; load_catalog()`` is the start of every entry point, so
+    it compiles no module (nor the dataclasses machinery) it does not use."""
+    loaded = fresh_modules("import ises; ises.load_catalog()")
+    assert {m for m in loaded if m.split(".")[0] == "ises"} == {
+        "ises",
+        "ises.data",
+        "ises.isespoly",
+        "ises.numcore",
+    }
+    if "dataclasses" not in fresh_modules("pass"):
+        assert "dataclasses" not in loaded
+    assert "ises.jacobi" in fresh_modules("import ises; ises.JacobianAlgebra")
 
 
 def test_the_bench_tracer_wraps_and_restores_names_that_exist(monkeypatch):

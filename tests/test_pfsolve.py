@@ -1,6 +1,5 @@
 """Period operators: root multisets, reduction, weight certification."""
 
-import dataclasses
 import json
 from fractions import Fraction as F
 
@@ -10,6 +9,7 @@ from hypothesis import strategies as st
 
 from ises.isespoly import (
     NVARS,
+    CatalogEntry,
     MarginalData,
     UnknownMarginal,
     _default_catalog_text,
@@ -208,7 +208,8 @@ def test_weight_report_names_a_marginal_in_the_jacobian_ideal():
     # X1^3 = (X1 / 3) d1 W lies in (dW) for the Fermat cubic, so the
     # reduction fails; the message blames the marginal, not the operator
     e = entry("e6-fermat")
-    e = dataclasses.replace(e, marginals=e.marginals + (MarginalData.derive(e.polynomial, (3, 0, 0)),))
+    extra = MarginalData.derive(e.polynomial, (3, 0, 0))
+    e = CatalogEntry(**{**vars(e), "marginals": e.marginals + (extra,)})
     with pytest.raises(DomainError) as info:
         weight_report(e, (3, 0, 0))
     assert type(info.value) is DomainError
