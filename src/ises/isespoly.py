@@ -174,6 +174,11 @@ class InvertiblePolynomial:
     def __setattr__(self, *a):
         raise AttributeError("InvertiblePolynomial is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild from E: the default restore of the slots
+        # would go through the raising __setattr__
+        return InvertiblePolynomial, (self.exponents,)
+
     @property
     def determinant(self) -> int:
         return int(_det3(self.exponents))
@@ -227,9 +232,10 @@ class InvertiblePolynomial:
         return sum(Fraction(e) * q[i] for i, e in enumerate(exps))
 
     def degree_one_monomials(self) -> tuple[tuple[int, int, int], ...]:
-        """All monomial exponent triples of weighted degree one, sorted."""
-        q = self.charges
-        return tuple(monomials_of_weighted_degree(q, 1, [int(1 / qi) for qi in q]))
+        """All monomial exponent triples of weighted degree one, sorted,
+        enumerated on the int grid of the weights."""
+        w, scale = scaled_ints(self.charges)
+        return tuple(monomials_of_weighted_degree(w, scale, [scale // wi for wi in w]))
 
     # -- dunders -------------------------------------------------------------
 

@@ -1,8 +1,8 @@
 """Milnor algebras of the marginal deformations W_sigma = W + sigma*phi_m.
 
 For an invertible simple-elliptic polynomial W with a marginal monomial
-phi_m, the one-parameter family W_sigma is treated exactly over the
-rational-function field Q(sigma).  This module computes
+phi_m, the one-parameter family W_sigma is treated exactly.  This module
+computes
 
 * reduced Groebner bases of the Jacobian ideal (d1 W_sigma, d2 W_sigma,
   d3 W_sigma) under the graded reverse-lexicographic order with
@@ -12,18 +12,28 @@ rational-function field Q(sigma).  This module computes
   lcm first (normal selection, so the weighted-homogeneous ideal is closed
   one degree at a time) and skips the pairs that the coprime-leading-term
   and chain criteria prove redundant; the reduced basis of an ideal is
-  unique, so this changes the work and not the result;
-* normal forms from one table per algebra, which holds the normal form
-  of each monomial met so far over the staircase: a standard monomial is
-  its own, and any other is rewritten by the first Groebner member whose
-  leading monomial divides it into earlier monomials of the table.
-  Normal forms are unique, so this gives what division gives.  Residues,
-  coordinates, the Hessian normalization and the change of basis all
-  read the table;
-* the Grothendieck residue functional, normalized so that
-  residue(det Hess(W_sigma)) = mu; with this normalization the residue of
-  the top-degree monomial comes out as 1/(K*(1-x)) with x = C*sigma^l,
-  which pins the constant K of each family;
+  unique, so this changes the work and not the result.  The basis of W
+  over Q gives the display basis B0 below.  The basis of W_sigma over
+  Q(sigma), its staircase and the Q(sigma)-valued ``decompose`` are kept
+  only because the bench's output checks read them;
+* the residue jets.  With t the top monomial of B0, one elimination on the
+  int sigma-layers of the partials solves
+
+      X^e = c_e(sigma) * t + sum_i g_i(sigma) * d_i W_sigma   mod sigma^2
+
+  for every degree-one monomial X^e, one right-hand column each, and for
+  the Hessian det Hess(W_sigma), by its sigma-layers.  The g_i are the
+  columns of the decompositions' system at degree 0.  c_e is unique: B0
+  is a basis of Jac(W), so c_e(0) is the coordinate of X^e on t; and the
+  family is flat at sigma = 0 (the partials of W form a regular sequence,
+  so every syzygy of theirs is Koszul and sum_i g_i d_i phi_m with
+  sum_i g_i d_i W = 0 lies in the Jacobian ideal of W), so c_e'(0) is
+  unique too.  The residue, normalized so that residue(det Hess(W_sigma))
+  = mu, is then R_e = mu * c_e / c_Hess; with this normalization the
+  residue of the marginal monomial X^m is 1/(K*(1-x)) with x = C*sigma^l,
+  which pins the constant K = 1/R_m(0) of each family.  A residue is
+  Q(sigma)-linear and vanishes on the ideal and off degree one, so it is
+  R_e on X^e, and a monomial of another degree has residue 0;
 * decompositions (1 - C*sigma^l) * phi_{r+m} = sum_i g_{r,i} * d_i W_sigma
   exhibiting the left-hand side as a Jacobian-ideal member.  The linear
   system for the sigma-coefficients of the g_i (int cells, and 1 and -C on
@@ -43,28 +53,27 @@ rational-function field Q(sigma).  This module computes
   display basis is a basis at sigma = 0, so c_{r,r'}(0) is the coordinate
   of p(0) = -sum_i d_i g_{r,i}(sigma = 0) in Jac(W): the sigma^0 layer of
   the int decomposition, reduced over Q;
-* the genus-zero three- and four-point functions of the deformed
-  singularity at sigma = 0, normalized so that <1, phi_m>|_{sigma=0} = 1.
+* the genus-zero four-point functions of the deformed singularity at
+  sigma = 0, normalized so that <1, phi_m>|_{sigma=0} = 1.
 
 The three-point normalization multiplies the residue by the constant K.
 The volume factor that K approximates is constant through first order in
 sigma, so values and first sigma-derivatives at sigma = 0 -- which is all
 the four-point functions consume -- are exact.
 
-Four-point functions are read off residue jets at sigma = 0.  The residue
-is Q(sigma)-linear, and the residue R_e(sigma) of each monomial X^e is
-regular at sigma = 0 because W itself is nondegenerate.  So if the product
-of the three flat sections is sum_e (a_e + b_e*sigma + O(sigma^2)) X^e,
-its four-point value is K * sum_e (a_e * R_e'(0) + b_e * R_e(0)), exactly;
-the pair (R_e(0), R_e'(0)) is computed once per monomial and memoised.
+Four-point functions are read off the residue jets.  If the product of
+the three flat sections is sum_e (a_e + b_e*sigma + O(sigma^2)) X^e, its
+four-point value is K * sum_e (a_e * R_e'(0) + b_e * R_e(0)), exactly: it
+reads R_e mod sigma^2 only, and c_e and c_Hess mod sigma^2 give it, since
+c_Hess(0) is nonzero.  So mod sigma^2 is exact for K and every four-point
+value.
 
 The display basis is the staircase B0 of the Jacobian ideal of W itself,
 from a Groebner basis over Q; its last member is the top monomial.  B0 is a
 basis of Jac(W), the algebra at sigma = 0, so the sigma = 0 pairing on it is
-invertible for every entry and marginal.  The staircase over Q(sigma)
-can differ from it (a marginal term may promote a mixed monomial past a
-pure power in the reverse-lexicographic order); ``coords`` changes basis
-from one to the other over Q(sigma), as the reference route of the tests.
+invertible for every entry and marginal.  The staircase over Q(sigma) can
+differ from it (a marginal term may promote a mixed monomial past a pure
+power in the reverse-lexicographic order); nothing is read in that basis.
 """
 
 from __future__ import annotations
@@ -80,7 +89,6 @@ from .numcore import (
     NoSolution,
     Rat,
     RatFun,
-    inverse,
     monomials_of_weighted_degree,
     nullspace,  # noqa: F401  (traced bench runs wrap it by name)
     scaled_ints,
@@ -93,7 +101,6 @@ __all__ = [
     "FlatSectionApprox",
     "IntegralDegree",
     "JacobianAlgebra",
-    "SIGMA",
     "groebner",
     "milnor_groebner",
     "normal_form",
@@ -102,9 +109,6 @@ __all__ = [
 ]
 
 Exps = tuple[int, int, int]
-
-#: The deformation parameter as a rational function of itself.
-SIGMA = RatFun.variable()
 
 
 class IntegralDegree(DomainError):
@@ -321,6 +325,15 @@ def _dense(coeffs: dict[int, int]) -> tuple[int, ...]:
     return tuple(coeffs.get(d, 0) for d in range(top + 1))
 
 
+def _indexed(cells, rhs_maps):
+    """The rows of ``cells`` and the right-hand columns ``rhs_maps``, all
+    keyed by (exponent, sigma-degree), on one row index in key order:
+    (rows, columns), as ``solve_columns`` takes them."""
+    keys = sorted(set(cells).union(*rhs_maps))
+    index = {kk: k for k, kk in enumerate(keys)}
+    return [cells.get(kk, {}) for kk in keys], [{index[kk]: v for kk, v in b.items()} for b in rhs_maps]
+
+
 # ---------------------------------------------------------------------------
 # Flat sections to first order
 # ---------------------------------------------------------------------------
@@ -336,13 +349,6 @@ class FlatSectionApprox:
 
     r: Exps
     corrections: tuple[tuple[Exps, Rat], ...]
-
-    def polynomial(self) -> MultiPoly:
-        """The approximation as a polynomial with coefficients in Q(sigma)."""
-        out = MultiPoly.monomial(self.r, RatFun.const(1))
-        for e, c in self.corrections:
-            out = out + MultiPoly.monomial(e, SIGMA * c)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +375,7 @@ class JacobianAlgebra:
 
         w_plain = entry.polynomial.polynomial()
         self.w_sigma = w_plain.map_coeffs(RatFun.coerce) + MultiPoly.monomial(
-            mvec, SIGMA
+            mvec, RatFun.variable()
         )
         self.partials = tuple(self.w_sigma.partial(i) for i in range(NVARS))
         # The sigma-layers: d_i W_sigma = P_i0 + sigma*P_i1 with P_i0 = d_i W
@@ -379,7 +385,6 @@ class JacobianAlgebra:
             (w_plain.partial(i).terms, phi_m.partial(i).terms) for i in range(NVARS)
         )
         self.groebner_basis = groebner(self.partials, self.weights)
-        self._gbdata = _lead_data(self.groebner_basis, self._key)
 
         mu = entry.polynomial.milnor_number
 
@@ -396,24 +401,15 @@ class JacobianAlgebra:
             return stairs
 
         self.staircase = staircase(self.groebner_basis, "Q(sigma)")
-        self.socle: Exps = self.staircase[-1]
-        # The normal-form table (``_monomial_nf``), seeded with the staircase.
-        self._nf: dict[Exps, dict[Exps, RatFun]] = {e: {e: RatFun.const(1)} for e in self.staircase}
-
-        hess_nf = self.normal_form(self.w_sigma.hessian_det())
-        if set(hess_nf.terms) != {self.socle}:
-            raise DomainError(f"{entry.name}: Hessian does not span the socle")
-        self._normalizer = RatFun.const(mu) / hess_nf.terms[self.socle]
 
         # Display basis: the staircase of W over Q, a basis at sigma = 0.
         gb0 = milnor_groebner(entry.polynomial)
         self._gb0data = _lead_data(gb0, self._key)
         self.basis = staircase(gb0, "Q")
         self.top_monomial: Exps = self.basis[-1]
-        self._to_basis: list[list[RatFun]] | None = None  # built by ``coords``
 
-        self._jets: dict[Exps, tuple[Rat, Rat]] = {}
-        residue = self._residue_jet(mvec)[0]
+        self._jets = self._residue_jets()
+        residue = self._jets.get(mvec, (0, 0))[0]
         if residue == 0:
             raise DomainError(f"{self._label}: X^m lies in the Jacobian ideal of W")
         self.k_constant: Rat = 1 / residue
@@ -429,68 +425,39 @@ class JacobianAlgebra:
         w = self._w
         return w[0] * e[0] + w[1] * e[1] + w[2] * e[2]
 
-    # -- basic queries ---------------------------------------------------------
+    # -- residue jets ----------------------------------------------------------
 
-    def normal_form(self, f: MultiPoly) -> MultiPoly:
-        """Unique normal form of ``f`` modulo the Jacobian ideal: the sum of
-        c_e * NF(X^e) over the terms c_e * X^e of ``f``."""
-        out: dict[Exps, RatFun] = {}
-        for e, c in f.terms.items():
-            c = None if c == 1 else RatFun.coerce(c)
-            for k, v in self._monomial_nf(e).items():
-                v = v if c is None else c * v
-                out[k] = out[k] + v if k in out else v
-        return MultiPoly._wrap({k: v for k, v in out.items() if v})
-
-    def _monomial_nf(self, e: Exps) -> dict[Exps, RatFun]:
-        """NF(X^e) as {standard exponent: coefficient}, from the table.
-
-        A standard monomial is its own normal form.  Any other X^e is taken
-        apart by the first Groebner member g whose leading monomial lt
-        divides e: g is monic, so NF(X^e) = -sum_{t != lt} c_t * NF(X^(t + e
-        - lt)), over the terms c_t * X^t of g, each exponent below e in the
-        monomial order.  The members are weighted-homogeneous, so NF(X^e)
-        has the degree of e and is 0 above the socle degree, which is not
-        stored.
-        """
-        if e in self._nf or self._degree(e) > self._scale:
-            return self._nf.get(e, {})
-        ge, _, g = next(d for d in self._gbdata if _divides(d[0], e))
-        s0, s1, s2 = e[0] - ge[0], e[1] - ge[1], e[2] - ge[2]
-        acc: dict[Exps, RatFun] = {}
-        for t, c in g.terms.items():
-            if t != ge:
-                for k, v in self._monomial_nf((t[0] + s0, t[1] + s1, t[2] + s2)).items():
-                    acc[k] = acc[k] + c * v if k in acc else c * v
-        nf = self._nf[e] = {k: -v for k, v in acc.items() if v}
-        return nf
-
-    def residue(self, f: MultiPoly) -> RatFun:
-        """Grothendieck residue of ``f``, normalized so the Hessian
-        determinant has residue equal to the Milnor number."""
-        c = self.normal_form(f).terms.get(self.socle)
-        return RatFun.const(0) if c is None else self._normalizer * c
-
-    def coords(self, f: MultiPoly) -> dict[Exps, RatFun]:
-        """Coordinates of ``f`` mod the Jacobian ideal over the display basis,
-        over Q(sigma): its staircase coordinates times the inverse change of
-        basis, which the first call computes.  The flat sections do not read
-        it; it is the Q(sigma) route that the tests compare them with."""
-        nf = self.normal_form(f)
-        if self._to_basis is None:
-            # column b holds the staircase coordinates of NF(X^b); B0 is a
-            # basis at sigma = 0, so this matrix is invertible over Q(sigma)
-            self._to_basis = inverse(
-                [[self._monomial_nf(b).get(e, 0) for b in self.basis] for e in self.staircase]
+    def _residue_jets(self) -> dict[Exps, tuple[Rat, Rat]]:
+        """(R_e(0), R_e'(0)) for each degree-one monomial X^e, from one
+        elimination mod sigma^2 with c_e(sigma) * t in the last two columns
+        (see the module docstring); a zero sigma^0 Hessian coordinate c_Hess(0)
+        would be a pole at sigma = 0 and raises a ``DomainError``."""
+        cols, cells = self._ansatz(0, 1)
+        n = len(cols)
+        cells = {kk: row for kk, row in cells.items() if kk[1] < 2}  # mod sigma^2
+        for d in (0, 1):  # the columns of c_e(0) * t and c_e'(0) * sigma * t
+            cells.setdefault((self.top_monomial, d), {})[n + d] = 1
+        hessian = {
+            (e, d): v
+            for e, c in self.w_sigma.hessian_det().terms.items()
+            for d, v in enumerate(c.num.coeffs[:2])
+            if v
+        }
+        monomials = self.entry.polynomial.degree_one_monomials()
+        rows, rhs = _indexed(cells, [{(e, 0): 1} for e in monomials] + [hessian])
+        *sols, (hx, hden) = solve_columns(rows, rhs, n + 2)
+        h0, h1 = Fraction(hx[n], hden), Fraction(hx[n + 1], hden)
+        if not h0:
+            raise DomainError(
+                f"{self._label}: the Hessian has no sigma^0 coordinate on "
+                f"{self.top_monomial}, so the residues have a pole at sigma = 0"
             )
-        index = {e: i for i, e in enumerate(self.staircase)}
-        cells = [(index[e], c) for e, c in nf.terms.items()]
-        out = {}
-        for b, row in zip(self.basis, self._to_basis):
-            c = sum((row[i] * v for i, v in cells if row[i]), RatFun.const(0))
-            if c:
-                out[b] = c
-        return out
+        mu = len(self.basis)
+        jets = {}
+        for e, (x, den) in zip(monomials, sols):
+            r0 = mu * Fraction(x[n], den) / h0
+            jets[e] = (r0, (mu * Fraction(x[n + 1], den) - r0 * h1) / h0)
+        return jets
 
     # -- Jacobian-ideal decompositions ----------------------------------------
 
@@ -585,6 +552,15 @@ class JacobianAlgebra:
         pins to 0.  The solution that is 0 on them is unique, so both routes
         agree.
         """
+        cols, cells = self._ansatz(deg, bound)
+        return (cols, *_indexed(cells, [self._lhs(r) for r in labels]))
+
+    def _ansatz(self, deg: int, bound: int):
+        """The columns (i, exponent, sigma-degree) of g_1, g_2, g_3 with g_i
+        of scaled weighted degree ``deg`` + w_i and sigma-degree at most
+        ``bound``, in ascending rank (sigma-degree, partial i, monomial
+        order), and the int cells of sum_i g_i * d_i W_sigma on them, as
+        {(exponent, sigma-degree): {column: cell}}."""
         w = self._w
         cols: list[tuple[int, Exps, int]] = []
         for i in range(NVARS):
@@ -594,18 +570,13 @@ class JacobianAlgebra:
                 for d in range(bound + 1):
                     cols.append((i, e, d))
         cols.sort(key=lambda c: (c[2], c[0], self._key(c[1])))
-        entries: dict[tuple[Exps, int], dict[int, int]] = {}
+        cells: dict[tuple[Exps, int], dict[int, int]] = {}
         for ci, (i, e, d) in enumerate(cols):
             for shift, layer in enumerate(self._layers[i]):
                 for pe, pc in layer.items():
                     te = (e[0] + pe[0], e[1] + pe[1], e[2] + pe[2])
-                    entries.setdefault((te, d + shift), {})[ci] = pc
-        rhs_maps = [self._lhs(r) for r in labels]
-        keys = sorted(set(entries).union(*rhs_maps))
-        index = {kk: k for k, kk in enumerate(keys)}
-        rows = [entries.get(kk, {}) for kk in keys]
-        rhs = [{index[kk]: v for kk, v in b.items()} for b in rhs_maps]
-        return cols, rows, rhs
+                    cells.setdefault((te, d + shift), {})[ci] = pc
+        return cols, cells
 
     def _assemble(self, rvec: Exps, sol, cols) -> tuple[list, int]:
         """The g_i of a solved column on ints, as ``_decomposition`` gives
@@ -671,26 +642,6 @@ class JacobianAlgebra:
         self._flats[rvec] = flat
         return flat
 
-    def threepoint(self, xi: MultiPoly) -> RatFun:
-        """Three-point function <a, b, c> at the product xi = a*b*c, as a
-        rational function of sigma (exact at sigma = 0 through first order)."""
-        return self.residue(xi) * self.k_constant
-
-    def _residue_jet(self, e: Exps) -> tuple[Rat, Rat]:
-        """(R(0), R'(0)) for R(sigma) = residue(X^e), memoised per monomial."""
-        jet = self._jets.get(e)
-        if jet is None:
-            res = self.residue(MultiPoly.monomial(e, Fraction(1)))
-            n0, n1 = (*res.n, 0, 0)[:2]
-            d0, d1 = (*res.d, 0)[:2]
-            if not d0:
-                raise DomainError(
-                    f"{self._label}: the residue of X^{e} has a pole at sigma = 0"
-                )
-            jet = (Fraction(n0, d0), Fraction(n1 * d0 - n0 * d1, d0 * d0))
-            self._jets[e] = jet
-        return jet
-
     def fourpoint(self, r1, r2, r3) -> Rat:
         """Four-point function with three flat insertions and one marginal:
         the sigma-derivative at 0 of the three-point function of the product
@@ -698,21 +649,23 @@ class JacobianAlgebra:
 
         With that product written as sum_e (a_e + b_e*sigma + O(sigma^2)) X^e,
         the value is K * sum_e (a_e * R_e'(0) + b_e * R_e(0)) for
-        R_e = residue(X^e).  This is exact: the residue is Q(sigma)-linear
-        and each R_e is regular at sigma = 0, where W is nondegenerate.  Here
-        a_e is 1 at e = r1 + r2 + r3 and 0 elsewhere.
+        R_e = residue(X^e), read from the residue jets (0 off degree one).
+        This is exact: the residue is Q(sigma)-linear and each R_e is regular
+        at sigma = 0, where W is nondegenerate.  Here a_e is 1 at
+        e = r1 + r2 + r3 and 0 elsewhere.
         """
         flats = [
             r if isinstance(r, FlatSectionApprox) else self.flat_first_order(r)
             for r in (r1, r2, r3)
         ]
         total = tuple(sum(f.r[i] for f in flats) for i in range(NVARS))
-        value = self._residue_jet(total)[1]
+        jets = self._jets
+        value = jets.get(total, (0, 0))[1]
         for f in flats:
             rest = [t - r for t, r in zip(total, f.r)]
             for e, c in f.corrections:
                 shifted = (e[0] + rest[0], e[1] + rest[1], e[2] + rest[2])
-                value += c * self._residue_jet(shifted)[0]
+                value += c * jets.get(shifted, (0, 0))[0]
         return self.k_constant * value
 
     def weight_one_triples(self) -> tuple[tuple[Exps, Exps, Exps], ...]:

@@ -5,16 +5,17 @@ Provides arbitrary-precision rationals (``Rat``), univariate polynomials over
 int coefficient tuples), multivariate polynomials in three variables with
 pluggable coefficient rings, and one sparse exact elimination kernel behind
 ``solve_columns`` (with ``solve_linear`` over it), ``inverse`` and
-``nullspace``.  On rational input the kernel is fraction-free: primitive
-int rows, kept primitive after each combination and bucketed by leading
-column.  ``solve_columns`` returns each solution as int numerators over
-one denominator, the form the elimination holds; ``solve_linear``,
-``inverse`` and ``nullspace`` make a ``Fraction`` only for a cell they
-return.
+``nullspace``.  The kernel takes int and ``Fraction`` cells only, and is
+fraction-free: primitive int rows, kept primitive after each combination
+and bucketed by leading column.  ``solve_columns`` returns each solution
+as int numerators over one denominator, the form the elimination holds;
+``solve_linear``, ``inverse`` and ``nullspace`` make a ``Fraction`` only
+for a cell they return.
 
 All values are immutable after construction and all operations are pure.
-Coefficient rings are duck-typed: any type supporting ``+ - *``, division by
-``int``, ``bool()`` zero-test and equality works (``Fraction``, ``RatFun``).
+Polynomial coefficient rings are duck-typed: any type supporting ``+ - *``,
+division by ``int``, ``bool()`` zero-test and equality works (``Fraction``,
+``RatFun``).
 Every value is exact; there is no approximate mode.
 """
 
@@ -599,24 +600,22 @@ def monomials_of_weighted_degree(weights, degree, max_exps) -> list:
 def _rref(rows, ncols):
     """Reduced row echelon form of sparse rows, fraction-free.
 
-    ``rows`` are ``{column: value}`` dicts of nonzero cells, reduced in
-    place; only columns below ``ncols`` are pivoted on.  Returns the pivot
-    rows as ``(column, row)`` pairs in column order, each clear in every
-    other pivot column and still scaled by its pivot cell (``_cell``
-    divides by it), and the leftover rows, which are empty below ``ncols``.
+    ``rows`` are ``{column: value}`` dicts of nonzero int or ``Fraction``
+    cells, reduced in place; only columns below ``ncols`` are pivoted on.
+    Returns the pivot rows as ``(column, row)`` pairs in column order, each
+    clear in every other pivot column and still scaled by its pivot cell
+    (``_cell`` divides by it), and the leftover rows, which are empty below
+    ``ncols``.
 
-    When every cell is an int or a ``Fraction``, each row is scaled on
-    entry to a primitive int row (a row scale keeps the solution set); a
-    row of ints only needs no scale, just its content removed.  A
-    combination is ``row = a*row - f*prow``, with a and f divided by their
-    gcd, and the row's content is removed after it, so the loop makes no
-    ``Fraction``.  Otherwise (``RatFun`` cells) each row is divided by its
-    leading cell instead, so that a = 1.  A pending row waits in the bucket
-    of its leading column: all lower columns are done, so the rows to clear
-    at column c are that bucket.  The RREF is unique, so neither the
-    pivot-row choice nor the order of the steps changes it.
+    Each row is scaled on entry to a primitive int row (a row scale keeps
+    the solution set); a row of ints only needs no scale, just its content
+    removed.  A combination is ``row = a*row - f*prow``, with a and f
+    divided by their gcd, and the row's content is removed after it, so the
+    loop makes no ``Fraction``.  A pending row waits in the bucket of its
+    leading column: all lower columns are done, so the rows to clear at
+    column c are that bucket.  The RREF is unique, so neither the pivot-row
+    choice nor the order of the steps changes it.
     """
-    ints = all(isinstance(v, (int, Fraction)) for row in rows for v in row.values())
     buckets: dict[int, list[dict]] = {}
     rest = []
 
@@ -625,9 +624,9 @@ def _rref(rows, ncols):
             (rest if lead >= ncols else buckets.setdefault(lead, [])).append(row)
 
     for row in rows:
-        if ints and not all(type(v) is int for v in row.values()):
+        if not all(type(v) is int for v in row.values()):
             row.update(zip(list(row), scaled_ints(row.values())[0]))
-        enqueue(row, _normalise(row, ints))
+        enqueue(row, _normalise(row))
     pivots = []
     for c in range(ncols):
         hits = buckets.pop(c, None)
@@ -636,39 +635,30 @@ def _rref(rows, ncols):
         prow = min(hits, key=len)
         for row in hits:
             if row is not prow:
-                enqueue(row, _combine(row, prow, c, ints))
+                enqueue(row, _combine(row, prow, c))
         pivots.append((c, prow))
     # Back substitution, last pivot first: clearing a row with a reduced
     # pivot row brings in no other pivot column.
     pivot_rows = dict(pivots)
     for c, row in reversed(pivots):
         for k in [k for k in row if k != c and k in pivot_rows]:
-            _combine(row, pivot_rows[k], k, ints)
+            _combine(row, pivot_rows[k], k)
     return pivots, rest
 
 
-def _normalise(row, ints):
-    """Divide ``row`` by the gcd of its int cells, or else by its leading
-    cell, which becomes 1; returns the leading column (None for no cell)."""
+def _normalise(row):
+    """Divide ``row`` by the gcd of its int cells; returns the leading
+    column (None for no cell)."""
     if not row:
         return None
-    lead = min(row)
-    if ints:
-        g = math.gcd(*row.values())
-        if g != 1:
-            for k in row:
-                row[k] //= g
-    else:
-        p = row[lead]
-        if p != 1:
-            inv = 1 / (Fraction(p) if isinstance(p, int) else p)
-            for k in row:
-                row[k] *= inv
-        row[lead] = 1
-    return lead
+    g = math.gcd(*row.values())
+    if g != 1:
+        for k in row:
+            row[k] //= g
+    return min(row)
 
 
-def _combine(row, prow, c, ints):
+def _combine(row, prow, c):
     """Clear column ``c`` of ``row`` as row = a*row - f*prow, with ``prow``
     the pivot row of ``c``; normalise it and return its leading column."""
     a, f = prow[c], row.pop(c)
@@ -685,14 +675,14 @@ def _combine(row, prow, c, ints):
                 row[k] = x
             else:
                 row.pop(k, None)
-    return _normalise(row, ints)
+    return _normalise(row)
 
 
 def _cell(row, c, k):
     """Cell ``k`` of the pivot row of column ``c`` over its pivot cell: a
-    ``Fraction`` for an int cell, 0 for no cell."""
+    ``Fraction``, or 0 for no cell."""
     v = row.get(k, 0)
-    return Fraction(v, row[c]) if v and isinstance(v, int) else v
+    return Fraction(v, row[c]) if v else 0
 
 
 def _sparse(row):
@@ -706,16 +696,15 @@ def solve_columns(rows, columns, ncols=None) -> list:
     """Solve A x = b_j exactly for each right-hand column b_j of ``columns``,
     all in one elimination of ``[A | b_1 ... b_k]``.
 
-    ``rows`` are as in ``solve_linear``; each column is a sequence of cells
-    or a sparse ``{row: value}`` dict.  Returns one entry per column:
-    ``None`` when that column is inconsistent, else the particular solution
-    with every free variable set to 0, as a pair ``(x, den)`` whose
-    solution is x[i] / den, in the form the elimination holds it.  On
-    rational input x holds ints and den is the lcm of the solution's
-    denominators; otherwise (``RatFun`` cells) den is 1 and x holds the
-    cells.  A zero coordinate is the int 0.  The RREF of the augmented
-    matrix is unique on every consistent column, so each solution is the
-    one that ``solve_linear`` gives for its column alone.
+    ``rows`` are as in ``solve_linear``; each column is a sequence of int
+    or ``Fraction`` cells or a sparse ``{row: value}`` dict.  Returns one
+    entry per column: ``None`` when that column is inconsistent, else the
+    particular solution with every free variable set to 0, as a pair
+    ``(x, den)`` whose solution is x[i] / den, in the form the elimination
+    holds it: x holds ints and den is the lcm of the solution's
+    denominators.  A zero coordinate is the int 0.  The RREF of the
+    augmented matrix is unique on every consistent column, so each
+    solution is the one that ``solve_linear`` gives for its column alone.
     """
     n = ncols if ncols is not None else (len(rows[0]) if rows else 0)
     aug = [_sparse(row) for row in rows]
@@ -730,7 +719,7 @@ def solve_columns(rows, columns, ncols=None) -> list:
         if k - n in inconsistent:
             out.append(None)
             continue
-        # each cell is row[k] over its pivot cell, which is 1 on RatFun rows
+        # each cell is row[k] over its pivot cell
         cells = [(c, row[c], row[k]) for c, row in pivots if k in row]
         den = math.lcm(*(p for _, p, _ in cells))
         x = [0] * n
@@ -742,19 +731,19 @@ def solve_columns(rows, columns, ncols=None) -> list:
 
 
 def solve_linear(rows, rhs, ncols=None):
-    """Solve A x = b exactly over a field by Gaussian elimination.
+    """Solve A x = b exactly over Q by Gaussian elimination.
 
-    Each of ``rows`` is a sequence of cells or a sparse ``{column: value}``
-    dict (duck-typed field elements mixed with ints; a dict row needs
-    ``ncols``), and ``rhs`` is the right-hand column.  Returns a particular
-    solution with every free variable set to 0.  Raises NoSolution when
-    inconsistent.
+    Each of ``rows`` is a sequence of int or ``Fraction`` cells or a sparse
+    ``{column: value}`` dict (a dict row needs ``ncols``), and ``rhs`` is
+    the right-hand column.  Returns a particular solution with every free
+    variable set to 0, each coordinate a ``Fraction`` or the int 0.  Raises
+    NoSolution when inconsistent.
     """
     (sol,) = solve_columns(rows, [rhs], ncols)
     if sol is None:
         raise NoSolution("inconsistent linear system")
     x, den = sol
-    return [Fraction(v, den) if v and isinstance(v, int) else v for v in x]
+    return [Fraction(v, den) if v else 0 for v in x]
 
 
 def inverse(rows) -> list:

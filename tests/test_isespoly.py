@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import pickle
 import re
 from fractions import Fraction
 from itertools import product
@@ -550,6 +551,20 @@ def test_invertible_polynomial_is_immutable():
     with pytest.raises(AttributeError):
         poly.exponents = ((2, 1, 0), (0, 2, 1), (0, 0, 3))
     assert poly.exponents == ((3, 0, 0), (0, 3, 0), (0, 0, 3))
+
+
+def test_a_catalog_entry_can_be_copied_and_pickled():
+    # the polynomial is rebuilt from E, not restored slot by slot through
+    # the raising __setattr__
+    entry = load_catalog()[0]
+    for twin in (copy.deepcopy(entry), pickle.loads(pickle.dumps(entry))):
+        assert twin == entry and twin.polynomial is not entry.polynomial
+        assert twin.polynomial.charges == entry.polynomial.charges
+        assert twin.polynomial.group() == entry.polynomial.group()
+        with pytest.raises(AttributeError, match="InvertiblePolynomial is immutable"):
+            twin.polynomial.exponents = ((3, 0, 0), (0, 3, 0), (0, 0, 3))
+    poly = entry.polynomial
+    assert copy.copy(poly) == poly == pickle.loads(pickle.dumps(poly))
 
 
 def test_transpose_matches_matrix():

@@ -4,6 +4,7 @@ and the genus-zero correlators of the deformed singularities at sigma = 0."""
 import hashlib
 import random
 import re
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -33,7 +34,7 @@ from ises.numcore import (
     solve_linear,
 )
 from ises.pfsolve import weight_report
-from test_numcore import _reference_solve
+from test_numcore import _reference_nullspace, _reference_solve
 
 CATALOG = load_catalog()
 
@@ -73,6 +74,64 @@ ALL_PAIRS = [
 def degree(alg: JacobianAlgebra, e) -> F:
     """The weighted degree of X^e under the charges of ``alg``."""
     return sum((w * x for w, x in zip(alg.weights, e)), F(0))
+
+
+# ---------------------------------------------------------------------------
+# The Q(sigma) reference route: normal forms by division over the Groebner
+# basis of W_sigma, the Grothendieck residue read off them, and coordinates
+# over the display basis by the inverse change of basis.  The package reads
+# residues from one int elimination mod sigma^2 instead; these are what it
+# is compared with.
+# ---------------------------------------------------------------------------
+
+
+def q_sigma_nf(alg: JacobianAlgebra, f: MultiPoly) -> MultiPoly:
+    """The normal form of ``f`` modulo the Jacobian ideal of W_sigma over
+    Q(sigma), over the staircase of ``alg.groebner_basis``."""
+    return jacobi.normal_form(f, alg.groebner_basis, alg.weights)
+
+
+# the socle coefficient of each algebra's Hessian, held while the algebra lives
+_HESSIAN_SOCLE: "weakref.WeakKeyDictionary[JacobianAlgebra, RatFun]" = weakref.WeakKeyDictionary()
+
+
+def reference_residue(alg: JacobianAlgebra, f: MultiPoly) -> RatFun:
+    """The Grothendieck residue of ``f`` over Q(sigma): the coefficient of
+    its normal form on the socle (the last standard monomial), normalized
+    so that the Hessian determinant has residue mu."""
+    socle = alg.staircase[-1]
+    if alg not in _HESSIAN_SOCLE:
+        hessian = q_sigma_nf(alg, alg.w_sigma.hessian_det())
+        assert set(hessian.terms) == {socle}  # the Hessian spans the socle
+        _HESSIAN_SOCLE[alg] = hessian.terms[socle]
+    c = RatFun.coerce(q_sigma_nf(alg, f).terms.get(socle, 0))
+    return c * len(alg.staircase) / _HESSIAN_SOCLE[alg]
+
+
+def reference_threepoint(alg: JacobianAlgebra, xi: MultiPoly) -> RatFun:
+    """The three-point function at the product ``xi`` over Q(sigma): the
+    reference residue times K (exact at sigma = 0 through first order)."""
+    return reference_residue(alg, xi) * alg.k_constant
+
+
+def reference_coords(alg: JacobianAlgebra, f: MultiPoly) -> dict:
+    """The coordinates of ``f`` modulo the Jacobian ideal over the display
+    basis, over Q(sigma): its staircase coordinates solved against those of
+    the display basis, a basis at sigma = 0 and so invertible over Q(sigma)."""
+    zero = RatFun.const(0)
+    columns = [q_sigma_nf(alg, mono(b)).terms for b in alg.basis]
+    rows = [[col.get(e, zero) for col in columns] for e in alg.staircase]
+    nf = q_sigma_nf(alg, f).terms
+    x = _reference_solve(rows, [RatFun.coerce(nf.get(e, 0)) for e in alg.staircase], len(alg.basis))
+    return {b: c for b, c in zip(alg.basis, x) if c}
+
+
+def flat_polynomial(flat: FlatSectionApprox) -> MultiPoly:
+    """The flat section phi_r + sigma * sum c' phi_r' over Q(sigma)."""
+    out = mono(flat.r)
+    for e, c in flat.corrections:
+        out = out + mono(e, RatFun.variable() * c)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -250,24 +309,35 @@ def test_quotient_dimension_is_the_milnor_number(name, m):
 
 @pytest.mark.parametrize("name,m", ALL_PAIRS)
 def test_hessian_residue_is_the_milnor_number(name, m):
+    # The Hessian as a sum of degree-one monomials with coefficients
+    # h_e(sigma): its residue sum_e h_e * R_e, read through first order from
+    # the monomials' jets, is mu, and so is the reference residue.
     alg = algebra(name, m)
-    assert alg.residue(alg.w_sigma.hessian_det()) == RatFun.const(len(alg.staircase))
+    hessian = alg.w_sigma.hessian_det()
+    value = derivative = 0
+    for e, h in hessian.terms.items():
+        r0, r1 = alg._jets[e]
+        value += h.num.coeff(0) * r0
+        derivative += h.num.coeff(0) * r1 + h.num.coeff(1) * r0
+    assert (value, derivative) == (len(alg.basis), 0)
+    assert reference_residue(alg, hessian) == RatFun.const(len(alg.staircase))
 
 
 def test_normal_form_fixes_standard_monomials():
     for name in ("e6-fermat", "e8-chain32"):
         alg = algebra(name)
         for e in alg.staircase:
-            assert alg.normal_form(mono(e)) == mono(e)
+            assert q_sigma_nf(alg, mono(e)) == mono(e)
 
 
 @pytest.mark.parametrize("name,m", ALL_PAIRS)
 def test_the_normal_form_table_equals_division(name, m):
-    # The table builds NF(X^e) from the normal forms of smaller monomials;
-    # the division of ``jacobi.normal_form`` is its reference, on every
-    # monomial up to the socle degree plus the largest weight (past the
-    # degree where the table stores nothing) and on the Hessian.
-    alg = JacobianAlgebra(get_entry(CATALOG, name), m)
+    # ``jacobi.normal_form`` reduces on one table of pending terms, updated
+    # in place; plain division, one polynomial subtraction per step, is its
+    # reference, on every monomial up to the socle degree plus the largest
+    # weight and on the Hessian.
+    alg = algebra(name, m)
+    key = order_key(alg.weights)
     w, scale = scaled_ints(alg.weights)
     top = scale + max(w)
     exps = [
@@ -278,7 +348,7 @@ def test_the_normal_form_table_equals_division(name, m):
         if w[0] * a + w[1] * b + w[2] * c <= top
     ]
     for f in [mono(e) for e in exps] + [alg.w_sigma.hessian_det()]:
-        assert alg.normal_form(f) == jacobi.normal_form(f, alg.groebner_basis, alg.weights)
+        assert q_sigma_nf(alg, f) == _ref_reduce(f, alg.groebner_basis, key)
 
 
 def test_the_staircase_of_a_monomial_ideal_is_its_complement():
@@ -309,7 +379,7 @@ def test_coords_are_dual_to_the_display_basis():
     for name in ("e6-fermat", "e7-chain34", "e8-chain32"):
         alg = algebra(name)
         for b in alg.basis:
-            assert alg.coords(mono(b)) == {b: RatFun.const(1)}
+            assert reference_coords(alg, mono(b)) == {b: RatFun.const(1)}
 
 
 def test_unique_top_monomial_per_display_basis():
@@ -326,7 +396,7 @@ def test_unique_top_monomial_per_display_basis():
 
 def test_e6_residue_of_the_marginal_monomial():
     alg = algebra("e6-fermat")
-    got = alg.residue(mono((1, 1, 1)))
+    got = reference_residue(alg, mono((1, 1, 1)))
     assert got == RatFun(UniPoly([1]), UniPoly([27, 0, 0, 1]))
     # Same value assembled from the family constants: 1/(K*(1 - C*sigma^l)).
     mar = alg.marginal
@@ -334,18 +404,49 @@ def test_e6_residue_of_the_marginal_monomial():
     assert got == 1 / (one_minus_x * 27)
 
 
+def test_the_marginal_monomial_has_residue_one_over_k_times_one_minus_x():
+    # On every pair the Q(sigma) residue of X^m is 1/(K*(1 - C*sigma^l)),
+    # with K the package's constant from the residue jets.  The top monomial
+    # of the display basis has this residue only where it is X^m (10 of the
+    # 25 pairs): on e6-loop22 with m = (1, 1, 1) it is -(2/9 + sigma^3/81)
+    # over 1 - C*sigma^3.
+    tops = 0
+    for name, m in ALL_PAIRS:
+        alg = algebra(name, m)
+        mar = alg.marginal
+        one_minus_x = sigma_poly([1] + [0] * (mar.l - 1) + [-mar.C])
+        assert reference_residue(alg, mono(m)) == 1 / (one_minus_x * alg.k_constant)
+        tops += reference_residue(alg, mono(alg.top_monomial)) == 1 / (one_minus_x * alg.k_constant)
+    assert tops == sum(m == algebra(name, m).top_monomial for name, m in ALL_PAIRS) == 10
+
+
+def test_the_residue_jets_equal_the_q_sigma_reference():
+    # (R_e(0), R_e'(0)) of the one int elimination mod sigma^2 equals the
+    # 1-jet of the reference residue on every degree-one monomial.
+    count = 0
+    for name, m in ALL_PAIRS:
+        alg = algebra(name, m)
+        monomials = alg.entry.polynomial.degree_one_monomials()
+        assert set(alg._jets) == set(monomials)
+        for e in monomials:
+            r = reference_residue(alg, mono(e))
+            assert alg._jets[e] == (r.eval(0), r.deriv().eval(0)), (name, m, e)
+        count += len(monomials)
+    assert count == 225
+
+
 def test_e7_residue_values():
     alg = algebra("e7-fermat")
     mar = alg.marginal
     one_minus_x = sigma_poly([1] + [0] * (mar.l - 1) + [-mar.C])
-    assert alg.residue(mono((2, 2, 0))) == 1 / (one_minus_x * 32)
-    assert alg.residue(mono((3, 1, 0))) == RatFun.const(0)
-    assert alg.residue(mono((0, 0, 2))) == RatFun.const(0)
+    assert reference_residue(alg, mono((2, 2, 0))) == 1 / (one_minus_x * 32)
+    assert reference_residue(alg, mono((3, 1, 0))) == RatFun.const(0)
+    assert reference_residue(alg, mono((0, 0, 2))) == RatFun.const(0)
     # X1^4 and X2^4 pair with a half-integral power of x = sigma^2/4: the
     # residue is odd in sigma, with value -(sigma/2)/(32*(1-x)).
     odd = sigma_poly([0, F(-1, 2)]) / (one_minus_x * 32)
-    assert alg.residue(mono((4, 0, 0))) == odd
-    assert alg.residue(mono((0, 4, 0))) == odd
+    assert reference_residue(alg, mono((4, 0, 0))) == odd
+    assert reference_residue(alg, mono((0, 4, 0))) == odd
 
 
 def test_ideal_members_have_zero_residue():
@@ -353,7 +454,7 @@ def test_ideal_members_have_zero_residue():
         alg = algebra(name)
         for i in range(3):
             f = alg.partials[i] * mono((1, 1, 0))
-            assert alg.residue(f) == RatFun.const(0)
+            assert reference_residue(alg, f) == RatFun.const(0)
 
 
 def test_k_constant_matches_catalog_where_stored():
@@ -362,7 +463,7 @@ def test_k_constant_matches_catalog_where_stored():
     # The unit pairs to one against the marginal monomial at sigma = 0.
     for name, m in ALL_PAIRS:
         alg = algebra(name, m)
-        pairing = alg.threepoint(mono(alg.marginal.m))
+        pairing = reference_threepoint(alg, mono(alg.marginal.m))
         assert pairing.eval(0) == 1
 
 
@@ -370,9 +471,9 @@ def test_k_constant_matches_catalog_where_stored():
 def test_gram_matrix_is_nondegenerate(name):
     alg = algebra(name)
     rows = [
-        [alg.threepoint(mono(a) * mono(b)) for b in alg.basis] for a in alg.basis
+        [reference_threepoint(alg, mono(a) * mono(b)) for b in alg.basis] for a in alg.basis
     ]
-    assert nullspace(rows, len(alg.basis)) == []
+    assert _reference_nullspace(rows, len(alg.basis)) == []
     for i in range(len(alg.basis)):
         for j in range(i):
             assert rows[i][j] == rows[j][i]
@@ -385,7 +486,10 @@ def test_the_sigma_zero_basis_status_of_every_pair():
     singular = set()
     for name, m in ALL_PAIRS:
         alg = algebra(name, m)
-        rows = [[alg.threepoint(mono(a) * mono(b)).eval(0) for b in alg.basis] for a in alg.basis]
+        rows = [
+            [reference_threepoint(alg, mono(a) * mono(b)).eval(0) for b in alg.basis]
+            for a in alg.basis
+        ]
         if nullspace(rows, len(alg.basis)):
             singular.add((name, m))
     assert singular == set()
@@ -489,18 +593,23 @@ def test_decompositions_cover_every_nonunit_basis_monomial():
 
 def batch_hooks(monkeypatch, tamper=None):
     """Record the (labels, bound) of every decomposition system that is built,
-    and let ``tamper(labels, bound, sols)`` edit its solved columns in place."""
+    and let ``tamper(labels, bound, sols)`` edit its solved columns in place.
+    The residue-jet system of ``__init__`` is not built by ``_degree_system``,
+    so it is neither recorded nor tampered with."""
     calls = []
+    built = []  # the rows of the last decomposition system
     real_system = JacobianAlgebra._degree_system
     real_solve = jacobi.solve_columns
 
     def system(self, deg, labels, bound):
         calls.append((tuple(labels), bound))
-        return real_system(self, deg, labels, bound)
+        out = real_system(self, deg, labels, bound)
+        built[:] = [out[1]]
+        return out
 
     def solve(rows, rhs, ncols):
         sols = real_solve(rows, rhs, ncols)
-        if tamper is not None:
+        if tamper is not None and built and rows is built[0]:
             tamper(*calls[-1], sols)
         return sols
 
@@ -644,24 +753,38 @@ def test_every_catalog_decomposition_system_solves_like_the_dense_reference(
     monkeypatch,
 ):
     # Real traffic for the fraction-free kernel: every system that the
-    # four-point tables of all 25 pairs build, each right-hand
-    # column solved again by the dense Fraction elimination.
+    # four-point tables of all 25 pairs build, the decompositions and the
+    # residue jets, each right-hand column solved again by the dense
+    # Fraction elimination.
     calls = batch_hooks(monkeypatch)
+    decomposition_rows = []
     systems = []
+    hooked_system = JacobianAlgebra._degree_system
     hooked_solve = jacobi.solve_columns
+
+    def system(self, deg, labels, bound):
+        out = hooked_system(self, deg, labels, bound)
+        decomposition_rows.append(out[1])
+        return out
 
     def solve(rows, rhs, ncols):
         sols = hooked_solve(rows, rhs, ncols)
-        systems.append((rows, rhs, ncols, sols))
+        jets = not any(rows is r for r in decomposition_rows)
+        systems.append((jets, rows, rhs, ncols, sols))
         return sols
 
+    monkeypatch.setattr(JacobianAlgebra, "_degree_system", system)
     monkeypatch.setattr(jacobi, "solve_columns", solve)
     for name, m in ALL_PAIRS:
         JacobianAlgebra(get_entry(CATALOG, name), m).fourpoint_table()
     assert len(ALL_PAIRS) == 25
-    assert (len(systems), sum(len(labels) for labels, _ in calls)) == (50, 115)
+    decompositions = [s for s in systems if not s[0]]
+    assert (len(decompositions), sum(len(labels) for labels, _ in calls)) == (50, 115)
     assert {bound for _, bound in calls} == {1, 2}  # l - 1; none retried at 2l
-    for rows, rhs, n, sols in systems:
+    # one jet system per algebra: a column per degree-one monomial, and the Hessian
+    jet_columns = [len(rhs) for jets, _, rhs, _, _ in systems if jets]
+    assert (len(jet_columns), sum(jet_columns)) == (25, 225 + 25)
+    for _, rows, rhs, n, sols in systems:
         dense = [[F(row.get(c, 0)) for c in range(n)] for row in rows]
         for column, (x, den) in zip(rhs, sols):
             b = [F(column.get(i, 0)) for i in range(len(rows))]
@@ -906,13 +1029,13 @@ def test_flat_corrections_do_not_depend_on_the_decomposition():
     for i in range(3):
         p_ref = p_ref - ref[i].partial(i)
         p_own = p_own - alg.decompose(r)[i].partial(i)
-    assert alg.normal_form(p_ref) == alg.normal_form(p_own)
+    assert q_sigma_nf(alg, p_ref) == q_sigma_nf(alg, p_own)
 
 
 @pytest.mark.parametrize("name,m", ALL_PAIRS)
 def test_sigma_zero_flats_equal_the_q_sigma_coordinates_at_zero(name, m):
     # The Q(sigma) route: the display-basis coordinates of p = -sum_i d_i g_i
-    # over Q(sigma), by the inverse change of basis of ``coords``, each
+    # over Q(sigma), by the inverse change of basis of ``reference_coords``, each
     # evaluated at sigma = 0, give the corrections that the flat section
     # reads off p(0) over Q.
     alg = algebra(name, m)
@@ -924,7 +1047,9 @@ def test_sigma_zero_flats_equal_the_q_sigma_coordinates_at_zero(name, m):
             p = p - g.partial(i)
         expected = tuple(
             (e, -c.eval(0))
-            for e, c in sorted(alg.coords(p).items(), key=lambda t: order_key(alg.weights)(t[0]))
+            for e, c in sorted(
+                reference_coords(alg, p).items(), key=lambda t: order_key(alg.weights)(t[0])
+            )
             if e != r and c.eval(0)
         )
         assert alg.flat_first_order(r).corrections == expected
@@ -932,7 +1057,7 @@ def test_sigma_zero_flats_equal_the_q_sigma_coordinates_at_zero(name, m):
 
 def test_flat_polynomial_form():
     flat = algebra("e7-fermat").flat_first_order((2, 0, 0))
-    poly = flat.polynomial()
+    poly = flat_polynomial(flat)
     assert poly.terms.get((2, 0, 0)) == RatFun.const(1)
     assert poly.terms.get((0, 2, 0)) == RatFun.variable() * F(1, 4)
 
@@ -998,7 +1123,7 @@ def test_fourpoint_table_is_supported_on_the_polynomial_monomials(name):
 def fourpoint_raw(alg: JacobianAlgebra, exps) -> F:
     """Four-point function with a single raw monomial insertion (no flat
     correction) and one marginal: K * R'(0) for R = residue(X^exps)."""
-    return alg.k_constant * alg._residue_jet(tuple(int(e) for e in exps))[1]
+    return alg.k_constant * alg._jets[tuple(int(e) for e in exps)][1]
 
 
 def raw_marginal_vector(alg: JacobianAlgebra) -> tuple:
@@ -1029,8 +1154,8 @@ def test_raw_fourpoint_values_equal_the_coordinate_derivative(name, m):
     alg = algebra(name, m)
     top = alg.top_monomial
     for row in get_entry(CATALOG, name).polynomial.exponents:
-        h = alg.coords(mono(row)).get(top, RatFun.const(0))
-        product = h * alg.threepoint(mono(top))
+        h = reference_coords(alg, mono(row)).get(top, RatFun.const(0))
+        product = h * reference_threepoint(alg, mono(top))
         # At sigma=0 every monomial of W lies in the undeformed Jacobian
         # ideal (the exponent matrix is invertible), so its residue there
         # vanishes even when the top coordinate h itself does not.
@@ -1043,8 +1168,8 @@ def reference_fourpoint(alg: JacobianAlgebra, flats) -> F:
     the product of the flat sections, differentiated at sigma = 0."""
     xi = MultiPoly.const(RatFun.const(1))
     for flat in flats:
-        xi = xi * flat.polynomial()
-    return alg.threepoint(xi).deriv().eval(0)
+        xi = xi * flat_polynomial(flat)
+    return reference_threepoint(alg, xi).deriv().eval(0)
 
 
 @pytest.mark.parametrize("name,m", ALL_PAIRS)
@@ -1059,7 +1184,7 @@ def test_jet_fourpoints_equal_the_full_normal_form_route(name, m):
         assert alg.fourpoint(*flats) == expected
     rows = get_entry(CATALOG, name).polynomial.exponents
     assert raw_marginal_vector(alg) == tuple(
-        alg.threepoint(mono(row)).deriv().eval(0) for row in rows
+        reference_threepoint(alg, mono(row)).deriv().eval(0) for row in rows
     )
 
 
@@ -1077,10 +1202,16 @@ def test_jet_fourpoint_uses_both_jet_terms():
 
 
 def test_residue_pole_at_sigma_zero_is_a_typed_domain_error(monkeypatch):
-    alg = JacobianAlgebra(get_entry(CATALOG, "e6-fermat"))
-    monkeypatch.setattr(alg, "residue", lambda f: 1 / RatFun.variable())
-    with pytest.raises(DomainError, match="pole at sigma = 0"):
-        fourpoint_raw(alg, (3, 0, 0))
+    # A Hessian planted as sigma * det Hess(W_sigma) has a zero sigma^0
+    # coordinate on the top monomial, so every R_e = mu*c_e/c_Hess would
+    # have a pole at sigma = 0.
+    real = MultiPoly.hessian_det
+    monkeypatch.setattr(MultiPoly, "hessian_det", lambda f: real(f).scale(RatFun.variable()))
+    entry = get_entry(CATALOG, "e6-fermat")
+    label = re.escape(f"e6-fermat, m={entry.marginals[0].m}")
+    with pytest.raises(DomainError, match=f"^{label}: .*pole at sigma = 0") as info:
+        JacobianAlgebra(entry)
+    assert not isinstance(info.value, ZeroDivisionError)
 
 
 def test_a_marginal_in_the_jacobian_ideal_is_a_typed_error():
@@ -1144,7 +1275,7 @@ def test_weight_one_triples_match_fraction_degrees(name, m):
 def test_cubic_power_rewrites_into_the_marginal_line():
     alg = algebra("e6-fermat")
     sigma = RatFun.variable()
-    assert alg.coords(mono((3, 0, 0))) == {(1, 1, 1): sigma * F(-1, 3)}
+    assert reference_coords(alg, mono((3, 0, 0))) == {(1, 1, 1): sigma * F(-1, 3)}
 
 
 # ---------------------------------------------------------------------------
@@ -1163,9 +1294,9 @@ EXPS = st.tuples(
 def test_normal_form_is_linear_and_idempotent(e1, e2):
     alg = algebra("e6-fermat")
     f, g = mono(e1), mono(e2, F(2))
-    nf = alg.normal_form(f + g)
-    assert nf == alg.normal_form(f) + alg.normal_form(g)
-    assert alg.normal_form(nf) == nf
+    nf = q_sigma_nf(alg, f + g)
+    assert nf == q_sigma_nf(alg, f) + q_sigma_nf(alg, g)
+    assert q_sigma_nf(alg, nf) == nf
 
 
 @settings(max_examples=25, deadline=None)
@@ -1173,4 +1304,4 @@ def test_normal_form_is_linear_and_idempotent(e1, e2):
 def test_ideal_shifts_never_change_normal_forms(e, i):
     alg = algebra("e8-chain32")
     f = mono(e)
-    assert alg.normal_form(f + alg.partials[i] * f) == alg.normal_form(f)
+    assert q_sigma_nf(alg, f + alg.partials[i] * f) == q_sigma_nf(alg, f)

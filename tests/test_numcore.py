@@ -781,19 +781,6 @@ def test_inverse_of_int_rows_is_exact():
         inverse([[1, 2], [2, 4]])
 
 
-def test_ratfun_cells_solve_and_invert_exactly():
-    # [[s, 1], [1, s]] has determinant s^2 - 1 and inverse
-    # [[s, -1], [-1, s]] / (s^2 - 1); both pivots are RatFun cells, the
-    # second (s - 1/s) with a nontrivial denominator
-    s = RatFun.variable()
-    det = s * s - 1
-    rows = [[s, 1], [1, s]]
-    assert solve_linear(rows, [1, 0]) == [s / det, -1 / det]
-    assert inverse(rows) == [[s / det, -1 / det], [-1 / det, s / det]]
-    with pytest.raises(NoSolution):
-        inverse([[s, 1], [s * s, s]])
-
-
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=100, deadline=None)
 def test_inverse_matches_one_solve_per_column(seed):
