@@ -13,16 +13,19 @@ computes
   one degree at a time) and skips the pairs that the coprime-leading-term
   and chain criteria prove redundant; the reduced basis of an ideal is
   unique, so this changes the work and not the result.  The basis of W
-  over Q gives the display basis B0 below.  The basis of W_sigma over
-  Q(sigma), its staircase and the Q(sigma)-valued ``decompose`` are kept
-  only because the bench's output checks read them;
+  over Q gives the display basis B0 below.  W_sigma over Q(sigma)
+  (``w_sigma``), its ``partials``, their Groebner basis over Q(sigma), its
+  staircase and the Q(sigma)-valued ``decompose`` are kept only because
+  the bench's output checks read them;
 * the residue jets.  With t the top monomial of B0, one elimination on the
   int sigma-layers of the partials solves
 
       X^e = c_e(sigma) * t + sum_i g_i(sigma) * d_i W_sigma   mod sigma^2
 
   for every degree-one monomial X^e, one right-hand column each, and for
-  the Hessian det Hess(W_sigma), by its sigma-layers.  The g_i are the
+  the Hessian D(sigma) = det Hess(W_sigma), by its sigma-layers.  D is
+  cubic in sigma, so its layers come from int determinants: D_0 = det
+  Hess(W) and D_1 = (D(1) - D(-1))/2 - det Hess(phi_m).  The g_i are the
   columns of the decompositions' system at degree 0.  c_e is unique: B0
   is a basis of Jac(W), so c_e(0) is the coordinate of X^e on t; and the
   family is flat at sigma = 0 (the partials of W form a regular sequence,
@@ -44,15 +47,21 @@ computes
   bound.  Each solution stays int numerators over one denominator, as the
   elimination returns it, and is verified in ints by multiplying the g_i
   by the sigma-layers of the partials coefficient by coefficient in (X,
-  sigma);
+  sigma).  No flat section or four-point value reads them;
 * first-order flat deformations
   delta_r = phi_r - sigma * sum_{r' != r} c_{r,r'}(0) * phi_{r'} + O(sigma^2)
   where the c's are the coefficients of -sum_i d_i g_{r,i} over the
-  monomial basis (independent of the choice of decomposition, because the
-  partials form a regular sequence and all syzygies are Koszul).  The
-  display basis is a basis at sigma = 0, so c_{r,r'}(0) is the coordinate
-  of p(0) = -sum_i d_i g_{r,i}(sigma = 0) in Jac(W): the sigma^0 layer of
-  the int decomposition, reduced over Q;
+  monomial basis.  The display basis is a basis at sigma = 0, so
+  c_{r,r'}(0) is the coordinate in Jac(W) of p(0) = -sum_i d_i g_{r,i}(0),
+  reduced over Q, and only the sigma^0 layer g(0) of a decomposition is
+  read.  Any g(0) with sum_i g_i(0) * d_i W = X^(r+m) gives the same p(0)
+  mod J(W): two such differ by a syzygy of the partials of W, which form
+  a regular sequence, so the syzygy is a sum of Koszul ones, g_i = d_j W*h
+  and g_j = -d_i W*h, each adding d_j W * d_i h - d_i W * d_j h, a member
+  of J(W), to p(0).  So the flats solve that sigma^0 system alone: int
+  cells of d_i W, one right-hand column X^(r+m) per basis label of one
+  weighted degree, in one elimination per degree, each solution verified
+  in ints.  X^(r+m) has degree > 1, so it lies in J(W);
 * the genus-zero four-point functions of the deformed singularity at
   sigma = 0, normalized so that <1, phi_m>|_{sigma=0} = 1.
 
@@ -437,12 +446,11 @@ class JacobianAlgebra:
         cells = {kk: row for kk, row in cells.items() if kk[1] < 2}  # mod sigma^2
         for d in (0, 1):  # the columns of c_e(0) * t and c_e'(0) * sigma * t
             cells.setdefault((self.top_monomial, d), {})[n + d] = 1
-        hessian = {
-            (e, d): v
-            for e, c in self.w_sigma.hessian_det().terms.items()
-            for d, v in enumerate(c.num.coeffs[:2])
-            if v
-        }
+        # D_0 and D_1 of the cubic D(sigma) = det Hess(W + sigma*phi_m), on ints
+        w, phi = self.entry.polynomial.polynomial(), MultiPoly.monomial(self.marginal.m, 1)
+        odd = (w + phi).hessian_det() - (w - phi).hessian_det()
+        layers = (w.hessian_det(), odd.map_coeffs(lambda c: c // 2) - phi.hessian_det())
+        hessian = {(e, d): v for d, layer in enumerate(layers) for e, v in layer.terms.items()}
         monomials = self.entry.polynomial.degree_one_monomials()
         rows, rhs = _indexed(cells, [{(e, 0): 1} for e in monomials] + [hessian])
         *sols, (hx, hden) = solve_columns(rows, rhs, n + 2)
@@ -485,13 +493,6 @@ class JacobianAlgebra:
         is asked for.  Each result is checked against the identity
         coefficient by coefficient in (X, sigma).
         """
-        gs, den = self._decomposition(r)
-        return tuple(MultiPoly._wrap({e: RatFun._make(n, (den,)) for e, n in g.items()}) for g in gs)
-
-    def _decomposition(self, r: Sequence[int]) -> tuple[list, int]:
-        """The g_i of ``decompose`` on ints: for each i, {exponent: its
-        sigma-coefficients, low degree first}, in exponent order, all over
-        the one denominator returned."""
         rvec = tuple(int(e) for e in r)
         if rvec not in self._decompositions:
             if rvec not in self.basis:
@@ -505,7 +506,8 @@ class JacobianAlgebra:
         result = self._decompositions[rvec]
         if isinstance(result, NoSolution):
             raise result.with_traceback(None)
-        return result
+        gs, den = result
+        return tuple(MultiPoly._wrap({e: RatFun._make(n, (den,)) for e, n in g.items()}) for g in gs)
 
     def _decompose_degree(self, deg: int) -> None:
         """Decompose every non-unit basis label of scaled weighted degree
@@ -517,7 +519,7 @@ class JacobianAlgebra:
             sols = solve_columns(rows, rhs, len(cols))
             for r, sol in zip(pending, sols):
                 if sol is not None:
-                    self._decompositions[r] = self._assemble(r, sol, cols)
+                    self._decompositions[r] = self._assemble(r, sol, cols, self._lhs(r), 2)
             pending = [r for r, sol in zip(pending, sols) if sol is None]
             if not pending:
                 return
@@ -578,15 +580,16 @@ class JacobianAlgebra:
                     cells.setdefault((te, d + shift), {})[ci] = pc
         return cols, cells
 
-    def _assemble(self, rvec: Exps, sol, cols) -> tuple[list, int]:
-        """The g_i of a solved column on ints, as ``_decomposition`` gives
-        them, checked against the identity.
+    def _assemble(self, rvec: Exps, sol, cols, lhs, layers: int) -> tuple[list, int]:
+        """The g_i of a solved column on ints, checked against the identity:
+        for each i, {exponent: its sigma-coefficients, low degree first}, in
+        exponent order, all over the one denominator returned.
 
         ``sol`` is the column's solution as ``solve_columns`` returns it:
         int numerators over one denominator L.  The check multiplies the
-        int g_i by the sigma-layers of the partials, not by the system's
-        rows, and compares with L * (1 - C*sigma^l) * X^(r+m) coefficient
-        by coefficient in (X, sigma).
+        int g_i by the first ``layers`` sigma-layers of the partials, not by
+        the system's rows, and compares with L * ``lhs`` (cells keyed by
+        (exponent, sigma-degree)) coefficient by coefficient in (X, sigma).
         """
         scaled, den = sol
         sigma_coeffs: list[dict[Exps, dict[int, int]]] = [{}, {}, {}]
@@ -595,25 +598,30 @@ class JacobianAlgebra:
                 sigma_coeffs[i].setdefault(e, {})[d] = value
         total: dict[tuple[Exps, int], int] = {}
         for i in range(NVARS):
-            for shift, layer in enumerate(self._layers[i]):
+            for shift, layer in enumerate(self._layers[i][:layers]):
                 for pe, pc in layer.items():
                     for e, coeffs in sigma_coeffs[i].items():
                         te = (e[0] + pe[0], e[1] + pe[1], e[2] + pe[2])
                         for d, c in coeffs.items():
                             kk = (te, d + shift)
                             total[kk] = total.get(kk, 0) + c * pc
-        lhs = {kk: den * v for kk, v in self._lhs(rvec).items()}
-        if {kk: v for kk, v in total.items() if v} != lhs:
-            raise DomainError(
-                f"{self._label}: decomposition of {rvec} failed verification"
-            )
+        if {kk: v for kk, v in total.items() if v} != {kk: den * v for kk, v in lhs.items()}:
+            raise DomainError(f"{self._label}: decomposition of {rvec} failed verification")
         return [{e: _dense(c) for e, c in sorted(g.items())} for g in sigma_coeffs], den
 
     # -- flat sections and correlators ----------------------------------------
 
     def flat_first_order(self, r: Sequence[int]) -> FlatSectionApprox:
         """First-order flat deformation of the basis monomial phi_r, with
-        its corrections read at sigma = 0 over Q."""
+        its corrections read at sigma = 0 over Q.
+
+        The first call for a weighted degree solves sum_i g_i * d_i W =
+        X^(r+m), the sigma^0 layer of the decomposition of every basis label
+        r of that degree, in one elimination with one right-hand column per
+        label, checks each solution in ints, and memoises every flat of the
+        degree.  Any solution g(0) gives the same corrections, by the Koszul
+        argument of the module docstring.
+        """
         rvec = tuple(int(e) for e in r)
         if rvec in self._flats:
             return self._flats[rvec]
@@ -623,24 +631,30 @@ class JacobianAlgebra:
                 f"{self._label}: phi_{rvec} has integral degree "
                 f"{deg_r // self._scale}"
             )
-        gs, den = self._decomposition(rvec)
-        # p(0) = -sum_i d_i g_i at sigma = 0, from the sigma^0 layer of the ints
-        p = MultiPoly.zero()
-        for i, g in enumerate(gs):
-            p = p - MultiPoly._wrap({e: c[0] for e, c in g.items() if c[0]}).partial(i)
-        # its B0 coordinates: the remainder over the Groebner basis of W
-        remainder = _reduce(p.scale(Fraction(1, den)), self._gb0data, self._key).terms
-        corrections = []
-        for e, c in sorted(remainder.items(), key=lambda t: self._key(t[0])):
-            if self._degree(e) != deg_r:
-                raise DomainError(
-                    f"{self._label}: correction {e} breaks the grading of {rvec}"
-                )
-            if e != rvec:  # the same-label term only renormalizes at higher order
-                corrections.append((e, -c))
-        flat = FlatSectionApprox(r=rvec, corrections=tuple(corrections))
-        self._flats[rvec] = flat
-        return flat
+        if rvec not in self.basis:
+            raise DomainError(f"{self._label}: {rvec} is not a basis exponent")
+        labels = [e for e in self.basis if self._degree(e) == deg_r]
+        cols, cells = self._ansatz(deg_r, 0)
+        cells = {kk: row for kk, row in cells.items() if not kk[1]}  # sigma = 0
+        lhs = [{kk: v for kk, v in self._lhs(e).items() if not kk[1]} for e in labels]
+        for label, b, sol in zip(labels, lhs, solve_columns(*_indexed(cells, lhs), len(cols))):
+            if sol is None:
+                raise DomainError(f"{self._label}: X^(r+m) for r = {label} is not in J(W)")
+            gs, den = self._assemble(label, sol, cols, b, 1)
+            # p(0) = -sum_i d_i g_i(0), and its B0 coordinates: the remainder
+            # over the Groebner basis of W
+            p = MultiPoly.zero()
+            for i, g in enumerate(gs):
+                p = p - MultiPoly._wrap({e: c[0] for e, c in g.items()}).partial(i)
+            remainder = _reduce(p.scale(Fraction(1, den)), self._gb0data, self._key).terms
+            corrections = []
+            for e, c in sorted(remainder.items(), key=lambda t: self._key(t[0])):
+                if self._degree(e) != deg_r:
+                    raise DomainError(f"{self._label}: correction {e} breaks the grading of {label}")
+                if e != label:  # the same-label term only renormalizes at higher order
+                    corrections.append((e, -c))
+            self._flats[label] = FlatSectionApprox(r=label, corrections=tuple(corrections))
+        return self._flats[rvec]
 
     def fourpoint(self, r1, r2, r3) -> Rat:
         """Four-point function with three flat insertions and one marginal:

@@ -594,8 +594,9 @@ def test_decompositions_cover_every_nonunit_basis_monomial():
 def batch_hooks(monkeypatch, tamper=None):
     """Record the (labels, bound) of every decomposition system that is built,
     and let ``tamper(labels, bound, sols)`` edit its solved columns in place.
-    The residue-jet system of ``__init__`` is not built by ``_degree_system``,
-    so it is neither recorded nor tampered with."""
+    The residue-jet system of ``__init__`` and the sigma^0 systems of the
+    flat sections are not built by ``_degree_system``, so they are neither
+    recorded nor tampered with."""
     calls = []
     built = []  # the rows of the last decomposition system
     real_system = JacobianAlgebra._degree_system
@@ -749,42 +750,44 @@ def test_the_bside_outputs_are_pinned():
     )
 
 
+# The sigma^0 systems that the four-point tables of the 25 pairs solve: one
+# per fractional degree of a flat label, with a right-hand column for each
+# basis label of that degree.
+SIGMA_ZERO_SYSTEMS, SIGMA_ZERO_LABELS = 50, 115
+
+
 def test_every_catalog_decomposition_system_solves_like_the_dense_reference(
     monkeypatch,
 ):
     # Real traffic for the fraction-free kernel: every system that the
-    # four-point tables of all 25 pairs build, the decompositions and the
-    # residue jets, each right-hand column solved again by the dense
-    # Fraction elimination.
-    calls = batch_hooks(monkeypatch)
-    decomposition_rows = []
-    systems = []
-    hooked_system = JacobianAlgebra._degree_system
-    hooked_solve = jacobi.solve_columns
-
-    def system(self, deg, labels, bound):
-        out = hooked_system(self, deg, labels, bound)
-        decomposition_rows.append(out[1])
-        return out
+    # four-point tables of all 25 pairs build, the residue jets of each
+    # algebra and the sigma^0 decompositions of its flat sections, each
+    # right-hand column solved again by the dense Fraction elimination.
+    systems = {"jets": [], "flats": []}
+    phase = ["jets"]
+    real_solve = jacobi.solve_columns
 
     def solve(rows, rhs, ncols):
-        sols = hooked_solve(rows, rhs, ncols)
-        jets = not any(rows is r for r in decomposition_rows)
-        systems.append((jets, rows, rhs, ncols, sols))
+        sols = real_solve(rows, rhs, ncols)
+        systems[phase[0]].append((rows, rhs, ncols, sols))
         return sols
 
-    monkeypatch.setattr(JacobianAlgebra, "_degree_system", system)
     monkeypatch.setattr(jacobi, "solve_columns", solve)
     for name, m in ALL_PAIRS:
-        JacobianAlgebra(get_entry(CATALOG, name), m).fourpoint_table()
+        phase[0] = "jets"
+        alg = JacobianAlgebra(get_entry(CATALOG, name), m)
+        phase[0] = "flats"
+        alg.fourpoint_table()
     assert len(ALL_PAIRS) == 25
-    decompositions = [s for s in systems if not s[0]]
-    assert (len(decompositions), sum(len(labels) for labels, _ in calls)) == (50, 115)
-    assert {bound for _, bound in calls} == {1, 2}  # l - 1; none retried at 2l
+
+    def shape(kind):
+        return len(systems[kind]), sum(len(rhs) for _, rhs, _, _ in systems[kind])
+
     # one jet system per algebra: a column per degree-one monomial, and the Hessian
-    jet_columns = [len(rhs) for jets, _, rhs, _, _ in systems if jets]
-    assert (len(jet_columns), sum(jet_columns)) == (25, 225 + 25)
-    for _, rows, rhs, n, sols in systems:
+    assert shape("jets") == (25, 225 + 25)
+    # one sigma^0 system per fractional degree: a column per basis label
+    assert shape("flats") == (SIGMA_ZERO_SYSTEMS, SIGMA_ZERO_LABELS)
+    for rows, rhs, n, sols in systems["jets"] + systems["flats"]:
         dense = [[F(row.get(c, 0)) for c in range(n)] for row in rows]
         for column, (x, den) in zip(rhs, sols):
             b = [F(column.get(i, 0)) for i in range(len(rows))]
@@ -795,15 +798,91 @@ def test_every_catalog_decomposition_system_solves_like_the_dense_reference(
             assert (tuple(x), den) == scaled_ints(want)
 
 
+def test_four_point_tables_build_no_sigma_layered_decomposition(monkeypatch):
+    # The flats read the sigma^0 layer only, so the tables of all 25 pairs
+    # call no _degree_system, every ansatz they build has sigma-degree 0,
+    # and each basis label of a solved degree gets its flat memoised.
+    algebras = [JacobianAlgebra(get_entry(CATALOG, name), m) for name, m in ALL_PAIRS]
+    layered, bounds, columns = [], [], []
+    real_ansatz, real_solve = JacobianAlgebra._ansatz, jacobi.solve_columns
+
+    def ansatz(self, deg, bound):
+        bounds.append(bound)
+        return real_ansatz(self, deg, bound)
+
+    def solve(rows, rhs, ncols):
+        columns.append(len(rhs))
+        return real_solve(rows, rhs, ncols)
+
+    monkeypatch.setattr(JacobianAlgebra, "_degree_system", lambda *args: layered.append(args))
+    monkeypatch.setattr(JacobianAlgebra, "_ansatz", ansatz)
+    monkeypatch.setattr(jacobi, "solve_columns", solve)
+    for alg in algebras:
+        alg.fourpoint_table()
+    assert layered == []
+    assert set(bounds) == {0} and len(bounds) == SIGMA_ZERO_SYSTEMS
+    assert (len(columns), sum(columns)) == (SIGMA_ZERO_SYSTEMS, SIGMA_ZERO_LABELS)
+    assert sum(len(alg._flats) for alg in algebras) == SIGMA_ZERO_LABELS
+
+
+def sigma_zero_hooks(monkeypatch, tamper):
+    """Let ``tamper(sols)`` edit the solved columns of every system solved
+    from now on in place; an algebra built before the call keeps its jets."""
+    real_solve = jacobi.solve_columns
+
+    def solve(rows, rhs, ncols):
+        sols = real_solve(rows, rhs, ncols)
+        tamper(sols)
+        return sols
+
+    monkeypatch.setattr(jacobi, "solve_columns", solve)
+
+
+def test_a_wrong_sigma_zero_solution_cell_fails_verification(monkeypatch):
+    victim = (0, 1, 0)
+    entry = get_entry(CATALOG, "e6-fermat")
+    alg = JacobianAlgebra(entry)
+
+    def plant(sols):
+        numerators, _ = sols[E6_THIRDS.index(victim)]
+        c = next(c for c, v in enumerate(numerators) if v)
+        numerators[c] += 1
+
+    sigma_zero_hooks(monkeypatch, plant)
+    label = re.escape(f"e6-fermat, m={entry.marginals[0].m}")
+    with pytest.raises(
+        DomainError, match=label + r": decomposition of \(0, 1, 0\) failed verification"
+    ):
+        alg.flat_first_order(victim)
+
+
+def test_an_unsolved_sigma_zero_column_is_a_typed_domain_error(monkeypatch):
+    victim = (0, 1, 0)
+    entry = get_entry(CATALOG, "e6-fermat")
+    alg = JacobianAlgebra(entry)
+    sigma_zero_hooks(monkeypatch, lambda sols: sols.__setitem__(E6_THIRDS.index(victim), None))
+    label = re.escape(f"e6-fermat, m={entry.marginals[0].m}")
+    with pytest.raises(DomainError, match=label + r": .* r = \(0, 1, 0\) is not in J\(W\)"):
+        alg.flat_first_order((1, 0, 0))
+
+
+def test_flat_first_order_rejects_non_basis_exponents():
+    # x^2 has degree 2/3 but lies in the Jacobian ideal of x^3 + y^3 + z^3
+    with pytest.raises(DomainError, match=r"e6-fermat, m=\(1, 1, 1\): \(2, 0, 0\) is not a basis"):
+        algebra("e6-fermat").flat_first_order((2, 0, 0))
+
+
 def test_every_catalog_label_solves_at_sigma_degree_l_minus_1(monkeypatch):
-    # The first ansatz, sigma-degree l - 1, solves all 115 labels that the
-    # four-point tables decompose, and none of them needs a lower degree.
+    # The first ansatz, sigma-degree l - 1, solves the decompositions of all
+    # 115 labels in the degrees of the flat labels of the four-point tables,
+    # and none of them needs a lower degree.
     calls = batch_hooks(monkeypatch)
     labels_by_l = {}
     for name, m in ALL_PAIRS:
         alg = JacobianAlgebra(get_entry(CATALOG, name), m)
         seen = len(calls)
-        alg.fourpoint_table()
+        for r in {r for trip in alg.weight_one_triples() for r in trip}:
+            alg.decompose(r)
         l = alg.marginal.l
         for labels, bound in calls[seen:]:
             assert bound == l - 1
@@ -812,6 +891,7 @@ def test_every_catalog_label_solves_at_sigma_degree_l_minus_1(monkeypatch):
                 assert max(len(c.n) - 1 for g in gs for c in g.terms.values()) == l - 1
             labels_by_l[l] = labels_by_l.get(l, 0) + len(labels)
     assert labels_by_l == {3: 67, 2: 48}
+    assert sum(labels_by_l.values()) == SIGMA_ZERO_LABELS
 
 
 def test_decompose_rejects_non_basis_exponents():
@@ -1202,16 +1282,32 @@ def test_jet_fourpoint_uses_both_jet_terms():
 
 
 def test_residue_pole_at_sigma_zero_is_a_typed_domain_error(monkeypatch):
-    # A Hessian planted as sigma * det Hess(W_sigma) has a zero sigma^0
-    # coordinate on the top monomial, so every R_e = mu*c_e/c_Hess would
-    # have a pole at sigma = 0.
-    real = MultiPoly.hessian_det
-    monkeypatch.setattr(MultiPoly, "hessian_det", lambda f: real(f).scale(RatFun.variable()))
+    # det Hess(W) planted as 0 is a zero sigma^0 layer D_0 of the Hessian,
+    # so its coordinate on the top monomial is 0 at sigma = 0 and every
+    # R_e = mu*c_e/c_Hess would have a pole there.
     entry = get_entry(CATALOG, "e6-fermat")
+    w = entry.polynomial.polynomial()
+    real = MultiPoly.hessian_det
+    monkeypatch.setattr(MultiPoly, "hessian_det", lambda f: MultiPoly.zero() if f == w else real(f))
     label = re.escape(f"e6-fermat, m={entry.marginals[0].m}")
     with pytest.raises(DomainError, match=f"^{label}: .*pole at sigma = 0") as info:
         JacobianAlgebra(entry)
     assert not isinstance(info.value, ZeroDivisionError)
+
+
+@pytest.mark.parametrize("name,m", ALL_PAIRS)
+def test_the_int_hessian_layers_equal_the_q_sigma_hessian(name, m, monkeypatch):
+    # The jet system's Hessian column, from int determinants, is the sigma^0
+    # and sigma^1 layers of det Hess(W_sigma) over Q(sigma).
+    columns = []
+    real = jacobi._indexed
+    monkeypatch.setattr(jacobi, "_indexed", lambda cells, maps: columns.append(maps[-1]) or real(cells, maps))
+    alg = JacobianAlgebra(get_entry(CATALOG, name), m)
+    want = {}
+    for e, c in alg.w_sigma.hessian_det().terms.items():
+        assert c.d == (1,)  # an int polynomial in sigma, low degree first
+        want.update({(e, d): v for d, v in enumerate(c.n[:2]) if v})
+    assert columns == [want]
 
 
 def test_a_marginal_in_the_jacobian_ideal_is_a_typed_error():
