@@ -107,6 +107,22 @@ class UnknownEntry(DomainError, KeyError):
     __str__ = Exception.__str__  # the message, not KeyError's repr of it
 
 
+def _exponent_vector(v: Any, where: str) -> tuple[int, int, int]:
+    """The exponent vector ``v`` of a monomial in X1, X2, X3 as a tuple.
+
+    The one reader of exponent vectors, the catalog loader's included: a
+    list or tuple of three nonnegative ``int``s is accepted, and anything
+    else raises :class:`DomainError` with ``where`` (the entry, when there
+    is one) in front.  Bools are rejected, though ``isinstance`` counts them
+    as ints (JSON true and false load as bools), and so are floats, which
+    ``int`` would truncate.
+    """
+    vec = tuple(v) if isinstance(v, (list, tuple)) else ()
+    if len(vec) != NVARS or not all(type(e) is int and e >= 0 for e in vec):
+        raise DomainError(f"{where}: expected three nonnegative integers, got {v!r}")
+    return vec
+
+
 # ---------------------------------------------------------------------------
 # 3x3 determinant (the inverse comes from numcore)
 # ---------------------------------------------------------------------------
@@ -141,11 +157,9 @@ class InvertiblePolynomial:
     __slots__ = ("exponents", "_inverse", "charges", "mirror_charges", "milnor_number")
 
     def __init__(self, exponents: Sequence[Sequence[int]]):
-        rows = tuple(tuple(int(e) for e in row) for row in exponents)
-        if len(rows) != NVARS or any(len(r) != NVARS for r in rows):
+        rows = tuple(_exponent_vector(row, "exponent matrix row") for row in exponents)
+        if len(rows) != NVARS:
             raise DomainError("exponent matrix must be 3x3")
-        if any(e < 0 for r in rows for e in r):
-            raise DomainError("exponents must be nonnegative")
         if _det3(rows) == 0:
             raise DomainError("exponent matrix must be invertible")
         # each variable feeds at most one row and is fed by at most one, so
@@ -273,7 +287,7 @@ class MarginalData(NamedTuple):
 
     @staticmethod
     def derive(poly: InvertiblePolynomial, m: Sequence[int]) -> "MarginalData":
-        m = tuple(int(e) for e in m)
+        m = _exponent_vector(m, "marginal")
         if poly.weighted_degree(m) != 1:
             raise DomainError(f"monomial {m} is not of weighted degree one")
         lvec, ell = scaled_ints(poly.solve_transposed(m))
@@ -313,7 +327,7 @@ class CatalogEntry(SimpleNamespace):
     qexp: Mapping[str, Any] | None
 
     def marginal(self, m: Sequence[int]) -> MarginalData:
-        key = tuple(int(e) for e in m)
+        key = _exponent_vector(m, f"{self.name} marginal")
         for row in self.marginals:
             if row.m == key:
                 return row
@@ -350,10 +364,10 @@ def _parse_rat_field(v: Any, where: str) -> Rat:
 
 
 def _parse_int_triple(v: Any, where: str) -> tuple[int, int, int]:
-    # JSON true/false load as bools, which are ints to isinstance
-    if not isinstance(v, list) or len(v) != NVARS or not all(type(e) is int for e in v):
-        raise _ctx(where, f"expected a list of three integers, got {v!r}")
-    return (v[0], v[1], v[2])
+    try:
+        return _exponent_vector(v, where)
+    except DomainError as exc:
+        raise SchemaError(str(exc)) from None
 
 
 def _parse_weights(v: Any, where: str) -> tuple[Rat, Rat, Rat]:

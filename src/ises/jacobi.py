@@ -13,10 +13,11 @@ computes
   one degree at a time) and skips the pairs that the coprime-leading-term
   and chain criteria prove redundant; the reduced basis of an ideal is
   unique, so this changes the work and not the result.  The basis of W
-  over Q gives the display basis B0 below.  W_sigma over Q(sigma)
-  (``w_sigma``), its ``partials``, their Groebner basis over Q(sigma), its
-  staircase and the Q(sigma)-valued ``decompose`` are kept only because
-  the bench's output checks read them;
+  over Q gives the display basis B0 below.  The Groebner basis of the
+  partials over Q(sigma), its staircase and the Q(sigma)-valued
+  ``decompose`` are kept only because the bench's output checks read them;
+  W_sigma over Q(sigma) (``w_sigma``) and its ``partials`` feed that basis
+  and the tests, and the bench reads neither;
 * the residue jets.  With t the top monomial of B0, one elimination on the
   int sigma-layers of the partials solves
 
@@ -91,7 +92,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .isespoly import NVARS, CatalogEntry, InvertiblePolynomial, MarginalData
+from .isespoly import NVARS, CatalogEntry, InvertiblePolynomial, MarginalData, _exponent_vector
 from .numcore import (
     DomainError,
     MultiPoly,
@@ -375,8 +376,8 @@ class JacobianAlgebra:
 
     def __init__(self, entry: CatalogEntry, m: Sequence[int] | None = None):
         self.entry = entry
-        mvec = tuple(int(e) for e in (m if m is not None else entry.marginals[0].m))
-        self.marginal: MarginalData = entry.marginal(mvec)
+        self.marginal: MarginalData = entry.marginal(m if m is not None else entry.marginals[0].m)
+        mvec = self.marginal.m
         self._label = f"{entry.name}, m={self.marginal.m}"
         self.weights = entry.polynomial.charges
         self._key = order_key(self.weights)
@@ -493,7 +494,7 @@ class JacobianAlgebra:
         is asked for.  Each result is checked against the identity
         coefficient by coefficient in (X, sigma).
         """
-        rvec = tuple(int(e) for e in r)
+        rvec = _exponent_vector(r, self._label)
         if rvec not in self._decompositions:
             if rvec not in self.basis:
                 raise DomainError(f"{self._label}: {rvec} is not a basis exponent")
@@ -622,7 +623,7 @@ class JacobianAlgebra:
         degree.  Any solution g(0) gives the same corrections, by the Koszul
         argument of the module docstring.
         """
-        rvec = tuple(int(e) for e in r)
+        rvec = _exponent_vector(r, self._label)
         if rvec in self._flats:
             return self._flats[rvec]
         deg_r = self._degree(rvec)

@@ -41,7 +41,7 @@ from math import prod
 from typing import Sequence
 
 from . import jacobi  # milnor_groebner calls groebner in ises.jacobi, where a wrapper sees it
-from .isespoly import NVARS, CatalogEntry
+from .isespoly import NVARS, CatalogEntry, _exponent_vector
 from .numcore import DomainError, MultiPoly, Rat, scaled_ints
 
 __all__ = [
@@ -145,7 +145,7 @@ def build_gkz(
 ) -> DeltaOperator:
     """The (unreduced) period operator for ``phi_r`` in the family ``W + sigma phi_m``."""
     marginal = entry.marginal(m)
-    u = entry.polynomial.solve_transposed([int(ri) + 1 for ri in r])
+    u = entry.polynomial.solve_transposed([ri + 1 for ri in _exponent_vector(r, f"{entry.name} r")])
     l = marginal.l
     lvec = marginal.l_vector
     left: list[Rat] = [Fraction(-k) for k in range(l)]

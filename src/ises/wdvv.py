@@ -15,8 +15,7 @@ labels in both directions: methods take label multisets and return label
 keys, and a label key is the insertion tuple in basis order (paired with
 the degree on graded tables).
 
-The scans of :func:`propagate` and :func:`check_residuals` evaluate the
-associativity constraint
+One scan routine evaluates the associativity constraint
 
     sum_k <a, b, e_k> eta^{kl} <e_l, c, d>  -  (b <-> c)
 
@@ -35,8 +34,9 @@ Each pair sum is a sum over the Leibniz splits of the extra slots of
 with head = left pair + left extras and tail = right pair + right extras,
 taken as the sparse dot product of two supports.  The support of a
 multiset m lists the (k, d1) whose key <m, k>_{d1} is nonzero or unknown
-when a scan (one :func:`check_residuals` or :func:`propagate` call)
-starts; a tail support is indexed by the k that eta pairs with its l.
+when a scan (one :func:`check_residuals` or :func:`propagate` call, with
+all of its passes) starts; a tail support is indexed by the k that eta
+pairs with its l.
 A scan looks a support up by (half, part), the sorted pair of a pairing
 and the extra slots that a Leibniz split sends to it, so a split costs
 one dict read; only the first read of a (half, part) sorts the multiset,
@@ -47,12 +47,15 @@ keys only shrink and a support stays a superset of them.  Values are read
 as they are used.
 
 The instances of a scan come in relation groups (pairings, extra,
-degree): the first pairing against each of the others.  A scan evaluates
-each pairing's pair sum once per group and forms each residual as the
-first sum minus the other.  A group whose first sum is quadratic is left
-whole without evaluating the others; in :func:`propagate` a key solved
-inside a group makes the first sum be evaluated again, since it may read
-that key or be over an older D.
+degree): the first pairing against each of the others.  One pass of the
+scan evaluates each pairing's pair sum once per group and forms each
+residual as the first sum minus the other.  A group whose first sum is
+quadratic is left whole without evaluating the others.  The pass counts
+the fully known instances and raises :class:`InconsistentSystem` on one
+whose residual is nonzero; that check lives in the pass alone.  A solving
+pass also sets each key that one instance fixes alone, which makes the
+first sum be evaluated again (it may read that key, or be over an older
+D), and returns the groups of the instances still open.
 
 A support is routed by the degree budget.  A table scales its gradings
 once by L, the lcm of their denominators, to int weights, and groups
@@ -63,14 +66,12 @@ are visited.  This is exact: a key off the budget is never set to a
 nonzero value nor declared unknown, so it reads as zero and could not
 contribute.
 
-:func:`propagate` repeatedly scans residual instances that are linear in
-exactly one unknown, solves them, and enforces consistency of the fully
-known instances, raising :class:`InconsistentSystem` on any conflict; each
-pass after the first rescans only the instances that are still open.
-Solved values are unique when the system is consistent, so the outcome is
-independent of the instance-selection order.  The instance scans of
-:func:`propagate` and :func:`check_residuals` run on basis positions, and
-so does their ``admissible(pair, extra)`` filter.  The extras are routed
+:func:`propagate` runs solving passes until one solves nothing, each
+after the first over the instances still open; :func:`check_residuals` is
+one pass that solves nothing and collects no open group.  Solved values
+are unique when the system is consistent, so the outcome is independent
+of the instance-selection order.  The passes run on basis positions, and
+so does the ``admissible(pair, extra)`` filter.  The extras are routed
 by the degree budget as the pair sums are: a scan groups the extra
 multisets once by the quad weight they complete, and each quad visits
 only its group.
@@ -156,7 +157,9 @@ class CorrelatorTable:
     rejected, and such keys read as zero.  The gradings of the two labels
     of every nonzero pairing entry must have one sum c for the whole table
     (c = 1 on the FJRW and GW tables), else the table raises
-    :class:`MissingPairing`.
+    :class:`MissingPairing`.  Misuse raises :class:`DomainError`: duplicate
+    labels, a key of fewer than three insertions, a degree on an ungraded
+    table, or a write to a frozen one.
     """
 
     def __init__(
@@ -169,7 +172,7 @@ class CorrelatorTable:
         self.labels = tuple(labels)
         self._index = {label: i for i, label in enumerate(self.labels)}
         if len(self._index) != len(self.labels):
-            raise ValueError("duplicate basis labels")
+            raise DomainError("duplicate basis labels")
         self.graded = bool(graded)
         try:
             gradings = [rat(degrees[label]) for label in self.labels]
@@ -240,9 +243,9 @@ class CorrelatorTable:
         """Internal key of a label multiset."""
         ins = tuple(sorted(self._positions(insertions)))
         if len(ins) < 3:
-            raise ValueError("correlator keys need at least 3 insertions")
+            raise DomainError("correlator keys need at least 3 insertions")
         if degree and not self.graded:
-            raise ValueError("degree grading not enabled for this table")
+            raise DomainError("degree grading not enabled for this table")
         return (ins, int(degree))
 
     def _names(self, ins: tuple[int, ...]) -> tuple:
@@ -271,7 +274,7 @@ class CorrelatorTable:
 
     def _set_key(self, key, value) -> None:
         if self._frozen:
-            raise ValueError("table is frozen")
+            raise DomainError("table is frozen")
         v = rat(value)
         if not self._budget_ok(key[0]):
             if v:
@@ -301,7 +304,7 @@ class CorrelatorTable:
 
     def _declare_key(self, key) -> None:
         if self._frozen:
-            raise ValueError("table is frozen")
+            raise DomainError("table is frozen")
         if self._budget_ok(key[0]) and key not in self._values:
             self._unknown.add(key)
 
@@ -562,6 +565,51 @@ def _describe(table: CorrelatorTable, instance, constant: int) -> str:
     )
 
 
+def _scan(table: CorrelatorTable, groups, memo: _ScanMemo, solve: bool) -> tuple[int, list]:
+    """One pass over relation groups: ``(known instances, open groups)``.
+
+    Evaluates each group's first pair sum once and forms each residual from
+    it (module docstring); a group whose first sum is quadratic is left
+    whole.  A fully known instance is counted, and raises
+    :class:`InconsistentSystem` when its residual is nonzero.  Only when
+    ``solve`` is set, an instance linear in exactly one unknown sets that
+    key, the first sum is evaluated again before the next residual (it may
+    read the key, or be over an older D), and the groups are returned with
+    their still-open instances, those quadratic or linear in two or more
+    unknowns.  Without ``solve`` the table is left as it is and no group is
+    collected.
+    """
+    checked, still_open = 0, []
+    for group in groups:
+        (head, *others), extra, degree = group
+        first = _pair_sum(table, head, extra, degree, memo)
+        if first is None:
+            if solve:
+                still_open.append(group)
+            continue
+        kept = [head]
+        for pair in others:
+            if first is None:  # a key of this group was solved
+                first = _pair_sum(table, head, extra, degree, memo)
+            form = _residual(table, first, pair, extra, degree, memo)
+            if form is None or len(form[1]) > (1 if solve else 0):
+                kept.append(pair)
+                continue
+            constant, terms = form
+            if terms:
+                (key, coeff), = terms.items()
+                table._set_key(key, Fraction(-constant, table._den * coeff))
+                first = None
+            elif constant:
+                described = _describe(table, (head, pair, extra, degree), constant)
+                raise InconsistentSystem(f"known instance {described}")
+            else:
+                checked += 1
+        if solve and len(kept) > 1:
+            still_open.append((kept, extra, degree))
+    return checked, still_open
+
+
 def propagate(
     table: CorrelatorTable,
     *,
@@ -572,27 +620,27 @@ def propagate(
 ) -> CorrelatorTable:
     """Close a table under WDVV: solve instances linear in one unknown.
 
-    Scans all residual instances built from the basis labels with up to
-    ``extra_slots`` extra insertions, solves every instance that is linear
-    in exactly one unknown, and rescans the instances still open (quadratic,
-    or linear in two or more unknowns) until a pass solves nothing.  Fully
-    known instances must vanish (InconsistentSystem otherwise).  Keys that
-    no instance resolves stay in the unknown-set of the returned table.  A
-    table that declares no (3 + ``extra_slots``)-point key, where some key
-    of that size meets the degree budget, raises :class:`MissingKey` before
-    the first scan.
+    A table without unknowns is returned as a copy at once, with no
+    relation group listed.  Otherwise the relation groups built from the
+    basis labels with up to ``extra_slots`` extra insertions are listed
+    once, and solving passes of the one scan routine run over them: each
+    pass solves every instance that is linear in exactly one unknown and
+    raises :class:`InconsistentSystem` on a fully known instance that does
+    not vanish, and the next pass rescans only the instances still open
+    (quadratic, or linear in two or more unknowns).  The passes stop when
+    one solves nothing or no unknown is left.  Keys that no instance
+    resolves stay in the unknown-set of the returned table.  A table that
+    declares no (3 + ``extra_slots``)-point key, where some key of that
+    size meets the degree budget, raises :class:`MissingKey` before the
+    first pass.
     ``shuffle_seed`` randomizes the order of the relation groups and of the
     other pairings inside each group, so of the solves within a group; the
     first pairing of a group stays first, so the instances are the same.
     The order must not change the outcome.
 
-    The call keeps one set of supports for all its passes and evaluates
-    each pairing's pair sum once per relation group and pass (module
-    docstring); a key solved inside a group makes the group's first sum be
-    evaluated again before the next residual, and only the instances still
-    open stay in their group for the next pass.  The residuals are ints
-    over the table's denominators (module docstring), and each solved key
-    costs one ``Fraction``.
+    All passes share one set of supports.  The residuals are ints over the
+    table's denominators (module docstring), and each solved key costs one
+    ``Fraction``.
 
     ``admissible(pair, extra)`` filters instances: when the table's labels
     span only part of a larger state space, only pairings whose forced
@@ -602,50 +650,22 @@ def propagate(
     its degree budget.
     """
     work = table.copy()
+    if not work._unknown:
+        return work
+    _require_keys(work, extra_slots)
+    pending = list(_groups(work, extra_slots, degrees, admissible))
+    if shuffle_seed is not None:
+        rng = random.Random(shuffle_seed)
+        pending = [([h, *rng.sample(o, len(o))], e, d) for (h, *o), e, d in pending]
+        rng.shuffle(pending)
     memo = _ScanMemo(work)
-    pending = None
     while work._unknown:
-        if pending is None:
-            _require_keys(work, extra_slots)
-            pending = list(_groups(work, extra_slots, degrees, admissible))
-            if shuffle_seed is not None:
-                rng = random.Random(shuffle_seed)
-                pending = [([h, *rng.sample(o, len(o))], e, d) for (h, *o), e, d in pending]
-                rng.shuffle(pending)
         # known values never change, so a constant or solved residual stays
         # settled and only the still-open instances are scanned again
-        still_open = []
-        progress = False
-        for group in pending:
-            (head, *others), extra, degree = group
-            first = _pair_sum(work, head, extra, degree, memo)
-            if first is None:
-                still_open.append(group)
-                continue
-            kept = [head]
-            for pair in others:
-                if first is None:
-                    # a key was solved: the first sum may read it, or be over an older D
-                    first = _pair_sum(work, head, extra, degree, memo)
-                form = _residual(work, first, pair, extra, degree, memo)
-                if form is None or len(form[1]) > 1:
-                    kept.append(pair)
-                    continue
-                constant, terms = form
-                if not terms:
-                    if constant:
-                        described = _describe(work, (head, pair, extra, degree), constant)
-                        raise InconsistentSystem(f"known instance {described}")
-                    continue
-                (key, coeff), = terms.items()
-                work._set_key(key, Fraction(-constant, work._den * coeff))
-                first = None
-                progress = True
-            if len(kept) > 1:
-                still_open.append((kept, extra, degree))
-        if not progress:
+        unknown = len(work._unknown)
+        pending = _scan(work, pending, memo, solve=True)[1]
+        if len(work._unknown) == unknown:
             break
-        pending = still_open
     return work
 
 
@@ -658,29 +678,20 @@ def check_residuals(
 ) -> int:
     """Evaluate every fully known residual instance; return the count.
 
-    Raises InconsistentSystem on the first nonzero residual, and
+    One non-solving pass of the scan routine that :func:`propagate` runs:
+    it raises InconsistentSystem on the first nonzero known residual, with
+    the message that :func:`propagate` gives ("known instance ..."), and
     :class:`MissingKey` as :func:`propagate` does.  Instances whose residual
     involves unknowns are skipped; an instance whose two pair sums carry the
     same unknown terms is fully known and counted.  ``admissible`` receives
-    basis positions and filters pairings as in :func:`propagate`.  The call
+    basis positions and filters pairings as in :func:`propagate`.  The pass
     builds each support once and evaluates each pairing's pair sum once per
     relation group; a group whose first sum is quadratic is skipped whole.
+    The table is not changed.
     """
     _require_keys(table, extra_slots)
-    checked = 0
-    memo = _ScanMemo(table)
-    for (head, *others), extra, degree in _groups(table, extra_slots, degrees, admissible):
-        first = _pair_sum(table, head, extra, degree, memo)
-        if first is None:
-            continue
-        for pair in others:
-            form = _residual(table, first, pair, extra, degree, memo)
-            if form is not None and not form[1]:
-                if form[0]:
-                    described = _describe(table, (head, pair, extra, degree), form[0])
-                    raise InconsistentSystem(f"instance {described}")
-                checked += 1
-    return checked
+    groups = _groups(table, extra_slots, degrees, admissible)
+    return _scan(table, groups, _ScanMemo(table), solve=False)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -743,7 +754,7 @@ def apply_divisor_rule(table: CorrelatorTable) -> CorrelatorTable:
     extra P insertion.
     """
     if not table.graded:
-        raise ValueError("divisor rule applies to degree-graded tables")
+        raise DomainError("divisor rule applies to degree-graded tables")
     out = table.copy()
     for key, value in table.known_items():
         insertions, degree = key

@@ -26,7 +26,7 @@ from ises.isespoly import (
     load_catalog,
 )
 from ises.jacobi import JacobianAlgebra, milnor_groebner, order_key, standard_monomials
-from ises.pfsolve import weight_report
+from ises.pfsolve import build_gkz, weight_report
 
 ALL_NAMES = [
     "e6-fermat",
@@ -731,6 +731,55 @@ def test_a_malformed_input_is_a_schema_error_that_names_the_entry(tmp_path, edit
     name = doc["entries"][ALL_NAMES.index("e6-fermat")]["name"]
     with pytest.raises(SchemaError, match=f"^entry {re.escape(str(name))}[ :]"):
         load_doc(tmp_path, doc)
+
+
+# Exponent vectors that are not three nonnegative ints: floats that int()
+# would truncate, bools (JSON true/false), a short and a long vector, and a
+# negative exponent
+MALFORMED_EXPONENTS = [
+    pytest.param((1.7, 0, 0), id="float"),
+    pytest.param((1.2, 1.9, 1), id="floats"),
+    pytest.param([True, True, True], id="bools"),
+    pytest.param((1, 0), id="short"),
+    pytest.param((1, 0, 0, 0), id="long"),
+    pytest.param((-1, 0, 0), id="negative"),
+]
+
+
+def twisted_row(v, tmp_path):
+    doc = edited("e6-fermat", lambda d: d.update(twisted=[{"r": list(v), "weights": ["1/3", "1/3", "2/3"]}]))
+    return load_doc(tmp_path, doc)
+
+
+# every reader of an exponent vector, fed v in e6-fermat (m = (1, 1, 1)):
+# (call, error class, the start of its message)
+EXPONENT_READERS = {
+    "InvertiblePolynomial": (
+        lambda entry, v, _: InvertiblePolynomial([(3, 0, 0), (0, 3, 0), v]),
+        DomainError,
+        "exponent matrix row",
+    ),
+    "MarginalData.derive": (lambda entry, v, _: MarginalData.derive(entry.polynomial, v), DomainError, "marginal"),
+    "CatalogEntry.marginal": (lambda entry, v, _: entry.marginal(v), DomainError, "e6-fermat marginal"),
+    "JacobianAlgebra": (lambda entry, v, _: JacobianAlgebra(entry, v), DomainError, "e6-fermat marginal"),
+    "decompose": (lambda entry, v, _: JacobianAlgebra(entry).decompose(v), DomainError, "e6-fermat, m="),
+    "flat_first_order": (
+        lambda entry, v, _: JacobianAlgebra(entry).flat_first_order(v),
+        DomainError,
+        "e6-fermat, m=",
+    ),
+    "build_gkz": (lambda entry, v, _: build_gkz(entry, (1, 1, 1), v), DomainError, "e6-fermat r"),
+    "weight_report": (lambda entry, v, _: weight_report(entry, (1, 1, 1), v), DomainError, "e6-fermat r"),
+    "load_catalog": (lambda entry, v, tmp_path: twisted_row(v, tmp_path), SchemaError, "entry e6-fermat twisted"),
+}
+
+
+@pytest.mark.parametrize("vector", MALFORMED_EXPONENTS)
+@pytest.mark.parametrize("reader", EXPONENT_READERS)
+def test_every_exponent_reader_rejects_a_malformed_vector(catalog, tmp_path, reader, vector):
+    call, error, where = EXPONENT_READERS[reader]
+    with pytest.raises(error, match=f"^{re.escape(where)}.*: expected three nonnegative integers, got "):
+        call(get_entry(catalog, "e6-fermat"), vector, tmp_path)
 
 
 def test_env_variable_override(tmp_path, monkeypatch):

@@ -168,6 +168,30 @@ def test_frozen_table_rejects_writes():
     assert table.copy().set([HIGH, HIGH, LOW], 1) is None
 
 
+@pytest.mark.parametrize(
+    "misuse, message",
+    [
+        pytest.param(
+            lambda: CorrelatorTable((HIGH, HIGH), {(HIGH, HIGH): 1}, degrees={HIGH: F(1, 2)}),
+            "^duplicate basis labels$",
+            id="duplicate-labels",
+        ),
+        pytest.param(lambda: phase_table().value([HIGH, LOW]), "at least 3 insertions", id="two-insertions"),
+        pytest.param(
+            lambda: phase_table().set([HIGH, HIGH, LOW], 1, degree=1), "degree grading", id="ungraded-degree"
+        ),
+        pytest.param(lambda: phase_table().freeze().set([HIGH, HIGH, LOW], 1), "frozen", id="frozen-set"),
+        pytest.param(
+            lambda: phase_table().freeze().declare_unknown([HIGH, HIGH, LOW]), "frozen", id="frozen-declare"
+        ),
+        pytest.param(lambda: apply_divisor_rule(phase_table()), "degree-graded", id="ungraded-divisor-rule"),
+    ],
+)
+def test_table_misuse_is_a_typed_domain_error(misuse, message):
+    with pytest.raises(DomainError, match=message):
+        misuse()
+
+
 # ---------------------------------------------------------------------------
 # residuals and propagation
 # ---------------------------------------------------------------------------
@@ -973,6 +997,7 @@ def test_a_planted_value_raises_with_its_exact_residual(scale):
     first = next(constant for constant, terms in filter(None, forms) if constant and not terms)
     with pytest.raises(InconsistentSystem) as info:
         check_residuals(seeded, degrees=range(2))
+    assert str(info.value).startswith("known instance ")
     assert str(info.value).endswith(f" has residual {first}")
 
 
@@ -1016,3 +1041,43 @@ def test_degree_two_reconstruction_meets_the_catalog_q_expansions(orders):
         solved_keys = len(seeded.unknown_keys) - len(solved.unknown_keys)
         counts = (solved_keys, len(solved.unknown_keys), checked, resolved)
         assert counts == RECONSTRUCTION[orders, top]
+
+
+# ---------------------------------------------------------------------------
+# the scan work of the A-side workloads
+# ---------------------------------------------------------------------------
+
+
+# calls of _pair_sum (those made inside _residual included) and of _residual
+# in one pass of each A-side bench workload: the ten FJRW correlator_table()
+# builds with their check_residuals (amodel-catalog), and the three GW tables
+# at D = 1 through propagate and check_residuals (gw-reconstruct); a change
+# that makes the scan do more work moves these without a timer
+SCAN_WORK = {"amodel-catalog": (8059, 4489), "gw-reconstruct": (13688, 7359)}
+
+
+def test_the_scan_work_of_the_a_side_workloads(monkeypatch):
+    calls = {"_pair_sum": 0, "_residual": 0}
+
+    def counting(name):
+        original = getattr(ises.wdvv, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(ises.wdvv, name, counting(name))
+    work = {}
+    for name in FJRW_NAMES:
+        theory = ises.fjrw.FjrwTheory(get_entry(CATALOG, name))  # not the shared one: build anew
+        check_residuals(theory.correlator_table(), admissible=theory.narrow_nodes)
+    work["amodel-catalog"] = tuple(calls.values())
+    calls.update(dict.fromkeys(calls, 0))
+    for orders in ORBIFOLDS:
+        seeded = apply_divisor_rule(gw_unknowns(gw_seed_table(orders), 1))
+        check_residuals(propagate(seeded, degrees=range(2)), degrees=range(2))
+    work["gw-reconstruct"] = tuple(calls.values())
+    assert work == SCAN_WORK
