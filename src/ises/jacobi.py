@@ -27,11 +27,12 @@ computes
   the Hessian D(sigma) = det Hess(W_sigma), by its sigma-layers.  D is
   cubic in sigma, so its layers come from int determinants: D_0 = det
   Hess(W) and D_1 = (D(1) - D(-1))/2 - det Hess(phi_m).  The g_i are the
-  columns of the decompositions' system at degree 0.  c_e is unique: B0
-  is a basis of Jac(W), so c_e(0) is the coordinate of X^e on t; and the
-  family is flat at sigma = 0 (the partials of W form a regular sequence,
-  so every syzygy of theirs is Koszul and sum_i g_i d_i phi_m with
-  sum_i g_i d_i W = 0 lies in the Jacobian ideal of W), so c_e'(0) is
+  columns of the ansatz that the decompositions and the flats below share,
+  at degree 0 and sigma-degree 1, with its rows cut below sigma^2.  c_e is
+  unique: B0 is a basis of Jac(W), so c_e(0) is the coordinate of X^e on
+  t; and the family is flat at sigma = 0 (the partials of W form a regular
+  sequence, so every syzygy of theirs is Koszul and sum_i g_i d_i phi_m
+  with sum_i g_i d_i W = 0 lies in the Jacobian ideal of W), so c_e'(0) is
   unique too.  The residue, normalized so that residue(det Hess(W_sigma))
   = mu, is then R_e = mu * c_e / c_Hess; with this normalization the
   residue of the marginal monomial X^m is 1/(K*(1-x)) with x = C*sigma^l,
@@ -41,14 +42,15 @@ computes
 * decompositions (1 - C*sigma^l) * phi_{r+m} = sum_i g_{r,i} * d_i W_sigma
   exhibiting the left-hand side as a Jacobian-ideal member.  The linear
   system for the sigma-coefficients of the g_i (int cells, and 1 and -C on
-  the right) depends only on deg(phi_r) and the sigma-degree bound, so
-  every basis label of one degree is solved in one elimination, with one
-  right-hand column per label, first at sigma-degree l - 1; a label that
-  the first bound leaves unsolved is retried alone at the guaranteed
-  bound.  Each solution stays int numerators over one denominator, as the
-  elimination returns it, and is verified in ints by multiplying the g_i
-  by the sigma-layers of the partials coefficient by coefficient in (X,
-  sigma).  No flat section or four-point value reads them;
+  the right) depends only on deg(phi_r), the sigma-degree bound of the g_i
+  and the sigma-degree its rows are cut below, so every basis label of one
+  degree is solved in one elimination, with one right-hand column per
+  label, at the one bound l - 1, cut below sigma^(l+1).  That per-degree
+  solve is shared with the flat sections.  Each solution stays int
+  numerators over one denominator, as the elimination returns it, and is
+  verified in ints by multiplying the g_i by the sigma-layers of the
+  partials coefficient by coefficient in (X, sigma).  No flat section or
+  four-point value reads them;
 * first-order flat deformations
   delta_r = phi_r - sigma * sum_{r' != r} c_{r,r'}(0) * phi_{r'} + O(sigma^2)
   where the c's are the coefficients of -sum_i d_i g_{r,i} over the
@@ -59,8 +61,9 @@ computes
   mod J(W): two such differ by a syzygy of the partials of W, which form
   a regular sequence, so the syzygy is a sum of Koszul ones, g_i = d_j W*h
   and g_j = -d_i W*h, each adding d_j W * d_i h - d_i W * d_j h, a member
-  of J(W), to p(0).  So the flats solve that sigma^0 system alone: int
-  cells of d_i W, one right-hand column X^(r+m) per basis label of one
+  of J(W), to p(0).  So the flats solve that sigma^0 system alone, by the
+  decompositions' per-degree solve at sigma-degree 0 cut below sigma^1:
+  int cells of d_i W, one right-hand column X^(r+m) per basis label of one
   weighted degree, in one elimination per degree, each solution verified
   in ints.  X^(r+m) has degree > 1, so it lies in J(W);
 * the genus-zero four-point functions of the deformed singularity at
@@ -90,6 +93,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 from typing import Callable, Sequence
 
 from .isespoly import NVARS, CatalogEntry, InvertiblePolynomial, MarginalData, _exponent_vector
@@ -309,23 +313,17 @@ def standard_monomials(basis: Sequence[MultiPoly], weights, name: str) -> tuple[
     They form a monomial basis of the quotient ring.  The quotient is finite
     exactly when, for each variable, some leading monomial is a pure power
     of it (a constant counts, and leaves no standard monomial); otherwise a
-    DomainError names ``name``: the quotient is not finite."""
+    DomainError names ``name``: the quotient is not finite.  The least such
+    powers bound the box that holds the staircase."""
     key = order_key(weights)
     lts = [e for e, _, _ in _lead_data(basis, key)]
-    if not all(any(not any(t[:i] + t[i + 1 :]) for t in lts) for i in range(NVARS)):
+    bounds = [
+        min((t[i] for t in lts if not any(t[:i] + t[i + 1 :])), default=None) for i in range(NVARS)
+    ]
+    if None in bounds:
         raise DomainError(f"{name}: quotient is not finite")
-    standard: set[Exps] = set()
-    stack: list[Exps] = [(0, 0, 0)]
-    while stack:
-        e = stack.pop()
-        if e in standard or any(_divides(t, e) for t in lts):
-            continue
-        standard.add(e)
-        stack.extend(
-            (e[0] + (i == 0), e[1] + (i == 1), e[2] + (i == 2))
-            for i in range(NVARS)
-        )
-    return tuple(sorted(standard, key=key))
+    box = product(*map(range, bounds))
+    return tuple(sorted((e for e in box if not any(_divides(t, e) for t in lts)), key=key))
 
 
 def _dense(coeffs: dict[int, int]) -> tuple[int, ...]:
@@ -335,13 +333,15 @@ def _dense(coeffs: dict[int, int]) -> tuple[int, ...]:
     return tuple(coeffs.get(d, 0) for d in range(top + 1))
 
 
-def _indexed(cells, rhs_maps):
-    """The rows of ``cells`` and the right-hand columns ``rhs_maps``, all
-    keyed by (exponent, sigma-degree), on one row index in key order:
-    (rows, columns), as ``solve_columns`` takes them."""
+def _solve(cells, rhs_maps, ncols):
+    """The solutions, as ``solve_columns`` returns them, of the rows
+    ``cells`` for the right-hand columns ``rhs_maps``, all keyed by
+    (exponent, sigma-degree) and put on one row index in key order: one
+    elimination for every column."""
     keys = sorted(set(cells).union(*rhs_maps))
     index = {kk: k for k, kk in enumerate(keys)}
-    return [cells.get(kk, {}) for kk in keys], [{index[kk]: v for kk, v in b.items()} for b in rhs_maps]
+    rows = [cells.get(kk, {}) for kk in keys]
+    return solve_columns(rows, [{index[kk]: v for kk, v in b.items()} for b in rhs_maps], ncols)
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +442,8 @@ class JacobianAlgebra:
         elimination mod sigma^2 with c_e(sigma) * t in the last two columns
         (see the module docstring); a zero sigma^0 Hessian coordinate c_Hess(0)
         would be a pole at sigma = 0 and raises a ``DomainError``."""
-        cols, cells = self._ansatz(0, 1)
+        cols, cells = self._ansatz(0, 1, 2)
         n = len(cols)
-        cells = {kk: row for kk, row in cells.items() if kk[1] < 2}  # mod sigma^2
         for d in (0, 1):  # the columns of c_e(0) * t and c_e'(0) * sigma * t
             cells.setdefault((self.top_monomial, d), {})[n + d] = 1
         # D_0 and D_1 of the cubic D(sigma) = det Hess(W + sigma*phi_m), on ints
@@ -453,8 +452,7 @@ class JacobianAlgebra:
         layers = (w.hessian_det(), odd.map_coeffs(lambda c: c // 2) - phi.hessian_det())
         hessian = {(e, d): v for d, layer in enumerate(layers) for e, v in layer.terms.items()}
         monomials = self.entry.polynomial.degree_one_monomials()
-        rows, rhs = _indexed(cells, [{(e, 0): 1} for e in monomials] + [hessian])
-        *sols, (hx, hden) = solve_columns(rows, rhs, n + 2)
+        *sols, (hx, hden) = _solve(cells, [{(e, 0): 1} for e in monomials] + [hessian], n + 2)
         h0, h1 = Fraction(hx[n], hden), Fraction(hx[n + 1], hden)
         if not h0:
             raise DomainError(
@@ -484,15 +482,13 @@ class JacobianAlgebra:
         allows.
 
         The first call for a weighted degree decomposes every non-unit basis
-        label of that degree in one elimination and memoises them all.  The
-        first ansatz has sigma-degree l - 1, the least that reaches the
-        sigma^l term; it solves every catalog label, and a solution there
-        is the solution at any higher bound too, since the columns of higher
-        sigma-degree come after its pivots.  The labels it leaves unsolved,
-        and only those, are retried at the guaranteed bound 2l.  A label
-        with no decomposition at either bound raises ``NoSolution`` when it
-        is asked for.  Each result is checked against the identity
-        coefficient by coefficient in (X, sigma).
+        label of that degree in one elimination, ``_solve_degree`` at
+        sigma-degree l - 1, the least that reaches the sigma^l term, and
+        memoises them all.  That bound solves every label of every marginal
+        that ``JacobianAlgebra`` accepts on the catalog's polynomials; a label
+        it leaves unsolved raises ``NoSolution``, naming the bound, when it is
+        asked for.  Each result is checked against the identity coefficient
+        by coefficient in (X, sigma).
         """
         rvec = _exponent_vector(r, self._label)
         if rvec not in self._decompositions:
@@ -503,67 +499,56 @@ class JacobianAlgebra:
                     f"{self._label}: phi_m has nonzero residue, so "
                     "(1 - C*sigma^l)*phi_m is not a Jacobian-ideal member"
                 )
-            self._decompose_degree(self._degree(rvec))
+            l, deg = self.marginal.l, self._degree(rvec)
+            labels = [e for e in self.basis if e != (0, 0, 0) and self._degree(e) == deg]
+            for label, solved in zip(labels, self._solve_degree(deg, labels, l - 1, l + 1)):
+                self._decompositions[label] = solved or NoSolution(
+                    f"{self._label}: no decomposition of {label} with sigma-degree {l - 1}"
+                )
         result = self._decompositions[rvec]
         if isinstance(result, NoSolution):
             raise result.with_traceback(None)
         gs, den = result
         return tuple(MultiPoly._wrap({e: RatFun._make(n, (den,)) for e, n in g.items()}) for g in gs)
 
-    def _decompose_degree(self, deg: int) -> None:
-        """Decompose every non-unit basis label of scaled weighted degree
-        ``deg``, one elimination per sigma-degree bound, into
-        ``_decompositions``."""
-        pending = [e for e in self.basis if e != (0, 0, 0) and self._degree(e) == deg]
-        for bound in (self.marginal.l - 1, 2 * self.marginal.l):
-            cols, rows, rhs = self._degree_system(deg, pending, bound)
-            sols = solve_columns(rows, rhs, len(cols))
-            for r, sol in zip(pending, sols):
-                if sol is not None:
-                    self._decompositions[r] = self._assemble(r, sol, cols, self._lhs(r), 2)
-            pending = [r for r, sol in zip(pending, sols) if sol is None]
-            if not pending:
-                return
-        for r in pending:
-            self._decompositions[r] = NoSolution(
-                f"{self._label}: no decomposition of {r} with sigma-degree {bound}"
-            )
+    def _solve_degree(self, deg: int, labels: Sequence[Exps], bound: int, below: int) -> list:
+        """The rows of sigma-degree < ``below`` of the decompositions of
+        ``labels``, all of scaled weighted degree ``deg``, solved at
+        sigma-degree ``bound`` in one elimination: for each label, its g_i
+        as ``_assemble`` returns them, or None where its column is
+        inconsistent.
 
-    def _lhs(self, r: Exps) -> dict[tuple[Exps, int], Rat]:
-        """The cells of (1 - C*sigma^l) * X^(r+m), keyed by (exponent,
-        sigma-degree): 1 and -C."""
-        mar = self.marginal
-        rm = (r[0] + mar.m[0], r[1] + mar.m[1], r[2] + mar.m[2])
-        return {(rm, 0): 1, (rm, mar.l): -mar.C}
-
-    def _degree_system(self, deg: int, labels: Sequence[Exps], bound: int):
-        """The sparse system A x = b_r of the decompositions of ``labels``,
-        all of scaled weighted degree ``deg``, at sigma-degree ``bound``;
-        returns (column labels, rows, one right-hand column per label).  The
-        cells of A are the int coefficients of the sigma-layers, and those
-        of b_r are 1 and -C.
-
-        A depends on the degree and the bound only; the labels move only the
-        right-hand sides, the cells (r + m, 0) and (r + m, l).  The columns
-        are listed in ascending rank (sigma-degree, partial i, monomial
-        order), so one elimination gives the solutions that ``decompose``
-        promises.  Its RREF pivots on the least independent columns, the
-        least basis of A's column space, and sets every other column to 0.
-        Those free columns are the complement of that basis, the greatest
-        basis of the dual matroid (the column matroid of the nullspace),
-        which is exactly the set a greedy scan from the highest rank down
-        pins to 0.  The solution that is 0 on them is unique, so both routes
-        agree.
+        The matrix A, from ``_ansatz``, depends on the degree and the cut
+        only; the labels move only the right-hand sides, the cells of
+        (1 - C*sigma^l) * X^(r+m) below the cut.  The columns are listed in
+        ascending rank (sigma-degree, partial i, monomial order), so one
+        elimination gives the solutions that ``decompose`` promises.  Its
+        RREF pivots on the least independent columns, the least basis of A's
+        column space, and sets every other column to 0.  Those free columns
+        are the complement of that basis, the greatest basis of the dual
+        matroid (the column matroid of the nullspace), which is exactly the
+        set a greedy scan from the highest rank down pins to 0.  The solution
+        that is 0 on them is unique, so both routes agree.
         """
-        cols, cells = self._ansatz(deg, bound)
-        return (cols, *_indexed(cells, [self._lhs(r) for r in labels]))
+        cols, cells = self._ansatz(deg, bound, below)
+        mar = self.marginal
+        lhs = []
+        for r in labels:  # (1 - C*sigma^l) * X^(r+m): 1 and -C
+            rm = (r[0] + mar.m[0], r[1] + mar.m[1], r[2] + mar.m[2])
+            lhs.append({(rm, 0): 1, (rm, mar.l): -mar.C} if mar.l < below else {(rm, 0): 1})
+        sols = _solve(cells, lhs, len(cols))
+        return [
+            None if sol is None else self._assemble(r, sol, cols, b, below)
+            for r, b, sol in zip(labels, lhs, sols)
+        ]
 
-    def _ansatz(self, deg: int, bound: int):
+    def _ansatz(self, deg: int, bound: int, below: int):
         """The columns (i, exponent, sigma-degree) of g_1, g_2, g_3 with g_i
         of scaled weighted degree ``deg`` + w_i and sigma-degree at most
         ``bound``, in ascending rank (sigma-degree, partial i, monomial
-        order), and the int cells of sum_i g_i * d_i W_sigma on them, as
-        {(exponent, sigma-degree): {column: cell}}."""
+        order), and the int cells of sum_i g_i * d_i W_sigma on them in the
+        rows of sigma-degree < ``below``, as {(exponent, sigma-degree):
+        {column: cell}}; ``bound`` < ``below``."""
         w = self._w
         cols: list[tuple[int, Exps, int]] = []
         for i in range(NVARS):
@@ -575,22 +560,23 @@ class JacobianAlgebra:
         cols.sort(key=lambda c: (c[2], c[0], self._key(c[1])))
         cells: dict[tuple[Exps, int], dict[int, int]] = {}
         for ci, (i, e, d) in enumerate(cols):
-            for shift, layer in enumerate(self._layers[i]):
+            for shift, layer in enumerate(self._layers[i][: below - d]):
                 for pe, pc in layer.items():
                     te = (e[0] + pe[0], e[1] + pe[1], e[2] + pe[2])
                     cells.setdefault((te, d + shift), {})[ci] = pc
         return cols, cells
 
-    def _assemble(self, rvec: Exps, sol, cols, lhs, layers: int) -> tuple[list, int]:
+    def _assemble(self, rvec: Exps, sol, cols, lhs, below: int) -> tuple[list, int]:
         """The g_i of a solved column on ints, checked against the identity:
         for each i, {exponent: its sigma-coefficients, low degree first}, in
         exponent order, all over the one denominator returned.
 
         ``sol`` is the column's solution as ``solve_columns`` returns it:
         int numerators over one denominator L.  The check multiplies the
-        int g_i by the first ``layers`` sigma-layers of the partials, not by
-        the system's rows, and compares with L * ``lhs`` (cells keyed by
-        (exponent, sigma-degree)) coefficient by coefficient in (X, sigma).
+        int g_i by the sigma-layers of the partials, not by the system's
+        rows, and compares with L * ``lhs`` (cells keyed by (exponent,
+        sigma-degree)) coefficient by coefficient in (X, sigma), in the
+        sigma-degrees < ``below`` that the system was cut to.
         """
         scaled, den = sol
         sigma_coeffs: list[dict[Exps, dict[int, int]]] = [{}, {}, {}]
@@ -599,12 +585,11 @@ class JacobianAlgebra:
                 sigma_coeffs[i].setdefault(e, {})[d] = value
         total: dict[tuple[Exps, int], int] = {}
         for i in range(NVARS):
-            for shift, layer in enumerate(self._layers[i][:layers]):
-                for pe, pc in layer.items():
-                    for e, coeffs in sigma_coeffs[i].items():
-                        te = (e[0] + pe[0], e[1] + pe[1], e[2] + pe[2])
-                        for d, c in coeffs.items():
-                            kk = (te, d + shift)
+            for e, coeffs in sigma_coeffs[i].items():
+                for d, c in coeffs.items():
+                    for shift, layer in enumerate(self._layers[i][: below - d]):
+                        for pe, pc in layer.items():
+                            kk = ((e[0] + pe[0], e[1] + pe[1], e[2] + pe[2]), d + shift)
                             total[kk] = total.get(kk, 0) + c * pc
         if {kk: v for kk, v in total.items() if v} != {kk: den * v for kk, v in lhs.items()}:
             raise DomainError(f"{self._label}: decomposition of {rvec} failed verification")
@@ -618,10 +603,11 @@ class JacobianAlgebra:
 
         The first call for a weighted degree solves sum_i g_i * d_i W =
         X^(r+m), the sigma^0 layer of the decomposition of every basis label
-        r of that degree, in one elimination with one right-hand column per
-        label, checks each solution in ints, and memoises every flat of the
-        degree.  Any solution g(0) gives the same corrections, by the Koszul
-        argument of the module docstring.
+        r of that degree: ``_solve_degree`` at sigma-degree 0, cut below
+        sigma^1, one elimination with one right-hand column per label, each
+        solution checked in ints.  It memoises every flat of the degree.  Any
+        solution g(0) gives the same corrections, by the Koszul argument of
+        the module docstring.
         """
         rvec = _exponent_vector(r, self._label)
         if rvec in self._flats:
@@ -635,13 +621,10 @@ class JacobianAlgebra:
         if rvec not in self.basis:
             raise DomainError(f"{self._label}: {rvec} is not a basis exponent")
         labels = [e for e in self.basis if self._degree(e) == deg_r]
-        cols, cells = self._ansatz(deg_r, 0)
-        cells = {kk: row for kk, row in cells.items() if not kk[1]}  # sigma = 0
-        lhs = [{kk: v for kk, v in self._lhs(e).items() if not kk[1]} for e in labels]
-        for label, b, sol in zip(labels, lhs, solve_columns(*_indexed(cells, lhs), len(cols))):
-            if sol is None:
+        for label, solved in zip(labels, self._solve_degree(deg_r, labels, 0, 1)):
+            if solved is None:
                 raise DomainError(f"{self._label}: X^(r+m) for r = {label} is not in J(W)")
-            gs, den = self._assemble(label, sol, cols, b, 1)
+            gs, den = solved
             # p(0) = -sum_i d_i g_i(0), and its B0 coordinates: the remainder
             # over the Groebner basis of W
             p = MultiPoly.zero()
@@ -658,9 +641,10 @@ class JacobianAlgebra:
         return self._flats[rvec]
 
     def fourpoint(self, r1, r2, r3) -> Rat:
-        """Four-point function with three flat insertions and one marginal:
-        the sigma-derivative at 0 of the three-point function of the product
-        of the first-order flat representatives.
+        """Four-point function with three flat insertions, the basis
+        exponents r1, r2, r3, and one marginal: the sigma-derivative at 0 of
+        the three-point function of the product of their first-order flat
+        representatives.
 
         With that product written as sum_e (a_e + b_e*sigma + O(sigma^2)) X^e,
         the value is K * sum_e (a_e * R_e'(0) + b_e * R_e(0)) for
@@ -669,10 +653,7 @@ class JacobianAlgebra:
         at sigma = 0, where W is nondegenerate.  Here a_e is 1 at
         e = r1 + r2 + r3 and 0 elsewhere.
         """
-        flats = [
-            r if isinstance(r, FlatSectionApprox) else self.flat_first_order(r)
-            for r in (r1, r2, r3)
-        ]
+        flats = [self.flat_first_order(r) for r in (r1, r2, r3)]
         total = tuple(sum(f.r[i] for f in flats) for i in range(NVARS))
         jets = self._jets
         value = jets.get(total, (0, 0))[1]
@@ -688,16 +669,11 @@ class JacobianAlgebra:
         degree whose degrees sum to 1 (the domain of the four-point table),
         each listed once in the order of the monomial order."""
         if self._triples is None:
-            scale = self._scale
-            degrees = {e: self._degree(e) for e in self.basis}
-            frac = [(self._key(e), d, e) for e, d in degrees.items() if d % scale]
+            frac = [e for e in self.basis if self._degree(e) % self._scale]
             self._triples = tuple(
-                (a, b, c)
-                for ka, da, a in frac
-                for kb, db, b in frac
-                if kb >= ka
-                for kc, dc, c in frac
-                if kc >= kb and da + db + dc == scale
+                t
+                for t in combinations_with_replacement(frac, 3)
+                if sum(map(self._degree, t)) == self._scale
             )
         return self._triples
 

@@ -244,9 +244,11 @@ class CorrelatorTable:
         ins = tuple(sorted(self._positions(insertions)))
         if len(ins) < 3:
             raise DomainError("correlator keys need at least 3 insertions")
+        if type(degree) is not int:
+            raise DomainError(f"curve degree {degree!r} is not an int")
         if degree and not self.graded:
             raise DomainError("degree grading not enabled for this table")
-        return (ins, int(degree))
+        return (ins, degree)
 
     def _names(self, ins: tuple[int, ...]) -> tuple:
         """The labels of interned insertions."""

@@ -592,30 +592,29 @@ def test_decompositions_cover_every_nonunit_basis_monomial():
 
 
 def batch_hooks(monkeypatch, tamper=None):
-    """Record the (labels, bound) of every decomposition system that is built,
-    and let ``tamper(labels, bound, sols)`` edit its solved columns in place.
-    The residue-jet system of ``__init__`` and the sigma^0 systems of the
-    flat sections are not built by ``_degree_system``, so they are neither
-    recorded nor tampered with."""
+    """Record the (labels, bound) of every sigma-layered decomposition system
+    that ``_solve`` solves, and let ``tamper(labels, bound, sols)`` edit its
+    solved columns in place.  The residue-jet system of ``__init__`` is not
+    solved per degree, and the sigma^0 systems of the flat sections are cut
+    below sigma^1, so neither is recorded or tampered with."""
     calls = []
-    built = []  # the rows of the last decomposition system
-    real_system = JacobianAlgebra._degree_system
-    real_solve = jacobi.solve_columns
+    layered = []  # the (labels, bound) of the per-degree solve in progress
+    real_degree, real_solve = JacobianAlgebra._solve_degree, jacobi._solve
 
-    def system(self, deg, labels, bound):
-        calls.append((tuple(labels), bound))
-        out = real_system(self, deg, labels, bound)
-        built[:] = [out[1]]
-        return out
+    def solve_degree(self, deg, labels, bound, below):
+        layered[:] = [(tuple(labels), bound)] if below > 1 else []
+        return real_degree(self, deg, labels, bound, below)
 
-    def solve(rows, rhs, ncols):
-        sols = real_solve(rows, rhs, ncols)
-        if tamper is not None and built and rows is built[0]:
-            tamper(*calls[-1], sols)
+    def solve(cells, rhs_maps, ncols):
+        sols = real_solve(cells, rhs_maps, ncols)
+        if layered:
+            calls.append(layered.pop())
+            if tamper is not None:
+                tamper(*calls[-1], sols)
         return sols
 
-    monkeypatch.setattr(JacobianAlgebra, "_degree_system", system)
-    monkeypatch.setattr(jacobi, "solve_columns", solve)
+    monkeypatch.setattr(JacobianAlgebra, "_solve_degree", solve_degree)
+    monkeypatch.setattr(jacobi, "_solve", solve)
     return calls
 
 
@@ -630,36 +629,16 @@ def test_one_elimination_decomposes_every_label_of_a_degree(monkeypatch):
     assert got == {r: algebra("e6-fermat").decompose(r) for r in E6_THIRDS}
 
 
-def test_inconsistent_first_ansatz_falls_back_to_the_bound_2l(monkeypatch):
-    # No catalog pair needs the fallback: the sigma-degree l - 1 ansatz
-    # always solves (2 here, l = 3).  Dropping one label's bound-2 solution
-    # makes that label alone go to the bound 2l.
-    entry = get_entry(CATALOG, "e6-fermat")
-    mar = entry.marginals[0]
-    victim = (0, 1, 0)
-    want = {r: algebra("e6-fermat").decompose(r) for r in E6_THIRDS}
-
-    def drop_at_bound_2(labels, bound, sols):
-        if bound == 2:
-            sols[labels.index(victim)] = None
-
-    calls = batch_hooks(monkeypatch, drop_at_bound_2)
-    alg = JacobianAlgebra(entry, mar.m)
-    got = {r: alg.decompose(r) for r in E6_THIRDS}
-    assert calls == [(E6_THIRDS, 2), ((victim,), 2 * mar.l)]
-    assert got == want
-
-
 def test_unsolvable_decomposition_names_the_entry(monkeypatch):
     # Every ansatz shrunk to sigma-degree 0 misses the sigma^l term.
-    real = JacobianAlgebra._degree_system
-    monkeypatch.setattr(
-        JacobianAlgebra,
-        "_degree_system",
-        lambda self, deg, labels, bound: real(self, deg, labels, 0),
-    )
     entry = get_entry(CATALOG, "e8-fermat")
     alg = JacobianAlgebra(entry)
+    real = JacobianAlgebra._ansatz
+    monkeypatch.setattr(
+        JacobianAlgebra,
+        "_ansatz",
+        lambda self, deg, bound, below: real(self, deg, 0, below),
+    )
     label = re.escape(f"e8-fermat, m={entry.marginals[0].m}")
     with pytest.raises(NoSolution, match=label + r": no decomposition of \(1, 0, 0\)"):
         alg.decompose((1, 0, 0))
@@ -681,12 +660,12 @@ def test_an_unsolvable_label_raises_only_when_asked_for(monkeypatch):
             assert alg.decompose(r) == algebra("e6-fermat").decompose(r)
     message = re.escape(
         f"e6-fermat, m={mar.m}: no decomposition of {victim} "
-        f"with sigma-degree {2 * mar.l}"
+        f"with sigma-degree {mar.l - 1}"
     )
     for _ in range(2):  # memoised: asking again raises again, without a solve
         with pytest.raises(NoSolution, match=message):
             alg.decompose(victim)
-    assert calls == [(E6_THIRDS, 2), ((victim,), 2 * mar.l)]
+    assert calls == [(E6_THIRDS, mar.l - 1)]
 
 
 def test_a_wrong_solution_cell_fails_verification(monkeypatch):
@@ -799,28 +778,27 @@ def test_every_catalog_decomposition_system_solves_like_the_dense_reference(
 
 
 def test_four_point_tables_build_no_sigma_layered_decomposition(monkeypatch):
-    # The flats read the sigma^0 layer only, so the tables of all 25 pairs
-    # call no _degree_system, every ansatz they build has sigma-degree 0,
-    # and each basis label of a solved degree gets its flat memoised.
+    # The flats read the sigma^0 layer only, so every ansatz that the tables
+    # of all 25 pairs build has sigma-degree 0 and rows cut below sigma^1,
+    # no sigma-layered decomposition system is solved, and each basis label
+    # of a solved degree gets its flat memoised.
     algebras = [JacobianAlgebra(get_entry(CATALOG, name), m) for name, m in ALL_PAIRS]
-    layered, bounds, columns = [], [], []
-    real_ansatz, real_solve = JacobianAlgebra._ansatz, jacobi.solve_columns
+    cuts, columns = [], []
+    real_ansatz, real_solve = JacobianAlgebra._ansatz, jacobi._solve
 
-    def ansatz(self, deg, bound):
-        bounds.append(bound)
-        return real_ansatz(self, deg, bound)
+    def ansatz(self, deg, bound, below):
+        cuts.append((bound, below))
+        return real_ansatz(self, deg, bound, below)
 
-    def solve(rows, rhs, ncols):
-        columns.append(len(rhs))
-        return real_solve(rows, rhs, ncols)
+    def solve(cells, rhs_maps, ncols):
+        columns.append(len(rhs_maps))
+        return real_solve(cells, rhs_maps, ncols)
 
-    monkeypatch.setattr(JacobianAlgebra, "_degree_system", lambda *args: layered.append(args))
     monkeypatch.setattr(JacobianAlgebra, "_ansatz", ansatz)
-    monkeypatch.setattr(jacobi, "solve_columns", solve)
+    monkeypatch.setattr(jacobi, "_solve", solve)
     for alg in algebras:
         alg.fourpoint_table()
-    assert layered == []
-    assert set(bounds) == {0} and len(bounds) == SIGMA_ZERO_SYSTEMS
+    assert set(cuts) == {(0, 1)} and len(cuts) == SIGMA_ZERO_SYSTEMS
     assert (len(columns), sum(columns)) == (SIGMA_ZERO_SYSTEMS, SIGMA_ZERO_LABELS)
     assert sum(len(alg._flats) for alg in algebras) == SIGMA_ZERO_LABELS
 
@@ -873,7 +851,7 @@ def test_flat_first_order_rejects_non_basis_exponents():
 
 
 def test_every_catalog_label_solves_at_sigma_degree_l_minus_1(monkeypatch):
-    # The first ansatz, sigma-degree l - 1, solves the decompositions of all
+    # The one ansatz, sigma-degree l - 1, solves the decompositions of all
     # 115 labels in the degrees of the flat labels of the four-point tables,
     # and none of them needs a lower degree.
     calls = batch_hooks(monkeypatch)
@@ -1261,7 +1239,6 @@ def test_jet_fourpoints_equal_the_full_normal_form_route(name, m):
         flats = [alg.flat_first_order(r) for r in trip]
         expected = reference_fourpoint(alg, flats)
         assert alg.fourpoint(*trip) == expected
-        assert alg.fourpoint(*flats) == expected
     rows = get_entry(CATALOG, name).polynomial.exponents
     assert raw_marginal_vector(alg) == tuple(
         reference_threepoint(alg, mono(row)).deriv().eval(0) for row in rows
@@ -1272,13 +1249,14 @@ def test_jet_fourpoint_uses_both_jet_terms():
     # The value term R'(0) and the first-order term R(0) both contribute on
     # e8-chain32's off-row triple: the raw 8/3 is lowered to 2/3 by the
     # sigma/3 * X3 correction of delta_200.
-    alg = algebra("e8-chain32")
+    # A bare flat, planted in the memo of a fresh algebra, drops that term.
     trip = ((2, 0, 0), (2, 0, 0), (2, 0, 0))
-    raw = fourpoint_raw(alg, (6, 0, 0))
+    raw = fourpoint_raw(algebra("e8-chain32"), (6, 0, 0))
     assert raw == F(8, 3)
-    assert alg.fourpoint(*trip) == F(2, 3) != raw
-    bare = FlatSectionApprox(r=(2, 0, 0), corrections=())
-    assert alg.fourpoint(bare, bare, bare) == raw
+    assert algebra("e8-chain32").fourpoint(*trip) == F(2, 3) != raw
+    alg = JacobianAlgebra(get_entry(CATALOG, "e8-chain32"))
+    alg._flats[(2, 0, 0)] = FlatSectionApprox(r=(2, 0, 0), corrections=())
+    assert alg.fourpoint(*trip) == raw
 
 
 def test_residue_pole_at_sigma_zero_is_a_typed_domain_error(monkeypatch):
@@ -1300,8 +1278,10 @@ def test_the_int_hessian_layers_equal_the_q_sigma_hessian(name, m, monkeypatch):
     # The jet system's Hessian column, from int determinants, is the sigma^0
     # and sigma^1 layers of det Hess(W_sigma) over Q(sigma).
     columns = []
-    real = jacobi._indexed
-    monkeypatch.setattr(jacobi, "_indexed", lambda cells, maps: columns.append(maps[-1]) or real(cells, maps))
+    real = jacobi._solve
+    monkeypatch.setattr(
+        jacobi, "_solve", lambda cells, maps, ncols: columns.append(maps[-1]) or real(cells, maps, ncols)
+    )
     alg = JacobianAlgebra(get_entry(CATALOG, name), m)
     want = {}
     for e, c in alg.w_sigma.hessian_det().terms.items():
@@ -1318,6 +1298,44 @@ def test_a_marginal_in_the_jacobian_ideal_is_a_typed_error():
     with pytest.raises(DomainError, match=r"^e6-fermat, m=\(3, 0, 0\): .*Jacobian ideal") as info:
         JacobianAlgebra(entry, (3, 0, 0))
     assert not isinstance(info.value, ZeroDivisionError)
+
+
+# The degree-one monomials of the 13 polynomials that JacobianAlgebra takes
+# as a marginal beside the 25 catalog pairs; every other one lies in J(W).
+ACCEPTED_VARIANTS = {
+    ("e6-loop22", (0, 2, 1)),
+    ("e6-loop222", (0, 0, 3)),
+    ("e6-loop222", (0, 3, 0)),
+    ("e7-loop33", (0, 4, 0)),
+}
+
+
+def test_every_degree_one_marginal_builds_or_is_a_typed_rejection():
+    # Each of the 116 degree-one monomials of the catalog's polynomials, made
+    # the only marginal of a variant entry: 87 raise the typed J(W) error,
+    # and the 29 accepted pairs decompose every non-unit label (224) at
+    # sigma-degree l - 1 and build their four-point tables.
+    accepted, rejected, labels = set(), 0, 0
+    for e in CATALOG:
+        for m in e.polynomial.degree_one_monomials():
+            entry = CatalogEntry(**{**vars(e), "marginals": (MarginalData.derive(e.polynomial, m),)})
+            try:
+                alg = JacobianAlgebra(entry, m)
+            except DomainError as exc:
+                assert str(exc) == f"{e.name}, m={m}: X^m lies in the Jacobian ideal of W"
+                rejected += 1
+                continue
+            accepted.add((e.name, m))
+            l = alg.marginal.l
+            for r in alg.basis:
+                if r == (0, 0, 0):
+                    continue
+                gs = alg.decompose(r)
+                assert max(len(c.n) - 1 for g in gs for c in g.terms.values()) <= l - 1
+                labels += 1
+            assert alg.fourpoint_table()
+    assert (len(accepted) + rejected, rejected, labels) == (116, 87, 224)
+    assert accepted == set(ALL_PAIRS) | ACCEPTED_VARIANTS
 
 
 def fraction_order_key(weights):

@@ -185,6 +185,17 @@ def test_frozen_table_rejects_writes():
             lambda: phase_table().freeze().declare_unknown([HIGH, HIGH, LOW]), "frozen", id="frozen-declare"
         ),
         pytest.param(lambda: apply_divisor_rule(phase_table()), "degree-graded", id="ungraded-divisor-rule"),
+        # a curve degree is an int: 1.7 and True are not read as degree 1
+        pytest.param(
+            lambda: gw_seed_table((3, 3, 3)).value([(1, 1), (2, 1), (3, 1)], degree=1.7),
+            r"^curve degree 1\.7 is not an int$",
+            id="fractional-degree",
+        ),
+        pytest.param(
+            lambda: gw_seed_table((3, 3, 3)).value([(1, 1), (2, 1), (3, 1)], degree=True),
+            "^curve degree True is not an int$",
+            id="bool-degree",
+        ),
     ],
 )
 def test_table_misuse_is_a_typed_domain_error(misuse, message):
