@@ -39,8 +39,11 @@ one for the associated period series).
 and, of each entry, only what the program consumes: the name, ``E``, the
 marginal ``m`` list, the twisted rows, and the fjrw and qexp blocks.  It
 checks those inputs and raises a :class:`SchemaError` that names the entry
-on a malformed one.  The fjrw and qexp blocks are kept as parsed JSON
-objects; :class:`ises.fjrw.FjrwTheory` reads and checks the fjrw block.
+on a malformed one.  Every exponent vector, of the catalog or of a call,
+is read by ``_exponent_vector`` of :mod:`ises.numcore`, the reader of
+:class:`~ises.numcore.MultiPoly` keys too.  The fjrw and qexp blocks are
+kept as parsed JSON objects; :class:`ises.fjrw.FjrwTheory` reads and
+checks the fjrw block.
 Every other frozen value (family, Milnor number, ``K``, the marginal rows'
 ``l``, ``C`` and weights, the display basis and top monomial, the
 j-invariant and puncture data, the Gepner block) is reference data that
@@ -66,6 +69,7 @@ from .numcore import (
     DomainError,
     MultiPoly,
     Rat,
+    _exponent_vector,
     inverse,
     monomials_of_weighted_degree,
     parse_rat,
@@ -105,22 +109,6 @@ class UnknownEntry(DomainError, KeyError):
     Also a KeyError, so handlers of a failed lookup keep catching it."""
 
     __str__ = Exception.__str__  # the message, not KeyError's repr of it
-
-
-def _exponent_vector(v: Any, where: str) -> tuple[int, int, int]:
-    """The exponent vector ``v`` of a monomial in X1, X2, X3 as a tuple.
-
-    The one reader of exponent vectors, the catalog loader's included: a
-    list or tuple of three nonnegative ``int``s is accepted, and anything
-    else raises :class:`DomainError` with ``where`` (the entry, when there
-    is one) in front.  Bools are rejected, though ``isinstance`` counts them
-    as ints (JSON true and false load as bools), and so are floats, which
-    ``int`` would truncate.
-    """
-    vec = tuple(v) if isinstance(v, (list, tuple)) else ()
-    if len(vec) != NVARS or not all(type(e) is int and e >= 0 for e in vec):
-        raise DomainError(f"{where}: expected three nonnegative integers, got {v!r}")
-    return vec
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +352,8 @@ def _parse_rat_field(v: Any, where: str) -> Rat:
 
 
 def _parse_int_triple(v: Any, where: str) -> tuple[int, int, int]:
+    """A catalog exponent vector, read by ``numcore._exponent_vector``, whose
+    :class:`DomainError` is raised again as a :class:`SchemaError`."""
     try:
         return _exponent_vector(v, where)
     except DomainError as exc:

@@ -96,13 +96,14 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from typing import Callable, Sequence
 
-from .isespoly import NVARS, CatalogEntry, InvertiblePolynomial, MarginalData, _exponent_vector
+from .isespoly import NVARS, CatalogEntry, InvertiblePolynomial, MarginalData
 from .numcore import (
     DomainError,
     MultiPoly,
     NoSolution,
     Rat,
     RatFun,
+    _exponent_vector,
     monomials_of_weighted_degree,
     nullspace,  # noqa: F401  (traced bench runs wrap it by name)
     scaled_ints,

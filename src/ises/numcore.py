@@ -420,6 +420,24 @@ def _operand(v):
 VAR_NAMES = ("X1", "X2", "X3")
 
 
+def _exponent_vector(v, where: str) -> tuple[int, int, int]:
+    """The exponent vector ``v`` of a monomial in X1, X2, X3 as a tuple.
+
+    The one reader of exponent vectors: the keys of :class:`MultiPoly`,
+    and in ``ises.isespoly``, ``ises.jacobi`` and ``ises.pfsolve`` every
+    exponent vector, the catalog loader's included.  A list or tuple of
+    three nonnegative ``int``s is accepted, and anything else raises
+    :class:`DomainError` with ``where`` (the entry, when there is one) in
+    front.  Bools are rejected, though ``isinstance`` counts them as ints
+    (JSON true and false load as bools), and so are floats, which ``int``
+    would truncate.
+    """
+    vec = tuple(v) if isinstance(v, (list, tuple)) else ()
+    if len(vec) != 3 or not all(type(e) is int and e >= 0 for e in vec):
+        raise DomainError(f"{where}: expected three nonnegative integers, got {v!r}")
+    return vec
+
+
 class MultiPoly:
     """Sparse polynomial in X1, X2, X3 with duck-typed coefficients.
 
@@ -434,9 +452,7 @@ class MultiPoly:
         d = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for exps, c in items:
-            e = tuple(int(v) for v in exps)
-            if len(e) != 3 or min(e) < 0:
-                raise DomainError(f"bad exponent vector {exps}")
+            e = _exponent_vector(exps, "MultiPoly")
             if e in d:
                 c = d[e] + c
             if c:
@@ -466,7 +482,7 @@ class MultiPoly:
 
     @classmethod
     def monomial(cls, exps, c=Fraction(1)) -> "MultiPoly":
-        return cls({tuple(exps): c})
+        return cls([(exps, c)])
 
     @classmethod
     def variable(cls, i: int, c=Fraction(1)) -> "MultiPoly":

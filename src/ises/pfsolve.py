@@ -19,18 +19,21 @@ and ``C`` is the marginal normalising constant, so that in the coordinate
 
 Cancelling a left root ``c`` against a right root ``c + l`` splits off the
 left divisor ``(delta + c)``; what remains is again an operator of the same
-shape and a right factor of the original.  Repeating until no pair remains
-usually leaves a second-order operator, i.e. a Gauss hypergeometric equation
-with weights ``(alpha, beta; gamma)``; occasionally it terminates at first
-order, where the solution is ``(1 - x)^{-deg phi_r}``.  There is no general
-rule for which factors survive, so reduction is greedy and deterministic,
-and every reported weight triple is certified by :func:`annihilation_check`,
-which substitutes both Frobenius solutions at ``x = 0`` into the *unreduced*
-operator exactly.  It does so on ints: the exponent, the roots and the
-series parameters of a solution are scaled by the lcm of their
-denominators, each series coefficient is an unreduced int fraction, and
-the identity at each power of ``x`` is one int cross-multiplication.
-Weights, roots and every returned value stay ``Fraction``.
+shape and a right factor of the original.  The reduction cancels greedily,
+smallest left root first, until no pair remains.  A cancellation removes
+only right roots, so a left root without a partner never gains one later,
+and the greedy loop is one pass over the left roots in ascending order.
+The result is usually a second-order operator, i.e. a Gauss hypergeometric
+equation with weights ``(alpha, beta; gamma)``; occasionally it terminates
+at first order, where the solution is ``(1 - x)^{-deg phi_r}``.  There is
+no general rule for which factors survive, so every reported weight triple
+is certified by :func:`annihilation_check`, which substitutes both
+Frobenius solutions at ``x = 0`` into the *unreduced* operator exactly.
+It does so on ints: the exponent, the roots and the series parameters of
+a solution are scaled by the lcm of their denominators, each series
+coefficient is an unreduced int fraction, and the identity at each power
+of ``x`` is one int cross-multiplication.  Weights, roots and every
+returned value stay ``Fraction``.
 """
 
 from __future__ import annotations
@@ -41,8 +44,8 @@ from math import prod
 from typing import Sequence
 
 from . import jacobi  # milnor_groebner calls groebner in ises.jacobi, where a wrapper sees it
-from .isespoly import NVARS, CatalogEntry, _exponent_vector
-from .numcore import DomainError, MultiPoly, Rat, scaled_ints
+from .isespoly import NVARS, CatalogEntry
+from .numcore import DomainError, MultiPoly, Rat, _exponent_vector, scaled_ints
 
 __all__ = [
     "DeltaOperator",
@@ -67,12 +70,16 @@ class ResonantBasis(DomainError):
 
 @dataclass(frozen=True)
 class DeltaOperator:
-    """``prod(delta + c_L) - C sigma^l prod(delta + c_R)`` with exact roots."""
+    """``prod(delta + c_L) - C sigma^l prod(delta + c_R)`` with exact roots.
+
+    The operator is held in the coordinate ``x = C sigma^l``, which absorbs
+    ``C``: it is the sorted left and right roots and the step ``l``, and the
+    constant stays on the marginal (``MarginalData.C``).
+    """
 
     left_roots: tuple[Rat, ...]
     right_roots: tuple[Rat, ...]
     step: int
-    constant: Rat
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "left_roots", tuple(sorted(Fraction(c) for c in self.left_roots)))
@@ -83,20 +90,6 @@ class DeltaOperator:
     @property
     def order(self) -> int:
         return len(self.left_roots)
-
-    def cancellable_pairs(self) -> tuple[Rat, ...]:
-        """Left roots c whose partner c + l appears among the right roots."""
-        return tuple(c for c in self.left_roots if c + self.step in self.right_roots)
-
-    def cancel(self, c: Rat) -> "DeltaOperator":
-        """Split off the left divisor ``(delta + c)``; needs ``c + l`` on the right."""
-        if c not in self.left_roots or c + self.step not in self.right_roots:
-            raise DomainError(f"no cancellable pair at {c}")
-        left = list(self.left_roots)
-        left.remove(c)
-        right = list(self.right_roots)
-        right.remove(c + self.step)
-        return DeltaOperator(tuple(left), tuple(right), self.step, self.constant)
 
 
 @dataclass(frozen=True)
@@ -114,12 +107,6 @@ class HGWeights:
     first_order: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        if self.beta is not None:
-            object.__setattr__(self, "beta", Fraction(self.beta))
-        if self.gamma is not None:
-            object.__setattr__(self, "gamma", Fraction(self.gamma))
-        object.__setattr__(self, "prefactor", Fraction(self.prefactor))
         if self.first_order:
             if self.beta is not None or self.gamma is not None:
                 raise DomainError("first-order data carries a single exponent")
@@ -129,13 +116,7 @@ class HGWeights:
 
     @classmethod
     def of_first_order(cls, deg_phi: Rat, prefactor: Rat = Fraction(0)) -> "HGWeights":
-        return cls(Fraction(deg_phi), None, None, Fraction(prefactor), True)
-
-    @property
-    def triple(self) -> tuple[Rat, Rat, Rat]:
-        if self.first_order:
-            raise DomainError("first-order data has no weight triple")
-        return (self.alpha, self.beta, self.gamma)
+        return cls(deg_phi, None, None, prefactor, True)
 
 
 def build_gkz(
@@ -156,16 +137,25 @@ def build_gkz(
             right.extend(Fraction(l) * (u[i] + k) / li for k in range(li))
         elif li < 0:
             left.extend(Fraction(l) * (u[i] + k) / li for k in range(-li))
-    return DeltaOperator(tuple(left), tuple(right), l, marginal.C)
+    return DeltaOperator(tuple(left), tuple(right), l)
 
 
 def reduce_left_divisors(op: DeltaOperator) -> DeltaOperator:
-    """Greedily remove all pairs (c, c + l): smallest left root first."""
-    while True:
-        pairs = op.cancellable_pairs()
-        if not pairs:
-            return op
-        op = op.cancel(min(pairs))
+    """Greedily remove all pairs (c, c + l), smallest left root first.
+
+    One ascending pass over the left roots: each root whose partner
+    ``c + l`` is still among the right roots is dropped with one copy of
+    that partner.  A cancellation removes only right roots, so a left root
+    the pass keeps never gains a partner later, and the pass removes what
+    repeated cancellation of the smallest cancellable root would.
+    """
+    left, right = [], list(op.right_roots)
+    for c in op.left_roots:
+        if c + op.step in right:
+            right.remove(c + op.step)
+        else:
+            left.append(c)
+    return DeltaOperator(tuple(left), tuple(right), op.step)
 
 
 def to_hg_weights(op: DeltaOperator, deg_phi: Rat) -> HGWeights:
@@ -199,7 +189,7 @@ def to_hg_weights(op: DeltaOperator, deg_phi: Rat) -> HGWeights:
     weights = HGWeights(alpha, beta, gamma, s)
     if alpha + beta - gamma - s != deg_phi:
         raise DomainError(
-            f"weights {weights.triple} violate alpha+beta-gamma = deg phi_r = {deg_phi}"
+            f"weights {(alpha, beta, gamma)} violate alpha+beta-gamma = deg phi_r = {deg_phi}"
         )
     return weights
 
@@ -230,7 +220,9 @@ def annihilation_check(op: DeltaOperator, w: HGWeights, order: int = 30) -> bool
     ``C sigma^l = x``, ``-prod(l(e+k) + c_R)`` one power higher; the image
     vanishes iff ``f_k prod(l(e+k)+c_L) = f_{k-1} prod(l(e+k-1)+c_R)`` for all
     k, with ``f_{-1} = 0`` (so at k = 0 the test is ``prod(l e + c_L) = 0``).
-    Checked exactly through ``x^{e+order}`` for each solution in turn.
+    Checked exactly through ``x^{e+order}`` for each solution in turn;
+    ``order`` is an int >= 0, and anything else raises :class:`DomainError`,
+    so no call certifies without checking an identity.
 
     Every parameter of a solution -- ``l e``, the roots and the series
     parameters -- is scaled by the lcm D of their denominators, so the test
@@ -241,6 +233,8 @@ def annihilation_check(op: DeltaOperator, w: HGWeights, order: int = 30) -> bool
     since no lower parameter is a nonpositive integer (see
     :func:`_series_ratios`).
     """
+    if type(order) is not int or order < 0:
+        raise DomainError(f"annihilation order {order!r} is not an int >= 0")
     l = op.step
     for exponent, upper, lower in _series_ratios(w):
         groups = ((l * exponent,), op.left_roots, op.right_roots, upper, lower)
@@ -276,7 +270,9 @@ def weight_report(
     the entry, m and r in front of its message; when ``X^m`` lies in the
     Jacobian ideal of ``W`` (so it deforms nothing) the message says that
     instead.  Only this error path computes the Groebner basis of the
-    partials of ``W`` over Q.
+    partials of ``W`` over Q, so an ``X^m`` in the Jacobian ideal is named
+    only when the derivation or the check fails: some such marginals reduce
+    to weights that the check certifies, and those are returned as they are.
     """
     op = build_gkz(entry, m, r)
     try:

@@ -244,11 +244,15 @@ class CorrelatorTable:
         ins = tuple(sorted(self._positions(insertions)))
         if len(ins) < 3:
             raise DomainError("correlator keys need at least 3 insertions")
+        self._check_degree(degree)
+        return (ins, degree)
+
+    def _check_degree(self, degree) -> None:
+        """Raise DomainError unless ``degree`` is an int, 0 if ungraded."""
         if type(degree) is not int:
             raise DomainError(f"curve degree {degree!r} is not an int")
         if degree and not self.graded:
             raise DomainError("degree grading not enabled for this table")
-        return (ins, degree)
 
     def _names(self, ins: tuple[int, ...]) -> tuple:
         """The labels of interned insertions."""
@@ -542,6 +546,17 @@ def _groups(table: CorrelatorTable, extra_slots: int, degrees, admissible):
                     yield from ((ok, extra, degree) for degree in degree_list)
 
 
+def _check_arguments(table: CorrelatorTable, extra_slots, degrees) -> None:
+    """Raise DomainError unless ``extra_slots`` is an int >= 0 and the
+    table's keys accept ``degrees``."""
+    if type(extra_slots) is not int or extra_slots < 0:
+        raise DomainError(f"extra_slots {extra_slots!r} is not an int >= 0")
+    if not isinstance(degrees, Sequence):
+        raise DomainError(f"degrees {degrees!r} is not a sequence of curve degrees")
+    for degree in degrees:
+        table._check_degree(degree)
+
+
 def _require_keys(table: CorrelatorTable, extra_slots: int) -> None:
     """Raise MissingKey when a scan with ``extra_slots`` can read
     (3 + extra_slots)-point keys, some multiset of that size meeting the
@@ -622,13 +637,14 @@ def propagate(
 ) -> CorrelatorTable:
     """Close a table under WDVV: solve instances linear in one unknown.
 
-    A table without unknowns is returned as a copy at once, with no
-    relation group listed.  Otherwise the relation groups built from the
-    basis labels with up to ``extra_slots`` extra insertions are listed
-    once, and solving passes of the one scan routine run over them: each
-    pass solves every instance that is linear in exactly one unknown and
-    raises :class:`InconsistentSystem` on a fully known instance that does
-    not vanish, and the next pass rescans only the instances still open
+    Malformed arguments raise :class:`DomainError`.  A table without
+    unknowns is then returned as a copy at once, with no relation group
+    listed.  Otherwise the relation groups built from the basis labels with
+    up to ``extra_slots`` extra insertions are listed once, and solving
+    passes of the one scan routine run over them: each pass solves every
+    instance that is linear in exactly one unknown and raises
+    :class:`InconsistentSystem` on a fully known instance that does not
+    vanish, and the next pass rescans only the instances still open
     (quadratic, or linear in two or more unknowns).  The passes stop when
     one solves nothing or no unknown is left.  Keys that no instance
     resolves stay in the unknown-set of the returned table.  A table that
@@ -651,6 +667,7 @@ def propagate(
     into ``table.labels``.  Each quad meets only the extras that complete
     its degree budget.
     """
+    _check_arguments(table, extra_slots, degrees)
     work = table.copy()
     if not work._unknown:
         return work
@@ -683,14 +700,16 @@ def check_residuals(
     One non-solving pass of the scan routine that :func:`propagate` runs:
     it raises InconsistentSystem on the first nonzero known residual, with
     the message that :func:`propagate` gives ("known instance ..."), and
-    :class:`MissingKey` as :func:`propagate` does.  Instances whose residual
-    involves unknowns are skipped; an instance whose two pair sums carry the
-    same unknown terms is fully known and counted.  ``admissible`` receives
+    :class:`DomainError` and :class:`MissingKey` as :func:`propagate` does.
+    Instances whose residual involves unknowns are skipped; an instance
+    whose two pair sums carry the same unknown terms is fully known and
+    counted.  ``admissible`` receives
     basis positions and filters pairings as in :func:`propagate`.  The pass
     builds each support once and evaluates each pairing's pair sum once per
     relation group; a group whose first sum is quadratic is skipped whole.
     The table is not changed.
     """
+    _check_arguments(table, extra_slots, degrees)
     _require_keys(table, extra_slots)
     groups = _groups(table, extra_slots, degrees, admissible)
     return _scan(table, groups, _ScanMemo(table), solve=False)[0]

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ises.numcore import DomainError, UniPoly, inverse, parse_rat, scaled_ints
+from ises.numcore import DomainError, MultiPoly, UniPoly, inverse, parse_rat, scaled_ints
 from ises.isespoly import (
     CatalogEntry,
     InvertiblePolynomial,
@@ -771,6 +771,8 @@ EXPONENT_READERS = {
     "build_gkz": (lambda entry, v, _: build_gkz(entry, (1, 1, 1), v), DomainError, "e6-fermat r"),
     "weight_report": (lambda entry, v, _: weight_report(entry, (1, 1, 1), v), DomainError, "e6-fermat r"),
     "load_catalog": (lambda entry, v, tmp_path: twisted_row(v, tmp_path), SchemaError, "entry e6-fermat twisted"),
+    "MultiPoly": (lambda entry, v, _: MultiPoly([(v, 1)]), DomainError, "MultiPoly"),
+    "MultiPoly.monomial": (lambda entry, v, _: MultiPoly.monomial(v), DomainError, "MultiPoly"),
 }
 
 

@@ -1,14 +1,17 @@
 """Packaging metadata: every console script declared in pyproject.toml
 resolves to a callable of the package, every name the package exports or
 re-exports exists, and so does every name the traced bench wraps; a fresh
-catalog load imports only the modules it needs."""
+catalog load imports only the modules it needs; and the source checks that
+the tier-1 workflow runs with the stdlib ast pass on the package."""
 
 import ast
+import glob
 import importlib
 import os
 import pkgutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -103,3 +106,52 @@ def test_the_bench_tracer_wraps_and_restores_names_that_exist(monkeypatch):
         tracer.unwrap_all()
     assert wrapped and all(hasattr(value, "__wrapped__") for value in wrapped)
     assert [dict(vars(mod)) for mod in modules] == before
+
+
+WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
+
+
+def workflow_script(name):
+    """The script that the tier-1 workflow keeps in its env block
+    ``name: |``, and the files that its step passes it (globs expanded,
+    "--" kept), so that the workflow holds the one copy of both."""
+    lines = WORKFLOW.read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines) if line.strip() == f"{name}: |")
+    indent = len(lines[start]) - len(lines[start].lstrip())
+    body = []
+    for line in lines[start + 1 :]:
+        if line.strip() and len(line) - len(line.lstrip()) <= indent:
+            break
+        body.append(line)
+    call = f'python -c "${name}"'
+    args = next(line for line in lines if call in line).split(call, 1)[1].split()
+    files = [p for arg in args for p in (sorted(glob.glob(arg, root_dir=ROOT)) if "*" in arg else [arg])]
+    return textwrap.dedent("\n".join(body)), files
+
+
+def run_script(script, args):
+    return subprocess.run(
+        [sys.executable, "-c", script, *args], cwd=ROOT, capture_output=True, text=True
+    )
+
+
+@pytest.mark.parametrize(
+    "name, planted, args, message",
+    [
+        ("UNUSED_IMPORTS", "import os\n", [], "os imported but unused"),
+        ("NO_CONSUMER", "def orphan():\n    return 0\n", ["--"], "orphan is read nowhere"),
+    ],
+    ids=["unused-imports", "no-consumer"],
+)
+def test_the_workflow_source_checks_pass_and_catch_a_planted_fault(tmp_path, name, planted, args, message):
+    """The stdlib-ast steps of the tier-1 workflow (unused imports, package
+    code without a consumer) pass on the workflow's own file lists, and
+    each exits 1 on a planted file with the fault it looks for."""
+    script, files = workflow_script(name)
+    assert files and all((ROOT / f).is_file() for f in files if f != "--")
+    done = run_script(script, files)
+    assert done.returncode == 0, done.stdout + done.stderr
+    path = tmp_path / "planted.py"
+    path.write_text(planted)
+    done = run_script(script, [str(path), *args])
+    assert done.returncode == 1 and message in done.stdout, done.stdout + done.stderr

@@ -1,7 +1,9 @@
 """Period operators: root multisets, reduction, weight certification."""
 
 import json
+from collections import Counter
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given, seed, settings
@@ -18,7 +20,6 @@ from ises.isespoly import (
 )
 from ises.numcore import DomainError, parse_rat, solve_linear
 from ises.pfsolve import (
-    DeltaOperator,
     HGWeights,
     NotSecondOrder,
     ResonantBasis,
@@ -62,14 +63,14 @@ def test_fermat_e6_root_multisets():
     op = build_gkz(entry("e6-fermat"), (1, 1, 1))
     assert op.left_roots == (F(-2), F(-1), F(0))
     assert op.right_roots == (F(1), F(1), F(1))
-    assert op.step == 3 and op.constant == F(-1, 27)
+    assert op.step == 3 and entry("e6-fermat").marginal((1, 1, 1)).C == F(-1, 27)
 
 
 def test_negative_l_contributes_left_roots():
     op = build_gkz(entry("e6-chain23"), (2, 0, 1))
     assert op.left_roots == (F(-2), F(-1), F(-1, 2), F(0))
     assert op.right_roots == (F(1, 2), F(1), F(3, 2), F(5, 2))
-    assert op.constant == F(1)
+    assert entry("e6-chain23").marginal((2, 0, 1)).C == F(1)
 
 
 def test_left_and_right_orders_always_match():
@@ -77,13 +78,7 @@ def test_left_and_right_orders_always_match():
         for marg in e.marginals:
             op = build_gkz(e, marg.m)
             assert len(op.left_roots) == len(op.right_roots)
-            assert op.step == marg.l and op.constant == marg.C
-
-
-def test_cancel_requires_a_pair():
-    op = build_gkz(entry("e6-fermat"), (1, 1, 1))
-    with pytest.raises(DomainError):
-        op.cancel(F(0))
+            assert op.step == marg.l
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +92,7 @@ def test_fermat_e6_reduction_steps():
     assert red.left_roots == (F(-1), F(0))
     assert red.right_roots == (F(1), F(1))
     w = to_hg_weights(red, F(0))
-    assert w.triple == (F(1, 3), F(1, 3), F(2, 3)) and w.prefactor == 0
+    assert (w.alpha, w.beta, w.gamma) == (F(1, 3), F(1, 3), F(2, 3)) and w.prefactor == 0
 
 
 def test_all_marginal_rows_reduce_to_frozen_weights():
@@ -105,7 +100,7 @@ def test_all_marginal_rows_reduce_to_frozen_weights():
         for marg in e.marginals:
             op = build_gkz(e, marg.m)
             w = to_hg_weights(reduce_left_divisors(op), F(0))
-            assert w.triple == FROZEN_WEIGHTS[e.name, marg.m], (e.name, marg.m)
+            assert (w.alpha, w.beta, w.gamma) == FROZEN_WEIGHTS[e.name, marg.m], (e.name, marg.m)
             assert w.prefactor == 0
             assert annihilation_check(op, w, 12), (e.name, marg.m)
 
@@ -117,17 +112,29 @@ def test_marginal_weights_sum_rule():
             assert a + b == g == 1 - F(1, marg.l)
 
 
-def all_reductions(op: DeltaOperator) -> set:
-    """Final (left, right) multisets over every greedy cancellation order."""
+def pairs_of(left, right, step):
+    """The left roots c whose partner c + l is among the right roots."""
+    return {c for c in left if c + step in right}
+
+
+def without(roots, c):
+    """The sorted root tuple ``roots`` with one copy of ``c`` removed."""
+    i = roots.index(c)
+    return roots[:i] + roots[i + 1 :]
+
+
+def all_reductions(op) -> set:
+    """Final sorted (left, right) root tuples over every order of
+    cancelling pairs (c, c + l)."""
     results = set()
-    stack = [op]
+    stack = [(op.left_roots, op.right_roots)]
     while stack:
-        cur = stack.pop()
-        pairs = set(cur.cancellable_pairs())
+        left, right = stack.pop()
+        pairs = pairs_of(left, right, op.step)
         if not pairs:
-            results.add((cur.left_roots, cur.right_roots))
+            results.add((left, right))
             continue
-        stack.extend(cur.cancel(c) for c in pairs)
+        stack.extend((without(left, c), without(right, c + op.step)) for c in pairs)
     return results
 
 
@@ -137,8 +144,32 @@ def test_reduction_is_confluent_on_catalog():
         cases = [(marg.m, (0, 0, 0)) for marg in e.marginals]
         cases += [(family_m, r) for r, _ in e.twisted]
         for m, r in cases:
-            finals = all_reductions(build_gkz(e, m, r))
-            assert len(finals) == 1, (e.name, m, r)
+            op = build_gkz(e, m, r)
+            red = reduce_left_divisors(op)
+            assert all_reductions(op) == {(red.left_roots, red.right_roots)}, (e.name, m, r)
+
+
+def greedy_reduction(op):
+    """The greedy loop, on Counters of roots: cancel the smallest left root
+    c whose partner c + l is among the right roots, until none is; the
+    sorted (left, right) roots that remain."""
+    left, right = Counter(op.left_roots), Counter(op.right_roots)
+    while pairs := pairs_of(+left, +right, op.step):
+        c = min(pairs)
+        left[c] -= 1
+        right[c + op.step] -= 1
+    return tuple(sorted((+left).elements())), tuple(sorted((+right).elements()))
+
+
+def test_one_pass_reduction_matches_the_greedy_loop():
+    assert len(_CASES) == 25
+    for name, m in _CASES:
+        e = entry(name)
+        for r in product(range(6), repeat=3):
+            op = build_gkz(e, m, r)
+            red = reduce_left_divisors(op)
+            assert red.step == op.step
+            assert (red.left_roots, red.right_roots) == greedy_reduction(op), (name, m, r)
 
 
 def test_interior_weights_for_quartic_pair():
@@ -146,11 +177,11 @@ def test_interior_weights_for_quartic_pair():
     m = e7.marginals[0].m
     op = build_gkz(e7, m, (2, 0, 0))
     w = to_hg_weights(reduce_left_divisors(op), F(1, 2))
-    assert w.triple == (F(1, 4), F(3, 4), F(1, 2))
+    assert (w.alpha, w.beta, w.gamma) == (F(1, 4), F(3, 4), F(1, 2))
     assert annihilation_check(op, w, 12)
     op = build_gkz(e7, m, (2, 2, 0))
     w = to_hg_weights(reduce_left_divisors(op), F(1))
-    assert w.triple == (F(3, 4), F(3, 4), F(1, 2))
+    assert (w.alpha, w.beta, w.gamma) == (F(3, 4), F(3, 4), F(1, 2))
     assert annihilation_check(op, w, 12)
 
 
@@ -278,7 +309,7 @@ def test_steering_overrides_greedy_overcancellation():
 def test_weight_report_without_frozen_row_uses_greedy():
     e7 = entry("e7-fermat")
     w, verified = weight_report(e7, e7.marginals[0].m, (2, 0, 0))
-    assert w.triple == (F(1, 4), F(3, 4), F(1, 2)) and verified
+    assert (w.alpha, w.beta, w.gamma) == (F(1, 4), F(3, 4), F(1, 2)) and verified
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +332,14 @@ def test_resonant_exponents_raise():
         annihilation_check(op, HGWeights(F(1, 3), F(1, 3), F(1)), 5)
     with pytest.raises(ResonantBasis):
         annihilation_check(op, HGWeights(F(1, 3), F(1, 3), F(-1)), 5)
+
+
+@pytest.mark.parametrize("order", [-1, 1.5, True], ids=["negative", "float", "bool"])
+def test_an_annihilation_order_is_an_int_at_least_zero(order):
+    # below order 0 no identity is checked, so any weights would pass
+    op = build_gkz(entry("e6-fermat"), (1, 1, 1))
+    with pytest.raises(DomainError, match=rf"^annihilation order {order!r} is not an int >= 0$"):
+        annihilation_check(op, HGWeights(F(1, 3), F(1, 3), F(2, 3)), order)
 
 
 def test_annihilation_certifies_at_order_thirty():
@@ -386,7 +425,7 @@ def mutants(w):
         yield HGWeights(w.alpha, F(1, 2), F(1, 2), s)
         yield HGWeights(w.alpha, F(1, 7), F(1, 7), s)
         return
-    a, b, g = w.triple
+    a, b, g = w.alpha, w.beta, w.gamma
     yield HGWeights(a + F(1, 7), b, g, s)
     yield HGWeights(a, b - F(1, 5), g, s)
     yield HGWeights(a, b, g + F(1, 3), s)
@@ -494,5 +533,5 @@ def test_beta_sum_rule(case, r):
 def test_greedy_reduction_leaves_no_pairs(case, r):
     name, m = case
     red = reduce_left_divisors(build_gkz(entry(name), m, r))
-    assert not red.cancellable_pairs()
+    assert not pairs_of(red.left_roots, red.right_roots, red.step)
     assert len(red.left_roots) == len(red.right_roots)

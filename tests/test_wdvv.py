@@ -196,6 +196,48 @@ def test_frozen_table_rejects_writes():
             "^curve degree True is not an int$",
             id="bool-degree",
         ),
+        # the arguments of a scan are checked before it starts, also where a
+        # table without unknowns needs no scan: an extra_slots of True is not
+        # read as 1, nor a degree 1.5 as a degree of 17 empty instances
+        pytest.param(
+            lambda: check_residuals(gw_seed_table((3, 3, 3)), extra_slots=1.5),
+            r"^extra_slots 1\.5 is not an int >= 0$",
+            id="fractional-extra-slots",
+        ),
+        pytest.param(
+            lambda: propagate(gw_unknowns(gw_seed_table((3, 3, 3)), 1), extra_slots=-1, degrees=range(2)),
+            "^extra_slots -1 is not an int >= 0$",
+            id="negative-extra-slots",
+        ),
+        pytest.param(
+            lambda: propagate(gw_seed_table((3, 3, 3)), extra_slots=1.5),
+            r"^extra_slots 1\.5 is not an int >= 0$",
+            id="closed-table-extra-slots",
+        ),
+        pytest.param(
+            lambda: check_residuals(gw_seed_table((3, 3, 3)), extra_slots=True),
+            "^extra_slots True is not an int >= 0$",
+            id="bool-extra-slots",
+        ),
+        pytest.param(
+            lambda: propagate(gw_unknowns(gw_seed_table((3, 3, 3)), 1), degrees=5),
+            "^degrees 5 is not a sequence of curve degrees$",
+            id="int-degrees",
+        ),
+        pytest.param(
+            lambda: check_residuals(gw_seed_table((3, 3, 3)), extra_slots=0, degrees=(0, 1.5)),
+            r"^curve degree 1\.5 is not an int$",
+            id="fractional-scan-degree",
+        ),
+        pytest.param(
+            lambda: check_residuals(
+                fjrw_theory("e6-fermat").correlator_table(),
+                degrees=(0, 5),
+                admissible=fjrw_theory("e6-fermat").narrow_nodes,
+            ),
+            "^degree grading not enabled for this table$",
+            id="ungraded-scan-degree",
+        ),
     ],
 )
 def test_table_misuse_is_a_typed_domain_error(misuse, message):
