@@ -98,6 +98,8 @@ class HGWeights:
 
     When ``first_order`` is set the period solves a first-order equation and
     equals ``x^s (1 - x)^{-alpha}``; ``beta`` and ``gamma`` are then None.
+    Every other weight is an int or a ``Fraction``, or a ``DomainError``
+    names the field.
     """
 
     alpha: Rat
@@ -107,6 +109,12 @@ class HGWeights:
     first_order: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "beta", "gamma", "prefactor"):
+            value = getattr(self, name)
+            if value is None and name in ("beta", "gamma"):
+                continue  # first-order data; the checks below pair it with the flag
+            if type(value) is not int and not isinstance(value, Fraction):
+                raise DomainError(f"HGWeights {name} {value!r} is not an int or a Fraction")
         if self.first_order:
             if self.beta is not None or self.gamma is not None:
                 raise DomainError("first-order data carries a single exponent")

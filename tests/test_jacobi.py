@@ -375,6 +375,32 @@ def test_a_constant_in_the_basis_leaves_an_empty_staircase():
     assert standard_monomials([MultiPoly.const(F(1))], q, "e6-fermat") == ()
 
 
+@pytest.mark.parametrize("over", ["Q(sigma)", "Q"])
+def test_a_short_staircase_fails_its_certification_when_it_is_built(over, monkeypatch):
+    # A staircase one monomial short of mu fails over Q at construction, and
+    # over Q(sigma), which construction never builds, at its first read.
+    real = jacobi.standard_monomials
+
+    def short(basis, weights, name):
+        stairs = real(basis, weights, name)
+        q_sigma = isinstance(next(iter(basis[0].terms.values())), RatFun)
+        return stairs[1:] if q_sigma == (over == "Q(sigma)") else stairs
+
+    monkeypatch.setattr(jacobi, "standard_monomials", short)
+    entry = get_entry(CATALOG, "e6-fermat")
+    error = (
+        f"^e6-fermat: the staircase over {re.escape(over)} has 7 monomials "
+        "and 1 of degree one, not mu = 8 and one, the last$"
+    )
+    if over == "Q":
+        with pytest.raises(DomainError, match=error):
+            JacobianAlgebra(entry)
+    else:
+        alg = JacobianAlgebra(entry)
+        with pytest.raises(DomainError, match=error):
+            alg.staircase
+
+
 def test_coords_are_dual_to_the_display_basis():
     for name in ("e6-fermat", "e7-chain34", "e8-chain32"):
         alg = algebra(name)
@@ -801,6 +827,38 @@ def test_four_point_tables_build_no_sigma_layered_decomposition(monkeypatch):
     assert set(cuts) == {(0, 1)} and len(cuts) == SIGMA_ZERO_SYSTEMS
     assert (len(columns), sum(columns)) == (SIGMA_ZERO_SYSTEMS, SIGMA_ZERO_LABELS)
     assert sum(len(alg._flats) for alg in algebras) == SIGMA_ZERO_LABELS
+
+
+def test_the_q_sigma_layer_is_built_on_first_read_only(monkeypatch):
+    # On all 25 pairs (the bench's 24 among them), an algebra, its flats and
+    # its four-point table take one Groebner basis, of W over Q, and make no
+    # RatFun; the first read of the staircase builds the one over Q(sigma),
+    # and later reads of it or of its basis build nothing.
+    fields, made = [], []
+    real_groebner, real_make = jacobi.groebner, RatFun.__dict__["_make"].__func__
+
+    def counted_groebner(gens, weights):
+        fields.append({type(c) for g in gens for c in g.terms.values()})
+        return real_groebner(gens, weights)
+
+    def counted_make(cls, n, d):
+        made.append((n, d))
+        return real_make(cls, n, d)
+
+    monkeypatch.setattr(jacobi, "groebner", counted_groebner)
+    monkeypatch.setattr(RatFun, "_make", classmethod(counted_make))
+    for name, m in ALL_PAIRS:
+        alg = JacobianAlgebra(get_entry(CATALOG, name), m)
+        for r in sorted({r for trip in alg.weight_one_triples() for r in trip}):
+            alg.flat_first_order(r)
+        assert alg.fourpoint_table()
+        assert fields == [{F}] and not made, (name, m)
+        stairs = alg.staircase
+        assert fields == [{F}, {RatFun}] and made, (name, m)
+        assert alg.staircase is stairs and alg.groebner_basis is alg.groebner_basis
+        assert len(fields) == 2, (name, m)
+        fields.clear()
+        made.clear()
 
 
 def sigma_zero_hooks(monkeypatch, tamper):

@@ -326,6 +326,21 @@ def test_both_frobenius_solutions_are_checked():
     assert not annihilation_check(op, HGWeights(F(1, 3), F(1, 3), F(2, 3) + F(1, 7)), 30)
 
 
+@pytest.mark.parametrize(
+    "weights,field",
+    [
+        ((1 / 3, 1 / 3, 2 / 3), "alpha"),
+        ((F(1, 3), True, F(2, 3)), "beta"),
+        ((F(1, 3), F(1, 3), 2 / 3), "gamma"),
+        ((F(1, 3), F(1, 3), F(2, 3), 0.0), "prefactor"),
+        ((None, None, None, F(0), True), "alpha"),
+    ],
+)
+def test_a_weight_that_is_not_an_int_or_a_fraction_is_a_typed_error(weights, field):
+    with pytest.raises(DomainError, match=rf"^HGWeights {field} .* is not an int or a Fraction$"):
+        HGWeights(*weights)
+
+
 def test_resonant_exponents_raise():
     op = build_gkz(entry("e6-fermat"), (1, 1, 1))
     with pytest.raises(ResonantBasis):
