@@ -13,11 +13,22 @@ Computed from first principles:
 * sector classification, gradings deg(e_h) = sum_i (Theta_i(h) - q_i^T),
   and the pairing (e_h pairs with e_{h^-1});
 * the dimension of a broad sector h that fixes the coordinates S: the
-  number of standard monomials x^a of the Milnor ring of W^T restricted to
-  Fix(h), that is of the Groebner basis of (d_j W^T for j in S, X_k for k
-  not in S), whose class x^a dV is invariant: (a + 1) Theta is integral on
-  S for each of the three group generators Theta (Krawitz,
-  arXiv:0906.0796); it depends on S only;
+  G-invariant classes x^a dV_S of the Milnor ring of W^T restricted to
+  Fix(h), with dV_S the volume form on S (Fan, Jarvis and Ruan,
+  arXiv:0712.4021; Krawitz, arXiv:0906.0796), counted by the trace
+  average over the group G of W^T
+      dim(S) = (1/|G|) sum_{g in G} prod_{j in S} t_j(g),
+  t_j(g) = 1/q_j^T - 1 when g fixes x_j and -1 when it moves it.  The
+  restriction has an isolated singularity, so its partials d_j W^T (j in
+  S) are a regular sequence and their Koszul complex resolves the Milnor
+  ring.  G keeps W^T, so x_j is an eigenvector of g with character chi_j
+  and d_j W^T one with chi_j^-1; the trace of g on the classes x^a dV_S,
+  graded by the weight of x^a, is then
+      prod_{j in S} (chi_j - t^{1 - q_j}) / (1 - chi_j t^{q_j}),
+  whose factor at t = 1 is (1 - q_j) / q_j when chi_j = 1 and -1
+  otherwise, and the average of the traces counts the invariant classes.
+  It depends on S only, and it is 1 on S empty, the one state of a
+  narrow sector;
 * line bundle degrees d_j = q_j^T (2g - 2 + n) - sum_k Theta_j(h_k) and
   their integrality (the correlator vanishes unless all d_j are integers);
 * three-point values on narrow sectors, by the genus-zero axioms (Fan,
@@ -64,16 +75,17 @@ value above is then one ``Fraction``
 over the scaled phases qL, a_k and node phases n of coordinate j (the 1/6
 terms cancel: 1 - 4 + 3 = 0).  The table seed (on basis positions, the
 correlator table's own keys), the node check of ``narrow_nodes``, the
-broad-sector count and the mirror map (on the int generators of the
-group), the chart points of ``sector`` and the group points of words run
-on ints only.  The group never passes through ``Fraction``s: each int
-element gets its ``Fraction`` label once, when the theory is built, and
-the ints and labels are looked up by each other from then on.
-``Fraction``s are made at the edge only, which is: the sector labels and
-gradings of ``FjrwSector`` (the keys of ``sectors``); the labels, gradings
-and pairing handed to ``CorrelatorTable`` once per theory; the correlator
-values; the word reductions, which read the finished table by label; and
-the degrees that the exception messages report.
+broad-sector count (on the int elements of the group) and the mirror
+map (on its int generators), the chart points of ``sector`` and the
+group points of words run on ints only.  The group never passes through
+``Fraction``s: each int element gets its ``Fraction`` label once, when
+the theory is built, and the ints and labels are looked up by each other
+from then on.  ``Fraction``s are made at the edge only, which is: the
+sector labels and gradings of ``FjrwSector`` (the keys of ``sectors``);
+the labels, gradings and pairing handed to ``CorrelatorTable`` once per
+theory; the correlator values; the word reductions, which read the
+finished table by label; and the degrees that the exception messages
+report.
 
 Entries whose catalog record marks the reconstruction as excluded (their
 state space is generated by broad classes) raise NeedsBroadFixture.
@@ -87,10 +99,8 @@ from itertools import combinations_with_replacement, product
 from math import prod
 from typing import Mapping, Sequence
 
-from . import jacobi  # groebner through its module, so a wrapper on ises.jacobi sees the calls
 from .isespoly import CatalogEntry, InvertiblePolynomial
-from .jacobi import standard_monomials
-from .numcore import DomainError, MultiPoly, parse_rat, scaled_ints
+from .numcore import DomainError, parse_rat, scaled_ints
 from .wdvv import CorrelatorTable, InconsistentSystem, propagate
 
 __all__ = [
@@ -116,20 +126,22 @@ _SPLITS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
 
 def sector_dimension(name: str, mirror: InvertiblePolynomial, group, fixed: Sequence[int]) -> int:
     """State-space dimension of a sector that fixes the coordinates
-    ``fixed``, by the broad-sector rule of the module docstring.  ``mirror``
-    is the transposed polynomial of the entry ``name`` and ``group`` is its
-    group on the int grid, as :meth:`InvertiblePolynomial.group` gives it;
-    the invariance test reads the three generators theta L: (a + 1) theta L
-    is a multiple of L.  With no fixed coordinate the staircase is the one
-    monomial 1, so a narrow sector counts one; ``name`` is only for the
-    error of a staircase that is not finite."""
-    w, q = mirror.polynomial().map_coeffs(Fraction), mirror.charges
-    basis = jacobi.groebner([w.partial(j) if j in fixed else MultiPoly.variable(j) for j in range(3)], q)
-    scale, generators, _ = group
-    return sum(
-        all(sum((a[j] + 1) * g[j] for j in fixed) % scale == 0 for g in generators)
-        for a in standard_monomials(basis, q, name)
-    )
+    ``fixed``: the trace average of the module docstring over the elements
+    of ``group``, the group of ``mirror`` = W^T of the entry ``name`` on its
+    int grid, as :meth:`InvertiblePolynomial.group` gives it.  With the
+    charges on that grid, Q = q L, a factor t_j(g) is (L - Q_j) / Q_j or
+    -Q_j / Q_j, so the average is the int sum over g of prod_j (L - Q_j or
+    -Q_j) over |G| prod_j Q_j.  On a group it is an integer >= 0; a list of
+    elements that is not closed under composition can miss that, which is
+    a DomainError naming ``name``."""
+    scale, _, elements = group
+    q = scaled_ints(mirror.charges, scale)[0]
+    total = sum(prod(-q[j] if g[j] else scale - q[j] for j in fixed) for g in elements)
+    size = len(elements) * prod(q[j] for j in fixed)
+    if total < 0 or total % size:
+        average = Fraction(total, size)
+        raise DomainError(f"{name}: the trace average {average} on coordinates {tuple(fixed)} is not a dimension")
+    return total // size
 
 
 @dataclass(frozen=True)
@@ -153,10 +165,13 @@ class FjrwTheory:
 
     The state space is derived from the exponent matrix alone: the sectors
     are the group of W^T, the grading element J is the sector q^T, the top
-    sector is its inverse 1 - q^T, the broad dimensions are counted on the
-    staircases of the fixed loci, and the ring generators rho are the
-    sectors of Krawitz's mirror map, and the three-point values follow from
-    the degree axioms (module docstring).  Of the catalog's fjrw block only
+    sector is its inverse 1 - q^T, the broad dimensions are trace averages
+    over the group, which read only the charges of W^T and the coordinates
+    each element fixes (no polynomial is built), the ring generators rho
+    are the sectors of Krawitz's mirror map, and the three-point values
+    follow from the degree axioms (module docstring).  The narrow sectors
+    and the broad dimensions must add up to the Milnor number of W, else
+    the theory raises DomainError.  Of the catalog's fjrw block only
     the chart's offset and steps (``scheme``), the four-point fixtures and
     ``excluded`` (with its ``reason``) are read; the chart only translates
     the integer indices of the fixtures and of :meth:`sector` into phase

@@ -42,11 +42,15 @@ class NoSolution(ValueError):
     """An exact linear system admits no solution."""
 
 
-def rat(value) -> Fraction:
-    """Coerce to an exact rational."""
-    if isinstance(value, Fraction):
+def rat(value, what: str, name) -> Fraction:
+    """``value`` as a ``Fraction``; a DomainError naming ``what`` and
+    ``name`` unless it is an int or a ``Fraction``: a bool is neither, so
+    True is not read as 1, nor a float as its binary fraction."""
+    if type(value) is Fraction:
         return value
-    return Fraction(value)
+    if type(value) is int:
+        return Fraction(value)
+    raise DomainError(f"{what} {name!r} is {value!r}, not an int or a Fraction")
 
 
 def parse_rat(text: str) -> Fraction:
@@ -483,12 +487,6 @@ class MultiPoly:
     @classmethod
     def monomial(cls, exps, c=Fraction(1)) -> "MultiPoly":
         return cls([(exps, c)])
-
-    @classmethod
-    def variable(cls, i: int, c=Fraction(1)) -> "MultiPoly":
-        e = [0, 0, 0]
-        e[i] = 1
-        return cls({tuple(e): c})
 
     def __bool__(self):
         return bool(self.terms)

@@ -158,8 +158,10 @@ class CorrelatorTable:
     of every nonzero pairing entry must have one sum c for the whole table
     (c = 1 on the FJRW and GW tables), else the table raises
     :class:`MissingPairing`.  Misuse raises :class:`DomainError`: duplicate
-    labels, a key of fewer than three insertions, a degree on an ungraded
-    table, or a write to a frozen one.
+    labels, a grading, pairing value or set value that is not an int or a
+    ``Fraction`` (a bool or a float is refused, not read as a number), a
+    key of fewer than three insertions, a degree on an ungraded table, or a
+    write to a frozen one.
     """
 
     def __init__(
@@ -175,7 +177,7 @@ class CorrelatorTable:
             raise DomainError("duplicate basis labels")
         self.graded = bool(graded)
         try:
-            gradings = [rat(degrees[label]) for label in self.labels]
+            gradings = [rat(degrees[label], "the grading of", label) for label in self.labels]
         except KeyError as exc:
             raise DomainError(f"basis label {exc.args[0]!r} has no grading in degrees") from None
         # gradings scaled to int weights by the lcm of their denominators
@@ -201,7 +203,7 @@ class CorrelatorTable:
             if a not in self._index or b not in self._index:
                 raise MissingPairing(f"pairing on unknown label {(a, b)!r}")
             i, j = self._index[a], self._index[b]
-            v = rat(value)
+            v = rat(value, "the pairing at", (a, b))
             for key in ((i, j), (j, i)):
                 if out.setdefault(key, v) != v:
                     raise MissingPairing(f"pairing not symmetric at {(a, b)!r}")
@@ -276,12 +278,13 @@ class CorrelatorTable:
     # -- values ----------------------------------------------------------
 
     def set(self, insertions, value, degree: int = 0) -> None:
-        self._set_key(self._key(insertions, degree), value)
+        key = self._key(insertions, degree)
+        self._set_key(key, rat(value, "the value at", self._label_key(key)))
 
-    def _set_key(self, key, value) -> None:
+    def _set_key(self, key, v) -> None:
+        """Set the internal ``key`` to ``v``, an int or a ``Fraction``."""
         if self._frozen:
             raise DomainError("table is frozen")
-        v = rat(value)
         if not self._budget_ok(key[0]):
             if v:
                 raise DomainError(
@@ -723,8 +726,12 @@ def elliptic_orbifold_basis(orders: Sequence[int]):
     """Cohomology labels and gradings of P^1_{a1,a2,a3}.
 
     Labels: (0,1) the unit, (0,2) the point class (grading 1), and (i,j)
-    for leg i in {1,2,3}, twist j in 1..a_i-1 with grading j/a_i.
+    for leg i in {1,2,3}, twist j in 1..a_i-1 with grading j/a_i.  A
+    DomainError unless ``orders`` holds three ints a_i >= 2.
     """
+    three = isinstance(orders, (list, tuple)) and len(orders) == 3
+    if not three or not all(type(a) is int and a >= 2 for a in orders):
+        raise DomainError(f"orbifold orders {orders!r} are not three ints >= 2")
     a1, a2, a3 = orders
     labels = [(0, 1), (0, 2)]
     degrees = {(0, 1): Fraction(0), (0, 2): Fraction(1)}

@@ -11,6 +11,7 @@ from math import lcm
 import pytest
 
 import ises.fjrw
+import ises.jacobi
 from ises.fjrw import FjrwTheory, NeedsBroadFixture, sector_dimension
 from ises.isespoly import CatalogEntry, get_entry, load_catalog
 from ises.jacobi import JacobianAlgebra, groebner, milnor_groebner, normal_form
@@ -866,7 +867,7 @@ def test_the_bside_residue_ratios_are_the_index_zero_values(m):
 
 
 # ---------------------------------------------------------------------------
-# sector dimensions: the staircase count against a character nullspace
+# sector dimensions: the trace average against a character nullspace
 
 
 def phase_group(poly):
@@ -950,6 +951,56 @@ def test_sector_dimension_on_generators_matches_the_whole_group():
             if not all(theta):
                 dims.append(dim)
     assert 0 in dims and max(dims) > 1
+
+
+def test_the_state_space_of_every_entry_has_the_milnor_number():
+    """Narrow sectors plus broad dimensions give mu on all 13 entries, also
+    the three that FjrwTheory excludes; their broad sectors with states
+    are the ones ROADMAP item 7 lists (dimension times count)."""
+    broad = {}
+    for entry in CATALOG:
+        mirror = entry.polynomial.transpose()
+        group = mirror.group()
+        labels = dict(zip(group[2], phase_group(mirror)))
+        sectors = ises.fjrw._sector_list(entry.name, mirror, group, labels)
+        states = sum(s.dim for s in sectors)
+        assert states == entry.polynomial.milnor_number, entry.name
+        broad[entry.name] = sorted(s.dim for s in sectors if not s.narrow and s.dim)
+    assert {name: dims for name, dims in broad.items() if name not in NAMES} == {
+        "e6-chain23": [1, 1],
+        "e6-loop22": [2, 2],
+        "e7-chain22": [1, 1, 1],
+    }
+
+
+def test_a_set_that_is_not_a_group_has_no_trace_average():
+    """The identity and the element (1/3, 1/3, 1/3), which moves every
+    coordinate, without its square: on all three coordinates the traces
+    (1/q - 1)^3 = 8 and (-1)^3 average to 7/2, which counts no states."""
+    mirror = get_entry(CATALOG, "e6-fermat").polynomial.transpose()
+    assert mirror.charges == (F(1, 3),) * 3
+    not_closed = (3, mirror.group()[1], ((0, 0, 0), (1, 1, 1)))
+    message = r"^e6-fermat: the trace average 7/2 on coordinates \(0, 1, 2\) is not a dimension$"
+    with pytest.raises(DomainError, match=message):
+        sector_dimension("e6-fermat", mirror, not_closed, (0, 1, 2))
+    labels = {g: tuple(F(k, 3) for k in g) for g in not_closed[2]}
+    with pytest.raises(DomainError, match=message):
+        ises.fjrw._sector_list("e6-fermat", mirror, not_closed, labels)
+
+
+def test_the_a_side_builds_no_groebner_basis_and_no_polynomial(monkeypatch):
+    """Fresh theories, tables, words and residual checks of all 10 entries
+    with Buchberger and every polynomial constructor made to fail give the
+    pinned A-side outputs."""
+    expected = aside_dump()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the A side built a polynomial")
+
+    monkeypatch.setattr(ises.jacobi, "groebner", forbidden)
+    monkeypatch.setattr(MultiPoly, "__init__", forbidden)
+    monkeypatch.setattr(MultiPoly, "_wrap", forbidden)
+    assert aside_dump(FjrwTheory) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -1048,7 +1099,8 @@ def test_the_generators_are_the_variables_outside_the_jacobian_ideal():
     for name in NAMES:
         poly = get_entry(CATALOG, name).polynomial
         basis = milnor_groebner(poly)
-        outside = tuple(i for i in (1, 2, 3) if normal_form(MultiPoly.variable(i - 1), basis, poly.charges))
+        variables = [MultiPoly.monomial(tuple(int(j == i) for j in range(3))) for i in range(3)]
+        outside = tuple(i + 1 for i, x in enumerate(variables) if normal_form(x, basis, poly.charges))
         assert theory(name).generators == outside, name
         if outside != (1, 2, 3):
             dropped[name] = (outside, poly.exponents)

@@ -2,7 +2,8 @@
 resolves to a callable of the package, every name the package exports or
 re-exports exists, and so does every name the traced bench wraps; a fresh
 catalog load imports only the modules it needs; and the source checks that
-the tier-1 workflow runs with the stdlib ast pass on the package."""
+the tier-1 workflow runs with the stdlib ast pass on the package; the
+A side imports no elimination engine."""
 
 import ast
 import glob
@@ -83,6 +84,23 @@ def test_a_catalog_load_imports_only_numcore_and_isespoly():
     if "dataclasses" not in fresh_modules("pass"):
         assert "dataclasses" not in loaded
     assert "ises.jacobi" in fresh_modules("import ises; ises.JacobianAlgebra")
+
+
+def test_the_a_side_imports_no_elimination_engine():
+    """FJRW counts broad sectors by a trace average over the group, so
+    ``ises.fjrw`` imports neither ``jacobi`` nor ``MultiPoly``, and
+    ``import ises.fjrw`` loads no ``ises.jacobi``."""
+    tree = ast.parse((SRC / "ises" / "fjrw.py").read_text())
+    imported = {
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert ("numcore", "DomainError") in imported
+    assert not {(m, name) for m, name in imported if "jacobi" in (m, name) or name == "MultiPoly"}
+    loaded = fresh_modules("import ises.fjrw")
+    assert "ises.fjrw" in loaded and "ises.jacobi" not in loaded
 
 
 def test_the_bench_tracer_wraps_and_restores_names_that_exist(monkeypatch):

@@ -1,6 +1,7 @@
 """Correlator tables, WDVV propagation and the GW seed of P^1_{a,b,c}."""
 
 import random
+import re
 from fractions import Fraction as F
 from functools import cache
 from itertools import combinations_with_replacement
@@ -175,6 +176,56 @@ def test_frozen_table_rejects_writes():
             lambda: CorrelatorTable((HIGH, HIGH), {(HIGH, HIGH): 1}, degrees={HIGH: F(1, 2)}),
             "^duplicate basis labels$",
             id="duplicate-labels",
+        ),
+        # gradings, pairing values and set values are ints or Fractions: a
+        # string is not parsed, a float is not read as its binary fraction,
+        # and a bool is not read as 0 or 1
+        *(
+            pytest.param(
+                lambda v=v: CorrelatorTable((UNIT, POINT), {(UNIT, POINT): 1}, degrees={UNIT: 0, POINT: v}),
+                rf"^the grading of \(0, 2\) is {re.escape(repr(v))}, not an int or a Fraction$",
+                id=f"grading-{kind}",
+            )
+            for kind, v in (("string", "x"), ("float", 1.0), ("bool", True))
+        ),
+        *(
+            pytest.param(
+                lambda v=v: CorrelatorTable((UNIT, POINT), {(UNIT, POINT): v}, degrees={UNIT: 0, POINT: 1}),
+                rf"^the pairing at \(\(0, 1\), \(0, 2\)\) is {re.escape(repr(v))}, not an int or a Fraction$",
+                id=f"pairing-{kind}",
+            )
+            for kind, v in (("string", "1"), ("float", 0.1), ("bool", True))
+        ),
+        *(
+            pytest.param(
+                lambda v=v: gw_seed_table((3, 3, 3)).set([(3, 1), (1, 1), (2, 1)], v, degree=1),
+                rf"^the value at \(\(\(1, 1\), \(2, 1\), \(3, 1\)\), 1\) is {re.escape(repr(v))}, "
+                "not an int or a Fraction$",
+                id=f"set-{kind}",
+            )
+            for kind, v in (("string", "1/2"), ("float", 0.5), ("bool", True))
+        ),
+        # the orders of P^1_{a1,a2,a3} are three ints >= 2
+        *(
+            pytest.param(
+                lambda orders=orders: gw_seed_table(orders),
+                rf"^orbifold orders {re.escape(repr(orders))} are not three ints >= 2$",
+                id=f"orders-{kind}",
+            )
+            for kind, orders in (
+                ("two", (3, 3)),
+                ("four", (3, 3, 3, 3)),
+                ("zero", (0, 3, 3)),
+                ("one", (3, 1, 3)),
+                ("float", (3, 3, 3.0)),
+                ("bool", (True, 3, 3)),
+                ("string", "333"),
+            )
+        ),
+        pytest.param(
+            lambda: elliptic_orbifold_basis((3, 3)),
+            r"^orbifold orders \(3, 3\) are not three ints >= 2$",
+            id="basis-orders",
         ),
         pytest.param(lambda: phase_table().value([HIGH, LOW]), "at least 3 insertions", id="two-insertions"),
         pytest.param(
