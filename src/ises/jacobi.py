@@ -107,7 +107,6 @@ __all__ = [
     "JacobianAlgebra",
     "groebner",
     "milnor_groebner",
-    "normal_form",
     "order_key",
     "standard_monomials",
 ]
@@ -170,17 +169,6 @@ def _shift(f: MultiPoly, s: Exps) -> MultiPoly:
     return MultiPoly._wrap(
         {(e[0] + s[0], e[1] + s[1], e[2] + s[2]): c for e, c in f.terms.items()}
     )
-
-
-def normal_form(f: MultiPoly, basis: Sequence[MultiPoly], weights) -> MultiPoly:
-    """Remainder of multivariate division of ``f`` by ``basis``.
-
-    Every term of the result is divisible by no leading monomial of
-    ``basis``; when ``basis`` is a Groebner basis the result is the unique
-    normal form.  Coefficients follow the coefficient field of the inputs.
-    """
-    key = order_key(weights)
-    return _reduce(f, _lead_data(basis, key), key)
 
 
 def _reduce(f: MultiPoly, data, key) -> MultiPoly:
@@ -389,7 +377,7 @@ class JacobianAlgebra:
 
         self._jets = self._residue_jets()
         residue = self._jets.get(mvec, (0, 0))[0]
-        if residue == 0:
+        if residue == 0:  # reached only by a MarginalData that derive did not make
             raise DomainError(f"{self._label}: X^m lies in the Jacobian ideal of W")
         self.k_constant: Rat = 1 / residue
 

@@ -2,8 +2,11 @@
 
 For a one-parameter family ``W_sigma = W + sigma*phi_m`` the period integral
 of a basis monomial ``phi_r`` satisfies an ordinary differential equation in
-``sigma`` of Gelfand--Kapranov--Zelevinsky type.  With ``delta = sigma d/dsigma``
-it takes the two-sided product form
+``sigma`` of Gelfand--Kapranov--Zelevinsky type.  Everything here is read off
+``E``, its inverse and the marginal row of ``phi_m``; no Milnor ring is
+computed.  That ``phi_m`` is nonzero in Jac(W) was decided when the row was
+made, by :meth:`ises.isespoly.MarginalData.derive`.  With
+``delta = sigma d/dsigma`` it takes the two-sided product form
 
     prod_c (delta + c_L) - C sigma^l prod_c (delta + c_R)
 
@@ -43,9 +46,8 @@ from fractions import Fraction
 from math import prod
 from typing import Sequence
 
-from . import jacobi  # milnor_groebner calls groebner in ises.jacobi, where a wrapper sees it
 from .isespoly import NVARS, CatalogEntry
-from .numcore import DomainError, MultiPoly, Rat, _exponent_vector, scaled_ints
+from .numcore import DomainError, Rat, _exponent_vector, scaled_ints
 
 __all__ = [
     "DeltaOperator",
@@ -275,20 +277,14 @@ def weight_report(
     weights are first order, also where a degenerate 2F1(a, b; b; x) =
     (1 - x)^{-a} would describe the same function.  A :class:`DomainError`
     of the derivation or the check is raised again as its own class with
-    the entry, m and r in front of its message; when ``X^m`` lies in the
-    Jacobian ideal of ``W`` (so it deforms nothing) the message says that
-    instead.  Only this error path computes the Groebner basis of the
-    partials of ``W`` over Q, so an ``X^m`` in the Jacobian ideal is named
-    only when the derivation or the check fails: some such marginals reduce
-    to weights that the check certifies, and those are returned as they are.
+    the entry, m and r in front of its message.  ``X^m`` is a marginal of
+    the entry, and :meth:`~ises.isespoly.MarginalData.derive`, which made
+    every marginal of a loaded catalog, has checked that it is nonzero in
+    Jac(W).
     """
     op = build_gkz(entry, m, r)
     try:
         weights = to_hg_weights(reduce_left_divisors(op), entry.polynomial.weighted_degree(r))
         return weights, annihilation_check(op, weights)
     except DomainError as exc:
-        where = f"{entry.name} m={tuple(m)} r={tuple(r)}"
-        ideal = jacobi.milnor_groebner(entry.polynomial)
-        if not jacobi.normal_form(MultiPoly.monomial(tuple(m), 1), ideal, entry.polynomial.charges):
-            raise DomainError(f"{where}: X^m lies in the Jacobian ideal of W") from exc
-        raise type(exc)(f"{where}: {exc}") from exc
+        raise type(exc)(f"{entry.name} m={tuple(m)} r={tuple(r)}: {exc}") from exc

@@ -14,10 +14,10 @@ import ises.fjrw
 import ises.jacobi
 from ises.fjrw import FjrwTheory, NeedsBroadFixture, sector_dimension
 from ises.isespoly import CatalogEntry, get_entry, load_catalog
-from ises.jacobi import JacobianAlgebra, groebner, milnor_groebner, normal_form
+from ises.jacobi import JacobianAlgebra, groebner, milnor_groebner
 from ises.numcore import DomainError, MultiPoly, nullspace
 from ises.wdvv import InconsistentSystem, MissingKey, _groups, check_residuals, propagate
-from test_jacobi import q_sigma_nf, reference_residue
+from test_jacobi import normal_form, q_sigma_nf, reference_residue
 
 CATALOG = load_catalog()
 ENTRIES = [e for e in CATALOG if e.fjrw and not e.fjrw.get("excluded")]

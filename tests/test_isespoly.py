@@ -733,6 +733,99 @@ def test_a_malformed_input_is_a_schema_error_that_names_the_entry(tmp_path, edit
         load_doc(tmp_path, doc)
 
 
+def fermat(doc):
+    """The e6-fermat entry of a parsed catalog."""
+    return doc["entries"][ALL_NAMES.index("e6-fermat")]
+
+
+def twisted_weights(weights):
+    return lambda doc: fermat(doc).update(twisted=[{"r": [0, 0, 0], "weights": weights}])
+
+
+# One fault planted in the bundled catalog, and the loader's whole message
+# ({path} is the file's path): the entry is named wherever the loader has
+# read its name
+@pytest.mark.parametrize(
+    "plant, message",
+    [
+        pytest.param(
+            lambda doc: doc["entries"].__setitem__(0, ["e6-fermat"]),
+            "entry must be an object, got list",
+            id="entry-list",
+        ),
+        pytest.param(
+            lambda doc: fermat(doc).update(E="333"),
+            "entry e6-fermat: expected a list of exponent rows, got '333'",
+            id="E-string",
+        ),
+        pytest.param(
+            lambda doc: fermat(doc).update(E=[[3, 0, 0], [0, 3, 0], [0, 3, 0]]),
+            "entry e6-fermat: bad exponent matrix: exponent matrix must be invertible",
+            id="E-singular",
+        ),
+        pytest.param(
+            lambda doc: fermat(doc).update(E=[[3, 0, 0], [0, 3, 0]]),
+            "entry e6-fermat: bad exponent matrix: exponent matrix must be 3x3",
+            id="E-two-rows",
+        ),
+        pytest.param(
+            lambda doc: fermat(doc).update(E=[[2, 0, 0], [0, 2, 0], [0, 0, 2]]),
+            "entry e6-fermat: weights do not sum to one",
+            id="weights-sum",
+        ),
+        pytest.param(
+            lambda doc: fermat(doc).update(marginals=[]),
+            "entry e6-fermat: at least one marginal row is required",
+            id="no-marginals",
+        ),
+        pytest.param(
+            lambda doc: doc.update(items=doc.pop("entries")),
+            "{path}: expected an object with an 'entries' list",
+            id="no-entries-key",
+        ),
+        pytest.param(
+            lambda doc: doc["entries"].append(dict(fermat(doc))),
+            "{path}: duplicate entry name 'e6-fermat'",
+            id="duplicate-name",
+        ),
+        pytest.param(
+            twisted_weights(["1/3", 0.5, "2/3"]),
+            "entry e6-fermat twisted [0, 0, 0]: expected rational string, got 0.5",
+            id="weight-float",
+        ),
+        pytest.param(
+            twisted_weights(["1/3", "x", "2/3"]),
+            "entry e6-fermat twisted [0, 0, 0]: bad rational 'x': Invalid literal for Fraction: 'x'",
+            id="weight-not-rational",
+        ),
+        pytest.param(
+            twisted_weights(["1/3", "2/3"]),
+            "entry e6-fermat twisted [0, 0, 0]: expected three hypergeometric weights, got ['1/3', '2/3']",
+            id="two-weights",
+        ),
+    ],
+)
+def test_every_loader_fault_is_a_schema_error_with_its_message(tmp_path, plant, message):
+    doc = json.loads(_default_catalog_text())
+    plant(doc)
+    with pytest.raises(SchemaError) as info:
+        load_doc(tmp_path, doc)
+    assert str(info.value) == message.format(path=tmp_path / "catalog.json")
+
+
+def test_the_transpose_weights_sum_like_the_weights(catalog):
+    # sum(q) adds the row sums of E^-1 and sum(q^T) its column sums, both
+    # every cell once, so the loader's sum(q) = 1 check covers q^T too;
+    # also off the simple elliptic locus, where the sum is not one
+    polys = [e.polynomial for e in catalog] + [
+        InvertiblePolynomial([[2, 1, 0], [0, 3, 0], [0, 0, 4]]),
+        InvertiblePolynomial([[2, 0, 0], [0, 2, 0], [0, 0, 2]]),
+    ]
+    for poly in polys:
+        assert sum(poly.mirror_charges) == sum(poly.charges)
+    assert sum(polys[-1].charges) == Fraction(3, 2)
+
+
 # Exponent vectors that are not three nonnegative ints: floats that int()
 # would truncate, bools (JSON true/false), a short and a long vector, and a
 # negative exponent

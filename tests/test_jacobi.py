@@ -2,6 +2,7 @@
 and the genus-zero correlators of the deformed singularities at sigma = 0."""
 
 import hashlib
+import json
 import random
 import re
 import weakref
@@ -12,7 +13,14 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from ises import jacobi
-from ises.isespoly import CatalogEntry, MarginalData, get_entry, load_catalog
+from ises.isespoly import (
+    CatalogEntry,
+    MarginalData,
+    SchemaError,
+    _default_catalog_text,
+    get_entry,
+    load_catalog,
+)
 from ises.jacobi import (
     FlatSectionApprox,
     IntegralDegree,
@@ -85,10 +93,20 @@ def degree(alg: JacobianAlgebra, e) -> F:
 # ---------------------------------------------------------------------------
 
 
+def normal_form(f: MultiPoly, basis, weights) -> MultiPoly:
+    """Remainder of multivariate division of ``f`` by ``basis``, by the
+    package's ``jacobi._reduce`` (the division that ``groebner`` and the
+    flats run).  Every term of the result is divisible by no leading
+    monomial of ``basis``; over a Groebner basis it is the unique normal
+    form.  Coefficients follow the coefficient field of the inputs."""
+    key = order_key(weights)
+    return jacobi._reduce(f, jacobi._lead_data(basis, key), key)
+
+
 def q_sigma_nf(alg: JacobianAlgebra, f: MultiPoly) -> MultiPoly:
     """The normal form of ``f`` modulo the Jacobian ideal of W_sigma over
     Q(sigma), over the staircase of ``alg.groebner_basis``."""
-    return jacobi.normal_form(f, alg.groebner_basis, alg.weights)
+    return normal_form(f, alg.groebner_basis, alg.weights)
 
 
 # the socle coefficient of each algebra's Hessian, held while the algebra lives
@@ -332,10 +350,10 @@ def test_normal_form_fixes_standard_monomials():
 
 @pytest.mark.parametrize("name,m", ALL_PAIRS)
 def test_the_normal_form_table_equals_division(name, m):
-    # ``jacobi.normal_form`` reduces on one table of pending terms, updated
-    # in place; plain division, one polynomial subtraction per step, is its
-    # reference, on every monomial up to the socle degree plus the largest
-    # weight and on the Hessian.
+    # ``normal_form`` (``jacobi._reduce``) reduces on one table of pending
+    # terms, updated in place; plain division, one polynomial subtraction
+    # per step, is its reference, on every monomial up to the socle degree
+    # plus the largest weight and on the Hessian.
     alg = algebra(name, m)
     key = order_key(alg.weights)
     w, scale = scaled_ints(alg.weights)
@@ -1348,11 +1366,25 @@ def test_the_int_hessian_layers_equal_the_q_sigma_hessian(name, m, monkeypatch):
     assert columns == [want]
 
 
-def test_a_marginal_in_the_jacobian_ideal_is_a_typed_error():
-    # x^3 has degree one but lies in the Jacobian ideal of x^3 + y^3 + z^3;
-    # a catalog given by path can list it, and its residue is zero
+def test_a_marginal_in_the_jacobian_ideal_is_a_typed_error(tmp_path):
+    # x^3 has degree one but lies in the Jacobian ideal of x^3 + y^3 + z^3:
+    # derive rejects it, so a catalog given by path that lists it does not
+    # load; a hand-built row still meets the algebra's certificate, a zero
+    # residue, as a typed error
     e = get_entry(CATALOG, "e6-fermat")
-    entry = CatalogEntry(**{**vars(e), "marginals": (MarginalData.derive(e.polynomial, (3, 0, 0)),)})
+    with pytest.raises(DomainError) as info:
+        MarginalData.derive(e.polynomial, (3, 0, 0))
+    assert str(info.value) == "monomial (3, 0, 0) lies in the Jacobian ideal of W"
+    doc = json.loads(_default_catalog_text())
+    next(d for d in doc["entries"] if d["name"] == "e6-fermat")["marginals"].append({"m": [3, 0, 0]})
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError) as info:
+        load_catalog(str(path))
+    assert str(info.value) == (
+        "entry e6-fermat marginal [3, 0, 0]: monomial (3, 0, 0) lies in the Jacobian ideal of W"
+    )
+    entry = CatalogEntry(**{**vars(e), "marginals": (MarginalData((3, 0, 0), (1, 0, 0), 1, F(-1)),)})
     with pytest.raises(DomainError, match=r"^e6-fermat, m=\(3, 0, 0\): .*Jacobian ideal") as info:
         JacobianAlgebra(entry, (3, 0, 0))
     assert not isinstance(info.value, ZeroDivisionError)
@@ -1369,20 +1401,28 @@ ACCEPTED_VARIANTS = {
 
 
 def test_every_degree_one_marginal_builds_or_is_a_typed_rejection():
-    # Each of the 116 degree-one monomials of the catalog's polynomials, made
-    # the only marginal of a variant entry: 87 raise the typed J(W) error,
-    # and the 29 accepted pairs decompose every non-unit label (224) at
-    # sigma-degree l - 1 and build their four-point tables.
+    # Each of the 116 degree-one monomials of the catalog's polynomials:
+    # derive rejects exactly the 87 that lie in J(W) by the test-side
+    # Buchberger reference, and each of the 29 it accepts, made the only
+    # marginal of a variant entry, decomposes every non-unit label (224)
+    # at sigma-degree l - 1 and builds its four-point table.
     accepted, rejected, labels = set(), 0, 0
     for e in CATALOG:
-        for m in e.polynomial.degree_one_monomials():
-            entry = CatalogEntry(**{**vars(e), "marginals": (MarginalData.derive(e.polynomial, m),)})
+        poly = e.polynomial
+        key = order_key(poly.charges)
+        w = poly.polynomial().map_coeffs(F)
+        ideal = reference_groebner([w.partial(i) for i in range(3)], poly.charges)
+        for m in poly.degree_one_monomials():
+            in_ideal = not _ref_reduce(MultiPoly.monomial(m, F(1)), ideal, key)
             try:
-                alg = JacobianAlgebra(entry, m)
+                marginal = MarginalData.derive(poly, m)
             except DomainError as exc:
-                assert str(exc) == f"{e.name}, m={m}: X^m lies in the Jacobian ideal of W"
+                assert in_ideal, (e.name, m)
+                assert str(exc) == f"monomial {m} lies in the Jacobian ideal of W"
                 rejected += 1
                 continue
+            assert not in_ideal, (e.name, m)
+            alg = JacobianAlgebra(CatalogEntry(**{**vars(e), "marginals": (marginal,)}), m)
             accepted.add((e.name, m))
             l = alg.marginal.l
             for r in alg.basis:

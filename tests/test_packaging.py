@@ -3,7 +3,7 @@ resolves to a callable of the package, every name the package exports or
 re-exports exists, and so does every name the traced bench wraps; a fresh
 catalog load imports only the modules it needs; and the source checks that
 the tier-1 workflow runs with the stdlib ast pass on the package; the
-A side imports no elimination engine."""
+A side and the period operators import no elimination engine."""
 
 import ast
 import glob
@@ -86,11 +86,10 @@ def test_a_catalog_load_imports_only_numcore_and_isespoly():
     assert "ises.jacobi" in fresh_modules("import ises; ises.JacobianAlgebra")
 
 
-def test_the_a_side_imports_no_elimination_engine():
-    """FJRW counts broad sectors by a trace average over the group, so
-    ``ises.fjrw`` imports neither ``jacobi`` nor ``MultiPoly``, and
-    ``import ises.fjrw`` loads no ``ises.jacobi``."""
-    tree = ast.parse((SRC / "ises" / "fjrw.py").read_text())
+def assert_no_elimination_engine(module):
+    """``ises.<module>`` imports neither ``jacobi`` nor ``MultiPoly``, and a
+    fresh ``import ises.<module>`` loads no ``ises.jacobi``."""
+    tree = ast.parse((SRC / "ises" / f"{module}.py").read_text())
     imported = {
         (node.module, alias.name)
         for node in ast.walk(tree)
@@ -99,8 +98,29 @@ def test_the_a_side_imports_no_elimination_engine():
     }
     assert ("numcore", "DomainError") in imported
     assert not {(m, name) for m, name in imported if "jacobi" in (m, name) or name == "MultiPoly"}
-    loaded = fresh_modules("import ises.fjrw")
-    assert "ises.fjrw" in loaded and "ises.jacobi" not in loaded
+    loaded = fresh_modules(f"import ises.{module}")
+    assert f"ises.{module}" in loaded and "ises.jacobi" not in loaded
+
+
+def test_the_a_side_imports_no_elimination_engine():
+    """FJRW counts broad sectors by a trace average over the group, so
+    ``ises.fjrw`` needs no Milnor ring."""
+    assert_no_elimination_engine("fjrw")
+
+
+def test_the_period_operators_import_no_elimination_engine():
+    """``MarginalData.derive`` decides that a marginal is nonzero in Jac(W)
+    when its row is made, so ``ises.pfsolve`` needs no Milnor ring, and no
+    module of the package defines ``normal_form``: it is a test-side
+    reference (tests/test_jacobi.py)."""
+    assert_no_elimination_engine("pfsolve")
+    defined = {
+        node.name
+        for path in (SRC / "ises").glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert "milnor_groebner" in defined and "normal_form" not in defined
 
 
 def test_the_bench_tracer_wraps_and_restores_names_that_exist(monkeypatch):

@@ -4,6 +4,7 @@ import json
 from collections import Counter
 from fractions import Fraction as F
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import given, seed, settings
@@ -18,8 +19,9 @@ from ises.isespoly import (
     get_entry,
     load_catalog,
 )
-from ises.numcore import DomainError, parse_rat, solve_linear
+from ises.numcore import DomainError, parse_rat, scaled_ints, solve_linear
 from ises.pfsolve import (
+    DeltaOperator,
     HGWeights,
     NotSecondOrder,
     ResonantBasis,
@@ -236,15 +238,48 @@ def test_weight_report_errors_name_the_row():
 
 
 def test_weight_report_names_a_marginal_in_the_jacobian_ideal():
-    # X1^3 = (X1 / 3) d1 W lies in (dW) for the Fermat cubic, so the
-    # reduction fails; the message blames the marginal, not the operator
+    # X1^3 = (X1 / 3) d1 W lies in (dW) for the Fermat cubic, so derive
+    # rejects it; a hand-built row still reaches weight_report, whose
+    # reduction ends at first order with the wrong exponent, and that
+    # derivation error comes back as its own class with the row in front
     e = entry("e6-fermat")
-    extra = MarginalData.derive(e.polynomial, (3, 0, 0))
+    extra = MarginalData((3, 0, 0), (1, 0, 0), 1, F(-1))
     e = CatalogEntry(**{**vars(e), "marginals": e.marginals + (extra,)})
     with pytest.raises(DomainError) as info:
         weight_report(e, (3, 0, 0))
     assert type(info.value) is DomainError
-    assert str(info.value) == "e6-fermat m=(3, 0, 0) r=(0, 0, 0): X^m lies in the Jacobian ideal of W"
+    assert isinstance(info.value.__cause__, DomainError)
+    assert str(info.value) == (
+        "e6-fermat m=(3, 0, 0) r=(0, 0, 0): first-order exponent 1/3 does not match deg phi_r = 0"
+    )
+
+
+def unchecked_row(poly, m):
+    """The row that ``MarginalData.derive`` builds for ``X^m``, without its
+    test that ``X^m`` is nonzero in Jac(W)."""
+    lvec, ell = scaled_ints(poly.solve_transposed(m))
+    return MarginalData(m, lvec, ell, prod((F(-li, ell) ** li for li in lvec if li), start=F(1)))
+
+
+def test_derive_rejects_the_marginals_in_the_jacobian_ideal_that_weight_report_would_certify():
+    # Of the 116 degree-one monomials, derive rejects 87 (those in J(W)).
+    # Hand-built past derive, 56 of them fail the derivation or its check
+    # (None below), but 31 reduce to weights that annihilation_check
+    # certifies, so only the up-front test keeps them out of the weight rows.
+    certified = {}
+    for e in CATALOG:
+        for m in e.polynomial.degree_one_monomials():
+            row = unchecked_row(e.polynomial, m)
+            try:
+                assert MarginalData.derive(e.polynomial, m) == row
+            except DomainError:
+                variant = CatalogEntry(**{**vars(e), "marginals": (row,)})
+                try:
+                    certified[e.name, m] = weight_report(variant, m)[1]
+                except DomainError:
+                    certified[e.name, m] = None
+    assert Counter(certified.values()) == Counter({None: 56, True: 31})
+    assert all(certified["e6-chain23", m] for m in [(0, 1, 2), (1, 0, 2), (1, 1, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +374,31 @@ def test_both_frobenius_solutions_are_checked():
 def test_a_weight_that_is_not_an_int_or_a_fraction_is_a_typed_error(weights, field):
     with pytest.raises(DomainError, match=rf"^HGWeights {field} .* is not an int or a Fraction$"):
         HGWeights(*weights)
+
+
+@pytest.mark.parametrize(
+    "misuse, message",
+    [
+        pytest.param(
+            lambda: HGWeights(F(1, 3), F(1, 3), None, F(0), True),
+            "^first-order data carries a single exponent$",
+            id="first-order-with-beta",
+        ),
+        pytest.param(
+            lambda: HGWeights(F(1, 3), F(1, 3), None),
+            "^second-order data needs beta and gamma$",
+            id="second-order-without-gamma",
+        ),
+        pytest.param(
+            lambda: DeltaOperator((F(0),), (F(1, 3), F(2, 3)), 1),
+            "^operator must have equally many left and right roots$",
+            id="unequal-root-counts",
+        ),
+    ],
+)
+def test_misshapen_period_data_is_a_typed_error(misuse, message):
+    with pytest.raises(DomainError, match=message):
+        misuse()
 
 
 def test_resonant_exponents_raise():

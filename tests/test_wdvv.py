@@ -196,6 +196,20 @@ def test_frozen_table_rejects_writes():
             )
             for kind, v in (("string", "1"), ("float", 0.1), ("bool", True))
         ),
+        # a pairing on a label outside the basis, or with two values at one
+        # unordered pair, is a MissingPairing
+        pytest.param(
+            lambda: CorrelatorTable((UNIT, POINT), {(UNIT, (9, 9)): 1}, degrees={UNIT: 0, POINT: 1}),
+            r"^pairing on unknown label \(\(0, 1\), \(9, 9\)\)$",
+            id="pairing-unknown-label",
+        ),
+        pytest.param(
+            lambda: CorrelatorTable(
+                (UNIT, POINT), {(UNIT, POINT): 1, (POINT, UNIT): 2}, degrees={UNIT: 0, POINT: 1}
+            ),
+            r"^pairing not symmetric at \(\(0, 2\), \(0, 1\)\)$",
+            id="pairing-asymmetric",
+        ),
         *(
             pytest.param(
                 lambda v=v: gw_seed_table((3, 3, 3)).set([(3, 1), (1, 1), (2, 1)], v, degree=1),
@@ -292,8 +306,10 @@ def test_frozen_table_rejects_writes():
     ],
 )
 def test_table_misuse_is_a_typed_domain_error(misuse, message):
-    with pytest.raises(DomainError, match=message):
+    with pytest.raises(DomainError, match=message) as info:
         misuse()
+    # a fault of the pairing is a MissingPairing, and no other misuse is
+    assert isinstance(info.value, MissingPairing) == message.startswith("^pairing ")
 
 
 # ---------------------------------------------------------------------------
