@@ -29,12 +29,11 @@ lcm of their denominators.  ``q`` and ``mu`` are stored, and every module
 reads them there.
 
 A marginal deformation direction is a degree-one monomial ``X^m`` that is
-nonzero in the Milnor ring Jac(W).  Degree one is the socle degree
-``sum_i (1 - 2 q_i)`` of Jac(W), and the socle is the line of the Hessian
-determinant Hess(W), so ``X^m`` is a marginal exactly when it has the
-character of Hess(W) under the diagonal symmetries, which is one
-integrality test: ``E^-T m + 2 q^T`` is integral, ``q^T`` the weights of
-the transpose (:meth:`MarginalData.derive` gives the argument).  Its
+nonzero in the Milnor ring Jac(W).  Degree one is the socle degree of
+Jac(W), the line of the Hessian determinant Hess(W), so ``X^m`` is a
+marginal exactly when it has the character of Hess(W) under the diagonal
+symmetries: ``E^-T m + 2 q^T`` is integral, ``q^T`` the weights of the
+transpose (:meth:`MarginalData.derive` gives the argument).  Its
 combinatorics are captured by the integer relation ``E^T lvec = l * m``:
 ``X^{m*l} = prod_i M_i^{lvec_i}`` where ``M_i`` are the monomials of ``W``.
 The normalising constant ``C = prod_i (-lvec_i/l)^{lvec_i}`` rescales the
