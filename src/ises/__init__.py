@@ -17,13 +17,11 @@ __version__ = "0.1.0"
 from importlib import import_module
 
 from .numcore import (  # noqa: F401
-    Rat,
     UniPoly,
     RatFun,
     MultiPoly,
     rat,
     parse_rat,
-    fmt_rat,
 )
 from .isespoly import (  # noqa: F401
     CatalogEntry,

@@ -32,13 +32,16 @@ Computed from first principles:
 * line bundle degrees d_j = q_j^T (2g - 2 + n) - sum_k Theta_j(h_k) and
   their integrality (the correlator vanishes unless all d_j are integers);
 * three-point values on narrow sectors, by the genus-zero axioms (Fan,
-  Jarvis and Ruan, arXiv:0712.4021): on the degree budget sum_j d_j = -1 -
-  2 sum_i q_i^T = -3, so either every d_j = -1 and concavity gives 1, or
-  some d_j >= 0.  When the degrees are 0, -1 and -2, Index Zero gives -a,
-  with x_j^a x_k the monomial of W^T led by the degree-0 variable x_j,
-  where x_k is the degree -2 variable (see ``FjrwTheory._threepoint``); any
-  other key is an unknown to be solved by associativity;
-* concave four-point values by the genus-zero Riemann-Roch formula
+  Jarvis and Ruan, arXiv:0712.4021), which decide every key: a narrow
+  phase lies in (0,1), so for three narrow insertions d_j = q_j^T - sum_k
+  Theta_j(h_k) lies in (-3, 1), and an integral d_j is -2, -1 or 0.  On
+  the degree budget sum_j d_j = -1 - 2 sum_i q_i^T = -3, so the only
+  integral patterns are (-1,-1,-1), where concavity gives 1, and the
+  permutations of (0,-1,-2), where Index Zero gives -a, with x_j^a x_k the
+  monomial of W^T led by the degree-0 variable x_j, where x_k is the
+  degree -2 variable (see ``FjrwTheory._threepoint``);
+* four-point values on narrow sectors: 0 when the main degrees are not
+  integral, else the genus-zero Riemann-Roch formula
       sum_{i=1..3} (1/2) ( B2(q_i^T) - sum_{j=1..4} B2(Theta_i(h_j))
                            + sum_{channels} B2(Theta_i(node)) ),
   B2(y) = y^2 - y + 1/6, where each of the three boundary channels
@@ -84,8 +87,8 @@ from then on.  ``Fraction``s are made at the edge only, which is: the
 sector labels and gradings of ``FjrwSector`` (the keys of ``sectors``);
 the labels, gradings and pairing handed to ``CorrelatorTable`` once per
 theory; the correlator values; the word reductions, which read the
-finished table by label; and the degrees that the exception messages
-report.
+finished table by label; and the trace average that a failed broad count
+reports.
 
 Entries whose catalog record marks the reconstruction as excluded (their
 state space is generated by broad classes) raise NeedsBroadFixture.
@@ -107,13 +110,7 @@ __all__ = [
     "FjrwSector",
     "FjrwTheory",
     "NeedsBroadFixture",
-    "NotConcave",
 ]
-
-
-class NotConcave(DomainError):
-    """Some line bundle degree exceeds -1 on a component, so the direct
-    Riemann-Roch evaluation does not apply."""
 
 
 class NeedsBroadFixture(DomainError):
@@ -332,38 +329,33 @@ class FjrwTheory:
             (n - 2) * qj - sum(a[j] for a in phases) for j, qj in enumerate(self._scaled_q)
         )
 
-    def _unscaled(self, scaled) -> tuple[Fraction, ...]:
-        return tuple(Fraction(x, self._scale) for x in scaled)
+    # -- four-point values over narrow sectors --------------------------
 
-    # -- concave four-point values ---------------------------------------
+    def _fourpoint(self, phases) -> Fraction | int | None:
+        """The four-point value of narrow phases scaled by L on the degree
+        budget, when the degrees decide it, as :meth:`_threepoint` does for
+        three: 0 when the main line bundle degrees are not integral, the
+        Riemann-Roch sum over 2 L^2 of the module docstring when every
+        degree on the main component and on both sides of every channel is
+        at most -1 (concavity), else None (an unknown).
 
-    def _fourpoint(self, phases, main) -> Fraction:
-        """The concave four-point value of narrow phases scaled by L whose
-        main degrees ``main`` (scaled) are integral and meet the budget.
-
-        Returns the Riemann-Roch sum over 2 L^2 of the module docstring.
-        Raises NotConcave when a degree on the main component or on either
-        side of a channel exceeds -1.  The side degrees need no
-        integrality test: the node makes the first side's multiples of L,
-        and the two sides add up to the main degrees minus a node phase and
-        its inverse, which sum to 0 or L.
+        The side degrees need no integrality test: the node makes the first
+        side's multiples of L, and the two sides add up to the main degrees
+        minus a node phase and its inverse, which sum to 0 or L.
         """
         scale, q = self._scale, self._scaled_q
+        main = self._degrees(phases)
+        if any(dj % scale for dj in main):
+            return 0
         if any(dj > -scale for dj in main):
-            raise NotConcave(f"{self.name}: main component degrees {self._unscaled(main)}")
+            return None
         nodes = []
         for split in _SPLITS:
             (a, b), (c, d) = ([phases[k] for k in half] for half in split)
             node = tuple((qj - x - y) % scale for qj, x, y in zip(q, a, b))
-            sides = (
-                tuple(qj - x - y - n for qj, x, y, n in zip(q, a, b, node)),
-                tuple(qj - x - y - (-n % scale) for qj, x, y, n in zip(q, c, d, node)),
-            )
-            for side in sides:
-                if any(dj > -scale for dj in side):
-                    raise NotConcave(
-                        f"{self.name}: channel {split} degrees {self._unscaled(side)}"
-                    )
+            for x, y, n in ((a, b, node), (c, d, tuple(-nj % scale for nj in node))):
+                if any(qj - xj - yj - nj > -scale for qj, xj, yj, nj in zip(q, x, y, n)):
+                    return None
             nodes.append(node)
         total = sum(
             qj * (qj - scale)
@@ -414,39 +406,30 @@ class FjrwTheory:
 
     def correlator_table(self) -> CorrelatorTable:
         """Three- and four-point values over narrow sectors, closed under
-        associativity; unsolved keys stay in the unknown-set."""
+        associativity; unsolved keys stay in the unknown-set.
+
+        One seed rule serves both layers: :meth:`_threepoint` and
+        :meth:`_fourpoint` take the scaled phases of an on-budget key (its
+        sorted basis positions, module wdvv) and return 0 when its degrees
+        are not integral, its value when the genus-zero axioms decide it,
+        and None for an unknown, which associativity may solve."""
         if self._table is not None:
             return self._table
-        narrow, scale, phases = self._narrow, self._scale, self._narrow_phases
+        narrow, phases = self._narrow, self._narrow_phases
         labels = tuple(s.theta for s in narrow)
         degrees = {s.theta: s.degree for s in narrow}
         pairing = {
             (s.theta, self.inverse_theta(s.theta)): Fraction(1) for s in narrow
         }
         table = CorrelatorTable(labels, pairing, degrees=degrees)
-
-        def on_budget(n):
-            """Sorted basis positions on the table's degree budget, as its
-            keys (module wdvv), with their scaled phases."""
+        for n, rule in ((3, self._threepoint), (4, self._fourpoint)):
             for ins in combinations_with_replacement(range(len(labels)), n):
                 if table._budget_ok(ins):
-                    yield (ins, 0), [phases[i] for i in ins]
-
-        for key, trip_phases in on_budget(3):
-            value = self._threepoint(trip_phases)
-            if value is None:
-                table._declare_key(key)
-            else:
-                table._set_key(key, value)
-        for key, quad_phases in on_budget(4):
-            main = self._degrees(quad_phases)
-            if any(dj % scale for dj in main):
-                table._set_key(key, 0)
-                continue
-            try:
-                table._set_key(key, self._fourpoint(quad_phases, main))
-            except NotConcave:
-                table._declare_key(key)
+                    value = rule([phases[i] for i in ins])
+                    if value is None:
+                        table._declare_key((ins, 0))
+                    else:
+                        table._set_key((ins, 0), value)
         self._table = propagate(table, admissible=self.narrow_nodes).freeze()
         return self._table
 

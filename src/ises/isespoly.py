@@ -73,7 +73,6 @@ from typing import Any, Mapping, NamedTuple, Sequence
 from .numcore import (
     DomainError,
     MultiPoly,
-    Rat,
     _exponent_vector,
     inverse,
     monomials_of_weighted_degree,
@@ -121,7 +120,7 @@ class UnknownEntry(DomainError, KeyError):
 # ---------------------------------------------------------------------------
 
 
-def _det3(rows: Sequence[Sequence[Rat]]) -> Rat:
+def _det3(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     (a, b, c), (d, e, f), (g, h, i) = rows
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
@@ -195,7 +194,7 @@ class InvertiblePolynomial:
             [[self.exponents[j][i] for j in range(NVARS)] for i in range(NVARS)]
         )
 
-    def solve_transposed(self, v: Sequence[Rat]) -> tuple[Rat, Rat, Rat]:
+    def solve_transposed(self, v: Sequence[Fraction]) -> tuple[Fraction, Fraction, Fraction]:
         """The ``x`` with ``E^T x = v``: ``x_i = sum_j (E^-1)_ji v_j``."""
         return tuple(sum(row[i] * vj for row, vj in zip(self._inverse, v)) for i in range(NVARS))
 
@@ -234,7 +233,7 @@ class InvertiblePolynomial:
             p = p + MultiPoly.monomial(row, 1)
         return p
 
-    def weighted_degree(self, exps: Sequence[int]) -> Rat:
+    def weighted_degree(self, exps: Sequence[int]) -> Fraction:
         q = self.charges
         return sum(Fraction(e) * q[i] for i, e in enumerate(exps))
 
@@ -242,7 +241,7 @@ class InvertiblePolynomial:
         """All monomial exponent triples of weighted degree one, sorted,
         enumerated on the int grid of the weights."""
         w, scale = scaled_ints(self.charges)
-        return tuple(monomials_of_weighted_degree(w, scale, [scale // wi for wi in w]))
+        return tuple(monomials_of_weighted_degree(w, scale))
 
     # -- dunders -------------------------------------------------------------
 
@@ -277,7 +276,7 @@ class MarginalData(NamedTuple):
     m: tuple[int, int, int]
     l_vector: tuple[int, int, int]
     l: int
-    C: Rat
+    C: Fraction
 
     @staticmethod
     def derive(poly: InvertiblePolynomial, m: Sequence[int]) -> "MarginalData":
@@ -341,7 +340,7 @@ class CatalogEntry(SimpleNamespace):
     name: str
     polynomial: InvertiblePolynomial
     marginals: tuple[MarginalData, ...]
-    twisted: tuple[tuple[tuple[int, int, int], tuple[Rat, Rat, Rat]], ...]
+    twisted: tuple[tuple[tuple[int, int, int], tuple[Fraction, Fraction, Fraction]], ...]
     fjrw: Mapping[str, Any] | None
     qexp: Mapping[str, Any] | None
 
@@ -373,7 +372,7 @@ def _need(d: Mapping[str, Any], key: str, where: str) -> Any:
     return d[key]
 
 
-def _parse_rat_field(v: Any, where: str) -> Rat:
+def _parse_rat_field(v: Any, where: str) -> Fraction:
     if isinstance(v, bool) or not isinstance(v, (str, int)):
         raise _ctx(where, f"expected rational string, got {v!r}")
     try:
@@ -391,7 +390,7 @@ def _parse_int_triple(v: Any, where: str) -> tuple[int, int, int]:
         raise SchemaError(str(exc)) from None
 
 
-def _parse_weights(v: Any, where: str) -> tuple[Rat, Rat, Rat]:
+def _parse_weights(v: Any, where: str) -> tuple[Fraction, Fraction, Fraction]:
     if not isinstance(v, list) or len(v) != 3:
         raise _ctx(where, f"expected three hypergeometric weights, got {v!r}")
     a, b, g = (_parse_rat_field(x, where) for x in v)

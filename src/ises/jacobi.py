@@ -90,7 +90,6 @@ from .numcore import (
     DomainError,
     MultiPoly,
     NoSolution,
-    Rat,
     RatFun,
     _exponent_vector,
     monomials_of_weighted_degree,
@@ -124,7 +123,7 @@ class IntegralDegree(DomainError):
 # ---------------------------------------------------------------------------
 
 
-def order_key(weights: Sequence[Rat]) -> Callable[[Exps], tuple]:
+def order_key(weights: Sequence[Fraction]) -> Callable[[Exps], tuple]:
     """Sort key realizing graded reverse-lexicographic order, X1 > X2 > X3,
     graded by the weighted degree ``sum weights[i]*e[i]``.
 
@@ -336,7 +335,7 @@ class FlatSectionApprox:
     """
 
     r: Exps
-    corrections: tuple[tuple[Exps, Rat], ...]
+    corrections: tuple[tuple[Exps, Fraction], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +378,7 @@ class JacobianAlgebra:
         residue = self._jets.get(mvec, (0, 0))[0]
         if residue == 0:  # reached only by a MarginalData that derive did not make
             raise DomainError(f"{self._label}: X^m lies in the Jacobian ideal of W")
-        self.k_constant: Rat = 1 / residue
+        self.k_constant: Fraction = 1 / residue
 
         self._decompositions: dict[Exps, tuple[list, int] | NoSolution] = {}
         self._flats: dict[Exps, FlatSectionApprox] = {}
@@ -426,7 +425,7 @@ class JacobianAlgebra:
 
     # -- residue jets ----------------------------------------------------------
 
-    def _residue_jets(self) -> dict[Exps, tuple[Rat, Rat]]:
+    def _residue_jets(self) -> dict[Exps, tuple[Fraction, Fraction]]:
         """(R_e(0), R_e'(0)) for each degree-one monomial X^e, from one
         elimination mod sigma^2 with c_e(sigma) * t in the last two columns
         (see the module docstring); a zero sigma^0 Hessian coordinate c_Hess(0)
@@ -542,8 +541,7 @@ class JacobianAlgebra:
         cols: list[tuple[int, Exps, int]] = []
         for i in range(NVARS):
             target = deg + w[i]
-            max_exps = tuple(target // w[j] for j in range(NVARS))
-            for e in monomials_of_weighted_degree(w, target, max_exps):
+            for e in monomials_of_weighted_degree(w, target):
                 for d in range(bound + 1):
                     cols.append((i, e, d))
         cols.sort(key=lambda c: (c[2], c[0], self._key(c[1])))
@@ -629,7 +627,7 @@ class JacobianAlgebra:
             self._flats[label] = FlatSectionApprox(r=label, corrections=tuple(corrections))
         return self._flats[rvec]
 
-    def fourpoint(self, r1, r2, r3) -> Rat:
+    def fourpoint(self, r1, r2, r3) -> Fraction:
         """Four-point function with three flat insertions, the basis
         exponents r1, r2, r3, and one marginal: the sigma-derivative at 0 of
         the three-point function of the product of their first-order flat
@@ -666,7 +664,7 @@ class JacobianAlgebra:
             )
         return self._triples
 
-    def fourpoint_table(self) -> dict[tuple[Exps, Exps, Exps], Rat]:
+    def fourpoint_table(self) -> dict[tuple[Exps, Exps, Exps], Fraction]:
         """Four-point values with marginal insertion on all weight-one
         triples of flat basis insertions."""
         return {trip: self.fourpoint(*trip) for trip in self.weight_one_triples()}

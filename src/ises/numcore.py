@@ -1,16 +1,16 @@
 """Exact arithmetic substrate.
 
-Provides arbitrary-precision rationals (``Rat``), univariate polynomials over
-``Fraction``, rational functions in one deformation parameter (``RatFun``, on
-int coefficient tuples), multivariate polynomials in three variables with
-pluggable coefficient rings, and one sparse exact elimination kernel behind
-``solve_columns`` (with ``solve_linear`` over it), ``inverse`` and
-``nullspace``.  The kernel takes int and ``Fraction`` cells only, and is
-fraction-free: primitive int rows, kept primitive after each combination
-and bucketed by leading column.  ``solve_columns`` returns each solution
-as int numerators over one denominator, the form the elimination holds;
-``solve_linear``, ``inverse`` and ``nullspace`` make a ``Fraction`` only
-for a cell they return.
+Provides univariate polynomials over ``Fraction``, rational functions in one
+deformation parameter (``RatFun``, on int coefficient tuples), multivariate
+polynomials in three variables with pluggable coefficient rings, and one
+sparse exact elimination kernel behind ``solve_columns`` (with
+``solve_linear`` over it), ``inverse`` and ``nullspace``.  The kernel
+takes int and ``Fraction`` cells only, and is fraction-free: primitive int
+rows, kept primitive after each combination and bucketed by leading
+column.  ``solve_columns`` returns each solution as int numerators over
+one denominator, the form the elimination holds; ``solve_linear``,
+``inverse`` and ``nullspace`` make a ``Fraction`` only for a cell they
+return.
 
 All values are immutable after construction and all operations are pure.
 Polynomial coefficient rings are duck-typed: any type supporting ``+ - *``,
@@ -25,8 +25,6 @@ import math
 from fractions import Fraction
 from functools import reduce
 from itertools import zip_longest
-
-Rat = Fraction
 
 
 class DomainError(ValueError):
@@ -65,14 +63,6 @@ def scaled_ints(values, scale=None) -> tuple[tuple[int, ...], int]:
     if scale is None:
         scale = math.lcm(*(v.denominator for v in values))
     return tuple(v.numerator * (scale // v.denominator) for v in values), scale
-
-
-def fmt_rat(value) -> str:
-    """Render an exact rational as "p/q" ("p" when integral)."""
-    f = Fraction(value)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +181,9 @@ class UniPoly:
                 continue
             mag = abs(c)
             if k == 0:
-                body = fmt_rat(mag)
+                body = str(mag)
             else:
-                head = "" if mag == 1 else fmt_rat(mag) + "*"
+                head = "" if mag == 1 else f"{mag}*"
                 body = f"{head}{var}" + (f"^{k}" if k > 1 else "")
             if not parts:
                 parts.append(("-" if c < 0 else "") + body)
@@ -579,7 +569,7 @@ class MultiPoly:
                 for i in range(3)
                 if e[i]
             )
-            cs = c.to_text() if hasattr(c, "to_text") else fmt_rat(c) if isinstance(c, (int, Fraction)) else str(c)
+            cs = c.to_text() if hasattr(c, "to_text") else str(c)
             if mono:
                 parts.append(f"({cs})*{mono}" if cs != "1" else mono)
             else:
@@ -590,20 +580,19 @@ class MultiPoly:
         return f"MultiPoly({self.to_text()})"
 
 
-def monomials_of_weighted_degree(weights, degree, max_exps) -> list:
-    """All exponent triples e with Σ weights[i]*e[i] == degree, bounded by
-    max_exps componentwise; weights and degree are ints or ``Fraction``s."""
+def monomials_of_weighted_degree(weights, degree) -> list:
+    """All exponent triples e >= 0 with Σ weights[i]*e[i] == degree, in
+    ascending order; the weights are positive, and they and degree are ints
+    or ``Fraction``s.  So e1 is at most degree // weights[0], and e2 at most
+    what remains of the degree over weights[1]."""
     out = []
-    for e1 in range(max_exps[0] + 1):
-        for e2 in range(max_exps[1] + 1):
-            partial = weights[0] * e1 + weights[1] * e2
-            rem = degree - partial
-            if rem < 0:
-                continue
-            q3, r3 = divmod(rem, weights[2])
-            if not r3 and q3 <= max_exps[2]:
-                out.append((e1, e2, int(q3)))
-    return sorted(out)
+    for e1 in range(degree // weights[0] + 1):
+        rest = degree - weights[0] * e1
+        for e2 in range(rest // weights[1] + 1):
+            e3, r3 = divmod(rest - weights[1] * e2, weights[2])
+            if not r3:
+                out.append((e1, e2, int(e3)))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ from math import prod
 from typing import Sequence
 
 from .isespoly import NVARS, CatalogEntry
-from .numcore import DomainError, Rat, _exponent_vector, scaled_ints
+from .numcore import DomainError, _exponent_vector, scaled_ints
 
 __all__ = [
     "DeltaOperator",
@@ -79,8 +79,8 @@ class DeltaOperator:
     constant stays on the marginal (``MarginalData.C``).
     """
 
-    left_roots: tuple[Rat, ...]
-    right_roots: tuple[Rat, ...]
+    left_roots: tuple[Fraction, ...]
+    right_roots: tuple[Fraction, ...]
     step: int
 
     def __post_init__(self) -> None:
@@ -104,10 +104,10 @@ class HGWeights:
     names the field.
     """
 
-    alpha: Rat
-    beta: Rat | None
-    gamma: Rat | None
-    prefactor: Rat = Fraction(0)
+    alpha: Fraction
+    beta: Fraction | None
+    gamma: Fraction | None
+    prefactor: Fraction = Fraction(0)
     first_order: bool = False
 
     def __post_init__(self) -> None:
@@ -125,7 +125,7 @@ class HGWeights:
                 raise DomainError("second-order data needs beta and gamma")
 
     @classmethod
-    def of_first_order(cls, deg_phi: Rat, prefactor: Rat = Fraction(0)) -> "HGWeights":
+    def of_first_order(cls, deg_phi: Fraction, prefactor: Fraction = Fraction(0)) -> "HGWeights":
         return cls(deg_phi, None, None, prefactor, True)
 
 
@@ -139,8 +139,8 @@ def build_gkz(
     u = entry.polynomial.solve_transposed([ri + 1 for ri in _exponent_vector(r, f"{entry.name} r")])
     l = marginal.l
     lvec = marginal.l_vector
-    left: list[Rat] = [Fraction(-k) for k in range(l)]
-    right: list[Rat] = []
+    left: list[Fraction] = [Fraction(-k) for k in range(l)]
+    right: list[Fraction] = []
     for i in range(NVARS):
         li = lvec[i]
         if li > 0:
@@ -168,7 +168,7 @@ def reduce_left_divisors(op: DeltaOperator) -> DeltaOperator:
     return DeltaOperator(tuple(left), tuple(right), op.step)
 
 
-def to_hg_weights(op: DeltaOperator, deg_phi: Rat) -> HGWeights:
+def to_hg_weights(op: DeltaOperator, deg_phi: Fraction) -> HGWeights:
     """Read hypergeometric weights off a (reduced) operator.
 
     The substitution ``x = C sigma^l`` turns ``delta`` into ``l * theta`` with
@@ -204,7 +204,7 @@ def to_hg_weights(op: DeltaOperator, deg_phi: Rat) -> HGWeights:
     return weights
 
 
-def _series_ratios(w: HGWeights) -> list[tuple[Rat, tuple[Rat, ...], tuple[Rat, ...]]]:
+def _series_ratios(w: HGWeights) -> list[tuple[Fraction, tuple[Fraction, ...], tuple[Fraction, ...]]]:
     """The local solutions at x = 0 as (exponent, upper, lower) parameters.
 
     ``x^e 2F1(a, b; c; x)`` is ``(e, (a, b), (c,))`` and ``x^e (1 - x)^{-a}``

@@ -103,7 +103,7 @@ from functools import cache, partial
 from itertools import combinations_with_replacement
 from typing import Iterable, Mapping, Sequence
 
-from .numcore import DomainError, NoSolution, Rat, inverse, rat, scaled_ints
+from .numcore import DomainError, NoSolution, inverse, rat, scaled_ints
 
 __all__ = [
     "CorrelatorTable",
@@ -265,7 +265,7 @@ class CorrelatorTable:
         ins, degree = key
         return (self._names(ins), degree) if self.graded else self._names(ins)
 
-    def pairing(self, a, b) -> Rat:
+    def pairing(self, a, b) -> Fraction:
         return self._pairing.get(self._positions((a, b)), Fraction(0))
 
     def budget_ok(self, insertions) -> bool:

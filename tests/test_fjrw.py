@@ -726,10 +726,13 @@ def test_a_malformed_word_is_rejected_naming_the_entry(name, word, method):
 
 
 @pytest.mark.parametrize("name", NAMES)
-def test_on_budget_narrow_triples_have_degree_sum_minus_three(name):
+def test_on_budget_narrow_triples_have_degree_sum_minus_three(name, monkeypatch):
     # so all d_j <= -1 forces every d_j = -1, and _threepoint needs no case
-    # for all d_j <= -1 with some d_j <= -2
+    # for all d_j <= -1 with some d_j <= -2; narrow phases put each d_j in
+    # (-3, 1), so integral degrees are (-1, -1, -1) or a permutation of
+    # (0, -1, -2), both decided, and the seed holds no three-point unknown
     th = theory(name)
+    scale = th._scale
     labels = th.correlator_table().labels
     on_budget = [
         trip
@@ -737,8 +740,17 @@ def test_on_budget_narrow_triples_have_degree_sum_minus_three(name):
         if sum(th.sectors[t].degree for t in trip) == 1
     ]
     assert on_budget
+    patterns = set()
     for trip in on_budget:
-        assert sum(th._degrees([th._scaled[t] for t in trip])) == -3 * th._scale, trip
+        d = th._degrees([th._scaled[t] for t in trip])
+        assert sum(d) == -3 * scale, trip
+        assert all(-3 * scale < dj < scale for dj in d), trip
+        if not any(dj % scale for dj in d):
+            patterns.add(tuple(sorted(dj // scale for dj in d)))
+    assert (-1, -1, -1) in patterns
+    assert patterns <= {(-1, -1, -1), (-2, -1, 0)}
+    seed, _ = seeded_table(name, monkeypatch)
+    assert [key for key in seed.unknown_keys if len(key) == 3] == []
 
 
 @pytest.mark.parametrize("name", NAMES)

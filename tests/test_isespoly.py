@@ -553,6 +553,22 @@ def test_invertible_polynomial_is_immutable():
     assert poly.exponents == ((3, 0, 0), (0, 3, 0), (0, 0, 3))
 
 
+def test_a_catalog_entry_is_immutable(catalog):
+    entry = get_entry(catalog, "e6-fermat")
+    with pytest.raises(AttributeError, match="^CatalogEntry is immutable$"):
+        entry.name = "renamed"
+    with pytest.raises(AttributeError, match="^CatalogEntry is immutable$"):
+        del entry.fjrw
+    assert entry.name == "e6-fermat" and entry.fjrw
+
+
+def test_the_repr_of_a_polynomial_rebuilds_it(catalog):
+    poly = get_entry(catalog, "e6-fermat").polynomial
+    assert repr(poly) == "InvertiblePolynomial([[3, 0, 0], [0, 3, 0], [0, 0, 3]])"
+    for entry in catalog:
+        assert eval(repr(entry.polynomial), {"InvertiblePolynomial": InvertiblePolynomial}) == entry.polynomial
+
+
 def test_a_catalog_entry_can_be_copied_and_pickled():
     # the polynomial is rebuilt from E, not restored slot by slot through
     # the raising __setattr__

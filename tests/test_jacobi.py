@@ -1004,8 +1004,7 @@ def greedy_decomposition_system(self, rvec, rm, layers, bound):
     cols = []
     for i in range(3):
         target = deg_r + self.weights[i]
-        max_exps = tuple(int(target / self.weights[j]) for j in range(3))
-        for e in monomials_of_weighted_degree(self.weights, target, max_exps):
+        for e in monomials_of_weighted_degree(self.weights, target):
             cols += [(i, e, d) for d in range(bound + 1)]
     entries = {}
     for ci, (i, e, d) in enumerate(cols):

@@ -17,7 +17,6 @@ from ises.numcore import (
     PoleError,
     RatFun,
     UniPoly,
-    fmt_rat,
     inverse,
     monomials_of_weighted_degree,
     nullspace,
@@ -71,13 +70,11 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     return monic(a)
 
 
-# ---------------------------------------------------------------------- Rat
+# ---------------------------------------------------------------- parse_rat
 
 
 def test_rat_roundtrip():
     assert parse_rat("-3/7") == F(-3, 7)
-    assert fmt_rat(F(-3, 7)) == "-3/7"
-    assert fmt_rat(F(4, 2)) == "2"
 
 
 # ------------------------------------------------------------------ UniPoly
@@ -573,8 +570,44 @@ def test_multipoly_hessian_fermat():
     assert w.hessian_det() == 216 * (x(0) * x(1) * x(2))
 
 
+def test_multipoly_merges_a_repeated_exponent():
+    # the coefficients of a repeated exponent add up, and a term whose
+    # coefficients cancel is dropped
+    assert MultiPoly([((1, 0, 0), F(1, 2)), ((1, 0, 0), F(1, 3))]).terms == {(1, 0, 0): F(5, 6)}
+    cancelled = MultiPoly([((1, 0, 0), 2), ((0, 1, 0), 1), ((1, 0, 0), -2)])
+    assert cancelled.terms == {(0, 1, 0): 1}
+
+
+def test_multipoly_times_a_scalar():
+    w = x(0) ** 2 + x(1)
+    assert w * F(1, 2) == F(1, 2) * w == w.scale(F(1, 2))
+    assert (w * F(1, 2)).terms == {(2, 0, 0): F(1, 2), (0, 1, 0): F(1, 2)}
+    assert w * 0 == w.scale(0) == MultiPoly.zero()
+    assert not w.scale(0).terms
+
+
+def test_multipoly_is_immutable_and_adds_only_polynomials():
+    w = x(0) + x(1)
+    with pytest.raises(AttributeError, match="^MultiPoly is immutable$"):
+        w.terms = {}
+    for other in (1, F(1, 2)):
+        with pytest.raises(TypeError):
+            w + other
+        with pytest.raises(TypeError):
+            w - other
+    assert w.terms == {(1, 0, 0): 1, (0, 1, 0): 1}
+
+
+def test_multipoly_text():
+    w = x(0) ** 2 * x(2) - F(2, 3) * x(1) + MultiPoly.const(F(-5, 2))
+    assert w.to_text() == "X1^2*X3 + (-2/3)*X2 + (-5/2)"
+    assert repr(w) == "MultiPoly(X1^2*X3 + (-2/3)*X2 + (-5/2))"
+    assert MultiPoly.const(4).to_text() == "(4)"
+    assert MultiPoly.zero().to_text() == "0"
+
+
 def test_monomials_of_weighted_degree():
-    ms = monomials_of_weighted_degree((F(1, 3), F(1, 3), F(1, 3)), F(1), (3, 3, 3))
+    ms = monomials_of_weighted_degree((F(1, 3), F(1, 3), F(1, 3)), F(1))
     assert (1, 1, 1) in ms and (3, 0, 0) in ms
     assert all(sum(e) == 3 for e in ms)
 

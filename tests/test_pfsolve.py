@@ -206,6 +206,10 @@ def test_wrong_degree_is_rejected():
     red = reduce_left_divisors(build_gkz(e, (1, 1, 1), (1, 0, 0)))
     with pytest.raises(DomainError):
         to_hg_weights(red, F(3, 4))
+    # a second-order operator: alpha + beta - gamma is 0, not 1/2
+    red = reduce_left_divisors(build_gkz(e, (1, 1, 1)))
+    with pytest.raises(DomainError, match=r"violate alpha\+beta-gamma = deg phi_r = 1/2$"):
+        to_hg_weights(red, F(1, 2))
 
 
 def test_unreduced_operator_is_not_second_order():

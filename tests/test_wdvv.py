@@ -327,6 +327,16 @@ def gw_solved(gw_seeded):
     return gw_seeded, propagate(gw_seeded, degrees=range(2))
 
 
+def test_the_divisor_rule_extends_only_three_point_keys(gw_seeded):
+    # applied to its own output, the rule skips the four-point keys that it
+    # added, so the table does not change
+    assert any(len(insertions) == 4 for (insertions, _), _ in gw_seeded.known_items())
+    again = apply_divisor_rule(gw_seeded)
+    assert again is not gw_seeded
+    assert again.known_items() == gw_seeded.known_items()
+    assert again.unknown_keys == gw_seeded.unknown_keys
+
+
 def test_propagate_solves_and_checks_the_gw_tables(gw_solved):
     seeded, solved = gw_solved
     solved_keys = set(seeded.unknown_keys) - set(solved.unknown_keys)
