@@ -6,9 +6,13 @@ computes
 
 * reduced Groebner bases of the Jacobian ideal (d1 W_sigma, d2 W_sigma,
   d3 W_sigma) under the graded reverse-lexicographic order with
-  X1 > X2 > X3, graded by the charge vector, by Buchberger's algorithm
-  (``groebner``), and their staircases of standard monomials (monomial
-  bases of the Milnor algebra, of size mu in {8, 9, 10}).  The basis of W
+  X1 > X2 > X3, graded by the charge vector (``groebner``), and their
+  staircases of standard monomials (monomial bases of the Milnor algebra,
+  of size mu in {8, 9, 10}).  The ideal is weighted-homogeneous, so each
+  of its degrees is a linear span: one Gauss-Jordan elimination over the
+  coefficient field per weighted degree, up to the socle degree 1 plus
+  the largest charge, gives the reduced basis (Lazard 1983), and a degree
+  that lower leading monomials already fill is skipped.  The basis of W
   over Q gives the display basis B0 below.  W_sigma over Q(sigma)
   (``w_sigma``), its ``partials``, their Groebner basis and its staircase
   are computed on first read: only the bench's output checks and the tests
@@ -44,8 +48,9 @@ computes
   where the c's are the coefficients of -sum_i d_i g_{r,i} over the
   monomial basis.  The display basis is a basis at sigma = 0, so
   c_{r,r'}(0) is the coordinate in Jac(W) of p(0) = -sum_i d_i g_{r,i}(0),
-  reduced over Q, and only the sigma^0 layer g(0) of a decomposition is
-  read.  Any g(0) with sum_i g_i(0) * d_i W = X^(r+m) gives the same p(0)
+  read from a second int elimination with the basis labels as its last
+  columns, and only the sigma^0 layer g(0) of a decomposition is read.
+  Any g(0) with sum_i g_i(0) * d_i W = X^(r+m) gives the same p(0)
   mod J(W): two such differ by a syzygy of the partials of W, which form
   a regular sequence, so the syzygy is a sum of Koszul ones, g_i = d_j W*h
   and g_j = -d_i W*h, each adding d_j W * d_i h - d_i W * d_j h, a member
@@ -119,7 +124,7 @@ class IntegralDegree(DomainError):
 
 
 # ---------------------------------------------------------------------------
-# Monomial order and polynomial division
+# Monomial order and Groebner bases
 # ---------------------------------------------------------------------------
 
 
@@ -140,148 +145,101 @@ def order_key(weights: Sequence[Fraction]) -> Callable[[Exps], tuple]:
     return key
 
 
-def _leading(f: MultiPoly, key) -> tuple[Exps, object]:
-    e = max(f.terms, key=key)
-    return e, f.terms[e]
-
-
-def _lead_data(basis: Sequence[MultiPoly], key) -> list[tuple]:
-    """(leading exponent, leading coefficient, g) for each nonzero g of
-    ``basis``: the divisor list that ``_reduce`` takes."""
-    return [(*_leading(g, key), g) for g in basis if g]
-
-
 def _divides(a: Exps, b: Exps) -> bool:
     return a[0] <= b[0] and a[1] <= b[1] and a[2] <= b[2]
 
 
-def _lcm(a: Exps, b: Exps) -> Exps:
-    return (max(a[0], b[0]), max(a[1], b[1]), max(a[2], b[2]))
+def _eliminate(row: dict, c: int, prow: dict) -> None:
+    """row -= row[c] * prow, in place, for ``prow`` monic in column c."""
+    f = row.pop(c)
+    for k, v in prow.items():
+        if k != c:
+            x = row.get(k, 0) - f * v
+            if x:
+                row[k] = x
+            else:
+                row.pop(k, None)
 
 
-def _sub(a: Exps, b: Exps) -> Exps:
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
-def _shift(f: MultiPoly, s: Exps) -> MultiPoly:
-    """X^s * f, by moving exponents only."""
-    return MultiPoly._wrap(
-        {(e[0] + s[0], e[1] + s[1], e[2] + s[2]): c for e, c in f.terms.items()}
-    )
-
-
-def _reduce(f: MultiPoly, data, key) -> MultiPoly:
-    """Remainder of ``f`` on division by ``data`` (as ``_lead_data`` gives).
-
-    The terms still to reduce are one dict, updated in place: a division
-    step subtracts lc/gc * X^s * g from it, term by term, and drops the
-    leading term, which that step cancels exactly.  A monic g (every
-    Groebner member) takes no division.
-    """
-    f = dict(f.terms)
-    remainder = {}
-    while f:
-        le = max(f, key=key)
-        lc = f.pop(le)
-        for ge, gc, g in data:
-            if _divides(ge, le):
-                q = lc if gc == 1 else lc / gc
-                s0, s1, s2 = le[0] - ge[0], le[1] - ge[1], le[2] - ge[2]
-                for e, c in g.terms.items():
-                    if e != ge:
-                        te = (e[0] + s0, e[1] + s1, e[2] + s2)
-                        v = f.get(te, 0) - c * q
-                        if v:
-                            f[te] = v
-                        else:
-                            f.pop(te, None)
-                break
-        else:
-            remainder[le] = lc
-    return MultiPoly._wrap(remainder)
+def _monic_rref(rows) -> dict[int, dict]:
+    """The reduced row echelon form of the sparse rows ``rows`` ({column:
+    cell}) over their coefficient field, as {pivot column: row}: each row
+    is monic on its pivot column, its least one, and has no cell in another
+    pivot column.  A new row is cleared in the pivot columns it has, and a
+    new pivot row clears its column from the others."""
+    pivots: dict[int, dict] = {}
+    for row in rows:
+        for c in [k for k in row if k in pivots]:
+            _eliminate(row, c, pivots[c])
+        if row:
+            c = min(row)
+            p = row[c]
+            if p != 1:
+                row = {k: v / p for k, v in row.items()}
+            for other in pivots.values():
+                if c in other:
+                    _eliminate(other, c, row)
+            pivots[c] = row
+    return pivots
 
 
 def groebner(gens: Sequence[MultiPoly], weights) -> tuple[MultiPoly, ...]:
-    """Reduced Groebner basis of the ideal spanned by ``gens``.
+    """Reduced Groebner basis of the ideal that ``gens`` generate, one
+    weighted degree at a time (Lazard 1983), sorted by leading monomial.
 
-    Buchberger's algorithm.  Each generator and each new member is made
-    monic as it enters the basis, with its leading exponent kept beside it.
-    The pending S-pair with the least lcm of leading monomials under
-    ``order_key`` is reduced next, ties broken by the pair (normal
-    selection); on a weighted-homogeneous ideal this completes the basis
-    one degree at a time.  Two criteria skip pairs whose S-polynomial is
-    known to reduce to zero:
+    Precondition: three weighted-homogeneous generators that form a regular
+    sequence, as the partials of W and of W_sigma do, with coefficients in a
+    field (``Fraction``, ``RatFun``: an int cell would divide to a float).
+    ``JacobianAlgebra`` certifies the result by its staircase of mu
+    monomials.
 
-    * coprime leading monomials (Buchberger's first criterion);
-    * the chain criterion (Buchberger 1979, Gebauer-Moeller 1988): (i, j)
-      is skipped when some third member k has a leading monomial dividing
-      lcm(i, j) and neither (i, k) nor (j, k) is still pending, because
-      then S(i, j) is a combination of S(i, k) and S(j, k), which are done.
+    The degree-d part I_d of the ideal is spanned by the products X^a * g of
+    degree d.  With the monomials of degree d as columns in descending
+    ``order_key``, the reduced row echelon form of their rows, over the
+    coefficient field with each pivot row made monic, pivots on the leading
+    monomials of I_d, and its row at t is t minus the normal form of t.  It
+    is the member of the reduced basis with leading monomial t exactly when
+    no leading monomial of a lower degree divides t.
 
-    Neither changes the ideal the loop closes, and the reduced Groebner
-    basis of an ideal under a fixed order is unique, so the result is the
-    same as plain Buchberger's.  It is monic, mutually reduced, and sorted
-    by leading monomial.  The coefficients may live in any exact field
-    (rationals, rational functions).
+    The degrees run from the least generator degree to the socle degree
+    sum_i deg g_i - sum_i q_i plus the largest weight q_i, which is 1 + max
+    q_i for the partials.  Above the socle every monomial lies in the ideal,
+    so a minimal leading monomial t has some t / X_i of degree at most the
+    socle.  A degree in which a lower leading monomial divides every
+    monomial is skipped: every leading monomial there has a lower divisor,
+    so no member has that degree.
     """
     key = order_key(weights)
-    data: list[tuple] = []  # _lead_data of the basis so far, all monic
-    pending: dict[tuple[int, int], tuple] = {}  # (i, j), i > j: key(lcm)
-
-    def enter(g: MultiPoly) -> None:
-        e, c = _leading(g, key)
-        g = g.scale(1 / c)
-        n = len(data)
-        data.append((e, g.terms[e], g))
-        for k, (ke, _, _) in enumerate(data[:n]):
-            pending[n, k] = key(_lcm(e, ke))
-
-    for g in gens:
-        if g:
-            enter(g)
-    while pending:
-        i, j = min(pending, key=lambda p: (pending[p], p))
-        del pending[i, j]
-        ie, je = data[i][0], data[j][0]
-        lcm = _lcm(ie, je)
-        if lcm == (ie[0] + je[0], ie[1] + je[1], ie[2] + je[2]):
-            continue  # coprime leading monomials: S-polynomial drops to zero
-        if any(
-            k != i
-            and k != j
-            and _divides(ke, lcm)
-            and (max(i, k), min(i, k)) not in pending
-            and (max(j, k), min(j, k)) not in pending
-            for k, (ke, _, _) in enumerate(data)
-        ):
-            continue  # chain criterion
-        s = _shift(data[i][2], _sub(lcm, ie)) - _shift(data[j][2], _sub(lcm, je))
-        s = _reduce(s, data, key)
-        if s:
-            enter(s)
-    # Minimalize: drop members whose leading monomial another one divides.
-    kept = [
-        d
-        for i, d in enumerate(data)
-        if not any(
-            j != i and _divides(data[j][0], d[0]) and (data[j][0] != d[0] or j < i)
-            for j in range(len(data))
-        )
-    ]
-    # Fully reduce each member against the others; the leading terms, which
-    # are monic already, stay put.
-    out = [
-        (key(e), _reduce(g, kept[:i] + kept[i + 1 :], key))
-        for i, (e, _, g) in enumerate(kept)
-    ]
-    out.sort(key=lambda t: t[0])
-    return tuple(g for _, g in out)
+    w, _ = scaled_ints(weights)
+    gens = [g.scale(1 / g.terms[max(g.terms, key=key)]) for g in gens]  # rows X^a * g are monic
+    degrees = [sum(a * b for a, b in zip(w, next(iter(g.terms)))) for g in gens]
+    top = sum(degrees) - sum(w) + max(w)
+    of_degree = {d: monomials_of_weighted_degree(w, d) for d in range(top + 1)}
+    leads: list[Exps] = []
+    members: list[MultiPoly] = []
+    for d in range(min(degrees), top + 1):
+        if all(any(_divides(t, e) for t in leads) for e in of_degree[d]):
+            continue
+        monomials = sorted(of_degree[d], key=key, reverse=True)
+        col = {e: k for k, e in enumerate(monomials)}
+        rows = [
+            {col[e[0] + a[0], e[1] + a[1], e[2] + a[2]]: c for e, c in g.terms.items()}
+            for dg, g in zip(degrees, gens)
+            for a in of_degree.get(d - dg, ())
+        ]
+        pivots = _monic_rref(rows)
+        for c in sorted(pivots, reverse=True):  # ascending order_key
+            t = monomials[c]
+            if not any(_divides(s, t) for s in leads):  # a lead of degree d divides no other
+                leads.append(t)
+                members.append(MultiPoly._wrap({monomials[k]: v for k, v in pivots[c].items()}))
+    return tuple(members)
 
 
 def milnor_groebner(poly: InvertiblePolynomial) -> tuple[MultiPoly, ...]:
     """Reduced Groebner basis over Q of the Jacobian ideal of W."""
-    w = poly.polynomial().map_coeffs(Fraction)
-    return groebner([w.partial(i) for i in range(NVARS)], poly.charges)
+    w = poly.polynomial()  # groebner divides, so its cells are Fractions, not ints
+    return groebner([w.partial(i).map_coeffs(Fraction) for i in range(NVARS)], poly.charges)
 
 
 def standard_monomials(basis: Sequence[MultiPoly], weights, name: str) -> tuple[Exps, ...]:
@@ -293,7 +251,7 @@ def standard_monomials(basis: Sequence[MultiPoly], weights, name: str) -> tuple[
     DomainError names ``name``: the quotient is not finite.  The least such
     powers bound the box that holds the staircase."""
     key = order_key(weights)
-    lts = [e for e, _, _ in _lead_data(basis, key)]
+    lts = [max(g.terms, key=key) for g in basis]
     bounds = [
         min((t[i] for t in lts if not any(t[:i] + t[i + 1 :])), default=None) for i in range(NVARS)
     ]
@@ -369,9 +327,7 @@ class JacobianAlgebra:
         w, phi_m = entry.polynomial.polynomial(), MultiPoly.monomial(mvec, 1)
         self._layers = tuple((w.partial(i).terms, phi_m.partial(i).terms) for i in range(NVARS))
 
-        gb0 = milnor_groebner(entry.polynomial)
-        self._gb0data = _lead_data(gb0, self._key)
-        self.basis = self._staircase(gb0, "Q")
+        self.basis = self._staircase(milnor_groebner(entry.polynomial), "Q")
         self.top_monomial: Exps = self.basis[-1]
 
         self._jets = self._residue_jets()
@@ -592,9 +548,13 @@ class JacobianAlgebra:
         X^(r+m), the sigma^0 layer of the decomposition of every basis label
         r of that degree: ``_solve_degree`` at sigma-degree 0, cut below
         sigma^1, one elimination with one right-hand column per label, each
-        solution checked in ints.  It memoises every flat of the degree.  Any
-        solution g(0) gives the same corrections, by the Koszul argument of
-        the module docstring.
+        solution checked in ints.  Any solution g(0) gives the same
+        corrections, by the Koszul argument of the module docstring.  A
+        second elimination reads the coordinates of every p(0) = -sum_i d_i
+        g_i(0) on the labels: p(0) = sum_i h_i * d_i W + sum_b c_b * X^b,
+        with the h_i from ``_ansatz`` at the degree of phi_r less one and
+        the labels b as the last columns.  B0 is a basis of Jac(W), so the
+        c_b are unique.  It memoises every flat of the degree.
         """
         rvec = _exponent_vector(r, self._label)
         if rvec in self._flats:
@@ -608,23 +568,32 @@ class JacobianAlgebra:
         if rvec not in self.basis:
             raise DomainError(f"{self._label}: {rvec} is not a basis exponent")
         labels = [e for e in self.basis if self._degree(e) == deg_r]
+        dens, rhs = [], []  # per label: den, and den * p(0) keyed as the system's rows
         for label, solved in zip(labels, self._solve_degree(deg_r, labels, 0, 1)):
             if solved is None:
                 raise DomainError(f"{self._label}: X^(r+m) for r = {label} is not in J(W)")
             gs, den = solved
-            # p(0) = -sum_i d_i g_i(0), and its B0 coordinates: the remainder
-            # over the Groebner basis of W
-            p = MultiPoly.zero()
+            p: dict = {}
             for i, g in enumerate(gs):
-                p = p - MultiPoly._wrap({e: c[0] for e, c in g.items()}).partial(i)
-            remainder = _reduce(p.scale(Fraction(1, den)), self._gb0data, self._key).terms
-            corrections = []
-            for e, c in sorted(remainder.items(), key=lambda t: self._key(t[0])):
-                if self._degree(e) != deg_r:
-                    raise DomainError(f"{self._label}: correction {e} breaks the grading of {label}")
-                if e != label:  # the same-label term only renormalizes at higher order
-                    corrections.append((e, -c))
-            self._flats[label] = FlatSectionApprox(r=label, corrections=tuple(corrections))
+                for e, v in MultiPoly._wrap({e: c[0] for e, c in g.items()}).partial(i).terms.items():
+                    p[e, 0] = p.get((e, 0), 0) - v
+            dens.append(den)
+            rhs.append({k: v for k, v in p.items() if v})
+        cols, cells = self._ansatz(deg_r - self._scale, 0, 1)
+        n = len(cols)
+        for k, b in enumerate(labels):
+            cells.setdefault((b, 0), {})[n + k] = 1
+        for label, den, sol in zip(labels, dens, _solve(cells, rhs, n + len(labels))):
+            if sol is None:
+                raise DomainError(f"{self._label}: p(0) of {label} has no coordinates on B0")
+            x, xden = sol
+            # the same-label term only renormalizes at higher order
+            corrections = tuple(
+                (b, Fraction(-x[n + k], xden * den))
+                for k, b in enumerate(labels)
+                if x[n + k] and b != label
+            )
+            self._flats[label] = FlatSectionApprox(r=label, corrections=corrections)
         return self._flats[rvec]
 
     def fourpoint(self, r1, r2, r3) -> Fraction:

@@ -604,7 +604,8 @@ def _rref(rows, ncols):
     """Reduced row echelon form of sparse rows, fraction-free.
 
     ``rows`` are ``{column: value}`` dicts of nonzero int or ``Fraction``
-    cells, reduced in place; only columns below ``ncols`` are pivoted on.
+    cells (any other cell, a float say, raises a DomainError), reduced in
+    place; only columns below ``ncols`` are pivoted on.
     Returns the pivot rows as ``(column, row)`` pairs in column order, each
     clear in every other pivot column and still scaled by its pivot cell
     (``_cell`` divides by it), and the leftover rows, which are empty below
@@ -628,6 +629,9 @@ def _rref(rows, ncols):
 
     for row in rows:
         if not all(type(v) is int for v in row.values()):
+            bad = [v for v in row.values() if not isinstance(v, (int, Fraction))]
+            if bad:
+                raise DomainError(f"matrix cell {bad[0]!r} is not an int or a Fraction")
             row.update(zip(list(row), scaled_ints(row.values())[0]))
         enqueue(row, _normalise(row))
     pivots = []
@@ -752,8 +756,13 @@ def solve_linear(rows, rhs, ncols=None):
 def inverse(rows) -> list:
     """Rows of the inverse of a square matrix, from one elimination of
     ``[A | I]``; rows are sequences or ``{column: value}`` dicts, as in
-    ``solve_linear``.  Raises NoSolution when A is singular."""
+    ``solve_linear``.  Raises NoSolution when A is singular, and a
+    DomainError when a row is not n cells long for n rows (a dict row, when
+    it has a column past n - 1)."""
     n = len(rows)
+    for row in rows:
+        if max(row, default=0) >= n if isinstance(row, dict) else len(row) != n:
+            raise DomainError(f"inverse: the matrix is not square: {n} row(s), one of them {row!r}")
     pivots, _ = _rref([{**_sparse(row), n + i: 1} for i, row in enumerate(rows)], n)
     if len(pivots) < n:
         raise NoSolution("singular matrix")

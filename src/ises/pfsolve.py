@@ -47,7 +47,7 @@ from math import prod
 from typing import Sequence
 
 from .isespoly import NVARS, CatalogEntry
-from .numcore import DomainError, _exponent_vector, scaled_ints
+from .numcore import DomainError, _exponent_vector, rat, scaled_ints
 
 __all__ = [
     "DeltaOperator",
@@ -76,7 +76,9 @@ class DeltaOperator:
 
     The operator is held in the coordinate ``x = C sigma^l``, which absorbs
     ``C``: it is the sorted left and right roots and the step ``l``, and the
-    constant stays on the marginal (``MarginalData.C``).
+    constant stays on the marginal (``MarginalData.C``).  Each root is an
+    int or a ``Fraction`` and the step an int >= 1, or a DomainError names
+    the field.
     """
 
     left_roots: tuple[Fraction, ...]
@@ -84,10 +86,14 @@ class DeltaOperator:
     step: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "left_roots", tuple(sorted(Fraction(c) for c in self.left_roots)))
-        object.__setattr__(self, "right_roots", tuple(sorted(Fraction(c) for c in self.right_roots)))
+        for side in ("left", "right"):
+            roots = getattr(self, f"{side}_roots")
+            roots = tuple(sorted(rat(c, f"operator {side} root", k) for k, c in enumerate(roots)))
+            object.__setattr__(self, f"{side}_roots", roots)
         if len(self.left_roots) != len(self.right_roots):
             raise DomainError("operator must have equally many left and right roots")
+        if type(self.step) is not int or self.step < 1:
+            raise DomainError(f"operator step {self.step!r} is not an int >= 1")
 
     @property
     def order(self) -> int:

@@ -157,11 +157,12 @@ class CorrelatorTable:
     rejected, and such keys read as zero.  The gradings of the two labels
     of every nonzero pairing entry must have one sum c for the whole table
     (c = 1 on the FJRW and GW tables), else the table raises
-    :class:`MissingPairing`.  Misuse raises :class:`DomainError`: duplicate
-    labels, a grading, pairing value or set value that is not an int or a
-    ``Fraction`` (a bool or a float is refused, not read as a number), a
-    key of fewer than three insertions, a degree on an ungraded table, or a
-    write to a frozen one.
+    :class:`MissingPairing`, as it does for a ``pairing`` that is not a
+    mapping.  Misuse raises :class:`DomainError`: duplicate or unhashable
+    labels, ``degrees`` that is not a mapping, a grading, pairing value or
+    set value that is not an int or a ``Fraction`` (a bool or a float is
+    refused, not read as a number), a key of fewer than three insertions, a
+    degree on an ungraded table, or a write to a frozen one.
     """
 
     def __init__(
@@ -172,9 +173,16 @@ class CorrelatorTable:
         graded: bool = False,
     ):
         self.labels = tuple(labels)
-        self._index = {label: i for i, label in enumerate(self.labels)}
+        try:
+            self._index = {label: i for i, label in enumerate(self.labels)}
+        except TypeError:
+            raise DomainError(f"basis labels {self.labels!r} are not all hashable") from None
         if len(self._index) != len(self.labels):
             raise DomainError("duplicate basis labels")
+        if not isinstance(pairing, Mapping):
+            raise MissingPairing(f"pairing {pairing!r} is not a mapping")
+        if not isinstance(degrees, Mapping):
+            raise DomainError(f"degrees {degrees!r} is not a mapping")
         self.graded = bool(graded)
         try:
             gradings = [rat(degrees[label], "the grading of", label) for label in self.labels]

@@ -17,7 +17,7 @@ from ises.isespoly import CatalogEntry, get_entry, load_catalog
 from ises.jacobi import JacobianAlgebra, groebner, milnor_groebner
 from ises.numcore import DomainError, MultiPoly, nullspace
 from ises.wdvv import InconsistentSystem, MissingKey, _groups, check_residuals, propagate
-from test_jacobi import normal_form, q_sigma_nf, reference_residue
+from test_jacobi import normal_form, q_sigma_nf, reference_groebner, reference_residue
 
 CATALOG = load_catalog()
 ENTRIES = [e for e in CATALOG if e.fjrw and not e.fjrw.get("excluded")]
@@ -1032,7 +1032,10 @@ def invariant_classes(entry, theta):
     restricted = MultiPoly(
         {e: c for e, c in mirror.polynomial().terms.items() if not any(e[j] for j in moved)}
     )
-    basis = groebner([restricted.partial(j) for j in fixed], q)
+    # fewer than three partials are no regular sequence in three variables
+    basis = (groebner if len(fixed) == 3 else reference_groebner)(
+        [restricted.partial(j) for j in fixed], q
+    )
     bound = [int(1 / q[j]) + 1 if j in fixed else 0 for j in range(3)]
     standard = [
         a

@@ -9,7 +9,7 @@ import weakref
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from ises import jacobi
@@ -26,6 +26,7 @@ from ises.jacobi import (
     IntegralDegree,
     JacobianAlgebra,
     groebner,
+    milnor_groebner,
     order_key,
     standard_monomials,
 )
@@ -88,19 +89,18 @@ def degree(alg: JacobianAlgebra, e) -> F:
 # The Q(sigma) reference route: normal forms by division over the Groebner
 # basis of W_sigma, the Grothendieck residue read off them, and coordinates
 # over the display basis by the inverse change of basis.  The package reads
-# residues from one int elimination mod sigma^2 instead; these are what it
+# residues and coordinates from int eliminations instead; these are what it
 # is compared with.
 # ---------------------------------------------------------------------------
 
 
 def normal_form(f: MultiPoly, basis, weights) -> MultiPoly:
     """Remainder of multivariate division of ``f`` by ``basis``, by the
-    package's ``jacobi._reduce`` (the division that ``groebner`` and the
-    flats run).  Every term of the result is divisible by no leading
-    monomial of ``basis``; over a Groebner basis it is the unique normal
-    form.  Coefficients follow the coefficient field of the inputs."""
-    key = order_key(weights)
-    return jacobi._reduce(f, jacobi._lead_data(basis, key), key)
+    plain division ``_ref_reduce`` below.  Every term of the result is
+    divisible by no leading monomial of ``basis``; over a Groebner basis it
+    is the unique normal form.  Coefficients follow the coefficient field of
+    the inputs."""
+    return _ref_reduce(f, basis, order_key(weights))
 
 
 def q_sigma_nf(alg: JacobianAlgebra, f: MultiPoly) -> MultiPoly:
@@ -246,76 +246,30 @@ def test_groebner_equals_plain_buchberger_on_the_catalog(name, m):
     want = reference_groebner(alg.partials, alg.weights)
     assert groebner(alg.partials, alg.weights) == want
     assert alg.groebner_basis == want
+    poly = alg.entry.polynomial
+    w = poly.polynomial().map_coeffs(F)
+    assert milnor_groebner(poly) == reference_groebner([w.partial(i) for i in range(3)], alg.weights)
 
 
-def random_ideal(rng):
-    """One to three generators in X1, X2, X3 of one to three terms each,
-    exponents up to 2 and small rational coefficients, not homogeneous."""
-    weights = rng.choice([(1, 1, 1), (1, 2, 3), (F(1, 3), F(1, 2), F(1, 5))])
-    gens = []
-    for _ in range(rng.randint(1, 3)):
-        terms = {}
-        for _ in range(rng.randint(1, 3)):
-            e = tuple(rng.randint(0, 2) for _ in range(3))
-            terms[e] = F(rng.randint(-5, 5), rng.randint(1, 4))
-        gens.append(MultiPoly(terms))
-    return gens, weights
+def random_deformation(rng):
+    """The partials over Q of W + s*X^m for a catalog pair (W, X^m) and a
+    small random rational s, with the pair's constants C and l."""
+    entry = get_entry(CATALOG, rng.choice(ALL_PAIRS)[0])
+    mar = rng.choice(entry.marginals)
+    s = F(rng.randint(-9, 9), rng.randint(1, 9))
+    w = entry.polynomial.polynomial().map_coeffs(F) + MultiPoly.monomial(mar.m, s)
+    return [w.partial(i) for i in range(3)], entry.polynomial.charges, 1 - mar.C * s**mar.l
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 @seed(1210)
 @settings(max_examples=80, deadline=None)
 def test_groebner_equals_plain_buchberger_on_random_ideals(s):
-    gens, weights = random_ideal(random.Random(s))
+    # Off the discriminant 1 - C*s^l = 0 the fibre W + s*X^m is a
+    # nondegenerate singularity, so its partials form a regular sequence.
+    gens, weights, discriminant = random_deformation(random.Random(s))
+    assume(discriminant != 0)
     assert groebner(gens, weights) == reference_groebner(gens, weights)
-
-
-# ``_reduce`` calls that ``groebner`` makes on the 25 catalog pairs: one per
-# S-pair it reduces, plus one per member of the reduced basis (153 in all).
-# Plain Buchberger reduces 465 S-pairs, 346 of them to zero; normal
-# selection and the chain criterion leave 195, 101 of them zero.
-PLAIN_BUCHBERGER_REDUCE_CALLS = 465 + 153
-REDUCE_CALLS = 195 + 153
-
-
-def test_groebner_skips_s_pairs_that_plain_buchberger_reduces(monkeypatch):
-    assert len(ALL_PAIRS) == 25
-    jobs = []
-    for name, m in ALL_PAIRS:
-        entry = get_entry(CATALOG, name)
-        w_sigma = entry.polynomial.polynomial().map_coeffs(RatFun.coerce)
-        w_sigma = w_sigma + MultiPoly.monomial(m, RatFun.variable())
-        jobs.append(([w_sigma.partial(i) for i in range(3)], entry.polynomial.charges))
-    calls = []
-    real = jacobi._reduce
-
-    def counting(f, data, key):
-        calls.append(f)
-        return real(f, data, key)
-
-    monkeypatch.setattr(jacobi, "_reduce", counting)
-    for gens, weights in jobs:
-        groebner(gens, weights)
-    assert len(calls) < PLAIN_BUCHBERGER_REDUCE_CALLS
-    assert len(calls) <= REDUCE_CALLS
-
-
-def test_chain_criterion_waits_for_both_side_pairs():
-    # Two equal members X1*X3 beside X1*X2 - X2*X3: each pair (X1*X2, X1*X3)
-    # has the other X1*X3 as a third member dividing its lcm X1*X2*X3.
-    # Skipping both pairs without asking whether the side pairs are done
-    # would lose their S-polynomial X2*X3^2.
-    gens = [
-        MultiPoly({(1, 1, 0): F(-1), (0, 1, 1): F(1)}),
-        MultiPoly.monomial((1, 0, 1), F(1)),
-        MultiPoly.monomial((1, 0, 1), F(1)),
-    ]
-    want = (
-        MultiPoly.monomial((1, 0, 1), F(1)),
-        MultiPoly({(1, 1, 0): F(1), (0, 1, 1): F(-1)}),
-        MultiPoly.monomial((0, 1, 2), F(1)),
-    )
-    assert groebner(gens, (1, 1, 1)) == want == reference_groebner(gens, (1, 1, 1))
 
 
 @pytest.mark.parametrize("name,m", ALL_PAIRS)
@@ -350,12 +304,17 @@ def test_normal_form_fixes_standard_monomials():
 
 @pytest.mark.parametrize("name,m", ALL_PAIRS)
 def test_the_normal_form_table_equals_division(name, m):
-    # ``normal_form`` (``jacobi._reduce``) reduces on one table of pending
-    # terms, updated in place; plain division, one polynomial subtraction
-    # per step, is its reference, on every monomial up to the socle degree
-    # plus the largest weight and on the Hessian.
+    # The elimination of a degree holds, at each leading monomial t, the row
+    # t minus the normal form of t: so each member of the Q(sigma) basis is
+    # t - normal_form(t) under plain division.  And division over the basis
+    # leaves one remainder whatever the order of the divisors, as over any
+    # Groebner basis, on every monomial up to the socle degree plus the
+    # largest weight and on the Hessian.
     alg = algebra(name, m)
-    key = order_key(alg.weights)
+    basis, key = alg.groebner_basis, order_key(alg.weights)
+    for g in basis:
+        t = mono(max(g.terms, key=key))
+        assert g == t - q_sigma_nf(alg, t)
     w, scale = scaled_ints(alg.weights)
     top = scale + max(w)
     exps = [
@@ -366,7 +325,7 @@ def test_the_normal_form_table_equals_division(name, m):
         if w[0] * a + w[1] * b + w[2] * c <= top
     ]
     for f in [mono(e) for e in exps] + [alg.w_sigma.hessian_det()]:
-        assert q_sigma_nf(alg, f) == _ref_reduce(f, alg.groebner_basis, key)
+        assert q_sigma_nf(alg, f) == _ref_reduce(f, basis[::-1], key)
 
 
 def test_the_staircase_of_a_monomial_ideal_is_its_complement():
@@ -380,10 +339,11 @@ def test_the_staircase_of_a_monomial_ideal_is_its_complement():
 
 def test_an_infinite_staircase_raises_a_domain_error_naming_the_entry():
     # (X1^2, X2^2) leaves every power of X3 standard, and (X1X2, X2X3, X1X3)
-    # every power of each variable: neither has a pure power of every one
+    # every power of each variable: neither has a pure power of every one,
+    # nor is a regular sequence, which ``groebner`` needs
     q = get_entry(CATALOG, "e6-fermat").polynomial.charges
     for gens in (((2, 0, 0), (0, 2, 0)), ((1, 1, 0), (0, 1, 1), (1, 0, 1))):
-        basis = groebner([MultiPoly.monomial(e, F(1)) for e in gens], q)
+        basis = reference_groebner([MultiPoly.monomial(e, F(1)) for e in gens], q)
         with pytest.raises(DomainError, match="^e6-fermat: quotient is not finite$"):
             standard_monomials(basis, q, "e6-fermat")
 
@@ -773,10 +733,11 @@ def test_the_bside_outputs_are_pinned():
     )
 
 
-# The sigma^0 systems that the four-point tables of the 25 pairs solve: one
-# per fractional degree of a flat label, with a right-hand column for each
-# basis label of that degree.
-SIGMA_ZERO_SYSTEMS, SIGMA_ZERO_LABELS = 50, 115
+# The sigma^0 systems that the four-point tables of the 25 pairs solve: two
+# for each of the 50 fractional degrees of a flat label, the decompositions
+# and the B0 coordinates of their p(0), each with a right-hand column for
+# each of the 115 basis labels of those degrees.
+SIGMA_ZERO_SYSTEMS, SIGMA_ZERO_COLUMNS, FLAT_LABELS = 100, 230, 115
 
 
 def test_every_catalog_decomposition_system_solves_like_the_dense_reference(
@@ -784,8 +745,9 @@ def test_every_catalog_decomposition_system_solves_like_the_dense_reference(
 ):
     # Real traffic for the fraction-free kernel: every system that the
     # four-point tables of all 25 pairs build, the residue jets of each
-    # algebra and the sigma^0 decompositions of its flat sections, each
-    # right-hand column solved again by the dense Fraction elimination.
+    # algebra and the two sigma^0 systems of each degree of its flat
+    # sections, each right-hand column solved again by the dense Fraction
+    # elimination.
     systems = {"jets": [], "flats": []}
     phase = ["jets"]
     real_solve = jacobi.solve_columns
@@ -808,8 +770,8 @@ def test_every_catalog_decomposition_system_solves_like_the_dense_reference(
 
     # one jet system per algebra: a column per degree-one monomial, and the Hessian
     assert shape("jets") == (25, 225 + 25)
-    # one sigma^0 system per fractional degree: a column per basis label
-    assert shape("flats") == (SIGMA_ZERO_SYSTEMS, SIGMA_ZERO_LABELS)
+    # two sigma^0 systems per fractional degree: a column per basis label each
+    assert shape("flats") == (SIGMA_ZERO_SYSTEMS, SIGMA_ZERO_COLUMNS)
     for rows, rhs, n, sols in systems["jets"] + systems["flats"]:
         dense = [[F(row.get(c, 0)) for c in range(n)] for row in rows]
         for column, (x, den) in zip(rhs, sols):
@@ -843,8 +805,8 @@ def test_four_point_tables_build_no_sigma_layered_decomposition(monkeypatch):
     for alg in algebras:
         alg.fourpoint_table()
     assert set(cuts) == {(0, 1)} and len(cuts) == SIGMA_ZERO_SYSTEMS
-    assert (len(columns), sum(columns)) == (SIGMA_ZERO_SYSTEMS, SIGMA_ZERO_LABELS)
-    assert sum(len(alg._flats) for alg in algebras) == SIGMA_ZERO_LABELS
+    assert (len(columns), sum(columns)) == (SIGMA_ZERO_SYSTEMS, SIGMA_ZERO_COLUMNS)
+    assert sum(len(alg._flats) for alg in algebras) == FLAT_LABELS
 
 
 def test_the_q_sigma_layer_is_built_on_first_read_only(monkeypatch):
@@ -920,6 +882,25 @@ def test_an_unsolved_sigma_zero_column_is_a_typed_domain_error(monkeypatch):
         alg.flat_first_order((1, 0, 0))
 
 
+def test_an_unsolved_coordinate_column_is_a_typed_domain_error(monkeypatch):
+    # the second sigma^0 system of a degree reads the B0 coordinates of p(0)
+    victim = (0, 1, 0)
+    entry = get_entry(CATALOG, "e6-fermat")
+    alg = JacobianAlgebra(entry)
+    calls = []
+
+    def drop_second(sols):
+        calls.append(len(sols))
+        if len(calls) == 2:
+            sols[E6_THIRDS.index(victim)] = None
+
+    sigma_zero_hooks(monkeypatch, drop_second)
+    label = re.escape(f"e6-fermat, m={entry.marginals[0].m}")
+    with pytest.raises(DomainError, match=label + r": p\(0\) of \(0, 1, 0\) has no coordinates on B0$"):
+        alg.flat_first_order((1, 0, 0))
+    assert calls == [3, 3]
+
+
 def test_flat_first_order_rejects_non_basis_exponents():
     # x^2 has degree 2/3 but lies in the Jacobian ideal of x^3 + y^3 + z^3
     with pytest.raises(DomainError, match=r"e6-fermat, m=\(1, 1, 1\): \(2, 0, 0\) is not a basis"):
@@ -945,7 +926,7 @@ def test_every_catalog_label_solves_at_sigma_degree_l_minus_1(monkeypatch):
                 assert max(len(c.n) - 1 for g in gs for c in g.terms.values()) == l - 1
             labels_by_l[l] = labels_by_l.get(l, 0) + len(labels)
     assert labels_by_l == {3: 67, 2: 48}
-    assert sum(labels_by_l.values()) == SIGMA_ZERO_LABELS
+    assert sum(labels_by_l.values()) == FLAT_LABELS
 
 
 def test_decompose_rejects_non_basis_exponents():

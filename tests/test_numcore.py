@@ -3,6 +3,7 @@
 import copy
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from ises.numcore import (
     nullspace,
     parse_rat,
     scaled_ints,
+    solve_columns,
     solve_linear,
 )
 
@@ -812,6 +814,33 @@ def test_inverse_of_int_rows_is_exact():
     assert type(inv[0][0]) is F
     with pytest.raises(NoSolution):
         inverse([[1, 2], [2, 4]])
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[1, 2]], [[1], [2]], [{0: 1, 1: 2}], [[1, 2, 0], [0, 1, 0]]],
+    ids=["wide", "tall", "wide-dict", "zero-column"],
+)
+def test_inverse_of_a_non_square_matrix_is_a_domain_error(rows):
+    # unchecked, [[1, 2]] would put its identity column on column 1 of A
+    # and invert to [[1]]
+    with pytest.raises(DomainError, match=rf"^inverse: the matrix is not square: {len(rows)} row\(s\), one of them "):
+        inverse(rows)
+
+
+@pytest.mark.parametrize(
+    "call, cell",
+    [
+        (lambda: solve_linear([[F(3, 2), 1]], [1.5]), "1.5"),
+        (lambda: solve_columns([[1, 2]], [[0.5]]), "0.5"),
+        (lambda: nullspace([[F(1, 2), 0.25]], 2), "0.25"),
+        (lambda: inverse([[RatFun.variable()]]), re.escape(repr(RatFun.variable()))),
+    ],
+    ids=["solve_linear", "solve_columns", "nullspace", "inverse-ratfun"],
+)
+def test_a_cell_that_is_not_an_int_or_a_fraction_is_a_domain_error(call, cell):
+    with pytest.raises(DomainError, match=rf"^matrix cell {cell} is not an int or a Fraction$"):
+        call()
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))

@@ -1,6 +1,7 @@
 """Period operators: root multisets, reduction, weight certification."""
 
 import json
+import re
 from collections import Counter
 from fractions import Fraction as F
 from itertools import product
@@ -397,6 +398,27 @@ def test_a_weight_that_is_not_an_int_or_a_fraction_is_a_typed_error(weights, fie
             lambda: DeltaOperator((F(0),), (F(1, 3), F(2, 3)), 1),
             "^operator must have equally many left and right roots$",
             id="unequal-root-counts",
+        ),
+        # roots are ints or Fractions, read through numcore.rat, and the
+        # step is an int >= 1: step 0 once reached to_hg_weights and
+        # divided by zero there
+        pytest.param(
+            lambda: DeltaOperator((0.5,), (1,), 1),
+            r"^operator left root 0 is 0\.5, not an int or a Fraction$",
+            id="float-root",
+        ),
+        pytest.param(
+            lambda: DeltaOperator((0,), ("1/2",), 1),
+            "^operator right root 0 is '1/2', not an int or a Fraction$",
+            id="string-root",
+        ),
+        *(
+            pytest.param(
+                lambda step=step: DeltaOperator((F(0), F(-1)), (F(1, 3), F(2, 3)), step),
+                rf"^operator step {re.escape(repr(step))} is not an int >= 1$",
+                id=f"step-{kind}",
+            )
+            for kind, step in (("zero", 0), ("negative", -2), ("float", 1.0), ("bool", True))
         ),
     ],
 )

@@ -177,6 +177,21 @@ def test_frozen_table_rejects_writes():
             "^duplicate basis labels$",
             id="duplicate-labels",
         ),
+        pytest.param(
+            lambda: CorrelatorTable(([0, 1], POINT), {}, degrees={POINT: 1}),
+            r"^basis labels \(\[0, 1\], \(0, 2\)\) are not all hashable$",
+            id="unhashable-label",
+        ),
+        pytest.param(
+            lambda: CorrelatorTable((UNIT, POINT), [((UNIT, POINT), 1)], degrees={UNIT: 0, POINT: 1}),
+            r"^pairing \[\(\(\(0, 1\), \(0, 2\)\), 1\)\] is not a mapping$",
+            id="pairing-not-a-mapping",
+        ),
+        pytest.param(
+            lambda: CorrelatorTable((UNIT, POINT), {(UNIT, POINT): 1}, degrees=None),
+            "^degrees None is not a mapping$",
+            id="degrees-none",
+        ),
         # gradings, pairing values and set values are ints or Fractions: a
         # string is not parsed, a float is not read as its binary fraction,
         # and a bool is not read as 0 or 1
