@@ -555,6 +555,17 @@ class JacobianAlgebra:
         with the h_i from ``_ansatz`` at the degree of phi_r less one and
         the labels b as the last columns.  B0 is a basis of Jac(W), so the
         c_b are unique.  It memoises every flat of the degree.
+
+        No correction names phi_r itself: c_{r,r}(0) = 0.  Under the
+        diagonal symmetries of W, d_i W has the character of 1 / X_i, so g(0)
+        stays a solution when each g_i(0) is projected onto the character of
+        X^(r+m) * X_i, and any solution gives the same corrections; so p(0)
+        lies in the character of X^(r+m).  The group preserves J(W), so p(0)
+        has no coordinate on a label of another character, and X^r has the
+        character of X^(r+m) only when X^m is invariant, i.e. when E^-T m is
+        integral.  ``MarginalData.derive`` made E^-T m + 2 q^T integral, so
+        2 q^T would be integral too, which sum q^T = 1 with every q^T_i > 0
+        rules out.
         """
         rvec = _exponent_vector(r, self._label)
         if rvec in self._flats:
@@ -587,11 +598,8 @@ class JacobianAlgebra:
             if sol is None:
                 raise DomainError(f"{self._label}: p(0) of {label} has no coordinates on B0")
             x, xden = sol
-            # the same-label term only renormalizes at higher order
             corrections = tuple(
-                (b, Fraction(-x[n + k], xden * den))
-                for k, b in enumerate(labels)
-                if x[n + k] and b != label
+                (b, Fraction(-x[n + k], xden * den)) for k, b in enumerate(labels) if x[n + k]
             )
             self._flats[label] = FlatSectionApprox(r=label, corrections=corrections)
         return self._flats[rvec]

@@ -33,9 +33,10 @@ no general rule for which factors survive, so every reported weight triple
 is certified by :func:`annihilation_check`, which substitutes both
 Frobenius solutions at ``x = 0`` into the *unreduced* operator exactly.
 It does so on ints: the exponent, the roots and the series parameters of
-a solution are scaled by the lcm of their denominators, each series
-coefficient is an unreduced int fraction, and the identity at each power
-of ``x`` is one int cross-multiplication.  Weights, roots and every
+a solution are scaled by the lcm of their denominators, the identity at
+each power of ``x`` is one int step identity with the previous series
+coefficient cancelled, and the degree of that identity in the power
+bounds how many powers are checked.  Weights, roots and every
 returned value stay ``Fraction``.
 """
 
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import prod
 from typing import Sequence
 
@@ -236,38 +238,49 @@ def annihilation_check(op: DeltaOperator, w: HGWeights, order: int = 30) -> bool
     ``C sigma^l = x``, ``-prod(l(e+k) + c_R)`` one power higher; the image
     vanishes iff ``f_k prod(l(e+k)+c_L) = f_{k-1} prod(l(e+k-1)+c_R)`` for all
     k, with ``f_{-1} = 0`` (so at k = 0 the test is ``prod(l e + c_L) = 0``).
-    Checked exactly through ``x^{e+order}`` for each solution in turn;
-    ``order`` is an int >= 0, and anything else raises :class:`DomainError`,
-    so no call certifies without checking an identity.
+    The verdict is that of checking these identities exactly through
+    ``x^{e+order}`` for each solution in turn; ``order`` is an int >= 0, and
+    anything else raises :class:`DomainError`, so no call certifies without
+    checking an identity.
 
     Every parameter of a solution -- ``l e``, the roots and the series
     parameters -- is scaled by the lcm D of their denominators, so the test
-    runs on ints: both products gain the same factor ``D^n``, n the order
-    of ``op``; ``f_k`` is carried as an unreduced pair ``num / den`` built
-    from the Pochhammer step ``prod(A + kD) / (prod(C + kD) (1 + k) D)``;
-    and each identity is one cross-multiplication.  ``den`` never vanishes,
-    since no lower parameter is a nonpositive integer (see
-    :func:`_series_ratios`).
+    runs on ints.  With U(k) and Low(k) the products of the upper and lower
+    parameters plus ``kD``, and L(k) and R(k) those of ``l(e+k) + c`` over
+    the left and right roots, the Pochhammer step is ``f_k / f_{k-1} =
+    U(k-1) / (k D Low(k-1))``, and Low never vanishes (no lower parameter is
+    a nonpositive integer, see :func:`_series_ratios`).  So while
+    ``f_{k-1} != 0`` the identity at k >= 1 is
+
+        P(k) = U(k-1) L(k) - k D Low(k-1) R(k-1) = 0,
+
+    with ``f_{k-1}`` cancelled, so no int grows with k.  P is a polynomial
+    in k of degree at most delta = n + max(#upper, 1 + #lower), n the order
+    of ``op``; zeros at k = 1..delta + 1 make it vanish, so only
+    ``min(order, delta + 1)`` steps are checked.  Where U(k-1) = 0 the
+    series terminates: f_k = 0, the identity at k reads R(k-1) = 0, which is
+    P(k) = 0, and every later one reads 0 = 0.
     """
     if type(order) is not int or order < 0:
         raise DomainError(f"annihilation order {order!r} is not an int >= 0")
     l = op.step
     for exponent, upper, lower in _series_ratios(w):
         groups = ((l * exponent,), op.left_roots, op.right_roots, upper, lower)
-        d = scaled_ints([c for group in groups for c in group])[1]
-        (e,), left, right, up, low = (scaled_ints(group, d)[0] for group in groups)
+        ints, d = scaled_ints([c for group in groups for c in group])
+        cells = iter(ints)
+        (e,), left, right, up, low = (tuple(islice(cells, len(group))) for group in groups)
+        if prod(e + c for c in left):
+            return False
         shift = l * d
-        prev_num, prev_den, num, den = 0, 1, 1, 1
-        for k in range(order + 1):
-            th = e + k * shift
-            lhs = num * prev_den * prod(th + c for c in left)
-            rhs = prev_num * den * prod(th - shift + c for c in right)
-            if lhs != rhs:
+        delta = op.order + max(len(up), 1 + len(low))
+        for k in range(1, min(order, delta + 1) + 1):
+            before, th = (k - 1) * d, e + k * shift
+            step = prod(a + before for a in up)
+            rhs = k * d * prod(c + before for c in low) * prod(th - shift + c for c in right)
+            if step * prod(th + c for c in left) != rhs:
                 return False
-            kd = k * d
-            prev_num, prev_den = num, den
-            num *= prod(a + kd for a in up)
-            den *= (k + 1) * d * prod(c + kd for c in low)
+            if not step:
+                break
     return True
 
 

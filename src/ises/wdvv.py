@@ -31,20 +31,35 @@ Each pair sum is a sum over the Leibniz splits of the extra slots of
 
     sum_{d1 + d2 = d} sum_{k,l} <head, k>_{d1} eta^{kl} <l, tail>_{d2}
 
-with head = left pair + left extras and tail = right pair + right extras,
-taken as the sparse dot product of two supports.  The support of a
-multiset m lists the (k, d1) whose key <m, k>_{d1} is nonzero or unknown
-when a scan (one :func:`check_residuals` or :func:`propagate` call, with
-all of its passes) starts; a tail support is indexed by the k that eta
-pairs with its l.
-A scan looks a support up by (half, part), the sorted pair of a pairing
-and the extra slots that a Leibniz split sends to it, so a split costs
-one dict read; only the first read of a (half, part) sorts the multiset,
-and each distinct multiset has its support built once.  The scan never
-invalidates a support: no key is added during a scan, :func:`propagate`
-only solves declared unknowns and known values never change, so the live
-keys only shrink and a support stays a superset of them.  Values are read
-as they are used.
+with head = left pair + left extras and tail = right pair + right extras.
+A scan (one :func:`check_residuals` or :func:`propagate` call, with all
+of its passes) reads every pair sum from one sparse join of the keys that
+are nonzero or unknown when it starts, the live keys.  Each live key is
+cut at each of its distinct insertions k into a two-label half and the
+extras left over.  The cuts at k are joined with the cuts at every dual l
+of k (eta^{kl} != 0), bucketed by extra size and degree, so that only
+cuts whose extras fit in the scan's extra slots together and whose
+degrees sum to one of the scan's degrees meet.  The product of the cuts
+(H1, E1) of <a> at k and (H2, E2) of <b> at l is the term <a> <b> of
+S(H1 | H2) with extra E = E1 + E2 at degree d1 + d2.  Its coefficient is
+eta^{kl} times the number of Leibniz slot assignments that send E1 left,
+the product over labels x of binomial(x's count in E, x's count in E1),
+so repeated labels acquire the right multiplicities.  The products of a
+pair sum form its product list, kept as one flat tuple ``(key_a, key_b,
+c, ...)`` under (left half, right half, extra, degree).
+
+Every term of S(L|R) is a term of S(R|L) read backwards, eta being
+symmetric, so S(L|R) = S(R|L) and only the lists with left half <= right
+half are kept.  When the halves are equal, the join meets each product
+twice, once as its mirror (b at l | a at k); it is listed once with its
+coefficient doubled, or once as it is when it is its own mirror.  A pair
+sum is then one dict read and one loop over its list, and a missing list
+is the sum 0 with no term.  The lists are never rebuilt during a scan: no
+key is added during a scan, :func:`propagate` only solves declared
+unknowns and known values never change, so the live keys only shrink and
+every list stays a superset of the products that can be nonzero.  Values
+are read as they are used: a product of two unknowns makes a sum
+quadratic, and a key solved to 0 adds nothing.
 
 The instances of a scan come in relation groups (pairings, extra,
 degree): the first pairing against each of the others.  One pass of the
@@ -57,24 +72,16 @@ pass also sets each key that one instance fixes alone, which makes the
 first sum be evaluated again (it may read that key, or be over an older
 D), and returns the groups of the instances still open.
 
-A support is routed by the degree budget.  A table scales its gradings
-once by L, the lcm of their denominators, to int weights, and groups
-the inverse-pairing rows (k, duals) by the weight of k.  The key
-<m_1, ..., m_j, k> meets the budget only when
-weight(k) = (j - 1) L - sum weight(m), so only the rows of that one group
-are visited.  This is exact: a key off the budget is never set to a
-nonzero value nor declared unknown, so it reads as zero and could not
-contribute.
-
 :func:`propagate` runs solving passes until one solves nothing, each
 after the first over the instances still open; :func:`check_residuals` is
 one pass that solves nothing and collects no open group.  Solved values
 are unique when the system is consistent, so the outcome is independent
 of the instance-selection order.  The passes run on basis positions, and
 so does the ``admissible(pair, extra)`` filter.  The extras are routed
-by the degree budget as the pair sums are: a scan groups the extra
-multisets once by the quad weight they complete, and each quad visits
-only its group.
+by the degree budget: a table scales its gradings once by L, the lcm of
+their denominators, to int weights, a scan groups the extra multisets
+once by the quad weight they complete, and each quad visits only its
+group.
 
 The scans run on ints.  A table holds its known values as int numerators
 over one table denominator D, the lcm of their denominators, and its
@@ -99,8 +106,8 @@ import copy
 import math
 import random
 from fractions import Fraction
-from functools import cache, partial
-from itertools import combinations_with_replacement
+from functools import cache
+from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Mapping, Sequence
 
 from .numcore import DomainError, NoSolution, inverse, rat, scaled_ints
@@ -197,7 +204,7 @@ class CorrelatorTable:
             shown = ", ".join(str(Fraction(c, self._scale)) for c in sorted(sums))
             raise MissingPairing(f"pairing is not degree-homogeneous: dual grading sums {shown}")
         (self._pair_weight,) = sums  # c L, the weight of every dual pair
-        self._dual_groups = self._group_duals(eta)
+        self._eta = eta
         self._values: dict = {}  # key -> int numerator over self._den
         self._den = 1
         self._unknown: set = set()
@@ -229,14 +236,6 @@ class CorrelatorTable:
         scaled, den = scaled_ints([v for row in rows for v in row if v])
         cells = iter(scaled)
         return tuple(tuple((j, next(cells)) for j, v in enumerate(row) if v) for row in rows), den
-
-    def _group_duals(self, eta: tuple) -> dict:
-        """The nonzero rows (k, duals) of eta grouped by the weight of k."""
-        groups: dict = {}
-        for k, duals in enumerate(eta):
-            if duals:
-                groups.setdefault(self._weight[k], []).append((k, duals))
-        return {weight: tuple(rows) for weight, rows in groups.items()}
 
     # -- keys ----------------------------------------------------------
 
@@ -358,120 +357,111 @@ class CorrelatorTable:
 
 
 @cache
-def _leibniz_splits(extra: tuple[int, ...]) -> tuple:
-    """Every way to send each extra slot to the left or the right factor."""
-    return tuple(
-        (
-            tuple(x for i, x in enumerate(extra) if mask >> i & 1),
-            tuple(x for i, x in enumerate(extra) if not mask >> i & 1),
-        )
-        for mask in range(1 << len(extra))
-    )
+def _joined(left: tuple[int, ...], right: tuple[int, ...]) -> tuple:
+    """The extra left + right in sorted order, and the number of ways to
+    send its slots to the two factors so that ``left`` goes to the left."""
+    extra = tuple(sorted(left + right))
+    return extra, math.prod(math.comb(extra.count(x), left.count(x)) for x in set(left))
 
 
-class _Supports(dict):
-    """Supports of one kind by (half, part); a missing key sorts half + part
-    once and reads the support of that multiset, built once per multiset."""
+class _ScanMemo(dict):
+    """The product lists of one scan, by (left half, right half, extra, degree).
 
-    __slots__ = ("build",)
-
-    def __init__(self, build):
-        self.build = cache(build)
-
-    def __missing__(self, key):
-        return self.setdefault(key, self.build(tuple(sorted(key[0] + key[1]))))
-
-
-class _ScanMemo:
-    """The supports of one scan.
-
-    ``heads[half, part]`` and ``tails[half, part]`` are the supports of the
-    multiset half + part (module docstring), each built once from the keys
-    that are nonzero or unknown when the memo is made.  The builders hold
-    the table, not the memo, so a memo is freed as soon as its scan ends.
+    Each list is a flat tuple ``(key_a, key_b, c, ...)``, one entry per
+    product of the join (module docstring), built once from the keys that
+    are nonzero or unknown when the memo is made, with c on ints over E.
+    Only halves left <= right are stored, and each product in one
+    orientation.  A tuple grown by concatenation is exact in size, and the
+    cuts share one tuple per half and per extra, so the memo holds little
+    besides its keys and products.
     """
 
-    __slots__ = ("heads", "tails")
+    __slots__ = ()
 
-    def __init__(self, table: CorrelatorTable):
-        live: dict = {}  # insertions -> (degree, key) of its live keys
+    def __init__(self, table: CorrelatorTable, extra_slots: int, degrees):
+        super().__init__()
+        degrees = set(degrees) if table.graded else {0}
+        basis = range(len(table.labels))
+        halves = [[(i, j) for j in basis] for i in basis]
+        extras: dict = {}
+        cuts: dict = {}  # k -> (extra size, degree) -> [(half, extra, key)]
         for key in (*(k for k, v in table._values.items() if v), *table._unknown):
-            live.setdefault(key[0], []).append((key[1], key))
-        self.heads = _Supports(partial(_head_support, table, live))
-        self.tails = _Supports(partial(_tail_support, table, live))
-
-
-def _support(table: CorrelatorTable, live: dict, insertions: tuple[int, ...]) -> list:
-    """(k, duals, degree, key) of each live key <insertions, k>_degree.
-
-    Only the inverse-pairing rows (k, duals) with weight(k) = (m - 1) L -
-    sum weight(insertions) are visited, m being the length of insertions;
-    any other k puts the key off the degree budget, where it reads as zero.
-    """
-    weight = table._weight
-    route = (len(insertions) - 1) * table._scale - sum(weight[i] for i in insertions)
-    return [
-        (k, duals, degree, key)
-        for k, duals in table._dual_groups.get(route, ())
-        for degree, key in live.get(tuple(sorted(insertions + (k,))), ())
-    ]
-
-
-def _head_support(table: CorrelatorTable, live: dict, head: tuple[int, ...]) -> list:
-    """The (k, degree, key) of the live keys <head, k>."""
-    return [(k, d, key) for k, _, d, key in _support(table, live, head)]
-
-
-def _tail_support(table: CorrelatorTable, live: dict, tail: tuple[int, ...]) -> dict:
-    """(k, degree) -> the (key, eta^{kl}) of the live keys <l, tail>."""
-    rows: dict = {}
-    for _, duals, d, key in _support(table, live, tail):
-        for k, eta in duals:
-            rows.setdefault((k, d), []).append((key, eta))
-    return rows
+            ins, degree = key
+            if len(ins) > 3 + extra_slots:
+                continue
+            # one cut per distinct k and half: each taken at the first of
+            # its equal labels in the sorted insertions
+            for i, k in enumerate(ins):
+                if i and ins[i - 1] == k:
+                    continue
+                rest = ins[:i] + ins[i + 1 :]
+                bucket = cuts.setdefault(k, {}).setdefault((len(rest) - 2, degree), [])
+                for j, h in combinations(range(len(rest)), 2):
+                    if (j and rest[j - 1] == rest[j]) or (h > j + 1 and rest[h - 1] == rest[h]):
+                        continue
+                    extra = rest[:j] + rest[j + 1 : h] + rest[h + 1 :]
+                    bucket.append((halves[rest[j]][rest[h]], extras.setdefault(extra, extra), key))
+        for buckets in cuts.values():
+            for bucket in buckets.values():
+                bucket.sort(reverse=True)  # so a right half below the left one ends the row
+        for k, duals in enumerate(table._eta):
+            for l, eta in duals:
+                for (n, d1), lefts in cuts.get(k, {}).items():
+                    for (m, d2), rights in cuts.get(l, {}).items():
+                        if n + m > extra_slots or d1 + d2 not in degrees:
+                            continue
+                        for left, left_extra, a in lefts:
+                            for right, right_extra, b in rights:
+                                if right < left:
+                                    break
+                                c = eta
+                                if right == left:
+                                    # (b at l | a at k) is this product mirrored
+                                    this, mirror = (k, left_extra, a), (l, right_extra, b)
+                                    if this > mirror:
+                                        continue
+                                    if this < mirror:
+                                        c *= 2
+                                if left_extra and right_extra:
+                                    extra, count = _joined(left_extra, right_extra)
+                                    c *= count
+                                else:  # every slot on one side: one assignment
+                                    extra = left_extra or right_extra
+                                sums = (left, right, extra, d1 + d2)
+                                self[sums] = self.get(sums, ()) + (a, b, c)
 
 
 def _pair_sum(table: CorrelatorTable, pair, extra, degree, memo: _ScanMemo):
     """S(left | right) = sum over the Leibniz splits E of the extra slots of
     sum_{d1 + d2 = degree} sum_{k,l} <left + E, k>_{d1} eta^{kl} <l, right + extra - E>_{d2}.
 
-    E runs per slot, so repeated labels acquire the right multiplicities.
-    The terms are the sparse dot products of the supports in ``memo``, with
-    values read as they are used.  Returns ``(constant, terms)`` on ints,
-    the constant over D^2 E and each coefficient over D E (module
-    docstring), or None when some term is a product of two unknowns.
+    One loop over the product list of ``memo``, with values read as they
+    are used; S(L|R) = S(R|L), so the list is read under the halves in
+    order.  Returns ``(constant, terms)`` on ints, the constant over D^2 E
+    and each coefficient over D E (module docstring), or None when some
+    term is a product of two unknowns.
     """
-    left_pair, right_pair = pair
+    left, right = pair
+    products = memo.get((left, right, extra, degree) if left <= right else (right, left, extra, degree))
+    if products is None:
+        return 0, {}
     values, unknown = table._values, table._unknown
-    heads, tails = memo.heads, memo.tails
     constant = 0
     terms: dict = {}
-    for left_extra, right_extra in _leibniz_splits(extra):
-        head = heads[left_pair, left_extra]
-        if not head:
-            continue
-        tail = tails[right_pair, right_extra]
-        for k, d1, left_key in head:
-            rights = tail.get((k, degree - d1))
-            if rights is None:
-                continue
-            left = None if left_key in unknown else values[left_key]
-            if left == 0:
-                continue
-            acc = 0
-            for right_key, eta in rights:
-                if right_key in unknown:
-                    if left is None:
-                        return None
-                    terms[right_key] = terms.get(right_key, 0) + left * eta
-                else:
-                    acc += eta * values[right_key]
-            if not acc:
-                continue
-            if left is None:
-                terms[left_key] = terms.get(left_key, 0) + acc
-            else:
-                constant += left * acc
+    entries = iter(products)
+    for a, b, c in zip(entries, entries, entries):
+        if a in unknown:
+            if b in unknown:
+                return None
+            v = values[b]
+            if v:
+                terms[a] = terms.get(a, 0) + c * v
+        elif b in unknown:
+            v = values[a]
+            if v:
+                terms[b] = terms.get(b, 0) + c * v
+        else:
+            constant += c * values[a] * values[b]
     return constant, terms
 
 
@@ -667,9 +657,9 @@ def propagate(
     first pairing of a group stays first, so the instances are the same.
     The order must not change the outcome.
 
-    All passes share one set of supports.  The residuals are ints over the
-    table's denominators (module docstring), and each solved key costs one
-    ``Fraction``.
+    All passes read the product lists of one join.  The residuals are ints
+    over the table's denominators (module docstring), and each solved key
+    costs one ``Fraction``.
 
     ``admissible(pair, extra)`` filters instances: when the table's labels
     span only part of a larger state space, only pairings whose forced
@@ -688,7 +678,7 @@ def propagate(
         rng = random.Random(shuffle_seed)
         pending = [([h, *rng.sample(o, len(o))], e, d) for (h, *o), e, d in pending]
         rng.shuffle(pending)
-    memo = _ScanMemo(work)
+    memo = _ScanMemo(work, extra_slots, degrees)
     while work._unknown:
         # known values never change, so a constant or solved residual stays
         # settled and only the still-open instances are scanned again
@@ -716,14 +706,14 @@ def check_residuals(
     whose two pair sums carry the same unknown terms is fully known and
     counted.  ``admissible`` receives
     basis positions and filters pairings as in :func:`propagate`.  The pass
-    builds each support once and evaluates each pairing's pair sum once per
+    joins the live keys once and evaluates each pairing's pair sum once per
     relation group; a group whose first sum is quadratic is skipped whole.
     The table is not changed.
     """
     _check_arguments(table, extra_slots, degrees)
     _require_keys(table, extra_slots)
     groups = _groups(table, extra_slots, degrees, admissible)
-    return _scan(table, groups, _ScanMemo(table), solve=False)[0]
+    return _scan(table, groups, _ScanMemo(table, extra_slots, degrees), solve=False)[0]
 
 
 # ---------------------------------------------------------------------------

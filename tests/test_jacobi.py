@@ -783,6 +783,22 @@ def test_every_catalog_decomposition_system_solves_like_the_dense_reference(
             assert (tuple(x), den) == scaled_ints(want)
 
 
+def test_no_flat_correction_names_its_own_label():
+    # c_{r,r}(0) = 0 by the group character (flat_first_order): X^m is never
+    # invariant under the diagonal symmetries of W, as E^-T m is not integral
+    flats = 0
+    for name, m in ALL_PAIRS:
+        entry = get_entry(CATALOG, name)
+        assert any(x.denominator != 1 for x in entry.polynomial.solve_transposed(m)), (name, m)
+        alg = algebra(name, m)
+        alg.fourpoint_table()
+        for label, flat in alg._flats.items():
+            assert label not in [b for b, _ in flat.corrections], (name, m, label)
+            flats += 1
+    assert len(ALL_PAIRS) == 25
+    assert flats == FLAT_LABELS
+
+
 def test_four_point_tables_build_no_sigma_layered_decomposition(monkeypatch):
     # The flats read the sigma^0 layer only, so every ansatz that the tables
     # of all 25 pairs build has sigma-degree 0 and rows cut below sigma^1,

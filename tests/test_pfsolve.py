@@ -4,6 +4,7 @@ import json
 import re
 from collections import Counter
 from fractions import Fraction as F
+from functools import cache
 from itertools import product
 from math import prod
 
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+import ises.pfsolve
 from ises.isespoly import (
     NVARS,
     CatalogEntry,
@@ -26,6 +28,7 @@ from ises.pfsolve import (
     HGWeights,
     NotSecondOrder,
     ResonantBasis,
+    _series_ratios,
     annihilation_check,
     build_gkz,
     reduce_left_divisors,
@@ -546,6 +549,96 @@ def test_annihilation_check_matches_the_fraction_form_on_the_catalog():
                 verdicts.add((got, order))
     # every order both certifies and rejects
     assert {(v, order) for v in (True, False) for order in (0, 1, 5, 12, 30)} <= verdicts
+
+
+def full_loop_annihilation_check(op, w, order=30):
+    """The int loop that :func:`annihilation_check` replaced: every identity
+    through ``x^{e+order}`` checked by cross-multiplication, with f_k
+    carried as an unreduced int pair ``num / den``."""
+    if type(order) is not int or order < 0:
+        raise DomainError(f"annihilation order {order!r} is not an int >= 0")
+    l = op.step
+    for exponent, upper, lower in _series_ratios(w):
+        groups = ((l * exponent,), op.left_roots, op.right_roots, upper, lower)
+        d = scaled_ints([c for group in groups for c in group])[1]
+        (e,), left, right, up, low = (scaled_ints(group, d)[0] for group in groups)
+        shift = l * d
+        prev_num, prev_den, num, den = 0, 1, 1, 1
+        for k in range(order + 1):
+            th = e + k * shift
+            lhs = num * prev_den * prod(th + c for c in left)
+            rhs = prev_num * den * prod(th - shift + c for c in right)
+            if lhs != rhs:
+                return False
+            kd = k * d
+            prev_num, prev_den = num, den
+            num *= prod(a + kd for a in up)
+            den *= (k + 1) * d * prod(c + kd for c in low)
+    return True
+
+
+def full_loop_verdicts(op, w, top):
+    """The verdicts of ``full_loop_annihilation_check`` at the orders 0..top.
+
+    The loop checks the identities through x^{e+order}, so its verdicts are
+    True up to the first order whose identity fails and False from there
+    on; that order is found by bisection, so not every order is run."""
+    passed, failed = -1, top + 1  # the loop passes at ``passed``, fails at ``failed``
+    while failed - passed > 1:
+        middle = (passed + failed) // 2
+        verdict = check_outcome(full_loop_annihilation_check, op, w, middle)
+        if verdict is not True and verdict is not False:
+            return [verdict] * (top + 1)  # raised before any identity
+        passed, failed = (middle, failed) if verdict else (passed, middle)
+    return [order < failed for order in range(top + 1)]
+
+
+# distinct (operator, weights) cases, and their verdicts over the 46 orders
+# (certified, rejected, resonant)
+FULL_LOOP_CASES = (2529, 26364, 83714, 6256)
+
+
+def test_annihilation_check_matches_the_full_loop_on_every_row(monkeypatch):
+    # every weight row of the 25 pairs x r in {0..5}^3 (the weights of
+    # weight_report, before its check) and its mutants, at every order 0..45
+    cases = set()
+    for e in CATALOG:
+        for marg in e.marginals:
+            for r in product(range(6), repeat=3):
+                op = build_gkz(e, marg.m, r)
+                try:
+                    w = to_hg_weights(reduce_left_divisors(op), e.polynomial.weighted_degree(r))
+                except DomainError:
+                    continue
+                cases.update((op, v) for v in mutants(w))
+    assert sum(len(e.marginals) for e in CATALOG) == 25
+    # the series of one set of weights are the same at every order
+    monkeypatch.setattr(ises.pfsolve, "_series_ratios", cache(_series_ratios))
+    verdicts, terminating = Counter(), Counter()
+    for op, w in cases:
+        got = [check_outcome(annihilation_check, op, w, order) for order in range(46)]
+        assert got == full_loop_verdicts(op, w, 45), (op, w)
+        verdicts.update(got)
+        if got[0] is not ResonantBasis:
+            upper = [a for _, up, _ in _series_ratios(w) for a in up]
+            if any(a.denominator == 1 and a <= 0 for a in upper):
+                terminating[got[-1]] += 1
+    assert (len(cases), verdicts[True], verdicts[False], verdicts[ResonantBasis]) == FULL_LOOP_CASES
+    # series that terminate, so that the check stops at their last term, are
+    # both certified and rejected
+    assert terminating[True] and terminating[False]
+
+
+def test_a_terminating_series_stops_the_check_at_its_last_term():
+    # x^0 (1 - x)^0 = 1 is killed by (delta)(delta + 5) - x (delta)(delta + 7):
+    # f_1 = 0, so only k = 0 and k = 1 are identities; the step identity at
+    # k = 2, read as if the series went on, would not hold
+    w = HGWeights.of_first_order(F(0))
+    killed = DeltaOperator((F(0), F(5)), (F(0), F(7)), 1)
+    missed = DeltaOperator((F(0), F(5)), (F(1), F(7)), 1)
+    for op, verdicts in ((killed, [True] * 46), (missed, [True] + [False] * 45)):
+        assert full_loop_verdicts(op, w, 45) == verdicts
+        assert [annihilation_check(op, w, order) for order in range(46)] == verdicts
 
 
 def test_annihilation_check_matches_the_fraction_form_on_resonant_weights():

@@ -2,6 +2,7 @@
 
 import random
 import re
+from collections import Counter
 from fractions import Fraction as F
 from functools import cache
 from itertools import combinations_with_replacement
@@ -428,12 +429,10 @@ def test_propagate_ignores_shuffle_seed(monkeypatch):
         assert shuffled.unknown_keys == reference.unknown_keys
 
 
-def residual(table, instance, memo=None):
+def residual(table, instance, memo):
     """The int kernel's residual of one instance, as a scan forms it from
-    the first pairing's sum: in a scan of its own unless ``memo`` is given."""
+    the first pairing's sum, over the product lists ``memo`` of that scan."""
     pair1, pair2, extra, degree = instance
-    if memo is None:
-        memo = ises.wdvv._ScanMemo(table)
     first = ises.wdvv._pair_sum(table, pair1, extra, degree, memo)
     if first is None:
         return None
@@ -458,13 +457,14 @@ def rescanning_propagate(table, degrees):
     of passes."""
     work = table.copy()
     instances = list(scan_instances(work, 1, degrees, None))
+    memo = ises.wdvv._ScanMemo(work, 1, degrees)
     passes = 0
     progress = True
     while progress and work._unknown:
         progress = False
         passes += 1
         for instance in instances:
-            form = exact(work, residual(work, instance))
+            form = exact(work, residual(work, instance, memo))
             if form is not None and len(form[1]) == 1:
                 constant, terms = form
                 (key, coeff), = terms.items()
@@ -531,13 +531,26 @@ class FractionTable:
         self.eta = reference_eta(table)
 
 
+def leibniz_splits(extra):
+    """Every way to send each extra slot to the left or the right factor, as
+    (left extras, right extras): 2^n splits for n slots, a repeated label
+    giving the same split more than once."""
+    return [
+        (
+            tuple(x for i, x in enumerate(extra) if mask >> i & 1),
+            tuple(x for i, x in enumerate(extra) if not mask >> i & 1),
+        )
+        for mask in range(1 << len(extra))
+    ]
+
+
 def reference_pair_sum(ref, left_pair, right_pair, extra, degree):
     """The pair sum over every k of the inverse pairing, with the Leibniz
     and degree splits computed per call; (constant, terms), or None when
     quadratic."""
     eta, values, unknown = ref.eta, ref.values, ref.unknown
     splits = [(d1, degree - d1) for d1 in range(degree + 1)]
-    leibniz = ises.wdvv._leibniz_splits(extra)
+    leibniz = leibniz_splits(extra)
     constant = F(0)
     terms = {}
     for k, duals in enumerate(eta):
@@ -593,11 +606,12 @@ def assert_routed_residuals(table, degrees, admissible=None, instances=None):
     equals the reference; returns how many were quadratic, nonzero
     constants and linear in unknowns."""
     ref = FractionTable(table)
+    memo = ises.wdvv._ScanMemo(table, 1, degrees)
     shapes = {"quadratic": 0, "constant": 0, "linear": 0}
     if instances is None:
         instances = scan_instances(table, 1, degrees, admissible)
     for instance in instances:
-        form = exact(table, residual(table, instance))
+        form = exact(table, residual(table, instance, memo))
         expected = reference_residual(ref, *instance)
         if expected is None:
             assert form is None, instance
@@ -619,7 +633,7 @@ def test_routed_residuals_on_the_seeded_gw_tables(gw_seeded):
 
 def test_routed_residuals_on_the_solved_gw_tables(gw_solved):
     seeded, solved = gw_solved
-    assert solved._dual_groups is seeded._dual_groups
+    assert solved._eta is seeded._eta
     assert assert_routed_residuals(solved, range(2))["linear"]
 
 
@@ -636,7 +650,7 @@ def test_routed_residuals_without_the_node_filter():
     # e7-chain322's narrow table keeps 4 unknowns
     table = fjrw_theory("e7-chain322").correlator_table()
     assert len(table.unknown_keys) == 4
-    assert table.copy()._dual_groups is table._dual_groups
+    assert table.copy()._eta is table._eta
     shapes = assert_routed_residuals(table, (0,))
     assert shapes == {"quadratic": 0, "constant": 0, "linear": 10}
     # the scan takes each relation once; the full scan, repeats included,
@@ -831,7 +845,7 @@ def test_a_second_scan_adds_no_node_data(name):
 
 
 # ---------------------------------------------------------------------------
-# the supports of a scan
+# the product lists of a scan
 # ---------------------------------------------------------------------------
 
 
@@ -883,12 +897,9 @@ def test_the_scan_drops_no_relation_of_the_full_scan():
         assert repeats, name
 
 
-@pytest.mark.parametrize(
-    "orders, instances", zip(ORBIFOLDS, (858, 1170, 1318)), ids=str
-)
-def test_every_scanned_instance_is_nonzero_on_a_random_table(orders, instances):
-    # every budget key of 3 to 5 insertions at degrees 0 and 1 gets a random
-    # positive value, so no relation of the scan holds by accident
+def random_gw_table(orders):
+    """P^1_orders with every budget key of 3 to 5 insertions at degrees 0
+    and 1 set to a random positive value, so no relation holds by accident."""
     labels, degrees = elliptic_orbifold_basis(orders)
     seed = gw_seed_table(orders)
     pairing = {(a, b): seed.pairing(a, b) for a in labels for b in labels}
@@ -900,10 +911,19 @@ def test_every_scanned_instance_is_nonzero_on_a_random_table(orders, instances):
                 for d in range(2):
                     value = F(rng.randint(1, 1000), rng.randint(1, 1000))
                     table.set(insertions, value, degree=d)
+    return table
+
+
+@pytest.mark.parametrize(
+    "orders, instances", zip(ORBIFOLDS, (858, 1170, 1318)), ids=str
+)
+def test_every_scanned_instance_is_nonzero_on_a_random_table(orders, instances):
+    table = random_gw_table(orders)
     scanned = list(scan_instances(table, 1, range(2), None))
     assert len(scanned) == instances
+    memo = ises.wdvv._ScanMemo(table, 1, range(2))
     for instance in scanned:
-        form = residual(table, instance)
+        form = residual(table, instance, memo)
         assert form is not None and form[0] and not form[1], instance
 
 
@@ -914,11 +934,12 @@ def test_relations_behind_an_inadmissible_first_pairing_are_scanned():
     for name in FJRW_NAMES:
         theory = fjrw_theory(name)
         table = theory.correlator_table()
+        memo = ises.wdvv._ScanMemo(table, 1, (0,))
         for instance in scan_instances(table, 1, (0,), theory.narrow_nodes):
             (a, b, c, d), extra, _ = group(instance)
             if instance[0] != ((a, b), (c, d)):
                 assert not theory.narrow_nodes(((a, b), (c, d)), extra)
-                assert residual(table, instance) == (0, {}), (name, instance)
+                assert residual(table, instance, memo) == (0, {}), (name, instance)
                 anchored[name] = anchored.get(name, 0) + 1
     assert anchored == {
         "e7-chain34": 11,
@@ -939,7 +960,7 @@ def normal(pair_sum):
 
 def test_pair_sums_are_symmetric_and_check_residuals_counts_the_known_zeros():
     for name, table, degrees, admissible in scan_tables():
-        memo = ises.wdvv._ScanMemo(table)
+        memo = ises.wdvv._ScanMemo(table, 1, degrees)
         ref = FractionTable(table)
         instances = list(scan_instances(table, 1, degrees, admissible))
         swapped = 0
@@ -958,74 +979,129 @@ def test_pair_sums_are_symmetric_and_check_residuals_counts_the_known_zeros():
         assert checked == known_zeros, name
 
 
-def scan_splits(table):
-    """The (head, tail) of every Leibniz split of both pairings of every
-    instance of the scan of a GW table at D = 1, with repeats."""
-    for pair1, pair2, extra, _ in scan_instances(table, 1, range(2), None):
-        for left_pair, right_pair in (pair1, pair2):
-            for left_extra, right_extra in ises.wdvv._leibniz_splits(extra):
-                head = tuple(sorted(left_pair + left_extra))
-                yield head, tuple(sorted(right_pair + right_extra))
+def memo_key(pair, extra, degree):
+    """The key of a pair sum's product list: the halves in order."""
+    left, right = sorted(pair)
+    return left, right, extra, degree
 
 
-# the head supports and tail supports that the check_residuals scan of each
-# closed GW table at D = 1 builds: one for each distinct head, and one for each
-# distinct tail that meets a nonempty head support, against the 3,364, 4,588
-# and 5,180 Leibniz splits that the scan evaluates
-SUPPORTS = {(3, 3, 3): (91, 114), (4, 4, 2): (132, 148), (6, 3, 2): (160, 186)}
+def listed(table, memo, key):
+    """The products of one list of ``memo`` as a Counter of (the two keys in
+    order, coefficient as a rational)."""
+    flat = memo.get(key, [])
+    return Counter(
+        (tuple(sorted(flat[i : i + 2])), F(flat[i + 2], table._eta_den))
+        for i in range(0, len(flat), 3)
+    )
+
+
+def reference_products(ref, key):
+    """The products of the pair sum S(left | right) on the live keys, as
+    ``listed`` gives them: each term <left + E1, k> eta^{kl} <l, right + E2>
+    of ``reference_pair_sum`` whose keys are both live, the terms of one pair
+    of cuts (k, E1) and (l, E2) summed, over the Leibniz splits that send the
+    same extras left and, when the halves are equal, over the two
+    orientations."""
+    left, right, extra, degree = key
+    live = {k for k, v in ref.values.items() if v} | ref.unknown
+    products: dict = {}
+    for k, duals in enumerate(ref.eta):
+        for left_extra, right_extra in leibniz_splits(extra):
+            for d1 in range(degree + 1):
+                a = (tuple(sorted(left + (k,) + left_extra)), d1)
+                if a not in live:
+                    continue
+                for l, eta in duals:
+                    b = (tuple(sorted(right + (l,) + right_extra)), degree - d1)
+                    if b in live:
+                        cuts = frozenset(
+                            {(a, k, tuple(sorted(left_extra))), (b, l, tuple(sorted(right_extra)))}
+                        )
+                        keys = tuple(sorted((a, b)))
+                        products[cuts, keys] = products.get((cuts, keys), 0) + eta
+    return Counter((keys, c) for (_, keys), c in products.items())
+
+
+# the lists and the products of the join that the check_residuals scan of each
+# closed GW table at D = 1 builds, the scan's set-up work as counts
+JOIN = {(3, 3, 3): (317, 378), (4, 4, 2): (507, 628), (6, 3, 2): (757, 1022)}
 
 
 @pytest.mark.parametrize("orders", ORBIFOLDS, ids=str)
-def test_check_residuals_builds_each_support_once(orders, monkeypatch):
+def test_check_residuals_joins_each_product_once(orders, monkeypatch):
     _, solved = gw_closed(orders)
-    splits = list(scan_splits(solved))
-    built = {"head": [], "tail": []}
-    for kind in built:
-        original = getattr(ises.wdvv, f"_{kind}_support")
+    memos = []
+    memo_class = ises.wdvv._ScanMemo
 
-        def counted(table, live, insertions, kind=kind, original=original):
-            built[kind].append(insertions)
-            return original(table, live, insertions)
+    def built(*args):
+        memos.append(memo_class(*args))
+        return memos[-1]
 
-        monkeypatch.setattr(ises.wdvv, f"_{kind}_support", counted)
+    monkeypatch.setattr(ises.wdvv, "_ScanMemo", built)
     assert check_residuals(solved, degrees=range(2)) > 0
-    heads, tails = built["head"], built["tail"]
-    assert len(heads) == len(set(heads)) and len(tails) == len(set(tails))
-    assert set(heads) == {head for head, _ in splits}
-    assert set(tails) <= {tail for _, tail in splits}
-    assert (len(heads), len(tails)) == SUPPORTS[orders]
-    assert max(SUPPORTS[orders]) < len(splits)
-
-
-def supports(table, insertions):
-    """The head and the tail support of a multiset, as sets."""
-    memo = ises.wdvv._ScanMemo(table)
-    head = set(memo.heads[insertions, ()])
-    tail = {
-        (k, d, key, eta)
-        for (k, d), rows in memo.tails[insertions, ()].items()
-        for key, eta in rows
+    (memo,) = memos
+    assert (len(memo), sum(len(flat) // 3 for flat in memo.values())) == JOIN[orders]
+    assert all(left <= right for left, right, _, _ in memo)
+    # each list holds every product of the reference once, in one orientation
+    ref = FractionTable(solved)
+    keys = {
+        memo_key(pair, extra, degree)
+        for instance in scan_instances(solved, 1, range(2), None)
+        for pair, extra, degree in ((instance[0], *instance[2:]), instance[1:])
     }
-    return head, tail
+    for key in keys | set(memo):
+        assert listed(solved, memo, key) == reference_products(ref, key), key
+
+
+def test_a_two_slot_memo_gives_the_reference_pair_sums():
+    # unknowns among the random values give linear and quadratic sums
+    table = random_gw_table((4, 4, 2))
+    unknown = list(table._values)[::7]
+    for key in unknown:
+        table._values.pop(key)
+        table._unknown.add(key)
+    memo = ises.wdvv._ScanMemo(table, 2, range(2))
+    # keys solved after the join, some to 0, which then adds nothing
+    for key, value in zip(unknown[::5], (0, 3) * len(unknown)):
+        table._unknown.discard(key)
+        table._values[key] = value
+    ref = FractionTable(table)
+    keys = {
+        memo_key(pair, extra, degree)
+        for pairs, extra, degree in ises.wdvv._groups(table, 2, range(2), None)
+        for pair in pairs
+    }
+    shapes = Counter()
+    for key in keys | set(memo):
+        left, right, extra, degree = key
+        got = exact(table, ises.wdvv._pair_sum(table, (left, right), extra, degree, memo))
+        expected = normal(reference_pair_sum(ref, left, right, extra, degree))
+        assert normal(got) == expected, key
+        repeated = len(extra) == 2 and extra[0] == extra[1]
+        shapes[repeated, "quadratic" if got is None else "linear" if got[1] else "constant"] += 1
+    # a repeated extra label meets each shape of sum, so its slot count is read
+    assert all(shapes[True, shape] for shape in ("quadratic", "linear", "constant")), shapes
 
 
 @pytest.mark.parametrize("orders", ORBIFOLDS, ids=str)
 def test_the_supports_of_the_closed_table_are_inside_the_seeded_ones(orders):
+    # the support of a pair sum is its product list: the products of the
+    # keys live when the scan started, and keys solved to 0 stay in it
     seeded, solved = gw_closed(orders)
-    # keys solved to 0 stay in a support built before they were solved
     solved_zero = [key for key in seeded._unknown if solved._values.get(key) == 0]
     assert solved_zero
-    multisets = {x for split in scan_splits(seeded) for x in split}
+    stale = ises.wdvv._ScanMemo(seeded, 1, range(2))
+    closed = ises.wdvv._ScanMemo(solved, 1, range(2))
+    assert set(closed) <= set(stale)
     smaller = 0
-    for insertions in multisets:
-        for closed, before in zip(supports(solved, insertions), supports(seeded, insertions)):
-            assert closed <= before, insertions
-            smaller += closed < before
+    for key in stale:
+        after, before = listed(solved, closed, key), listed(seeded, stale, key)
+        assert after <= before, key
+        smaller += after < before
     assert smaller
-    # so the supports of the seeded table give the closed table's residuals
-    stale = ises.wdvv._ScanMemo(seeded)
+    # so the lists of the seeded table give the closed table's residuals
     for instance in scan_instances(solved, 1, range(2), None):
-        expected = exact(solved, residual(solved, instance))
+        expected = exact(solved, residual(solved, instance, closed))
         assert exact(solved, residual(solved, instance, stale)) == expected, instance
 
 
