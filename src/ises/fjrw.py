@@ -50,7 +50,9 @@ Computed from first principles:
   degree, on the main component and on both sides of every channel, is at
   most -1;
 * the remaining four-point values by associativity propagation (module
-  ``wdvv``) over the narrow sectors;
+  ``wdvv``) over the narrow sectors, on the pairings whose two halves
+  each force their node sectors away from the broad sectors with states
+  (``narrow_nodes``, which judges one half against one extra);
 * the ring generators rho_i, by the Berglund-Huebsch-Krawitz isomorphism
   Jac(W) = FJRW(W^T, G_max): it sends the variable X_i of W to the sector
   J g_i, with g_i the i-th generator of the group of W^T (Krawitz,
@@ -98,7 +100,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import product
 from math import prod
 from typing import Mapping, Sequence
 
@@ -367,31 +369,31 @@ class FjrwTheory:
 
     # -- the narrow correlator table --------------------------------------
 
-    def narrow_nodes(self, pair, extra) -> bool:
-        """Whether an associativity pairing only ever routes through narrow
-        intermediate sectors.
+    def narrow_nodes(self, half, extra) -> bool:
+        """Whether one half of an associativity pairing only ever routes
+        through narrow intermediate sectors; a pairing is admissible when
+        both of its halves are (module wdvv).
 
-        ``pair`` and ``extra`` hold basis positions: ints into the labels of
-        :meth:`correlator_table`, the narrow sectors in group order; each
-        half of ``pair`` is two positions.  In every term <left, S, k> eta
-        <l, right, rest> the group grading forces the sector of k: Theta(k)
-        = (|S|+1) q - sum(left) - sum(S) mod 1 (and l lands in its inverse).
-        Pairings that force a node into a broad sector of positive dimension
-        give residuals with contributions the narrow table cannot see, so
-        they must not be used as identities on it.  Broad sectors of
-        dimension zero carry no states and are harmless.
+        ``half`` and ``extra`` hold basis positions: ints into the labels of
+        :meth:`correlator_table`, the narrow sectors in group order; ``half``
+        is two positions.  In every term <half, S, k> eta <l, ...> the group
+        grading forces the sector of k: Theta(k) = (|S|+1) q - sum(half) -
+        sum(S) mod 1 (and l lands in its inverse).  A half that forces a
+        node into a broad sector of positive dimension gives residuals with
+        contributions the narrow table cannot see, so its pairings must not
+        be used as identities on it.  Broad sectors of dimension zero carry
+        no states and are harmless.
 
         The check runs on scaled int group elements: the node (q -
-        sum(left)) L mod L of every half, built with the theory, and per
+        sum(half)) L mod L of every half, built with the theory, and per
         extra the frozenset of those broad sectors shifted back by sum(q -
-        x) L over each Leibniz subset S of the extra, which a half's node
+        x) L over each Leibniz subset S of the extra, which the half's node
         must avoid; each extra has its set built on first use and kept.
         """
         blocked = self._blocked.get(extra)
         if blocked is None:
             blocked = self._blocked[extra] = self._blocked_nodes(extra)
-        first, second = pair
-        return self._half_nodes[first] not in blocked and self._half_nodes[second] not in blocked
+        return self._half_nodes[half] not in blocked
 
     def _blocked_nodes(self, extra) -> frozenset:
         """The half nodes that ``extra`` rules out (see :meth:`narrow_nodes`),
@@ -410,9 +412,10 @@ class FjrwTheory:
 
         One seed rule serves both layers: :meth:`_threepoint` and
         :meth:`_fourpoint` take the scaled phases of an on-budget key (its
-        sorted basis positions, module wdvv) and return 0 when its degrees
-        are not integral, its value when the genus-zero axioms decide it,
-        and None for an unknown, which associativity may solve."""
+        sorted basis positions, module wdvv, which the table lists by the
+        budget) and return 0 when its degrees are not integral, its value
+        when the genus-zero axioms decide it, and None for an unknown,
+        which associativity may solve."""
         if self._table is not None:
             return self._table
         narrow, phases = self._narrow, self._narrow_phases
@@ -423,13 +426,12 @@ class FjrwTheory:
         }
         table = CorrelatorTable(labels, pairing, degrees=degrees)
         for n, rule in ((3, self._threepoint), (4, self._fourpoint)):
-            for ins in combinations_with_replacement(range(len(labels)), n):
-                if table._budget_ok(ins):
-                    value = rule([phases[i] for i in ins])
-                    if value is None:
-                        table._declare_key((ins, 0))
-                    else:
-                        table._set_key((ins, 0), value)
+            for ins in table._budget_keys(n):
+                value = rule([phases[i] for i in ins])
+                if value is None:
+                    table._declare_key((ins, 0))
+                else:
+                    table._set_key((ins, 0), value)
         self._table = propagate(table, admissible=self.narrow_nodes).freeze()
         return self._table
 

@@ -191,7 +191,17 @@ def groebner(gens: Sequence[MultiPoly], weights) -> tuple[MultiPoly, ...]:
     sequence, as the partials of W and of W_sigma do, with coefficients in a
     field (``Fraction``, ``RatFun``: an int cell would divide to a float).
     ``JacobianAlgebra`` certifies the result by its staircase of mu
-    monomials.
+    monomials.  A DomainError is raised outside the precondition: when
+    there are not three generators, each nonzero and weighted-homogeneous,
+    and when, after the elimination, some variable has no pure power among
+    the leading monomials.  That check is exact: three homogeneous generators
+    of k[X1, X2, X3] form a regular sequence exactly when the quotient is
+    finite, which holds exactly when the leading monomials of the ideal
+    hold a pure power of each variable.  The elimination finds leading
+    monomials of the ideal, so pure powers of all three among them make the
+    quotient finite, the sequence regular and the basis complete; with an
+    infinite quotient no leading monomial of the ideal is a pure power of
+    some variable, so none of those found is.
 
     The degree-d part I_d of the ideal is spanned by the products X^a * g of
     degree d.  With the monomials of degree d as columns in descending
@@ -211,8 +221,11 @@ def groebner(gens: Sequence[MultiPoly], weights) -> tuple[MultiPoly, ...]:
     """
     key = order_key(weights)
     w, _ = scaled_ints(weights)
+    degrees = [{sum(a * b for a, b in zip(w, e)) for e in g.terms} for g in gens]
+    if len(gens) != NVARS or any(len(ds) != 1 for ds in degrees):
+        raise DomainError(f"groebner needs {NVARS} nonzero weighted-homogeneous generators")
+    degrees = [min(ds) for ds in degrees]
     gens = [g.scale(1 / g.terms[max(g.terms, key=key)]) for g in gens]  # rows X^a * g are monic
-    degrees = [sum(a * b for a, b in zip(w, next(iter(g.terms)))) for g in gens]
     top = sum(degrees) - sum(w) + max(w)
     of_degree = {d: monomials_of_weighted_degree(w, d) for d in range(top + 1)}
     leads: list[Exps] = []
@@ -233,6 +246,8 @@ def groebner(gens: Sequence[MultiPoly], weights) -> tuple[MultiPoly, ...]:
             if not any(_divides(s, t) for s in leads):  # a lead of degree d divides no other
                 leads.append(t)
                 members.append(MultiPoly._wrap({monomials[k]: v for k, v in pivots[c].items()}))
+    if not all(any(not any(t[:i] + t[i + 1 :]) for t in leads) for i in range(NVARS)):
+        raise DomainError("groebner: the generators are not a regular sequence (the quotient is not finite)")
     return tuple(members)
 
 

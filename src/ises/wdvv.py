@@ -62,7 +62,10 @@ are read as they are used: a product of two unknowns makes a sum
 quadratic, and a key solved to 0 adds nothing.
 
 The instances of a scan come in relation groups (pairings, extra,
-degree): the first pairing against each of the others.  One pass of the
+degree): the first pairing against each of the others.  The pairings of a
+quad are those with distinct unordered halves, read off the quad's sorted
+order (:func:`_groups`), and a pairing is admissible when both of its
+halves are.  One pass of the
 scan evaluates each pairing's pair sum once per group and forms each
 residual as the first sum minus the other.  A group whose first sum is
 quadratic is left whole without evaluating the others.  The pass counts
@@ -77,11 +80,12 @@ after the first over the instances still open; :func:`check_residuals` is
 one pass that solves nothing and collects no open group.  Solved values
 are unique when the system is consistent, so the outcome is independent
 of the instance-selection order.  The passes run on basis positions, and
-so does the ``admissible(pair, extra)`` filter.  The extras are routed
-by the degree budget: a table scales its gradings once by L, the lcm of
-their denominators, to int weights, a scan groups the extra multisets
-once by the quad weight they complete, and each quad visits only its
-group.
+so does the ``admissible(half, extra)`` filter, which a scan asks at most
+once per (half, extra) and whose verdicts it keeps, as the rejected
+halves of each extra, until it ends.  The extras are routed by the degree
+budget: a table scales its gradings once by L, the lcm of their
+denominators, to int weights, a scan maps each quad weight once to the
+extra multisets that complete it, and each quad visits only those.
 
 The scans run on ints.  A table holds its known values as int numerators
 over one table denominator D, the lcm of their denominators, and its
@@ -281,6 +285,17 @@ class CorrelatorTable:
 
     def _budget_ok(self, ins: tuple[int, ...]) -> bool:
         return sum(self._weight[i] for i in ins) == (len(ins) - 2) * self._scale
+
+    def _budget_keys(self, n: int):
+        """The sorted n-tuples of basis positions on the degree budget, in
+        combinations order: each (n - 1)-head is completed by the positions,
+        at or after its last, of the one weight that the budget leaves."""
+        weight, by_weight = self._weight, {}
+        for i, w in enumerate(weight):
+            by_weight.setdefault(w, []).append(i)
+        for head in combinations_with_replacement(range(len(weight)), n - 1):
+            need = (n - 2) * self._scale - sum(weight[i] for i in head)
+            yield from (head + (i,) for i in by_weight.get(need, ()) if i >= head[-1])
 
     # -- values ----------------------------------------------------------
 
@@ -484,26 +499,24 @@ def _residual(table: CorrelatorTable, first, pair, extra, degree, memo: _ScanMem
     return constant - other, {key: coeff for key, coeff in terms.items() if coeff}
 
 
-def _extra_routes(table: CorrelatorTable, extra_slots: int):
-    """The extras of each size 0..extra_slots, routed by the degree budget.
+def _extra_routes(table: CorrelatorTable, extra_slots: int) -> dict:
+    """The extras of size 0..extra_slots, routed by the degree budget.
 
     Every term <L> eta^{kl} <R> has dual positions k and l whose weights
     sum to c, the weight sum shared by all pairing-dual pairs, and its two
     factors meet their budgets only when the weights of the quad and of the
     n extras sum to (2 + n) L - c.  So an extra of weight w serves only the
-    quads of weight (2 + n) L - c - w.  ``routes[n]`` maps that quad weight
-    to the extras of size n, in combinations order.
+    quads of weight (2 + n) L - c - w.  The map sends that quad weight to
+    its extras, in size order and then combinations order.
     """
     weight, scale = table._weight, table._scale
     offset = 2 * scale - table._pair_weight
     basis = range(len(table.labels))
-    routes = []
+    routes: dict = {}
     for n in range(extra_slots + 1):
-        by_quad: dict = {}
         for extra in combinations_with_replacement(basis, n):
             need = offset + n * scale - sum(weight[i] for i in extra)
-            by_quad.setdefault(need, []).append(extra)
-        routes.append(by_quad)
+            routes.setdefault(need, []).append(extra)
     return routes
 
 
@@ -515,47 +528,65 @@ def _groups(table: CorrelatorTable, extra_slots: int, degrees, admissible):
     A quad a <= b <= c <= d has the pairings ab|cd, ac|bd and ad|bc.  A pair
     sum depends on a pairing only as an unordered pair of halves, since
     S(L|R) = S(R|L), so a pairing whose halves equal those of an earlier one
-    (which happens only when labels repeat) is dropped, and a quad left with
-    one pairing yields nothing.  For each extra, the admissible pairings
-    that remain form a group when there are at least two of them.  Each
-    quad visits only the extras that complete its degree budget (see
-    :func:`_extra_routes`), and a quad that no extra completes is skipped
-    before its pairings are built; an instance off the budget has only
-    terms that read as zero.  ``admissible(pair, extra)`` is called with
-    basis positions, ints into ``table.labels``, once per distinct
-    (pairing, extra) of this scan.
+    is dropped.  With the quad sorted, ac|bd repeats ab|cd exactly when b =
+    c (its half ac is ab, or it is cd and then a = b = c), and ad|bc repeats
+    one of them exactly when a = b or c = d (its half ad is ab or cd, which
+    forces b = c = d or a = b = c, or it is ac or bd, which is c = d or a =
+    b).  So b = c keeps ab|cd and ad|bc, a = b or c = d keeps ab|cd and
+    ac|bd, four distinct labels keep all three, and a quad with b = c
+    together with a = b or c = d has one pairing and yields nothing.  For
+    each extra, the admissible pairings form a group when there are at
+    least two of them.  Each quad visits only the extras that complete its
+    degree budget (see :func:`_extra_routes`), and a quad that no extra
+    completes is skipped before its pairings are built; an instance off the
+    budget has only terms that read as zero.  A pairing is admissible when
+    both of its halves are.  When the scan first meets an extra,
+    ``admissible(half, extra)`` is called on every sorted half of the basis,
+    with basis positions, ints into ``table.labels``, so once per (half,
+    extra); the halves it rejects are kept for that extra until the scan
+    ends.
     """
     degree_list = list(degrees) if table.graded else [0]
     weight, routes = table._weight, _extra_routes(table, extra_slots)
-    served = {need for by_quad in routes for need in by_quad}
-    for a, b, c, d in combinations_with_replacement(range(len(table.labels)), 4):
-        need = weight[a] + weight[b] + weight[c] + weight[d]
-        if need not in served:
+    basis = range(len(table.labels))
+    rejected: dict = {}  # extra -> the halves that admissible rejects with it
+    for a, b, c, d in combinations_with_replacement(basis, 4):
+        extras = routes.get(weight[a] + weight[b] + weight[c] + weight[d])
+        if extras is None or (b == c and (a == b or c == d)):
             continue
-        distinct: dict = {}
-        for pair in (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c))):
-            distinct.setdefault(frozenset(pair), pair)
-        pairings = list(distinct.values())
-        if len(pairings) < 2:
-            continue
-        for by_quad in routes:
-            for extra in by_quad.get(need, ()):
-                ok = pairings
-                if admissible is not None:
-                    ok = [pair for pair in pairings if admissible(pair, extra)]
-                if len(ok) > 1:
-                    yield from ((ok, extra, degree) for degree in degree_list)
+        first = ((a, b), (c, d))
+        if b == c:
+            pairings = [first, ((a, d), (b, c))]
+        elif a == b or c == d:
+            pairings = [first, ((a, c), (b, d))]
+        else:
+            pairings = [first, ((a, c), (b, d)), ((a, d), (b, c))]
+        for extra in extras:
+            ok = pairings
+            if admissible is not None:
+                out = rejected.get(extra)
+                if out is None:
+                    halves = combinations_with_replacement(basis, 2)  # the sorted ones
+                    out = rejected[extra] = {h for h in halves if not admissible(h, extra)}
+                if out:
+                    ok = [pair for pair in pairings if pair[0] not in out and pair[1] not in out]
+            if len(ok) > 1:
+                for degree in degree_list:
+                    yield ok, extra, degree
 
 
 def _check_arguments(table: CorrelatorTable, extra_slots, degrees) -> None:
     """Raise DomainError unless ``extra_slots`` is an int >= 0 and the
-    table's keys accept ``degrees``."""
+    table's keys accept ``degrees``, each degree once (a repeated one would
+    scan, and count, its relations twice)."""
     if type(extra_slots) is not int or extra_slots < 0:
         raise DomainError(f"extra_slots {extra_slots!r} is not an int >= 0")
     if not isinstance(degrees, Sequence):
         raise DomainError(f"degrees {degrees!r} is not a sequence of curve degrees")
-    for degree in degrees:
+    for i, degree in enumerate(degrees):
         table._check_degree(degree)
+        if degree in degrees[:i]:
+            raise DomainError(f"curve degree {degree} is repeated in degrees {degrees!r}")
 
 
 def _require_keys(table: CorrelatorTable, extra_slots: int) -> None:
@@ -661,12 +692,14 @@ def propagate(
     over the table's denominators (module docstring), and each solved key
     costs one ``Fraction``.
 
-    ``admissible(pair, extra)`` filters instances: when the table's labels
+    ``admissible(half, extra)`` filters instances: when the table's labels
     span only part of a larger state space, only pairings whose forced
     intermediate states stay inside the label set yield complete residuals,
-    and the caller must reject the rest.  It receives basis positions, ints
-    into ``table.labels``.  Each quad meets only the extras that complete
-    its degree budget.
+    and the caller must reject the halves that leave it; a pairing is used
+    when both of its halves are admissible.  It receives basis positions,
+    ints into ``table.labels``, and is asked at most once per (half, extra)
+    of the scan.  Each quad meets only the extras that complete its degree
+    budget.
     """
     _check_arguments(table, extra_slots, degrees)
     work = table.copy()
@@ -704,8 +737,8 @@ def check_residuals(
     :class:`DomainError` and :class:`MissingKey` as :func:`propagate` does.
     Instances whose residual involves unknowns are skipped; an instance
     whose two pair sums carry the same unknown terms is fully known and
-    counted.  ``admissible`` receives
-    basis positions and filters pairings as in :func:`propagate`.  The pass
+    counted.  ``admissible(half, extra)`` receives basis positions and
+    filters pairings by their halves as in :func:`propagate`.  The pass
     joins the live keys once and evaluates each pairing's pair sum once per
     relation group; a group whose first sum is quadratic is skipped whole.
     The table is not changed.
@@ -754,9 +787,7 @@ def gw_seed_table(orders: Sequence[int]) -> CorrelatorTable:
         for j in range(1, a):
             pairing[((i, j), (i, a - j))] = Fraction(1, a)
     table = CorrelatorTable(labels, pairing, degrees=degrees, graded=True)
-    for trip in combinations_with_replacement(labels, 3):
-        if not table.budget_ok(trip):
-            continue
+    for trip in map(table._names, table._budget_keys(3)):
         value = Fraction(0)
         i1, j1 = trip[0]
         if all(leg == i1 for leg, _ in trip) and i1 != 0:

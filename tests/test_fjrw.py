@@ -421,8 +421,9 @@ def test_a_two_slot_scan_builds_each_node_set_once(monkeypatch):
 
 
 def fraction_narrow_nodes(th, pair, extra):
-    """The Fraction form of ``FjrwTheory.narrow_nodes``: every node phase
-    (|S|+1) q - sum(half) - sum(S) mod 1, looked up among the sectors."""
+    """The Fraction form of ``FjrwTheory.narrow_nodes`` on every half of
+    ``pair``: each node phase (|S|+1) q - sum(half) - sum(S) mod 1, looked
+    up among the sectors."""
     q = th.mirror_charges
     for half in pair:
         base = [sum(t[j] for t in half) for j in range(3)]
@@ -451,23 +452,20 @@ def test_narrow_nodes_matches_the_fraction_form(name):
     labels = th.correlator_table().labels
     offered = set()
 
-    def record(pair, extra):
-        offered.add((pair, extra))
+    def record(half, extra):
+        offered.add((half, extra))
         return True
 
     for _ in _groups(th.correlator_table(), 2, (0,), record):
         pass
     assert {len(extra) for _, extra in offered} == {0, 1, 2}
 
-    @cache
-    def half_ok(half, extra):
-        """The Fraction verdict of one half, in labels."""
-        return fraction_narrow_nodes(th, (tuple(labels[i] for i in half),), tuple(labels[i] for i in extra))
-
     verdicts = set()
-    for pair, extra in offered:
-        verdict = th.narrow_nodes(pair, extra)
-        assert verdict == (half_ok(pair[0], extra) and half_ok(pair[1], extra)), (pair, extra)
+    for half, extra in offered:
+        verdict = th.narrow_nodes(half, extra)
+        # the Fraction verdict of the half, in labels
+        expected = fraction_narrow_nodes(th, (tuple(labels[i] for i in half),), tuple(labels[i] for i in extra))
+        assert verdict == expected, (half, extra)
         verdicts.add(verdict)
     if not th.broad_dims:
         assert verdicts == {True}
@@ -480,9 +478,8 @@ def test_a_node_in_a_broad_sector_with_states_is_rejected():
     assert th.sectors[a].narrow and th.broad_dims[node] == 2
     a = position(th, a)
     other = (position(th, th.identity.theta), position(th, th.top.theta))
-    assert th.narrow_nodes((other, other), ()) is True
-    assert th.narrow_nodes(((a, a), other), ()) is False
-    assert th.narrow_nodes((other, (a, a)), ()) is False
+    assert th.narrow_nodes(other, ()) is True
+    assert th.narrow_nodes((a, a), ()) is False
 
 
 def test_a_node_in_a_broad_sector_without_states_is_harmless():
@@ -492,7 +489,7 @@ def test_a_node_in_a_broad_sector_without_states_is_harmless():
     assert th.sectors[a].narrow and th.sectors[b].narrow
     assert not th.sectors[node].narrow and th.sectors[node].dim == 0
     a, b = position(th, a), position(th, b)
-    assert th.narrow_nodes(((a, b), (a, b)), ()) is True
+    assert th.narrow_nodes((a, b), ()) is True
 
 
 def test_a_sector_index_longer_than_the_chart_is_rejected():

@@ -157,12 +157,39 @@ def flat_polynomial(flat: FlatSectionApprox) -> MultiPoly:
 # ---------------------------------------------------------------------------
 
 
-def test_groebner_keeps_an_already_reduced_pair():
-    gens = [
-        MultiPoly.monomial((2, 0, 0), F(1)),
-        MultiPoly.monomial((0, 2, 0), F(1)),
-    ]
+def test_groebner_keeps_an_already_reduced_triple():
+    gens = [mono((2, 0, 0)), mono((0, 2, 0)) + mono((0, 0, 2), F(-3)), mono((0, 0, 3))]
     assert set(groebner(gens, (F(1, 3), F(1, 3), F(1, 3)))) == set(gens)
+
+
+def test_groebner_refuses_two_generators():
+    # the degree bound lies below both generators' degree, so the
+    # elimination would return no member where the basis is (X2, X3)
+    gens = [mono((0, 1, 0), F(-1)) + mono((0, 0, 1), F(-3)), mono((0, 1, 0), F(-3))]
+    q = (F(1, 3), F(1, 3), F(1, 3))
+    assert reference_groebner(gens, q) == (mono((0, 0, 1)), mono((0, 1, 0)))
+    with pytest.raises(DomainError, match="^groebner needs 3 nonzero weighted-homogeneous generators$"):
+        groebner(gens, q)
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        pytest.param([mono((2, 0, 0)), mono((0, 2, 0)), mono((0, 0, 2)), mono((1, 1, 1))], id="four"),
+        pytest.param([mono((2, 0, 0)), mono((0, 2, 0)), mono((0, 0, 2)) + mono((0, 0, 1))], id="inhomogeneous"),
+        pytest.param([mono((2, 0, 0)), mono((0, 2, 0)), MultiPoly.zero()], id="zero"),
+    ],
+)
+def test_groebner_refuses_generators_outside_its_precondition(gens):
+    with pytest.raises(DomainError, match="^groebner needs 3 nonzero weighted-homogeneous generators$"):
+        groebner(gens, (F(1, 3), F(1, 3), F(1, 3)))
+
+
+def test_groebner_refuses_three_generators_that_are_no_regular_sequence():
+    # (X1X2, X2X3, X1X3) leaves every power of each variable standard
+    gens = [mono(e) for e in ((1, 1, 0), (0, 1, 1), (1, 0, 1))]
+    with pytest.raises(DomainError, match=r"not a regular sequence \(the quotient is not finite\)$"):
+        groebner(gens, (F(1, 3), F(1, 3), F(1, 3)))
 
 
 def test_order_prefers_fewer_powers_of_late_variables():

@@ -319,6 +319,12 @@ def test_frozen_table_rejects_writes():
             "^degree grading not enabled for this table$",
             id="ungraded-scan-degree",
         ),
+        pytest.param(
+            # a repeated degree would scan, and count, its relations twice
+            lambda: check_residuals(gw_seed_table((3, 3, 3)), degrees=(0, 1, 1)),
+            r"^curve degree 1 is repeated in degrees \(0, 1, 1\)$",
+            id="repeated-scan-degree",
+        ),
     ],
 )
 def test_table_misuse_is_a_typed_domain_error(misuse, message):
@@ -390,23 +396,23 @@ def test_string_and_divisor_equations(gw_solved):
                     assert value == d * three
 
 
-def test_admissible_sees_positions_once_per_pairing_and_extra():
+def test_admissible_sees_positions_once_per_half_and_extra():
     # LOW is the unit of the algebra Q[x]/(x^2 - 2) with x = HIGH
     table = phase_table()
     table.set([LOW, LOW, HIGH], 1)
     table.set([HIGH, HIGH, HIGH], 2)
     calls = []
 
-    def admissible(pair, extra):
-        calls.append((pair, extra))
+    def admissible(half, extra):
+        calls.append((half, extra))
         return True
 
     checked = check_residuals(table, admissible=admissible)
     assert checked > 0
     assert len(calls) == len(set(calls))
     positions = set(range(len(table.labels)))
-    for pair, extra in calls:
-        assert {x for half in pair for x in half} <= positions
+    for half, extra in calls:
+        assert len(half) == 2 and set(half) <= positions
         assert set(extra) <= positions
 
 
@@ -684,6 +690,15 @@ def test_int_budget_matches_the_fraction_sum():
         assert hits
 
 
+def test_budget_keys_are_the_budget_multisets_in_combinations_order():
+    for table, _ in budget_tables():
+        basis = range(len(table.labels))
+        for n in (3, 4, 5):
+            expected = [ins for ins in combinations_with_replacement(basis, n) if table._budget_ok(ins)]
+            assert list(table._budget_keys(n)) == expected, (table.labels, n)
+            assert expected or n == 5
+
+
 # ---------------------------------------------------------------------------
 # the routed instance scan against the filtered full scan
 # ---------------------------------------------------------------------------
@@ -710,8 +725,9 @@ def reference_budget_filter(table):
 def reference_groups(table, extra_slots, degrees, admissible):
     """Every (quad, extra) of the basis that passes the budget predicate, as
     (pairings, verdicts, extra, degree list): the quad's pairings ab|cd,
-    ac|bd and ad|bc with their admissible verdicts; ``admissible`` receives
-    labels."""
+    ac|bd and ad|bc with their admissible verdicts, a pairing's verdict
+    being that both of its halves are admissible; ``admissible(half,
+    extra)`` receives labels."""
     degree_list = list(degrees) if table.graded else [0]
     budget = reference_budget_filter(table)
     basis = range(len(table.labels))
@@ -724,7 +740,7 @@ def reference_groups(table, extra_slots, degrees, admissible):
                     continue
                 verdicts = [
                     admissible is None
-                    or bool(admissible(tuple(map(table._names, p)), table._names(extra)))
+                    or all(admissible(table._names(half), table._names(extra)) for half in p)
                     for p in pairings
                 ]
                 yield pairings, verdicts, extra, degree_list
@@ -765,9 +781,9 @@ def named_nodes(theory):
     """``theory.narrow_nodes`` on labels of its correlator table."""
     position = {label: i for i, label in enumerate(theory.correlator_table().labels)}
 
-    def named(pair, extra):
+    def named(half, extra):
         return theory.narrow_nodes(
-            tuple(tuple(position[x] for x in half) for half in pair),
+            tuple(position[x] for x in half),
             tuple(position[x] for x in extra),
         )
 
@@ -782,6 +798,29 @@ def assert_same_scan(table, extra_slots, degrees, admissible=None, named=None):
     assert expected
     routed = scan_instances(table, extra_slots, degrees, admissible)
     assert list(routed) == expected
+
+
+def test_the_pairing_rule_is_the_dedupe_of_unordered_halves():
+    # six self-dual labels of grading 1/3: every quad has weight 4/3 = 2 - 2/3,
+    # the budget of the empty extra, so the scan meets every quad
+    labels = tuple("abcdef")
+    table = CorrelatorTable(labels, {(x, x): 1 for x in labels}, degrees=dict.fromkeys(labels, F(1, 3)))
+    listed = {}
+    for pairings, extra, degree in ises.wdvv._groups(table, 0, (0,), None):
+        assert (extra, degree) == ((), 0)
+        (left, right), *_ = pairings
+        listed[tuple(sorted(left + right))] = pairings
+    sizes = Counter()
+    for a, b, c, d in combinations_with_replacement(range(6), 4):
+        distinct = {}
+        for pair in (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c))):
+            distinct.setdefault(frozenset(pair), pair)
+        expected = list(distinct.values())
+        # a quad left with one pairing yields no group
+        assert listed.pop((a, b, c, d), expected[:1]) == expected, (a, b, c, d)
+        sizes[len(expected)] += 1
+    assert not listed
+    assert sizes == {1: 36, 2: 75, 3: 15}
 
 
 def test_routed_scan_on_the_gw_tables(gw_seeded):
@@ -938,7 +977,7 @@ def test_relations_behind_an_inadmissible_first_pairing_are_scanned():
         for instance in scan_instances(table, 1, (0,), theory.narrow_nodes):
             (a, b, c, d), extra, _ = group(instance)
             if instance[0] != ((a, b), (c, d)):
-                assert not theory.narrow_nodes(((a, b), (c, d)), extra)
+                assert not (theory.narrow_nodes((a, b), extra) and theory.narrow_nodes((c, d), extra))
                 assert residual(table, instance, memo) == (0, {}), (name, instance)
                 anchored[name] = anchored.get(name, 0) + 1
     assert anchored == {
@@ -1275,6 +1314,26 @@ def test_degree_two_reconstruction_meets_the_catalog_q_expansions(orders):
 # at D = 1 through propagate and check_residuals (gw-reconstruct); a change
 # that makes the scan do more work moves these without a timer
 SCAN_WORK = {"amodel-catalog": (8059, 4489), "gw-reconstruct": (13688, 7359)}
+
+
+# calls of FjrwTheory.narrow_nodes in one amodel-catalog pass: a scan asks
+# about every sorted half of the basis, once, when it first meets an extra
+NODE_CHECKS = 5613
+
+
+def test_the_node_checks_of_the_amodel_workload(monkeypatch):
+    calls = []
+    original = ises.fjrw.FjrwTheory.narrow_nodes
+
+    def counted(self, half, extra):
+        calls.append((half, extra))
+        return original(self, half, extra)
+
+    monkeypatch.setattr(ises.fjrw.FjrwTheory, "narrow_nodes", counted)
+    for name in FJRW_NAMES:
+        theory = ises.fjrw.FjrwTheory(get_entry(CATALOG, name))  # not the shared one: build anew
+        check_residuals(theory.correlator_table(), admissible=theory.narrow_nodes)
+    assert len(calls) == NODE_CHECKS
 
 
 def test_the_scan_work_of_the_a_side_workloads(monkeypatch):
