@@ -6,17 +6,19 @@ computes
 
 * reduced Groebner bases of the Jacobian ideal (d1 W_sigma, d2 W_sigma,
   d3 W_sigma) under the graded reverse-lexicographic order with
-  X1 > X2 > X3, graded by the charge vector (``groebner``), and their
-  staircases of standard monomials (monomial bases of the Milnor algebra,
-  of size mu in {8, 9, 10}).  The ideal is weighted-homogeneous, so each
-  of its degrees is a linear span: one Gauss-Jordan elimination over the
-  coefficient field per weighted degree, up to the socle degree 1 plus
-  the largest charge, gives the reduced basis (Lazard 1983), and a degree
-  that lower leading monomials already fill is skipped.  The basis of W
-  over Q gives the display basis B0 below.  W_sigma over Q(sigma)
-  (``w_sigma``), its ``partials``, their Groebner basis and its staircase
-  are computed on first read: only the bench's output checks and the tests
-  read them, as they do the Q(sigma)-valued ``decompose``;
+  X1 > X2 > X3, graded by the charge vector, and their staircases of
+  standard monomials (monomial bases of the Milnor algebra, of size mu in
+  {8, 9, 10}), both from one ``groebner`` call.  The ideal is
+  weighted-homogeneous, so each of its degrees is a linear span: one
+  Gauss-Jordan elimination over the coefficient field per weighted degree,
+  up to the socle degree 1 plus the largest charge, pivots on the leading
+  monomials of that degree and leaves its standard monomials (Lazard
+  1983), and a degree that lower leading monomials already fill is
+  skipped.  mu standard monomials, none of degree above 1, certify both.
+  The staircase of W over Q is the display basis B0 below.  W_sigma over
+  Q(sigma) (``w_sigma``), its ``partials``, their Groebner basis and its
+  staircase are computed on first read: only the bench's output checks and
+  the tests read them, as they do the Q(sigma)-valued ``decompose``;
 * the residue jets.  With t the top monomial of B0, one elimination on the
   int sigma-layers of the partials solves
 
@@ -71,15 +73,17 @@ R_e, c_e and c_Hess mod sigma^2 only, since c_Hess(0) is nonzero, so mod
 sigma^2 is exact for K and every four-point value.
 
 The display basis is the staircase B0 of the Jacobian ideal of W itself,
-from a Groebner basis over Q; its last member is the top monomial.  B0 is a
+from ``groebner`` over Q; its last member is the top monomial.  B0 is a
 basis of Jac(W), the algebra at sigma = 0, so the sigma = 0 pairing on it is
 invertible for every entry and marginal.  The staircase over Q(sigma) can
 differ from it (a marginal term may promote a mixed monomial past a pure
 power in the reverse-lexicographic order); nothing is read in that basis.
-Its certification cannot fail once B0's has passed: the partials of W have
-finite quotient, an open condition in sigma, so those of W_sigma do over
-Q(sigma), of dimension prod(1/q_i - 1) = mu, and the symmetric Hilbert
-series puts one standard monomial, the last, in degree one.
+Once ``groebner`` has certified a staircase, the partials form a regular
+sequence, so their quotient is a complete intersection and Gorenstein: its
+socle is one monomial, in the top degree sum_i (1 - 2 q_i) = 1, where the
+Hilbert series prod_i (1 - t^(1 - q_i)) / (1 - t^q_i) has the coefficient
+1.  So the last standard monomial, in the degree-graded order, is the one
+of degree one.
 """
 
 from __future__ import annotations
@@ -87,10 +91,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
+from math import prod
 from typing import Callable, Sequence
 
-from .isespoly import NVARS, CatalogEntry, InvertiblePolynomial, MarginalData
+from .isespoly import NVARS, CatalogEntry, MarginalData
 from .numcore import (
     DomainError,
     MultiPoly,
@@ -110,9 +115,7 @@ __all__ = [
     "IntegralDegree",
     "JacobianAlgebra",
     "groebner",
-    "milnor_groebner",
     "order_key",
-    "standard_monomials",
 ]
 
 Exps = tuple[int, int, int]
@@ -143,10 +146,6 @@ def order_key(weights: Sequence[Fraction]) -> Callable[[Exps], tuple]:
         return (w1 * e[0] + w2 * e[1] + w3 * e[2], -e[2], -e[1], -e[0])
 
     return key
-
-
-def _divides(a: Exps, b: Exps) -> bool:
-    return a[0] <= b[0] and a[1] <= b[1] and a[2] <= b[2]
 
 
 def _eliminate(row: dict, c: int, prow: dict) -> None:
@@ -183,25 +182,19 @@ def _monic_rref(rows) -> dict[int, dict]:
     return pivots
 
 
-def groebner(gens: Sequence[MultiPoly], weights) -> tuple[MultiPoly, ...]:
-    """Reduced Groebner basis of the ideal that ``gens`` generate, one
-    weighted degree at a time (Lazard 1983), sorted by leading monomial.
+def groebner(gens: Sequence[MultiPoly], weights, name: str) -> tuple[tuple[MultiPoly, ...], tuple[Exps, ...]]:
+    """The reduced Groebner basis of the ideal that ``gens`` generate,
+    sorted by leading monomial, and its staircase, the exponents that no
+    leading monomial divides, in ascending ``order_key``: one weighted
+    degree at a time (Lazard 1983).
 
-    Precondition: three weighted-homogeneous generators that form a regular
-    sequence, as the partials of W and of W_sigma do, with coefficients in a
-    field (``Fraction``, ``RatFun``: an int cell would divide to a float).
-    ``JacobianAlgebra`` certifies the result by its staircase of mu
-    monomials.  A DomainError is raised outside the precondition: when
-    there are not three generators, each nonzero and weighted-homogeneous,
-    and when, after the elimination, some variable has no pure power among
-    the leading monomials.  That check is exact: three homogeneous generators
-    of k[X1, X2, X3] form a regular sequence exactly when the quotient is
-    finite, which holds exactly when the leading monomials of the ideal
-    hold a pure power of each variable.  The elimination finds leading
-    monomials of the ideal, so pure powers of all three among them make the
-    quotient finite, the sequence regular and the basis complete; with an
-    infinite quotient no leading monomial of the ideal is a pure power of
-    some variable, so none of those found is.
+    Precondition: three weighted-homogeneous generators, each nonzero, that
+    form a regular sequence, as the partials of W and of W_sigma do, with
+    cells in a field (``Fraction``, ``RatFun``).  Outside it a DomainError
+    is raised: for any other number of generators or one that is zero or
+    not weighted-homogeneous; for an int or float cell, which would divide
+    to a float, naming ``name``; and, naming ``name``, when the staircase
+    fails its certificate below.
 
     The degree-d part I_d of the ideal is spanned by the products X^a * g of
     degree d.  With the monomials of degree d as columns in descending
@@ -209,31 +202,44 @@ def groebner(gens: Sequence[MultiPoly], weights) -> tuple[MultiPoly, ...]:
     coefficient field with each pivot row made monic, pivots on the leading
     monomials of I_d, and its row at t is t minus the normal form of t.  It
     is the member of the reduced basis with leading monomial t exactly when
-    no leading monomial of a lower degree divides t.
+    no leading monomial of a lower degree divides t, and the monomials of
+    degree d that it does not pivot on are the standard ones.  A degree in
+    which lower leading monomials divide every monomial has neither, and is
+    not eliminated.
 
-    The degrees run from the least generator degree to the socle degree
-    sum_i deg g_i - sum_i q_i plus the largest weight q_i, which is 1 + max
-    q_i for the partials.  Above the socle every monomial lies in the ideal,
-    so a minimal leading monomial t has some t / X_i of degree at most the
-    socle.  A degree in which a lower leading monomial divides every
-    monomial is skipped: every leading monomial there has a lower divisor,
-    so no member has that degree.
+    The degrees run up to the socle degree s = sum_i deg g_i - sum_i q_i
+    plus the largest weight q_i, which is 1 + max q_i for the partials.
+    The certificate is that the staircase has prod_i deg g_i / q_i
+    monomials (mu for the partials) and none of degree above s.  It is
+    exact.  A regular sequence passes: its quotient has the Hilbert series
+    prod_i (1 - t^deg g_i) / (1 - t^q_i), a polynomial of degree s, so every
+    monomial of degree above s lies in the ideal.  Then a minimal leading
+    monomial t has some t / X_i of degree at most s, so the degrees reached
+    hold every member.  Conversely, each interval (s, s + q_i] holds a
+    power of X_i (the monomial 1 when s < 0), so with no standard monomial
+    there the leading monomials hold a pure power of every variable: the
+    quotient is finite, and three homogeneous generators with a finite
+    quotient form a regular sequence.
     """
     key = order_key(weights)
     w, _ = scaled_ints(weights)
     degrees = [{sum(a * b for a, b in zip(w, e)) for e in g.terms} for g in gens]
     if len(gens) != NVARS or any(len(ds) != 1 for ds in degrees):
         raise DomainError(f"groebner needs {NVARS} nonzero weighted-homogeneous generators")
+    cell = next(((e, c) for g in gens for e, c in g.terms.items() if isinstance(c, (int, float))), None)
+    if cell:
+        e, c = cell
+        raise DomainError(f"{name}: groebner needs cells in a field, not the {type(c).__name__} {c!r} at {e}")
     degrees = [min(ds) for ds in degrees]
     gens = [g.scale(1 / g.terms[max(g.terms, key=key)]) for g in gens]  # rows X^a * g are monic
-    top = sum(degrees) - sum(w) + max(w)
-    of_degree = {d: monomials_of_weighted_degree(w, d) for d in range(top + 1)}
-    leads: list[Exps] = []
-    members: list[MultiPoly] = []
-    for d in range(min(degrees), top + 1):
-        if all(any(_divides(t, e) for t in leads) for e in of_degree[d]):
+    socle = sum(degrees) - sum(w)
+    of_degree = {d: monomials_of_weighted_degree(w, d) for d in range(socle + max(w) + 1)}
+    leads, stairs, members = [], [], []  # Exps, Exps, MultiPoly
+    for d, exps in of_degree.items():
+        fresh = [e for e in exps if not any(t[0] <= e[0] and t[1] <= e[1] and t[2] <= e[2] for t in leads)]
+        if not fresh:
             continue
-        monomials = sorted(of_degree[d], key=key, reverse=True)
+        monomials = sorted(exps, key=key, reverse=True)
         col = {e: k for k, e in enumerate(monomials)}
         rows = [
             {col[e[0] + a[0], e[1] + a[1], e[2] + a[2]]: c for e, c in g.terms.items()}
@@ -241,39 +247,19 @@ def groebner(gens: Sequence[MultiPoly], weights) -> tuple[MultiPoly, ...]:
             for a in of_degree.get(d - dg, ())
         ]
         pivots = _monic_rref(rows)
-        for c in sorted(pivots, reverse=True):  # ascending order_key
-            t = monomials[c]
-            if not any(_divides(s, t) for s in leads):  # a lead of degree d divides no other
+        for t in sorted(fresh, key=key):  # a lead of degree d divides no other
+            if col[t] not in pivots:
+                stairs.append(t)
+            else:
                 leads.append(t)
-                members.append(MultiPoly._wrap({monomials[k]: v for k, v in pivots[c].items()}))
-    if not all(any(not any(t[:i] + t[i + 1 :]) for t in leads) for i in range(NVARS)):
-        raise DomainError("groebner: the generators are not a regular sequence (the quotient is not finite)")
-    return tuple(members)
-
-
-def milnor_groebner(poly: InvertiblePolynomial) -> tuple[MultiPoly, ...]:
-    """Reduced Groebner basis over Q of the Jacobian ideal of W."""
-    w = poly.polynomial()  # groebner divides, so its cells are Fractions, not ints
-    return groebner([w.partial(i).map_coeffs(Fraction) for i in range(NVARS)], poly.charges)
-
-
-def standard_monomials(basis: Sequence[MultiPoly], weights, name: str) -> tuple[Exps, ...]:
-    """The staircase of a Groebner basis: the exponents that no leading
-    monomial of ``basis`` divides, in ascending ``order_key(weights)``.
-    They form a monomial basis of the quotient ring.  The quotient is finite
-    exactly when, for each variable, some leading monomial is a pure power
-    of it (a constant counts, and leaves no standard monomial); otherwise a
-    DomainError names ``name``: the quotient is not finite.  The least such
-    powers bound the box that holds the staircase."""
-    key = order_key(weights)
-    lts = [max(g.terms, key=key) for g in basis]
-    bounds = [
-        min((t[i] for t in lts if not any(t[:i] + t[i + 1 :])), default=None) for i in range(NVARS)
-    ]
-    if None in bounds:
-        raise DomainError(f"{name}: quotient is not finite")
-    box = product(*map(range, bounds))
-    return tuple(sorted((e for e in box if not any(_divides(t, e) for t in lts)), key=key))
+                members.append(MultiPoly._wrap({monomials[k]: v for k, v in pivots[col[t]].items()}))
+    high = sum(1 for e in stairs if sum(a * b for a, b in zip(w, e)) > socle)
+    if len(stairs) * prod(w) != prod(degrees) or high:
+        raise DomainError(
+            f"{name}: the staircase has {len(stairs)} monomials, {high} above the socle degree, "
+            f"not {Fraction(prod(degrees), prod(w))} and none: the generators are no regular sequence"
+        )
+    return tuple(members), tuple(stairs)
 
 
 def _dense(coeffs: dict[int, int]) -> tuple[int, ...]:
@@ -321,11 +307,14 @@ class JacobianAlgebra:
 
     Construction is a pure function of the catalog entry and the marginal
     direction (defaulting to the entry's first marginal) and builds the
-    sigma-layers of the partials, the display basis B0 over Q and the
-    residue jets, and no RatFun.  The Q(sigma) layer (``w_sigma``,
-    ``partials``, ``groebner_basis``, ``staircase``) is computed on first
-    read and memoised.  The instance is immutable apart from memo tables
-    and is safe to share.
+    sigma-layers of the partials, the display basis B0 (the staircase of
+    one ``groebner`` call on the partials of W over Q) and the residue
+    jets, and no RatFun.  The Q(sigma) layer (``w_sigma``,
+    ``partials``, and ``groebner_basis`` and ``staircase``, which one
+    ``groebner`` call gives) is computed on first read and memoised.  A
+    staircase that fails the certificate of ``groebner`` raises its
+    DomainError there, naming the entry and the field.  The instance is
+    immutable apart from memo tables and is safe to share.
     """
 
     def __init__(self, entry: CatalogEntry, m: Sequence[int] | None = None):
@@ -340,9 +329,11 @@ class JacobianAlgebra:
         # The sigma-layers: d_i W_sigma = P_i0 + sigma*P_i1 with P_i0 = d_i W
         # and P_i1 = d_i phi_m, and _layers[i][d] is P_id.
         w, phi_m = entry.polynomial.polynomial(), MultiPoly.monomial(mvec, 1)
-        self._layers = tuple((w.partial(i).terms, phi_m.partial(i).terms) for i in range(NVARS))
+        partials = [w.partial(i) for i in range(NVARS)]
+        self._layers = tuple((p.terms, phi_m.partial(i).terms) for i, p in enumerate(partials))
 
-        self.basis = self._staircase(milnor_groebner(entry.polynomial), "Q")
+        # groebner divides, so its cells are Fractions, not ints
+        self.basis = groebner([p.map_coeffs(Fraction) for p in partials], self.weights, f"{entry.name} over Q")[1]
         self.top_monomial: Exps = self.basis[-1]
 
         self._jets = self._residue_jets()
@@ -366,13 +357,13 @@ class JacobianAlgebra:
         return tuple(self.w_sigma.partial(i) for i in range(NVARS))
 
     @cached_property
-    def groebner_basis(self) -> tuple[MultiPoly, ...]:
-        """The reduced Groebner basis of the partials over Q(sigma)."""
-        return groebner(self.partials, self.weights)
+    def _q_sigma(self) -> tuple[tuple[MultiPoly, ...], tuple[Exps, ...]]:
+        """The reduced Groebner basis of the partials over Q(sigma) and its
+        staircase, from one certified ``groebner`` call."""
+        return groebner(self.partials, self.weights, f"{self.entry.name} over Q(sigma)")
 
-    @cached_property
-    def staircase(self) -> tuple[Exps, ...]:
-        return self._staircase(self.groebner_basis, "Q(sigma)")
+    groebner_basis = property(lambda self: self._q_sigma[0])
+    staircase = property(lambda self: self._q_sigma[1])
 
     # -- construction helpers ------------------------------------------------
 
@@ -380,19 +371,6 @@ class JacobianAlgebra:
         """The weighted degree of X^e times ``_scale``."""
         w = self._w
         return w[0] * e[0] + w[1] * e[1] + w[2] * e[2]
-
-    def _staircase(self, basis: Sequence[MultiPoly], over: str) -> tuple[Exps, ...]:
-        """The staircase of ``basis``, certified: mu monomials, of which
-        exactly one, the last, has weighted degree one."""
-        name, mu = self.entry.name, self.entry.polynomial.milnor_number
-        stairs = standard_monomials(basis, self.weights, name)
-        tops = [e for e in stairs if self._degree(e) == self._scale]
-        if len(stairs) != mu or tops != [stairs[-1]]:
-            raise DomainError(
-                f"{name}: the staircase over {over} has {len(stairs)} monomials "
-                f"and {len(tops)} of degree one, not mu = {mu} and one, the last"
-            )
-        return stairs
 
     # -- residue jets ----------------------------------------------------------
 

@@ -244,13 +244,14 @@ class CorrelatorTable:
     # -- keys ----------------------------------------------------------
 
     def _positions(self, labels: Iterable) -> tuple[int, ...]:
-        """Basis positions of labels; UnknownLabel names one outside the basis."""
+        """Basis positions of labels; UnknownLabel names one outside the
+        basis, or ``labels`` when it is no iterable of hashable labels."""
         try:
             return tuple(self._index[label] for label in labels)
         except KeyError as exc:
-            raise UnknownLabel(
-                f"{exc.args[0]!r} is not a basis label of this table"
-            ) from None
+            raise UnknownLabel(f"{exc.args[0]!r} is not a basis label of this table") from None
+        except TypeError:
+            raise UnknownLabel(f"{labels!r} is not an iterable of basis labels of this table") from None
 
     def _key(self, insertions: Iterable, degree: int = 0):
         """Internal key of a label multiset."""
@@ -594,11 +595,8 @@ def _require_keys(table: CorrelatorTable, extra_slots: int) -> None:
     (3 + extra_slots)-point keys, some multiset of that size meeting the
     degree budget, but the table declares none, known or unknown: the
     closed-world table would read every one of them as 0."""
-    n, sums = 3 + extra_slots, {0}
-    for _ in range(n):  # the weight sums of the n-point multisets
-        sums = {s + w for s in sums for w in table._weight}
-    keys = (*table._values, *table._unknown)
-    if (n - 2) * table._scale in sums and not any(len(key[0]) == n for key in keys):
+    n, keys = 3 + extra_slots, (*table._values, *table._unknown)
+    if not any(len(key[0]) == n for key in keys) and any(table._budget_keys(n)):
         raise MissingKey(f"the scan reads {n}-point keys, but the table declares none")
 
 

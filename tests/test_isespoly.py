@@ -25,7 +25,7 @@ from ises.isespoly import (
     get_entry,
     load_catalog,
 )
-from ises.jacobi import JacobianAlgebra, milnor_groebner, order_key, standard_monomials
+from ises.jacobi import JacobianAlgebra, groebner, order_key
 from ises.pfsolve import build_gkz, weight_report
 
 ALL_NAMES = [
@@ -204,7 +204,8 @@ def check_frozen_values(doc):
             if parse_rat(d["K"]) != k:
                 raise SchemaError(f"{where}: K {d['K']} does not match the algebra's K = {k}")
         # the display basis is the staircase of W over Q, in the monomial order
-        staircase = standard_monomials(milnor_groebner(poly), poly.charges, name)
+        w = poly.polynomial().map_coeffs(Fraction)
+        staircase = groebner([w.partial(i) for i in range(3)], poly.charges, name)[1]
         basis = sorted(map(tuple, d.get("basis", staircase)), key=order_key(poly.charges))
         if basis != list(staircase):
             raise SchemaError(f"{where}: basis should be the staircase of W, {staircase}")

@@ -26,9 +26,7 @@ from ises.jacobi import (
     IntegralDegree,
     JacobianAlgebra,
     groebner,
-    milnor_groebner,
     order_key,
-    standard_monomials,
 )
 from ises.numcore import (
     DomainError,
@@ -159,7 +157,7 @@ def flat_polynomial(flat: FlatSectionApprox) -> MultiPoly:
 
 def test_groebner_keeps_an_already_reduced_triple():
     gens = [mono((2, 0, 0)), mono((0, 2, 0)) + mono((0, 0, 2), F(-3)), mono((0, 0, 3))]
-    assert set(groebner(gens, (F(1, 3), F(1, 3), F(1, 3)))) == set(gens)
+    assert set(groebner(gens, (F(1, 3), F(1, 3), F(1, 3)), "triple")[0]) == set(gens)
 
 
 def test_groebner_refuses_two_generators():
@@ -169,7 +167,7 @@ def test_groebner_refuses_two_generators():
     q = (F(1, 3), F(1, 3), F(1, 3))
     assert reference_groebner(gens, q) == (mono((0, 0, 1)), mono((0, 1, 0)))
     with pytest.raises(DomainError, match="^groebner needs 3 nonzero weighted-homogeneous generators$"):
-        groebner(gens, q)
+        groebner(gens, q, "pair")
 
 
 @pytest.mark.parametrize(
@@ -182,14 +180,34 @@ def test_groebner_refuses_two_generators():
 )
 def test_groebner_refuses_generators_outside_its_precondition(gens):
     with pytest.raises(DomainError, match="^groebner needs 3 nonzero weighted-homogeneous generators$"):
-        groebner(gens, (F(1, 3), F(1, 3), F(1, 3)))
+        groebner(gens, (F(1, 3), F(1, 3), F(1, 3)), "gens")
 
 
 def test_groebner_refuses_three_generators_that_are_no_regular_sequence():
-    # (X1X2, X2X3, X1X3) leaves every power of each variable standard
-    gens = [mono(e) for e in ((1, 1, 0), (0, 1, 1), (1, 0, 1))]
-    with pytest.raises(DomainError, match=r"not a regular sequence \(the quotient is not finite\)$"):
-        groebner(gens, (F(1, 3), F(1, 3), F(1, 3)))
+    # (X1X2, X2X3, X1X3) leaves every power of each variable standard: with
+    # the socle degree 6 - 3 = 3 and the largest weight 1, the elimination
+    # reaches degree 4, where X1^4, X2^4 and X3^4 are standard, and counts
+    # 1 + 3 + 3 + 3 + 3 = 13 standard monomials where a regular sequence of
+    # three quadrics has 8
+    gens = [mono(e, F(1)) for e in ((1, 1, 0), (0, 1, 1), (1, 0, 1))]
+    q = get_entry(CATALOG, "e6-fermat").polynomial.charges
+    message = (
+        "^e6-fermat: the staircase has 13 monomials, 3 above the socle degree, "
+        "not 8 and none: the generators are no regular sequence$"
+    )
+    with pytest.raises(DomainError, match=message):
+        groebner(gens, q, "e6-fermat")
+
+
+@pytest.mark.parametrize("cell", [3, 3.0], ids=["int", "float"])
+def test_groebner_refuses_int_and_float_cells(cell):
+    # an int cell would divide to a float; the entry and the cell are named
+    q = get_entry(CATALOG, "e6-fermat").polynomial.charges
+    gens = [MultiPoly.monomial((2, 0, 0), cell), mono((0, 2, 0), F(3)), mono((0, 0, 2), F(3))]
+    kind, shown = type(cell).__name__, re.escape(repr(cell))
+    message = rf"^e6-fermat: groebner needs cells in a field, not the {kind} {shown} at \(2, 0, 0\)$"
+    with pytest.raises(DomainError, match=message):
+        groebner(gens, q, "e6-fermat")
 
 
 def test_order_prefers_fewer_powers_of_late_variables():
@@ -267,15 +285,27 @@ def reference_groebner(gens, weights):
     return tuple(out)
 
 
+def reference_staircase(basis, weights):
+    """The exponents that no leading monomial of the Groebner basis
+    ``basis`` divides, in ascending ``order_key``: the complement of its
+    leading monomials in the box that their least pure powers bound."""
+    key = order_key(weights)
+    lts = [_ref_leading(g, key)[0] for g in basis]
+    bounds = [min(t[i] for t in lts if not any(t[:i] + t[i + 1 :])) for i in range(3)]
+    box = [(a, b, c) for a in range(bounds[0]) for b in range(bounds[1]) for c in range(bounds[2])]
+    return tuple(sorted((e for e in box if not any(all(map(int.__le__, t, e)) for t in lts)), key=key))
+
+
 @pytest.mark.parametrize("name,m", ALL_PAIRS)
 def test_groebner_equals_plain_buchberger_on_the_catalog(name, m):
     alg = algebra(name, m)
     want = reference_groebner(alg.partials, alg.weights)
-    assert groebner(alg.partials, alg.weights) == want
-    assert alg.groebner_basis == want
-    poly = alg.entry.polynomial
-    w = poly.polynomial().map_coeffs(F)
-    assert milnor_groebner(poly) == reference_groebner([w.partial(i) for i in range(3)], alg.weights)
+    assert groebner(alg.partials, alg.weights, name) == (want, reference_staircase(want, alg.weights))
+    assert (alg.groebner_basis, alg.staircase) == (want, reference_staircase(want, alg.weights))
+    w = alg.entry.polynomial.polynomial().map_coeffs(F)
+    want = reference_groebner([w.partial(i) for i in range(3)], alg.weights)
+    assert groebner([w.partial(i) for i in range(3)], alg.weights, name)[0] == want
+    assert alg.basis == reference_staircase(want, alg.weights)
 
 
 def random_deformation(rng):
@@ -296,7 +326,8 @@ def test_groebner_equals_plain_buchberger_on_random_ideals(s):
     # nondegenerate singularity, so its partials form a regular sequence.
     gens, weights, discriminant = random_deformation(random.Random(s))
     assume(discriminant != 0)
-    assert groebner(gens, weights) == reference_groebner(gens, weights)
+    want = reference_groebner(gens, weights)
+    assert groebner(gens, weights, "random") == (want, reference_staircase(want, weights))
 
 
 @pytest.mark.parametrize("name,m", ALL_PAIRS)
@@ -359,43 +390,47 @@ def test_the_staircase_of_a_monomial_ideal_is_its_complement():
     entry = get_entry(CATALOG, "e6-fermat")
     q = entry.polynomial.charges
     squares = [MultiPoly.monomial(e, F(1)) for e in ((2, 0, 0), (0, 2, 0), (0, 0, 2))]
-    cube = standard_monomials(groebner(squares, q), q, entry.name)
+    basis, cube = groebner(squares, q, entry.name)
+    assert basis == tuple(squares[::-1])  # ascending leading monomials
     assert sorted(cube) == [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
     assert list(cube) == sorted(cube, key=order_key(q))
 
 
-def test_an_infinite_staircase_raises_a_domain_error_naming_the_entry():
-    # (X1^2, X2^2) leaves every power of X3 standard, and (X1X2, X2X3, X1X3)
-    # every power of each variable: neither has a pure power of every one,
-    # nor is a regular sequence, which ``groebner`` needs
-    q = get_entry(CATALOG, "e6-fermat").polynomial.charges
-    for gens in (((2, 0, 0), (0, 2, 0)), ((1, 1, 0), (0, 1, 1), (1, 0, 1))):
-        basis = reference_groebner([MultiPoly.monomial(e, F(1)) for e in gens], q)
-        with pytest.raises(DomainError, match="^e6-fermat: quotient is not finite$"):
-            standard_monomials(basis, q, "e6-fermat")
-
-
 def test_a_constant_in_the_basis_leaves_an_empty_staircase():
+    # the constant generator 1 spans every degree: the basis is (1) and its
+    # staircase is empty, as the product 0 * 1 * 1 of the degrees asks
     q = get_entry(CATALOG, "e6-fermat").polynomial.charges
-    assert standard_monomials([MultiPoly.const(F(1))], q, "e6-fermat") == ()
+    gens = [MultiPoly.const(F(1)), MultiPoly.monomial((0, 1, 0), F(1)), MultiPoly.monomial((0, 0, 1), F(1))]
+    assert groebner(gens, q, "e6-fermat") == ((MultiPoly.const(F(1)),), ())
 
 
 @pytest.mark.parametrize("over", ["Q(sigma)", "Q"])
 def test_a_short_staircase_fails_its_certification_when_it_is_built(over, monkeypatch):
-    # A staircase one monomial short of mu fails over Q at construction, and
-    # over Q(sigma), which construction never builds, at its first read.
-    real = jacobi.standard_monomials
+    # An elimination that also pivots on the one standard monomial of the
+    # socle degree leaves a staircase one monomial short of mu: over Q it
+    # fails at construction, and over Q(sigma), which construction never
+    # builds, at its first read.  A column up to the last one that the rows
+    # reach is a monomial of their degree, standard if no pivot is on it;
+    # for e6-fermat the socle degree is the only one with rows that leaves
+    # exactly one such column, over Q and over Q(sigma).
+    real, perturbed = jacobi._monic_rref, []
+    field = RatFun if over == "Q(sigma)" else F
 
-    def short(basis, weights, name):
-        stairs = real(basis, weights, name)
-        q_sigma = isinstance(next(iter(basis[0].terms.values())), RatFun)
-        return stairs[1:] if q_sigma == (over == "Q(sigma)") else stairs
+    def pivots_once_more(rows):
+        ours = any(isinstance(c, field) for row in rows for c in row.values())
+        last = max((k for row in rows for k in row), default=0)
+        pivots = real(rows)
+        free = [c for c in range(last + 1) if c not in pivots]
+        if ours and len(free) == 1 and not perturbed:
+            perturbed.append(free[0])
+            pivots[free[0]] = {free[0]: 1}
+        return pivots
 
-    monkeypatch.setattr(jacobi, "standard_monomials", short)
+    monkeypatch.setattr(jacobi, "_monic_rref", pivots_once_more)
     entry = get_entry(CATALOG, "e6-fermat")
     error = (
-        f"^e6-fermat: the staircase over {re.escape(over)} has 7 monomials "
-        "and 1 of degree one, not mu = 8 and one, the last$"
+        f"^e6-fermat over {re.escape(over)}: the staircase has 7 monomials, 0 above the socle degree, "
+        "not 8 and none: the generators are no regular sequence$"
     )
     if over == "Q":
         with pytest.raises(DomainError, match=error):
@@ -860,9 +895,9 @@ def test_the_q_sigma_layer_is_built_on_first_read_only(monkeypatch):
     fields, made = [], []
     real_groebner, real_make = jacobi.groebner, RatFun.__dict__["_make"].__func__
 
-    def counted_groebner(gens, weights):
+    def counted_groebner(gens, weights, name):
         fields.append({type(c) for g in gens for c in g.terms.values()})
-        return real_groebner(gens, weights)
+        return real_groebner(gens, weights, name)
 
     def counted_make(cls, n, d):
         made.append((n, d))

@@ -120,7 +120,7 @@ def test_the_period_operators_import_no_elimination_engine():
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.FunctionDef)
     }
-    assert "milnor_groebner" in defined and "normal_form" not in defined
+    assert "groebner" in defined and "normal_form" not in defined
 
 
 def test_the_bench_tracer_wraps_and_restores_names_that_exist(monkeypatch):

@@ -258,6 +258,18 @@ def test_frozen_table_rejects_writes():
             id="basis-orders",
         ),
         pytest.param(lambda: phase_table().value([HIGH, LOW]), "at least 3 insertions", id="two-insertions"),
+        # insertions that are no iterable of hashable labels are an
+        # UnknownLabel, not a bare TypeError
+        pytest.param(
+            lambda: gw_seed_table((3, 3, 3)).value([[1], [2], [3]]),
+            r"^\[\[1\], \[2\], \[3\]\] is not an iterable of basis labels of this table$",
+            id="unhashable-insertions",
+        ),
+        pytest.param(
+            lambda: gw_seed_table((3, 3, 3)).value(5),
+            "^5 is not an iterable of basis labels of this table$",
+            id="non-iterable-insertions",
+        ),
         pytest.param(
             lambda: phase_table().set([HIGH, HIGH, LOW], 1, degree=1), "degree grading", id="ungraded-degree"
         ),
