@@ -15,10 +15,13 @@ computes
   monomials of that degree and leaves its standard monomials (Lazard
   1983), and a degree that lower leading monomials already fill is
   skipped.  mu standard monomials, none of degree above 1, certify both.
-  The staircase of W over Q is the display basis B0 below.  W_sigma over
-  Q(sigma) (``w_sigma``), its ``partials``, their Groebner basis and its
-  staircase are computed on first read: only the bench's output checks and
-  the tests read them, as they do the Q(sigma)-valued ``decompose``;
+  The same eliminations give the normal form of every other monomial of
+  those degrees, from the row that pivots on it.  The staircase of W over
+  Q is the display basis B0 below, and its normal forms are kept.
+  W_sigma over Q(sigma) (``w_sigma``), its ``partials``, their Groebner
+  basis and its staircase are computed on first read: only the bench's
+  output checks and the tests read them, as they do the Q(sigma)-valued
+  ``decompose``;
 * the residue jets.  With t the top monomial of B0, one elimination on the
   int sigma-layers of the partials solves
 
@@ -50,8 +53,8 @@ computes
   where the c's are the coefficients of -sum_i d_i g_{r,i} over the
   monomial basis.  The display basis is a basis at sigma = 0, so
   c_{r,r'}(0) is the coordinate in Jac(W) of p(0) = -sum_i d_i g_{r,i}(0),
-  read from a second int elimination with the basis labels as its last
-  columns, and only the sigma^0 layer g(0) of a decomposition is read.
+  read from the normal forms that the elimination of B0 left, and only
+  the sigma^0 layer g(0) of a decomposition is read.
   Any g(0) with sum_i g_i(0) * d_i W = X^(r+m) gives the same p(0)
   mod J(W): two such differ by a syzygy of the partials of W, which form
   a regular sequence, so the syzygy is a sum of Koszul ones, g_i = d_j W*h
@@ -182,19 +185,19 @@ def _monic_rref(rows) -> dict[int, dict]:
     return pivots
 
 
-def groebner(gens: Sequence[MultiPoly], weights, name: str) -> tuple[tuple[MultiPoly, ...], tuple[Exps, ...]]:
+def groebner(gens: Sequence[MultiPoly], weights, name: str) -> tuple[tuple[MultiPoly, ...], tuple[Exps, ...], dict]:
     """The reduced Groebner basis of the ideal that ``gens`` generate,
-    sorted by leading monomial, and its staircase, the exponents that no
-    leading monomial divides, in ascending ``order_key``: one weighted
-    degree at a time (Lazard 1983).
+    sorted by leading monomial, its staircase, the exponents that no
+    leading monomial divides, in ascending ``order_key``, and its
+    normal-form table: one weighted degree at a time (Lazard 1983).
 
     Precondition: three weighted-homogeneous generators, each nonzero, that
     form a regular sequence, as the partials of W and of W_sigma do, with
     cells in a field (``Fraction``, ``RatFun``).  Outside it a DomainError
-    is raised: for any other number of generators or one that is zero or
-    not weighted-homogeneous; for an int or float cell, which would divide
-    to a float, naming ``name``; and, naming ``name``, when the staircase
-    fails its certificate below.
+    naming ``name`` is raised: for any other number of generators or one
+    that is zero or not weighted-homogeneous; for an int or float cell,
+    which would divide to a float; and when the staircase fails its
+    certificate below.
 
     The degree-d part I_d of the ideal is spanned by the products X^a * g of
     degree d.  With the monomials of degree d as columns in descending
@@ -205,7 +208,11 @@ def groebner(gens: Sequence[MultiPoly], weights, name: str) -> tuple[tuple[Multi
     no leading monomial of a lower degree divides t, and the monomials of
     degree d that it does not pivot on are the standard ones.  A degree in
     which lower leading monomials divide every monomial has neither, and is
-    not eliminated.
+    not eliminated.  The table maps each pivot t of an eliminated degree,
+    every monomial of that degree that is not standard, to its normal form
+    {s: c}, t = sum c * X^s modulo the ideal over standard monomials s of
+    its degree: the row at t, negated off t.  A monomial of an eliminated
+    degree that the table lacks is standard and is its own normal form.
 
     The degrees run up to the socle degree s = sum_i deg g_i - sum_i q_i
     plus the largest weight q_i, which is 1 + max q_i for the partials.
@@ -225,7 +232,7 @@ def groebner(gens: Sequence[MultiPoly], weights, name: str) -> tuple[tuple[Multi
     w, _ = scaled_ints(weights)
     degrees = [{sum(a * b for a, b in zip(w, e)) for e in g.terms} for g in gens]
     if len(gens) != NVARS or any(len(ds) != 1 for ds in degrees):
-        raise DomainError(f"groebner needs {NVARS} nonzero weighted-homogeneous generators")
+        raise DomainError(f"{name}: groebner needs {NVARS} nonzero weighted-homogeneous generators")
     cell = next(((e, c) for g in gens for e, c in g.terms.items() if isinstance(c, (int, float))), None)
     if cell:
         e, c = cell
@@ -234,7 +241,7 @@ def groebner(gens: Sequence[MultiPoly], weights, name: str) -> tuple[tuple[Multi
     gens = [g.scale(1 / g.terms[max(g.terms, key=key)]) for g in gens]  # rows X^a * g are monic
     socle = sum(degrees) - sum(w)
     of_degree = {d: monomials_of_weighted_degree(w, d) for d in range(socle + max(w) + 1)}
-    leads, stairs, members = [], [], []  # Exps, Exps, MultiPoly
+    leads, stairs, members, table = [], [], [], {}  # Exps, Exps, MultiPoly, {Exps: {Exps: cell}}
     for d, exps in of_degree.items():
         fresh = [e for e in exps if not any(t[0] <= e[0] and t[1] <= e[1] and t[2] <= e[2] for t in leads)]
         if not fresh:
@@ -253,13 +260,15 @@ def groebner(gens: Sequence[MultiPoly], weights, name: str) -> tuple[tuple[Multi
             else:
                 leads.append(t)
                 members.append(MultiPoly._wrap({monomials[k]: v for k, v in pivots[col[t]].items()}))
+        for c, row in pivots.items():
+            table[monomials[c]] = {monomials[k]: -v for k, v in row.items() if k != c}
     high = sum(1 for e in stairs if sum(a * b for a, b in zip(w, e)) > socle)
     if len(stairs) * prod(w) != prod(degrees) or high:
         raise DomainError(
             f"{name}: the staircase has {len(stairs)} monomials, {high} above the socle degree, "
             f"not {Fraction(prod(degrees), prod(w))} and none: the generators are no regular sequence"
         )
-    return tuple(members), tuple(stairs)
+    return tuple(members), tuple(stairs), table
 
 
 def _dense(coeffs: dict[int, int]) -> tuple[int, ...]:
@@ -307,14 +316,15 @@ class JacobianAlgebra:
 
     Construction is a pure function of the catalog entry and the marginal
     direction (defaulting to the entry's first marginal) and builds the
-    sigma-layers of the partials, the display basis B0 (the staircase of
-    one ``groebner`` call on the partials of W over Q) and the residue
-    jets, and no RatFun.  The Q(sigma) layer (``w_sigma``,
-    ``partials``, and ``groebner_basis`` and ``staircase``, which one
-    ``groebner`` call gives) is computed on first read and memoised.  A
-    staircase that fails the certificate of ``groebner`` raises its
-    DomainError there, naming the entry and the field.  The instance is
-    immutable apart from memo tables and is safe to share.
+    sigma-layers of the partials, the display basis B0 and the normal forms
+    modulo J(W) (the staircase and the table of one ``groebner`` call on
+    the partials of W over Q) and the residue jets, and no RatFun.  The
+    Q(sigma) layer (``w_sigma``, ``partials``, and ``groebner_basis`` and
+    ``staircase``, which one ``groebner`` call gives) is computed on first
+    read and memoised.  A staircase that fails the certificate of
+    ``groebner`` raises its DomainError there, naming the entry and the
+    field.  The instance is immutable apart from memo tables and is safe to
+    share.
     """
 
     def __init__(self, entry: CatalogEntry, m: Sequence[int] | None = None):
@@ -333,7 +343,8 @@ class JacobianAlgebra:
         self._layers = tuple((p.terms, phi_m.partial(i).terms) for i, p in enumerate(partials))
 
         # groebner divides, so its cells are Fractions, not ints
-        self.basis = groebner([p.map_coeffs(Fraction) for p in partials], self.weights, f"{entry.name} over Q")[1]
+        q_partials = [p.map_coeffs(Fraction) for p in partials]
+        _, self.basis, self._normal_forms = groebner(q_partials, self.weights, f"{entry.name} over Q")
         self.top_monomial: Exps = self.basis[-1]
 
         self._jets = self._residue_jets()
@@ -359,8 +370,9 @@ class JacobianAlgebra:
     @cached_property
     def _q_sigma(self) -> tuple[tuple[MultiPoly, ...], tuple[Exps, ...]]:
         """The reduced Groebner basis of the partials over Q(sigma) and its
-        staircase, from one certified ``groebner`` call."""
-        return groebner(self.partials, self.weights, f"{self.entry.name} over Q(sigma)")
+        staircase, from one certified ``groebner`` call; its normal-form
+        table is dropped."""
+        return groebner(self.partials, self.weights, f"{self.entry.name} over Q(sigma)")[:2]
 
     groebner_basis = property(lambda self: self._q_sigma[0])
     staircase = property(lambda self: self._q_sigma[1])
@@ -542,12 +554,15 @@ class JacobianAlgebra:
         r of that degree: ``_solve_degree`` at sigma-degree 0, cut below
         sigma^1, one elimination with one right-hand column per label, each
         solution checked in ints.  Any solution g(0) gives the same
-        corrections, by the Koszul argument of the module docstring.  A
-        second elimination reads the coordinates of every p(0) = -sum_i d_i
-        g_i(0) on the labels: p(0) = sum_i h_i * d_i W + sum_b c_b * X^b,
-        with the h_i from ``_ansatz`` at the degree of phi_r less one and
-        the labels b as the last columns.  B0 is a basis of Jac(W), so the
-        c_b are unique.  It memoises every flat of the degree.
+        corrections, by the Koszul argument of the module docstring.  The
+        coordinates of every p(0) = -sum_i d_i g_i(0) on the labels are read
+        in one pass over its monomials: each maps to its normal form modulo
+        J(W) from the table of B0's ``groebner`` call, or, where the table
+        lacks it, to itself.  p(0) has the degree of phi_r, which holds a
+        label, so that degree was eliminated and its monomials are pivots
+        or standard, and its standard ones are the labels.  B0 is a basis of
+        Jac(W), so the coordinates are unique.  It memoises every flat of
+        the degree.
 
         No correction names phi_r itself: c_{r,r}(0) = 0.  Under the
         diagonal symmetries of W, d_i W has the character of 1 / X_i, so g(0)
@@ -572,28 +587,16 @@ class JacobianAlgebra:
         if rvec not in self.basis:
             raise DomainError(f"{self._label}: {rvec} is not a basis exponent")
         labels = [e for e in self.basis if self._degree(e) == deg_r]
-        dens, rhs = [], []  # per label: den, and den * p(0) keyed as the system's rows
         for label, solved in zip(labels, self._solve_degree(deg_r, labels, 0, 1)):
             if solved is None:
                 raise DomainError(f"{self._label}: X^(r+m) for r = {label} is not in J(W)")
             gs, den = solved
-            p: dict = {}
+            coords: dict = {}  # of den * sum_i d_i g_i(0) = -den * p(0) on B0
             for i, g in enumerate(gs):
                 for e, v in MultiPoly._wrap({e: c[0] for e, c in g.items()}).partial(i).terms.items():
-                    p[e, 0] = p.get((e, 0), 0) - v
-            dens.append(den)
-            rhs.append({k: v for k, v in p.items() if v})
-        cols, cells = self._ansatz(deg_r - self._scale, 0, 1)
-        n = len(cols)
-        for k, b in enumerate(labels):
-            cells.setdefault((b, 0), {})[n + k] = 1
-        for label, den, sol in zip(labels, dens, _solve(cells, rhs, n + len(labels))):
-            if sol is None:
-                raise DomainError(f"{self._label}: p(0) of {label} has no coordinates on B0")
-            x, xden = sol
-            corrections = tuple(
-                (b, Fraction(-x[n + k], xden * den)) for k, b in enumerate(labels) if x[n + k]
-            )
+                    for b, c in self._normal_forms.get(e, {e: 1}).items():
+                        coords[b] = coords.get(b, 0) + v * c
+            corrections = tuple((b, Fraction(coords[b], den)) for b in labels if coords.get(b))
             self._flats[label] = FlatSectionApprox(r=label, corrections=corrections)
         return self._flats[rvec]
 

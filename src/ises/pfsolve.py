@@ -183,8 +183,9 @@ def to_hg_weights(op: DeltaOperator, deg_phi: Fraction) -> HGWeights:
     ``theta = x d/dx``; conjugating by ``x^s`` shifts every root by ``l*s`` so
     that a left root sits at 0.  The remaining left root gives
     ``gamma = 1 + c_L / l`` and the right roots give ``alpha, beta = c_R / l``.
+    ``deg_phi`` is an int or a ``Fraction``, or a DomainError names it.
     """
-    deg_phi = Fraction(deg_phi)
+    deg_phi = rat(deg_phi, "the degree of", "phi_r")
     if op.order not in (1, 2):
         raise NotSecondOrder(f"operator has order {op.order}")
     l = op.step
@@ -230,7 +231,7 @@ def _series_ratios(w: HGWeights) -> list[tuple[Fraction, tuple[Fraction, ...], t
     ]
 
 
-def annihilation_check(op: DeltaOperator, w: HGWeights, order: int = 30) -> bool:
+def annihilation_check(op: DeltaOperator, w: HGWeights) -> bool:
     """Does the full operator kill every local solution built from ``w``?
 
     Acting on ``x^{e+k}`` the operator contributes
@@ -238,10 +239,9 @@ def annihilation_check(op: DeltaOperator, w: HGWeights, order: int = 30) -> bool
     ``C sigma^l = x``, ``-prod(l(e+k) + c_R)`` one power higher; the image
     vanishes iff ``f_k prod(l(e+k)+c_L) = f_{k-1} prod(l(e+k-1)+c_R)`` for all
     k, with ``f_{-1} = 0`` (so at k = 0 the test is ``prod(l e + c_L) = 0``).
-    The verdict is that of checking these identities exactly through
-    ``x^{e+order}`` for each solution in turn; ``order`` is an int >= 0, and
-    anything else raises :class:`DomainError`, so no call certifies without
-    checking an identity.
+    The verdict is that of checking these identities exactly at every
+    power of ``x``, for each solution in turn; the steps below make finitely
+    many of them decide it.
 
     Every parameter of a solution -- ``l e``, the roots and the series
     parameters -- is scaled by the lcm D of their denominators, so the test
@@ -256,13 +256,11 @@ def annihilation_check(op: DeltaOperator, w: HGWeights, order: int = 30) -> bool
 
     with ``f_{k-1}`` cancelled, so no int grows with k.  P is a polynomial
     in k of degree at most delta = n + max(#upper, 1 + #lower), n the order
-    of ``op``; zeros at k = 1..delta + 1 make it vanish, so only
-    ``min(order, delta + 1)`` steps are checked.  Where U(k-1) = 0 the
-    series terminates: f_k = 0, the identity at k reads R(k-1) = 0, which is
-    P(k) = 0, and every later one reads 0 = 0.
+    of ``op``; zeros at k = 1..delta + 1 make it vanish, so only those
+    delta + 1 steps are checked.  Where U(k-1) = 0 the series terminates:
+    f_k = 0, the identity at k reads R(k-1) = 0, which is P(k) = 0, and
+    every later one reads 0 = 0.
     """
-    if type(order) is not int or order < 0:
-        raise DomainError(f"annihilation order {order!r} is not an int >= 0")
     l = op.step
     for exponent, upper, lower in _series_ratios(w):
         groups = ((l * exponent,), op.left_roots, op.right_roots, upper, lower)
@@ -273,7 +271,7 @@ def annihilation_check(op: DeltaOperator, w: HGWeights, order: int = 30) -> bool
             return False
         shift = l * d
         delta = op.order + max(len(up), 1 + len(low))
-        for k in range(1, min(order, delta + 1) + 1):
+        for k in range(1, delta + 2):
             before, th = (k - 1) * d, e + k * shift
             step = prod(a + before for a in up)
             rhs = k * d * prod(c + before for c in low) * prod(th - shift + c for c in right)

@@ -166,7 +166,7 @@ def test_groebner_refuses_two_generators():
     gens = [mono((0, 1, 0), F(-1)) + mono((0, 0, 1), F(-3)), mono((0, 1, 0), F(-3))]
     q = (F(1, 3), F(1, 3), F(1, 3))
     assert reference_groebner(gens, q) == (mono((0, 0, 1)), mono((0, 1, 0)))
-    with pytest.raises(DomainError, match="^groebner needs 3 nonzero weighted-homogeneous generators$"):
+    with pytest.raises(DomainError, match="^pair: groebner needs 3 nonzero weighted-homogeneous generators$"):
         groebner(gens, q, "pair")
 
 
@@ -179,7 +179,7 @@ def test_groebner_refuses_two_generators():
     ],
 )
 def test_groebner_refuses_generators_outside_its_precondition(gens):
-    with pytest.raises(DomainError, match="^groebner needs 3 nonzero weighted-homogeneous generators$"):
+    with pytest.raises(DomainError, match="^gens: groebner needs 3 nonzero weighted-homogeneous generators$"):
         groebner(gens, (F(1, 3), F(1, 3), F(1, 3)), "gens")
 
 
@@ -300,7 +300,7 @@ def reference_staircase(basis, weights):
 def test_groebner_equals_plain_buchberger_on_the_catalog(name, m):
     alg = algebra(name, m)
     want = reference_groebner(alg.partials, alg.weights)
-    assert groebner(alg.partials, alg.weights, name) == (want, reference_staircase(want, alg.weights))
+    assert groebner(alg.partials, alg.weights, name)[:2] == (want, reference_staircase(want, alg.weights))
     assert (alg.groebner_basis, alg.staircase) == (want, reference_staircase(want, alg.weights))
     w = alg.entry.polynomial.polynomial().map_coeffs(F)
     want = reference_groebner([w.partial(i) for i in range(3)], alg.weights)
@@ -327,7 +327,7 @@ def test_groebner_equals_plain_buchberger_on_random_ideals(s):
     gens, weights, discriminant = random_deformation(random.Random(s))
     assume(discriminant != 0)
     want = reference_groebner(gens, weights)
-    assert groebner(gens, weights, "random") == (want, reference_staircase(want, weights))
+    assert groebner(gens, weights, "random")[:2] == (want, reference_staircase(want, weights))
 
 
 @pytest.mark.parametrize("name,m", ALL_PAIRS)
@@ -386,22 +386,62 @@ def test_the_normal_form_table_equals_division(name, m):
         assert q_sigma_nf(alg, f) == _ref_reduce(f, basis[::-1], key)
 
 
+@pytest.mark.parametrize(
+    "name,m,over",
+    [(entry.name, entry.marginals[0].m, "Q") for entry in CATALOG] + [(n, m, "Q(sigma)") for n, m in ALL_PAIRS],
+)
+def test_the_groebner_normal_forms_equal_division(name, m, over):
+    # The table of a groebner call holds, for every monomial of each degree
+    # that it eliminates, its normal form if it is not standard: the
+    # remainder of its division by the reference basis.  A degree is
+    # eliminated when some monomial of it is not divisible by a leading
+    # monomial of a lower degree; every other degree is absent from the
+    # table.  Over Q that is the table that the algebra keeps for B0.
+    alg = algebra(name, m)
+    if over == "Q":
+        gens, one = [alg.entry.polynomial.polynomial().map_coeffs(F).partial(i) for i in range(3)], F(1)
+    else:
+        gens, one = alg.partials, RatFun.const(1)
+    _, stairs, table = groebner(gens, alg.weights, name)
+    want, key = reference_groebner(gens, alg.weights), order_key(alg.weights)
+    w, scale = scaled_ints(alg.weights)
+    leads = [max(g.terms, key=key) for g in want]
+    keys = 0
+    for d in range(scale + max(w) + 1):
+        exps = monomials_of_weighted_degree(w, d)
+        lower = [t for t in leads if sum(a * b for a, b in zip(w, t)) < d]
+        eliminated = any(not any(all(map(int.__le__, t, e)) for t in lower) for e in exps)
+        pivots = {e for e in exps if e in table}
+        assert pivots == (set(exps) - set(stairs) if eliminated else set()), d
+        for t in pivots:
+            assert table[t] == _ref_reduce(MultiPoly.monomial(t, one), want, key).terms, t
+        keys += len(pivots)
+    assert keys == len(table)
+    if over == "Q":
+        assert alg._normal_forms == table
+
+
 def test_the_staircase_of_a_monomial_ideal_is_its_complement():
     entry = get_entry(CATALOG, "e6-fermat")
     q = entry.polynomial.charges
     squares = [MultiPoly.monomial(e, F(1)) for e in ((2, 0, 0), (0, 2, 0), (0, 0, 2))]
-    basis, cube = groebner(squares, q, entry.name)
+    basis, cube, table = groebner(squares, q, entry.name)
     assert basis == tuple(squares[::-1])  # ascending leading monomials
     assert sorted(cube) == [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
     assert list(cube) == sorted(cube, key=order_key(q))
+    # the table holds the 3 squares of degree 2/3 and the 9 monomials of
+    # degree 1 other than X1*X2*X3, each with normal form 0; no monomial of
+    # degree 4/3 is standard, so that degree is not eliminated
+    assert len(table) == 3 + 9 and all(v == {} for v in table.values())
 
 
 def test_a_constant_in_the_basis_leaves_an_empty_staircase():
     # the constant generator 1 spans every degree: the basis is (1) and its
-    # staircase is empty, as the product 0 * 1 * 1 of the degrees asks
+    # staircase is empty, as the product 0 * 1 * 1 of the degrees asks; only
+    # degree 0 is eliminated, and its one monomial has normal form 0
     q = get_entry(CATALOG, "e6-fermat").polynomial.charges
     gens = [MultiPoly.const(F(1)), MultiPoly.monomial((0, 1, 0), F(1)), MultiPoly.monomial((0, 0, 1), F(1))]
-    assert groebner(gens, q, "e6-fermat") == ((MultiPoly.const(F(1)),), ())
+    assert groebner(gens, q, "e6-fermat") == ((MultiPoly.const(F(1)),), (), {(0, 0, 0): {}})
 
 
 @pytest.mark.parametrize("over", ["Q(sigma)", "Q"])
@@ -795,11 +835,11 @@ def test_the_bside_outputs_are_pinned():
     )
 
 
-# The sigma^0 systems that the four-point tables of the 25 pairs solve: two
-# for each of the 50 fractional degrees of a flat label, the decompositions
-# and the B0 coordinates of their p(0), each with a right-hand column for
-# each of the 115 basis labels of those degrees.
-SIGMA_ZERO_SYSTEMS, SIGMA_ZERO_COLUMNS, FLAT_LABELS = 100, 230, 115
+# The sigma^0 systems that the four-point tables of the 25 pairs solve: one
+# for each of the 50 fractional degrees of a flat label, its decompositions,
+# with a right-hand column for each of the 115 basis labels of those degrees.
+# The B0 coordinates of their p(0) are read from the normal-form table of B0.
+SIGMA_ZERO_SYSTEMS, SIGMA_ZERO_COLUMNS, FLAT_LABELS = 50, 115, 115
 
 
 def test_every_catalog_decomposition_system_solves_like_the_dense_reference(
@@ -807,7 +847,7 @@ def test_every_catalog_decomposition_system_solves_like_the_dense_reference(
 ):
     # Real traffic for the fraction-free kernel: every system that the
     # four-point tables of all 25 pairs build, the residue jets of each
-    # algebra and the two sigma^0 systems of each degree of its flat
+    # algebra and the one sigma^0 system of each degree of its flat
     # sections, each right-hand column solved again by the dense Fraction
     # elimination.
     systems = {"jets": [], "flats": []}
@@ -832,7 +872,7 @@ def test_every_catalog_decomposition_system_solves_like_the_dense_reference(
 
     # one jet system per algebra: a column per degree-one monomial, and the Hessian
     assert shape("jets") == (25, 225 + 25)
-    # two sigma^0 systems per fractional degree: a column per basis label each
+    # one sigma^0 system per fractional degree: a column per basis label
     assert shape("flats") == (SIGMA_ZERO_SYSTEMS, SIGMA_ZERO_COLUMNS)
     for rows, rhs, n, sols in systems["jets"] + systems["flats"]:
         dense = [[F(row.get(c, 0)) for c in range(n)] for row in rows]
@@ -864,14 +904,16 @@ def test_no_flat_correction_names_its_own_label():
 def test_four_point_tables_build_no_sigma_layered_decomposition(monkeypatch):
     # The flats read the sigma^0 layer only, so every ansatz that the tables
     # of all 25 pairs build has sigma-degree 0 and rows cut below sigma^1,
-    # no sigma-layered decomposition system is solved, and each basis label
-    # of a solved degree gets its flat memoised.
+    # one per fractional degree, and none at the degree of phi_r less one:
+    # no sigma-layered decomposition system is solved, the B0 coordinates
+    # are read from the normal-form table, and each basis label of a solved
+    # degree gets its flat memoised.
     algebras = [JacobianAlgebra(get_entry(CATALOG, name), m) for name, m in ALL_PAIRS]
     cuts, columns = [], []
     real_ansatz, real_solve = JacobianAlgebra._ansatz, jacobi._solve
 
     def ansatz(self, deg, bound, below):
-        cuts.append((bound, below))
+        cuts.append((self, deg, bound, below))
         return real_ansatz(self, deg, bound, below)
 
     def solve(cells, rhs_maps, ncols):
@@ -882,7 +924,8 @@ def test_four_point_tables_build_no_sigma_layered_decomposition(monkeypatch):
     monkeypatch.setattr(jacobi, "_solve", solve)
     for alg in algebras:
         alg.fourpoint_table()
-    assert set(cuts) == {(0, 1)} and len(cuts) == SIGMA_ZERO_SYSTEMS
+    assert {cut[2:] for cut in cuts} == {(0, 1)} and len(cuts) == SIGMA_ZERO_SYSTEMS
+    assert {cut[:2] for cut in cuts} == {(alg, alg._degree(r)) for alg in algebras for r in alg._flats}
     assert (len(columns), sum(columns)) == (SIGMA_ZERO_SYSTEMS, SIGMA_ZERO_COLUMNS)
     assert sum(len(alg._flats) for alg in algebras) == FLAT_LABELS
 
@@ -958,25 +1001,6 @@ def test_an_unsolved_sigma_zero_column_is_a_typed_domain_error(monkeypatch):
     label = re.escape(f"e6-fermat, m={entry.marginals[0].m}")
     with pytest.raises(DomainError, match=label + r": .* r = \(0, 1, 0\) is not in J\(W\)"):
         alg.flat_first_order((1, 0, 0))
-
-
-def test_an_unsolved_coordinate_column_is_a_typed_domain_error(monkeypatch):
-    # the second sigma^0 system of a degree reads the B0 coordinates of p(0)
-    victim = (0, 1, 0)
-    entry = get_entry(CATALOG, "e6-fermat")
-    alg = JacobianAlgebra(entry)
-    calls = []
-
-    def drop_second(sols):
-        calls.append(len(sols))
-        if len(calls) == 2:
-            sols[E6_THIRDS.index(victim)] = None
-
-    sigma_zero_hooks(monkeypatch, drop_second)
-    label = re.escape(f"e6-fermat, m={entry.marginals[0].m}")
-    with pytest.raises(DomainError, match=label + r": p\(0\) of \(0, 1, 0\) has no coordinates on B0$"):
-        alg.flat_first_order((1, 0, 0))
-    assert calls == [3, 3]
 
 
 def test_flat_first_order_rejects_non_basis_exponents():

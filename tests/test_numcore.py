@@ -539,9 +539,10 @@ def test_groebner_over_the_int_kernel_matches_the_fraction_reference(name, m):
     for ring in (RatFun, FractionRatFun):
         w = entry.polynomial.polynomial().map_coeffs(ring.coerce)
         w = w + MultiPoly.monomial(m, ring.variable())
-        basis, staircase = groebner([w.partial(i) for i in range(3)], entry.polynomial.charges, name)
+        basis, staircase, table = groebner([w.partial(i) for i in range(3)], entry.polynomial.charges, name)
+        cells = [{e: (c.num.coeffs, c.den.coeffs) for e, c in row.items()} for row in table.values()]
         bases.append(
-            ([{e: (c.num.coeffs, c.den.coeffs) for e, c in g.terms.items()} for g in basis], staircase)
+            ([{e: (c.num.coeffs, c.den.coeffs) for e, c in g.terms.items()} for g in basis], staircase, cells)
         )
     assert len(CATALOG_PAIRS) == 25
     assert bases[0] == bases[1]

@@ -108,7 +108,7 @@ def test_all_marginal_rows_reduce_to_frozen_weights():
             w = to_hg_weights(reduce_left_divisors(op), F(0))
             assert (w.alpha, w.beta, w.gamma) == FROZEN_WEIGHTS[e.name, marg.m], (e.name, marg.m)
             assert w.prefactor == 0
-            assert annihilation_check(op, w, 12), (e.name, marg.m)
+            assert annihilation_check(op, w), (e.name, marg.m)
 
 
 def test_marginal_weights_sum_rule():
@@ -184,11 +184,11 @@ def test_interior_weights_for_quartic_pair():
     op = build_gkz(e7, m, (2, 0, 0))
     w = to_hg_weights(reduce_left_divisors(op), F(1, 2))
     assert (w.alpha, w.beta, w.gamma) == (F(1, 4), F(3, 4), F(1, 2))
-    assert annihilation_check(op, w, 12)
+    assert annihilation_check(op, w)
     op = build_gkz(e7, m, (2, 2, 0))
     w = to_hg_weights(reduce_left_divisors(op), F(1))
     assert (w.alpha, w.beta, w.gamma) == (F(3, 4), F(3, 4), F(1, 2))
-    assert annihilation_check(op, w, 12)
+    assert annihilation_check(op, w)
 
 
 def test_first_order_rows_match_degree():
@@ -202,7 +202,7 @@ def test_first_order_rows_match_degree():
         deg = sum(F(x) * q for x, q in zip(r, e.polynomial.charges))
         w = to_hg_weights(reduce_left_divisors(op), deg)
         assert w.first_order and w.alpha == deg
-        assert annihilation_check(op, w, 12)
+        assert annihilation_check(op, w)
 
 
 def test_wrong_degree_is_rejected():
@@ -364,9 +364,9 @@ def test_both_frobenius_solutions_are_checked():
     # a triple that solves only a *different* equation with the same local
     # exponents at 0 must fail: keep gamma, break alpha
     op = build_gkz(entry("e6-fermat"), (1, 1, 1))
-    assert annihilation_check(op, HGWeights(F(1, 3), F(1, 3), F(2, 3)), 30)
-    assert not annihilation_check(op, HGWeights(F(1, 3) + F(1, 5), F(1, 3), F(2, 3)), 30)
-    assert not annihilation_check(op, HGWeights(F(1, 3), F(1, 3), F(2, 3) + F(1, 7)), 30)
+    assert annihilation_check(op, HGWeights(F(1, 3), F(1, 3), F(2, 3)))
+    assert not annihilation_check(op, HGWeights(F(1, 3) + F(1, 5), F(1, 3), F(2, 3)))
+    assert not annihilation_check(op, HGWeights(F(1, 3), F(1, 3), F(2, 3) + F(1, 7)))
 
 
 @pytest.mark.parametrize(
@@ -423,6 +423,17 @@ def test_a_weight_that_is_not_an_int_or_a_fraction_is_a_typed_error(weights, fie
             )
             for kind, step in (("zero", 0), ("negative", -2), ("float", 1.0), ("bool", True))
         ),
+        # the degree of phi_r is read through numcore.rat too: "x" once
+        # escaped as a bare ValueError, and a float or a numeric string was
+        # converted
+        *(
+            pytest.param(
+                lambda deg=deg: to_hg_weights(DeltaOperator((F(0), F(-1)), (F(1, 3), F(2, 3)), 1), deg),
+                rf"^the degree of 'phi_r' is {re.escape(repr(deg))}, not an int or a Fraction$",
+                id=f"degree-{kind}",
+            )
+            for kind, deg in (("word", "x"), ("numeric-string", "1/2"), ("float", 0.5))
+        ),
     ],
 )
 def test_misshapen_period_data_is_a_typed_error(misuse, message):
@@ -433,25 +444,19 @@ def test_misshapen_period_data_is_a_typed_error(misuse, message):
 def test_resonant_exponents_raise():
     op = build_gkz(entry("e6-fermat"), (1, 1, 1))
     with pytest.raises(ResonantBasis):
-        annihilation_check(op, HGWeights(F(1, 3), F(1, 3), F(1)), 5)
+        annihilation_check(op, HGWeights(F(1, 3), F(1, 3), F(1)))
     with pytest.raises(ResonantBasis):
-        annihilation_check(op, HGWeights(F(1, 3), F(1, 3), F(-1)), 5)
-
-
-@pytest.mark.parametrize("order", [-1, 1.5, True], ids=["negative", "float", "bool"])
-def test_an_annihilation_order_is_an_int_at_least_zero(order):
-    # below order 0 no identity is checked, so any weights would pass
-    op = build_gkz(entry("e6-fermat"), (1, 1, 1))
-    with pytest.raises(DomainError, match=rf"^annihilation order {order!r} is not an int >= 0$"):
-        annihilation_check(op, HGWeights(F(1, 3), F(1, 3), F(2, 3)), order)
+        annihilation_check(op, HGWeights(F(1, 3), F(1, 3), F(-1)))
 
 
 def test_annihilation_certifies_at_order_thirty():
+    # the frozen weights pass the check, and every identity through x^30
     for name in ["e6-fermat", "e7-fermat", "e8-fermat"]:
         e = entry(name)
         marg = e.marginals[0]
         op = build_gkz(e, marg.m)
-        assert annihilation_check(op, HGWeights(*FROZEN_WEIGHTS[name, marg.m]), 30)
+        w = HGWeights(*FROZEN_WEIGHTS[name, marg.m])
+        assert annihilation_check(op, w) and fraction_annihilation_check(op, w, 30)
 
 
 # ---------------------------------------------------------------------------
@@ -509,10 +514,10 @@ def fraction_annihilation_check(op, w, order=30):
     return True
 
 
-def check_outcome(check, op, w, order):
+def check_outcome(check, *args):
     """The verdict of a check, or the class of the DomainError it raises."""
     try:
-        return check(op, w, order)
+        return check(*args)
     except DomainError as exc:
         return type(exc)
 
@@ -537,26 +542,23 @@ def mutants(w):
 
 
 def test_annihilation_check_matches_the_fraction_form_on_the_catalog():
+    # the Fraction form checks every identity through x^30, past the
+    # delta + 1 <= 8 steps that decide the int check on a catalog row
     verdicts = set()
     for e, m, r, _ in frozen_rows():
         op = build_gkz(e, m, r)
         for w in mutants(weight_report(e, m, r)[0]):
-            for order in (0, 1, 5, 12, 30):
-                got = check_outcome(annihilation_check, op, w, order)
-                assert got == check_outcome(fraction_annihilation_check, op, w, order), (
-                    e.name, m, r, w, order,
-                )
-                verdicts.add((got, order))
-    # every order both certifies and rejects
-    assert {(v, order) for v in (True, False) for order in (0, 1, 5, 12, 30)} <= verdicts
+            got = check_outcome(annihilation_check, op, w)
+            assert got == check_outcome(fraction_annihilation_check, op, w, 30), (e.name, m, r, w)
+            verdicts.add(got)
+    # the check both certifies and rejects
+    assert {True, False} <= verdicts
 
 
 def full_loop_annihilation_check(op, w, order=30):
     """The int loop that :func:`annihilation_check` replaced: every identity
     through ``x^{e+order}`` checked by cross-multiplication, with f_k
     carried as an unreduced int pair ``num / den``."""
-    if type(order) is not int or order < 0:
-        raise DomainError(f"annihilation order {order!r} is not an int >= 0")
     l = op.step
     for exponent, upper, lower in _series_ratios(w):
         groups = ((l * exponent,), op.left_roots, op.right_roots, upper, lower)
@@ -577,30 +579,16 @@ def full_loop_annihilation_check(op, w, order=30):
     return True
 
 
-def full_loop_verdicts(op, w, top):
-    """The verdicts of ``full_loop_annihilation_check`` at the orders 0..top.
-
-    The loop checks the identities through x^{e+order}, so its verdicts are
-    True up to the first order whose identity fails and False from there
-    on; that order is found by bisection, so not every order is run."""
-    passed, failed = -1, top + 1  # the loop passes at ``passed``, fails at ``failed``
-    while failed - passed > 1:
-        middle = (passed + failed) // 2
-        verdict = check_outcome(full_loop_annihilation_check, op, w, middle)
-        if verdict is not True and verdict is not False:
-            return [verdict] * (top + 1)  # raised before any identity
-        passed, failed = (middle, failed) if verdict else (passed, middle)
-    return [order < failed for order in range(top + 1)]
-
-
-# distinct (operator, weights) cases, and their verdicts over the 46 orders
-# (certified, rejected, resonant)
-FULL_LOOP_CASES = (2529, 26364, 83714, 6256)
+# distinct (operator, weights) cases, and their verdicts (certified,
+# rejected, resonant)
+FULL_LOOP_CASES = (2529, 549, 1844, 136)
 
 
 def test_annihilation_check_matches_the_full_loop_on_every_row(monkeypatch):
     # every weight row of the 25 pairs x r in {0..5}^3 (the weights of
-    # weight_report, before its check) and its mutants, at every order 0..45
+    # weight_report, before its check) and its mutants, against the full
+    # loop through x^45: the check decides in delta + 1 steps, and delta is
+    # at most 7 on these operators
     cases = set()
     for e in CATALOG:
         for marg in e.marginals:
@@ -612,17 +600,19 @@ def test_annihilation_check_matches_the_full_loop_on_every_row(monkeypatch):
                     continue
                 cases.update((op, v) for v in mutants(w))
     assert sum(len(e.marginals) for e in CATALOG) == 25
-    # the series of one set of weights are the same at every order
+    # the series of one set of weights are read by both checks
     monkeypatch.setattr(ises.pfsolve, "_series_ratios", cache(_series_ratios))
-    verdicts, terminating = Counter(), Counter()
+    verdicts, terminating, deltas = Counter(), Counter(), set()
     for op, w in cases:
-        got = [check_outcome(annihilation_check, op, w, order) for order in range(46)]
-        assert got == full_loop_verdicts(op, w, 45), (op, w)
-        verdicts.update(got)
-        if got[0] is not ResonantBasis:
-            upper = [a for _, up, _ in _series_ratios(w) for a in up]
-            if any(a.denominator == 1 and a <= 0 for a in upper):
-                terminating[got[-1]] += 1
+        got = check_outcome(annihilation_check, op, w)
+        assert got == check_outcome(full_loop_annihilation_check, op, w, 45), (op, w)
+        verdicts[got] += 1
+        if got is not ResonantBasis:
+            series = _series_ratios(w)
+            deltas.update(op.order + max(len(up), 1 + len(low)) for _, up, low in series)
+            if any(a.denominator == 1 and a <= 0 for _, up, _ in series for a in up):
+                terminating[got] += 1
+    assert max(deltas) == 7
     assert (len(cases), verdicts[True], verdicts[False], verdicts[ResonantBasis]) == FULL_LOOP_CASES
     # series that terminate, so that the check stops at their last term, are
     # both certified and rejected
@@ -636,17 +626,29 @@ def test_a_terminating_series_stops_the_check_at_its_last_term():
     w = HGWeights.of_first_order(F(0))
     killed = DeltaOperator((F(0), F(5)), (F(0), F(7)), 1)
     missed = DeltaOperator((F(0), F(5)), (F(1), F(7)), 1)
-    for op, verdicts in ((killed, [True] * 46), (missed, [True] + [False] * 45)):
-        assert full_loop_verdicts(op, w, 45) == verdicts
-        assert [annihilation_check(op, w, order) for order in range(46)] == verdicts
+    for op, verdict in ((killed, True), (missed, False)):
+        assert [full_loop_annihilation_check(op, w, order) for order in (0, 1, 45)] == [True, verdict, verdict]
+        assert annihilation_check(op, w) is verdict
+
+
+def test_the_check_reaches_an_identity_that_fails_late():
+    # x^0 (1 - x)^(5/2) against left roots 0, -3, 4/3 and right roots 2,
+    # -5/3, -7/2: with the left root 0 the step identity at k reads
+    # (k - 7/2)(k - 3)(k + 4/3) = (k + 1)(k - 8/3)(k - 9/2), whose sides
+    # differ by (k - 1)(k - 2), so it holds at k = 1, 2 and first fails at
+    # k = 3; the check, which may stop after delta + 1 = 5 steps, reaches it
+    op = DeltaOperator((F(0), F(-3), F(4, 3)), (F(2), F(-5, 3), F(-7, 2)), 1)
+    w = HGWeights.of_first_order(F(-5, 2))
+    assert [full_loop_annihilation_check(op, w, order) for order in range(5)] == [True] * 3 + [False] * 2
+    assert annihilation_check(op, w) is False
 
 
 def test_annihilation_check_matches_the_fraction_form_on_resonant_weights():
     op = build_gkz(entry("e6-fermat"), (1, 1, 1))
     for gamma in (F(1), F(-1)):
         w = HGWeights(F(1, 3), F(1, 3), gamma)
-        assert check_outcome(annihilation_check, op, w, 5) is ResonantBasis
-        assert check_outcome(fraction_annihilation_check, op, w, 5) is ResonantBasis
+        assert check_outcome(annihilation_check, op, w) is ResonantBasis
+        assert check_outcome(fraction_annihilation_check, op, w) is ResonantBasis
 
 
 _small = st.fractions(min_value=-2, max_value=2, max_denominator=6)
@@ -665,18 +667,17 @@ _small = st.fractions(min_value=-2, max_value=2, max_denominator=6)
     ),
     params=st.tuples(_small, _small, _small, _small),
     first_order=st.booleans(),
-    order=st.sampled_from([0, 1, 5, 12]),
 )
-def test_annihilation_check_matches_the_fraction_form_on_small_weights(
-    case, params, first_order, order
-):
+def test_annihilation_check_matches_the_fraction_form_on_small_weights(case, params, first_order):
+    # the Fraction form checks through x^30, past the delta + 1 steps that
+    # decide the int check on these operators
     name, m, r = case
     e = entry(name)
     op = build_gkz(e, m or e.marginals[0].m, r)
     a, b, g, s = params
     w = HGWeights.of_first_order(a, s) if first_order else HGWeights(a, b, g, s)
-    got = check_outcome(annihilation_check, op, w, order)
-    assert got == check_outcome(fraction_annihilation_check, op, w, order)
+    got = check_outcome(annihilation_check, op, w)
+    assert got == check_outcome(fraction_annihilation_check, op, w, 30)
 
 
 # ---------------------------------------------------------------------------
