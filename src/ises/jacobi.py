@@ -22,27 +22,28 @@ computes
   basis and its staircase are computed on first read: only the bench's
   output checks and the tests read them, as they do the Q(sigma)-valued
   ``decompose``;
-* the residue jets.  With t the top monomial of B0, one elimination on the
-  int sigma-layers of the partials solves
-
-      X^e = c_e(sigma) * t + sum_i g_i(sigma) * d_i W_sigma   mod sigma^2
-
-  for every degree-one monomial X^e, one right-hand column each, and for
-  the Hessian D(sigma) = det Hess(W_sigma), by its sigma-layers.  D is
-  cubic in sigma, so its layers come from int determinants: D_0 = det
-  Hess(W) and D_1 = (D(1) - D(-1))/2 - det Hess(phi_m).  The g_i are the
-  columns of the ansatz that the decompositions and the flats below share,
-  at degree 0 and sigma-degree 1, with its rows cut below sigma^2.  c_e is
-  unique: B0 is a basis of Jac(W), so c_e(0) is the coordinate of X^e on
-  t; and the family is flat at sigma = 0 (the partials of W form a regular
-  sequence, so every syzygy of theirs is Koszul and sum_i g_i d_i phi_m
-  with sum_i g_i d_i W = 0 lies in the Jacobian ideal of W), so c_e'(0) is
-  unique too.  The residue, normalized so that residue(det Hess(W_sigma))
-  = mu, is then R_e = mu * c_e / c_Hess; with this normalization the
-  residue of the marginal monomial X^m is 1/(K*(1-x)) with x = C*sigma^l,
-  which pins the constant K = 1/R_m(0) of each family.  A residue is
-  Q(sigma)-linear and vanishes on the ideal and off degree one, so it is
-  R_e on X^e, and a monomial of another degree has residue 0;
+* the residue jets.  With t the top monomial of B0, X^e = c_e(sigma) * t
+  mod J(W_sigma) for each degree-one X^e, and c_e = l(X^e) for the
+  functional l = l_0 + sigma*l_1 (mod sigma^2) on degree one that is 1 at t
+  and vanishes on every product X^a * d_i W_sigma of degree one.  l_0(X^e)
+  is the coefficient on t of the normal form of X^e in B0's table; l_1(t)
+  = 0, and the sigma^1 layers l_1(X^a * d_i W) = -l_0(X^a * d_i phi_m), a
+  row per product, are solved with one right-hand column.  Uniqueness: t is
+  the one standard monomial of degree one, so degree one is J(W)_1 + <t>, a
+  direct sum, and the rows have full column rank on the other monomials.
+  Consistency: a relation g among the rows is a syzygy of the partials of
+  W, a sum of Koszul ones (see the flats below), so sum_i g_i * d_i phi_m
+  lies in J(W), where l_0 vanishes.  l_k for k >= 2 solves the same rows
+  against -l_(k-1)(X^a * d_i phi_m), the route to residues mod higher powers
+  of sigma.  The Hessian D(sigma) = det Hess(W_sigma) has c_Hess = l(D),
+  from D_0 = det Hess(W) and D_1 = sum_jk cof(Hess W)_jk * (Hess phi_m)_jk
+  (Jacobi's formula), one cofactor expansion.  The residue, normalized so
+  that residue(det Hess(W_sigma)) = mu, is then R_e = mu * c_e / c_Hess;
+  with this normalization the residue of the marginal monomial X^m is
+  1/(K*(1-x)) with x = C*sigma^l, which pins the constant K = 1/R_m(0) of
+  each family.  A residue is Q(sigma)-linear and vanishes on the ideal and
+  off degree one, so it is R_e on X^e, and a monomial of another degree has
+  residue 0;
 * decompositions (1 - C*sigma^l) * phi_{r+m} = sum_i g_{r,i} * d_i W_sigma
   exhibiting the left-hand side as a Jacobian-ideal member, every basis
   label of one degree in one int elimination at sigma-degree l - 1, the
@@ -271,22 +272,9 @@ def groebner(gens: Sequence[MultiPoly], weights, name: str) -> tuple[tuple[Multi
     return tuple(members), tuple(stairs), table
 
 
-def _dense(coeffs: dict[int, int]) -> tuple[int, ...]:
-    """The int sigma-polynomial {degree: c}, not all c zero, as its
-    coefficients, low degree first, up to the top nonzero one."""
-    top = max(d for d, c in coeffs.items() if c)
-    return tuple(coeffs.get(d, 0) for d in range(top + 1))
-
-
-def _solve(cells, rhs_maps, ncols):
-    """The solutions, as ``solve_columns`` returns them, of the rows
-    ``cells`` for the right-hand columns ``rhs_maps``, all keyed by
-    (exponent, sigma-degree) and put on one row index in key order: one
-    elimination for every column."""
-    keys = sorted(set(cells).union(*rhs_maps))
-    index = {kk: k for k, kk in enumerate(keys)}
-    rows = [cells.get(kk, {}) for kk in keys]
-    return solve_columns(rows, [{index[kk]: v for kk, v in b.items()} for b in rhs_maps], ncols)
+def _pair(l, terms):
+    """The functional l, {exponent: value}, on the polynomial {exponent: c}."""
+    return sum(c * l[e] for e, c in terms.items())
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +335,7 @@ class JacobianAlgebra:
         _, self.basis, self._normal_forms = groebner(q_partials, self.weights, f"{entry.name} over Q")
         self.top_monomial: Exps = self.basis[-1]
 
-        self._jets = self._residue_jets()
+        self._jets = self._residue_jets(*w.hessian_layers(phi_m))
         residue = self._jets.get(mvec, (0, 0))[0]
         if residue == 0:  # reached only by a MarginalData that derive did not make
             raise DomainError(f"{self._label}: X^m lies in the Jacobian ideal of W")
@@ -386,34 +374,40 @@ class JacobianAlgebra:
 
     # -- residue jets ----------------------------------------------------------
 
-    def _residue_jets(self) -> dict[Exps, tuple[Fraction, Fraction]]:
-        """(R_e(0), R_e'(0)) for each degree-one monomial X^e, from one
-        elimination mod sigma^2 with c_e(sigma) * t in the last two columns
-        (see the module docstring); a zero sigma^0 Hessian coordinate c_Hess(0)
-        would be a pole at sigma = 0 and raises a ``DomainError``."""
-        cols, cells = self._ansatz(0, 1, 2)
-        n = len(cols)
-        for d in (0, 1):  # the columns of c_e(0) * t and c_e'(0) * sigma * t
-            cells.setdefault((self.top_monomial, d), {})[n + d] = 1
-        # D_0 and D_1 of the cubic D(sigma) = det Hess(W + sigma*phi_m), on ints
-        w, phi = self.entry.polynomial.polynomial(), MultiPoly.monomial(self.marginal.m, 1)
-        odd = (w + phi).hessian_det() - (w - phi).hessian_det()
-        layers = (w.hessian_det(), odd.map_coeffs(lambda c: c // 2) - phi.hessian_det())
-        hessian = {(e, d): v for d, layer in enumerate(layers) for e, v in layer.terms.items()}
-        monomials = self.entry.polynomial.degree_one_monomials()
-        *sols, (hx, hden) = _solve(cells, [{(e, 0): 1} for e in monomials] + [hessian], n + 2)
-        h0, h1 = Fraction(hx[n], hden), Fraction(hx[n + 1], hden)
+    def _functional(self) -> tuple[dict, dict]:
+        """The layers l_0 and l_1 of the functional l on the degree-one
+        monomials (module docstring); an inconsistent l_1 system raises a
+        ``DomainError``."""
+        t, w = self.top_monomial, self._w
+        # the coefficient on t of each normal form; t is the one standard monomial of degree one
+        nfs, monomials = self._normal_forms, self.entry.polynomial.degree_one_monomials()
+        l0 = {e: nfs.get(e, {e: Fraction(1)}).get(t, Fraction(0)) for e in monomials}
+        col = {e: k for k, e in enumerate(e for e in l0 if e != t)}
+        rows, rhs = [], {}
+        for i, layers in enumerate(self._layers):
+            for a in monomials_of_weighted_degree(w, w[i]):
+                dw, dphi = ({(a[0] + e[0], a[1] + e[1], a[2] + e[2]): c for e, c in f.items()} for f in layers)
+                rhs[len(rows)] = -_pair(l0, dphi)
+                rows.append({col[e]: c for e, c in dw.items() if e != t})
+        (sol,) = solve_columns(rows, [rhs], len(col))
+        if sol is None:
+            raise DomainError(f"{self._label}: the sigma^1 layer of the residue functional is inconsistent")
+        x, den = sol
+        return l0, {e: Fraction(x[col[e]], den) if e != t else Fraction(0) for e in l0}
+
+    def _residue_jets(self, d0: MultiPoly, d1: MultiPoly) -> dict:
+        """(R_e(0), R_e'(0)) for each degree-one monomial X^e, from c_e = l(X^e)
+        and c_Hess = l(d0 + sigma*d1); a zero c_Hess(0) would be a pole at
+        sigma = 0 and raises a ``DomainError``."""
+        l0, l1 = self._functional()
+        h0, h1 = _pair(l0, d0.terms), _pair(l0, d1.terms) + _pair(l1, d0.terms)
         if not h0:
             raise DomainError(
                 f"{self._label}: the Hessian has no sigma^0 coordinate on "
                 f"{self.top_monomial}, so the residues have a pole at sigma = 0"
             )
-        mu = len(self.basis)
-        jets = {}
-        for e, (x, den) in zip(monomials, sols):
-            r0 = mu * Fraction(x[n], den) / h0
-            jets[e] = (r0, (mu * Fraction(x[n + 1], den) - r0 * h1) / h0)
-        return jets
+        a, b = len(self.basis) / h0, h1 / h0  # R = a * c_e * (1 - b*sigma) mod sigma^2
+        return {e: (a * l0[e], a * (l1[e] - b * l0[e])) for e in l0}
 
     # -- Jacobian-ideal decompositions ----------------------------------------
 
@@ -485,7 +479,9 @@ class JacobianAlgebra:
         for r in labels:  # (1 - C*sigma^l) * X^(r+m): 1 and -C
             rm = (r[0] + mar.m[0], r[1] + mar.m[1], r[2] + mar.m[2])
             lhs.append({(rm, 0): 1, (rm, mar.l): -mar.C} if mar.l < below else {(rm, 0): 1})
-        sols = _solve(cells, lhs, len(cols))
+        keys = sorted(set(cells).union(*lhs))  # one row index, in key order, for every column
+        rhs = [{keys.index(kk): v for kk, v in b.items()} for b in lhs]
+        sols = solve_columns([cells.get(kk, {}) for kk in keys], rhs, len(cols))
         return [
             None if sol is None else self._assemble(r, sol, cols, b, below)
             for r, b, sol in zip(labels, lhs, sols)
@@ -541,7 +537,9 @@ class JacobianAlgebra:
                             total[kk] = total.get(kk, 0) + c * pc
         if {kk: v for kk, v in total.items() if v} != {kk: den * v for kk, v in lhs.items()}:
             raise DomainError(f"{self._label}: decomposition of {rvec} failed verification")
-        return [{e: _dense(c) for e, c in sorted(g.items())} for g in sigma_coeffs], den
+        return [
+            {e: tuple(c.get(d, 0) for d in range(max(c) + 1)) for e, c in sorted(g.items())} for g in sigma_coeffs
+        ], den
 
     # -- flat sections and correlators ----------------------------------------
 
@@ -600,11 +598,10 @@ class JacobianAlgebra:
             self._flats[label] = FlatSectionApprox(r=label, corrections=corrections)
         return self._flats[rvec]
 
-    def fourpoint(self, r1, r2, r3) -> Fraction:
-        """Four-point function with three flat insertions, the basis
-        exponents r1, r2, r3, and one marginal: the sigma-derivative at 0 of
-        the three-point function of the product of their first-order flat
-        representatives.
+    def _flat_fourpoint(self, flats: Sequence[FlatSectionApprox]) -> Fraction:
+        """Four-point function with three flat insertions, the flat sections
+        ``flats`` of basis exponents r1, r2, r3, and one marginal: the
+        sigma-derivative at 0 of the three-point function of their product.
 
         With that product written as sum_e (a_e + b_e*sigma + O(sigma^2)) X^e,
         the value is K * sum_e (a_e * R_e'(0) + b_e * R_e(0)) for
@@ -613,7 +610,6 @@ class JacobianAlgebra:
         at sigma = 0, where W is nondegenerate.  Here a_e is 1 at
         e = r1 + r2 + r3 and 0 elsewhere.
         """
-        flats = [self.flat_first_order(r) for r in (r1, r2, r3)]
         total = tuple(sum(f.r[i] for f in flats) for i in range(NVARS))
         jets = self._jets
         value = jets.get(total, (0, 0))[1]
@@ -639,5 +635,8 @@ class JacobianAlgebra:
 
     def fourpoint_table(self) -> dict[tuple[Exps, Exps, Exps], Fraction]:
         """Four-point values with marginal insertion on all weight-one
-        triples of flat basis insertions."""
-        return {trip: self.fourpoint(*trip) for trip in self.weight_one_triples()}
+        triples of flat basis insertions, each label's flat section built
+        once."""
+        triples = self.weight_one_triples()
+        flats = {r: self.flat_first_order(r) for r in {r for trip in triples for r in trip}}
+        return {trip: self._flat_fourpoint([flats[r] for r in trip]) for trip in triples}

@@ -551,13 +551,18 @@ class MultiPoly:
     def map_coeffs(self, fn) -> "MultiPoly":
         return MultiPoly({e: fn(c) for e, c in self.terms.items()})
 
-    def hessian_det(self) -> "MultiPoly":
-        h = [[self.partial(i).partial(j) for j in range(3)] for i in range(3)]
-        return (
-            h[0][0] * (h[1][1] * h[2][2] - h[1][2] * h[2][1])
-            - h[0][1] * (h[1][0] * h[2][2] - h[1][2] * h[2][0])
-            + h[0][2] * (h[1][0] * h[2][1] - h[1][1] * h[2][0])
-        )
+    def hessian_layers(self, phi: "MultiPoly") -> tuple:
+        """D_0 = det Hess(self) and D_1 = sum_jk cof(Hess self)_jk * (Hess phi)_jk,
+        the sigma^0 and sigma^1 layers of det Hess(self + sigma*phi) by
+        Jacobi's formula, from one cofactor expansion."""
+        h, hp = ([[d.partial(k) for k in range(3)] for d in map(f.partial, range(3))] for f in (self, phi))
+        # cof_jk: rows j + 1, j + 2 and columns k + 1, k + 2 mod 3, as the indices j - 2, j - 1
+        cof = [
+            [h[j - 2][k - 2] * h[j - 1][k - 1] - h[j - 2][k - 1] * h[j - 1][k - 2] for k in range(3)]
+            for j in range(3)
+        ]
+        d0 = sum((h[0][k] * cof[0][k] for k in range(3)), MultiPoly())
+        return d0, sum((cof[j][k] * hp[j][k] for j in range(3) for k in range(3)), MultiPoly())
 
     def to_text(self) -> str:
         if not self.terms:

@@ -41,7 +41,7 @@ from ises.numcore import (
     solve_linear,
 )
 from ises.pfsolve import weight_report
-from test_numcore import _reference_nullspace, _reference_solve
+from test_numcore import _reference_nullspace, _reference_solve, hessian_det
 
 CATALOG = load_catalog()
 
@@ -117,7 +117,7 @@ def reference_residue(alg: JacobianAlgebra, f: MultiPoly) -> RatFun:
     so that the Hessian determinant has residue mu."""
     socle = alg.staircase[-1]
     if alg not in _HESSIAN_SOCLE:
-        hessian = q_sigma_nf(alg, alg.w_sigma.hessian_det())
+        hessian = q_sigma_nf(alg, hessian_det(alg.w_sigma))
         assert set(hessian.terms) == {socle}  # the Hessian spans the socle
         _HESSIAN_SOCLE[alg] = hessian.terms[socle]
     c = RatFun.coerce(q_sigma_nf(alg, f).terms.get(socle, 0))
@@ -343,7 +343,7 @@ def test_hessian_residue_is_the_milnor_number(name, m):
     # h_e(sigma): its residue sum_e h_e * R_e, read through first order from
     # the monomials' jets, is mu, and so is the reference residue.
     alg = algebra(name, m)
-    hessian = alg.w_sigma.hessian_det()
+    hessian = hessian_det(alg.w_sigma)
     value = derivative = 0
     for e, h in hessian.terms.items():
         r0, r1 = alg._jets[e]
@@ -382,7 +382,7 @@ def test_the_normal_form_table_equals_division(name, m):
         for c in range(top // w[2] + 1)
         if w[0] * a + w[1] * b + w[2] * c <= top
     ]
-    for f in [mono(e) for e in exps] + [alg.w_sigma.hessian_det()]:
+    for f in [mono(e) for e in exps] + [hessian_det(alg.w_sigma)]:
         assert q_sigma_nf(alg, f) == _ref_reduce(f, basis[::-1], key)
 
 
@@ -699,20 +699,21 @@ def test_decompositions_cover_every_nonunit_basis_monomial():
 
 def batch_hooks(monkeypatch, tamper=None):
     """Record the (labels, bound) of every sigma-layered decomposition system
-    that ``_solve`` solves, and let ``tamper(labels, bound, sols)`` edit its
-    solved columns in place.  The residue-jet system of ``__init__`` is not
-    solved per degree, and the sigma^0 systems of the flat sections are cut
-    below sigma^1, so neither is recorded or tampered with."""
+    that ``solve_columns`` solves, and let ``tamper(labels, bound, sols)``
+    edit its solved columns in place.  The residue-functional system of
+    ``__init__`` is not solved per degree, and the sigma^0 systems of the
+    flat sections are cut below sigma^1, so neither is recorded or tampered
+    with."""
     calls = []
     layered = []  # the (labels, bound) of the per-degree solve in progress
-    real_degree, real_solve = JacobianAlgebra._solve_degree, jacobi._solve
+    real_degree, real_solve = JacobianAlgebra._solve_degree, jacobi.solve_columns
 
     def solve_degree(self, deg, labels, bound, below):
         layered[:] = [(tuple(labels), bound)] if below > 1 else []
         return real_degree(self, deg, labels, bound, below)
 
-    def solve(cells, rhs_maps, ncols):
-        sols = real_solve(cells, rhs_maps, ncols)
+    def solve(rows, columns, ncols):
+        sols = real_solve(rows, columns, ncols)
         if layered:
             calls.append(layered.pop())
             if tamper is not None:
@@ -720,7 +721,7 @@ def batch_hooks(monkeypatch, tamper=None):
         return sols
 
     monkeypatch.setattr(JacobianAlgebra, "_solve_degree", solve_degree)
-    monkeypatch.setattr(jacobi, "_solve", solve)
+    monkeypatch.setattr(jacobi, "solve_columns", solve)
     return calls
 
 
@@ -846,10 +847,10 @@ def test_every_catalog_decomposition_system_solves_like_the_dense_reference(
     monkeypatch,
 ):
     # Real traffic for the fraction-free kernel: every system that the
-    # four-point tables of all 25 pairs build, the residue jets of each
-    # algebra and the one sigma^0 system of each degree of its flat
-    # sections, each right-hand column solved again by the dense Fraction
-    # elimination.
+    # four-point tables of all 25 pairs build, the sigma^1 layer of the
+    # residue functional of each algebra and the one sigma^0 system of each
+    # degree of its flat sections, each right-hand column solved again by
+    # the dense Fraction elimination.
     systems = {"jets": [], "flats": []}
     phase = ["jets"]
     real_solve = jacobi.solve_columns
@@ -870,8 +871,11 @@ def test_every_catalog_decomposition_system_solves_like_the_dense_reference(
     def shape(kind):
         return len(systems[kind]), sum(len(rhs) for _, rhs, _, _ in systems[kind])
 
-    # one jet system per algebra: a column per degree-one monomial, and the Hessian
-    assert shape("jets") == (25, 225 + 25)
+    # one jet system per algebra, l_1 of the residue functional: one column,
+    # and a row and an unknown for each degree-one monomial but the top one
+    assert shape("jets") == (25, 25)
+    assert all(len(rows) == n for rows, _, n, _ in systems["jets"])
+    assert sum(n for _, _, n, _ in systems["jets"]) == 225 - 25
     # one sigma^0 system per fractional degree: a column per basis label
     assert shape("flats") == (SIGMA_ZERO_SYSTEMS, SIGMA_ZERO_COLUMNS)
     for rows, rhs, n, sols in systems["jets"] + systems["flats"]:
@@ -901,6 +905,18 @@ def test_no_flat_correction_names_its_own_label():
     assert flats == FLAT_LABELS
 
 
+def test_construction_builds_no_ansatz(monkeypatch):
+    # The residue jets read the functional l from B0's normal forms and one
+    # small system on its products: building all 25 algebras makes no
+    # decomposition ansatz, at sigma-degree 1 or any other.
+    cuts = []
+    real = JacobianAlgebra._ansatz
+    monkeypatch.setattr(JacobianAlgebra, "_ansatz", lambda self, *cut: cuts.append(cut) or real(self, *cut))
+    for name, m in ALL_PAIRS:
+        JacobianAlgebra(get_entry(CATALOG, name), m)
+    assert cuts == []
+
+
 def test_four_point_tables_build_no_sigma_layered_decomposition(monkeypatch):
     # The flats read the sigma^0 layer only, so every ansatz that the tables
     # of all 25 pairs build has sigma-degree 0 and rows cut below sigma^1,
@@ -910,18 +926,18 @@ def test_four_point_tables_build_no_sigma_layered_decomposition(monkeypatch):
     # degree gets its flat memoised.
     algebras = [JacobianAlgebra(get_entry(CATALOG, name), m) for name, m in ALL_PAIRS]
     cuts, columns = [], []
-    real_ansatz, real_solve = JacobianAlgebra._ansatz, jacobi._solve
+    real_ansatz, real_solve = JacobianAlgebra._ansatz, jacobi.solve_columns
 
     def ansatz(self, deg, bound, below):
         cuts.append((self, deg, bound, below))
         return real_ansatz(self, deg, bound, below)
 
-    def solve(cells, rhs_maps, ncols):
-        columns.append(len(rhs_maps))
-        return real_solve(cells, rhs_maps, ncols)
+    def solve(rows, rhs, ncols):
+        columns.append(len(rhs))
+        return real_solve(rows, rhs, ncols)
 
     monkeypatch.setattr(JacobianAlgebra, "_ansatz", ansatz)
-    monkeypatch.setattr(jacobi, "_solve", solve)
+    monkeypatch.setattr(jacobi, "solve_columns", solve)
     for alg in algebras:
         alg.fourpoint_table()
     assert {cut[2:] for cut in cuts} == {(0, 1)} and len(cuts) == SIGMA_ZERO_SYSTEMS
@@ -1292,15 +1308,34 @@ def test_integral_degree_labels_are_rejected():
 # ---------------------------------------------------------------------------
 
 
+def fourpoint(alg: JacobianAlgebra, r1, r2, r3) -> F:
+    """The four-point value at the basis exponents r1, r2, r3, from their
+    flat sections, as ``fourpoint_table`` reads it."""
+    return alg._flat_fourpoint([alg.flat_first_order(r) for r in (r1, r2, r3)])
+
+
+def test_the_fourpoint_table_builds_each_flat_once(monkeypatch):
+    # One flat_first_order call per label of a weight-one triple, and the
+    # table equals the value of each triple from its own three calls.
+    alg = JacobianAlgebra(get_entry(CATALOG, "e8-chain32"))
+    asked = []
+    real = JacobianAlgebra.flat_first_order
+    monkeypatch.setattr(JacobianAlgebra, "flat_first_order", lambda self, r: asked.append(r) or real(self, r))
+    table = alg.fourpoint_table()
+    assert sorted(asked) == sorted({r for trip in table for r in trip})
+    assert list(table) == list(alg.weight_one_triples())
+    assert table == {trip: fourpoint(alg, *trip) for trip in table}
+
+
 def test_fourpoint_values_with_marginal_insertion():
-    assert algebra("e6-fermat").fourpoint((1, 0, 0), (1, 0, 0), (1, 0, 0)) == F(-1, 3)
-    assert algebra("e7-fermat").fourpoint((1, 0, 0), (1, 0, 0), (2, 0, 0)) == F(-1, 4)
+    assert fourpoint(algebra("e6-fermat"), (1, 0, 0), (1, 0, 0), (1, 0, 0)) == F(-1, 3)
+    assert fourpoint(algebra("e7-fermat"), (1, 0, 0), (1, 0, 0), (2, 0, 0)) == F(-1, 4)
     chain = algebra("e8-chain32")
-    assert chain.fourpoint((1, 0, 0), (1, 0, 0), (1, 1, 0)) == F(-1, 3)
-    assert chain.fourpoint((0, 0, 1), (0, 0, 1), (0, 0, 1)) == F(-1, 3)
+    assert fourpoint(chain, (1, 0, 0), (1, 0, 0), (1, 1, 0)) == F(-1, 3)
+    assert fourpoint(chain, (0, 0, 1), (0, 0, 1), (0, 0, 1)) == F(-1, 3)
     e8 = algebra("e8-fermat")
-    assert e8.fourpoint((1, 0, 0), (1, 0, 0), (4, 0, 0)) == F(-1, 6)
-    assert e8.fourpoint((0, 1, 0), (0, 1, 0), (0, 1, 0)) == F(-1, 3)
+    assert fourpoint(e8, (1, 0, 0), (1, 0, 0), (4, 0, 0)) == F(-1, 6)
+    assert fourpoint(e8, (0, 1, 0), (0, 1, 0), (0, 1, 0)) == F(-1, 3)
 
 
 # Off-row exception: a product of flat insertions can rewrite onto the
@@ -1396,7 +1431,7 @@ def test_jet_fourpoints_equal_the_full_normal_form_route(name, m):
     for trip in triples:
         flats = [alg.flat_first_order(r) for r in trip]
         expected = reference_fourpoint(alg, flats)
-        assert alg.fourpoint(*trip) == expected
+        assert fourpoint(alg, *trip) == expected
     rows = get_entry(CATALOG, name).polynomial.exponents
     assert raw_marginal_vector(alg) == tuple(
         reference_threepoint(alg, mono(row)).deriv().eval(0) for row in rows
@@ -1411,41 +1446,83 @@ def test_jet_fourpoint_uses_both_jet_terms():
     trip = ((2, 0, 0), (2, 0, 0), (2, 0, 0))
     raw = fourpoint_raw(algebra("e8-chain32"), (6, 0, 0))
     assert raw == F(8, 3)
-    assert algebra("e8-chain32").fourpoint(*trip) == F(2, 3) != raw
+    assert fourpoint(algebra("e8-chain32"), *trip) == F(2, 3) != raw
     alg = JacobianAlgebra(get_entry(CATALOG, "e8-chain32"))
     alg._flats[(2, 0, 0)] = FlatSectionApprox(r=(2, 0, 0), corrections=())
-    assert alg.fourpoint(*trip) == raw
+    assert fourpoint(alg, *trip) == raw
 
 
 def test_residue_pole_at_sigma_zero_is_a_typed_domain_error(monkeypatch):
-    # det Hess(W) planted as 0 is a zero sigma^0 layer D_0 of the Hessian,
-    # so its coordinate on the top monomial is 0 at sigma = 0 and every
-    # R_e = mu*c_e/c_Hess would have a pole there.
+    # D_0 = det Hess(W) planted as 0 in the cofactor expansion: the
+    # Hessian's coordinate c_Hess(0) on the top monomial is then 0, and every
+    # R_e = mu*c_e/c_Hess would have a pole at sigma = 0.
     entry = get_entry(CATALOG, "e6-fermat")
-    w = entry.polynomial.polynomial()
-    real = MultiPoly.hessian_det
-    monkeypatch.setattr(MultiPoly, "hessian_det", lambda f: MultiPoly.zero() if f == w else real(f))
+    real = MultiPoly.hessian_layers
+    monkeypatch.setattr(MultiPoly, "hessian_layers", lambda w, phi: (MultiPoly.zero(), real(w, phi)[1]))
     label = re.escape(f"e6-fermat, m={entry.marginals[0].m}")
     with pytest.raises(DomainError, match=f"^{label}: .*pole at sigma = 0") as info:
         JacobianAlgebra(entry)
     assert not isinstance(info.value, ZeroDivisionError)
 
 
+def test_an_inconsistent_residue_functional_is_a_typed_domain_error(monkeypatch):
+    # The one column of the l_1 system planted as inconsistent: construction
+    # raises a DomainError that names the entry, not the TypeError of
+    # unpacking None.
+    entry = get_entry(CATALOG, "e6-fermat")
+    monkeypatch.setattr(jacobi, "solve_columns", lambda rows, columns, ncols: [None] * len(columns))
+    label = re.escape(f"e6-fermat, m={entry.marginals[0].m}")
+    message = f"^{label}: the sigma\\^1 layer of the residue functional is inconsistent$"
+    with pytest.raises(DomainError, match=message) as info:
+        JacobianAlgebra(entry)
+    assert not isinstance(info.value, TypeError)
+
+
 @pytest.mark.parametrize("name,m", ALL_PAIRS)
 def test_the_int_hessian_layers_equal_the_q_sigma_hessian(name, m, monkeypatch):
-    # The jet system's Hessian column, from int determinants, is the sigma^0
-    # and sigma^1 layers of det Hess(W_sigma) over Q(sigma).
-    columns = []
-    real = jacobi._solve
-    monkeypatch.setattr(
-        jacobi, "_solve", lambda cells, maps, ncols: columns.append(maps[-1]) or real(cells, maps, ncols)
-    )
+    # D_0 and D_1 of the one cofactor expansion that construction makes, on
+    # ints, are the sigma^0 and sigma^1 layers of the Laplace expansion of
+    # det Hess(W_sigma) over Q(sigma).
+    layers = []
+    real = MultiPoly.hessian_layers
+    monkeypatch.setattr(MultiPoly, "hessian_layers", lambda w, phi: layers.append(real(w, phi)) or layers[-1])
     alg = JacobianAlgebra(get_entry(CATALOG, name), m)
-    want = {}
-    for e, c in alg.w_sigma.hessian_det().terms.items():
+    want = ({}, {})
+    for e, c in hessian_det(alg.w_sigma).terms.items():
         assert c.d == (1,)  # an int polynomial in sigma, low degree first
-        want.update({(e, d): v for d, v in enumerate(c.n[:2]) if v})
-    assert columns == [want]
+        for d, v in enumerate(c.n[:2]):
+            if v:
+                want[d][e] = v
+    assert [(d0.terms, d1.terms) for d0, d1 in layers] == [want]
+    assert all(type(v) is int for layer in layers[0] for v in layer.terms.values())
+
+
+@pytest.mark.parametrize("name,m", ALL_PAIRS)
+def test_the_residue_functional_vanishes_on_the_ideal_mod_sigma_squared(name, m):
+    # The certificate of l = l_0 + sigma*l_1: it is 1 at the top monomial t,
+    # and l(X^a * d_i W_sigma) = 0 mod sigma^2 for every product of degree
+    # one, with the partials taken over Q(sigma).
+    alg = algebra(name, m)
+    l0, l1 = alg._functional()
+    monomials = alg.entry.polynomial.degree_one_monomials()
+    assert list(l0) == list(l1) == list(monomials)
+    assert all(type(v) is F for v in [*l0.values(), *l1.values()])
+    t = alg.top_monomial
+    assert (l0[t], l1[t]) == (1, 0)
+    w, _ = scaled_ints(alg.weights)
+    products = 0
+    for i, p in enumerate(alg.partials):
+        for a in monomials_of_weighted_degree(w, w[i]):
+            value = [0, 0]
+            for e, c in (mono(a) * p).terms.items():
+                assert c.d == (1,) and len(c.n) <= 2  # c_0 + c_1 * sigma
+                c0, c1 = c.num.coeff(0), c.num.coeff(1)
+                value[0] += c0 * l0[e]
+                value[1] += c0 * l1[e] + c1 * l0[e]
+            assert value == [0, 0], (a, i)
+            products += 1
+    # one row per product, as many as the unknowns: the system is square
+    assert products == len(monomials) - 1
 
 
 def test_a_marginal_in_the_jacobian_ideal_is_a_typed_error(tmp_path):

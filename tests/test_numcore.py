@@ -568,9 +568,37 @@ def test_multipoly_ring():
     assert (w - w) == MultiPoly.zero()
 
 
+def hessian_det(f: MultiPoly) -> MultiPoly:
+    """det Hess(f), by the Laplace expansion along the first row: the
+    reference that the tests of ``jacobi`` compare Hessians with."""
+    h = [[f.partial(i).partial(j) for j in range(3)] for i in range(3)]
+    return (
+        h[0][0] * (h[1][1] * h[2][2] - h[1][2] * h[2][1])
+        - h[0][1] * (h[1][0] * h[2][2] - h[1][2] * h[2][0])
+        + h[0][2] * (h[1][0] * h[2][1] - h[1][1] * h[2][0])
+    )
+
+
 def test_multipoly_hessian_fermat():
     w = x(0) ** 3 + x(1) ** 3 + x(2) ** 3
-    assert w.hessian_det() == 216 * (x(0) * x(1) * x(2))
+    assert hessian_det(w) == 216 * (x(0) * x(1) * x(2))
+
+
+@seed(0)
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.integers(-3, 3)), max_size=6),
+       st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)))
+def test_hessian_layers_are_the_sigma_layers_of_the_hessian(terms, m):
+    # det Hess(w + sigma*phi) is cubic in sigma; its sigma^0 layer is
+    # det Hess(w), and its sigma^1 layer is the odd part at sigma = +-1
+    # less the sigma^3 layer det Hess(phi), by the Laplace reference
+    w = MultiPoly([((a, b, c), k) for a, b, c, k in terms])
+    phi = MultiPoly.monomial(m, 1)
+    d0, d1 = w.hessian_layers(phi)
+    odd = hessian_det(w + phi) - hessian_det(w - phi)
+    assert d0 == hessian_det(w)
+    assert d1 == odd.map_coeffs(lambda c: c // 2) - hessian_det(phi)
+    assert all(type(c) is int for c in [*d0.terms.values(), *d1.terms.values()])
 
 
 def test_multipoly_merges_a_repeated_exponent():
